@@ -32,6 +32,7 @@ from .engine import (
     phase_split,
     residual_k,
     secondary_m_pair,
+    validate_special_unitary,
 )
 from .errors import (
     BadLabelError,
@@ -46,6 +47,7 @@ from .errors import (
     OptimizerFailedError,
     OrderTooHighError,
     ParseError,
+    ReconstructionError,
     RootSearchFailedError,
     SingularMatrixError,
     SubspaceViolationError,
@@ -113,6 +115,7 @@ __all__ = [
     "OrderTooHighError",
     "ParseError",
     "PauliWord",
+    "ReconstructionError",
     "RootSearchFailedError",
     "SingularMatrixError",
     "StageResult",
@@ -155,4 +158,5 @@ __all__ = [
     "split_Pk_Pm",
     "subspace_error",
     "truncated_bch",
+    "validate_special_unitary",
 ]

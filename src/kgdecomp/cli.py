@@ -7,14 +7,15 @@ Subcommands:
     compare-bch  involution split vs truncated-BCH split on one input
     basis        dump the recursive basis label sets
 
-Exit codes: 0 success, 1 verification or generic failure, 2 unreadable
-or malformed input, 3 input not special unitary (and --repair not
-given), 4 optimizer or root search did not converge.
+Exit codes: 0 success, 1 verification, reconstruction or generic
+failure, 2 unreadable or malformed input, 3 input not special unitary
+(and --repair not given), 4 optimizer or root search did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
@@ -28,6 +29,7 @@ from .engine import (
     compute_m,
     decompose_full,
     residual_k,
+    validate_special_unitary,
 )
 from .errors import (
     DimensionMismatchError,
@@ -74,13 +76,6 @@ def _load_matrix(path: str):
     return n, matrix
 
 
-def _check_su(matrix: np.ndarray) -> float:
-    dim = matrix.shape[0]
-    defect = float(np.linalg.norm(matrix @ matrix.conj().T - np.eye(dim)))
-    det_defect = float(abs(np.linalg.det(matrix) - 1.0))
-    return max(defect, det_defect)
-
-
 def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(
         max_iters=args.max_iters,
@@ -95,30 +90,20 @@ def _tolerances(args) -> Tolerances:
         kwargs["subspace"] = args.tol_subspace
     if getattr(args, "tol_reconstruct", None) is not None:
         kwargs["reconstruct"] = args.tol_reconstruct
-    if not kwargs:
-        return DEFAULT_TOLS
-    return Tolerances(
-        structure=DEFAULT_TOLS.structure,
-        reconstruct=kwargs.get("reconstruct", DEFAULT_TOLS.reconstruct),
-        cartan=DEFAULT_TOLS.cartan,
-        subspace=kwargs.get("subspace", DEFAULT_TOLS.subspace),
-        pattern=DEFAULT_TOLS.pattern,
-    )
+    return dataclasses.replace(DEFAULT_TOLS, **kwargs)
 
 
 def cmd_decompose(args) -> int:
     n, g_raw = _load_matrix(args.input)
-    su_defect = _check_su(g_raw)
     g = g_raw
     repair_distance = None
-    if su_defect > args.ingest_tol:
+    try:
+        validate_special_unitary(g_raw, args.ingest_tol)
+    except NotUnitaryError as exc:
         if not args.repair:
-            print(
-                f"input is not special unitary (defect {su_defect:.3e} > "
-                f"{args.ingest_tol:.3e}); rerun with --repair to project it",
-                file=sys.stderr,
-            )
-            return EXIT_NOT_SU
+            raise NotUnitaryError(
+                f"{exc}; rerun with --repair to project it"
+            ) from exc
         g, _ = nearest_special_unitary(g_raw)
         repair_distance = float(np.linalg.norm(g - g_raw))
 
@@ -157,7 +142,7 @@ def cmd_verify(args) -> int:
             f"tree is for n = {tree.n_total}, matrix file has n = {n}"
         )
     tols = _tolerances(args)
-    threshold = tols.reconstruct * max(tree.n_total - 2, 1)
+    threshold = tols.reconstruct_bound(tree.n_total)
     error = float(np.linalg.norm(g - product(tree)))
     print(f"E_a = {error:.6e} (threshold {threshold:.6e})")
 
@@ -197,13 +182,7 @@ def cmd_bench(args) -> int:
 
 def cmd_compare_bch(args) -> int:
     n, g = _load_matrix(args.input)
-    su_defect = _check_su(g)
-    if su_defect > args.ingest_tol:
-        print(
-            f"input is not special unitary (defect {su_defect:.3e})",
-            file=sys.stderr,
-        )
-        return EXIT_NOT_SU
+    validate_special_unitary(g, args.ingest_tol)
     if n < 2:
         raise DimensionMismatchError("comparison needs n >= 2")
 
@@ -257,8 +236,9 @@ def cmd_basis(args) -> int:
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--restarts", type=int, default=4,
                      help="random restarts after the zero start (default 4)")
-    sub.add_argument("--max-iters", type=int, default=200,
-                     help="BFGS iteration cap per start (default 200)")
+    sub.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters,
+                     help="Newton step cap per optimizer start "
+                          f"(default {OptimizerConfig.max_iters})")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for restarts and sampling (default 0)")
     sub.add_argument("--threads", type=int, default=1,
@@ -286,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--tol-subspace", type=float, default=None,
                        help="subspace residual bound (default 1e-3)")
     p_dec.add_argument("--tol-reconstruct", type=float, default=None,
-                       help="reconstruction bound used in reporting "
-                            "(default 1e-9)")
+                       help="per-level reconstruction bound; E_a above "
+                            "it times max(n-2, 1) fails (default 1e-9)")
     _add_optimizer_flags(p_dec)
     p_dec.set_defaults(func=cmd_decompose)
 

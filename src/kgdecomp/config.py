@@ -28,5 +28,9 @@ class Tolerances:
     subspace: float = 1e-3
     pattern: float = 1e-8
 
+    def reconstruct_bound(self, n: int) -> float:
+        """The E_a bound for an n-qubit tree, reconstruct * max(n - 2, 1)."""
+        return self.reconstruct * max(n - 2, 1)
+
 
 DEFAULT_TOLS = Tolerances()

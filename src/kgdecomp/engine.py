@@ -15,13 +15,13 @@ nine-factor form
 
 whose SU(2^(n-1)) blocks recurse while their qubit count exceeds two.
 
-The Cartan optimizer follows a two-phase scheme: BFGS on the Killing
-objective with central finite-difference gradients (global placement),
-then Newton refinement of the critical-point condition [v, h] = 0 in the
-k-basis coordinates (quadratic local convergence). Any critical point is
-acceptable: [v, h] = 0 forces h into the centralizer of v, which is the
-Cartan span by density of the v-generated torus, and the Cartan element
-is only ever determined up to its Weyl orbit anyway.
+The Cartan optimizer is clipped Newton iteration on the critical-point
+condition [v, h] = 0 of the Killing objective, in the k-basis
+coordinates of the chart K <- K exp(X), started at K = I (and at seeded
+random starts if that fails). Any critical point is acceptable:
+[v, h] = 0 forces h into the centralizer of v, which is the Cartan span
+by density of the v-generated torus, and the Cartan element is only ever
+determined up to its Weyl orbit anyway.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.optimize
 
 from .basis import KGBasis, PauliWord, build_kg_basis, order_cartan_basis
 from .config import DEFAULT_TOLS, Tolerances
@@ -41,6 +40,7 @@ from .errors import (
     NotTensorWithIdentityError,
     NotUnitaryError,
     OptimizerFailedError,
+    ReconstructionError,
     SubspaceViolationError,
 )
 from .factors import (
@@ -80,11 +80,11 @@ __all__ = [
     "extract_last_qubit",
     "decompose_one_level",
     "decompose_full",
+    "validate_special_unitary",
 ]
 
 _SPECTRUM_TOL = 1e-8
 _POLISH_TARGET = 1e-13
-_POLISH_MAX_ITERS = 30
 _REPAIR_THRESHOLD = 1e-12
 _INGEST_TOL = 1e-8
 
@@ -94,29 +94,19 @@ class OptimizerConfig:
     """Knobs for the Cartan-conjugation optimizer.
 
     Attributes:
-        max_iters: BFGS iteration cap per start.
-        gradient_step: central finite-difference step in theta.
-        convergence_tol: BFGS gradient-norm stop, relative to the
-            starting gradient (the Newton refinement drives the final
-            accuracy, so this only controls the hand-off point).
-        restarts: additional random starts after the theta = 0 start.
-        seed: seed for the restart draws, uniform on [-0.5, 0.5]^Q.
+        max_iters: Newton step cap per start. The default clears the
+            largest count measured on Haar SU(16) inputs (238 steps, in
+            the top-level H stage) with room to spare.
+        restarts: additional random starts after the K = I start.
+        seed: seed for the restart draws, theta uniform on [-0.5, 0.5]^Q.
     """
 
-    max_iters: int = 200
-    gradient_step: float = 1e-6
-    convergence_tol: float = 1e-5
+    max_iters: int = 400
     restarts: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        if (
-            self.max_iters <= 0
-            or self.gradient_step <= 0
-            or self.convergence_tol <= 0
-            or self.restarts < 0
-            or self.seed < 0
-        ):
+        if self.max_iters <= 0 or self.restarts < 0 or self.seed < 0:
             raise ValueError("optimizer configuration values out of range")
 
 
@@ -145,7 +135,7 @@ class LevelResult(NamedTuple):
     optimizer_stats: Tuple[Tuple[str, int], ...]
 
 
-def _validate_special_unitary(g: np.ndarray, tol: float = _INGEST_TOL) -> float:
+def validate_special_unitary(g: np.ndarray, tol: float = _INGEST_TOL) -> float:
     """Returns the unitarity defect, raising if g is not SU within tol."""
     n = g.shape[0]
     defect = float(np.linalg.norm(g @ g.conj().T - np.eye(n)))
@@ -186,7 +176,7 @@ def compute_m(
             tolerance (signals branch ambiguity or a non-SU input).
     """
     g = np.asarray(g, dtype=complex)
-    defect = _validate_special_unitary(g)
+    defect = validate_special_unitary(g)
     w = inv.apply(g.conj().T) @ g
     log_tol = max(DEFAULT_TOLS.structure * g.shape[0], 4.0 * defect)
     m_raw = 0.5 * logm_unitary(w, tol=log_tol)
@@ -290,18 +280,22 @@ def _newton_polish(
     v_mat: np.ndarray,
     k_stack: np.ndarray,
     k_norms2: np.ndarray,
+    max_steps: int,
 ) -> Tuple[np.ndarray, float, int]:
     """Drives [v, K^dag m0 K] to zero by Newton steps K <- K exp(delta).
 
-    To first order the update changes h by -[delta, h], so delta solves
-    the least-squares system [v, [delta, h]] = [v, h] in the k-basis
-    coordinates. Returns the best iterate, its relative commutator
+    The k-coordinates of [v, h] are the objective's gradient on this
+    chart, scaled by -1/(c_N ||k_j||^2), so its zeros are the critical
+    points. To first order the update changes h by -[delta, h], so delta
+    solves the least-squares system [v, [delta, h]] = [v, h] in the
+    k-basis coordinates; steps longer than 1 are clipped to unit length.
+    Returns the best iterate, its relative commutator
     ||[v,h]|| / (||v|| ||h||), and the number of steps taken.
     """
     norm_v = np.linalg.norm(v_mat)
     best_k, best_rel = k1, np.inf
     steps = 0
-    for _ in range(_POLISH_MAX_ITERS):
+    for _ in range(max_steps):
         h = k1.conj().T @ m0_mat @ k1
         comm = v_mat @ h - h @ v_mat
         rel = np.linalg.norm(comm) / (norm_v * np.linalg.norm(h) + 1e-300)
@@ -360,38 +354,19 @@ def _minimize_full(
             subspace_error=float(commutation_defect(m0_mat, [w.matrix for w in cartan])),
         )
 
-    def fun(theta):
-        return _objective_values(_theta_to_generator(theta, k_stack)[None],
-                                 v_mat, m0_mat, c_n)[0]
-
-    def jac(theta):
-        gen = _theta_to_generator(theta, k_stack)
-        step = cfg.gradient_step
-        batch = np.concatenate([gen[None] + step * k_stack, gen[None] - step * k_stack])
-        vals = _objective_values(batch, v_mat, m0_mat, c_n)
-        q = len(k_stack)
-        return (vals[:q] - vals[q:]) / (2.0 * step)
-
     target_mats = [w.matrix for w in cartan]
     rng = np.random.default_rng(cfg.seed)
     reference = expm_skew(m0_mat)
     best: Optional[_MinimizeOutcome] = None
     for attempt in range(1 + cfg.restarts):
         if attempt == 0:
-            theta0 = np.zeros(len(k_stack))
+            k1 = np.eye(dim, dtype=complex)
         else:
             theta0 = rng.uniform(-0.5, 0.5, len(k_stack))
-        g0 = float(np.max(np.abs(jac(theta0))))
-        gtol = max(cfg.convergence_tol * g0, 1e-300)
-        res = scipy.optimize.minimize(
-            fun,
-            theta0,
-            jac=jac,
-            method="BFGS",
-            options={"gtol": gtol, "maxiter": cfg.max_iters},
+            k1 = expm_skew(_theta_to_generator(theta0, k_stack))
+        k1, rel, steps = _newton_polish(
+            k1, m0_mat, v_mat, k_stack, k_norms2, cfg.max_iters
         )
-        k1 = expm_skew(_theta_to_generator(res.x, k_stack))
-        k1, rel, polish_steps = _newton_polish(k1, m0_mat, v_mat, k_stack, k_norms2)
         k1 = _maybe_repair(k1)
         h_raw = k1.conj().T @ m0_mat @ k1
         coords, residual = project_onto_span(h_raw, cartan)
@@ -408,7 +383,7 @@ def _minimize_full(
             h_raw=h_raw,
             relative_commutator=float(rel),
             objective_final=float(c_n * np.einsum("ij,ji->", v_mat, h_raw).real),
-            iterations=int(res.nit) + polish_steps,
+            iterations=steps,
             subspace_error=float(commutation_defect(h_raw, target_mats)),
         )
         ok = (
@@ -436,11 +411,11 @@ def minimize_to_cartan(
 ) -> Tuple[np.ndarray, AlgebraElement]:
     """Conjugates m0 into the Cartan span over the subgroup exp(span k).
 
-    Runs BFGS on the Killing objective from theta = 0 and cfg.restarts
-    seeded random starts, then Newton-refines the critical-point
-    condition. Success requires the relative commutator ||[h, v]||
-    bound, the projection residual bound, and eigenphase agreement of
-    exp(h) with exp(m0) (conjugation preserves spectra; h itself is only
+    Runs clipped Newton iteration on the critical-point condition
+    [v, K^dag m0 K] = 0 from K = I, then from cfg.restarts seeded random
+    starts until one succeeds. Success requires the relative commutator
+    ||[h, v]|| bound, the projection residual bound, and eigenphase
+    agreement of exp(h) with exp(m0) (conjugation preserves spectra; h itself is only
     determined up to its Weyl orbit).
 
     Returns:
@@ -769,13 +744,16 @@ def decompose_full(
     Raises:
         NotUnitaryError: g is not special unitary within 1e-8.
         OptimizerFailedError: a stage optimizer exhausted its restarts.
+        ReconstructionError: the Frobenius error E_a of the factor product
+            exceeds tols.reconstruct_bound(n), the bound that
+            `kgdecomp verify` applies.
     """
     g = np.asarray(g, dtype=complex)
     if n < 2:
         raise ValueError(f"decomposition requires n >= 2, got {n}")
     if g.shape != (2**n, 2**n):
         raise DimensionMismatchError(f"expected shape {(2**n, 2**n)}, got {g.shape}")
-    _validate_special_unitary(g)
+    validate_special_unitary(g)
     cfg = cfg or OptimizerConfig()
     start = time.perf_counter()
 
@@ -800,6 +778,11 @@ def decompose_full(
     for factor in factors:
         reconstructed = reconstructed @ expand(factor, n)
     approx = float(np.linalg.norm(g - reconstructed))
+    bound = tols.reconstruct_bound(n)
+    if approx > bound:
+        raise ReconstructionError(
+            f"reconstruction error {approx:.3e} exceeds {bound:.3e}"
+        )
     report = DecompositionReport(
         approx_error=approx,
         subspace_errors=tuple(subspace_errors),

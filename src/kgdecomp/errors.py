@@ -67,6 +67,10 @@ class OptimizerFailedError(KgDecompError):
         self.best = best
 
 
+class ReconstructionError(KgDecompError):
+    """The factor product misses the input by more than the allowed error."""
+
+
 class RootSearchFailedError(KgDecompError):
     """BCH root search exhausted its iterations above tolerance.
 

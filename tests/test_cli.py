@@ -43,6 +43,13 @@ def test_decompose_rejects_non_unitary_without_repair(tmp_path, capsys):
     assert "--repair" in capsys.readouterr().err
 
 
+def test_decompose_fails_above_reconstruction_bound(su8_file, capsys):
+    matrix_path, _ = su8_file
+    argv = ["decompose", str(matrix_path), "--tol-reconstruct", "1e-30"]
+    assert main(argv) == 1
+    assert "reconstruction error" in capsys.readouterr().err
+
+
 def test_decompose_repairs_when_asked(tmp_path, capsys):
     g = haar_special_unitary(3, np.random.default_rng(2))
     path = tmp_path / "dirty.json"

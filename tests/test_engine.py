@@ -13,6 +13,7 @@ from kgdecomp import (
     NotUnitaryError,
     OptimizerConfig,
     OptimizerFailedError,
+    ReconstructionError,
     SubspaceViolationError,
     Tolerances,
     build_kg_basis,
@@ -35,6 +36,7 @@ from kgdecomp import (
     residual_k,
     secondary_m_pair,
 )
+from kgdecomp.engine import _coords_in
 from kgdecomp.linalg import AlgebraElement
 
 
@@ -94,6 +96,37 @@ def test_objective_rejects_wrong_theta_shape():
     m0 = AlgebraElement(matrix=pauli_word("XXX").matrix)
     with pytest.raises(DimensionMismatchError):
         objective(v, m0, np.zeros(3), kg.k_set)
+
+
+def test_newton_residual_is_scaled_objective_gradient():
+    # On the chart K <- K exp(t k_j) the objective's derivative is
+    # c_N Re tr(k_j [v, h]), so the k-coordinates of [v, h] that the
+    # Newton step drives to zero are -grad_j / (c_N ||k_j||^2). With
+    # h = K^dag m0 K as the objective's m0, theta = +-eps e_j evaluates
+    # f at K exp(+-eps k_j).
+    rng = np.random.default_rng(15)
+    kg = build_kg_basis(3)
+    v = build_v(kg.h_set)
+    m0 = random_span_element(rng, kg.m_set)
+    k = random_k_unitary(rng, kg)
+    h = AlgebraElement(matrix=k.conj().T @ m0 @ k)
+    k_stack = np.stack([w.matrix for w in kg.k_set])
+    norms2 = np.linalg.norm(k_stack, axis=(1, 2)) ** 2
+    comm = v.matrix @ h.matrix - h.matrix @ v.matrix
+    residual = _coords_in(k_stack, norms2, comm)
+
+    c_n = 2.0 * 8
+    eps = 1e-5
+    grad = np.empty(len(kg.k_set))
+    for j in range(len(kg.k_set)):
+        step = np.zeros(len(kg.k_set))
+        step[j] = eps
+        grad[j] = (
+            objective(v, h, step, kg.k_set) - objective(v, h, -step, kg.k_set)
+        ) / (2.0 * eps)
+    want = -grad / (c_n * norms2)
+    assert np.max(np.abs(want)) > 1e-2
+    assert np.allclose(residual, want, rtol=0.0, atol=1e-7 * np.max(np.abs(want)))
 
 
 def test_compute_m_recovers_constructed_split():
@@ -184,8 +217,6 @@ def test_minimize_to_cartan_failure_carries_best():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(gradient_step=-1e-6)
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=-1)
 
@@ -356,6 +387,12 @@ def test_decompose_full_threads_match_serial():
             assert np.array_equal(a.matrix, b.matrix)
         if a.coeffs is not None:
             assert a.coeffs == b.coeffs
+
+
+def test_decompose_full_enforces_reconstruction_bound():
+    g = haar_special_unitary(3, np.random.default_rng(16))
+    with pytest.raises(ReconstructionError, match="exceeds 1.000e-30"):
+        decompose_full(g, 3, tols=Tolerances(reconstruct=1e-30))
 
 
 def test_decompose_full_validates_input():

@@ -8,8 +8,9 @@ Subcommands:
     basis        dump the recursive basis label sets
 
 Exit codes: 0 success, 1 verification, reconstruction or generic
-failure, 2 unreadable or malformed input, 3 input not special unitary
-(and --repair not given), 4 optimizer or root search did not converge.
+failure, 2 unreadable or malformed input or a bad option value, 3 input
+not special unitary (and --repair not given), 4 optimizer or root search
+did not converge.
 """
 
 from __future__ import annotations
@@ -76,14 +77,6 @@ def _load_matrix(path: str):
     return n, matrix
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        max_iters=args.max_iters,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-
-
 def _tolerances(args) -> Tolerances:
     kwargs = {}
     if getattr(args, "tol_subspace", None) is not None:
@@ -97,18 +90,18 @@ def cmd_decompose(args) -> int:
     n, g_raw = _load_matrix(args.input)
     g = g_raw
     repair_distance = None
-    try:
-        validate_special_unitary(g_raw, args.ingest_tol)
-    except NotUnitaryError as exc:
-        if not args.repair:
+    if args.repair:
+        g, _ = nearest_special_unitary(g_raw)
+        repair_distance = float(np.linalg.norm(g - g_raw))
+    else:
+        try:
+            validate_special_unitary(g_raw)
+        except NotUnitaryError as exc:
             raise NotUnitaryError(
                 f"{exc}; rerun with --repair to project it"
             ) from exc
-        g, _ = nearest_special_unitary(g_raw)
-        repair_distance = float(np.linalg.norm(g - g_raw))
 
-    tree = decompose_full(g, n, _optimizer_config(args), _tolerances(args),
-                          threads=args.threads)
+    tree = decompose_full(g, n, args.cfg, _tolerances(args))
     document = serialize(tree)
     report = tree.report
 
@@ -167,7 +160,7 @@ def cmd_bench(args) -> int:
     summary = run_benchmark(
         n=args.n,
         count=args.count,
-        cfg=_optimizer_config(args),
+        cfg=args.cfg,
         seed=args.seed,
         threads=args.threads,
     )
@@ -182,7 +175,7 @@ def cmd_bench(args) -> int:
 
 def cmd_compare_bch(args) -> int:
     n, g = _load_matrix(args.input)
-    validate_special_unitary(g, args.ingest_tol)
+    validate_special_unitary(g)
     if n < 2:
         raise DimensionMismatchError("comparison needs n >= 2")
 
@@ -241,8 +234,6 @@ def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
                           f"(default {OptimizerConfig.max_iters})")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for restarts and sampling (default 0)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,10 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("-o", "--output",
                        help="tree output path (default: stdout)")
     p_dec.add_argument("--repair", action="store_true",
-                       help="project a non-unitary input to the nearest "
-                            "special unitary before decomposing")
-    p_dec.add_argument("--ingest-tol", type=float, default=1e-8,
-                       help="acceptable input SU defect (default 1e-8)")
+                       help="project the input to the nearest special "
+                            "unitary before decomposing")
     p_dec.add_argument("--tol-subspace", type=float, default=None,
                        help="subspace residual bound (default 1e-3)")
     p_dec.add_argument("--tol-reconstruct", type=float, default=None,
@@ -288,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of samples")
     p_bench.add_argument("--json", action="store_true",
                          help="emit the summary as JSON instead of a table")
+    p_bench.add_argument("--threads", type=int, default=1,
+                         help="samples decomposed concurrently (default 1)")
     _add_optimizer_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -301,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--max-norm", type=float, default=0.5,
                        help="refuse inputs whose m-norm exceeds this "
                             "(default 0.5)")
-    p_cmp.add_argument("--ingest-tol", type=float, default=1e-8,
-                       help="acceptable input SU defect (default 1e-8)")
     p_cmp.set_defaults(func=cmd_compare_bch)
 
     p_basis = subparsers.add_parser(
@@ -320,6 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "max_iters"):
+        try:
+            args.cfg = OptimizerConfig(
+                max_iters=args.max_iters, restarts=args.restarts, seed=args.seed
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -27,13 +27,12 @@ determined up to its Weyl orbit anyway.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import KGBasis, PauliWord, build_kg_basis, order_cartan_basis
+from .basis import PauliWord, build_kg_basis, order_cartan_basis
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import (
     DimensionMismatchError,
@@ -58,7 +57,6 @@ from .linalg import (
     eigenphase_mismatch,
     expm_skew,
     expm_skew_many,
-    frobenius_norm,
     logm_unitary,
     nearest_special_unitary,
     project_onto_span,
@@ -106,8 +104,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.restarts < 0 or self.seed < 0:
-            raise ValueError("optimizer configuration values out of range")
+        for name, low in (("max_iters", 1), ("restarts", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"optimizer {name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -683,46 +683,28 @@ def _recurse(
     cfg: OptimizerConfig,
     tols: Tolerances,
     prefix: str,
-    executor: Optional[ThreadPoolExecutor],
 ) -> Tuple[List[Factor], float, list, list]:
     level = decompose_one_level(g, n, cfg, tols)
     subspace_errors = [(prefix + label, v) for label, v in level.subspace_errors]
     optimizer_stats = [(prefix + label, v) for label, v in level.optimizer_stats]
     phase = level.phase
 
-    jobs = []
-    slot = 0
-    for position, factor in enumerate(level.factors):
-        if factor.kind is FactorKind.SUB_UNITARY:
-            if factor.level_qubits >= 4:
-                jobs.append((position, f"{prefix}K{slot}/", factor))
-            slot += 1
-
-    results = {}
-    def run(job):
-        position, child_prefix, factor = job
-        return position, _recurse(
-            factor.matrix, factor.level_qubits - 1, cfg, tols, child_prefix, None
-        )
-
-    if executor is not None and len(jobs) > 1:
-        for position, result in executor.map(run, jobs):
-            results[position] = result
-    else:
-        for job in jobs:
-            position, result = run(job)
-            results[position] = result
-
     factors: List[Factor] = []
-    for position, factor in enumerate(level.factors):
-        if position in results:
-            child_factors, child_phase, child_sub, child_stats = results[position]
-            factors.extend(child_factors)
-            phase += child_phase
-            subspace_errors.extend(child_sub)
-            optimizer_stats.extend(child_stats)
-        else:
-            factors.append(factor)
+    slot = 0
+    for factor in level.factors:
+        if factor.kind is FactorKind.SUB_UNITARY:
+            child_prefix = f"{prefix}K{slot}/"
+            slot += 1
+            if factor.level_qubits >= 4:
+                child_factors, child_phase, child_sub, child_stats = _recurse(
+                    factor.matrix, factor.level_qubits - 1, cfg, tols, child_prefix
+                )
+                factors.extend(child_factors)
+                phase += child_phase
+                subspace_errors.extend(child_sub)
+                optimizer_stats.extend(child_stats)
+                continue
+        factors.append(factor)
     return factors, phase, subspace_errors, optimizer_stats
 
 
@@ -731,15 +713,13 @@ def decompose_full(
     n: int,
     cfg: Optional[OptimizerConfig] = None,
     tols: Tolerances = DEFAULT_TOLS,
-    threads: int = 1,
 ) -> FactorTree:
     """Recursively factors G in SU(2^n) down to SU(4)/SU(2)/Cartan leaves.
 
     Each level's four SU(2^(n-1)) blocks recurse while their qubit count
     exceeds two; phases aggregate into the tree's single global phase.
     The n = 2 input is the base case: a single whole-register SubUnitary
-    leaf. With threads > 1 the four sibling blocks of each level are
-    decomposed concurrently; results are identical either way.
+    leaf.
 
     Raises:
         NotUnitaryError: g is not special unitary within 1e-8.
@@ -765,14 +745,9 @@ def decompose_full(
         subspace_errors: list = []
         optimizer_stats: list = []
     else:
-        executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        try:
-            factors, phase, subspace_errors, optimizer_stats = _recurse(
-                g, n, cfg, tols, "", executor
-            )
-        finally:
-            if executor is not None:
-                executor.shutdown()
+        factors, phase, subspace_errors, optimizer_stats = _recurse(
+            g, n, cfg, tols, ""
+        )
 
     reconstructed = np.exp(1j * phase) * np.eye(2**n, dtype=complex)
     for factor in factors:

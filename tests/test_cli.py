@@ -61,6 +61,47 @@ def test_decompose_repairs_when_asked(tmp_path, capsys):
     assert "E_a vs raw input" in out
 
 
+def test_decompose_repair_projects_inputs_inside_ingest_tolerance(tmp_path, capsys):
+    # a defect of ~6e-9 passes the 1e-8 ingest check, yet would miss the
+    # 1e-9 reconstruction bound unless --repair projects it first
+    g = haar_special_unitary(3, np.random.default_rng(6))
+    path = tmp_path / "near.json"
+    path.write_text(matrix_to_document((1 + 1e-9) * g))
+    assert main(["decompose", str(path), "-o", str(tmp_path / "tree.json"),
+                 "--repair"]) == 0
+    assert "repair distance" in capsys.readouterr().out
+
+
+def test_decompose_rejects_input_just_outside_ingest_tolerance(tmp_path, capsys):
+    g = haar_special_unitary(3, np.random.default_rng(6))
+    path = tmp_path / "off.json"
+    path.write_text(matrix_to_document((1 + 1e-8) * g))
+    assert main(["decompose", str(path)]) == 3
+    assert "--repair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["decompose", "g.json", "--max-iters", "0"], "max_iters"),
+    (["bench", "--n", "3", "--count", "1", "--restarts", "-1"], "restarts"),
+])
+def test_out_of_range_optimizer_flags_are_usage_errors(argv, field, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, removed", [
+    ("decompose", ("--threads", "--ingest-tol")),
+    ("compare-bch", ("--ingest-tol",)),
+])
+def test_removed_flags_are_gone(command, removed, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    assert not any(flag in text for flag in removed)
+
+
 def test_verify_flags_mismatched_matrix(tmp_path, su8_file, capsys):
     matrix_path, g = su8_file
     tree_path = tmp_path / "tree.json"
@@ -117,6 +158,13 @@ def test_bench_table_and_json(capsys):
     assert main(
         ["bench", "--n", "3", "--count", "2", "--seed", "42", "--json"]
     ) == 0
+    doc = parse_json(capsys.readouterr().out)
+    assert doc["count"] == 2 and doc["failures"] == 0
+
+
+def test_bench_keeps_threads_flag(capsys):
+    argv = ["bench", "--n", "3", "--count", "2", "--threads", "2", "--json"]
+    assert main(argv) == 0
     doc = parse_json(capsys.readouterr().out)
     assert doc["count"] == 2 and doc["failures"] == 0
 

@@ -215,9 +215,9 @@ def test_minimize_to_cartan_failure_carries_best():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_iters"):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="restarts"):
         OptimizerConfig(restarts=-1)
 
 
@@ -375,18 +375,15 @@ def test_decompose_full_su16_recurses_fully():
     )
 
 
-def test_decompose_full_threads_match_serial():
-    rng = np.random.default_rng(14)
-    g = haar_special_unitary(4, rng)
-    serial = decompose_full(g, 4, threads=1)
-    threaded = decompose_full(g, 4, threads=4)
-    assert serial.phase == threaded.phase
-    for a, b in zip(serial.factors, threaded.factors):
-        assert a.kind is b.kind
-        if a.matrix is not None:
-            assert np.array_equal(a.matrix, b.matrix)
-        if a.coeffs is not None:
-            assert a.coeffs == b.coeffs
+@pytest.mark.parametrize("label, angle", [("XIX", 0.3), ("IXX", 2.5)])
+def test_restart_rescues_stalled_identity_start(label, angle):
+    # Newton from K = I stalls near relative commutator 0.15 on these
+    # inputs; the first seeded restart converges in a few steps.
+    g = expm_skew(angle * pauli_word(label).matrix)
+    tree = decompose_full(g, 3)
+    assert tree.report.approx_error <= 1e-10
+    with pytest.raises(OptimizerFailedError):
+        decompose_full(g, 3, OptimizerConfig(restarts=0))
 
 
 def test_decompose_full_enforces_reconstruction_bound():

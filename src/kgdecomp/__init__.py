@@ -70,7 +70,6 @@ from .linalg import (
     commutation_defect,
     eigenphase_mismatch,
     expm_skew,
-    frobenius_norm,
     kron,
     logm_unitary,
     nearest_special_unitary,
@@ -136,7 +135,6 @@ __all__ = [
     "extract_subunitary",
     "factor_defects",
     "format_table",
-    "frobenius_norm",
     "haar_special_unitary",
     "khk_stage",
     "kron",

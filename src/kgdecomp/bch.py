@@ -25,7 +25,7 @@ import numpy as np
 import scipy.optimize
 
 from .basis import PauliWord
-from .config import DEFAULT_TOLS, Tolerances
+from .config import SUBSPACE_TOL
 from .errors import (
     DimensionMismatchError,
     OrderTooHighError,
@@ -150,7 +150,6 @@ def split_Pk_Pm(
     x: np.ndarray,
     k_span: Sequence[PauliWord],
     m_span: Sequence[PauliWord],
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> Tuple[AlgebraElement, AlgebraElement]:
     """Splits an algebra element into its K-span and M-span components.
 
@@ -168,20 +167,18 @@ def split_Pk_Pm(
     k_part = x - k_resid
     m_part = x - m_resid
     leftover = float(np.linalg.norm(x - k_part - m_part))
-    if leftover > tols.subspace * max(1.0, float(np.linalg.norm(x))):
+    if leftover > SUBSPACE_TOL * max(1.0, float(np.linalg.norm(x))):
         raise SubspaceViolationError(
             f"element lies {leftover:.3e} outside span(K) + span(M)"
         )
     return (
         AlgebraElement(
             matrix=k_part,
-            basis_name="K",
             coords=tuple(float(c) for c in k_coords),
             residual_norm=leftover,
         ),
         AlgebraElement(
             matrix=m_part,
-            basis_name="M",
             coords=tuple(float(c) for c in m_coords),
             residual_norm=leftover,
         ),
@@ -193,7 +190,6 @@ def solve_bch_split(
     k_span: Sequence[PauliWord],
     m_span: Sequence[PauliWord],
     cfg: Optional[BchConfig] = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> Tuple[AlgebraElement, AlgebraElement, float]:
     """Solves G = exp(k) exp(m) for k in span(K), m in span(M) via BCH.
 
@@ -246,13 +242,11 @@ def solve_bch_split(
     k_part = k_log - k_resid
     k_elt = AlgebraElement(
         matrix=k_part,
-        basis_name="K",
         coords=tuple(float(c) for c in k_coords),
         residual_norm=float(np.linalg.norm(k_resid)),
     )
     m_elt = AlgebraElement(
         matrix=m_mat,
-        basis_name="M",
         coords=tuple(float(c) for c in sol.x),
         residual_norm=0.0,
     )

@@ -16,7 +16,6 @@ did not converge.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Optional, Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .basis import build_kg_basis
 from .bch import BchConfig, solve_bch_split
-from .config import DEFAULT_TOLS, Tolerances
+from .config import Tolerances
 from .engine import (
     OptimizerConfig,
     compute_m,
@@ -77,15 +76,6 @@ def _load_matrix(path: str):
     return n, matrix
 
 
-def _tolerances(args) -> Tolerances:
-    kwargs = {}
-    if getattr(args, "tol_subspace", None) is not None:
-        kwargs["subspace"] = args.tol_subspace
-    if getattr(args, "tol_reconstruct", None) is not None:
-        kwargs["reconstruct"] = args.tol_reconstruct
-    return dataclasses.replace(DEFAULT_TOLS, **kwargs)
-
-
 def cmd_decompose(args) -> int:
     n, g_raw = _load_matrix(args.input)
     g = g_raw
@@ -101,7 +91,7 @@ def cmd_decompose(args) -> int:
                 f"{exc}; rerun with --repair to project it"
             ) from exc
 
-    tree = decompose_full(g, n, args.cfg, _tolerances(args))
+    tree = decompose_full(g, n, args.cfg, Tolerances(args.tol_reconstruct))
     document = serialize(tree)
     report = tree.report
 
@@ -134,7 +124,7 @@ def cmd_verify(args) -> int:
         raise DimensionMismatchError(
             f"tree is for n = {tree.n_total}, matrix file has n = {n}"
         )
-    tols = _tolerances(args)
+    tols = Tolerances(args.tol_reconstruct)
     threshold = tols.reconstruct_bound(tree.n_total)
     error = float(np.linalg.norm(g - product(tree)))
     print(f"E_a = {error:.6e} (threshold {threshold:.6e})")
@@ -142,7 +132,7 @@ def cmd_verify(args) -> int:
     worst_defect = 0.0
     for index, factor in enumerate(tree.factors):
         for name, value in factor_defects(factor).items():
-            if name in ("unitarity", "det") and value > DEFAULT_TOLS.structure * 2**n:
+            if name in ("unitarity", "det") and value > tols.structure * 2**n:
                 print(f"factor {index}: {name} defect {value:.3e}")
                 worst_defect = max(worst_defect, value)
             if name == "bad_labels" and value > 0:
@@ -252,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--repair", action="store_true",
                        help="project the input to the nearest special "
                             "unitary before decomposing")
-    p_dec.add_argument("--tol-subspace", type=float, default=None,
-                       help="subspace residual bound (default 1e-3)")
-    p_dec.add_argument("--tol-reconstruct", type=float, default=None,
+    p_dec.add_argument("--tol-reconstruct", type=float,
+                       default=Tolerances.reconstruct,
                        help="per-level reconstruction bound; E_a above "
                             "it times max(n-2, 1) fails (default 1e-9)")
     _add_optimizer_flags(p_dec)
@@ -265,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("matrix", help="matrix document")
     p_ver.add_argument("tree", help="factor tree document")
-    p_ver.add_argument("--tol-reconstruct", type=float, default=None,
+    p_ver.add_argument("--tol-reconstruct", type=float,
+                       default=Tolerances.reconstruct,
                        help="per-level reconstruction bound (default 1e-9)")
     p_ver.set_defaults(func=cmd_verify)
 

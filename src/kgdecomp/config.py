@@ -1,32 +1,42 @@
-"""Default numerical tolerances, configurable per call site."""
+"""Numerical tolerances: fixed acceptance bounds plus the settable E_a bound.
+
+The involution logarithms are exact, so the stage bounds below are
+acceptance checks rather than tuning parameters; only the reconstruction
+bound that `decompose_full` and `kgdecomp verify` apply can be set.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
+
+CARTAN_TOL = 1e-8
+"""Relative commutator bound ||[h, v]|| / (||h|| ||v||) that the Cartan
+optimizer must reach."""
+
+SUBSPACE_TOL = 1e-3
+"""Largest projection residual that snap-to-span repair will absorb;
+anything bigger fails loudly."""
+
+PATTERN_TOL = 1e-8
+"""Allowed deviation from required block patterns (tensor with identity,
+single Z word)."""
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance bundle threaded through the decomposition pipeline.
+    """The E_a bound of a decomposition, plus the fixed structure scale.
 
     Attributes:
-        structure: per-dimension scale for structural predicate checks
-            (unitarity, skew-Hermiticity); most checks use structure * dim.
         reconstruct: allowed Frobenius reconstruction error per recursion
             level.
-        cartan: relative commutator bound ||[h, v]|| / (||h|| ||v||) that
-            the Cartan optimizer must reach.
-        subspace: largest projection residual that snap-to-span repair will
-            absorb; anything bigger fails loudly.
-        pattern: allowed deviation from required block patterns (tensor
-            with identity, single Z word).
+        structure: per-dimension scale for structural predicate checks
+            (unitarity, skew-Hermiticity); most checks use structure * dim.
+            Fixed, not a constructor argument.
     """
 
-    structure: float = 1e-10
+    structure: ClassVar[float] = 1e-10
     reconstruct: float = 1e-9
-    cartan: float = 1e-8
-    subspace: float = 1e-3
-    pattern: float = 1e-8
 
     def reconstruct_bound(self, n: int) -> float:
         """The E_a bound for an n-qubit tree, reconstruct * max(n - 2, 1)."""

@@ -33,7 +33,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .basis import PauliWord, build_kg_basis, order_cartan_basis
-from .config import DEFAULT_TOLS, Tolerances
+from .config import CARTAN_TOL, DEFAULT_TOLS, PATTERN_TOL, SUBSPACE_TOL, Tolerances
 from .errors import (
     DimensionMismatchError,
     NotTensorWithIdentityError,
@@ -115,15 +115,16 @@ class StageResult:
     """One KHK stage: G = k0 k1 exp(h) k1^dag with h Abelian.
 
     h carries coordinates in the stage Cartan basis; m is the involution
-    logarithm the stage split off.
+    logarithm the stage split off; subspace_error is the commutation
+    defect of the raw k1^dag m k1 against the Cartan basis.
     """
 
     k0: np.ndarray
     k1: np.ndarray
     h: AlgebraElement
     m: AlgebraElement
-    objective_final: float
     optimizer_iters: int
+    subspace_error: float
 
 
 class LevelResult(NamedTuple):
@@ -159,8 +160,6 @@ def compute_m(
     g: np.ndarray,
     inv: AxisInvolution,
     target_span: Sequence[PauliWord],
-    tols: Tolerances = DEFAULT_TOLS,
-    span_name: Optional[str] = None,
 ) -> AlgebraElement:
     """The involution logarithm m = (1/2) log(theta(g^dag) g), snapped to span.
 
@@ -182,13 +181,12 @@ def compute_m(
     m_raw = 0.5 * logm_unitary(w, tol=log_tol)
     coords, residual = project_onto_span(m_raw, target_span)
     residual_norm = float(np.linalg.norm(residual))
-    if residual_norm > tols.subspace:
+    if residual_norm > SUBSPACE_TOL:
         raise SubspaceViolationError(
-            f"m lies {residual_norm:.3e} from its span, above {tols.subspace:.3e}"
+            f"m lies {residual_norm:.3e} from its span, above {SUBSPACE_TOL:.3e}"
         )
     return AlgebraElement(
         matrix=m_raw - residual,
-        basis_name=span_name,
         coords=tuple(float(c) for c in coords),
         residual_norm=residual_norm,
     )
@@ -211,7 +209,6 @@ def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
     mats = np.stack([w.matrix for w in cartan])
     return AlgebraElement(
         matrix=np.tensordot(np.asarray(weights), mats, axes=1),
-        basis_name="cartan",
         coords=weights,
         residual_norm=0.0,
     )
@@ -260,9 +257,7 @@ def objective(
 class _MinimizeOutcome:
     k1: np.ndarray
     h: AlgebraElement
-    h_raw: np.ndarray
     relative_commutator: float
-    objective_final: float
     iterations: int
     subspace_error: float
 
@@ -289,19 +284,19 @@ def _newton_polish(
     points. To first order the update changes h by -[delta, h], so delta
     solves the least-squares system [v, [delta, h]] = [v, h] in the
     k-basis coordinates; steps longer than 1 are clipped to unit length.
-    Returns the best iterate, its relative commutator
+    Takes at most max_steps steps and evaluates every iterate, the last
+    one included. Returns the best iterate, its relative commutator
     ||[v,h]|| / (||v|| ||h||), and the number of steps taken.
     """
     norm_v = np.linalg.norm(v_mat)
     best_k, best_rel = k1, np.inf
-    steps = 0
-    for _ in range(max_steps):
+    for steps in range(max_steps + 1):
         h = k1.conj().T @ m0_mat @ k1
         comm = v_mat @ h - h @ v_mat
         rel = np.linalg.norm(comm) / (norm_v * np.linalg.norm(h) + 1e-300)
         if rel < best_rel:
             best_k, best_rel = k1, rel
-        if rel <= _POLISH_TARGET:
+        if rel <= _POLISH_TARGET or steps == max_steps:
             break
         bracket = k_stack @ h - h @ k_stack
         columns = v_mat @ bracket - bracket @ v_mat
@@ -314,7 +309,6 @@ def _newton_polish(
         if step_norm > 1.0:
             delta_coords = delta_coords / step_norm
         k1 = k1 @ expm_skew(_theta_to_generator(delta_coords, k_stack))
-        steps += 1
     return best_k, best_rel, steps
 
 
@@ -323,8 +317,6 @@ def _minimize_full(
     k_basis: Sequence[PauliWord],
     cartan: Sequence[PauliWord],
     cfg: OptimizerConfig,
-    tols: Tolerances = DEFAULT_TOLS,
-    span_name: Optional[str] = None,
 ) -> _MinimizeOutcome:
     """minimize_to_cartan with optimizer diagnostics attached."""
     cartan = order_cartan_basis(cartan)
@@ -332,7 +324,6 @@ def _minimize_full(
     v_mat = v.matrix
     m0_mat = m0.matrix if isinstance(m0, AlgebraElement) else np.asarray(m0, dtype=complex)
     dim = m0_mat.shape[0]
-    c_n = 2.0 * dim
     k_stack = np.stack([w.matrix for w in k_basis])
     k_norms2 = np.einsum("qji,qji->q", k_stack.conj(), k_stack).real
 
@@ -340,16 +331,13 @@ def _minimize_full(
     if norm_m0 <= 1e-13 * dim:
         zero = AlgebraElement(
             matrix=np.zeros_like(m0_mat),
-            basis_name=span_name,
             coords=(0.0,) * len(cartan),
             residual_norm=float(norm_m0),
         )
         return _MinimizeOutcome(
             k1=np.eye(dim, dtype=complex),
             h=zero,
-            h_raw=m0_mat,
             relative_commutator=0.0,
-            objective_final=0.0,
             iterations=0,
             subspace_error=float(commutation_defect(m0_mat, [w.matrix for w in cartan])),
         )
@@ -376,19 +364,16 @@ def _minimize_full(
             k1=k1,
             h=AlgebraElement(
                 matrix=h_proj,
-                basis_name=span_name,
                 coords=tuple(float(c) for c in coords),
                 residual_norm=residual_norm,
             ),
-            h_raw=h_raw,
             relative_commutator=float(rel),
-            objective_final=float(c_n * np.einsum("ij,ji->", v_mat, h_raw).real),
             iterations=steps,
             subspace_error=float(commutation_defect(h_raw, target_mats)),
         )
         ok = (
-            rel <= tols.cartan
-            and residual_norm <= tols.subspace
+            rel <= CARTAN_TOL
+            and residual_norm <= SUBSPACE_TOL
             and eigenphase_mismatch(expm_skew(h_proj), reference) <= _SPECTRUM_TOL
         )
         if best is None or outcome.relative_commutator < best.relative_commutator:
@@ -396,7 +381,7 @@ def _minimize_full(
         if ok:
             return outcome
     raise OptimizerFailedError(
-        f"no restart reached relative commutator {tols.cartan:.1e} "
+        f"no restart reached relative commutator {CARTAN_TOL:.1e} "
         f"(best {best.relative_commutator:.3e})",
         best=(best.k1, best.h),
     )
@@ -407,7 +392,6 @@ def minimize_to_cartan(
     k_basis: Sequence[PauliWord],
     cartan: Sequence[PauliWord],
     cfg: Optional[OptimizerConfig] = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> Tuple[np.ndarray, AlgebraElement]:
     """Conjugates m0 into the Cartan span over the subgroup exp(span k).
 
@@ -426,7 +410,7 @@ def minimize_to_cartan(
         OptimizerFailedError: all starts ended above tolerance; the best
             (k1, h) pair rides in the error's `best` attribute.
     """
-    outcome = _minimize_full(m0, k_basis, cartan, cfg or OptimizerConfig(), tols)
+    outcome = _minimize_full(m0, k_basis, cartan, cfg or OptimizerConfig())
     return outcome.k1, outcome.h
 
 
@@ -437,7 +421,6 @@ def khk_stage(
     m_span: Sequence[PauliWord],
     cartan: Sequence[PauliWord],
     cfg: Optional[OptimizerConfig] = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> StageResult:
     """One full KHK stage: G = k0 k1 exp(h) k1^dag.
 
@@ -445,16 +428,16 @@ def khk_stage(
     the Cartan optimizer on m.
     """
     cfg = cfg or OptimizerConfig()
-    m = compute_m(g, inv, m_span, tols)
+    m = compute_m(g, inv, m_span)
     k0 = _maybe_repair(residual_k(g, m))
-    outcome = _minimize_full(m, k_basis, cartan, cfg, tols)
+    outcome = _minimize_full(m, k_basis, cartan, cfg)
     return StageResult(
         k0=k0,
         k1=outcome.k1,
         h=outcome.h,
         m=m,
-        objective_final=outcome.objective_final,
         optimizer_iters=outcome.iterations,
+        subspace_error=outcome.subspace_error,
     )
 
 
@@ -463,7 +446,6 @@ def secondary_m_pair(
     k01: np.ndarray,
     inv_x: AxisInvolution,
     span_k1z: Sequence[PauliWord],
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> Tuple[AlgebraElement, AlgebraElement]:
     """The two theta_X logarithms of the secondary stage.
 
@@ -472,8 +454,8 @@ def secondary_m_pair(
     span(K_n1) + span(I..IZ).
     """
     w = np.asarray(k00, dtype=complex) @ np.asarray(k01, dtype=complex)
-    m1 = compute_m(w, inv_x, span_k1z, tols)
-    m2 = compute_m(np.asarray(k01, dtype=complex).conj().T, inv_x, span_k1z, tols)
+    m1 = compute_m(w, inv_x, span_k1z)
+    m2 = compute_m(np.asarray(k01, dtype=complex).conj().T, inv_x, span_k1z)
     return m1, m2
 
 
@@ -481,7 +463,6 @@ def phase_split(
     m: AlgebraElement,
     k1_span: Sequence[PauliWord],
     z_word: PauliWord,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> Tuple[AlgebraElement, AlgebraElement]:
     """Separates the central I..IZ phase from a secondary-stage log.
 
@@ -503,7 +484,7 @@ def phase_split(
     z_norm2 = float(np.einsum("ji,ji->", z_mat.conj(), z_mat).real)
     alpha = float(np.einsum("ji,ji->", z_mat.conj(), m_tilde).real / z_norm2)
     off_span = np.linalg.norm(m_tilde - alpha * z_mat)
-    if off_span > tols.pattern * max(1.0, np.linalg.norm(mat)):
+    if off_span > PATTERN_TOL * max(1.0, np.linalg.norm(mat)):
         raise SubspaceViolationError(
             f"non-central remainder {off_span:.3e} after removing the z word"
         )
@@ -517,9 +498,7 @@ def phase_split(
     )
 
 
-def extract_subunitary(
-    k: np.ndarray, n: int, tols: Tolerances = DEFAULT_TOLS
-) -> Tuple[np.ndarray, float]:
+def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
     """Strips the trailing identity qubit off a matrix with shape A (x) I2.
 
     sub' is the stride-2 submatrix (even rows/columns); the global phase
@@ -537,9 +516,9 @@ def extract_subunitary(
     odd = k[1::2, 1::2]
     cross = max(np.linalg.norm(k[0::2, 1::2]), np.linalg.norm(k[1::2, 0::2]))
     mismatch = np.linalg.norm(even - odd)
-    if max(cross, mismatch) > tols.pattern:
+    if max(cross, mismatch) > PATTERN_TOL:
         raise NotTensorWithIdentityError(
-            f"pattern defect {max(cross, mismatch):.3e} exceeds {tols.pattern:.3e}"
+            f"pattern defect {max(cross, mismatch):.3e} exceeds {PATTERN_TOL:.3e}"
         )
     sub = 0.5 * (even + odd)
     phase = float(np.angle(np.linalg.det(sub))) / 2 ** (n - 1)
@@ -547,9 +526,7 @@ def extract_subunitary(
     return _maybe_repair(sub), phase
 
 
-def extract_last_qubit(
-    m_tilde, n: int, tols: Tolerances = DEFAULT_TOLS
-) -> np.ndarray:
+def extract_last_qubit(m_tilde, n: int) -> np.ndarray:
     """Exponentiates the central phase log into its SU(2) last-qubit factor.
 
     m_tilde must be (i alpha / 2) I^(n-1) (x) Z; the result is the
@@ -569,7 +546,7 @@ def extract_last_qubit(
     z_norm2 = float(np.einsum("ji,ji->", z_mat.conj(), z_mat).real)
     alpha = float(np.einsum("ji,ji->", z_mat.conj(), mat).real / z_norm2)
     defect = np.linalg.norm(mat - alpha * z_mat)
-    if defect > tols.pattern * (1.0 + abs(alpha)):
+    if defect > PATTERN_TOL * (1.0 + abs(alpha)):
         raise SubspaceViolationError(
             f"central-phase defect {defect:.3e} exceeds tolerance"
         )
@@ -599,7 +576,6 @@ def decompose_one_level(
     g: np.ndarray,
     n: int,
     cfg: Optional[OptimizerConfig] = None,
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> LevelResult:
     """Factors G in SU(2^n), n >= 3, into the nine-factor corollary form.
 
@@ -617,38 +593,30 @@ def decompose_one_level(
     inv_z = AxisInvolution(n, "Z")
     inv_x = AxisInvolution(n, "X")
 
-    stage = khk_stage(g, inv_z, kg.k_set, kg.m_set, kg.h_set, cfg, tols)
-    h_es = float(
-        commutation_defect(
-            stage.k1.conj().T @ stage.m.matrix @ stage.k1,
-            [w.matrix for w in kg.h_set],
-        )
-    )
+    stage = khk_stage(g, inv_z, kg.k_set, kg.m_set, kg.h_set, cfg)
 
     span_k1z = tuple(kg.k1_set) + (kg.z_word,)
-    m1, m2 = secondary_m_pair(stage.k0, stage.k1, inv_x, span_k1z, tols)
+    m1, m2 = secondary_m_pair(stage.k0, stage.k1, inv_x, span_k1z)
     w_mat = stage.k0 @ stage.k1
     k10 = _maybe_repair(w_mat @ expm_skew(-m1.matrix))
     k20 = _maybe_repair(stage.k1.conj().T @ expm_skew(-m2.matrix))
 
-    m1_hat, m1_tilde = phase_split(m1, kg.k1_set, kg.z_word, tols)
-    m2_hat, m2_tilde = phase_split(m2, kg.k1_set, kg.z_word, tols)
+    m1_hat, m1_tilde = phase_split(m1, kg.k1_set, kg.z_word)
+    m2_hat, m2_tilde = phase_split(m2, kg.k1_set, kg.z_word)
 
-    out1 = _minimize_full(m1_hat, kg.k0_set, kg.f_set, cfg, tols, span_name=f"F{n}")
-    out2 = _minimize_full(m2_hat, kg.k0_set, kg.f_set, cfg, tols, span_name=f"F{n}")
+    out1 = _minimize_full(m1_hat, kg.k0_set, kg.f_set, cfg)
+    out2 = _minimize_full(m2_hat, kg.k0_set, kg.f_set, cfg)
 
-    sub0, phi0 = extract_subunitary(k10 @ out1.k1, n, tols)
-    inner1, psi1 = extract_subunitary(out1.k1, n, tols)
-    sub2, phi2 = extract_subunitary(k20 @ out2.k1, n, tols)
-    inner2, psi2 = extract_subunitary(out2.k1, n, tols)
-    last0 = extract_last_qubit(m1_tilde, n, tols)
-    last1 = extract_last_qubit(m2_tilde, n, tols)
+    sub0, phi0 = extract_subunitary(k10 @ out1.k1, n)
+    inner1, psi1 = extract_subunitary(out1.k1, n)
+    sub2, phi2 = extract_subunitary(k20 @ out2.k1, n)
+    inner2, psi2 = extract_subunitary(out2.k1, n)
+    last0 = extract_last_qubit(m1_tilde, n)
+    last1 = extract_last_qubit(m2_tilde, n)
 
     h_factor = _cartan_factor(stage.h, kg.h_set, f"H{n}", n)
     f0_factor = _cartan_factor(out1.h, kg.f_set, f"F{n}", n)
     f1_factor = _cartan_factor(out2.h, kg.f_set, f"F{n}", n)
-    f0_es = out1.subspace_error
-    f1_es = out2.subspace_error
 
     factors = (
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub0),
@@ -665,9 +633,9 @@ def decompose_one_level(
     )
     phase = phi0 + phi2 - psi1 - psi2
     subspace_errors = (
-        (f"f0[F{n}]", f0_es),
-        (f"h[H{n}]", h_es),
-        (f"f1[F{n}]", f1_es),
+        (f"f0[F{n}]", out1.subspace_error),
+        (f"h[H{n}]", stage.subspace_error),
+        (f"f1[F{n}]", out2.subspace_error),
     )
     optimizer_stats = (
         (f"n{n}:h", stage.optimizer_iters),
@@ -681,10 +649,9 @@ def _recurse(
     g: np.ndarray,
     n: int,
     cfg: OptimizerConfig,
-    tols: Tolerances,
     prefix: str,
 ) -> Tuple[List[Factor], float, list, list]:
-    level = decompose_one_level(g, n, cfg, tols)
+    level = decompose_one_level(g, n, cfg)
     subspace_errors = [(prefix + label, v) for label, v in level.subspace_errors]
     optimizer_stats = [(prefix + label, v) for label, v in level.optimizer_stats]
     phase = level.phase
@@ -697,7 +664,7 @@ def _recurse(
             slot += 1
             if factor.level_qubits >= 4:
                 child_factors, child_phase, child_sub, child_stats = _recurse(
-                    factor.matrix, factor.level_qubits - 1, cfg, tols, child_prefix
+                    factor.matrix, factor.level_qubits - 1, cfg, child_prefix
                 )
                 factors.extend(child_factors)
                 phase += child_phase
@@ -745,9 +712,7 @@ def decompose_full(
         subspace_errors: list = []
         optimizer_stats: list = []
     else:
-        factors, phase, subspace_errors, optimizer_stats = _recurse(
-            g, n, cfg, tols, ""
-        )
+        factors, phase, subspace_errors, optimizer_stats = _recurse(g, n, cfg, "")
 
     reconstructed = np.exp(1j * phase) * np.eye(2**n, dtype=complex)
     for factor in factors:

@@ -28,10 +28,6 @@ from .errors import (
 __all__ = [
     "AlgebraElement",
     "kron",
-    "frobenius_norm",
-    "is_unitary",
-    "is_skew_hermitian",
-    "is_traceless",
     "expm_skew",
     "logm_unitary",
     "project_onto_span",
@@ -43,11 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """A member of su(2^n), optionally with coordinates in a named span.
+    """A member of su(2^n), optionally with coordinates in a span.
 
     Attributes:
         matrix: skew-Hermitian traceless complex matrix.
-        basis_name: identifier of the span the coordinates refer to.
         coords: real coefficients such that
             ||matrix - sum_i coords[i] * basis_i||_F == residual_norm.
         residual_norm: distance from the raw element to the span; for
@@ -56,7 +51,6 @@ class AlgebraElement:
     """
 
     matrix: np.ndarray
-    basis_name: Optional[str] = None
     coords: Optional[Tuple[float, ...]] = None
     residual_norm: Optional[float] = None
 
@@ -77,36 +71,6 @@ def _as_matrix(a) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product a (x) b with dim(a)*dim(b) output."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    """Frobenius norm, the matrix norm used throughout this package."""
-    return float(np.linalg.norm(_as_matrix(a)))
-
-
-def is_unitary(a: np.ndarray, tol: Optional[float] = None) -> bool:
-    """Whether ||a a^dag - I||_F is below tol (default structure tol * dim)."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if tol is None:
-        tol = DEFAULT_TOLS.structure * n
-    return bool(np.linalg.norm(a @ a.conj().T - np.eye(n)) <= tol)
-
-
-def is_skew_hermitian(a: np.ndarray, tol: Optional[float] = None) -> bool:
-    """Whether ||a + a^dag||_F is below tol (default structure tol * dim)."""
-    a = np.asarray(a, dtype=complex)
-    if tol is None:
-        tol = DEFAULT_TOLS.structure * a.shape[0]
-    return bool(np.linalg.norm(a + a.conj().T) <= tol)
-
-
-def is_traceless(a: np.ndarray, tol: Optional[float] = None) -> bool:
-    """Whether |tr a| is below tol (default structure tol * dim)."""
-    a = np.asarray(a, dtype=complex)
-    if tol is None:
-        tol = DEFAULT_TOLS.structure * a.shape[0]
-    return bool(abs(np.trace(a)) <= tol)
 
 
 def expm_skew(a, tol: Optional[float] = None) -> np.ndarray:

@@ -92,7 +92,7 @@ def test_out_of_range_optimizer_flags_are_usage_errors(argv, field, capsys):
 
 
 @pytest.mark.parametrize("command, removed", [
-    ("decompose", ("--threads", "--ingest-tol")),
+    ("decompose", ("--threads", "--ingest-tol", "--tol-subspace")),
     ("compare-bch", ("--ingest-tol",)),
 ])
 def test_removed_flags_are_gone(command, removed, capsys):

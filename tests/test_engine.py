@@ -36,7 +36,7 @@ from kgdecomp import (
     residual_k,
     secondary_m_pair,
 )
-from kgdecomp.engine import _coords_in
+from kgdecomp.engine import _coords_in, _newton_polish
 from kgdecomp.linalg import AlgebraElement
 
 
@@ -197,21 +197,36 @@ def test_minimize_to_cartan_zero_input_short_circuits():
 def test_minimize_to_cartan_failure_carries_best():
     rng = np.random.default_rng(4)
     kg = build_kg_basis(3)
-    m0 = AlgebraElement(
-        matrix=random_k_unitary(rng, kg) @ random_span_element(rng, kg.h_set)
-        @ random_k_unitary(rng, kg).conj().T
-    )
-    # m0 is not even in span(M) here, but the unreachable tolerance is
-    # what forces the failure path
-    impossible = Tolerances(structure=1e-10, reconstruct=1e-9,
-                            cartan=1e-30, subspace=1e-3, pattern=1e-8)
-    cfg = OptimizerConfig(max_iters=5, restarts=1, seed=0)
+    # one Newton step from K = I leaves the relative commutator far above
+    # the Cartan bound, which forces the failure path
+    cfg = OptimizerConfig(max_iters=1, restarts=0)
     m0 = AlgebraElement(matrix=random_span_element(rng, kg.m_set, 0.3))
     with pytest.raises(OptimizerFailedError) as info:
-        minimize_to_cartan(m0, kg.k_set, kg.h_set, cfg, impossible)
+        minimize_to_cartan(m0, kg.k_set, kg.h_set, cfg)
     best_k1, best_h = info.value.best
     assert best_k1.shape == (8, 8)
     assert isinstance(best_h, AlgebraElement)
+
+
+def test_newton_polish_evaluates_its_last_step():
+    # m0 = k h k^dag with k a 1e-3 rotation: K = I is off by ~1e-3 and
+    # the one allowed Newton step lands much closer, so it must be kept
+    rng = np.random.default_rng(17)
+    kg = build_kg_basis(3)
+    h_true = random_span_element(rng, kg.h_set, scale=0.4)
+    k = random_k_unitary(rng, kg, scale=1e-3)
+    m0 = k @ h_true @ k.conj().T
+    v = build_v(kg.h_set).matrix
+    k_stack = np.stack([w.matrix for w in kg.k_set])
+    norms2 = np.linalg.norm(k_stack, axis=(1, 2)) ** 2
+    rel_identity = np.linalg.norm(v @ m0 - m0 @ v) / (
+        np.linalg.norm(v) * np.linalg.norm(m0)
+    )
+    eye = np.eye(8, dtype=complex)
+    best_k, rel, steps = _newton_polish(eye, m0, v, k_stack, norms2, 1)
+    assert steps == 1
+    assert not np.array_equal(best_k, eye)
+    assert rel < rel_identity
 
 
 def test_optimizer_config_validation():
@@ -390,6 +405,12 @@ def test_decompose_full_enforces_reconstruction_bound():
     g = haar_special_unitary(3, np.random.default_rng(16))
     with pytest.raises(ReconstructionError, match="exceeds 1.000e-30"):
         decompose_full(g, 3, tols=Tolerances(reconstruct=1e-30))
+
+
+@pytest.mark.parametrize("name", ["structure", "cartan", "subspace", "pattern"])
+def test_fixed_tolerances_are_not_settable(name):
+    with pytest.raises(TypeError):
+        Tolerances(**{name: 1e-6})
 
 
 def test_decompose_full_validates_input():

@@ -20,14 +20,13 @@ from kgdecomp import (
     commutation_defect,
     eigenphase_mismatch,
     expm_skew,
-    frobenius_norm,
     kron,
     logm_unitary,
     nearest_special_unitary,
     pauli_word,
     project_onto_span,
 )
-from kgdecomp.linalg import expm_skew_many, is_skew_hermitian, is_traceless, is_unitary
+from kgdecomp.linalg import expm_skew_many
 
 
 def random_skew(rng, dim, scale=1.0):
@@ -43,21 +42,6 @@ def test_kron_matches_numpy():
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.allclose(kron(a, b), np.kron(a, b), atol=0)
-
-
-def test_frobenius_norm_known_value():
-    # sqrt(1^2 + 2^2 + 2^2) = 3
-    a = np.array([[1.0, 2.0], [2.0, 0.0]])
-    assert frobenius_norm(a) == pytest.approx(3.0, abs=1e-15)
-
-
-def test_predicates():
-    z = pauli_word("Z").matrix
-    assert is_skew_hermitian(z)
-    assert is_traceless(z)
-    assert is_unitary(np.eye(3))
-    assert not is_unitary(2 * np.eye(3))
-    assert not is_skew_hermitian(np.eye(2))
 
 
 def test_expm_skew_matches_scipy():

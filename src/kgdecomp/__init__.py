@@ -60,7 +60,6 @@ from .factors import (
     deserialize,
     expand,
     factor_defects,
-    make_tree,
     product,
     serialize,
 )
@@ -78,11 +77,9 @@ from .linalg import (
 from .metrics import (
     BenchmarkResult,
     BenchmarkSummary,
-    approx_error,
     format_table,
     haar_special_unitary,
     run_benchmark,
-    subspace_error,
 )
 
 __version__ = "0.1.0"
@@ -120,7 +117,6 @@ __all__ = [
     "StageResult",
     "SubspaceViolationError",
     "Tolerances",
-    "approx_error",
     "build_kg_basis",
     "build_v",
     "commutation_defect",
@@ -139,7 +135,6 @@ __all__ = [
     "khk_stage",
     "kron",
     "logm_unitary",
-    "make_tree",
     "minimize_to_cartan",
     "nearest_special_unitary",
     "objective",
@@ -154,7 +149,6 @@ __all__ = [
     "serialize",
     "solve_bch_split",
     "split_Pk_Pm",
-    "subspace_error",
     "truncated_bch",
     "validate_special_unitary",
 ]

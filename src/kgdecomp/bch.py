@@ -43,6 +43,13 @@ __all__ = [
 
 _MAX_ORDER = 8
 
+ROOT_TOL = 1e-8
+"""Coordinate residual, relative to max(1, |P_M log G|), that the BCH root
+search must reach."""
+
+MAX_ROOT_ITERS = 200
+"""Residual evaluations the least-squares root search may spend."""
+
 
 @dataclass(frozen=True)
 class BchConfig:
@@ -53,8 +60,6 @@ class BchConfig:
     """
 
     truncation_order: int = 6
-    root_tol: float = 1e-8
-    max_root_iters: int = 200
 
     def __post_init__(self):
         if self.truncation_order < 1:
@@ -63,8 +68,6 @@ class BchConfig:
             raise OrderTooHighError(
                 f"truncation_order {self.truncation_order} exceeds {_MAX_ORDER}"
             )
-        if self.root_tol <= 0 or self.max_root_iters <= 0:
-            raise ValueError("root_tol and max_root_iters must be positive")
 
 
 def _pair_compositions(total: int, k: int):
@@ -208,7 +211,7 @@ def solve_bch_split(
 
     Raises:
         RootSearchFailedError: the coordinate residual stayed above
-            root_tol; the best (k, m, residual) triple rides in `best`.
+            ROOT_TOL; the best (k, m, residual) triple rides in `best`.
     """
     cfg = cfg or BchConfig()
     g = np.asarray(g, dtype=complex)
@@ -233,7 +236,7 @@ def solve_bch_split(
         xtol=1e-15,
         ftol=1e-15,
         gtol=1e-15,
-        max_nfev=cfg.max_root_iters,
+        max_nfev=MAX_ROOT_ITERS,
     )
 
     m_mat = np.tensordot(sol.x, m_stack, axes=1)
@@ -252,9 +255,9 @@ def solve_bch_split(
     )
     residual = float(np.linalg.norm(g - expm_skew(k_part) @ expm_skew(m_mat)))
     root_gap = float(np.linalg.norm(sol.fun))
-    if root_gap > cfg.root_tol * max(1.0, float(np.linalg.norm(g_m_coords))):
+    if root_gap > ROOT_TOL * max(1.0, float(np.linalg.norm(g_m_coords))):
         raise RootSearchFailedError(
-            f"coordinate residual {root_gap:.3e} stayed above root_tol",
+            f"coordinate residual {root_gap:.3e} stayed above ROOT_TOL",
             best=(k_elt, m_elt, residual),
         )
     return k_elt, m_elt, residual

@@ -48,7 +48,6 @@ from .factors import (
     FactorKind,
     FactorTree,
     expand,
-    make_tree,
 )
 from .involutions import AxisInvolution
 from .linalg import (
@@ -729,4 +728,4 @@ def decompose_full(
         wall_time=time.perf_counter() - start,
         optimizer_stats=tuple(optimizer_stats),
     )
-    return make_tree(n, phase, factors, report)
+    return FactorTree(n_total=n, phase=float(phase), factors=tuple(factors), report=report)

@@ -10,9 +10,9 @@ register position l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "product",
     "serialize",
     "deserialize",
-    "make_tree",
     "factor_defects",
     "cartan_words",
 ]
@@ -40,7 +39,6 @@ _FORMAT_VERSION = 1
 
 
 class FactorKind(str, Enum):
-    GLOBAL_PHASE = "global_phase"
     SUB_UNITARY = "sub_unitary"
     LAST_QUBIT = "last_qubit"
     CARTAN_EXP = "cartan_exp"
@@ -51,28 +49,24 @@ class Factor:
     """One term of the factored product.
 
     Attributes:
-        kind: which of the four factor shapes this is.
+        kind: which of the three factor shapes this is.
         level_qubits: recursion level l; SubUnitary payloads live on l-1
             qubits (l may be n_total+1 for a payload covering the whole
             register, the two-qubit base case), LastQubit payloads are
             2x2 at position l, CartanExp generators live on l qubits.
         matrix: payload for SubUnitary / LastQubit.
-        phi: payload for GlobalPhase.
         basis_name: Cartan basis identifier ("H3", "F4") for CartanExp.
         coeffs: labeled real coefficients over that basis for CartanExp.
         subspace_residual: pre-repair distance of the raw optimizer
             output from the Cartan span; only Cartan factors carry one.
-        order_index: position in the left-to-right product.
     """
 
     kind: FactorKind
     level_qubits: int = 1
     matrix: Optional[np.ndarray] = None
-    phi: float = 0.0
     basis_name: Optional[str] = None
     coeffs: Optional[Tuple[Tuple[str, float], ...]] = None
     subspace_residual: Optional[float] = None
-    order_index: int = -1
 
 
 @dataclass(frozen=True)
@@ -96,23 +90,16 @@ class DecompositionReport:
 
 @dataclass(frozen=True)
 class FactorTree:
-    """Ordered factors, aggregated global phase, and the quality report."""
+    """Ordered factors, the one global phase, and the quality report.
+
+    `phase` is the only home of the global phase: the product is
+    exp(i phase) times the left-to-right product of `factors`.
+    """
 
     n_total: int
     phase: float
     factors: Tuple[Factor, ...]
     report: Optional[DecompositionReport] = None
-
-
-def make_tree(
-    n_total: int,
-    phase: float,
-    factors: Sequence[Factor],
-    report: Optional[DecompositionReport] = None,
-) -> FactorTree:
-    """Stamps order_index on the factors and assembles the tree."""
-    stamped = tuple(replace(f, order_index=i) for i, f in enumerate(factors))
-    return FactorTree(n_total=n_total, phase=float(phase), factors=stamped, report=report)
 
 
 def cartan_words(basis_name: str) -> Tuple:
@@ -125,14 +112,9 @@ def cartan_words(basis_name: str) -> Tuple:
 
 
 def _cartan_generator(factor: Factor) -> np.ndarray:
-    valid = {w.label for w in cartan_words(factor.basis_name)}
     dim = 2**factor.level_qubits
     gen = np.zeros((dim, dim), dtype=complex)
     for label, coeff in factor.coeffs:
-        if label not in valid:
-            raise ParseError(
-                f"label {label!r} is not in basis {factor.basis_name}", "coeffs"
-            )
         gen = gen + float(coeff) * pauli_word(label).matrix
     return gen
 
@@ -140,17 +122,15 @@ def _cartan_generator(factor: Factor) -> np.ndarray:
 def expand(factor: Factor, n_total: int) -> np.ndarray:
     """Expands one factor to the full 2^n_total register.
 
-    GlobalPhase maps to exp(i phi) I; a level-l SubUnitary to
-    payload (x) I^(n_total-l+1); a level-l LastQubit to
-    I^(l-1) (x) payload (x) I^(n_total-l); a level-l CartanExp to
-    expm_skew(sum_i c_i word_i) (x) I^(n_total-l).
+    A level-l SubUnitary maps to payload (x) I^(n_total-l+1); a level-l
+    LastQubit to I^(l-1) (x) payload (x) I^(n_total-l); a level-l
+    CartanExp to expm_skew(sum_i c_i word_i) (x) I^(n_total-l). Cartan
+    labels are not re-checked here: `deserialize` checks them when a
+    document is read, and the engine builds them from the basis.
 
     Raises:
         LevelExceedsRegisterError: if the factor does not fit.
     """
-    dim = 2**n_total
-    if factor.kind is FactorKind.GLOBAL_PHASE:
-        return np.exp(1j * factor.phi) * np.eye(dim, dtype=complex)
     level = factor.level_qubits
     if factor.kind is FactorKind.SUB_UNITARY:
         pad = n_total - level + 1
@@ -182,23 +162,19 @@ def product(tree: FactorTree) -> np.ndarray:
 def factor_defects(factor: Factor) -> dict:
     """Named invariant defects of one factor, for verification reports.
 
-    Returns a dict with whichever of these apply: `unitarity` and `det`
-    (payload factors), `bad_labels` count and `subspace_residual`
-    (Cartan factors). All values are nonnegative; zero means clean.
+    Returns `unitarity` and `det` for payload factors, both nonnegative
+    with zero meaning clean, and an empty dict for Cartan factors, whose
+    exponentials are special unitary by construction and whose labels
+    `deserialize` has already checked.
     """
-    defects = {}
-    if factor.kind in (FactorKind.SUB_UNITARY, FactorKind.LAST_QUBIT):
-        mat = np.asarray(factor.matrix, dtype=complex)
-        eye = np.eye(mat.shape[0])
-        defects["unitarity"] = float(np.linalg.norm(mat @ mat.conj().T - eye))
-        defects["det"] = float(abs(np.linalg.det(mat) - 1.0))
-    elif factor.kind is FactorKind.CARTAN_EXP:
-        valid = {w.label for w in cartan_words(factor.basis_name)}
-        defects["bad_labels"] = float(
-            sum(1 for label, _ in factor.coeffs if label not in valid)
-        )
-        defects["subspace_residual"] = float(factor.subspace_residual or 0.0)
-    return defects
+    if factor.kind is FactorKind.CARTAN_EXP:
+        return {}
+    mat = np.asarray(factor.matrix, dtype=complex)
+    eye = np.eye(mat.shape[0])
+    return {
+        "unitarity": float(np.linalg.norm(mat @ mat.conj().T - eye)),
+        "det": float(abs(np.linalg.det(mat) - 1.0)),
+    }
 
 
 def serialize(tree: FactorTree) -> str:
@@ -210,9 +186,7 @@ def serialize(tree: FactorTree) -> str:
     records = []
     for factor in tree.factors:
         rec = {"kind": factor.kind.value, "level_qubits": factor.level_qubits}
-        if factor.kind is FactorKind.GLOBAL_PHASE:
-            rec["phi"] = float(factor.phi)
-        elif factor.kind is FactorKind.CARTAN_EXP:
+        if factor.kind is FactorKind.CARTAN_EXP:
             rec["basis"] = factor.basis_name
             rec["coeffs"] = [[label, float(c)] for label, c in factor.coeffs]
             if factor.subspace_residual is not None:
@@ -239,7 +213,7 @@ def serialize(tree: FactorTree) -> str:
     return dump_json(doc) + "\n"
 
 
-def _parse_factor(rec, where: str) -> Factor:
+def _parse_factor(rec, where: str, n_total: int) -> Factor:
     if not isinstance(rec, dict):
         raise ParseError("factor record must be an object", where)
     try:
@@ -249,16 +223,23 @@ def _parse_factor(rec, where: str) -> Factor:
     level = rec.get("level_qubits", 1)
     if not isinstance(level, int) or level < 1:
         raise ParseError(f"bad level_qubits {level!r}", where)
-    if kind is FactorKind.GLOBAL_PHASE:
-        phi = rec.get("phi")
-        if not isinstance(phi, (int, float)):
-            raise ParseError("global_phase record needs numeric 'phi'", where)
-        return Factor(kind=kind, level_qubits=level, phi=float(phi))
     if kind is FactorKind.CARTAN_EXP:
         basis_name = rec.get("basis")
         coeffs = rec.get("coeffs")
         if not isinstance(basis_name, str) or not isinstance(coeffs, list):
             raise ParseError("cartan_exp record needs 'basis' and 'coeffs'", where)
+        # bounding the level first keeps the basis lookup below the size
+        # of the register the document declares
+        if not 2 <= level <= n_total:
+            raise ParseError(
+                f"cartan_exp level_qubits {level} outside [2, n_total = {n_total}]",
+                where,
+            )
+        if basis_name not in (f"H{level}", f"F{level}"):
+            raise ParseError(
+                f"basis {basis_name!r} does not match level_qubits {level}", where
+            )
+        valid = {w.label for w in cartan_words(basis_name)}
         parsed = []
         for idx, pair in enumerate(coeffs):
             if (
@@ -268,6 +249,9 @@ def _parse_factor(rec, where: str) -> Factor:
                 or not isinstance(pair[1], (int, float))
             ):
                 raise ParseError("coefficient is not a [label, value] pair",
+                                 f"{where}.coeffs[{idx}]")
+            if pair[0] not in valid:
+                raise ParseError(f"label {pair[0]!r} is not in basis {basis_name}",
                                  f"{where}.coeffs[{idx}]")
             parsed.append((pair[0], float(pair[1])))
         residual = rec.get("subspace_residual")
@@ -288,6 +272,9 @@ def _parse_factor(rec, where: str) -> Factor:
 def deserialize(document: str) -> FactorTree:
     """Parses a factor-tree document back into a FactorTree.
 
+    A `global_phase` record, which version-1 documents may hold, is folded
+    into `tree.phase`; the phase is central, so the product is unchanged.
+
     Raises:
         ParseError: with a location string, on any malformed content.
     """
@@ -305,9 +292,17 @@ def deserialize(document: str) -> FactorTree:
     records = doc.get("factors")
     if not isinstance(records, list):
         raise ParseError("'factors' must be a list", "factors")
-    factors = [
-        _parse_factor(rec, f"factors[{i}]") for i, rec in enumerate(records)
-    ]
+    phase = float(phase)
+    factors = []
+    for i, rec in enumerate(records):
+        where = f"factors[{i}]"
+        if isinstance(rec, dict) and rec.get("kind") == "global_phase":
+            phi = rec.get("phi")
+            if not isinstance(phi, (int, float)):
+                raise ParseError("global_phase record needs numeric 'phi'", where)
+            phase += float(phi)
+        else:
+            factors.append(_parse_factor(rec, where, n_total))
     report = None
     raw_report = doc.get("report")
     if raw_report is not None:
@@ -330,4 +325,4 @@ def deserialize(document: str) -> FactorTree:
             )
         except (TypeError, ValueError):
             raise ParseError("malformed report block", "report")
-    return make_tree(n_total, float(phase), factors, report)
+    return FactorTree(n_total=n_total, phase=phase, factors=tuple(factors), report=report)

@@ -1,10 +1,12 @@
-"""Approximation and subspace error metrics, Haar sampling, benchmarks.
+"""Haar sampling and benchmarks that pool the decomposition error metrics.
 
 E_a is the Frobenius distance between the input and the expanded factor
-product. E_s measures how far an Abelian-slot generator sits from truly
-commuting with its target span: the root-mean-square commutator norm
-against the span's basis words, evaluated on the raw (pre-projection)
-generator so projection cannot hide a violation.
+product, norm(g - product(tree)). E_s measures how far an Abelian-slot
+generator sits from truly commuting with its target span: the
+root-mean-square commutator norm against the span's basis words
+(`linalg.commutation_defect`), evaluated on the raw (pre-projection)
+generator so projection cannot hide a violation. Both arrive in each
+tree's report.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .engine import OptimizerConfig, decompose_full
-from .errors import DimensionMismatchError, KgDecompError
-from .factors import DecompositionReport, FactorTree, product
-from .linalg import AlgebraElement, commutation_defect
+from .errors import KgDecompError
+from .factors import DecompositionReport, FactorTree
 
 __all__ = [
-    "approx_error",
-    "subspace_error",
     "haar_special_unitary",
     "run_benchmark",
     "BenchmarkResult",
@@ -32,37 +31,6 @@ __all__ = [
     "summary_to_dict",
     "DecompositionReport",
 ]
-
-
-def approx_error(g: np.ndarray, tree_or_matrix) -> float:
-    """Frobenius distance between g and a factor tree (or plain matrix)."""
-    g = np.asarray(g, dtype=complex)
-    if isinstance(tree_or_matrix, FactorTree):
-        other = product(tree_or_matrix)
-    else:
-        other = np.asarray(tree_or_matrix, dtype=complex)
-    if other.shape != g.shape:
-        raise DimensionMismatchError(
-            f"cannot compare shapes {g.shape} and {other.shape}"
-        )
-    return float(np.linalg.norm(g - other))
-
-
-def subspace_error(element, span_mats: Sequence[np.ndarray]) -> float:
-    """RMS commutator norm of an algebra element against a span's basis.
-
-    Zero iff the element commutes with every basis matrix, i.e. lies in
-    the centralizer the Abelian slot demands. Feed the raw pre-projection
-    generator, not the snapped one, to measure the actual violation.
-    """
-    mat = element.matrix if isinstance(element, AlgebraElement) else np.asarray(
-        element, dtype=complex
-    )
-    mats = [
-        w.matrix if hasattr(w, "matrix") else np.asarray(w, dtype=complex)
-        for w in span_mats
-    ]
-    return float(commutation_defect(mat, mats))
 
 
 def haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -142,13 +110,13 @@ def run_benchmark(
     cfg: Optional[OptimizerConfig] = None,
     seed: int = 0,
     threads: int = 1,
-    keep_trees: bool = False,
 ) -> BenchmarkSummary:
     """Decomposes `count` Haar samples from SU(2^n) and aggregates errors.
 
     Sample i draws from default_rng(seed + i), so batches are stable
     under reordering and threading. Failures (optimizer exhaustion or
-    any other library error) are counted, not raised.
+    any other library error) are counted, not raised. Each successful
+    result keeps its factor tree.
     """
     cfg = cfg or OptimizerConfig()
 
@@ -171,7 +139,7 @@ def run_benchmark(
             approx_error=report.approx_error,
             subspace_errors=report.subspace_errors,
             wall_time=time.perf_counter() - start,
-            tree=tree if keep_trees else None,
+            tree=tree,
         )
 
     indices = range(count)

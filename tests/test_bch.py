@@ -99,8 +99,6 @@ def test_order_bounds():
         truncated_bch(a, b, 0)
     with pytest.raises(OrderTooHighError):
         BchConfig(truncation_order=9)
-    with pytest.raises(ValueError):
-        BchConfig(root_tol=-1.0)
 
 
 def test_split_recovers_known_parts():

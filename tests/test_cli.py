@@ -5,7 +5,7 @@ import pytest
 
 from kgdecomp import build_kg_basis, expm_skew, haar_special_unitary
 from kgdecomp.cli import main
-from kgdecomp.fileio import matrix_to_document, parse_json
+from kgdecomp.fileio import dump_json, matrix_to_document, parse_json
 
 
 @pytest.fixture
@@ -83,6 +83,11 @@ def test_decompose_rejects_input_just_outside_ingest_tolerance(tmp_path, capsys)
 @pytest.mark.parametrize("argv, field", [
     (["decompose", "g.json", "--max-iters", "0"], "max_iters"),
     (["bench", "--n", "3", "--count", "1", "--restarts", "-1"], "restarts"),
+    (["compare-bch", "g.json", "--order", "0"], "truncation_order"),
+    (["compare-bch", "g.json", "--order", "9"], "truncation_order"),
+    (["bench", "--n", "1", "--count", "1"], "--n"),
+    (["bench", "--n", "3", "--count", "-1"], "--count"),
+    (["basis", "--n", "1"], "--n"),
 ])
 def test_out_of_range_optimizer_flags_are_usage_errors(argv, field, capsys):
     with pytest.raises(SystemExit) as info:
@@ -111,6 +116,24 @@ def test_verify_flags_mismatched_matrix(tmp_path, su8_file, capsys):
     other.write_text(matrix_to_document(np.exp(1e-5j) * g))
     assert main(["verify", str(other), str(tree_path)]) == 1
     assert "VERIFY FAIL" in capsys.readouterr().out
+
+
+def test_verify_rejects_cartan_basis_of_another_level(tmp_path, su8_file, capsys):
+    matrix_path, _ = su8_file
+    tree_path = tmp_path / "tree.json"
+    assert main(["decompose", str(matrix_path), "-o", str(tree_path)]) == 0
+    doc = parse_json(tree_path.read_text())
+    # an H4 word on a level-3 factor once reached expand and failed there
+    # with a NumPy shape error instead of a parse error
+    record = doc["factors"][4]
+    assert record["basis"] == "H3" and record["level_qubits"] == 3
+    record["basis"] = "H4"
+    record["coeffs"] = [["IIIX", 0.1]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(doc))
+    capsys.readouterr()
+    assert main(["verify", str(matrix_path), str(bad)]) == 2
+    assert "[factors[4]]" in capsys.readouterr().err
 
 
 def test_verify_dimension_mismatch_is_a_parse_failure(tmp_path, su8_file, capsys):

@@ -15,21 +15,16 @@ from kgdecomp import (
     expm_skew,
     factor_defects,
     haar_special_unitary,
-    make_tree,
     pauli_word,
     product,
     serialize,
 )
 from kgdecomp.factors import cartan_words
+from kgdecomp.fileio import complex_entries, dump_json
 
 
 def su(n_qubits, seed):
     return haar_special_unitary(n_qubits, np.random.default_rng(seed))
-
-
-def test_expand_global_phase():
-    f = Factor(kind=FactorKind.GLOBAL_PHASE, phi=np.pi / 2)
-    assert np.allclose(expand(f, 2), 1j * np.eye(4), atol=1e-15)
 
 
 def test_expand_sub_unitary_pads_right():
@@ -72,16 +67,25 @@ def test_expand_rejects_oversized_level():
 
 
 def test_product_phase_cancellation():
-    tree = make_tree(
-        2, np.pi, [Factor(kind=FactorKind.GLOBAL_PHASE, phi=np.pi)]
-    )
-    assert np.allclose(product(tree), np.eye(4), atol=1e-15)
-
-
-def test_make_tree_stamps_order():
-    factors = [Factor(kind=FactorKind.GLOBAL_PHASE, phi=0.1) for _ in range(3)]
-    tree = make_tree(2, 0.0, factors)
-    assert [f.order_index for f in tree.factors] == [0, 1, 2]
+    # a version-1 document may carry the phase as a global_phase record;
+    # reading folds it into tree.phase, and pi + pi cancels in the product
+    u = su(2, 11)
+    doc = {
+        "format": "kgdecomp-tree",
+        "version": 1,
+        "n_total": 2,
+        "phase": np.pi,
+        "report": None,
+        "factors": [
+            {"kind": "global_phase", "level_qubits": 1, "phi": np.pi},
+            {"kind": "sub_unitary", "level_qubits": 3,
+             "entries": complex_entries(u)},
+        ],
+    }
+    tree = deserialize(dump_json(doc))
+    assert tree.phase == 2 * np.pi
+    assert [f.kind for f in tree.factors] == [FactorKind.SUB_UNITARY]
+    assert np.allclose(product(tree), u, atol=1e-14)
 
 
 def test_cartan_words_lookup():
@@ -101,7 +105,6 @@ def test_serialize_round_trip_preserves_product_and_coords():
                        ("ZZX", 1.0 / 3.0)),
                subspace_residual=2.5e-14),
         Factor(kind=FactorKind.LAST_QUBIT, level_qubits=3, matrix=su(1, 5)),
-        Factor(kind=FactorKind.GLOBAL_PHASE, phi=-0.25),
     ]
     report = DecompositionReport(
         approx_error=1.25e-13,
@@ -109,7 +112,7 @@ def test_serialize_round_trip_preserves_product_and_coords():
         wall_time=0.5,
         optimizer_stats=(("n3:h", 17),),
     )
-    tree = make_tree(3, 0.75, factors, report)
+    tree = FactorTree(3, 0.75, tuple(factors), report)
     again = deserialize(serialize(tree))
     assert again.n_total == tree.n_total
     assert again.phase == tree.phase
@@ -122,9 +125,9 @@ def test_serialize_round_trip_preserves_product_and_coords():
 
 
 def test_deserialize_rejects_malformed_documents():
-    good = serialize(make_tree(2, 0.0, [
-        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=su(2, 6))
-    ]))
+    good = serialize(FactorTree(2, 0.0, (
+        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=su(2, 6)),
+    )))
 
     with pytest.raises(ParseError):
         deserialize(good[:-20])
@@ -141,11 +144,29 @@ def test_deserialize_rejects_malformed_documents():
         err = exc
     assert err is not None and err.location
 
+    cartan = serialize(FactorTree(3, 0.0, (
+        Factor(kind=FactorKind.CARTAN_EXP, level_qubits=3, basis_name="H3",
+               coeffs=(("IIX", 0.1), ("XXX", 0.2))),
+    )))
+    deserialize(cartan)
+    for bad, location in [
+        # a basis from another level
+        (cartan.replace('"H3"', '"H4"'), "factors[0]"),
+        # a label outside the H3 basis
+        (cartan.replace('"XXX"', '"XXZ"'), "factors[0].coeffs[1]"),
+        # a level beyond the register, refused before its basis is built
+        (cartan.replace('"level_qubits": 3', '"level_qubits": 4')
+               .replace('"H3"', '"H4"'), "factors[0]"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            deserialize(bad)
+        assert info.value.location == location
+
 
 def test_deserialize_rejects_wrong_entry_count():
-    tree = make_tree(2, 0.0, [
-        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=su(2, 7))
-    ])
+    tree = FactorTree(2, 0.0, (
+        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=su(2, 7)),
+    ))
     doc = serialize(tree)
     # drop one entry pair from the matrix payload
     head, sep, tail = doc.partition('"entries": [')
@@ -172,17 +193,17 @@ def test_factor_defects_clean_and_dirty():
                    matrix=1.5 * su(2, 9))
     assert factor_defects(dirty)["unitarity"] > 1.0
 
+    # Cartan exponentials are special unitary by construction; their
+    # labels are checked when a document is read
     cartan = Factor(kind=FactorKind.CARTAN_EXP, level_qubits=3,
-                    basis_name="H3", coeffs=(("QQX", 1.0),),
+                    basis_name="H3", coeffs=(("XXX", 1.0),),
                     subspace_residual=1e-3)
-    d = factor_defects(cartan)
-    assert d["bad_labels"] == 1.0
-    assert d["subspace_residual"] == 1e-3
+    assert factor_defects(cartan) == {}
 
 
 def test_tree_is_frozen():
-    tree = make_tree(2, 0.0, [
-        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=su(2, 10))
-    ])
+    tree = FactorTree(2, 0.0, (
+        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=su(2, 10)),
+    ))
     with pytest.raises(Exception):
         tree.phase = 1.0

@@ -17,6 +17,7 @@ from kgdecomp import (
     NotSkewHermitianError,
     NotUnitaryError,
     SingularMatrixError,
+    build_kg_basis,
     commutation_defect,
     eigenphase_mismatch,
     expm_skew,
@@ -156,6 +157,17 @@ def test_commutation_defect_averages_over_basis():
     y = pauli_word("YI").matrix
     iz = pauli_word("IZ").matrix
     assert commutation_defect(x, [y, iz]) == pytest.approx(0.5, abs=1e-14)
+
+
+def test_commutation_defect_scales_linearly():
+    # the commutator is linear in the off-span contamination
+    kg = build_kg_basis(3)
+    base = 0.4 * pauli_word("XXX").matrix
+    noise = pauli_word("ZIX").matrix
+    e3 = commutation_defect(base + 1e-3 * noise, kg.h_set)
+    e4 = commutation_defect(base + 1e-4 * noise, kg.h_set)
+    assert e3 == pytest.approx(10.0 * e4, rel=1e-6)
+    assert e3 > 0
 
 
 def test_eigenphase_mismatch_zero_for_conjugate():

@@ -32,7 +32,14 @@ import numpy as np
 
 from .errors import BadLabelError
 
-__all__ = ["PauliWord", "KGBasis", "pauli_word", "build_kg_basis", "order_cartan_basis"]
+__all__ = [
+    "PauliWord",
+    "KGBasis",
+    "pauli_word",
+    "build_kg_basis",
+    "order_cartan_basis",
+    "is_cartan_label",
+]
 
 _SIGMA = {
     "I": np.eye(2, dtype=complex),
@@ -140,6 +147,34 @@ def _label_sets(n: int):
     h = [pad + "X"] + _append(hbar, "X")
     f = _append(hbar, "Z")
     return m, k, k0, k1, h, f
+
+
+def _in_h(label: str) -> bool:
+    n = len(label)
+    if n <= 2:
+        return label in ("XX", "YY", "ZZ")
+    return label[-1] == "X" and (label[:-1] == "I" * (n - 1) or _in_hbar(label[:-1]))
+
+
+def _in_hbar(label: str) -> bool:
+    # every H_j word ends in a letter other than I, so stripping the
+    # right padding recovers the one j it can come from
+    return _in_h(label.rstrip("I"))
+
+
+def is_cartan_label(label: str, family: str, n: int) -> bool:
+    """True when `label` names a word of H_n (family "H") or F_n ("F").
+
+    Reads the recursion of the module docstring backwards on the label
+    alone, in O(n^2) time, so a caller can check a label of any level
+    without building the 2^(n-1)-word set, let alone the 4^n - 1 words
+    of `build_kg_basis(n)`.
+    """
+    if len(label) != n:
+        return False
+    if family == "H":
+        return _in_h(label)
+    return family == "F" and n >= 3 and label[-1] == "Z" and _in_hbar(label[:-1])
 
 
 @lru_cache(maxsize=None)

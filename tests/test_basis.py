@@ -16,6 +16,7 @@ from kgdecomp import (
     pauli_word,
     project_onto_span,
 )
+from kgdecomp.basis import is_cartan_label
 
 H3_EXPECTED = ["IIX", "XXX", "YYX", "ZZX"]
 F3_EXPECTED = ["XXZ", "YYZ", "ZZZ"]
@@ -80,6 +81,17 @@ def test_cartan_sets_frozen_labels():
     kg4 = build_kg_basis(4)
     assert [w.label for w in kg4.h_set] == H4_EXPECTED
     assert [w.label for w in kg4.f_set] == F4_EXPECTED
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_is_cartan_label_matches_built_sets(n):
+    kg = build_kg_basis(n)
+    words = [""]
+    for _ in range(n):
+        words = [w + ch for w in words for ch in "IXYZ"]
+    for family, expected in (("H", kg.h_set), ("F", kg.f_set)):
+        found = [w for w in words if is_cartan_label(w, family, n)]
+        assert found == [w.label for w in expected]
 
 
 def test_cartan_sets_are_subsets():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kgdecomp.factors
 from kgdecomp import build_kg_basis, expm_skew, haar_special_unitary
 from kgdecomp.cli import main
 from kgdecomp.fileio import dump_json, matrix_to_document, parse_json
@@ -136,7 +137,7 @@ def test_verify_rejects_cartan_basis_of_another_level(tmp_path, su8_file, capsys
     assert "[factors[4]]" in capsys.readouterr().err
 
 
-def test_verify_dimension_mismatch_is_a_parse_failure(tmp_path, su8_file, capsys):
+def test_verify_dimension_mismatch_is_a_parse_failure(tmp_path, su8_file, monkeypatch, capsys):
     matrix_path, _ = su8_file
     tree_path = tmp_path / "tree.json"
     assert main(["decompose", str(matrix_path), "-o", str(tree_path)]) == 0
@@ -146,6 +147,24 @@ def test_verify_dimension_mismatch_is_a_parse_failure(tmp_path, su8_file, capsys
     )
     capsys.readouterr()
     assert main(["verify", str(small), str(tree_path)]) == 2
+
+    # a few hundred bytes may declare a 14-qubit Cartan factor; reading
+    # them must not build that level's 4^14 - 1 word basis
+    def refuse(n):
+        raise AssertionError(f"built the level-{n} basis")
+
+    monkeypatch.setattr(kgdecomp.factors, "build_kg_basis", refuse)
+    doc = {
+        "format": "kgdecomp-tree", "version": 1, "n_total": 14, "phase": 0.0,
+        "report": None,
+        "factors": [{"kind": "cartan_exp", "level_qubits": 14, "basis": "H14",
+                     "coeffs": []}],
+    }
+    big = tmp_path / "big.json"
+    big.write_text(dump_json(doc))
+    capsys.readouterr()
+    assert main(["verify", str(matrix_path), str(big)]) == 2
+    assert "n = 14" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_parse_failure(capsys):

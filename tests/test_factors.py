@@ -19,7 +19,8 @@ from kgdecomp import (
     product,
     serialize,
 )
-from kgdecomp.factors import cartan_words
+import kgdecomp.factors
+from kgdecomp.basis import is_cartan_label
 from kgdecomp.fileio import complex_entries, dump_json
 
 
@@ -88,13 +89,23 @@ def test_product_phase_cancellation():
     assert np.allclose(product(tree), u, atol=1e-14)
 
 
+def _words(n):
+    words = [""]
+    for _ in range(n):
+        words = [w + ch for w in words for ch in "IXYZ"]
+    return words
+
+
 def test_cartan_words_lookup():
-    assert [w.label for w in cartan_words("H3")] == ["IIX", "XXX", "YYX", "ZZX"]
-    assert [w.label for w in cartan_words("F4")] == [
+    # the label check deserialize applies to a Cartan record
+    assert [w for w in _words(3) if is_cartan_label(w, "H", 3)] == [
+        "IIX", "XXX", "YYX", "ZZX"
+    ]
+    assert [w for w in _words(4) if is_cartan_label(w, "F", 4)] == [
         "IIXZ", "XXIZ", "XXXZ", "YYIZ", "YYXZ", "ZZIZ", "ZZXZ"
     ]
-    with pytest.raises(ParseError):
-        cartan_words("Q3")
+    assert not is_cartan_label("IIX", "H", 4)
+    assert not is_cartan_label("IIX", "Q", 3)
 
 
 def test_serialize_round_trip_preserves_product_and_coords():
@@ -124,7 +135,7 @@ def test_serialize_round_trip_preserves_product_and_coords():
     assert np.linalg.norm(product(again) - product(tree)) < 1e-14
 
 
-def test_deserialize_rejects_malformed_documents():
+def test_deserialize_rejects_malformed_documents(monkeypatch):
     good = serialize(FactorTree(2, 0.0, (
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=su(2, 6)),
     )))
@@ -154,13 +165,36 @@ def test_deserialize_rejects_malformed_documents():
         (cartan.replace('"H3"', '"H4"'), "factors[0]"),
         # a label outside the H3 basis
         (cartan.replace('"XXX"', '"XXZ"'), "factors[0].coeffs[1]"),
-        # a level beyond the register, refused before its basis is built
+        # a level beyond the register
         (cartan.replace('"level_qubits": 3', '"level_qubits": 4')
                .replace('"H3"', '"H4"'), "factors[0]"),
     ]:
         with pytest.raises(ParseError) as info:
             deserialize(bad)
         assert info.value.location == location
+
+    # A document declares its own register, so a small file may name a
+    # level whose basis holds 4^40 - 1 words; its labels are checked on
+    # their own, and building any basis here is a failure, not a hang.
+    def refuse(n):
+        raise AssertionError(f"built the level-{n} basis")
+
+    monkeypatch.setattr(kgdecomp.factors, "build_kg_basis", refuse)
+    n = 40
+    top = "I" * (n - 1) + "X"
+    nested = "XX" + "I" * (n - 3) + "X"
+    doc = {
+        "format": "kgdecomp-tree", "version": 1, "n_total": n, "phase": 0.0,
+        "report": None,
+        "factors": [{"kind": "cartan_exp", "level_qubits": n, "basis": f"H{n}",
+                     "coeffs": [[top, 0.1], [nested, 0.2]]}],
+    }
+    tree = deserialize(dump_json(doc))
+    assert tree.factors[0].coeffs == ((top, 0.1), (nested, 0.2))
+    doc["factors"][0]["coeffs"][1][0] = "XY" + "I" * (n - 3) + "X"
+    with pytest.raises(ParseError) as info:
+        deserialize(dump_json(doc))
+    assert info.value.location == "factors[0].coeffs[1]"
 
 
 def test_deserialize_rejects_wrong_entry_count():

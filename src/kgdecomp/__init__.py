@@ -14,11 +14,10 @@ the kgdecomp console command for file-based workflows.
 """
 
 from .basis import KGBasis, PauliWord, build_kg_basis, order_cartan_basis, pauli_word
-from .bch import BchConfig, solve_bch_split, split_Pk_Pm, truncated_bch
+from .bch import solve_bch_split, truncated_bch
 from .config import DEFAULT_TOLS, Tolerances
 from .engine import (
     LevelResult,
-    OptimizerConfig,
     StageResult,
     build_v,
     compute_m,
@@ -88,7 +87,6 @@ __all__ = [
     "AlgebraElement",
     "AxisInvolution",
     "BadLabelError",
-    "BchConfig",
     "BenchmarkResult",
     "BenchmarkSummary",
     "BranchAmbiguityWarning",
@@ -106,7 +104,6 @@ __all__ = [
     "NotSkewHermitianError",
     "NotTensorWithIdentityError",
     "NotUnitaryError",
-    "OptimizerConfig",
     "OptimizerFailedError",
     "OrderTooHighError",
     "ParseError",
@@ -148,7 +145,6 @@ __all__ = [
     "secondary_m_pair",
     "serialize",
     "solve_bch_split",
-    "split_Pk_Pm",
     "truncated_bch",
     "validate_special_unitary",
 ]

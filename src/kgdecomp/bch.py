@@ -15,33 +15,32 @@ memo, so an order-8 evaluation touches at most 510 distinct words.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 import scipy.optimize
 
 from .basis import PauliWord
-from .config import SUBSPACE_TOL
 from .errors import (
     DimensionMismatchError,
     OrderTooHighError,
     RootSearchFailedError,
-    SubspaceViolationError,
 )
 from .linalg import AlgebraElement, expm_skew, logm_unitary, project_onto_span
 
 __all__ = [
-    "BchConfig",
+    "MAX_ORDER",
+    "check_order",
     "truncated_bch",
-    "split_Pk_Pm",
     "solve_bch_split",
 ]
 
-_MAX_ORDER = 8
+MAX_ORDER = 8
+"""Highest supported truncation order: the word count and the series'
+usefulness both degrade fast beyond it."""
 
 ROOT_TOL = 1e-8
 """Coordinate residual, relative to max(1, |P_M log G|), that the BCH root
@@ -51,23 +50,17 @@ MAX_ROOT_ITERS = 200
 """Residual evaluations the least-squares root search may spend."""
 
 
-@dataclass(frozen=True)
-class BchConfig:
-    """Settings for the BCH baseline.
+def check_order(order: int) -> None:
+    """Raises unless 1 <= order <= MAX_ORDER.
 
-    truncation_order caps the series degree (hard limit 8: the word
-    count and the series' usefulness both degrade fast beyond that).
+    Raises:
+        ValueError: order is below 1.
+        OrderTooHighError: order exceeds MAX_ORDER.
     """
-
-    truncation_order: int = 6
-
-    def __post_init__(self):
-        if self.truncation_order < 1:
-            raise ValueError("truncation_order must be at least 1")
-        if self.truncation_order > _MAX_ORDER:
-            raise OrderTooHighError(
-                f"truncation_order {self.truncation_order} exceeds {_MAX_ORDER}"
-            )
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+    if order > MAX_ORDER:
+        raise OrderTooHighError(f"order {order} exceeds {MAX_ORDER}")
 
 
 def _pair_compositions(total: int, k: int):
@@ -125,7 +118,8 @@ def truncated_bch(a: np.ndarray, b: np.ndarray, order: int = 6) -> np.ndarray:
     so the series is cut off before any roundoff can enter).
 
     Raises:
-        OrderTooHighError: order exceeds 8.
+        ValueError: order is below 1.
+        OrderTooHighError: order exceeds MAX_ORDER.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -133,10 +127,7 @@ def truncated_bch(a: np.ndarray, b: np.ndarray, order: int = 6) -> np.ndarray:
         raise DimensionMismatchError(
             f"need equal square shapes, got {a.shape} and {b.shape}"
         )
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if order > _MAX_ORDER:
-        raise OrderTooHighError(f"order {order} exceeds {_MAX_ORDER}")
+    check_order(order)
     comm = a @ b - b @ a
     if np.linalg.norm(comm) <= 1e-14 * (1.0 + np.linalg.norm(a) * np.linalg.norm(b)):
         return a + b
@@ -149,59 +140,20 @@ def truncated_bch(a: np.ndarray, b: np.ndarray, order: int = 6) -> np.ndarray:
     return total
 
 
-def split_Pk_Pm(
-    x: np.ndarray,
-    k_span: Sequence[PauliWord],
-    m_span: Sequence[PauliWord],
-) -> Tuple[AlgebraElement, AlgebraElement]:
-    """Splits an algebra element into its K-span and M-span components.
-
-    The two spans are trace-orthogonal, so the split is the pair of
-    independent projections; the combined leftover is recorded on both
-    parts.
-
-    Raises:
-        SubspaceViolationError: x does not lie in span(K) + span(M)
-            within the subspace tolerance.
-    """
-    x = np.asarray(x, dtype=complex)
-    k_coords, k_resid = project_onto_span(x, k_span)
-    m_coords, m_resid = project_onto_span(x, m_span)
-    k_part = x - k_resid
-    m_part = x - m_resid
-    leftover = float(np.linalg.norm(x - k_part - m_part))
-    if leftover > SUBSPACE_TOL * max(1.0, float(np.linalg.norm(x))):
-        raise SubspaceViolationError(
-            f"element lies {leftover:.3e} outside span(K) + span(M)"
-        )
-    return (
-        AlgebraElement(
-            matrix=k_part,
-            coords=tuple(float(c) for c in k_coords),
-            residual_norm=leftover,
-        ),
-        AlgebraElement(
-            matrix=m_part,
-            coords=tuple(float(c) for c in m_coords),
-            residual_norm=leftover,
-        ),
-    )
-
-
 def solve_bch_split(
     g: np.ndarray,
     k_span: Sequence[PauliWord],
     m_span: Sequence[PauliWord],
-    cfg: Optional[BchConfig] = None,
+    order: int = 6,
 ) -> Tuple[AlgebraElement, AlgebraElement, float]:
     """Solves G = exp(k) exp(m) for k in span(K), m in span(M) via BCH.
 
     The unknown is the m-coordinate vector. For a candidate m, the
     induced cofactor log is k(m) = P_K[bch(log G, -m)]; the root
     condition pushes the M-span coordinates of bch(k(m), m) onto those
-    of log G. Seeded at m0 = P_M[log G] and solved by least squares;
-    accuracy is capped by the truncation order, which is the point of
-    the comparison.
+    of log G, with both series truncated at `order`. Seeded at
+    m0 = P_M[log G] and solved by least squares; accuracy is capped by
+    the truncation order, which is the point of the comparison.
 
     Returns:
         (k, m, residual): k is the exact residual logarithm
@@ -210,16 +162,17 @@ def solve_bch_split(
         reconstruction error ||G - exp(k) exp(m)||.
 
     Raises:
+        ValueError, OrderTooHighError: order is outside 1..MAX_ORDER;
+            checked before any work.
         RootSearchFailedError: the coordinate residual stayed above
             ROOT_TOL; the best (k, m, residual) triple rides in `best`.
     """
-    cfg = cfg or BchConfig()
+    check_order(order)
     g = np.asarray(g, dtype=complex)
     g_log = logm_unitary(g)
     m_stack = np.stack([w.matrix for w in m_span])
     k_stack = np.stack([w.matrix for w in k_span])
     g_m_coords, _ = project_onto_span(g_log, m_span)
-    order = cfg.truncation_order
 
     def residual_vec(m_coords: np.ndarray) -> np.ndarray:
         m_mat = np.tensordot(m_coords, m_stack, axes=1)

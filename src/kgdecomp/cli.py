@@ -22,15 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import build_kg_basis
-from .bch import BchConfig, solve_bch_split
+from .bch import check_order, solve_bch_split
 from .config import Tolerances
-from .engine import (
-    OptimizerConfig,
-    compute_m,
-    decompose_full,
-    residual_k,
-    validate_special_unitary,
-)
+from .engine import compute_m, decompose_full, residual_k, validate_special_unitary
 from .errors import (
     DimensionMismatchError,
     KgDecompError,
@@ -92,7 +86,7 @@ def cmd_decompose(args) -> int:
                 f"{exc}; rerun with --repair to project it"
             ) from exc
 
-    tree = decompose_full(g, n, args.cfg, Tolerances(args.tol_reconstruct))
+    tree = decompose_full(g, n, Tolerances(args.tol_reconstruct))
     document = serialize(tree)
     report = tree.report
 
@@ -148,7 +142,6 @@ def cmd_bench(args) -> int:
     summary = run_benchmark(
         n=args.n,
         count=args.count,
-        cfg=args.cfg,
         seed=args.seed,
         threads=args.threads,
     )
@@ -163,7 +156,6 @@ def cmd_bench(args) -> int:
 
 def cmd_compare_bch(args) -> int:
     n, g = _load_matrix(args.input)
-    validate_special_unitary(g)
     if n < 2:
         raise DimensionMismatchError("comparison needs n >= 2")
 
@@ -183,7 +175,7 @@ def cmd_compare_bch(args) -> int:
         )
         return EXIT_NO_CONVERGENCE
 
-    k_elt, m_elt, residual = solve_bch_split(g, kg.k_set, kg.m_set, args.bch_cfg)
+    k_elt, m_elt, residual = solve_bch_split(g, kg.k_set, kg.m_set, args.order)
     gap = float(
         np.linalg.norm(np.asarray(m_elt.coords) - np.asarray(m_inv.coords))
     )
@@ -213,18 +205,6 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
-def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--restarts", type=int, default=OptimizerConfig.restarts,
-                     help="random restarts after the zero start "
-                          f"(default {OptimizerConfig.restarts})")
-    sub.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters,
-                     help="Newton step cap per optimizer start "
-                          f"(default {OptimizerConfig.max_iters})")
-    sub.add_argument("--seed", type=int, default=OptimizerConfig.seed,
-                     help="seed for restarts and sampling "
-                          f"(default {OptimizerConfig.seed})")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgdecomp",
@@ -245,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=Tolerances.reconstruct,
                        help="per-level reconstruction bound; E_a above "
                             "it times max(n-2, 1) fails (default 1e-9)")
-    _add_optimizer_flags(p_dec)
     p_dec.set_defaults(func=cmd_decompose)
 
     p_ver = subparsers.add_parser(
@@ -269,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the summary as JSON instead of a table")
     p_bench.add_argument("--threads", type=int, default=1,
                          help="samples decomposed concurrently (default 1)")
-    _add_optimizer_flags(p_bench)
+    p_bench.add_argument("--seed", type=int, default=0,
+                         help="sample i draws from default_rng(seed + i) "
+                              "(default 0)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_cmp = subparsers.add_parser(
@@ -301,19 +282,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # option values are checked before any input is read or any work runs
-    try:
-        if hasattr(args, "max_iters"):
-            args.cfg = OptimizerConfig(
-                max_iters=args.max_iters, restarts=args.restarts, seed=args.seed
-            )
-        if hasattr(args, "order"):
-            args.bch_cfg = BchConfig(truncation_order=args.order)
-    except (ValueError, OrderTooHighError) as exc:
-        parser.error(str(exc))
-    if getattr(args, "n", 2) < 2:
-        parser.error(f"--n must be at least 2, got {args.n}")
-    if getattr(args, "count", 0) < 0:
-        parser.error(f"--count must be at least 0, got {args.count}")
+    for name, low in (("n", 2), ("count", 0), ("seed", 0), ("threads", 1)):
+        value = getattr(args, name, low)
+        if value < low:
+            parser.error(f"--{name} must be at least {low}, got {value}")
+    if hasattr(args, "order"):
+        try:
+            check_order(args.order)
+        except (ValueError, OrderTooHighError) as exc:
+            parser.error(f"--order: {exc}")
     try:
         return args.func(args)
     except ParseError as exc:

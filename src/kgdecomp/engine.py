@@ -17,8 +17,9 @@ whose SU(2^(n-1)) blocks recurse while their qubit count exceeds two.
 
 The Cartan optimizer is clipped Newton iteration on the critical-point
 condition [v, h] = 0 of the Killing objective, in the k-basis
-coordinates of the chart K <- K exp(X), started at K = I (and at seeded
-random starts if that fails). Any critical point is acceptable:
+coordinates of the chart K <- K exp(X), started at K = I and, if that
+fails, at RESTARTS random starts seeded by RESTART_SEED, each capped at
+MAX_NEWTON_STEPS steps. Any critical point is acceptable:
 [v, h] = 0 forces h into the centralizer of v, which is the Cartan span
 by density of the v-generated torus, and the Cartan element is only ever
 determined up to its Weyl orbit anyway.
@@ -59,10 +60,13 @@ from .linalg import (
     logm_unitary,
     nearest_special_unitary,
     project_onto_span,
+    su_defects,
 )
 
 __all__ = [
-    "OptimizerConfig",
+    "MAX_NEWTON_STEPS",
+    "RESTARTS",
+    "RESTART_SEED",
     "StageResult",
     "LevelResult",
     "compute_m",
@@ -85,28 +89,16 @@ _POLISH_TARGET = 1e-13
 _REPAIR_THRESHOLD = 1e-12
 _INGEST_TOL = 1e-8
 
+MAX_NEWTON_STEPS = 400
+"""Newton step cap per optimizer start. It clears the largest count
+measured on Haar SU(16) inputs (238 steps, in the top-level H stage)
+with room to spare."""
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs for the Cartan-conjugation optimizer.
+RESTARTS = 4
+"""Seeded random starts tried after the K = I start fails."""
 
-    Attributes:
-        max_iters: Newton step cap per start. The default clears the
-            largest count measured on Haar SU(16) inputs (238 steps, in
-            the top-level H stage) with room to spare.
-        restarts: additional random starts after the K = I start.
-        seed: seed for the restart draws, theta uniform on [-0.5, 0.5]^Q.
-    """
-
-    max_iters: int = 400
-    restarts: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, low in (("max_iters", 1), ("restarts", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"optimizer {name} must be >= {low}, got {value}")
+RESTART_SEED = 0
+"""Seed of the restart draws, theta uniform on [-0.5, 0.5]^Q."""
 
 
 @dataclass(frozen=True)
@@ -135,15 +127,17 @@ class LevelResult(NamedTuple):
     optimizer_stats: Tuple[Tuple[str, int], ...]
 
 
-def validate_special_unitary(g: np.ndarray, tol: float = _INGEST_TOL) -> float:
-    """Returns the unitarity defect, raising if g is not SU within tol."""
-    n = g.shape[0]
-    defect = float(np.linalg.norm(g @ g.conj().T - np.eye(n)))
-    if defect > tol:
-        raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {tol:.3e}")
-    det_defect = abs(np.linalg.det(g) - 1.0)
-    if det_defect > tol:
-        raise NotUnitaryError(f"determinant defect {det_defect:.3e} exceeds {tol:.3e}")
+def validate_special_unitary(g: np.ndarray) -> float:
+    """Returns the unitarity defect, raising if g is not SU within 1e-8."""
+    defect, det_defect = su_defects(g)
+    if defect > _INGEST_TOL:
+        raise NotUnitaryError(
+            f"unitarity defect {defect:.3e} exceeds {_INGEST_TOL:.3e}"
+        )
+    if det_defect > _INGEST_TOL:
+        raise NotUnitaryError(
+            f"determinant defect {det_defect:.3e} exceeds {_INGEST_TOL:.3e}"
+        )
     return defect
 
 
@@ -315,7 +309,6 @@ def _minimize_full(
     m0,
     k_basis: Sequence[PauliWord],
     cartan: Sequence[PauliWord],
-    cfg: OptimizerConfig,
 ) -> _MinimizeOutcome:
     """minimize_to_cartan with optimizer diagnostics attached."""
     cartan = order_cartan_basis(cartan)
@@ -342,17 +335,17 @@ def _minimize_full(
         )
 
     target_mats = [w.matrix for w in cartan]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(RESTART_SEED)
     reference = expm_skew(m0_mat)
     best: Optional[_MinimizeOutcome] = None
-    for attempt in range(1 + cfg.restarts):
+    for attempt in range(1 + RESTARTS):
         if attempt == 0:
             k1 = np.eye(dim, dtype=complex)
         else:
             theta0 = rng.uniform(-0.5, 0.5, len(k_stack))
             k1 = expm_skew(_theta_to_generator(theta0, k_stack))
         k1, rel, steps = _newton_polish(
-            k1, m0_mat, v_mat, k_stack, k_norms2, cfg.max_iters
+            k1, m0_mat, v_mat, k_stack, k_norms2, MAX_NEWTON_STEPS
         )
         k1 = _maybe_repair(k1)
         h_raw = k1.conj().T @ m0_mat @ k1
@@ -390,13 +383,13 @@ def minimize_to_cartan(
     m0,
     k_basis: Sequence[PauliWord],
     cartan: Sequence[PauliWord],
-    cfg: Optional[OptimizerConfig] = None,
 ) -> Tuple[np.ndarray, AlgebraElement]:
     """Conjugates m0 into the Cartan span over the subgroup exp(span k).
 
     Runs clipped Newton iteration on the critical-point condition
-    [v, K^dag m0 K] = 0 from K = I, then from cfg.restarts seeded random
-    starts until one succeeds. Success requires the relative commutator
+    [v, K^dag m0 K] = 0 from K = I, then from RESTARTS random starts
+    seeded by RESTART_SEED until one succeeds; each start takes at most
+    MAX_NEWTON_STEPS steps. Success requires the relative commutator
     ||[h, v]|| bound, the projection residual bound, and eigenphase
     agreement of exp(h) with exp(m0) (conjugation preserves spectra; h itself is only
     determined up to its Weyl orbit).
@@ -409,7 +402,7 @@ def minimize_to_cartan(
         OptimizerFailedError: all starts ended above tolerance; the best
             (k1, h) pair rides in the error's `best` attribute.
     """
-    outcome = _minimize_full(m0, k_basis, cartan, cfg or OptimizerConfig())
+    outcome = _minimize_full(m0, k_basis, cartan)
     return outcome.k1, outcome.h
 
 
@@ -419,17 +412,15 @@ def khk_stage(
     k_basis: Sequence[PauliWord],
     m_span: Sequence[PauliWord],
     cartan: Sequence[PauliWord],
-    cfg: Optional[OptimizerConfig] = None,
 ) -> StageResult:
     """One full KHK stage: G = k0 k1 exp(h) k1^dag.
 
     k0 = g exp(-m) is fixed by the stage involution; k1 and h come from
     the Cartan optimizer on m.
     """
-    cfg = cfg or OptimizerConfig()
     m = compute_m(g, inv, m_span)
     k0 = _maybe_repair(residual_k(g, m))
-    outcome = _minimize_full(m, k_basis, cartan, cfg)
+    outcome = _minimize_full(m, k_basis, cartan)
     return StageResult(
         k0=k0,
         k1=outcome.k1,
@@ -571,11 +562,7 @@ def _cartan_factor(
     )
 
 
-def decompose_one_level(
-    g: np.ndarray,
-    n: int,
-    cfg: Optional[OptimizerConfig] = None,
-) -> LevelResult:
+def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
     """Factors G in SU(2^n), n >= 3, into the nine-factor corollary form.
 
     The central exp(m-tilde) phases commute with every exp(k) factor, so
@@ -587,12 +574,11 @@ def decompose_one_level(
     g = np.asarray(g, dtype=complex)
     if g.shape != (2**n, 2**n):
         raise DimensionMismatchError(f"expected shape {(2**n, 2**n)}, got {g.shape}")
-    cfg = cfg or OptimizerConfig()
     kg = build_kg_basis(n)
     inv_z = AxisInvolution(n, "Z")
     inv_x = AxisInvolution(n, "X")
 
-    stage = khk_stage(g, inv_z, kg.k_set, kg.m_set, kg.h_set, cfg)
+    stage = khk_stage(g, inv_z, kg.k_set, kg.m_set, kg.h_set)
 
     span_k1z = tuple(kg.k1_set) + (kg.z_word,)
     m1, m2 = secondary_m_pair(stage.k0, stage.k1, inv_x, span_k1z)
@@ -603,8 +589,8 @@ def decompose_one_level(
     m1_hat, m1_tilde = phase_split(m1, kg.k1_set, kg.z_word)
     m2_hat, m2_tilde = phase_split(m2, kg.k1_set, kg.z_word)
 
-    out1 = _minimize_full(m1_hat, kg.k0_set, kg.f_set, cfg)
-    out2 = _minimize_full(m2_hat, kg.k0_set, kg.f_set, cfg)
+    out1 = _minimize_full(m1_hat, kg.k0_set, kg.f_set)
+    out2 = _minimize_full(m2_hat, kg.k0_set, kg.f_set)
 
     sub0, phi0 = extract_subunitary(k10 @ out1.k1, n)
     inner1, psi1 = extract_subunitary(out1.k1, n)
@@ -645,12 +631,9 @@ def decompose_one_level(
 
 
 def _recurse(
-    g: np.ndarray,
-    n: int,
-    cfg: OptimizerConfig,
-    prefix: str,
+    g: np.ndarray, n: int, prefix: str
 ) -> Tuple[List[Factor], float, list, list]:
-    level = decompose_one_level(g, n, cfg)
+    level = decompose_one_level(g, n)
     subspace_errors = [(prefix + label, v) for label, v in level.subspace_errors]
     optimizer_stats = [(prefix + label, v) for label, v in level.optimizer_stats]
     phase = level.phase
@@ -663,7 +646,7 @@ def _recurse(
             slot += 1
             if factor.level_qubits >= 4:
                 child_factors, child_phase, child_sub, child_stats = _recurse(
-                    factor.matrix, factor.level_qubits - 1, cfg, child_prefix
+                    factor.matrix, factor.level_qubits - 1, child_prefix
                 )
                 factors.extend(child_factors)
                 phase += child_phase
@@ -677,7 +660,6 @@ def _recurse(
 def decompose_full(
     g: np.ndarray,
     n: int,
-    cfg: Optional[OptimizerConfig] = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> FactorTree:
     """Recursively factors G in SU(2^n) down to SU(4)/SU(2)/Cartan leaves.
@@ -700,7 +682,6 @@ def decompose_full(
     if g.shape != (2**n, 2**n):
         raise DimensionMismatchError(f"expected shape {(2**n, 2**n)}, got {g.shape}")
     validate_special_unitary(g)
-    cfg = cfg or OptimizerConfig()
     start = time.perf_counter()
 
     if n == 2:
@@ -711,7 +692,7 @@ def decompose_full(
         subspace_errors: list = []
         optimizer_stats: list = []
     else:
-        factors, phase, subspace_errors, optimizer_stats = _recurse(g, n, cfg, "")
+        factors, phase, subspace_errors, optimizer_stats = _recurse(g, n, "")
 
     reconstructed = np.exp(1j * phase) * np.eye(2**n, dtype=complex)
     for factor in factors:

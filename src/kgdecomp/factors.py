@@ -20,8 +20,14 @@ import numpy as np
 # is_cartan_label; perfbench/spans.py still patches it at this name
 from .basis import build_kg_basis, is_cartan_label, pauli_word
 from .errors import LevelExceedsRegisterError, ParseError
-from .fileio import complex_entries, dump_json, entries_to_matrix, parse_json
-from .linalg import expm_skew, kron
+from .fileio import (
+    complex_entries,
+    dump_json,
+    entries_to_matrix,
+    is_json_number,
+    parse_json,
+)
+from .linalg import expm_skew, kron, su_defects
 
 __all__ = [
     "FactorKind",
@@ -161,12 +167,8 @@ def factor_defects(factor: Factor) -> dict:
     """
     if factor.kind is FactorKind.CARTAN_EXP:
         return {}
-    mat = np.asarray(factor.matrix, dtype=complex)
-    eye = np.eye(mat.shape[0])
-    return {
-        "unitarity": float(np.linalg.norm(mat @ mat.conj().T - eye)),
-        "det": float(abs(np.linalg.det(mat) - 1.0)),
-    }
+    unitarity, det = su_defects(factor.matrix)
+    return {"unitarity": unitarity, "det": det}
 
 
 def serialize(tree: FactorTree) -> str:
@@ -213,7 +215,7 @@ def _parse_factor(rec, where: str, n_total: int) -> Factor:
     except (KeyError, ValueError):
         raise ParseError(f"missing or unknown factor kind {rec.get('kind')!r}", where)
     level = rec.get("level_qubits", 1)
-    if not isinstance(level, int) or level < 1:
+    if not is_json_number(level, integer=True) or level < 1:
         raise ParseError(f"bad level_qubits {level!r}", where)
     if kind is FactorKind.CARTAN_EXP:
         basis_name = rec.get("basis")
@@ -237,7 +239,7 @@ def _parse_factor(rec, where: str, n_total: int) -> Factor:
                 not isinstance(pair, list)
                 or len(pair) != 2
                 or not isinstance(pair[0], str)
-                or not isinstance(pair[1], (int, float))
+                or not is_json_number(pair[1])
             ):
                 raise ParseError("coefficient is not a [label, value] pair",
                                  f"{where}.coeffs[{idx}]")
@@ -246,7 +248,7 @@ def _parse_factor(rec, where: str, n_total: int) -> Factor:
                                  f"{where}.coeffs[{idx}]")
             parsed.append((pair[0], float(pair[1])))
         residual = rec.get("subspace_residual")
-        if residual is not None and not isinstance(residual, (int, float)):
+        if residual is not None and not is_json_number(residual):
             raise ParseError("subspace_residual must be numeric", where)
         return Factor(
             kind=kind,
@@ -258,6 +260,36 @@ def _parse_factor(rec, where: str, n_total: int) -> Factor:
     dim = 2 ** (level - 1) if kind is FactorKind.SUB_UNITARY else 2
     matrix = entries_to_matrix(rec.get("entries", []), dim, f"{where}.entries")
     return Factor(kind=kind, level_qubits=level, matrix=matrix)
+
+
+def _parse_report(raw) -> DecompositionReport:
+    if not isinstance(raw, dict):
+        raise ParseError("malformed report block", "report")
+    for key, default in (("approx_error", None), ("wall_time", 0.0)):
+        if not is_json_number(raw.get(key, default)):
+            raise ParseError(f"{key} must be numeric", f"report.{key}")
+
+    def labeled(key: str, cast) -> tuple:
+        pairs = raw.get(key, [])
+        if not isinstance(pairs, list):
+            raise ParseError(f"{key} must be a list", f"report.{key}")
+        for idx, pair in enumerate(pairs):
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not isinstance(pair[0], str)
+                or not is_json_number(pair[1], integer=cast is int)
+            ):
+                raise ParseError("entry is not a [label, value] pair",
+                                 f"report.{key}[{idx}]")
+        return tuple((label, cast(v)) for label, v in pairs)
+
+    return DecompositionReport(
+        approx_error=float(raw["approx_error"]),
+        subspace_errors=labeled("subspace_errors", float),
+        wall_time=float(raw.get("wall_time", 0.0)),
+        optimizer_stats=labeled("optimizer_stats", int),
+    )
 
 
 def deserialize(document: str) -> FactorTree:
@@ -276,9 +308,9 @@ def deserialize(document: str) -> FactorTree:
         raise ParseError(f"unsupported version {doc.get('version')!r}", "version")
     n_total = doc.get("n_total")
     phase = doc.get("phase")
-    if not isinstance(n_total, int) or n_total < 1:
+    if not is_json_number(n_total, integer=True) or n_total < 1:
         raise ParseError(f"bad n_total {n_total!r}", "n_total")
-    if not isinstance(phase, (int, float)):
+    if not is_json_number(phase):
         raise ParseError("phase must be numeric", "phase")
     records = doc.get("factors")
     if not isinstance(records, list):
@@ -289,31 +321,11 @@ def deserialize(document: str) -> FactorTree:
         where = f"factors[{i}]"
         if isinstance(rec, dict) and rec.get("kind") == "global_phase":
             phi = rec.get("phi")
-            if not isinstance(phi, (int, float)):
+            if not is_json_number(phi):
                 raise ParseError("global_phase record needs numeric 'phi'", where)
             phase += float(phi)
         else:
             factors.append(_parse_factor(rec, where, n_total))
-    report = None
     raw_report = doc.get("report")
-    if raw_report is not None:
-        if not isinstance(raw_report, dict) or not isinstance(
-            raw_report.get("approx_error"), (int, float)
-        ):
-            raise ParseError("malformed report block", "report")
-        try:
-            report = DecompositionReport(
-                approx_error=float(raw_report["approx_error"]),
-                subspace_errors=tuple(
-                    (str(label), float(v))
-                    for label, v in raw_report.get("subspace_errors", [])
-                ),
-                wall_time=float(raw_report.get("wall_time", 0.0)),
-                optimizer_stats=tuple(
-                    (str(label), int(v))
-                    for label, v in raw_report.get("optimizer_stats", [])
-                ),
-            )
-        except (TypeError, ValueError):
-            raise ParseError("malformed report block", "report")
+    report = None if raw_report is None else _parse_report(raw_report)
     return FactorTree(n_total=n_total, phase=phase, factors=tuple(factors), report=report)

@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["dump_json", "parse_json", "matrix_to_document", "matrix_from_document"]
+__all__ = [
+    "dump_json",
+    "parse_json",
+    "is_json_number",
+    "matrix_to_document",
+    "matrix_from_document",
+]
 
 
 def _fmt_float(x: float) -> str:
@@ -67,6 +73,17 @@ def parse_json(text: str):
         raise ParseError(exc.msg, location=f"line {exc.lineno}, column {exc.colno}")
 
 
+def is_json_number(value, integer: bool = False) -> bool:
+    """Whether a parsed JSON value is a number (an integer if asked).
+
+    json.loads reads true/false as bool, a subclass of int, so a plain
+    isinstance test would take them for 1 and 0; this one does not.
+    """
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int if integer else (int, float))
+
+
 def complex_entries(matrix: np.ndarray) -> list:
     """Row-major [re, im] pair list for a complex matrix."""
     flat = np.asarray(matrix, dtype=complex).ravel()
@@ -86,7 +103,7 @@ def entries_to_matrix(entries, dim: int, location: str) -> np.ndarray:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(p, (int, float)) for p in pair)
+            or not (is_json_number(pair[0]) and is_json_number(pair[1]))
         ):
             raise ParseError("entry is not an [re, im] pair", f"{location}[{idx}]")
         flat[idx] = complex(pair[0], pair[1])
@@ -119,7 +136,7 @@ def matrix_from_document(text: str) -> Tuple[int, np.ndarray]:
     if "n" not in doc or "entries" not in doc:
         raise ParseError("matrix document needs fields 'n' and 'entries'", "top level")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not is_json_number(n, integer=True) or n < 1:
         raise ParseError(f"'n' must be a positive integer, got {n!r}", "n")
     matrix = entries_to_matrix(doc["entries"], 2**n, "entries")
     return n, matrix

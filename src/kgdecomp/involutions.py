@@ -11,12 +11,10 @@ module) and exp(k) is fixed pointwise while exp(m) maps to its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import AlgebraElement
 
 __all__ = ["AxisInvolution"]
 
@@ -66,18 +64,3 @@ class AxisInvolution:
             return a * np.outer(signs, signs)
         perm = np.arange(self.dim).reshape(-1, 2)[:, ::-1].ravel()
         return a[np.ix_(perm, perm)]
-
-    def eigensplit(self, a) -> Tuple[AlgebraElement, AlgebraElement]:
-        """Splits an algebra element into +1/-1 involution eigenparts.
-
-        Returns:
-            (plus, minus) with plus = (a + theta(a))/2 fixed by the
-            involution, minus = (a - theta(a))/2 negated by it, and
-            plus.matrix + minus.matrix == a exactly.
-        """
-        mat = a.matrix if isinstance(a, AlgebraElement) else np.asarray(a, dtype=complex)
-        image = self.apply(mat)
-        return (
-            AlgebraElement(matrix=(mat + image) / 2),
-            AlgebraElement(matrix=(mat - image) / 2),
-        )

@@ -32,6 +32,7 @@ __all__ = [
     "logm_unitary",
     "project_onto_span",
     "nearest_special_unitary",
+    "su_defects",
     "commutation_defect",
     "eigenphase_mismatch",
 ]
@@ -221,6 +222,13 @@ def nearest_special_unitary(a: np.ndarray) -> Tuple[np.ndarray, float]:
     phase = float(np.angle(np.linalg.det(polar)))
     u = polar * np.exp(-1j * phase / n)
     return u, phase
+
+
+def su_defects(u: np.ndarray) -> Tuple[float, float]:
+    """(||u u^dag - I||_F, |det u - 1|), both zero exactly when u is in SU(N)."""
+    u = _as_matrix(u)
+    unitarity = float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])))
+    return unitarity, float(abs(np.linalg.det(u) - 1.0))
 
 
 def commutation_defect(x: np.ndarray, mats: Sequence[np.ndarray]) -> float:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .engine import OptimizerConfig, decompose_full
+from .engine import decompose_full
 from .errors import KgDecompError
 from .factors import DecompositionReport, FactorTree
 
@@ -107,7 +107,6 @@ def _summarize(n: int, count: int, results: Sequence[BenchmarkResult]) -> Benchm
 def run_benchmark(
     n: int,
     count: int,
-    cfg: Optional[OptimizerConfig] = None,
     seed: int = 0,
     threads: int = 1,
 ) -> BenchmarkSummary:
@@ -118,13 +117,12 @@ def run_benchmark(
     any other library error) are counted, not raised. Each successful
     result keeps its factor tree.
     """
-    cfg = cfg or OptimizerConfig()
 
     def run_one(index: int) -> BenchmarkResult:
         g = haar_special_unitary(n, np.random.default_rng(seed + index))
         start = time.perf_counter()
         try:
-            tree = decompose_full(g, n, cfg)
+            tree = decompose_full(g, n)
         except KgDecompError as exc:
             return BenchmarkResult(
                 index=index,

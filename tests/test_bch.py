@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 
 from kgdecomp import (
-    BchConfig,
     OrderTooHighError,
     RootSearchFailedError,
-    SubspaceViolationError,
     build_kg_basis,
     expm_skew,
     haar_special_unitary,
     logm_unitary,
     pauli_word,
     solve_bch_split,
-    split_Pk_Pm,
     truncated_bch,
 )
 from kgdecomp.bch import _word_coefficients
@@ -97,29 +94,10 @@ def test_order_bounds():
         truncated_bch(a, b, 9)
     with pytest.raises(ValueError):
         truncated_bch(a, b, 0)
+    # empty spans would fail in np.stack, so this passes only if the
+    # order is checked before any work
     with pytest.raises(OrderTooHighError):
-        BchConfig(truncation_order=9)
-
-
-def test_split_recovers_known_parts():
-    rng = np.random.default_rng(4)
-    kg = build_kg_basis(3)
-    k_coords = rng.uniform(-0.3, 0.3, len(kg.k_set))
-    m_coords = rng.uniform(-0.3, 0.3, len(kg.m_set))
-    k_mat = sum(c * w.matrix for c, w in zip(k_coords, kg.k_set))
-    m_mat = sum(c * w.matrix for c, w in zip(m_coords, kg.m_set))
-    k_part, m_part = split_Pk_Pm(k_mat + m_mat, kg.k_set, kg.m_set)
-    assert np.linalg.norm(k_part.matrix - k_mat) < 1e-13
-    assert np.linalg.norm(m_part.matrix - m_mat) < 1e-13
-    assert k_part.residual_norm < 1e-13
-
-
-def test_split_rejects_content_outside_both_spans():
-    kg = build_kg_basis(3)
-    # the identity word is orthogonal to every traceless basis word
-    x = 0.5j * np.eye(8)
-    with pytest.raises(SubspaceViolationError):
-        split_Pk_Pm(x, kg.k_set, kg.m_set)
+        solve_bch_split(np.eye(8), [], [], 9)
 
 
 def test_solve_bch_split_recovers_construction():

@@ -1,11 +1,15 @@
 """Command-line interface tests, run in-process through main()."""
 
+import argparse
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import kgdecomp.factors
 from kgdecomp import build_kg_basis, expm_skew, haar_special_unitary
-from kgdecomp.cli import main
+from kgdecomp.cli import build_parser, main
 from kgdecomp.fileio import dump_json, matrix_to_document, parse_json
 
 
@@ -82,13 +86,17 @@ def test_decompose_rejects_input_just_outside_ingest_tolerance(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["decompose", "g.json", "--max-iters", "0"], "max_iters"),
-    (["bench", "--n", "3", "--count", "1", "--restarts", "-1"], "restarts"),
-    (["compare-bch", "g.json", "--order", "0"], "truncation_order"),
-    (["compare-bch", "g.json", "--order", "9"], "truncation_order"),
+    (["bench", "--n", "3", "--count", "1", "--seed", "-1"], "--seed"),
+    (["bench", "--n", "3", "--count", "1", "--threads", "0"], "--threads"),
+    (["compare-bch", "g.json", "--order", "0"], "--order"),
+    (["compare-bch", "g.json", "--order", "9"], "--order"),
     (["bench", "--n", "1", "--count", "1"], "--n"),
     (["bench", "--n", "3", "--count", "-1"], "--count"),
     (["basis", "--n", "1"], "--n"),
+    # the optimizer budget has no flags: these are unrecognized arguments
+    (["decompose", "g.json", "--max-iters", "0"], "--max-iters"),
+    (["bench", "--n", "3", "--count", "1", "--restarts", "-1"], "--restarts"),
+    (["decompose", "g.json", "--seed", "1"], "--seed"),
 ])
 def test_out_of_range_optimizer_flags_are_usage_errors(argv, field, capsys):
     with pytest.raises(SystemExit) as info:
@@ -98,8 +106,10 @@ def test_out_of_range_optimizer_flags_are_usage_errors(argv, field, capsys):
 
 
 @pytest.mark.parametrize("command, removed", [
-    ("decompose", ("--threads", "--ingest-tol", "--tol-subspace")),
+    ("decompose", ("--threads", "--ingest-tol", "--tol-subspace", "--max-iters",
+                   "--restarts", "--seed")),
     ("compare-bch", ("--ingest-tol",)),
+    ("bench", ("--max-iters", "--restarts")),
 ])
 def test_removed_flags_are_gone(command, removed, capsys):
     with pytest.raises(SystemExit):
@@ -178,6 +188,23 @@ def test_malformed_document_is_a_parse_failure(tmp_path, capsys):
     assert main(["decompose", str(path)]) == 2
 
 
+@pytest.mark.parametrize("field, location", [("n", "[n]"), ("entry", "[entries[5]]")])
+def test_boolean_in_matrix_document_is_a_parse_failure(tmp_path, su8_file,
+                                                       field, location, capsys):
+    # bool subclasses int, so `"n": true` once read as n = 1 and a
+    # `[true, 0]` entry as 1 + 0j
+    matrix_path, _ = su8_file
+    doc = parse_json(matrix_path.read_text())
+    if field == "n":
+        doc["n"] = True
+    else:
+        doc["entries"][5] = [True, 0]
+    path = tmp_path / "bool.json"
+    path.write_text(dump_json(doc))
+    assert main(["decompose", str(path)]) == 2
+    assert f"parse error {location}" in capsys.readouterr().err
+
+
 def test_decompose_is_deterministic(tmp_path, su8_file):
     # byte-identical up to the wall-time diagnostic, which is the one
     # legitimately clock-dependent field in the document
@@ -239,6 +266,13 @@ def test_compare_bch_refuses_large_norm(tmp_path, capsys):
     assert "max-norm" in capsys.readouterr().err
 
 
+def test_compare_bch_rejects_non_special_unitary(tmp_path, capsys):
+    path = tmp_path / "scaled.json"
+    path.write_text(matrix_to_document(1.1 * np.eye(8, dtype=complex)))
+    assert main(["compare-bch", str(path)]) == 3
+    assert "not special unitary" in capsys.readouterr().err
+
+
 def test_basis_dump(capsys):
     assert main(["basis", "--n", "2", "--set", "H"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -247,3 +281,37 @@ def test_basis_dump(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 63 + 30 + 4 + 3  # M+K plus K0/K1 repeats, H, F
     assert "K1 ZZZ" in lines and "M IIX" in lines
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_synopsis():
+    """Subcommand -> option strings of README's `## Command line` block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    synopsis = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        assert words[0] == "kgdecomp", line
+        synopsis[words[1]] = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", line))
+    return synopsis
+
+
+def test_readme_synopsis_lists_every_option():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    synopsis = _readme_synopsis()
+    assert set(synopsis) == set(subparsers.choices)
+    for command, sub in subparsers.choices.items():
+        defined = [
+            set(action.option_strings) for action in sub._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)
+        ]
+        listed = synopsis[command]
+        # each option appears under one of its spellings, and nothing else does
+        unlisted = [sorted(strings) for strings in defined if not strings & listed]
+        unknown = sorted(listed - set().union(*defined))
+        assert not unlisted and not unknown, (command, unlisted, unknown)

@@ -11,7 +11,6 @@ from kgdecomp import (
     FactorKind,
     NotTensorWithIdentityError,
     NotUnitaryError,
-    OptimizerConfig,
     OptimizerFailedError,
     ReconstructionError,
     SubspaceViolationError,
@@ -36,6 +35,7 @@ from kgdecomp import (
     residual_k,
     secondary_m_pair,
 )
+from kgdecomp import engine
 from kgdecomp.engine import _coords_in, _newton_polish
 from kgdecomp.linalg import AlgebraElement
 
@@ -194,15 +194,16 @@ def test_minimize_to_cartan_zero_input_short_circuits():
     assert np.linalg.norm(h.matrix) == 0.0
 
 
-def test_minimize_to_cartan_failure_carries_best():
+def test_minimize_to_cartan_failure_carries_best(monkeypatch):
     rng = np.random.default_rng(4)
     kg = build_kg_basis(3)
     # one Newton step from K = I leaves the relative commutator far above
     # the Cartan bound, which forces the failure path
-    cfg = OptimizerConfig(max_iters=1, restarts=0)
+    monkeypatch.setattr(engine, "MAX_NEWTON_STEPS", 1)
+    monkeypatch.setattr(engine, "RESTARTS", 0)
     m0 = AlgebraElement(matrix=random_span_element(rng, kg.m_set, 0.3))
     with pytest.raises(OptimizerFailedError) as info:
-        minimize_to_cartan(m0, kg.k_set, kg.h_set, cfg)
+        minimize_to_cartan(m0, kg.k_set, kg.h_set)
     best_k1, best_h = info.value.best
     assert best_k1.shape == (8, 8)
     assert isinstance(best_h, AlgebraElement)
@@ -227,13 +228,6 @@ def test_newton_polish_evaluates_its_last_step():
     assert steps == 1
     assert not np.array_equal(best_k, eye)
     assert rel < rel_identity
-
-
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError, match="max_iters"):
-        OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError, match="restarts"):
-        OptimizerConfig(restarts=-1)
 
 
 def test_khk_stage_reconstructs():
@@ -391,14 +385,15 @@ def test_decompose_full_su16_recurses_fully():
 
 
 @pytest.mark.parametrize("label, angle", [("XIX", 0.3), ("IXX", 2.5)])
-def test_restart_rescues_stalled_identity_start(label, angle):
+def test_restart_rescues_stalled_identity_start(label, angle, monkeypatch):
     # Newton from K = I stalls near relative commutator 0.15 on these
     # inputs; the first seeded restart converges in a few steps.
     g = expm_skew(angle * pauli_word(label).matrix)
     tree = decompose_full(g, 3)
     assert tree.report.approx_error <= 1e-10
+    monkeypatch.setattr(engine, "RESTARTS", 0)
     with pytest.raises(OptimizerFailedError):
-        decompose_full(g, 3, OptimizerConfig(restarts=0))
+        decompose_full(g, 3)
 
 
 def test_decompose_full_enforces_reconstruction_bound():

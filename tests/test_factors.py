@@ -158,8 +158,10 @@ def test_deserialize_rejects_malformed_documents(monkeypatch):
     cartan = serialize(FactorTree(3, 0.0, (
         Factor(kind=FactorKind.CARTAN_EXP, level_qubits=3, basis_name="H3",
                coeffs=(("IIX", 0.1), ("XXX", 0.2))),
-    )))
+    ), DecompositionReport(approx_error=1e-12, optimizer_stats=(("n3:h", 7),))))
     deserialize(cartan)
+    zero = '"phase": 0.0000000000000000e+00'
+    assert zero in cartan
     for bad, location in [
         # a basis from another level
         (cartan.replace('"H3"', '"H4"'), "factors[0]"),
@@ -168,7 +170,16 @@ def test_deserialize_rejects_malformed_documents(monkeypatch):
         # a level beyond the register
         (cartan.replace('"level_qubits": 3', '"level_qubits": 4')
                .replace('"H3"', '"H4"'), "factors[0]"),
+        # JSON booleans are not numbers, though bool subclasses int
+        (cartan.replace(zero, '"phase": true'), "phase"),
+        (cartan.replace('"n_total": 3', '"n_total": true'), "n_total"),
+        (good.replace('"level_qubits": 3', '"level_qubits": true'), "factors[0]"),
+        (cartan.replace('["IIX", 1.0000000000000001e-01]', '["IIX", true]'),
+         "factors[0].coeffs[0]"),
+        (cartan.replace('["n3:h", 7]', '["n3:h", true]'),
+         "report.optimizer_stats[0]"),
     ]:
+        assert bad != cartan
         with pytest.raises(ParseError) as info:
             deserialize(bad)
         assert info.value.location == location

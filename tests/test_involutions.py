@@ -45,19 +45,6 @@ def test_apply_is_an_automorphism():
     assert np.allclose(inv.apply(a @ b), inv.apply(a) @ inv.apply(b), atol=1e-12)
 
 
-def test_eigensplit_reassembles_and_has_right_signs():
-    rng = np.random.default_rng(3)
-    inv = AxisInvolution(3, "Z")
-    a = random_matrix(rng, 8)
-    plus, minus = inv.eigensplit(a)
-    assert np.allclose(plus.matrix + minus.matrix, a, atol=0)
-    assert np.allclose(inv.apply(plus.matrix), plus.matrix, atol=1e-14)
-    assert np.allclose(inv.apply(minus.matrix), -minus.matrix, atol=1e-14)
-    # the two eigenspaces are trace-orthogonal
-    overlap = np.trace(plus.matrix.conj().T @ minus.matrix).real
-    assert abs(overlap) < 1e-12
-
-
 def test_rejects_bad_axis():
     with pytest.raises(ValueError):
         AxisInvolution(3, "Y")

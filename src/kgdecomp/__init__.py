@@ -26,7 +26,6 @@ from .engine import (
     extract_last_qubit,
     extract_subunitary,
     khk_stage,
-    minimize_to_cartan,
     objective,
     phase_split,
     residual_k,
@@ -68,7 +67,6 @@ from .linalg import (
     commutation_defect,
     eigenphase_mismatch,
     expm_skew,
-    kron,
     logm_unitary,
     nearest_special_unitary,
     project_onto_span,
@@ -130,9 +128,7 @@ __all__ = [
     "format_table",
     "haar_special_unitary",
     "khk_stage",
-    "kron",
     "logm_unitary",
-    "minimize_to_cartan",
     "nearest_special_unitary",
     "objective",
     "order_cartan_basis",

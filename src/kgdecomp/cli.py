@@ -66,13 +66,8 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}", location=path)
 
 
-def _load_matrix(path: str):
-    n, matrix = matrix_from_document(_read_text(path))
-    return n, matrix
-
-
 def cmd_decompose(args) -> int:
-    n, g_raw = _load_matrix(args.input)
+    n, g_raw = matrix_from_document(_read_text(args.input))
     g = g_raw
     repair_distance = None
     if args.repair:
@@ -113,7 +108,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    n, g = _load_matrix(args.matrix)
+    n, g = matrix_from_document(_read_text(args.matrix))
     tree = deserialize(_read_text(args.tree))
     if tree.n_total != n:
         raise DimensionMismatchError(
@@ -155,7 +150,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare_bch(args) -> int:
-    n, g = _load_matrix(args.input)
+    n, g = matrix_from_document(_read_text(args.input))
     if n < 2:
         raise DimensionMismatchError("comparison needs n >= 2")
 
@@ -291,6 +286,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             check_order(args.order)
         except (ValueError, OrderTooHighError) as exc:
             parser.error(f"--order: {exc}")
+    if hasattr(args, "tol_reconstruct"):
+        try:
+            Tolerances(args.tol_reconstruct)
+        except ValueError as exc:
+            parser.error(f"--tol-reconstruct: {exc}")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -7,6 +7,7 @@ bound that `decompose_full` and `kgdecomp verify` apply can be set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -29,7 +30,7 @@ class Tolerances:
 
     Attributes:
         reconstruct: allowed Frobenius reconstruction error per recursion
-            level.
+            level, finite and positive (a NaN bound would pass any tree).
         structure: per-dimension scale for structural predicate checks
             (unitarity, skew-Hermiticity); most checks use structure * dim.
             Fixed, not a constructor argument.
@@ -37,6 +38,12 @@ class Tolerances:
 
     structure: ClassVar[float] = 1e-10
     reconstruct: float = 1e-9
+
+    def __post_init__(self):
+        if not (math.isfinite(self.reconstruct) and self.reconstruct > 0):
+            raise ValueError(
+                f"reconstruct must be finite and positive, got {self.reconstruct!r}"
+            )
 
     def reconstruct_bound(self, n: int) -> float:
         """The E_a bound for an n-qubit tree, reconstruct * max(n - 2, 1)."""

@@ -13,7 +13,7 @@ nine-factor form
     G = e^{i phi} (K0 x I) e^{f0} (K1 x I) (I x Kt0)
         e^{h0} (K2 x I) e^{f1} (K3 x I) (I x Kt1)
 
-whose SU(2^(n-1)) blocks recurse while their qubit count exceeds two.
+whose SU(2^(n-1)) blocks recurse down to two-qubit leaves.
 
 The Cartan optimizer is clipped Newton iteration on the critical-point
 condition [v, h] = 0 of the Killing objective, in the k-basis
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import PauliWord, build_kg_basis, order_cartan_basis
+from .basis import PauliWord, build_kg_basis
 from .config import CARTAN_TOL, DEFAULT_TOLS, PATTERN_TOL, SUBSPACE_TOL, Tolerances
 from .errors import (
     DimensionMismatchError,
@@ -53,6 +53,7 @@ from .factors import (
 from .involutions import AxisInvolution
 from .linalg import (
     AlgebraElement,
+    as_matrix,
     commutation_defect,
     eigenphase_mismatch,
     expm_skew,
@@ -73,7 +74,6 @@ __all__ = [
     "residual_k",
     "build_v",
     "objective",
-    "minimize_to_cartan",
     "khk_stage",
     "secondary_m_pair",
     "phase_split",
@@ -105,21 +105,21 @@ RESTART_SEED = 0
 class StageResult:
     """One KHK stage: G = k0 k1 exp(h) k1^dag with h Abelian.
 
-    h carries coordinates in the stage Cartan basis; m is the involution
-    logarithm the stage split off; subspace_error is the commutation
-    defect of the raw k1^dag m k1 against the Cartan basis.
+    h carries coordinates in the stage Cartan basis; subspace_error is the
+    commutation defect of the raw k1^dag m k1 against the Cartan basis,
+    where m is the involution logarithm the stage split off.
     """
 
     k0: np.ndarray
     k1: np.ndarray
     h: AlgebraElement
-    m: AlgebraElement
     optimizer_iters: int
     subspace_error: float
 
 
 class LevelResult(NamedTuple):
-    """Output of one recursion level before splicing children."""
+    """Factors, phase and labeled diagnostics of one level, or of a whole
+    subtree once _recurse has spliced the children in."""
 
     factors: Tuple[Factor, ...]
     phase: float
@@ -130,11 +130,12 @@ class LevelResult(NamedTuple):
 def validate_special_unitary(g: np.ndarray) -> float:
     """Returns the unitarity defect, raising if g is not SU within 1e-8."""
     defect, det_defect = su_defects(g)
-    if defect > _INGEST_TOL:
+    # written as `not <=` so that a NaN defect fails too
+    if not defect <= _INGEST_TOL:
         raise NotUnitaryError(
             f"unitarity defect {defect:.3e} exceeds {_INGEST_TOL:.3e}"
         )
-    if det_defect > _INGEST_TOL:
+    if not det_defect <= _INGEST_TOL:
         raise NotUnitaryError(
             f"determinant defect {det_defect:.3e} exceeds {_INGEST_TOL:.3e}"
         )
@@ -187,8 +188,7 @@ def compute_m(
 
 def residual_k(g: np.ndarray, m: AlgebraElement) -> np.ndarray:
     """The involution-fixed cofactor g exp(-m) of the stage split."""
-    mat = m.matrix if isinstance(m, AlgebraElement) else np.asarray(m, dtype=complex)
-    return np.asarray(g, dtype=complex) @ expm_skew(-mat)
+    return np.asarray(g, dtype=complex) @ expm_skew(-as_matrix(m))
 
 
 def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
@@ -196,7 +196,8 @@ def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
 
     The pi powers are rationally independent weights, so the closure of
     exp(t v) is the whole Cartan torus and the centralizer of v is
-    exactly the Cartan span; cartan must already be canonically ordered.
+    exactly the Cartan span. The weights follow cartan's order; the engine
+    passes the canonical order from build_kg_basis, so v is reproducible.
     """
     weights = tuple(float(np.pi**i) for i in range(len(cartan)))
     mats = np.stack([w.matrix for w in cartan])
@@ -209,15 +210,6 @@ def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
 
 def _theta_to_generator(theta: np.ndarray, k_stack: np.ndarray) -> np.ndarray:
     return np.tensordot(np.asarray(theta, dtype=float), k_stack, axes=1)
-
-
-def _objective_values(
-    gen_batch: np.ndarray, v_mat: np.ndarray, m0_mat: np.ndarray, c_n: float
-) -> np.ndarray:
-    k = expm_skew_many(gen_batch)
-    k_dag = np.conj(np.swapaxes(k, -1, -2))
-    conj = k_dag @ m0_mat @ k
-    return c_n * np.einsum("ij,bji->b", v_mat, conj).real
 
 
 def objective(
@@ -239,11 +231,11 @@ def objective(
         raise DimensionMismatchError(
             f"theta has shape {theta.shape}, expected ({len(k_basis)},)"
         )
-    v_mat = v.matrix if isinstance(v, AlgebraElement) else np.asarray(v, dtype=complex)
-    m_mat = m0.matrix if isinstance(m0, AlgebraElement) else np.asarray(m0, dtype=complex)
+    v_mat = as_matrix(v)
+    m_mat = as_matrix(m0)
     c_n = 2.0 * v_mat.shape[0]
-    gen = _theta_to_generator(theta, k_stack)
-    return float(_objective_values(gen[None], v_mat, m_mat, c_n)[0])
+    k = expm_skew_many(_theta_to_generator(theta, k_stack)[None])[0]
+    return float(c_n * np.einsum("ij,ji->", v_mat, k.conj().T @ m_mat @ k).real)
 
 
 @dataclass
@@ -310,11 +302,23 @@ def _minimize_full(
     k_basis: Sequence[PauliWord],
     cartan: Sequence[PauliWord],
 ) -> _MinimizeOutcome:
-    """minimize_to_cartan with optimizer diagnostics attached."""
-    cartan = order_cartan_basis(cartan)
-    v = build_v(cartan)
-    v_mat = v.matrix
-    m0_mat = m0.matrix if isinstance(m0, AlgebraElement) else np.asarray(m0, dtype=complex)
+    """Conjugates m0 into the Cartan span over the subgroup exp(span k).
+
+    Runs clipped Newton iteration on [v, K^dag m0 K] = 0 from K = I, then
+    from RESTARTS random starts seeded by RESTART_SEED until one succeeds;
+    each start takes at most MAX_NEWTON_STEPS steps. Success requires the
+    relative commutator bound, the projection residual bound, and
+    eigenphase agreement of exp(h) with exp(m0) (h itself is only
+    determined up to its Weyl orbit). The outcome's h = k1^dag m0 k1 is
+    snapped onto the span, with the pre-projection residual on
+    h.residual_norm and h.coords in the order cartan is given.
+
+    Raises:
+        OptimizerFailedError: all starts ended above tolerance; the best
+            (k1, h) pair rides in the error's `best` attribute.
+    """
+    v_mat = build_v(cartan).matrix
+    m0_mat = as_matrix(m0)
     dim = m0_mat.shape[0]
     k_stack = np.stack([w.matrix for w in k_basis])
     k_norms2 = np.einsum("qji,qji->q", k_stack.conj(), k_stack).real
@@ -379,33 +383,6 @@ def _minimize_full(
     )
 
 
-def minimize_to_cartan(
-    m0,
-    k_basis: Sequence[PauliWord],
-    cartan: Sequence[PauliWord],
-) -> Tuple[np.ndarray, AlgebraElement]:
-    """Conjugates m0 into the Cartan span over the subgroup exp(span k).
-
-    Runs clipped Newton iteration on the critical-point condition
-    [v, K^dag m0 K] = 0 from K = I, then from RESTARTS random starts
-    seeded by RESTART_SEED until one succeeds; each start takes at most
-    MAX_NEWTON_STEPS steps. Success requires the relative commutator
-    ||[h, v]|| bound, the projection residual bound, and eigenphase
-    agreement of exp(h) with exp(m0) (conjugation preserves spectra; h itself is only
-    determined up to its Weyl orbit).
-
-    Returns:
-        (k1, h) with h = k1^dag m0 k1 snapped onto the Cartan span and
-        the pre-projection residual recorded on h.residual_norm.
-
-    Raises:
-        OptimizerFailedError: all starts ended above tolerance; the best
-            (k1, h) pair rides in the error's `best` attribute.
-    """
-    outcome = _minimize_full(m0, k_basis, cartan)
-    return outcome.k1, outcome.h
-
-
 def khk_stage(
     g: np.ndarray,
     inv: AxisInvolution,
@@ -425,7 +402,6 @@ def khk_stage(
         k0=k0,
         k1=outcome.k1,
         h=outcome.h,
-        m=m,
         optimizer_iters=outcome.iterations,
         subspace_error=outcome.subspace_error,
     )
@@ -465,7 +441,7 @@ def phase_split(
     Raises:
         SubspaceViolationError: m is not in span(k1_span + {z_word}).
     """
-    mat = m.matrix if isinstance(m, AlgebraElement) else np.asarray(m, dtype=complex)
+    mat = as_matrix(m)
     coords, _ = project_onto_span(mat, k1_span)
     stack = np.stack([w.matrix for w in k1_span])
     m_hat = np.tensordot(coords, stack, axes=1)
@@ -526,9 +502,7 @@ def extract_last_qubit(m_tilde, n: int) -> np.ndarray:
         SubspaceViolationError: m_tilde is not a real multiple of the
             central word within the pattern tolerance.
     """
-    mat = m_tilde.matrix if isinstance(m_tilde, AlgebraElement) else np.asarray(
-        m_tilde, dtype=complex
-    )
+    mat = as_matrix(m_tilde)
     dim = 2**n
     if mat.shape != (dim, dim):
         raise DimensionMismatchError(f"expected shape {(dim, dim)}, got {mat.shape}")
@@ -599,19 +573,15 @@ def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
     last0 = extract_last_qubit(m1_tilde, n)
     last1 = extract_last_qubit(m2_tilde, n)
 
-    h_factor = _cartan_factor(stage.h, kg.h_set, f"H{n}", n)
-    f0_factor = _cartan_factor(out1.h, kg.f_set, f"F{n}", n)
-    f1_factor = _cartan_factor(out2.h, kg.f_set, f"F{n}", n)
-
     factors = (
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub0),
-        f0_factor,
+        _cartan_factor(out1.h, kg.f_set, f"F{n}", n),
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n,
                matrix=inner1.conj().T),
         Factor(kind=FactorKind.LAST_QUBIT, level_qubits=n, matrix=last0),
-        h_factor,
+        _cartan_factor(stage.h, kg.h_set, f"H{n}", n),
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub2),
-        f1_factor,
+        _cartan_factor(out2.h, kg.f_set, f"F{n}", n),
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n,
                matrix=inner2.conj().T),
         Factor(kind=FactorKind.LAST_QUBIT, level_qubits=n, matrix=last1),
@@ -630,31 +600,36 @@ def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
     return LevelResult(factors, float(phase), subspace_errors, optimizer_stats)
 
 
-def _recurse(
-    g: np.ndarray, n: int, prefix: str
-) -> Tuple[List[Factor], float, list, list]:
+def _recurse(g: np.ndarray, n: int, prefix: str) -> LevelResult:
+    """Factors g in SU(2^n) down to its leaves, with labels under prefix.
+
+    A two-qubit block is the one leaf: a SubUnitary at level 3 covering
+    its whole register. Any larger block is split by decompose_one_level,
+    and each of that level's SU(2^(n-1)) blocks recurses under the label
+    prefix K<slot>/; child phases add into the level's phase.
+    """
+    if n == 2:
+        leaf = Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=g)
+        return LevelResult((leaf,), 0.0, (), ())
     level = decompose_one_level(g, n)
+    factors = []
+    phase = level.phase
     subspace_errors = [(prefix + label, v) for label, v in level.subspace_errors]
     optimizer_stats = [(prefix + label, v) for label, v in level.optimizer_stats]
-    phase = level.phase
-
-    factors: List[Factor] = []
     slot = 0
     for factor in level.factors:
-        if factor.kind is FactorKind.SUB_UNITARY:
-            child_prefix = f"{prefix}K{slot}/"
-            slot += 1
-            if factor.level_qubits >= 4:
-                child_factors, child_phase, child_sub, child_stats = _recurse(
-                    factor.matrix, factor.level_qubits - 1, child_prefix
-                )
-                factors.extend(child_factors)
-                phase += child_phase
-                subspace_errors.extend(child_sub)
-                optimizer_stats.extend(child_stats)
-                continue
-        factors.append(factor)
-    return factors, phase, subspace_errors, optimizer_stats
+        if factor.kind is not FactorKind.SUB_UNITARY:
+            factors.append(factor)
+            continue
+        child = _recurse(factor.matrix, n - 1, f"{prefix}K{slot}/")
+        slot += 1
+        factors.extend(child.factors)
+        phase += child.phase
+        subspace_errors.extend(child.subspace_errors)
+        optimizer_stats.extend(child.optimizer_stats)
+    return LevelResult(
+        tuple(factors), phase, tuple(subspace_errors), tuple(optimizer_stats)
+    )
 
 
 def decompose_full(
@@ -664,10 +639,9 @@ def decompose_full(
 ) -> FactorTree:
     """Recursively factors G in SU(2^n) down to SU(4)/SU(2)/Cartan leaves.
 
-    Each level's four SU(2^(n-1)) blocks recurse while their qubit count
-    exceeds two; phases aggregate into the tree's single global phase.
-    The n = 2 input is the base case: a single whole-register SubUnitary
-    leaf.
+    Each level's four SU(2^(n-1)) blocks recurse down to two-qubit leaves
+    (an n = 2 input is one such leaf); phases aggregate into the tree's
+    single global phase.
 
     Raises:
         NotUnitaryError: g is not special unitary within 1e-8.
@@ -683,19 +657,10 @@ def decompose_full(
         raise DimensionMismatchError(f"expected shape {(2**n, 2**n)}, got {g.shape}")
     validate_special_unitary(g)
     start = time.perf_counter()
+    result = _recurse(g, n, "")
 
-    if n == 2:
-        factors: List[Factor] = [
-            Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=g)
-        ]
-        phase = 0.0
-        subspace_errors: list = []
-        optimizer_stats: list = []
-    else:
-        factors, phase, subspace_errors, optimizer_stats = _recurse(g, n, "")
-
-    reconstructed = np.exp(1j * phase) * np.eye(2**n, dtype=complex)
-    for factor in factors:
+    reconstructed = np.exp(1j * result.phase) * np.eye(2**n, dtype=complex)
+    for factor in result.factors:
         reconstructed = reconstructed @ expand(factor, n)
     approx = float(np.linalg.norm(g - reconstructed))
     bound = tols.reconstruct_bound(n)
@@ -705,8 +670,10 @@ def decompose_full(
         )
     report = DecompositionReport(
         approx_error=approx,
-        subspace_errors=tuple(subspace_errors),
+        subspace_errors=result.subspace_errors,
         wall_time=time.perf_counter() - start,
-        optimizer_stats=tuple(optimizer_stats),
+        optimizer_stats=result.optimizer_stats,
     )
-    return FactorTree(n_total=n, phase=float(phase), factors=tuple(factors), report=report)
+    return FactorTree(
+        n_total=n, phase=float(result.phase), factors=result.factors, report=report
+    )

@@ -27,7 +27,7 @@ from .fileio import (
     is_json_number,
     parse_json,
 )
-from .linalg import expm_skew, kron, su_defects
+from .linalg import expm_skew, su_defects
 
 __all__ = [
     "FactorKind",
@@ -136,16 +136,16 @@ def expand(factor: Factor, n_total: int) -> np.ndarray:
             raise LevelExceedsRegisterError(
                 f"SubUnitary at level {level} does not fit {n_total} qubits"
             )
-        return kron(factor.matrix, np.eye(2**pad, dtype=complex))
+        return np.kron(factor.matrix, np.eye(2**pad, dtype=complex))
     if level > n_total:
         raise LevelExceedsRegisterError(
             f"{factor.kind.value} at level {level} does not fit {n_total} qubits"
         )
     if factor.kind is FactorKind.LAST_QUBIT:
-        body = kron(np.eye(2 ** (level - 1), dtype=complex), factor.matrix)
-        return kron(body, np.eye(2 ** (n_total - level), dtype=complex))
+        body = np.kron(np.eye(2 ** (level - 1), dtype=complex), factor.matrix)
+        return np.kron(body, np.eye(2 ** (n_total - level), dtype=complex))
     body = expm_skew(_cartan_generator(factor))
-    return kron(body, np.eye(2 ** (n_total - level), dtype=complex))
+    return np.kron(body, np.eye(2 ** (n_total - level), dtype=complex))
 
 
 def product(tree: FactorTree) -> np.ndarray:

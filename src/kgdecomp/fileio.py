@@ -9,6 +9,7 @@ requirement for round values. Reading uses json.loads unchanged.
 from __future__ import annotations
 
 import json
+import math
 from typing import Tuple
 
 import numpy as np
@@ -74,14 +75,22 @@ def parse_json(text: str):
 
 
 def is_json_number(value, integer: bool = False) -> bool:
-    """Whether a parsed JSON value is a number (an integer if asked).
+    """Whether a parsed JSON value is a finite number (an integer if asked).
 
     json.loads reads true/false as bool, a subclass of int, so a plain
-    isinstance test would take them for 1 and 0; this one does not.
+    isinstance test would take them for 1 and 0; this one does not. It
+    also reads the non-standard NaN, Infinity and -Infinity as floats,
+    which no document field may hold, and an integer may be too large for
+    any float.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int if integer else (int, float))
+    if integer:
+        return isinstance(value, int)
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def complex_entries(matrix: np.ndarray) -> list:

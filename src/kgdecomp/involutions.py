@@ -6,11 +6,12 @@ Conjugation by a Hermitian unitary is simultaneously a Lie-algebra
 automorphism and a group automorphism, and squares to the identity, so
 su(2^n) splits into +1/-1 eigenspaces (the k and m sets of the basis
 module) and exp(k) is fixed pointwise while exp(m) maps to its inverse.
+No conjugator matrix is built (see `AxisInvolution.apply`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,26 +20,16 @@ from .errors import DimensionMismatchError
 __all__ = ["AxisInvolution"]
 
 
-def _conjugator(n: int, axis: str) -> np.ndarray:
-    sigma = {
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    }[axis]
-    return np.kron(np.eye(2 ** (n - 1), dtype=complex), sigma)
-
-
 @dataclass(frozen=True)
 class AxisInvolution:
     """Conjugation by I^(n-1) (x) sigma_axis, axis in {Z, X}."""
 
     n: int
     axis: str
-    conjugator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.axis not in ("Z", "X"):
             raise ValueError(f"axis must be Z or X, got {self.axis!r}")
-        object.__setattr__(self, "conjugator", _conjugator(self.n, self.axis))
 
     @property
     def dim(self) -> int:
@@ -47,9 +38,9 @@ class AxisInvolution:
     def apply(self, a: np.ndarray) -> np.ndarray:
         """Conjugates a by the involution's Pauli, C a C.
 
-        The Z conjugator is diagonal with +-1 entries and the X one is a
-        pair-swap permutation, so both paths avoid dense matmuls; the
-        result is identical to conjugator @ a @ conjugator.
+        I..IZ is diagonal with s = (1, -1, 1, -1, ...), so entry (i, j) is
+        multiplied by s_i s_j; I..IX swaps each index pair (2j, 2j+1), so
+        rows and columns 2j and 2j+1 trade places.
 
         Raises:
             DimensionMismatchError: if a is not 2^n x 2^n.
@@ -60,7 +51,7 @@ class AxisInvolution:
                 f"expected shape {(self.dim, self.dim)}, got {a.shape}"
             )
         if self.axis == "Z":
-            signs = np.diagonal(self.conjugator).real
+            signs = np.tile([1.0, -1.0], self.dim // 2)
             return a * np.outer(signs, signs)
         perm = np.arange(self.dim).reshape(-1, 2)[:, ::-1].ravel()
         return a[np.ix_(perm, perm)]

@@ -1,9 +1,9 @@
 """Dense complex linear algebra backbone.
 
-Kronecker products, exponentials of skew-Hermitian matrices, principal
-logarithms of unitaries, projections onto trace-orthogonal spans, and
-repair of nearly special-unitary matrices. Everything here is a pure
-function of ndarray inputs; matrices are complex128 and row-major.
+Exponentials of skew-Hermitian matrices, principal logarithms of
+unitaries, projections onto trace-orthogonal spans, and repair of nearly
+special-unitary matrices. Everything here is a pure function of ndarray
+inputs; matrices are complex128 and row-major.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
 
 __all__ = [
     "AlgebraElement",
-    "kron",
+    "as_matrix",
     "expm_skew",
     "logm_unitary",
     "project_onto_span",
@@ -55,23 +55,19 @@ class AlgebraElement:
     coords: Optional[Tuple[float, ...]] = None
     residual_norm: Optional[float] = None
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
+def as_matrix(a) -> np.ndarray:
+    """The complex square matrix of a, which is an AlgebraElement or array-like.
 
-def _as_matrix(a) -> np.ndarray:
+    Raises:
+        DimensionMismatchError: if a is not a square matrix.
+    """
     if isinstance(a, AlgebraElement):
         a = a.matrix
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b with dim(a)*dim(b) output."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def expm_skew(a, tol: Optional[float] = None) -> np.ndarray:
@@ -87,7 +83,7 @@ def expm_skew(a, tol: Optional[float] = None) -> np.ndarray:
     Raises:
         NotSkewHermitianError: if ||a + a^dag||_F exceeds tol.
     """
-    a = _as_matrix(a)
+    a = as_matrix(a)
     n = a.shape[0]
     if tol is None:
         tol = DEFAULT_TOLS.structure * n
@@ -127,7 +123,7 @@ def logm_unitary(u: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
         BranchAmbiguityWarning: if any eigenvalue lies within 1e-8 of -1,
         where the principal branch choice is ambiguous.
     """
-    u = _as_matrix(u)
+    u = as_matrix(u)
     n = u.shape[0]
     if tol is None:
         tol = DEFAULT_TOLS.structure * n
@@ -179,7 +175,7 @@ def project_onto_span(
         NonOrthogonalBasisError: if any off-diagonal Gram entry exceeds
             gram_tol times the geometric mean of the paired diagonals.
     """
-    x = _as_matrix(x)
+    x = as_matrix(x)
     stack = _span_stack(basis)
     gram = np.einsum("aji,bji->ab", stack.conj(), stack).real
     diag = np.diagonal(gram)
@@ -213,7 +209,7 @@ def nearest_special_unitary(a: np.ndarray) -> Tuple[np.ndarray, float]:
     Raises:
         SingularMatrixError: if the smallest singular value is below 1e-12.
     """
-    a = _as_matrix(a)
+    a = as_matrix(a)
     n = a.shape[0]
     u_svd, s, vh = np.linalg.svd(a)
     if s[-1] < 1e-12:
@@ -226,7 +222,7 @@ def nearest_special_unitary(a: np.ndarray) -> Tuple[np.ndarray, float]:
 
 def su_defects(u: np.ndarray) -> Tuple[float, float]:
     """(||u u^dag - I||_F, |det u - 1|), both zero exactly when u is in SU(N)."""
-    u = _as_matrix(u)
+    u = as_matrix(u)
     unitarity = float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])))
     return unitarity, float(abs(np.linalg.det(u) - 1.0))
 
@@ -237,7 +233,7 @@ def commutation_defect(x: np.ndarray, mats: Sequence[np.ndarray]) -> float:
     Zero iff x commutes with every element; the subspace-error metric is
     this quantity evaluated against a Cartan basis.
     """
-    x = _as_matrix(x)
+    x = as_matrix(x)
     stack = _span_stack(mats)
     comms = stack @ x - x @ stack
     total = float(np.sum(np.abs(comms) ** 2))
@@ -251,8 +247,8 @@ def eigenphase_mismatch(u1: np.ndarray, u2: np.ndarray) -> float:
     alignments, so values straddling the branch cut at pi match correctly.
     Returns the smallest max absolute phase difference.
     """
-    p1 = np.sort(np.angle(np.linalg.eigvals(_as_matrix(u1))))
-    p2 = np.sort(np.angle(np.linalg.eigvals(_as_matrix(u2))))
+    p1 = np.sort(np.angle(np.linalg.eigvals(as_matrix(u1))))
+    p2 = np.sort(np.angle(np.linalg.eigvals(as_matrix(u2))))
     n = len(p1)
     best = np.inf
     for shift in range(n):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import decompose_full
 from .errors import KgDecompError
-from .factors import DecompositionReport, FactorTree
+from .factors import FactorTree
 
 __all__ = [
     "haar_special_unitary",
@@ -29,7 +29,6 @@ __all__ = [
     "BenchmarkSummary",
     "format_table",
     "summary_to_dict",
-    "DecompositionReport",
 ]
 
 
@@ -52,13 +51,11 @@ def haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    """Outcome of one benchmark sample."""
+    """Outcome of one benchmark sample: the tree (its report holds E_a and
+    E_s) on success, or tree None and the error in message."""
 
     index: int
-    ok: bool
-    approx_error: float = float("nan")
-    subspace_errors: Tuple[Tuple[str, float], ...] = ()
-    wall_time: float = 0.0
+    wall_time: float
     message: str = ""
     tree: Optional[FactorTree] = None
 
@@ -84,10 +81,10 @@ class BenchmarkSummary:
 
 
 def _summarize(n: int, count: int, results: Sequence[BenchmarkResult]) -> BenchmarkSummary:
-    ok = [r for r in results if r.ok]
-    ea = np.array([r.approx_error for r in ok], dtype=float)
+    ok = [r for r in results if r.tree is not None]
+    ea = np.array([r.tree.report.approx_error for r in ok], dtype=float)
     es = np.array(
-        [v for r in ok for _, v in r.subspace_errors], dtype=float
+        [v for r in ok for _, v in r.tree.report.subspace_errors], dtype=float
     )
     wall = np.array([r.wall_time for r in ok], dtype=float)
     nan = float("nan")
@@ -126,26 +123,18 @@ def run_benchmark(
         except KgDecompError as exc:
             return BenchmarkResult(
                 index=index,
-                ok=False,
                 wall_time=time.perf_counter() - start,
                 message=f"{type(exc).__name__}: {exc}",
             )
-        report = tree.report
         return BenchmarkResult(
-            index=index,
-            ok=True,
-            approx_error=report.approx_error,
-            subspace_errors=report.subspace_errors,
-            wall_time=time.perf_counter() - start,
-            tree=tree,
+            index=index, wall_time=time.perf_counter() - start, tree=tree
         )
 
-    indices = range(count)
     if threads > 1 and count > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, indices))
+            results = list(pool.map(run_one, range(count)))
     else:
-        results = [run_one(i) for i in indices]
+        results = [run_one(i) for i in range(count)]
     return _summarize(n, count, results)
 
 
@@ -183,9 +172,11 @@ def summary_to_dict(summary: BenchmarkSummary) -> dict:
         "samples": [
             {
                 "index": r.index,
-                "ok": r.ok,
-                "approx_error": _finite_or_none(r.approx_error),
-                "subspace_errors": [[label, v] for label, v in r.subspace_errors],
+                "ok": r.tree is not None,
+                "approx_error": None if r.tree is None
+                else _finite_or_none(r.tree.report.approx_error),
+                "subspace_errors": [] if r.tree is None
+                else [[label, v] for label, v in r.tree.report.subspace_errors],
                 "wall_time": r.wall_time,
                 "message": r.message,
             }

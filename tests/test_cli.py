@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through main()."""
 
 import argparse
+import json
 import re
 from pathlib import Path
 
@@ -97,6 +98,11 @@ def test_decompose_rejects_input_just_outside_ingest_tolerance(tmp_path, capsys)
     (["decompose", "g.json", "--max-iters", "0"], "--max-iters"),
     (["bench", "--n", "3", "--count", "1", "--restarts", "-1"], "--restarts"),
     (["decompose", "g.json", "--seed", "1"], "--seed"),
+    # a NaN bound once passed every tree and a negative one ran the whole
+    # decomposition before failing it
+    (["decompose", "g.json", "--tol-reconstruct", "nan"], "--tol-reconstruct"),
+    (["decompose", "g.json", "--tol-reconstruct", "-1"], "--tol-reconstruct"),
+    (["verify", "g.json", "t.json", "--tol-reconstruct", "nan"], "--tol-reconstruct"),
 ])
 def test_out_of_range_optimizer_flags_are_usage_errors(argv, field, capsys):
     with pytest.raises(SystemExit) as info:
@@ -202,6 +208,34 @@ def test_boolean_in_matrix_document_is_a_parse_failure(tmp_path, su8_file,
     path = tmp_path / "bool.json"
     path.write_text(dump_json(doc))
     assert main(["decompose", str(path)]) == 2
+    assert f"parse error {location}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document, location", [
+    ("matrix", "[entries[5]]"),
+    ("tree", "[factors[4].coeffs[0]]"),
+])
+def test_non_finite_number_in_document_is_a_parse_failure(tmp_path, su8_file,
+                                                         document, location, capsys):
+    # json.loads reads NaN; it once reached SciPy (decompose) or NumPy's
+    # eig (verify) and ended in a traceback
+    matrix_path, _ = su8_file
+    tree_path = tmp_path / "tree.json"
+    assert main(["decompose", str(matrix_path), "-o", str(tree_path)]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "nan.json"
+    if document == "matrix":
+        doc = parse_json(matrix_path.read_text())
+        doc["entries"][5] = [float("nan"), 0.0]
+        bad.write_text(json.dumps(doc))
+        argv = ["decompose", str(bad)]
+    else:
+        doc = parse_json(tree_path.read_text())
+        doc["factors"][4]["coeffs"][0][1] = float("nan")
+        bad.write_text(json.dumps(doc))
+        argv = ["verify", str(matrix_path), str(bad)]
+    assert "NaN" in bad.read_text()
+    assert main(argv) == 2
     assert f"parse error {location}" in capsys.readouterr().err
 
 

@@ -27,7 +27,6 @@ from kgdecomp import (
     extract_subunitary,
     haar_special_unitary,
     khk_stage,
-    minimize_to_cartan,
     objective,
     pauli_word,
     phase_split,
@@ -36,7 +35,7 @@ from kgdecomp import (
     secondary_m_pair,
 )
 from kgdecomp import engine
-from kgdecomp.engine import _coords_in, _newton_polish
+from kgdecomp.engine import _coords_in, _minimize_full, _newton_polish
 from kgdecomp.linalg import AlgebraElement
 
 
@@ -179,7 +178,8 @@ def test_minimize_to_cartan_recovers_spectrum():
         k_prime = random_k_unitary(rng, kg)
         m0_mat = k_prime @ h_true @ k_prime.conj().T
         m0 = AlgebraElement(matrix=m0_mat)
-        k1, h = minimize_to_cartan(m0, kg.k_set, kg.h_set)
+        outcome = _minimize_full(m0, kg.k_set, kg.h_set)
+        k1, h = outcome.k1, outcome.h
         assert h.residual_norm < 1e-10
         assert eigenphase_mismatch(expm_skew(h.matrix), expm_skew(h_true)) < 1e-8
         conj = k1.conj().T @ m0_mat @ k1
@@ -189,9 +189,23 @@ def test_minimize_to_cartan_recovers_spectrum():
 def test_minimize_to_cartan_zero_input_short_circuits():
     kg = build_kg_basis(3)
     m0 = AlgebraElement(matrix=np.zeros((8, 8), dtype=complex))
-    k1, h = minimize_to_cartan(m0, kg.k_set, kg.h_set)
-    assert np.array_equal(k1, np.eye(8))
-    assert np.linalg.norm(h.matrix) == 0.0
+    outcome = _minimize_full(m0, kg.k_set, kg.h_set)
+    assert np.array_equal(outcome.k1, np.eye(8))
+    assert np.linalg.norm(outcome.h.matrix) == 0.0
+
+
+def test_minimize_to_cartan_keeps_the_given_cartan_order():
+    # coords follow the words as passed, so a reversed set must give
+    # reversed-order coords that still rebuild h; the optimizer once
+    # sorted the set and returned coords in the sorted order
+    rng = np.random.default_rng(5)
+    kg = build_kg_basis(3)
+    cartan = tuple(reversed(kg.h_set))
+    k_prime = random_k_unitary(rng, kg)
+    m0_mat = k_prime @ random_span_element(rng, kg.h_set, 0.4) @ k_prime.conj().T
+    h = _minimize_full(AlgebraElement(matrix=m0_mat), kg.k_set, cartan).h
+    rebuilt = sum(c * w.matrix for c, w in zip(h.coords, cartan))
+    assert np.linalg.norm(rebuilt - h.matrix) < 1e-12
 
 
 def test_minimize_to_cartan_failure_carries_best(monkeypatch):
@@ -203,7 +217,7 @@ def test_minimize_to_cartan_failure_carries_best(monkeypatch):
     monkeypatch.setattr(engine, "RESTARTS", 0)
     m0 = AlgebraElement(matrix=random_span_element(rng, kg.m_set, 0.3))
     with pytest.raises(OptimizerFailedError) as info:
-        minimize_to_cartan(m0, kg.k_set, kg.h_set)
+        _minimize_full(m0, kg.k_set, kg.h_set)
     best_k1, best_h = info.value.best
     assert best_k1.shape == (8, 8)
     assert isinstance(best_h, AlgebraElement)
@@ -400,6 +414,10 @@ def test_decompose_full_enforces_reconstruction_bound():
     g = haar_special_unitary(3, np.random.default_rng(16))
     with pytest.raises(ReconstructionError, match="exceeds 1.000e-30"):
         decompose_full(g, 3, tols=Tolerances(reconstruct=1e-30))
+    # a NaN bound would pass every tree and a non-positive one fail all
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Tolerances(reconstruct=bad)
 
 
 @pytest.mark.parametrize("name", ["structure", "cartan", "subspace", "pattern"])
@@ -413,5 +431,8 @@ def test_decompose_full_validates_input():
         decompose_full(np.eye(8), 4)
     with pytest.raises(NotUnitaryError):
         decompose_full(1.01 * np.eye(8), 3)
+    # `defect > tol` is False for a NaN defect; the check reads `not <=`
+    with pytest.raises(NotUnitaryError):
+        decompose_full(np.full((8, 8), np.nan), 3)
     with pytest.raises(ValueError):
         decompose_full(np.eye(2), 1)

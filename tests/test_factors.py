@@ -178,6 +178,13 @@ def test_deserialize_rejects_malformed_documents(monkeypatch):
          "factors[0].coeffs[0]"),
         (cartan.replace('["n3:h", 7]', '["n3:h", true]'),
          "report.optimizer_stats[0]"),
+        # json.loads reads NaN and Infinity, but they are not numbers here,
+        # and neither is an integer beyond the float range
+        (cartan.replace('["IIX", 1.0000000000000001e-01]', '["IIX", NaN]'),
+         "factors[0].coeffs[0]"),
+        (cartan.replace(zero, '"phase": Infinity'), "phase"),
+        (cartan.replace('["XXX", 2.0000000000000001e-01]', '["XXX", 1' + "0" * 400 + "]"),
+         "factors[0].coeffs[1]"),
     ]:
         assert bad != cartan
         with pytest.raises(ParseError) as info:

@@ -10,7 +10,6 @@ import pytest
 import scipy.linalg
 
 from kgdecomp import (
-    AlgebraElement,
     BranchAmbiguityWarning,
     DimensionMismatchError,
     NonOrthogonalBasisError,
@@ -21,7 +20,6 @@ from kgdecomp import (
     commutation_defect,
     eigenphase_mismatch,
     expm_skew,
-    kron,
     logm_unitary,
     nearest_special_unitary,
     pauli_word,
@@ -36,13 +34,6 @@ def random_skew(rng, dim, scale=1.0):
     # traceless: drop the imaginary diagonal mean
     a = a - np.trace(a) / dim * np.eye(dim)
     return scale * a
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.allclose(kron(a, b), np.kron(a, b), atol=0)
 
 
 def test_expm_skew_matches_scipy():
@@ -191,8 +182,3 @@ def test_eigenphase_mismatch_handles_branch_cut():
     u1 = np.diag([np.exp(1j * (np.pi - eps)), np.exp(-1j * (np.pi - eps))])
     u2 = np.diag([np.exp(1j * (np.pi - 2 * eps)), np.exp(-1j * (np.pi - 2 * eps))])
     assert eigenphase_mismatch(u1, u2) == pytest.approx(eps, abs=1e-9)
-
-
-def test_algebra_element_dim():
-    elt = AlgebraElement(matrix=np.zeros((4, 4), dtype=complex))
-    assert elt.dim == 4

@@ -68,7 +68,7 @@ def test_run_benchmark_basic_aggregation():
     assert len(summary.results) == 3
     assert summary.mean_approx_error < 1e-10
     # three Abelian slots per level decomposition
-    assert all(len(r.subspace_errors) == 3 for r in summary.results)
+    assert all(len(r.tree.report.subspace_errors) == 3 for r in summary.results)
     assert summary.mean_subspace_error < 1e-3
 
 
@@ -76,8 +76,8 @@ def test_run_benchmark_threaded_matches_serial():
     serial = run_benchmark(n=3, count=4, seed=5, threads=1)
     threaded = run_benchmark(n=3, count=4, seed=5, threads=4)
     for a, b in zip(serial.results, threaded.results):
-        assert a.approx_error == b.approx_error
-        assert a.subspace_errors == b.subspace_errors
+        assert a.tree.report.approx_error == b.tree.report.approx_error
+        assert a.tree.report.subspace_errors == b.tree.report.subspace_errors
 
 
 def test_run_benchmark_keep_trees():

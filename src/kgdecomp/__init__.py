@@ -27,9 +27,7 @@ from .engine import (
     extract_subunitary,
     khk_stage,
     objective,
-    phase_split,
     residual_k,
-    secondary_m_pair,
     validate_special_unitary,
 )
 from .errors import (
@@ -133,12 +131,10 @@ __all__ = [
     "objective",
     "order_cartan_basis",
     "pauli_word",
-    "phase_split",
     "product",
     "project_onto_span",
     "residual_k",
     "run_benchmark",
-    "secondary_m_pair",
     "serialize",
     "solve_bch_split",
     "truncated_bch",

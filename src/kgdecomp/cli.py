@@ -63,11 +63,13 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}", location=path)
+        raise ParseError(f"cannot read: {exc.strerror or exc}", location=path)
 
 
 def cmd_decompose(args) -> int:
     n, g_raw = matrix_from_document(_read_text(args.input))
+    if n < 2:
+        raise DimensionMismatchError("decomposition needs n >= 2")
     g = g_raw
     repair_distance = None
     if args.repair:
@@ -295,7 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ParseError as exc:
         where = f" [{exc.location}]" if exc.location else ""
-        print(f"parse error{where}: {exc}", file=sys.stderr)
+        print(f"parse error{where}: {exc.message}", file=sys.stderr)
         return EXIT_PARSE
     except DimensionMismatchError as exc:
         print(f"dimension mismatch: {exc}", file=sys.stderr)

@@ -1,14 +1,13 @@
 """Core recursive Cartan decomposition engine.
 
-One level factors G in SU(2^n) through the involution pair. The primary
-stage computes m0 = (1/2) log(theta_Z(G^dag) G), splits off
-K00 = G exp(-m0), and conjugates m0 into the Cartan span H_n by driving
-the commutator [v, K^dag m0 K] to zero over the subgroup exp(k_n), where
-v is the dense generator of the Cartan torus. The secondary stage runs
-the same machinery with theta_X inside exp(k_n) to peel the last qubit
-off K00 K01 and K01^dag, separates the central I..IZ phase, and lands
-the leftovers in the F_n Cartan. Stride-2 extraction then yields the
-nine-factor form
+One level factors G in SU(2^n) by three stage calls. The theta_Z stage
+computes m0 = (1/2) log(theta_Z(G^dag) G), splits off K00 = G exp(-m0),
+and conjugates m0 into the Cartan span H_n by driving the commutator
+[v, K01^dag m0 K01] to zero over K01 in exp(k_n), where v is the dense
+generator of the Cartan torus. One theta_X stage then runs on K00 K01
+and on K01^dag: it lands the K_n1 part of its logarithm in the F_n
+Cartan, turns the central I..IZ part into a last-qubit factor, and
+strips the trailing identity qubit off its K factors, giving
 
     G = e^{i phi} (K0 x I) e^{f0} (K1 x I) (I x Kt0)
         e^{h0} (K2 x I) e^{f1} (K3 x I) (I x Kt1)
@@ -33,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import PauliWord, build_kg_basis
+from .basis import KGBasis, PauliWord, build_kg_basis
 from .config import CARTAN_TOL, DEFAULT_TOLS, PATTERN_TOL, SUBSPACE_TOL, Tolerances
 from .errors import (
     DimensionMismatchError,
@@ -75,8 +74,6 @@ __all__ = [
     "build_v",
     "objective",
     "khk_stage",
-    "secondary_m_pair",
-    "phase_split",
     "extract_subunitary",
     "extract_last_qubit",
     "decompose_one_level",
@@ -407,63 +404,6 @@ def khk_stage(
     )
 
 
-def secondary_m_pair(
-    k00: np.ndarray,
-    k01: np.ndarray,
-    inv_x: AxisInvolution,
-    span_k1z: Sequence[PauliWord],
-) -> Tuple[AlgebraElement, AlgebraElement]:
-    """The two theta_X logarithms of the secondary stage.
-
-    m1 = (1/2) log(theta_X((k00 k01)^dag) k00 k01) and
-    m2 = (1/2) log(theta_X(k01) k01^dag), both landing in
-    span(K_n1) + span(I..IZ).
-    """
-    w = np.asarray(k00, dtype=complex) @ np.asarray(k01, dtype=complex)
-    m1 = compute_m(w, inv_x, span_k1z)
-    m2 = compute_m(np.asarray(k01, dtype=complex).conj().T, inv_x, span_k1z)
-    return m1, m2
-
-
-def phase_split(
-    m: AlgebraElement,
-    k1_span: Sequence[PauliWord],
-    z_word: PauliWord,
-) -> Tuple[AlgebraElement, AlgebraElement]:
-    """Separates the central I..IZ phase from a secondary-stage log.
-
-    Returns:
-        (m_hat, m_tilde) with m_hat the projection onto k1_span and
-        m_tilde = m - m_hat a real multiple of z_word; m_tilde commutes
-        with all of span(K_n), which is what lets the phase factor drift
-        rightward through the factor list.
-
-    Raises:
-        SubspaceViolationError: m is not in span(k1_span + {z_word}).
-    """
-    mat = as_matrix(m)
-    coords, _ = project_onto_span(mat, k1_span)
-    stack = np.stack([w.matrix for w in k1_span])
-    m_hat = np.tensordot(coords, stack, axes=1)
-    m_tilde = mat - m_hat
-    z_mat = z_word.matrix
-    z_norm2 = float(np.einsum("ji,ji->", z_mat.conj(), z_mat).real)
-    alpha = float(np.einsum("ji,ji->", z_mat.conj(), m_tilde).real / z_norm2)
-    off_span = np.linalg.norm(m_tilde - alpha * z_mat)
-    if off_span > PATTERN_TOL * max(1.0, np.linalg.norm(mat)):
-        raise SubspaceViolationError(
-            f"non-central remainder {off_span:.3e} after removing the z word"
-        )
-    return (
-        AlgebraElement(
-            matrix=m_hat,
-            coords=tuple(float(c) for c in coords),
-            residual_norm=0.0,
-        ),
-        AlgebraElement(matrix=m_tilde, coords=(alpha,), residual_norm=float(off_span)),
-    )
-
-
 def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
     """Strips the trailing identity qubit off a matrix with shape A (x) I2.
 
@@ -524,24 +464,55 @@ def _cartan_factor(
     level: int,
 ) -> Factor:
     """Builds a CartanExp factor from a projected Cartan element."""
-    coeffs = tuple(
-        (word.label, float(c)) for word, c in zip(cartan, element.coords)
-    )
     return Factor(
         kind=FactorKind.CARTAN_EXP,
         level_qubits=level,
         basis_name=basis_name,
-        coeffs=coeffs,
+        coeffs=tuple((word.label, float(c)) for word, c in zip(cartan, element.coords)),
         subspace_residual=element.residual_norm,
     )
+
+
+def _secondary_stage(
+    w: np.ndarray, n: int, kg: KGBasis, inv_x: AxisInvolution
+) -> Tuple[Tuple[Factor, ...], float, float, float, int]:
+    """The theta_X stage on one K-type input w of level n.
+
+    m = (1/2) log(theta_X(w^dag) w) lands in span(K_n1) + span(I..IZ); its
+    K_n1 part m_hat is conjugated into F_n over exp(K_n0) as
+    m_hat = T e^f T^dag, and the central remainder m - m_hat becomes the
+    last-qubit factor Q. With k = w exp(-m), k T = e^{i phi} (S x I) and
+    T = e^{i psi} (T' x I),
+
+        w = e^{i(phi - psi)} (S x I) e^f (T'^dag x I) (I x Q).
+
+    Returns the factors (S, e^f, T'^dag, Q), phi, psi, the optimizer's
+    subspace error and its step count.
+    """
+    m = compute_m(w, inv_x, tuple(kg.k1_set) + (kg.z_word,))
+    k = _maybe_repair(residual_k(w, m))
+    coords, _ = project_onto_span(m.matrix, kg.k1_set)
+    m_hat = np.tensordot(coords, np.stack([word.matrix for word in kg.k1_set]), axes=1)
+    out = _minimize_full(m_hat, kg.k0_set, kg.f_set)
+    sub, phi = extract_subunitary(k @ out.k1, n)
+    inner, psi = extract_subunitary(out.k1, n)
+    last = extract_last_qubit(m.matrix - m_hat, n)
+    factors = (
+        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub),
+        _cartan_factor(out.h, kg.f_set, f"F{n}", n),
+        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=inner.conj().T),
+        Factor(kind=FactorKind.LAST_QUBIT, level_qubits=n, matrix=last),
+    )
+    return factors, phi, psi, out.subspace_error, out.iterations
 
 
 def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
     """Factors G in SU(2^n), n >= 3, into the nine-factor corollary form.
 
-    The central exp(m-tilde) phases commute with every exp(k) factor, so
-    they slide rightward into the I x Kt slots; the stray arg(det)
-    phases from stride extraction aggregate into the returned scalar phi.
+    A level is three stage calls: the theta_Z stage G = K0 K1 e^h K1^dag,
+    then the theta_X stage on K0 K1 and on K1^dag. Each theta_X stage
+    yields four factors and two stride-extraction phases; the phases
+    aggregate into the returned scalar phi.
     """
     if n < 3:
         raise ValueError(f"one level requires n >= 3, got {n}")
@@ -549,53 +520,23 @@ def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
     if g.shape != (2**n, 2**n):
         raise DimensionMismatchError(f"expected shape {(2**n, 2**n)}, got {g.shape}")
     kg = build_kg_basis(n)
-    inv_z = AxisInvolution(n, "Z")
     inv_x = AxisInvolution(n, "X")
 
-    stage = khk_stage(g, inv_z, kg.k_set, kg.m_set, kg.h_set)
+    stage = khk_stage(g, AxisInvolution(n, "Z"), kg.k_set, kg.m_set, kg.h_set)
+    left, phi0, psi1, es0, steps0 = _secondary_stage(stage.k0 @ stage.k1, n, kg, inv_x)
+    right, phi2, psi2, es1, steps1 = _secondary_stage(stage.k1.conj().T, n, kg, inv_x)
 
-    span_k1z = tuple(kg.k1_set) + (kg.z_word,)
-    m1, m2 = secondary_m_pair(stage.k0, stage.k1, inv_x, span_k1z)
-    w_mat = stage.k0 @ stage.k1
-    k10 = _maybe_repair(w_mat @ expm_skew(-m1.matrix))
-    k20 = _maybe_repair(stage.k1.conj().T @ expm_skew(-m2.matrix))
-
-    m1_hat, m1_tilde = phase_split(m1, kg.k1_set, kg.z_word)
-    m2_hat, m2_tilde = phase_split(m2, kg.k1_set, kg.z_word)
-
-    out1 = _minimize_full(m1_hat, kg.k0_set, kg.f_set)
-    out2 = _minimize_full(m2_hat, kg.k0_set, kg.f_set)
-
-    sub0, phi0 = extract_subunitary(k10 @ out1.k1, n)
-    inner1, psi1 = extract_subunitary(out1.k1, n)
-    sub2, phi2 = extract_subunitary(k20 @ out2.k1, n)
-    inner2, psi2 = extract_subunitary(out2.k1, n)
-    last0 = extract_last_qubit(m1_tilde, n)
-    last1 = extract_last_qubit(m2_tilde, n)
-
-    factors = (
-        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub0),
-        _cartan_factor(out1.h, kg.f_set, f"F{n}", n),
-        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n,
-               matrix=inner1.conj().T),
-        Factor(kind=FactorKind.LAST_QUBIT, level_qubits=n, matrix=last0),
-        _cartan_factor(stage.h, kg.h_set, f"H{n}", n),
-        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub2),
-        _cartan_factor(out2.h, kg.f_set, f"F{n}", n),
-        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n,
-               matrix=inner2.conj().T),
-        Factor(kind=FactorKind.LAST_QUBIT, level_qubits=n, matrix=last1),
-    )
+    factors = left + (_cartan_factor(stage.h, kg.h_set, f"H{n}", n),) + right
     phase = phi0 + phi2 - psi1 - psi2
     subspace_errors = (
-        (f"f0[F{n}]", out1.subspace_error),
+        (f"f0[F{n}]", es0),
         (f"h[H{n}]", stage.subspace_error),
-        (f"f1[F{n}]", out2.subspace_error),
+        (f"f1[F{n}]", es1),
     )
     optimizer_stats = (
         (f"n{n}:h", stage.optimizer_iters),
-        (f"n{n}:f0", out1.iterations),
-        (f"n{n}:f1", out2.iterations),
+        (f"n{n}:f0", steps0),
+        (f"n{n}:f1", steps1),
     )
     return LevelResult(factors, float(phase), subspace_errors, optimizer_stats)
 

@@ -47,11 +47,13 @@ class ParseError(KgDecompError):
     """A matrix or factor-tree document failed to parse.
 
     Attributes:
+        message: what is wrong, without the location.
         location: human-readable position of the failure inside the document.
     """
 
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{message} (at {location})" if location else message)
+        self.message = message
         self.location = location
 
 

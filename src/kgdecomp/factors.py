@@ -257,8 +257,13 @@ def _parse_factor(rec, where: str, n_total: int) -> Factor:
             coeffs=tuple(parsed),
             subspace_residual=None if residual is None else float(residual),
         )
-    dim = 2 ** (level - 1) if kind is FactorKind.SUB_UNITARY else 2
-    matrix = entries_to_matrix(rec.get("entries", []), dim, f"{where}.entries")
+    # checked before the entries are read: a level-l SubUnitary covers
+    # l - 1 qubits, up to the whole register, and a LastQubit sits at l
+    top = n_total + 1 if kind is FactorKind.SUB_UNITARY else n_total
+    if level > top:
+        raise ParseError(f"{kind.value} level {level} does not fit n_total = {n_total}", where)
+    qubits = level - 1 if kind is FactorKind.SUB_UNITARY else 1
+    matrix = entries_to_matrix(rec.get("entries", []), qubits, f"{where}.entries")
     return Factor(kind=kind, level_qubits=level, matrix=matrix)
 
 

@@ -99,14 +99,14 @@ def complex_entries(matrix: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def entries_to_matrix(entries, dim: int, location: str) -> np.ndarray:
-    """Parses a row-major [re, im] pair list back into a dim x dim matrix."""
-    if not isinstance(entries, list) or len(entries) != dim * dim:
-        raise ParseError(
-            f"expected {dim * dim} [re, im] entries, got "
-            f"{len(entries) if isinstance(entries, list) else type(entries).__name__}",
-            location,
-        )
+def entries_to_matrix(entries, n: int, location: str) -> np.ndarray:
+    """Parses a row-major [re, im] pair list back into a 2^n x 2^n matrix."""
+    count = len(entries) if isinstance(entries, list) else None
+    # 4^n has bit length 2n + 1, so a huge n fails before 4^n is built
+    if count is None or count.bit_length() != 2 * n + 1 or count != 4**n:
+        got = type(entries).__name__ if count is None else count
+        raise ParseError(f"expected 4^{n} [re, im] entries, got {got}", location)
+    dim = 2**n
     flat = np.empty(dim * dim, dtype=complex)
     for idx, pair in enumerate(entries):
         if (
@@ -147,5 +147,4 @@ def matrix_from_document(text: str) -> Tuple[int, np.ndarray]:
     n = doc["n"]
     if not is_json_number(n, integer=True) or n < 1:
         raise ParseError(f"'n' must be a positive integer, got {n!r}", "n")
-    matrix = entries_to_matrix(doc["entries"], 2**n, "entries")
-    return n, matrix
+    return n, entries_to_matrix(doc["entries"], n, "entries")

@@ -24,7 +24,6 @@ from kgdecomp import (
     pauli_word,
     product,
     project_onto_span,
-    secondary_m_pair,
     solve_bch_split,
     truncated_bch,
 )
@@ -106,10 +105,11 @@ def test_criterion_4_involution_identity_suite():
         worst_z = max(worst_z, float(np.linalg.norm(expm_skew(2 * m0.matrix) - w)))
 
         stage = khk_stage(g, inv_z, kg.k_set, kg.m_set, kg.h_set)
-        m1, m2 = secondary_m_pair(stage.k0, stage.k1, inv_x, span_k1z)
         w1 = stage.k0 @ stage.k1
-        gap1 = np.linalg.norm(expm_skew(2 * m1.matrix) - inv_x.apply(w1.conj().T) @ w1)
         w2 = stage.k1.conj().T
+        m1 = compute_m(w1, inv_x, span_k1z)
+        m2 = compute_m(w2, inv_x, span_k1z)
+        gap1 = np.linalg.norm(expm_skew(2 * m1.matrix) - inv_x.apply(w1.conj().T) @ w1)
         gap2 = np.linalg.norm(expm_skew(2 * m2.matrix) - inv_x.apply(w2.conj().T) @ w2)
         worst_x = max(worst_x, float(gap1), float(gap2))
     ok = worst_z <= 1e-10 and worst_x <= 1e-10

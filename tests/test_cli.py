@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kgdecomp.cli
 import kgdecomp.factors
 from kgdecomp import build_kg_basis, expm_skew, haar_special_unitary
 from kgdecomp.cli import build_parser, main
@@ -183,6 +184,48 @@ def test_verify_dimension_mismatch_is_a_parse_failure(tmp_path, su8_file, monkey
     assert "n = 14" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, kind, level, location", [
+    ("decompose", None, None, "[entries]"),
+    ("verify", "sub_unitary", 9000, "[factors[0]]"),
+    ("verify", "last_qubit", 4, "[factors[0]]"),
+    ("verify", "sub_unitary", 5, "[factors[0]]"),
+])
+def test_out_of_register_document_is_a_parse_failure(tmp_path, su8_file, command,
+                                                     kind, level, location, capsys):
+    # these once ended in a traceback (formatting 4^8000 or 4^8999 entries)
+    # or in exit 1 from expand, after the whole document was read
+    matrix_path, _ = su8_file
+    bad = tmp_path / "bad.json"
+    if command == "decompose":
+        bad.write_text(dump_json({"n": 8000, "entries": []}))
+        argv = ["decompose", str(bad)]
+    else:
+        doc = {"format": "kgdecomp-tree", "version": 1, "n_total": 3, "phase": 0.0,
+               "report": None,
+               "factors": [{"kind": kind, "level_qubits": level, "entries": []}]}
+        bad.write_text(dump_json(doc))
+        argv = ["verify", str(matrix_path), str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"parse error {location}" in err
+    assert "(at " not in err
+
+
+@pytest.mark.parametrize("repair", [False, True])
+def test_decompose_refuses_one_qubit_input(tmp_path, repair, monkeypatch, capsys):
+    # n = 1 once reached decompose_full and ended in a ValueError traceback
+    path = tmp_path / "one.json"
+    path.write_text(matrix_to_document(np.eye(2, dtype=complex)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on a one-qubit input")
+
+    monkeypatch.setattr(kgdecomp.cli, "nearest_special_unitary", refuse)
+    monkeypatch.setattr(kgdecomp.cli, "decompose_full", refuse)
+    assert main(["decompose", str(path)] + (["--repair"] if repair else [])) == 2
+    assert "dimension mismatch" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_parse_failure(capsys):
     assert main(["decompose", "/nonexistent/file.json"]) == 2
     assert "parse error" in capsys.readouterr().err
@@ -236,7 +279,10 @@ def test_non_finite_number_in_document_is_a_parse_failure(tmp_path, su8_file,
         argv = ["verify", str(matrix_path), str(bad)]
     assert "NaN" in bad.read_text()
     assert main(argv) == 2
-    assert f"parse error {location}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"parse error {location}" in err
+    # the location is printed once, not again inside the message
+    assert err.count(location[1:-1]) == 1
 
 
 def test_decompose_is_deterministic(tmp_path, su8_file):

@@ -9,6 +9,7 @@ from kgdecomp import (
     AxisInvolution,
     DimensionMismatchError,
     FactorKind,
+    FactorTree,
     NotTensorWithIdentityError,
     NotUnitaryError,
     OptimizerFailedError,
@@ -29,10 +30,8 @@ from kgdecomp import (
     khk_stage,
     objective,
     pauli_word,
-    phase_split,
     product,
     residual_k,
-    secondary_m_pair,
 )
 from kgdecomp import engine
 from kgdecomp.engine import _coords_in, _minimize_full, _newton_polish
@@ -263,38 +262,31 @@ def test_secondary_m_pair_involution_identities():
     g = haar_special_unitary(3, rng)
     stage = khk_stage(g, inv_z, kg.k_set, kg.m_set, kg.h_set)
     span = tuple(kg.k1_set) + (kg.z_word,)
-    m1, m2 = secondary_m_pair(stage.k0, stage.k1, inv_x, span, )
     w = stage.k0 @ stage.k1
+    k01_dag = stage.k1.conj().T
+    m1 = compute_m(w, inv_x, span)
+    m2 = compute_m(k01_dag, inv_x, span)
     assert np.linalg.norm(
         expm_skew(2 * m1.matrix) - inv_x.apply(w.conj().T) @ w
     ) < 1e-12
-    k01_dag = stage.k1.conj().T
     assert np.linalg.norm(
         expm_skew(2 * m2.matrix) - inv_x.apply(k01_dag.conj().T) @ k01_dag
     ) < 1e-12
 
 
-def test_phase_split_exact_on_constructed_element():
-    rng = np.random.default_rng(7)
+def test_secondary_stage_reconstructs_its_input():
     kg = build_kg_basis(3)
-    coords = rng.uniform(-0.5, 0.5, len(kg.k1_set))
-    alpha = 0.37
-    mat = sum(c * w.matrix for c, w in zip(coords, kg.k1_set))
-    mat = mat + alpha * kg.z_word.matrix
-    m = AlgebraElement(matrix=mat)
-    m_hat, m_tilde = phase_split(m, kg.k1_set, kg.z_word)
-    assert np.allclose(m_hat.coords, coords, atol=1e-13)
-    assert m_tilde.coords[0] == pytest.approx(alpha, abs=1e-13)
-    assert np.allclose(m_hat.matrix + m_tilde.matrix, mat, atol=1e-14)
-
-
-def test_phase_split_rejects_off_span_content():
-    kg = build_kg_basis(3)
-    m = AlgebraElement(
-        matrix=pauli_word("XXX").matrix + 0.2 * kg.z_word.matrix
-    )
-    with pytest.raises(SubspaceViolationError):
-        phase_split(m, kg.k1_set, kg.z_word)
+    inv_x = AxisInvolution(3, "X")
+    g = haar_special_unitary(3, np.random.default_rng(7))
+    stage = khk_stage(g, AxisInvolution(3, "Z"), kg.k_set, kg.m_set, kg.h_set)
+    for w in (stage.k0 @ stage.k1, stage.k1.conj().T):
+        factors, phi, psi, _, _ = engine._secondary_stage(w, 3, kg, inv_x)
+        assert [f.kind for f in factors] == [
+            FactorKind.SUB_UNITARY, FactorKind.CARTAN_EXP,
+            FactorKind.SUB_UNITARY, FactorKind.LAST_QUBIT,
+        ]
+        rebuilt = product(FactorTree(3, phi - psi, factors))
+        assert np.linalg.norm(rebuilt - w) < 1e-10
 
 
 def test_extract_subunitary_round_trip():

@@ -185,6 +185,11 @@ def test_deserialize_rejects_malformed_documents(monkeypatch):
         (cartan.replace(zero, '"phase": Infinity'), "phase"),
         (cartan.replace('["XXX", 2.0000000000000001e-01]', '["XXX", 1' + "0" * 400 + "]"),
          "factors[0].coeffs[1]"),
+        # payload levels beyond the register are refused before the
+        # entries are read, so a huge level never formats 4^level
+        (good.replace('"level_qubits": 3', '"level_qubits": 4'), "factors[0]"),
+        (good.replace('"level_qubits": 3', '"level_qubits": 9000'), "factors[0]"),
+        (good.replace("sub_unitary", "last_qubit"), "factors[0]"),
     ]:
         assert bad != cartan
         with pytest.raises(ParseError) as info:

@@ -177,7 +177,9 @@ def project_onto_span(
     """
     x = as_matrix(x)
     stack = _span_stack(basis)
-    gram = np.einsum("aji,bji->ab", stack.conj(), stack).real
+    # Re tr(a^dag b) is the dot product of the float64 views of a and b
+    flat = stack.reshape(len(stack), -1).view(float)
+    gram = flat @ flat.T
     diag = np.diagonal(gram)
     if np.any(diag <= 0):
         raise NonOrthogonalBasisError("basis contains a zero element")
@@ -250,9 +252,7 @@ def eigenphase_mismatch(u1: np.ndarray, u2: np.ndarray) -> float:
     p1 = np.sort(np.angle(np.linalg.eigvals(as_matrix(u1))))
     p2 = np.sort(np.angle(np.linalg.eigvals(as_matrix(u2))))
     n = len(p1)
-    best = np.inf
-    for shift in range(n):
-        d = p1 - np.roll(p2, shift)
-        d = np.abs((d + np.pi) % (2 * np.pi) - np.pi)
-        best = min(best, float(np.max(d)))
-    return best
+    # row s holds np.roll(p2, s)
+    shifted = p2[(np.arange(n) - np.arange(n)[:, None]) % n]
+    d = np.abs((p1 - shifted + np.pi) % (2 * np.pi) - np.pi)
+    return float(np.min(np.max(d, axis=1)))

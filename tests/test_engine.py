@@ -34,7 +34,8 @@ from kgdecomp import (
     residual_k,
 )
 from kgdecomp import engine
-from kgdecomp.engine import _coords_in, _minimize_full, _newton_polish
+from kgdecomp.config import DEFAULT_TOLS
+from kgdecomp.engine import _minimize_full, _newton_polish
 from kgdecomp.linalg import AlgebraElement
 
 
@@ -111,7 +112,7 @@ def test_newton_residual_is_scaled_objective_gradient():
     k_stack = np.stack([w.matrix for w in kg.k_set])
     norms2 = np.linalg.norm(k_stack, axis=(1, 2)) ** 2
     comm = v.matrix @ h.matrix - h.matrix @ v.matrix
-    residual = _coords_in(k_stack, norms2, comm)
+    residual = np.einsum("qji,ji->q", k_stack.conj(), comm).real / norms2
 
     c_n = 2.0 * 8
     eps = 1e-5
@@ -125,6 +126,51 @@ def test_newton_residual_is_scaled_objective_gradient():
     want = -grad / (c_n * norms2)
     assert np.max(np.abs(want)) > 1e-2
     assert np.allclose(residual, want, rtol=0.0, atol=1e-7 * np.max(np.abs(want)))
+
+
+def test_newton_step_solves_the_residual_jacobian(monkeypatch):
+    # The step must solve J delta = r, where r is the k-coordinate vector
+    # of [v, h] and K <- K exp(delta) moves r by -J delta to first
+    # order; central differences under K exp(+-eps k_j) give -J's columns.
+    # The transpose J^T differs from J by a term in [v, h], so it is far
+    # off at a random K.
+    rng = np.random.default_rng(15)
+    kg = build_kg_basis(3)
+    v = build_v(kg.h_set).matrix
+    m0 = random_span_element(rng, kg.m_set)
+    k = random_k_unitary(rng, kg)
+    k_stack = np.stack([w.matrix for w in kg.k_set])
+    norms2 = np.linalg.norm(k_stack, axis=(1, 2)) ** 2
+
+    def residual(k1):
+        h = k1.conj().T @ m0 @ k1
+        comm = v @ h - h @ v
+        return np.einsum("qji,ji->q", k_stack.conj(), comm).real / norms2
+
+    solved = []
+    lstsq = np.linalg.lstsq
+
+    def recording_lstsq(a, b, rcond=None):
+        solved.append((a, b))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    _newton_polish(k, m0, v, k_stack, norms2, 1)
+    monkeypatch.undo()
+    (jac, rhs), = solved
+
+    eps = 1e-5
+    moved = np.stack(
+        [
+            residual(k @ expm_skew(eps * kj)) - residual(k @ expm_skew(-eps * kj))
+            for kj in k_stack
+        ],
+        axis=1,
+    ) / (2.0 * eps)
+    scale = np.max(np.abs(moved))
+    assert np.max(np.abs(moved - moved.T)) > 0.1 * scale
+    assert np.allclose(jac, -moved, rtol=0.0, atol=1e-7 * scale)
+    assert np.allclose(rhs, residual(k), rtol=0.0, atol=1e-12)
 
 
 def test_compute_m_recovers_constructed_split():
@@ -391,15 +437,43 @@ def test_decompose_full_su16_recurses_fully():
 
 
 @pytest.mark.parametrize("label, angle", [("XIX", 0.3), ("IXX", 2.5)])
-def test_restart_rescues_stalled_identity_start(label, angle, monkeypatch):
-    # Newton from K = I stalls near relative commutator 0.15 on these
-    # inputs; the first seeded restart converges in a few steps.
+def test_identity_start_decomposes(label, angle, monkeypatch):
+    # every stage converges from K = I; steps that solve the transposed
+    # system J^T delta = r stall near relative commutator 0.15 here
+    g = expm_skew(angle * pauli_word(label).matrix)
+    monkeypatch.setattr(engine, "RESTARTS", 0)
+    tree = decompose_full(g, 3)
+    assert tree.report.approx_error <= 1e-10
+
+
+@pytest.mark.parametrize("label, angle", [("ZIZ", 0.3), ("ZIZ", 2.5)])
+def test_restart_rescues_failed_identity_start(label, angle, monkeypatch):
+    # The first Newton step from K = I is exactly zero on these inputs,
+    # so that start ends above the Cartan bound; a seeded restart
+    # converges in a few steps.
     g = expm_skew(angle * pauli_word(label).matrix)
     tree = decompose_full(g, 3)
     assert tree.report.approx_error <= 1e-10
     monkeypatch.setattr(engine, "RESTARTS", 0)
     with pytest.raises(OptimizerFailedError):
         decompose_full(g, 3)
+
+
+def test_su16_top_level_h_stage_is_short(su16_batch):
+    # steps that solve the transposed system J^T delta = r take up to
+    # 238 steps in this stage
+    for result in su16_batch.results:
+        assert result.tree is not None, result.message
+        assert dict(result.tree.report.optimizer_stats)["n4:h"] <= 40
+
+
+def test_decompose_full_su32_haar():
+    g = haar_special_unitary(5, np.random.default_rng(0))
+    tree = decompose_full(g, 5)
+    assert tree.report.approx_error <= DEFAULT_TOLS.reconstruct_bound(5)
+    assert np.linalg.norm(product(tree) - g) == pytest.approx(
+        tree.report.approx_error, abs=1e-12
+    )
 
 
 def test_decompose_full_enforces_reconstruction_bound():

@@ -30,12 +30,13 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BadLabelError
+from .errors import BadLabelError, NonOrthogonalBasisError
 
 __all__ = [
     "PauliWord",
     "KGBasis",
     "pauli_word",
+    "word_stack",
     "build_kg_basis",
     "order_cartan_basis",
     "is_cartan_label",
@@ -89,6 +90,24 @@ def pauli_word(label: str) -> PauliWord:
     if not label or any(ch not in _SIGMA for ch in label):
         raise BadLabelError(f"label must be nonempty over I/X/Y/Z, got {label!r}")
     return PauliWord(label)
+
+
+@lru_cache(maxsize=64)
+def word_stack(words: Tuple[PauliWord, ...]) -> np.ndarray:
+    """The read-only, cached (q, 2^n, 2^n) stack of the words' matrices.
+
+    Distinct words of one length are trace-orthogonal with squared norm
+    2^(n-2), so this label check stands in for a Gram matrix.
+
+    Raises:
+        NonOrthogonalBasisError: a word repeats or the lengths differ.
+    """
+    labels = [w.label for w in words]
+    if len(set(labels)) != len(labels) or len(set(map(len, labels))) > 1:
+        raise NonOrthogonalBasisError(f"need distinct words of one length: {labels}")
+    out = np.stack([_word_matrix(label) for label in labels])
+    out.setflags(write=False)
+    return out
 
 
 def order_cartan_basis(words: Sequence[PauliWord]) -> Tuple[PauliWord, ...]:

@@ -8,9 +8,9 @@ Subcommands:
     basis        dump the recursive basis label sets
 
 Exit codes: 0 success, 1 verification, reconstruction or generic
-failure, 2 unreadable or malformed input or a bad option value, 3 input
-not special unitary (and --repair not given), 4 optimizer or root search
-did not converge.
+failure, 2 unreadable or malformed input, an unwritable output path or a
+bad option value, 3 input not special unitary (and --repair not given),
+4 optimizer or root search did not converge.
 """
 
 from __future__ import annotations
@@ -89,8 +89,13 @@ def cmd_decompose(args) -> int:
 
     summary_stream = sys.stdout
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(document + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(document + "\n")
+        except OSError as exc:
+            print(f"cannot write [{args.output}]: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_PARSE
     else:
         print(document)
         summary_stream = sys.stderr
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="BCH truncation order, at most 8 (default 6)")
     p_cmp.add_argument("--max-norm", type=float, default=0.5,
                        help="refuse inputs whose m-norm exceeds this "
-                            "(default 0.5)")
+                            "finite, positive bound (default 0.5)")
     p_cmp.set_defaults(func=cmd_compare_bch)
 
     p_basis = subparsers.add_parser(
@@ -288,6 +293,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             check_order(args.order)
         except (ValueError, OrderTooHighError) as exc:
             parser.error(f"--order: {exc}")
+    # `m_norm > nan` is false, so a NaN bound would switch the guard off
+    if hasattr(args, "max_norm") and not (
+        np.isfinite(args.max_norm) and args.max_norm > 0
+    ):
+        parser.error(f"--max-norm must be finite and positive, got {args.max_norm}")
     if hasattr(args, "tol_reconstruct"):
         try:
             Tolerances(args.tol_reconstruct)

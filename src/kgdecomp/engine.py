@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .basis import KGBasis, PauliWord, build_kg_basis
+from .basis import KGBasis, PauliWord, build_kg_basis, word_stack
 from .config import CARTAN_TOL, DEFAULT_TOLS, PATTERN_TOL, SUBSPACE_TOL, Tolerances
 from .errors import (
     DimensionMismatchError,
@@ -198,9 +198,8 @@ def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
     passes the canonical order from build_kg_basis, so v is reproducible.
     """
     weights = tuple(float(np.pi**i) for i in range(len(cartan)))
-    mats = np.stack([w.matrix for w in cartan])
     return AlgebraElement(
-        matrix=np.tensordot(np.asarray(weights), mats, axes=1),
+        matrix=np.tensordot(np.asarray(weights), word_stack(tuple(cartan)), axes=1),
         coords=weights,
         residual_norm=0.0,
     )
@@ -223,7 +222,7 @@ def objective(
     makes first-order criticality force [v, K^dag m0 K] = 0, so the
     optimizer's terminal h = K^dag m0 K lies in the centralizer of v.
     """
-    k_stack = np.stack([w.matrix for w in k_basis])
+    k_stack = word_stack(tuple(k_basis))
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (len(k_basis),):
         raise DimensionMismatchError(
@@ -250,7 +249,6 @@ def _newton_polish(
     m0_mat: np.ndarray,
     v_mat: np.ndarray,
     k_stack: np.ndarray,
-    k_norms2: np.ndarray,
     max_steps: int,
 ) -> Tuple[np.ndarray, float, int]:
     """Drives [v, K^dag m0 K] to zero by Newton steps K <- K exp(delta).
@@ -270,6 +268,7 @@ def _newton_polish(
     ||[v,h]|| / (||v|| ||h||), and the number of steps taken.
     """
     q, dim = k_stack.shape[:2]
+    norm2 = dim / 4.0  # ||k_q||^2 of every Pauli word k_q
     k_flat = k_stack.reshape(q, dim * dim)
     k_rows = k_stack.reshape(q * dim, dim)
     # the float64 view of a complex row interleaves (re, im), so a real
@@ -288,8 +287,8 @@ def _newton_polish(
             break
         x = (k_rows @ h).reshape(q, dim, dim)
         bracket = x - x.conj().transpose(0, 2, 1)
-        jac = -(p_real @ bracket.reshape(q, -1).view(float).T) / k_norms2[:, None]
-        rhs = (k_real @ comm.reshape(-1).view(float)) / k_norms2
+        jac = -(p_real @ bracket.reshape(q, -1).view(float).T) / norm2
+        rhs = (k_real @ comm.reshape(-1).view(float)) / norm2
         delta_coords, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
         step_norm = float(np.linalg.norm(delta_coords))
         if not np.isfinite(step_norm) or step_norm == 0.0:
@@ -323,8 +322,7 @@ def _minimize_full(
     v_mat = build_v(cartan).matrix
     m0_mat = as_matrix(m0)
     dim = m0_mat.shape[0]
-    k_stack = np.stack([w.matrix for w in k_basis])
-    k_norms2 = np.einsum("qji,qji->q", k_stack.conj(), k_stack).real
+    k_stack = word_stack(tuple(k_basis))
 
     norm_m0 = np.linalg.norm(m0_mat)
     if norm_m0 <= 1e-13 * dim:
@@ -338,10 +336,9 @@ def _minimize_full(
             h=zero,
             relative_commutator=0.0,
             iterations=0,
-            subspace_error=float(commutation_defect(m0_mat, [w.matrix for w in cartan])),
+            subspace_error=float(commutation_defect(m0_mat, cartan)),
         )
 
-    target_mats = [w.matrix for w in cartan]
     rng = np.random.default_rng(RESTART_SEED)
     reference = expm_skew(m0_mat)
     best: Optional[_MinimizeOutcome] = None
@@ -351,9 +348,7 @@ def _minimize_full(
         else:
             theta0 = rng.uniform(-0.5, 0.5, len(k_stack))
             k1 = expm_skew(_theta_to_generator(theta0, k_stack))
-        k1, rel, steps = _newton_polish(
-            k1, m0_mat, v_mat, k_stack, k_norms2, MAX_NEWTON_STEPS
-        )
+        k1, rel, steps = _newton_polish(k1, m0_mat, v_mat, k_stack, MAX_NEWTON_STEPS)
         k1 = _maybe_repair(k1)
         h_raw = k1.conj().T @ m0_mat @ k1
         coords, residual = project_onto_span(h_raw, cartan)
@@ -368,7 +363,7 @@ def _minimize_full(
             ),
             relative_commutator=float(rel),
             iterations=steps,
-            subspace_error=float(commutation_defect(h_raw, target_mats)),
+            subspace_error=float(commutation_defect(h_raw, cartan)),
         )
         ok = (
             rel <= CARTAN_TOL
@@ -452,10 +447,8 @@ def extract_last_qubit(m_tilde, n: int) -> np.ndarray:
     dim = 2**n
     if mat.shape != (dim, dim):
         raise DimensionMismatchError(f"expected shape {(dim, dim)}, got {mat.shape}")
-    z_mat = PauliWord("I" * (n - 1) + "Z").matrix
-    z_norm2 = float(np.einsum("ji,ji->", z_mat.conj(), z_mat).real)
-    alpha = float(np.einsum("ji,ji->", z_mat.conj(), mat).real / z_norm2)
-    defect = np.linalg.norm(mat - alpha * z_mat)
+    (alpha,), residual = project_onto_span(mat, (PauliWord("I" * (n - 1) + "Z"),))
+    defect = np.linalg.norm(residual)
     if defect > PATTERN_TOL * (1.0 + abs(alpha)):
         raise SubspaceViolationError(
             f"central-phase defect {defect:.3e} exceeds tolerance"
@@ -498,7 +491,7 @@ def _secondary_stage(
     m = compute_m(w, inv_x, tuple(kg.k1_set) + (kg.z_word,))
     k = _maybe_repair(residual_k(w, m))
     coords, _ = project_onto_span(m.matrix, kg.k1_set)
-    m_hat = np.tensordot(coords, np.stack([word.matrix for word in kg.k1_set]), axes=1)
+    m_hat = np.tensordot(coords, word_stack(kg.k1_set), axes=1)
     out = _minimize_full(m_hat, kg.k0_set, kg.f_set)
     sub, phi = extract_subunitary(k @ out.k1, n)
     inner, psi = extract_subunitary(out.k1, n)

@@ -20,7 +20,7 @@ class NotUnitaryError(KgDecompError):
 
 
 class NonOrthogonalBasisError(KgDecompError):
-    """Projection target has a Gram matrix with off-diagonal mass."""
+    """A word span repeats a Pauli word or mixes word lengths."""
 
 
 class SingularMatrixError(KgDecompError):

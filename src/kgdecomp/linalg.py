@@ -1,9 +1,9 @@
 """Dense complex linear algebra backbone.
 
 Exponentials of skew-Hermitian matrices, principal logarithms of
-unitaries, projections onto trace-orthogonal spans, and repair of nearly
-special-unitary matrices. Everything here is a pure function of ndarray
-inputs; matrices are complex128 and row-major.
+unitaries, projections onto spans of distinct Pauli words of one length
+(trace-orthogonal by construction), and repair of nearly special-unitary
+matrices. Everything here is a pure function; matrices are complex128.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
+from .basis import PauliWord, word_stack
 from .config import DEFAULT_TOLS
 from .errors import (
     BranchAmbiguityWarning,
     DimensionMismatchError,
-    NonOrthogonalBasisError,
     NotSkewHermitianError,
     NotUnitaryError,
     SingularMatrixError,
@@ -144,53 +144,30 @@ def logm_unitary(u: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
     return (z * (1j * args)) @ z.conj().T
 
 
-def _span_stack(basis: Sequence) -> np.ndarray:
-    mats = []
-    for b in basis:
-        m = b.matrix if hasattr(b, "matrix") else b
-        mats.append(np.asarray(m, dtype=complex))
-    return np.stack(mats)
-
-
 def project_onto_span(
-    x: np.ndarray,
-    basis: Sequence,
-    gram_tol: float = 1e-10,
+    x: np.ndarray, words: Sequence[PauliWord]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projection of x onto the real span of a matrix basis.
+    """Orthogonal projection of x onto the real span of distinct Pauli words.
 
-    Uses the real inner product <a, b> = Re tr(a^dag b). The basis must be
-    pairwise trace-orthogonal (checked through its Gram matrix).
+    Uses the real inner product <a, b> = Re tr(a^dag b). The words must be
+    distinct and of one length n, which makes them pairwise
+    trace-orthogonal with <w, w> = 2^(n-2) (see basis.word_stack).
 
     Args:
         x: matrix or AlgebraElement to project.
-        basis: ordered matrices, AlgebraElements, or Pauli words.
-        gram_tol: allowed off-diagonal Gram mass, relative to the diagonal.
+        words: ordered Pauli words, distinct and of one length.
 
     Returns:
-        (coords, residual) with coords[i] = <b_i, x>/<b_i, b_i> and
-        residual = x - sum_i coords[i] b_i, trace-orthogonal to every b_i.
+        (coords, residual) with coords[i] = <w_i, x>/<w_i, w_i> and
+        residual = x - sum_i coords[i] w_i, trace-orthogonal to every w_i.
 
     Raises:
-        NonOrthogonalBasisError: if any off-diagonal Gram entry exceeds
-            gram_tol times the geometric mean of the paired diagonals.
+        NonOrthogonalBasisError: a word repeats or the lengths differ.
     """
     x = as_matrix(x)
-    stack = _span_stack(basis)
-    # Re tr(a^dag b) is the dot product of the float64 views of a and b
-    flat = stack.reshape(len(stack), -1).view(float)
-    gram = flat @ flat.T
-    diag = np.diagonal(gram)
-    if np.any(diag <= 0):
-        raise NonOrthogonalBasisError("basis contains a zero element")
-    scale = np.sqrt(np.outer(diag, diag))
-    off = np.abs(gram - np.diag(diag))
-    if np.any(off > gram_tol * scale):
-        raise NonOrthogonalBasisError(
-            f"off-diagonal Gram mass up to {np.max(off / scale):.3e} "
-            f"exceeds {gram_tol:.3e}"
-        )
-    coords = np.einsum("aji,ji->a", stack.conj(), x).real / diag
+    stack = word_stack(tuple(words))
+    norm2 = stack.shape[-1] / 4.0
+    coords = np.einsum("aji,ji->a", stack.conj(), x).real / norm2
     residual = x - np.tensordot(coords, stack, axes=1)
     return coords, residual
 
@@ -229,14 +206,17 @@ def su_defects(u: np.ndarray) -> Tuple[float, float]:
     return unitarity, float(abs(np.linalg.det(u) - 1.0))
 
 
-def commutation_defect(x: np.ndarray, mats: Sequence[np.ndarray]) -> float:
-    """(1/m) sqrt(sum_i ||[x, m_i]||_F^2) over a list of m matrices.
+def commutation_defect(x: np.ndarray, words: Sequence[PauliWord]) -> float:
+    """(1/q) sqrt(sum_i ||[x, w_i]||_F^2) over q distinct words of one length.
 
-    Zero iff x commutes with every element; the subspace-error metric is
+    Zero iff x commutes with every word; the subspace-error metric is
     this quantity evaluated against a Cartan basis.
+
+    Raises:
+        NonOrthogonalBasisError: a word repeats or the lengths differ.
     """
     x = as_matrix(x)
-    stack = _span_stack(mats)
+    stack = word_stack(tuple(words))
     comms = stack @ x - x @ stack
     total = float(np.sum(np.abs(comms) ** 2))
     return np.sqrt(total) / len(stack)

@@ -16,7 +16,7 @@ from kgdecomp import (
     pauli_word,
     project_onto_span,
 )
-from kgdecomp.basis import is_cartan_label
+from kgdecomp.basis import is_cartan_label, word_stack
 
 H3_EXPECTED = ["IIX", "XXX", "YYX", "ZZX"]
 F3_EXPECTED = ["XXZ", "YYZ", "ZZZ"]
@@ -193,3 +193,14 @@ def test_basis_words_have_matching_length():
     for w in kg.m_set + kg.k_set:
         assert len(w.label) == 4
         assert w.matrix.shape == (16, 16)
+
+
+def test_word_stack_is_cached_and_read_only():
+    kg = build_kg_basis(3)
+    stack = word_stack(kg.h_set)
+    # an equal tuple built afresh hits the same cache entry
+    assert word_stack(tuple(list(kg.h_set))) is stack
+    assert np.array_equal(stack, np.stack([w.matrix for w in kg.h_set]))
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+

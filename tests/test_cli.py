@@ -104,6 +104,12 @@ def test_decompose_rejects_input_just_outside_ingest_tolerance(tmp_path, capsys)
     (["decompose", "g.json", "--tol-reconstruct", "nan"], "--tol-reconstruct"),
     (["decompose", "g.json", "--tol-reconstruct", "-1"], "--tol-reconstruct"),
     (["verify", "g.json", "t.json", "--tol-reconstruct", "nan"], "--tol-reconstruct"),
+    # `m_norm > nan` is false, so a NaN or infinite bound switched the
+    # series-ball guard off, and a negative one ran the involution log
+    # before refusing
+    (["compare-bch", "g.json", "--max-norm", "nan"], "--max-norm"),
+    (["compare-bch", "g.json", "--max-norm", "inf"], "--max-norm"),
+    (["compare-bch", "g.json", "--max-norm", "-1"], "--max-norm"),
 ])
 def test_out_of_range_optimizer_flags_are_usage_errors(argv, field, capsys):
     with pytest.raises(SystemExit) as info:
@@ -229,6 +235,15 @@ def test_decompose_refuses_one_qubit_input(tmp_path, repair, monkeypatch, capsys
 def test_missing_file_is_a_parse_failure(capsys):
     assert main(["decompose", "/nonexistent/file.json"]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "id.json"
+    path.write_text(matrix_to_document(np.eye(8, dtype=complex)))
+    out = tmp_path / "missing" / "out.json"
+    assert main(["decompose", str(path), "-o", str(out)]) == 2
+    assert f"cannot write [{out}]: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_document_is_a_parse_failure(tmp_path, capsys):

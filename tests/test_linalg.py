@@ -106,10 +106,42 @@ def test_project_onto_span_recovers_coordinates():
     assert np.linalg.norm(residual) == pytest.approx(0.5, abs=1e-14)
 
 
+def _span_sets(n):
+    kg = build_kg_basis(n)
+    sets = {
+        name: getattr(kg, name)
+        for name in ("m_set", "k_set", "k0_set", "k1_set", "h_set", "f_set")
+    }
+    sets["k1_set+z"] = kg.k1_set + (kg.z_word,)
+    return sets
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_project_onto_span_matches_lstsq(n):
+    # distinct words need no Gram matrix: the coordinates must equal the
+    # least-squares solution over the float64 view of the stacked words,
+    # and the residual must be trace-orthogonal to every word
+    rng = np.random.default_rng(40 + n)
+    dim = 2**n
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for name, words in _span_sets(n).items():
+        coords, residual = project_onto_span(x, words)
+        columns = np.stack([w.matrix for w in words]).reshape(len(words), -1)
+        want, *_ = np.linalg.lstsq(
+            columns.view(float).T, x.reshape(-1).view(float), rcond=None
+        )
+        assert np.max(np.abs(coords - want)) < 1e-13, name
+        overlaps = columns.view(float) @ residual.reshape(-1).view(float)
+        assert np.max(np.abs(overlaps)) < 1e-13, name
+
+
 def test_project_onto_span_rejects_degenerate_basis():
-    w = pauli_word("XI")
-    with pytest.raises(NonOrthogonalBasisError):
-        project_onto_span(w.matrix, [w, w])
+    for labels in (("XI", "XI"), ("XI", "IY", "XI"), ("XI", "XII")):
+        words = [pauli_word(label) for label in labels]
+        with pytest.raises(NonOrthogonalBasisError):
+            project_onto_span(words[0].matrix, words)
+        with pytest.raises(NonOrthogonalBasisError):
+            commutation_defect(words[0].matrix, words)
 
 
 def test_nearest_special_unitary_fixes_scaling_and_phase():
@@ -131,23 +163,20 @@ def test_nearest_special_unitary_rejects_singular():
 
 def test_commutation_defect_zero_for_commuting():
     z1 = pauli_word("ZI").matrix
-    z2 = pauli_word("IZ").matrix
-    assert commutation_defect(z1, [z2]) == 0.0
+    assert commutation_defect(z1, [pauli_word("IZ")]) == 0.0
 
 
 def test_commutation_defect_known_value():
     # [(i/2)X x I, (i/2)Y x I] = -(i/2) Z x I with Frobenius norm 1
     x = pauli_word("XI").matrix
-    y = pauli_word("YI").matrix
-    assert commutation_defect(x, [y]) == pytest.approx(1.0, abs=1e-14)
+    assert commutation_defect(x, [pauli_word("YI")]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_commutation_defect_averages_over_basis():
     # adding a commuting word halves the defect: sqrt(1)/2
     x = pauli_word("XI").matrix
-    y = pauli_word("YI").matrix
-    iz = pauli_word("IZ").matrix
-    assert commutation_defect(x, [y, iz]) == pytest.approx(0.5, abs=1e-14)
+    words = [pauli_word("YI"), pauli_word("IZ")]
+    assert commutation_defect(x, words) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_commutation_defect_scales_linearly():

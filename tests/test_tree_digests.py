@@ -25,4 +25,4 @@ def test_tree_digest_is_deterministic_and_ignores_wall_time():
     assert failed.startswith("scaled NotUnitaryError: ")
 
     names = [name for name, _, _ in inputs()]
-    assert len(names) == len(set(names)) == 86
+    assert len(names) == len(set(names)) == 93

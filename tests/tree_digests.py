@@ -8,10 +8,14 @@ parent checkout and on the change, then diffing the two outputs:
 
     PYTHONPATH=src python3 tests/tree_digests.py > after.txt
 
-The inputs (86): the committed `perfbench/fixtures/verify` matrices,
+The inputs (93): the committed `perfbench/fixtures/verify` matrices,
 Haar SU(8) seeds 0..49, Haar SU(4) seed 0, Haar SU(16) seeds 20251 and
-20252, the identities at n = 2, 3, 4, and expm_skew(0.7 P) for ten
-three-qubit Pauli words P.
+20252, the identities at n = 2, 3, 4, expm_skew(0.7 P) for ten
+three-qubit Pauli words P, and seven structured gates scaled into SU:
+Toffoli, CCZ, the three- and four-qubit Fourier transforms, the swap of
+qubits 1 and 3, and the Pauli gates XXX and IIZ. The structured gates
+have degenerate spectra and all fail in `compute_m` for now, so their
+lines compare failure messages.
 """
 
 from __future__ import annotations
@@ -38,6 +42,38 @@ FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "ver
 PAULI_WORDS = ("XXX", "IIZ", "ZZX", "XYZ", "IXI", "YYI", "ZIZ", "XIX", "IXX", "YZY")
 
 
+def _special(u: np.ndarray) -> np.ndarray:
+    """u scaled by det(u)^(-1/N), which puts a unitary into SU(N)."""
+    return u * np.linalg.det(u) ** (-1.0 / u.shape[0])
+
+
+def _permutation(image) -> np.ndarray:
+    """The three-qubit gate sending basis index i to image(i)."""
+    u = np.zeros((8, 8), dtype=complex)
+    for index in range(8):
+        u[image(index), index] = 1.0
+    return u
+
+
+def _qft(n: int) -> np.ndarray:
+    j = np.arange(2**n)
+    return np.exp(2j * np.pi * np.outer(j, j) / 2**n) / np.sqrt(2**n)
+
+
+def structured_gates() -> Iterator[Tuple[str, np.ndarray, int]]:
+    """(name, matrix, n) of the structured gates; qubit 1 is the most
+    significant bit of the basis index."""
+    yield "toffoli", _permutation(lambda i: i ^ 1 if i & 0b110 == 0b110 else i), 3
+    yield "ccz", np.diag([1.0] * 7 + [-1.0]).astype(complex), 3
+    yield "qft3", _qft(3), 3
+    yield "qft4", _qft(4), 4
+    swap13 = lambda i: (i & 0b010) | ((i >> 2) & 1) | ((i & 1) << 2)
+    yield "swap13", _permutation(swap13), 3
+    for label in ("XXX", "IIZ"):
+        # a Pauli word's matrix carries a factor i/2
+        yield label.lower(), -2j * pauli_word(label).matrix, 3
+
+
 def tree_digest(tree: FactorTree) -> str:
     """SHA-256 of the serialized tree, with wall_time zeroed."""
     report = dataclasses.replace(tree.report, wall_time=0.0)
@@ -59,6 +95,8 @@ def inputs() -> Iterator[Tuple[str, np.ndarray, int]]:
         yield f"identity-n{n}", np.eye(2**n, dtype=complex), n
     for label in PAULI_WORDS:
         yield f"exp-0.7{label}", expm_skew(0.7 * pauli_word(label).matrix), 3
+    for name, u, n in structured_gates():
+        yield name, _special(u), n
 
 
 def digest_line(name: str, g: np.ndarray, n: int) -> str:

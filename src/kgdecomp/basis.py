@@ -25,7 +25,7 @@ both are returned pre-sorted in the canonical alphabetical order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -92,8 +92,26 @@ def pauli_word(label: str) -> PauliWord:
     return PauliWord(label)
 
 
-@lru_cache(maxsize=64)
-def word_stack(words: Tuple[PauliWord, ...]) -> np.ndarray:
+class _Words(tuple):
+    """A tuple of Pauli words that hashes its contents once.
+
+    word_stack's cache hashes its key on every call, and a plain tuple
+    rehashes each PauliWord each time; this one keeps its first hash, so
+    a cache hit on a KGBasis set costs O(1) in the number of words.
+    """
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("hash")
+        if cached is None:
+            cached = self.__dict__["hash"] = tuple.__hash__(self)
+        return cached
+
+    def __reduce__(self):
+        # str hashes are salted per process, so the cached hash stays here
+        return (_Words, (tuple(self),))
+
+
+def word_stack(words: Sequence[PauliWord]) -> np.ndarray:
     """The read-only, cached (q, 2^n, 2^n) stack of the words' matrices.
 
     Distinct words of one length are trace-orthogonal with squared norm
@@ -102,6 +120,11 @@ def word_stack(words: Tuple[PauliWord, ...]) -> np.ndarray:
     Raises:
         NonOrthogonalBasisError: a word repeats or the lengths differ.
     """
+    return _stack(words if isinstance(words, tuple) else tuple(words))
+
+
+@lru_cache(maxsize=64)
+def _stack(words: Tuple[PauliWord, ...]) -> np.ndarray:
     labels = [w.label for w in words]
     if len(set(labels)) != len(labels) or len(set(map(len, labels))) > 1:
         raise NonOrthogonalBasisError(f"need distinct words of one length: {labels}")
@@ -114,9 +137,10 @@ def order_cartan_basis(words: Sequence[PauliWord]) -> Tuple[PauliWord, ...]:
     """Sorts words by label, ascending under I < X < Y < Z.
 
     Plain string sorting realizes that character order, and the result
-    fixes the pi-power weights of the dense generator v.
+    fixes which words get the binary weights of the torus generator v
+    (engine.build_v).
     """
-    return tuple(sorted(words, key=lambda w: w.label))
+    return _Words(sorted(words, key=lambda w: w.label))
 
 
 @dataclass(frozen=True)
@@ -142,6 +166,11 @@ class KGBasis:
     def z_word(self) -> PauliWord:
         """The central word (i/2) I^(n-1) (x) Z commuting with all of k."""
         return PauliWord("I" * (self.n - 1) + "Z")
+
+    @cached_property
+    def k1z_set(self) -> Tuple[PauliWord, ...]:
+        """k1_set then z_word: the span of a theta_X-stage logarithm."""
+        return _Words(self.k1_set + (self.z_word,))
 
 
 def _append(prefixes: Iterable[str], letter: str) -> List[str]:
@@ -214,7 +243,7 @@ def build_kg_basis(n: int) -> KGBasis:
     all_labels = m + k
     if len(set(all_labels)) != len(all_labels):
         raise AssertionError("duplicate labels in basis recursion")
-    words = lambda labels: tuple(pauli_word(s) for s in labels)
+    words = lambda labels: _Words(pauli_word(s) for s in labels)
     return KGBasis(
         n=n,
         m_set=words(m),

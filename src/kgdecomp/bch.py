@@ -170,8 +170,8 @@ def solve_bch_split(
     check_order(order)
     g = np.asarray(g, dtype=complex)
     g_log = logm_unitary(g)
-    m_stack = word_stack(tuple(m_span))
-    k_stack = word_stack(tuple(k_span))
+    m_stack = word_stack(m_span)
+    k_stack = word_stack(k_span)
     g_m_coords, _ = project_onto_span(g_log, m_span)
 
     def residual_vec(m_coords: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ bad option value, 3 input not special unitary (and --repair not given),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -83,7 +84,23 @@ def cmd_decompose(args) -> int:
                 f"{exc}; rerun with --repair to project it"
             ) from exc
 
-    tree = decompose_full(g, n, Tolerances(args.tol_reconstruct))
+    created = False
+    if args.output:
+        # an unwritable path fails here, before the decomposition runs;
+        # mode "a" leaves an existing file as it is
+        created = not os.path.exists(args.output)
+        try:
+            open(args.output, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"cannot write [{args.output}]: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_PARSE
+    try:
+        tree = decompose_full(g, n, Tolerances(args.tol_reconstruct))
+    except BaseException:
+        if created:
+            os.remove(args.output)
+        raise
     document = serialize(tree)
     report = tree.report
 

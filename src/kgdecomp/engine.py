@@ -3,7 +3,7 @@
 One level factors G in SU(2^n) by three stage calls. The theta_Z stage
 computes m0 = (1/2) log(theta_Z(G^dag) G), splits off K00 = G exp(-m0),
 and conjugates m0 into the Cartan span H_n by driving the commutator
-[v, K01^dag m0 K01] to zero over K01 in exp(k_n), where v is the dense
+[v, K01^dag m0 K01] to zero over K01 in exp(k_n), where v is a regular
 generator of the Cartan torus. One theta_X stage then runs on K00 K01
 and on K01^dag: it lands the K_n1 part of its logarithm in the F_n
 Cartan, turns the central I..IZ part into a last-qubit factor, and
@@ -14,14 +14,22 @@ strips the trailing identity qubit off its K factors, giving
 
 whose SU(2^(n-1)) blocks recurse down to two-qubit leaves.
 
-The Cartan optimizer is clipped Newton iteration on the critical-point
-condition [v, h] = 0 of the Killing objective, in the k-basis
-coordinates of the chart K <- K exp(X), started at K = I and, if that
-fails, at RESTARTS random starts seeded by RESTART_SEED, each capped at
-MAX_NEWTON_STEPS steps. Any critical point is acceptable:
-[v, h] = 0 forces h into the centralizer of v, which is the Cartan span
-by density of the v-generated torus, and the Cartan element is only ever
-determined up to its Weyl orbit anyway.
+Both involution logarithms are theta-odd by construction, also where
+theta(g^dag) g has the eigenvalue -1 and the principal log is not (see
+compute_m), so structured gates split like generic ones.
+
+The Cartan optimizer is Newton iteration on the critical-point
+condition [v, h] = 0 of the Killing objective over the chart
+K <- K exp(delta), delta in k, started at K = I and, if that fails, at
+RESTARTS random starts seeded by RESTART_SEED, each capped at
+MAX_NEWTON_STEPS steps. The torus generator v has binary weights and
+distinct eigenvalues (see build_v), so [v, h] = 0 says that h is
+diagonal in v's eigenbasis, and each step solves the linearized
+condition entrywise there: the Jacobi-type root-space update of
+Kleinsteuber, Helmke and Hueper (SIAM J. Matrix Anal. Appl. 26:42,
+2004). Any critical point is acceptable: [v, h] = 0 forces h into the
+centralizer of v, which is the Cartan span because v is regular, and
+the Cartan element is only ever determined up to its Weyl orbit anyway.
 """
 
 from __future__ import annotations
@@ -87,10 +95,11 @@ _REPAIR_THRESHOLD = 1e-12
 _INGEST_TOL = 1e-8
 
 MAX_NEWTON_STEPS = 400
-"""Newton step cap per optimizer start. Converging starts on Haar SU(8)
-and SU(16) inputs take at most 38 steps, and the top-level H stage of
-Haar SU(32) takes 31-33; the cap ends a start that stalls, as some do on
-degenerate inputs such as Pauli exponentials, so that a restart runs."""
+"""Newton step cap per optimizer start. Converging starts take a few
+dozen steps on Haar inputs (35 in the top H stage of Haar SU(64)) and at
+most 21 on the Pauli exponentials of tests/pauli_sweep.py; a few on
+degenerate structured inputs need 150-340. The cap ends a start that
+stalls, so that a restart runs."""
 
 RESTARTS = 4
 """Seeded random starts tried after the K = I start fails."""
@@ -155,22 +164,26 @@ def compute_m(
 ) -> AlgebraElement:
     """The involution logarithm m = (1/2) log(theta(g^dag) g), snapped to span.
 
-    theta(g^dag) g is conjugation-symmetric under the involution, so its
-    spectrum pairs phases with their negatives and the principal log
-    lands in the -1 eigenspace; exp(2m) = theta(g^dag) g holds within
-    tolerance (a tested invariant). The result is projected onto
-    target_span with the pre-projection residual recorded.
+    w = theta(g^dag) g satisfies theta(w) = w^dag, so away from the
+    eigenvalue -1 its principal log is theta-odd. On the eigenspace E of
+    the eigenvalues within 1e-9 of -1 the principal log would be
+    i pi P_E, which is theta-even; the log takes i pi J there instead,
+    with J Hermitian, J^2 = P_E and theta(J) = -J
+    (AxisInvolution.odd_reflection), and raises no branch warning for
+    that cluster. exp(2m) = w holds within tolerance (a tested
+    invariant). The result is projected onto target_span with the
+    pre-projection residual recorded.
 
     Raises:
         NotUnitaryError: g is not special unitary within tolerance.
         SubspaceViolationError: projection residual exceeds the subspace
-            tolerance (signals branch ambiguity or a non-SU input).
+            tolerance, or the -1 eigenspace has no theta-odd log.
     """
     g = np.asarray(g, dtype=complex)
     defect = validate_special_unitary(g)
     w = inv.apply(g.conj().T) @ g
     log_tol = max(DEFAULT_TOLS.structure * g.shape[0], 4.0 * defect)
-    m_raw = 0.5 * logm_unitary(w, tol=log_tol)
+    m_raw = 0.5 * logm_unitary(w, tol=log_tol, odd_branch=inv.odd_reflection)
     coords, residual = project_onto_span(m_raw, target_span)
     residual_norm = float(np.linalg.norm(residual))
     if residual_norm > SUBSPACE_TOL:
@@ -189,18 +202,44 @@ def residual_k(g: np.ndarray, m: AlgebraElement) -> np.ndarray:
     return np.asarray(g, dtype=complex) @ expm_skew(-as_matrix(m))
 
 
-def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
-    """The dense torus generator v = sum_i pi^(i-1) u_i.
+def _symplectic_bits(label: str) -> int:
+    """The (x, z) bit pairs of a Pauli label, two bits per qubit, as an int.
 
-    The pi powers are rationally independent weights, so the closure of
-    exp(t v) is the whole Cartan torus and the centralizer of v is
-    exactly the Cartan span. The weights follow cartan's order; the engine
-    passes the canonical order from build_kg_basis, so v is reproducible.
+    Words multiply, up to phase, as these vectors add over GF(2)
+    (Aaronson & Gottesman, PRA 70, 052328, 2004).
     """
-    weights = tuple(float(np.pi**i) for i in range(len(cartan)))
+    bits = 0
+    for letter in label:
+        bits = (bits << 2) | "IZXY".index(letter)
+    return bits
+
+
+def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
+    """The regular torus generator v = sum_i w_i u_i with binary weights.
+
+    Walking cartan in order, a word whose symplectic bit vector is
+    GF(2)-independent of the words kept so far gets the next weight
+    1, 2, 4, ...; a word that is a product of kept ones gets 0, so H_3
+    gets (1, 2, 4, 0) and F_4 gets (1, 2, 4, 8, 0, 0, 0). The n kept
+    words of an H_n or F_n set have 2^n joint eigenspaces of dimension
+    one, so -i v has 2^n distinct eigenvalues, sums of +-w_i / 2 with gap
+    1, and its centralizer is exactly the Cartan span. The engine passes
+    the canonical order from build_kg_basis, so v is reproducible.
+    """
+    pivots = {}
+    weights = []
+    for word in cartan:
+        bits = _symplectic_bits(word.label)
+        while bits and bits.bit_length() in pivots:
+            bits ^= pivots[bits.bit_length()]
+        if bits:
+            pivots[bits.bit_length()] = bits
+            weights.append(2.0 ** (len(pivots) - 1))
+        else:
+            weights.append(0.0)
     return AlgebraElement(
-        matrix=np.tensordot(np.asarray(weights), word_stack(tuple(cartan)), axes=1),
-        coords=weights,
+        matrix=np.tensordot(np.asarray(weights), word_stack(cartan), axes=1),
+        coords=tuple(weights),
         residual_norm=0.0,
     )
 
@@ -222,7 +261,7 @@ def objective(
     makes first-order criticality force [v, K^dag m0 K] = 0, so the
     optimizer's terminal h = K^dag m0 K lies in the centralizer of v.
     """
-    k_stack = word_stack(tuple(k_basis))
+    k_stack = word_stack(k_basis)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (len(k_basis),):
         raise DimensionMismatchError(
@@ -247,55 +286,57 @@ class _MinimizeOutcome:
 def _newton_polish(
     k1: np.ndarray,
     m0_mat: np.ndarray,
-    v_mat: np.ndarray,
-    k_stack: np.ndarray,
+    torus: Tuple[np.ndarray, np.ndarray],
+    fixing: Sequence[AxisInvolution],
     max_steps: int,
 ) -> Tuple[np.ndarray, float, int]:
     """Drives [v, K^dag m0 K] to zero by Newton steps K <- K exp(delta).
 
-    The residual r_q = <k_q, [v, h]> / ||k_q||^2 is the k-coordinate
-    vector of [v, h], the objective's gradient on this chart scaled by
-    -1/(c_N ||k_j||^2), so its zeros are the critical points. To first
-    order the update changes h by -[delta, h], so r changes by -J delta
-    with J[q, j] = <k_q, [v, [k_j, h]]> / ||k_q||^2; each step solves
-    J delta = r in the least-squares sense. Since <k_q, [v, B]> equals
-    -<[v, k_q], B>, J is the real product of the once-per-start
-    brackets P_q = [v, k_q] with B_j = [k_j, h] = X_j - X_j^dag,
-    X_j = k_j h, which one matmul over the stacked k_j gives per step.
-    Steps longer than 1 are clipped to unit length. Takes at most
-    max_steps steps and evaluates every iterate, the last one included.
-    Returns the best iterate, its relative commutator
-    ||[v,h]|| / (||v|| ||h||), and the number of steps taken.
+    torus = (mu, B) is the eigendecomposition -i v = B diag(mu) B^dag
+    with mu distinct, so [v, h] = 0 exactly when h~ = B^dag h B is
+    diagonal, and ||[v, h]|| = ||(mu_x - mu_y) h~_xy||. To first order
+    the update moves h~ by -[X, h~] with X = B^dag delta B, and at the
+    diagonal i d of h~ that bracket's (x, y) entry is i X_xy (d_y - d_x).
+    Each step solves this entrywise, X_xy = h~_xy / (i (d_y - d_x)), with
+    X_xy = 0 where |d_y - d_x| <= 1e-12 (1 + max |d|), and takes
+    delta = P_k(B X B^dag), where P_k multiplies the fixed-part maps
+    (1 + theta) / 2 of the involutions in fixing, whose common fixed
+    algebra is k. A step longer than 1 in word coordinates,
+    ||delta||_F / sqrt(2^n / 4), is clipped to unit length, and a zero
+    step ends the start. Takes at most max_steps steps and evaluates
+    every iterate, the last one included. Returns the best iterate, its
+    relative commutator ||[v,h]|| / (||v|| ||h||), and the number of
+    steps taken.
     """
-    q, dim = k_stack.shape[:2]
-    norm2 = dim / 4.0  # ||k_q||^2 of every Pauli word k_q
-    k_flat = k_stack.reshape(q, dim * dim)
-    k_rows = k_stack.reshape(q * dim, dim)
-    # the float64 view of a complex row interleaves (re, im), so a real
-    # dot product of two such views is Re(conj(a) . b)
-    k_real = k_flat.view(float)
-    p_real = (v_mat @ k_stack - k_stack @ v_mat).reshape(q, -1).view(float)
-    norm_v = np.linalg.norm(v_mat)
+    mu, basis = torus
+    basis_dag = basis.conj().T
+    word_norm = np.sqrt(basis.shape[0] / 4.0)
+    v_gaps = mu[:, None] - mu[None, :]
+    norm_v = np.linalg.norm(mu)
     best_k, best_rel = k1, np.inf
     for steps in range(max_steps + 1):
-        h = k1.conj().T @ m0_mat @ k1
-        comm = v_mat @ h - h @ v_mat
-        rel = np.linalg.norm(comm) / (norm_v * np.linalg.norm(h) + 1e-300)
+        kb = k1 @ basis
+        h = kb.conj().T @ m0_mat @ kb
+        # exactly skew-Hermitian, or a tiny gap would magnify the rounding
+        # into a non-skew step
+        h = 0.5 * (h - h.conj().T)
+        rel = np.linalg.norm(v_gaps * h) / (norm_v * np.linalg.norm(h) + 1e-300)
         if rel < best_rel:
             best_k, best_rel = k1, rel
         if rel <= _POLISH_TARGET or steps == max_steps:
             break
-        x = (k_rows @ h).reshape(q, dim, dim)
-        bracket = x - x.conj().transpose(0, 2, 1)
-        jac = -(p_real @ bracket.reshape(q, -1).view(float).T) / norm2
-        rhs = (k_real @ comm.reshape(-1).view(float)) / norm2
-        delta_coords, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-        step_norm = float(np.linalg.norm(delta_coords))
+        d = np.diagonal(h).imag
+        gaps = 1j * (d[None, :] - d[:, None])
+        live = np.abs(gaps) > 1e-12 * (1.0 + np.max(np.abs(d)))
+        delta = basis @ np.divide(h, gaps, out=np.zeros_like(h), where=live) @ basis_dag
+        for inv in fixing:
+            delta = inv.even_part(delta)
+        step_norm = float(np.linalg.norm(delta)) / word_norm
         if not np.isfinite(step_norm) or step_norm == 0.0:
             break
         if step_norm > 1.0:
-            delta_coords = delta_coords / step_norm
-        k1 = k1 @ expm_skew((delta_coords @ k_flat).reshape(dim, dim))
+            delta = delta / step_norm
+        k1 = k1 @ expm_skew(delta)
     return best_k, best_rel, steps
 
 
@@ -303,26 +344,27 @@ def _minimize_full(
     m0,
     k_basis: Sequence[PauliWord],
     cartan: Sequence[PauliWord],
+    fixing: Sequence[AxisInvolution],
 ) -> _MinimizeOutcome:
     """Conjugates m0 into the Cartan span over the subgroup exp(span k).
 
-    Runs clipped Newton iteration on [v, K^dag m0 K] = 0 from K = I, then
-    from RESTARTS random starts seeded by RESTART_SEED until one succeeds;
-    each start takes at most MAX_NEWTON_STEPS steps. Success requires the
-    relative commutator bound, the projection residual bound, and
-    eigenphase agreement of exp(h) with exp(m0) (h itself is only
-    determined up to its Weyl orbit). The outcome's h = k1^dag m0 k1 is
-    snapped onto the span, with the pre-projection residual on
-    h.residual_norm and h.coords in the order cartan is given.
+    span(k_basis) must be the algebra fixed by every involution in
+    fixing. Runs the eigenbasis Newton iteration on [v, K^dag m0 K] = 0
+    from K = I, then from RESTARTS random starts exp(sum_j theta_j k_j)
+    seeded by RESTART_SEED until one succeeds; each start takes at most
+    MAX_NEWTON_STEPS steps, and v's eigenbasis is computed once per call.
+    Success requires the relative commutator bound, the projection
+    residual bound, and eigenphase agreement of exp(h) with exp(m0) (h
+    itself is only determined up to its Weyl orbit). The outcome's
+    h = k1^dag m0 k1 is snapped onto the span, with the pre-projection
+    residual on h.residual_norm and h.coords in the order cartan is given.
 
     Raises:
         OptimizerFailedError: all starts ended above tolerance; the best
             (k1, h) pair rides in the error's `best` attribute.
     """
-    v_mat = build_v(cartan).matrix
     m0_mat = as_matrix(m0)
     dim = m0_mat.shape[0]
-    k_stack = word_stack(tuple(k_basis))
 
     norm_m0 = np.linalg.norm(m0_mat)
     if norm_m0 <= 1e-13 * dim:
@@ -339,6 +381,7 @@ def _minimize_full(
             subspace_error=float(commutation_defect(m0_mat, cartan)),
         )
 
+    torus = np.linalg.eigh(-1j * build_v(cartan).matrix)
     rng = np.random.default_rng(RESTART_SEED)
     reference = expm_skew(m0_mat)
     best: Optional[_MinimizeOutcome] = None
@@ -346,9 +389,9 @@ def _minimize_full(
         if attempt == 0:
             k1 = np.eye(dim, dtype=complex)
         else:
-            theta0 = rng.uniform(-0.5, 0.5, len(k_stack))
-            k1 = expm_skew(_theta_to_generator(theta0, k_stack))
-        k1, rel, steps = _newton_polish(k1, m0_mat, v_mat, k_stack, MAX_NEWTON_STEPS)
+            theta0 = rng.uniform(-0.5, 0.5, len(k_basis))
+            k1 = expm_skew(_theta_to_generator(theta0, word_stack(k_basis)))
+        k1, rel, steps = _newton_polish(k1, m0_mat, torus, fixing, MAX_NEWTON_STEPS)
         k1 = _maybe_repair(k1)
         h_raw = k1.conj().T @ m0_mat @ k1
         coords, residual = project_onto_span(h_raw, cartan)
@@ -395,7 +438,7 @@ def khk_stage(
     """
     m = compute_m(g, inv, m_span)
     k0 = _maybe_repair(residual_k(g, m))
-    outcome = _minimize_full(m, k_basis, cartan)
+    outcome = _minimize_full(m, k_basis, cartan, (inv,))
     return StageResult(
         k0=k0,
         k1=outcome.k1,
@@ -488,11 +531,12 @@ def _secondary_stage(
     Returns the factors (S, e^f, T'^dag, Q), phi, psi, the optimizer's
     subspace error and its step count.
     """
-    m = compute_m(w, inv_x, tuple(kg.k1_set) + (kg.z_word,))
+    m = compute_m(w, inv_x, kg.k1z_set)
     k = _maybe_repair(residual_k(w, m))
     coords, _ = project_onto_span(m.matrix, kg.k1_set)
     m_hat = np.tensordot(coords, word_stack(kg.k1_set), axes=1)
-    out = _minimize_full(m_hat, kg.k0_set, kg.f_set)
+    fixing = (AxisInvolution(n, "Z"), inv_x)
+    out = _minimize_full(m_hat, kg.k0_set, kg.f_set, fixing)
     sub, phi = extract_subunitary(k @ out.k1, n)
     inner, psi = extract_subunitary(out.k1, n)
     last = extract_last_qubit(m.matrix - m_hat, n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +36,8 @@ __all__ = [
     "commutation_defect",
     "eigenphase_mismatch",
 ]
+
+_MINUS_ONE_CLUSTER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,12 @@ def expm_skew_many(stack: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def logm_unitary(u: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
-    """Principal logarithm of a unitary matrix.
+def logm_unitary(
+    u: np.ndarray,
+    tol: Optional[float] = None,
+    odd_branch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> np.ndarray:
+    """Principal logarithm of a unitary matrix, or a chosen branch at -1.
 
     Diagonalizes u through a complex Schur form (exactly unitary basis, so
     the result is skew-Hermitian by construction), takes the argument of
@@ -115,13 +121,18 @@ def logm_unitary(u: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
     Args:
         u: unitary matrix.
         tol: unitarity tolerance (default structure tol * dim).
+        odd_branch: maps the Schur vectors V of the eigenvalues within
+            1e-9 of -1 to a Hermitian J with J^2 = V V^dag; the log is
+            then i pi J on that cluster instead of the principal branch,
+            and the cluster raises no warning.
 
     Raises:
         NotUnitaryError: if ||u u^dag - I||_F exceeds tol.
 
     Warns:
-        BranchAmbiguityWarning: if any eigenvalue lies within 1e-8 of -1,
-        where the principal branch choice is ambiguous.
+        BranchAmbiguityWarning: if any eigenvalue lies within 1e-8 of -1
+        and outside a cluster that odd_branch resolved, where the
+        principal branch choice is ambiguous.
     """
     u = as_matrix(u)
     n = u.shape[0]
@@ -134,14 +145,19 @@ def logm_unitary(u: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
         )
     t, z = scipy.linalg.schur(u, output="complex")
     eig = np.diagonal(t)
-    if np.any(np.abs(eig + 1.0) < 1e-8):
+    distance = np.abs(eig + 1.0)
+    cluster = (distance < _MINUS_ONE_CLUSTER) & (odd_branch is not None)
+    if np.any((distance < 1e-8) & ~cluster):
         warnings.warn(
             "eigenvalue within 1e-8 of -1; principal log branch is ambiguous",
             BranchAmbiguityWarning,
             stacklevel=2,
         )
-    args = np.angle(eig)
-    return (z * (1j * args)) @ z.conj().T
+    rest = z[:, ~cluster]
+    out = (rest * (1j * np.angle(eig[~cluster]))) @ rest.conj().T
+    if cluster.any():
+        out += 1j * np.pi * odd_branch(z[:, cluster])
+    return out
 
 
 def project_onto_span(
@@ -165,7 +181,7 @@ def project_onto_span(
         NonOrthogonalBasisError: a word repeats or the lengths differ.
     """
     x = as_matrix(x)
-    stack = word_stack(tuple(words))
+    stack = word_stack(words)
     norm2 = stack.shape[-1] / 4.0
     coords = np.einsum("aji,ji->a", stack.conj(), x).real / norm2
     residual = x - np.tensordot(coords, stack, axes=1)
@@ -216,7 +232,7 @@ def commutation_defect(x: np.ndarray, words: Sequence[PauliWord]) -> float:
         NonOrthogonalBasisError: a word repeats or the lengths differ.
     """
     x = as_matrix(x)
-    stack = word_stack(tuple(words))
+    stack = word_stack(words)
     comms = stack @ x - x @ stack
     total = float(np.sum(np.abs(comms) ** 2))
     return np.sqrt(total) / len(stack)

@@ -34,7 +34,7 @@ def inputs() -> Iterator[Tuple[str, np.ndarray]]:
 
 
 def sweep_line(name: str, g: np.ndarray) -> str:
-    """Decomposes g at n = 3 and reports its status and Newton steps."""
+    """Decomposes g in SU(2^n) and reports its status and Newton steps."""
     polish = engine._newton_polish
     steps = 0
 
@@ -48,7 +48,7 @@ def sweep_line(name: str, g: np.ndarray) -> str:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            decompose_full(g, 3)
+            decompose_full(g, int(g.shape[0]).bit_length() - 1)
         status = "ok"
     except Exception as exc:  # the failure class is what gets compared
         status = type(exc).__name__

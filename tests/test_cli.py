@@ -10,7 +10,12 @@ import pytest
 
 import kgdecomp.cli
 import kgdecomp.factors
-from kgdecomp import build_kg_basis, expm_skew, haar_special_unitary
+from kgdecomp import (
+    OptimizerFailedError,
+    build_kg_basis,
+    expm_skew,
+    haar_special_unitary,
+)
 from kgdecomp.cli import build_parser, main
 from kgdecomp.fileio import dump_json, matrix_to_document, parse_json
 
@@ -244,6 +249,35 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys):
     assert main(["decompose", str(path), "-o", str(out)]) == 2
     assert f"cannot write [{out}]: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unwritable_output_path_fails_before_decomposing(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("decompose_full ran before the output check")
+
+    monkeypatch.setattr(kgdecomp.cli, "decompose_full", no_decomposition)
+    path = tmp_path / "id.json"
+    path.write_text(matrix_to_document(np.eye(8, dtype=complex)))
+    out = tmp_path / "missing" / "out.json"
+    assert main(["decompose", str(path), "-o", str(out)]) == 2
+    assert f"cannot write [{out}]: " in capsys.readouterr().err
+
+
+def test_failed_decomposition_leaves_no_output_file(tmp_path, monkeypatch):
+    def failing_decomposition(*args, **kwargs):
+        raise OptimizerFailedError("no restart converged")
+
+    monkeypatch.setattr(kgdecomp.cli, "decompose_full", failing_decomposition)
+    path = tmp_path / "id.json"
+    path.write_text(matrix_to_document(np.eye(8, dtype=complex)))
+    out = tmp_path / "out.json"
+    assert main(["decompose", str(path), "-o", str(out)]) == 4
+    assert not out.exists()
+    # an existing file is left as it was
+    out.write_text("old tree\n")
+    assert main(["decompose", str(path), "-o", str(out)]) == 4
+    assert out.read_text() == "old tree\n"
 
 
 def test_malformed_document_is_a_parse_failure(tmp_path, capsys):

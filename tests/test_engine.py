@@ -34,9 +34,10 @@ from kgdecomp import (
     residual_k,
 )
 from kgdecomp import engine
-from kgdecomp.config import DEFAULT_TOLS
+from kgdecomp.config import CARTAN_TOL, DEFAULT_TOLS, SUBSPACE_TOL
 from kgdecomp.engine import _minimize_full, _newton_polish
 from kgdecomp.linalg import AlgebraElement
+from tree_digests import _special, structured_gates
 
 
 def random_span_element(rng, words, scale=0.3):
@@ -49,18 +50,33 @@ def random_k_unitary(rng, kg, scale=0.4):
 
 
 def test_build_v_weights_and_norm():
+    # sorted H3 is (IIX, XXX, YYX, ZZX) and ZZX = XXX YYX IIX up to phase
     kg = build_kg_basis(3)
     v = build_v(kg.h_set)
-    assert v.coords == tuple(np.pi**i for i in range(4))
-    # ||v||^2 = 2^(n-2) * sum pi^(2i) since ||w||^2 = 2^(n-2)
-    want = 2.0 * sum(np.pi ** (2 * i) for i in range(4))
-    assert np.linalg.norm(v.matrix) ** 2 == pytest.approx(want, rel=1e-12)
+    assert v.coords == (1.0, 2.0, 4.0, 0.0)
+    # ||v||^2 = 2^(n-2) * sum w_i^2 since ||w||^2 = 2^(n-2)
+    assert np.linalg.norm(v.matrix) ** 2 == pytest.approx(2.0 * 21.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_build_v_binary_weights_make_v_regular(n):
+    kg = build_kg_basis(n)
+    if n == 4:
+        assert build_v(kg.h_set).coords == (1, 2, 4, 0, 8, 0, 0, 0)
+        assert build_v(kg.f_set).coords == (1, 2, 4, 8, 0, 0, 0)
+    for cartan in (kg.h_set, kg.f_set):
+        v = build_v(cartan)
+        assert sorted(c for c in v.coords if c) == [2.0**i for i in range(n)]
+        # 2^n distinct eigenvalues with gap 1: [v, h] = 0 exactly when h
+        # is diagonal in v's eigenbasis
+        eig = np.linalg.eigvalsh(-1j * v.matrix)
+        assert np.min(np.diff(eig)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_objective_frozen_value():
     # theta = 0 leaves m0 in place; with m0 = u_XXX - u_ZZX and weights
-    # (1, pi, pi^2, pi^3) on sorted H3, f = 16 (pi tr(u^2) - pi^3 tr(u^2))
-    # and tr(u^2) = -2, giving 16 (-2 pi + 2 pi^3)
+    # (1, 2, 4, 0) on sorted H3, f = 16 (2 tr(u^2) - 0 tr(u^2)) and
+    # tr(u^2) = -2, giving -64
     kg = build_kg_basis(3)
     m0 = AlgebraElement(
         matrix=pauli_word("XXX").matrix - pauli_word("ZZX").matrix
@@ -68,8 +84,7 @@ def test_objective_frozen_value():
     v = build_v(kg.h_set)
     theta = np.zeros(len(kg.k_set))
     got = objective(v, m0, theta, kg.k_set)
-    want = 16.0 * (-2.0 * np.pi + 2.0 * np.pi**3)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(-64.0, rel=1e-12)
 
 
 def test_objective_invariant_under_full_torus_turn():
@@ -129,48 +144,30 @@ def test_newton_residual_is_scaled_objective_gradient():
 
 
 def test_newton_step_solves_the_residual_jacobian(monkeypatch):
-    # The step must solve J delta = r, where r is the k-coordinate vector
-    # of [v, h] and K <- K exp(delta) moves r by -J delta to first
-    # order; central differences under K exp(+-eps k_j) give -J's columns.
-    # The transpose J^T differs from J by a term in [v, h], so it is far
-    # off at a random K.
+    # With D the part of h diagonal in v's eigenbasis B (its Cartan
+    # projection), K <- K exp(delta) moves h by -[delta, h] to first
+    # order, and the step must solve the Newton equation at D,
+    # [delta, D] = h - D, with delta in k. Near a Cartan element every
+    # gap of D is open, so the k-projection of the step loses nothing.
     rng = np.random.default_rng(15)
     kg = build_kg_basis(3)
-    v = build_v(kg.h_set).matrix
-    m0 = random_span_element(rng, kg.m_set)
-    k = random_k_unitary(rng, kg)
-    k_stack = np.stack([w.matrix for w in kg.k_set])
-    norms2 = np.linalg.norm(k_stack, axis=(1, 2)) ** 2
+    inv = AxisInvolution(3, "Z")
+    torus = np.linalg.eigh(-1j * build_v(kg.h_set).matrix)
+    basis = torus[1]
+    k = random_k_unitary(rng, kg, scale=1e-2)
+    h = k.conj().T @ random_span_element(rng, kg.h_set, 0.4) @ k
+    cartan_part = basis @ np.diag(np.diag(basis.conj().T @ h @ basis)) @ basis.conj().T
 
-    def residual(k1):
-        h = k1.conj().T @ m0 @ k1
-        comm = v @ h - h @ v
-        return np.einsum("qji,ji->q", k_stack.conj(), comm).real / norms2
+    steps = []
+    monkeypatch.setattr(engine, "expm_skew", lambda a: steps.append(a) or expm_skew(a))
+    _newton_polish(np.eye(8, dtype=complex), h, torus, (inv,), 1)
+    (delta,) = steps
 
-    solved = []
-    lstsq = np.linalg.lstsq
-
-    def recording_lstsq(a, b, rcond=None):
-        solved.append((a, b))
-        return lstsq(a, b, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
-    _newton_polish(k, m0, v, k_stack, 1)
-    monkeypatch.undo()
-    (jac, rhs), = solved
-
-    eps = 1e-5
-    moved = np.stack(
-        [
-            residual(k @ expm_skew(eps * kj)) - residual(k @ expm_skew(-eps * kj))
-            for kj in k_stack
-        ],
-        axis=1,
-    ) / (2.0 * eps)
-    scale = np.max(np.abs(moved))
-    assert np.max(np.abs(moved - moved.T)) > 0.1 * scale
-    assert np.allclose(jac, -moved, rtol=0.0, atol=1e-7 * scale)
-    assert np.allclose(rhs, residual(k), rtol=0.0, atol=1e-12)
+    assert 1e-4 < np.linalg.norm(delta) < 1.0  # an unclipped step
+    assert np.linalg.norm(inv.apply(delta) - delta) < 1e-14
+    assert np.linalg.norm(delta + delta.conj().T) < 1e-14
+    bracket = delta @ cartan_part - cartan_part @ delta
+    assert np.linalg.norm(bracket - (h - cartan_part)) < 1e-12
 
 
 def test_compute_m_recovers_constructed_split():
@@ -198,6 +195,23 @@ def test_compute_m_involution_identity():
     assert np.linalg.norm(expm_skew(2.0 * m.matrix) - w) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["toffoli", "ccz", "qft3", "swap13", "xxx", "iiz"])
+def test_compute_m_is_theta_odd_on_structured_gates(name):
+    # theta(g^dag) g has the eigenvalue -1 on these gates, where the
+    # principal log is theta-even; both stages' logs must stay odd
+    (g,) = [_special(u) for label, u, _ in structured_gates() if label == name]
+    kg = build_kg_basis(3)
+    inv_z, inv_x = AxisInvolution(3, "Z"), AxisInvolution(3, "X")
+    m_z = compute_m(g, inv_z, kg.m_set)
+    k0 = residual_k(g, m_z)
+    m_x = compute_m(k0, inv_x, kg.k1z_set)
+    for x, inv, m in ((g, inv_z, m_z), (k0, inv_x, m_x)):
+        w = inv.apply(x.conj().T) @ x
+        assert np.linalg.norm(expm_skew(2.0 * m.matrix) - w) < 1e-10
+        assert np.linalg.norm(inv.apply(m.matrix) + m.matrix) < 1e-12
+        assert m.residual_norm <= SUBSPACE_TOL
+
+
 def test_compute_m_rejects_non_unitary():
     kg = build_kg_basis(3)
     inv = AxisInvolution(3, "Z")
@@ -223,7 +237,7 @@ def test_minimize_to_cartan_recovers_spectrum():
         k_prime = random_k_unitary(rng, kg)
         m0_mat = k_prime @ h_true @ k_prime.conj().T
         m0 = AlgebraElement(matrix=m0_mat)
-        outcome = _minimize_full(m0, kg.k_set, kg.h_set)
+        outcome = _minimize_full(m0, kg.k_set, kg.h_set, (AxisInvolution(3, "Z"),))
         k1, h = outcome.k1, outcome.h
         assert h.residual_norm < 1e-10
         assert eigenphase_mismatch(expm_skew(h.matrix), expm_skew(h_true)) < 1e-8
@@ -234,7 +248,7 @@ def test_minimize_to_cartan_recovers_spectrum():
 def test_minimize_to_cartan_zero_input_short_circuits():
     kg = build_kg_basis(3)
     m0 = AlgebraElement(matrix=np.zeros((8, 8), dtype=complex))
-    outcome = _minimize_full(m0, kg.k_set, kg.h_set)
+    outcome = _minimize_full(m0, kg.k_set, kg.h_set, (AxisInvolution(3, "Z"),))
     assert np.array_equal(outcome.k1, np.eye(8))
     assert np.linalg.norm(outcome.h.matrix) == 0.0
 
@@ -248,7 +262,8 @@ def test_minimize_to_cartan_keeps_the_given_cartan_order():
     cartan = tuple(reversed(kg.h_set))
     k_prime = random_k_unitary(rng, kg)
     m0_mat = k_prime @ random_span_element(rng, kg.h_set, 0.4) @ k_prime.conj().T
-    h = _minimize_full(AlgebraElement(matrix=m0_mat), kg.k_set, cartan).h
+    fixing = (AxisInvolution(3, "Z"),)
+    h = _minimize_full(AlgebraElement(matrix=m0_mat), kg.k_set, cartan, fixing).h
     rebuilt = sum(c * w.matrix for c, w in zip(h.coords, cartan))
     assert np.linalg.norm(rebuilt - h.matrix) < 1e-12
 
@@ -262,7 +277,7 @@ def test_minimize_to_cartan_failure_carries_best(monkeypatch):
     monkeypatch.setattr(engine, "RESTARTS", 0)
     m0 = AlgebraElement(matrix=random_span_element(rng, kg.m_set, 0.3))
     with pytest.raises(OptimizerFailedError) as info:
-        _minimize_full(m0, kg.k_set, kg.h_set)
+        _minimize_full(m0, kg.k_set, kg.h_set, (AxisInvolution(3, "Z"),))
     best_k1, best_h = info.value.best
     assert best_k1.shape == (8, 8)
     assert isinstance(best_h, AlgebraElement)
@@ -277,15 +292,16 @@ def test_newton_polish_evaluates_its_last_step():
     k = random_k_unitary(rng, kg, scale=1e-3)
     m0 = k @ h_true @ k.conj().T
     v = build_v(kg.h_set).matrix
-    k_stack = np.stack([w.matrix for w in kg.k_set])
+    torus = np.linalg.eigh(-1j * v)
     rel_identity = np.linalg.norm(v @ m0 - m0 @ v) / (
         np.linalg.norm(v) * np.linalg.norm(m0)
     )
     eye = np.eye(8, dtype=complex)
-    best_k, rel, steps = _newton_polish(eye, m0, v, k_stack, 1)
+    best_k, rel, steps = _newton_polish(eye, m0, torus, (AxisInvolution(3, "Z"),), 1)
     assert steps == 1
     assert not np.array_equal(best_k, eye)
-    assert rel < rel_identity
+    # a Newton step: the defect of the 1e-3 start falls quadratically
+    assert rel < 1e-2 * rel_identity
 
 
 def test_khk_stage_reconstructs():
@@ -437,12 +453,26 @@ def test_decompose_full_su16_recurses_fully():
 
 @pytest.mark.parametrize("label, angle", [("XIX", 0.3), ("IXX", 2.5)])
 def test_identity_start_decomposes(label, angle, monkeypatch):
-    # every stage converges from K = I; steps that solve the transposed
-    # system J^T delta = r stall near relative commutator 0.15 here
+    # In the h stage the K = I start has every off-diagonal entry of
+    # B^dag h B on a zero gap of its diagonal, so its first step is
+    # exactly zero: that start must end at 0 steps, not stall to the step
+    # cap, and the first seeded restart must converge.
     g = expm_skew(angle * pauli_word(label).matrix)
-    monkeypatch.setattr(engine, "RESTARTS", 0)
+    polish = engine._newton_polish
+    starts = []
+
+    def recording_polish(*args):
+        result = polish(*args)
+        starts.append(result[1:])
+        return result
+
+    monkeypatch.setattr(engine, "_newton_polish", recording_polish)
     tree = decompose_full(g, 3)
     assert tree.report.approx_error <= 1e-10
+    (rel, steps), (rel_next, _) = starts[:2]
+    assert steps == 0 and rel > CARTAN_TOL
+    assert rel_next <= CARTAN_TOL
+    assert all(steps < engine.MAX_NEWTON_STEPS for _, steps in starts)
 
 
 @pytest.mark.parametrize("label, angle", [("ZIZ", 0.3), ("ZIZ", 2.5)])
@@ -473,6 +503,12 @@ def test_decompose_full_su32_haar():
     assert np.linalg.norm(product(tree) - g) == pytest.approx(
         tree.report.approx_error, abs=1e-12
     )
+
+
+def test_decompose_full_su64_haar():
+    g = haar_special_unitary(6, np.random.default_rng(0))
+    tree = decompose_full(g, 6)
+    assert tree.report.approx_error <= DEFAULT_TOLS.reconstruct_bound(6)
 
 
 def test_decompose_full_enforces_reconstruction_bound():

@@ -5,6 +5,8 @@ implementations), projections against hand-built decompositions, and
 single frozen values are derived in the comments where they appear.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -93,6 +95,25 @@ def test_logm_unitary_rejects_non_unitary():
 def test_logm_unitary_warns_at_branch_cut():
     with pytest.warns(BranchAmbiguityWarning):
         logm_unitary(np.diag([-1.0 + 0j, 1.0]))
+
+
+def test_logm_unitary_odd_branch_resolves_the_minus_one_cluster():
+    # diag(-1, -1, 1, 1) with J swapping the first two basis vectors:
+    # the log is i pi J there, which exponentiates back to -1, and no
+    # warning is raised for the resolved cluster
+    u = np.diag([-1.0, -1.0, 1.0, 1.0]).astype(complex)
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    def odd_branch(v):
+        return v @ swap @ v.conj().T
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = logm_unitary(u, odd_branch=odd_branch)
+    assert np.linalg.norm(scipy.linalg.expm(log) - u) < 1e-12
+    want = np.zeros((4, 4), dtype=complex)
+    want[:2, :2] = 1j * np.pi * swap
+    assert np.linalg.norm(log - want) < 1e-12
 
 
 def test_project_onto_span_recovers_coordinates():

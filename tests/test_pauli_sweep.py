@@ -12,8 +12,8 @@ def test_sweep_line_reports_status_and_newton_steps():
     sweep = dict(inputs())
     g = sweep["exp-0.3XIX"]
     name, status, steps = sweep_line("exp-0.3XIX", g).split()
-    # the identity start converges in every stage here, so the count
-    # matches the steps the tree reports
+    # the one failed start here, K = I in the h stage, ends at 0 steps,
+    # so the count matches the steps the tree reports
     tree = decompose_full(g, 3)
     assert (name, status) == ("exp-0.3XIX", "ok")
     assert int(steps) == sum(v for _, v in tree.report.optimizer_stats) > 0

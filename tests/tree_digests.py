@@ -14,8 +14,7 @@ Haar SU(8) seeds 0..49, Haar SU(4) seed 0, Haar SU(16) seeds 20251 and
 three-qubit Pauli words P, and seven structured gates scaled into SU:
 Toffoli, CCZ, the three- and four-qubit Fourier transforms, the swap of
 qubits 1 and 3, and the Pauli gates XXX and IIZ. The structured gates
-have degenerate spectra and all fail in `compute_m` for now, so their
-lines compare failure messages.
+have degenerate spectra: their involution logs meet the eigenvalue -1.
 """
 
 from __future__ import annotations

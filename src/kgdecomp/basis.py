@@ -25,7 +25,7 @@ both are returned pre-sorted in the canonical alphabetical order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -152,6 +152,9 @@ class KGBasis:
     theta_X sign, with the central I..IZ word kept separately at the
     front of k_set; both refinements are empty at the n = 2 seed.
     h_set and f_set are the Abelian subsets, in canonical order.
+
+    The decomposition stacks only h_set, f_set and z_word; it reaches
+    the other subspaces by the involution averages (1 +- theta) / 2.
     """
 
     n: int
@@ -166,11 +169,6 @@ class KGBasis:
     def z_word(self) -> PauliWord:
         """The central word (i/2) I^(n-1) (x) Z commuting with all of k."""
         return PauliWord("I" * (self.n - 1) + "Z")
-
-    @cached_property
-    def k1z_set(self) -> Tuple[PauliWord, ...]:
-        """k1_set then z_word: the span of a theta_X-stage logarithm."""
-        return _Words(self.k1_set + (self.z_word,))
 
 
 def _append(prefixes: Iterable[str], letter: str) -> List[str]:

@@ -105,7 +105,8 @@ RESTARTS = 4
 """Seeded random starts tried after the K = I start fails."""
 
 RESTART_SEED = 0
-"""Seed of the restart draws, theta uniform on [-0.5, 0.5]^Q."""
+"""Seed of the restart draws, whose coordinates on the k words are i.i.d.
+N(0, 1/12), the variance of U[-1/2, 1/2] (see _minimize_full)."""
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,9 @@ def _maybe_repair(k: np.ndarray) -> np.ndarray:
 def compute_m(
     g: np.ndarray,
     inv: AxisInvolution,
-    target_span: Sequence[PauliWord],
+    fixing: Sequence[AxisInvolution] = (),
 ) -> AlgebraElement:
-    """The involution logarithm m = (1/2) log(theta(g^dag) g), snapped to span.
+    """The involution logarithm m = (1/2) log(theta(g^dag) g) on its subspace.
 
     w = theta(g^dag) g satisfies theta(w) = w^dag, so away from the
     eigenvalue -1 its principal log is theta-odd. On the eigenspace E of
@@ -171,8 +172,10 @@ def compute_m(
     with J Hermitian, J^2 = P_E and theta(J) = -J
     (AxisInvolution.odd_reflection), and raises no branch warning for
     that cluster. exp(2m) = w holds within tolerance (a tested
-    invariant). The result is projected onto target_span with the
-    pre-projection residual recorded.
+    invariant). It is snapped by O(4^n) involution averages: its skew
+    part, its theta-odd part, then its part fixed by each phi in fixing,
+    (a + phi(a)) / 2; the theta_X stage passes (theta_Z,) to land in
+    span(K_n1) + span(I..IZ). The pre-snap residual is on residual_norm.
 
     Raises:
         NotUnitaryError: g is not special unitary within tolerance.
@@ -184,17 +187,16 @@ def compute_m(
     w = inv.apply(g.conj().T) @ g
     log_tol = max(DEFAULT_TOLS.structure * g.shape[0], 4.0 * defect)
     m_raw = 0.5 * logm_unitary(w, tol=log_tol, odd_branch=inv.odd_reflection)
-    coords, residual = project_onto_span(m_raw, target_span)
-    residual_norm = float(np.linalg.norm(residual))
+    m = 0.5 * (m_raw - m_raw.conj().T)
+    m = m - inv.even_part(m)
+    for fix in fixing:
+        m = fix.even_part(m)
+    residual_norm = float(np.linalg.norm(m_raw - m))
     if residual_norm > SUBSPACE_TOL:
         raise SubspaceViolationError(
             f"m lies {residual_norm:.3e} from its span, above {SUBSPACE_TOL:.3e}"
         )
-    return AlgebraElement(
-        matrix=m_raw - residual,
-        coords=tuple(float(c) for c in coords),
-        residual_norm=residual_norm,
-    )
+    return AlgebraElement(matrix=m, residual_norm=residual_norm)
 
 
 def residual_k(g: np.ndarray, m: AlgebraElement) -> np.ndarray:
@@ -244,10 +246,6 @@ def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
     )
 
 
-def _theta_to_generator(theta: np.ndarray, k_stack: np.ndarray) -> np.ndarray:
-    return np.tensordot(np.asarray(theta, dtype=float), k_stack, axes=1)
-
-
 def objective(
     v: AlgebraElement,
     m0: AlgebraElement,
@@ -270,7 +268,7 @@ def objective(
     v_mat = as_matrix(v)
     m_mat = as_matrix(m0)
     c_n = 2.0 * v_mat.shape[0]
-    k = expm_skew_many(_theta_to_generator(theta, k_stack)[None])[0]
+    k = expm_skew_many(np.tensordot(theta, k_stack, axes=1)[None])[0]
     return float(c_n * np.einsum("ij,ji->", v_mat, k.conj().T @ m_mat @ k).real)
 
 
@@ -342,18 +340,18 @@ def _newton_polish(
 
 def _minimize_full(
     m0,
-    k_basis: Sequence[PauliWord],
     cartan: Sequence[PauliWord],
     fixing: Sequence[AxisInvolution],
 ) -> _MinimizeOutcome:
-    """Conjugates m0 into the Cartan span over the subgroup exp(span k).
+    """Conjugates m0 into the Cartan span over the subgroup exp(k).
 
-    span(k_basis) must be the algebra fixed by every involution in
-    fixing. Runs the eigenbasis Newton iteration on [v, K^dag m0 K] = 0
-    from K = I, then from RESTARTS random starts exp(sum_j theta_j k_j)
-    seeded by RESTART_SEED until one succeeds; each start takes at most
-    MAX_NEWTON_STEPS steps, and v's eigenbasis is computed once per call.
-    Success requires the relative commutator bound, the projection
+    k is the algebra fixed by every involution in fixing; an m0 of norm
+    at most Tolerances.structure counts as zero (K = I, h = 0, 0 steps).
+    Runs the eigenbasis Newton iteration on [v, K^dag m0 K] = 0 from
+    K = I, then from RESTARTS random starts exp(X) seeded by
+    RESTART_SEED, X the traceless fixed part of a Gaussian skew matrix,
+    until one succeeds; each start takes at most MAX_NEWTON_STEPS steps,
+    and v's eigenbasis is computed once per call. Success requires the relative commutator bound, the projection
     residual bound, and eigenphase agreement of exp(h) with exp(m0) (h
     itself is only determined up to its Weyl orbit). The outcome's
     h = k1^dag m0 k1 is snapped onto the span, with the pre-projection
@@ -367,7 +365,7 @@ def _minimize_full(
     dim = m0_mat.shape[0]
 
     norm_m0 = np.linalg.norm(m0_mat)
-    if norm_m0 <= 1e-13 * dim:
+    if norm_m0 <= DEFAULT_TOLS.structure:
         zero = AlgebraElement(
             matrix=np.zeros_like(m0_mat),
             coords=(0.0,) * len(cartan),
@@ -389,8 +387,13 @@ def _minimize_full(
         if attempt == 0:
             k1 = np.eye(dim, dtype=complex)
         else:
-            theta0 = rng.uniform(-0.5, 0.5, len(k_basis))
-            k1 = expm_skew(_theta_to_generator(theta0, word_stack(k_basis)))
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            # each word coordinate of a - a^dag has variance 16 / dim
+            start = np.sqrt(dim / 192.0) * (a - a.conj().T)
+            start -= np.trace(start) / dim * np.eye(dim)
+            for inv in fixing:
+                start = inv.even_part(start)
+            k1 = expm_skew(start)
         k1, rel, steps = _newton_polish(k1, m0_mat, torus, fixing, MAX_NEWTON_STEPS)
         k1 = _maybe_repair(k1)
         h_raw = k1.conj().T @ m0_mat @ k1
@@ -427,18 +430,16 @@ def _minimize_full(
 def khk_stage(
     g: np.ndarray,
     inv: AxisInvolution,
-    k_basis: Sequence[PauliWord],
-    m_span: Sequence[PauliWord],
     cartan: Sequence[PauliWord],
 ) -> StageResult:
     """One full KHK stage: G = k0 k1 exp(h) k1^dag.
 
-    k0 = g exp(-m) is fixed by the stage involution; k1 and h come from
-    the Cartan optimizer on m.
+    k0 = g exp(-m) is fixed by the stage involution; k1, fixed by it too,
+    and h come from the Cartan optimizer on m.
     """
-    m = compute_m(g, inv, m_span)
+    m = compute_m(g, inv)
     k0 = _maybe_repair(residual_k(g, m))
-    outcome = _minimize_full(m, k_basis, cartan, (inv,))
+    outcome = _minimize_full(m, cartan, (inv,))
     return StageResult(
         k0=k0,
         k1=outcome.k1,
@@ -521,9 +522,9 @@ def _secondary_stage(
     """The theta_X stage on one K-type input w of level n.
 
     m = (1/2) log(theta_X(w^dag) w) lands in span(K_n1) + span(I..IZ); its
-    K_n1 part m_hat is conjugated into F_n over exp(K_n0) as
-    m_hat = T e^f T^dag, and the central remainder m - m_hat becomes the
-    last-qubit factor Q. With k = w exp(-m), k T = e^{i phi} (S x I) and
+    K_n1 part m_hat, m minus its I..IZ part, is conjugated into F_n over
+    exp(K_n0) as m_hat = T e^f T^dag, and the central remainder m - m_hat
+    becomes the last-qubit factor Q. With k = w exp(-m), k T = e^{i phi} (S x I) and
     T = e^{i psi} (T' x I),
 
         w = e^{i(phi - psi)} (S x I) e^f (T'^dag x I) (I x Q).
@@ -531,12 +532,11 @@ def _secondary_stage(
     Returns the factors (S, e^f, T'^dag, Q), phi, psi, the optimizer's
     subspace error and its step count.
     """
-    m = compute_m(w, inv_x, kg.k1z_set)
+    inv_z = AxisInvolution(n, "Z")
+    m = compute_m(w, inv_x, (inv_z,))
     k = _maybe_repair(residual_k(w, m))
-    coords, _ = project_onto_span(m.matrix, kg.k1_set)
-    m_hat = np.tensordot(coords, word_stack(kg.k1_set), axes=1)
-    fixing = (AxisInvolution(n, "Z"), inv_x)
-    out = _minimize_full(m_hat, kg.k0_set, kg.f_set, fixing)
+    _, m_hat = project_onto_span(m.matrix, (kg.z_word,))
+    out = _minimize_full(m_hat, kg.f_set, (inv_z, inv_x))
     sub, phi = extract_subunitary(k @ out.k1, n)
     inner, psi = extract_subunitary(out.k1, n)
     last = extract_last_qubit(m.matrix - m_hat, n)
@@ -565,7 +565,7 @@ def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
     kg = build_kg_basis(n)
     inv_x = AxisInvolution(n, "X")
 
-    stage = khk_stage(g, AxisInvolution(n, "Z"), kg.k_set, kg.m_set, kg.h_set)
+    stage = khk_stage(g, AxisInvolution(n, "Z"), kg.h_set)
     left, phi0, psi1, es0, steps0 = _secondary_stage(stage.k0 @ stage.k1, n, kg, inv_x)
     right, phi2, psi2, es1, steps1 = _secondary_stage(stage.k1.conj().T, n, kg, inv_x)
 

@@ -46,8 +46,8 @@ class AlgebraElement:
 
     Attributes:
         matrix: skew-Hermitian traceless complex matrix.
-        coords: real coefficients such that
-            ||matrix - sum_i coords[i] * basis_i||_F == residual_norm.
+        coords: real coefficients on the words of its span, or None
+            where it was snapped without a word basis (engine.compute_m).
         residual_norm: distance from the raw element to the span; for
             snap-to-span repaired elements this records the pre-repair
             defect while `matrix` already equals the projection.

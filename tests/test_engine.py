@@ -33,7 +33,8 @@ from kgdecomp import (
     product,
     residual_k,
 )
-from kgdecomp import engine
+from kgdecomp import basis as basis_module
+from kgdecomp import engine, linalg
 from kgdecomp.config import CARTAN_TOL, DEFAULT_TOLS, SUBSPACE_TOL
 from kgdecomp.engine import _minimize_full, _newton_polish
 from kgdecomp.linalg import AlgebraElement
@@ -178,7 +179,7 @@ def test_compute_m_recovers_constructed_split():
         m_true = random_span_element(rng, kg.m_set, scale=0.2)
         k_true = random_k_unitary(rng, kg)
         g = k_true @ expm_skew(m_true)
-        m = compute_m(g, inv, kg.m_set)
+        m = compute_m(g, inv)
         assert np.linalg.norm(m.matrix - m_true) < 1e-10
         assert m.residual_norm < 1e-12
         k_back = residual_k(g, m)
@@ -187,10 +188,9 @@ def test_compute_m_recovers_constructed_split():
 
 def test_compute_m_involution_identity():
     rng = np.random.default_rng(1)
-    kg = build_kg_basis(3)
     inv = AxisInvolution(3, "Z")
     g = haar_special_unitary(3, rng)
-    m = compute_m(g, inv, kg.m_set)
+    m = compute_m(g, inv)
     w = inv.apply(g.conj().T) @ g
     assert np.linalg.norm(expm_skew(2.0 * m.matrix) - w) < 1e-12
 
@@ -200,11 +200,10 @@ def test_compute_m_is_theta_odd_on_structured_gates(name):
     # theta(g^dag) g has the eigenvalue -1 on these gates, where the
     # principal log is theta-even; both stages' logs must stay odd
     (g,) = [_special(u) for label, u, _ in structured_gates() if label == name]
-    kg = build_kg_basis(3)
     inv_z, inv_x = AxisInvolution(3, "Z"), AxisInvolution(3, "X")
-    m_z = compute_m(g, inv_z, kg.m_set)
+    m_z = compute_m(g, inv_z)
     k0 = residual_k(g, m_z)
-    m_x = compute_m(k0, inv_x, kg.k1z_set)
+    m_x = compute_m(k0, inv_x, (inv_z,))
     for x, inv, m in ((g, inv_z, m_z), (k0, inv_x, m_x)):
         w = inv.apply(x.conj().T) @ x
         assert np.linalg.norm(expm_skew(2.0 * m.matrix) - w) < 1e-10
@@ -213,20 +212,19 @@ def test_compute_m_is_theta_odd_on_structured_gates(name):
 
 
 def test_compute_m_rejects_non_unitary():
-    kg = build_kg_basis(3)
     inv = AxisInvolution(3, "Z")
     with pytest.raises(NotUnitaryError):
-        compute_m(1.5 * np.eye(8), inv, kg.m_set)
+        compute_m(1.5 * np.eye(8), inv)
 
 
-def test_compute_m_rejects_wrong_span():
-    rng = np.random.default_rng(2)
-    kg = build_kg_basis(3)
-    inv = AxisInvolution(3, "Z")
-    g = expm_skew(random_span_element(rng, kg.m_set, scale=0.5))
-    # the logarithm lives in span(M); forcing it onto the K side fails
+def test_compute_m_rejects_a_log_off_its_subspace():
+    # a Haar input is not fixed by theta_Z, so its theta_X log has a large
+    # theta_Z-odd part, which the theta_X stage's fixing must refuse
+    g = haar_special_unitary(3, np.random.default_rng(2))
+    inv_z, inv_x = AxisInvolution(3, "Z"), AxisInvolution(3, "X")
+    assert compute_m(g, inv_x).residual_norm < 1e-12
     with pytest.raises(SubspaceViolationError):
-        compute_m(g, inv, kg.k_set)
+        compute_m(g, inv_x, (inv_z,))
 
 
 def test_minimize_to_cartan_recovers_spectrum():
@@ -237,7 +235,7 @@ def test_minimize_to_cartan_recovers_spectrum():
         k_prime = random_k_unitary(rng, kg)
         m0_mat = k_prime @ h_true @ k_prime.conj().T
         m0 = AlgebraElement(matrix=m0_mat)
-        outcome = _minimize_full(m0, kg.k_set, kg.h_set, (AxisInvolution(3, "Z"),))
+        outcome = _minimize_full(m0, kg.h_set, (AxisInvolution(3, "Z"),))
         k1, h = outcome.k1, outcome.h
         assert h.residual_norm < 1e-10
         assert eigenphase_mismatch(expm_skew(h.matrix), expm_skew(h_true)) < 1e-8
@@ -248,9 +246,24 @@ def test_minimize_to_cartan_recovers_spectrum():
 def test_minimize_to_cartan_zero_input_short_circuits():
     kg = build_kg_basis(3)
     m0 = AlgebraElement(matrix=np.zeros((8, 8), dtype=complex))
-    outcome = _minimize_full(m0, kg.k_set, kg.h_set, (AxisInvolution(3, "Z"),))
+    outcome = _minimize_full(m0, kg.h_set, (AxisInvolution(3, "Z"),))
     assert np.array_equal(outcome.k1, np.eye(8))
     assert np.linalg.norm(outcome.h.matrix) == 0.0
+
+
+def test_minimize_to_cartan_rounding_level_input_counts_as_zero():
+    # a stage input at rounding level has no Cartan direction worth a
+    # Newton solve: one on the 3.2e-12 stage input of clifford-n4-08 in
+    # tests/structured_sweep.py ends in OptimizerFailedError
+    rng = np.random.default_rng(18)
+    kg = build_kg_basis(3)
+    m0 = random_span_element(rng, kg.k1_set)
+    m0 = AlgebraElement(matrix=1e-11 * m0 / np.linalg.norm(m0))
+    fixing = (AxisInvolution(3, "Z"), AxisInvolution(3, "X"))
+    outcome = _minimize_full(m0, kg.f_set, fixing)
+    assert np.array_equal(outcome.k1, np.eye(8))
+    assert np.linalg.norm(outcome.h.matrix) == 0.0
+    assert outcome.iterations == 0
 
 
 def test_minimize_to_cartan_keeps_the_given_cartan_order():
@@ -263,7 +276,7 @@ def test_minimize_to_cartan_keeps_the_given_cartan_order():
     k_prime = random_k_unitary(rng, kg)
     m0_mat = k_prime @ random_span_element(rng, kg.h_set, 0.4) @ k_prime.conj().T
     fixing = (AxisInvolution(3, "Z"),)
-    h = _minimize_full(AlgebraElement(matrix=m0_mat), kg.k_set, cartan, fixing).h
+    h = _minimize_full(AlgebraElement(matrix=m0_mat), cartan, fixing).h
     rebuilt = sum(c * w.matrix for c, w in zip(h.coords, cartan))
     assert np.linalg.norm(rebuilt - h.matrix) < 1e-12
 
@@ -277,7 +290,7 @@ def test_minimize_to_cartan_failure_carries_best(monkeypatch):
     monkeypatch.setattr(engine, "RESTARTS", 0)
     m0 = AlgebraElement(matrix=random_span_element(rng, kg.m_set, 0.3))
     with pytest.raises(OptimizerFailedError) as info:
-        _minimize_full(m0, kg.k_set, kg.h_set, (AxisInvolution(3, "Z"),))
+        _minimize_full(m0, kg.h_set, (AxisInvolution(3, "Z"),))
     best_k1, best_h = info.value.best
     assert best_k1.shape == (8, 8)
     assert isinstance(best_h, AlgebraElement)
@@ -309,7 +322,7 @@ def test_khk_stage_reconstructs():
     kg = build_kg_basis(3)
     inv = AxisInvolution(3, "Z")
     g = haar_special_unitary(3, rng)
-    stage = khk_stage(g, inv, kg.k_set, kg.m_set, kg.h_set)
+    stage = khk_stage(g, inv, kg.h_set)
     k1h = stage.k1 @ expm_skew(stage.h.matrix) @ stage.k1.conj().T
     assert np.linalg.norm(g - stage.k0 @ k1h) < 1e-10
     assert stage.optimizer_iters >= 0
@@ -321,12 +334,11 @@ def test_secondary_m_pair_involution_identities():
     inv_z = AxisInvolution(3, "Z")
     inv_x = AxisInvolution(3, "X")
     g = haar_special_unitary(3, rng)
-    stage = khk_stage(g, inv_z, kg.k_set, kg.m_set, kg.h_set)
-    span = tuple(kg.k1_set) + (kg.z_word,)
+    stage = khk_stage(g, inv_z, kg.h_set)
     w = stage.k0 @ stage.k1
     k01_dag = stage.k1.conj().T
-    m1 = compute_m(w, inv_x, span)
-    m2 = compute_m(k01_dag, inv_x, span)
+    m1 = compute_m(w, inv_x, (inv_z,))
+    m2 = compute_m(k01_dag, inv_x, (inv_z,))
     assert np.linalg.norm(
         expm_skew(2 * m1.matrix) - inv_x.apply(w.conj().T) @ w
     ) < 1e-12
@@ -339,7 +351,7 @@ def test_secondary_stage_reconstructs_its_input():
     kg = build_kg_basis(3)
     inv_x = AxisInvolution(3, "X")
     g = haar_special_unitary(3, np.random.default_rng(7))
-    stage = khk_stage(g, AxisInvolution(3, "Z"), kg.k_set, kg.m_set, kg.h_set)
+    stage = khk_stage(g, AxisInvolution(3, "Z"), kg.h_set)
     for w in (stage.k0 @ stage.k1, stage.k1.conj().T):
         factors, phi, psi, _, _ = engine._secondary_stage(w, 3, kg, inv_x)
         assert [f.kind for f in factors] == [
@@ -509,6 +521,25 @@ def test_decompose_full_su64_haar():
     g = haar_special_unitary(6, np.random.default_rng(0))
     tree = decompose_full(g, 6)
     assert tree.report.approx_error <= DEFAULT_TOLS.reconstruct_bound(6)
+
+
+def test_decompose_full_stacks_only_cartan_words(monkeypatch):
+    # every other subspace is an involution average, so no stack holds
+    # more than the 2^(n-1) words of a level-n Cartan set
+    sizes = []
+    stack = basis_module.word_stack
+
+    def recording_stack(words):
+        words = tuple(words)
+        sizes.append((len(words), words[0].n))
+        return stack(words)
+
+    for module in (basis_module, linalg, engine):
+        monkeypatch.setattr(module, "word_stack", recording_stack)
+    g = haar_special_unitary(5, np.random.default_rng(0))
+    decompose_full(g, 5)
+    assert {n for _, n in sizes} == {3, 4, 5}
+    assert all(count <= 2 ** (n - 1) for count, n in sizes), max(sizes)
 
 
 def test_decompose_full_enforces_reconstruction_bound():

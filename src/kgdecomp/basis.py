@@ -92,25 +92,6 @@ def pauli_word(label: str) -> PauliWord:
     return PauliWord(label)
 
 
-class _Words(tuple):
-    """A tuple of Pauli words that hashes its contents once.
-
-    word_stack's cache hashes its key on every call, and a plain tuple
-    rehashes each PauliWord each time; this one keeps its first hash, so
-    a cache hit on a KGBasis set costs O(1) in the number of words.
-    """
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("hash")
-        if cached is None:
-            cached = self.__dict__["hash"] = tuple.__hash__(self)
-        return cached
-
-    def __reduce__(self):
-        # str hashes are salted per process, so the cached hash stays here
-        return (_Words, (tuple(self),))
-
-
 def word_stack(words: Sequence[PauliWord]) -> np.ndarray:
     """The read-only, cached (q, 2^n, 2^n) stack of the words' matrices.
 
@@ -120,7 +101,7 @@ def word_stack(words: Sequence[PauliWord]) -> np.ndarray:
     Raises:
         NonOrthogonalBasisError: a word repeats or the lengths differ.
     """
-    return _stack(words if isinstance(words, tuple) else tuple(words))
+    return _stack(tuple(words))
 
 
 @lru_cache(maxsize=64)
@@ -140,7 +121,7 @@ def order_cartan_basis(words: Sequence[PauliWord]) -> Tuple[PauliWord, ...]:
     fixes which words get the binary weights of the torus generator v
     (engine.build_v).
     """
-    return _Words(sorted(words, key=lambda w: w.label))
+    return tuple(sorted(words, key=lambda w: w.label))
 
 
 @dataclass(frozen=True)
@@ -196,16 +177,20 @@ def _label_sets(n: int):
 
 
 def _in_h(label: str) -> bool:
-    n = len(label)
-    if n <= 2:
-        return label in ("XX", "YY", "ZZ")
-    return label[-1] == "X" and (label[:-1] == "I" * (n - 1) or _in_hbar(label[:-1]))
+    """True when `label` names a word of H_j, j = len(label).
 
-
-def _in_hbar(label: str) -> bool:
-    # every H_j word ends in a letter other than I, so stripping the
-    # right padding recovers the one j it can come from
-    return _in_h(label.rstrip("I"))
+    Each pass strips the trailing X and then the right I padding: every
+    H_j word ends in a letter other than I, so the padding names the one
+    j the Hbar word left over can come from.
+    """
+    while len(label) > 2:
+        head = label[:-1]
+        if label[-1] != "X":
+            return False
+        if not head.strip("I"):
+            return True
+        label = head.rstrip("I")
+    return label in ("XX", "YY", "ZZ")
 
 
 def is_cartan_label(label: str, family: str, n: int) -> bool:
@@ -220,7 +205,9 @@ def is_cartan_label(label: str, family: str, n: int) -> bool:
         return False
     if family == "H":
         return _in_h(label)
-    return family == "F" and n >= 3 and label[-1] == "Z" and _in_hbar(label[:-1])
+    return (
+        family == "F" and n >= 3 and label[-1] == "Z" and _in_h(label[:-1].rstrip("I"))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +228,7 @@ def build_kg_basis(n: int) -> KGBasis:
     all_labels = m + k
     if len(set(all_labels)) != len(all_labels):
         raise AssertionError("duplicate labels in basis recursion")
-    words = lambda labels: _Words(pauli_word(s) for s in labels)
+    words = lambda labels: tuple(pauli_word(s) for s in labels)
     return KGBasis(
         n=n,
         m_set=words(m),

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -272,15 +272,6 @@ def objective(
     return float(c_n * np.einsum("ij,ji->", v_mat, k.conj().T @ m_mat @ k).real)
 
 
-@dataclass
-class _MinimizeOutcome:
-    k1: np.ndarray
-    h: AlgebraElement
-    relative_commutator: float
-    iterations: int
-    subspace_error: float
-
-
 def _newton_polish(
     k1: np.ndarray,
     m0_mat: np.ndarray,
@@ -342,24 +333,28 @@ def _minimize_full(
     m0,
     cartan: Sequence[PauliWord],
     fixing: Sequence[AxisInvolution],
-) -> _MinimizeOutcome:
+) -> Tuple[np.ndarray, AlgebraElement, int, float]:
     """Conjugates m0 into the Cartan span over the subgroup exp(k).
 
-    k is the algebra fixed by every involution in fixing; an m0 of norm
-    at most Tolerances.structure counts as zero (K = I, h = 0, 0 steps).
-    Runs the eigenbasis Newton iteration on [v, K^dag m0 K] = 0 from
-    K = I, then from RESTARTS random starts exp(X) seeded by
-    RESTART_SEED, X the traceless fixed part of a Gaussian skew matrix,
-    until one succeeds; each start takes at most MAX_NEWTON_STEPS steps,
-    and v's eigenbasis is computed once per call. Success requires the relative commutator bound, the projection
-    residual bound, and eigenphase agreement of exp(h) with exp(m0) (h
-    itself is only determined up to its Weyl orbit). The outcome's
-    h = k1^dag m0 k1 is snapped onto the span, with the pre-projection
-    residual on h.residual_norm and h.coords in the order cartan is given.
+    k is the algebra fixed by every involution in fixing. Runs the
+    eigenbasis Newton iteration on [v, K^dag m0 K] = 0 from K = I, then
+    from RESTARTS random starts exp(X) seeded by RESTART_SEED, X the
+    traceless fixed part of a Gaussian skew matrix, each for at most
+    MAX_NEWTON_STEPS steps, and stops at the first start within
+    CARTAN_TOL. The start with the lowest relative commutator is checked
+    once: it must also lie within SUBSPACE_TOL of the span, and exp(h)
+    must share the eigenphases of exp(m0) (h is only determined up to
+    its Weyl orbit). An m0 of norm at most Tolerances.structure counts
+    as zero: K = I, h = 0, 0 steps.
+
+    Returns (k1, h, steps, subspace_error): h = k1^dag m0 k1 snapped
+    onto the span, with the pre-projection residual on h.residual_norm
+    and h.coords in the order cartan is given; steps are the winning
+    start's; subspace_error is the commutation defect of the raw h.
 
     Raises:
-        OptimizerFailedError: all starts ended above tolerance; the best
-            (k1, h) pair rides in the error's `best` attribute.
+        OptimizerFailedError: the best start fails a bound; its (k1, h)
+            pair rides in the error's `best` attribute.
     """
     m0_mat = as_matrix(m0)
     dim = m0_mat.shape[0]
@@ -371,18 +366,11 @@ def _minimize_full(
             coords=(0.0,) * len(cartan),
             residual_norm=float(norm_m0),
         )
-        return _MinimizeOutcome(
-            k1=np.eye(dim, dtype=complex),
-            h=zero,
-            relative_commutator=0.0,
-            iterations=0,
-            subspace_error=float(commutation_defect(m0_mat, cartan)),
-        )
+        subspace_error = float(commutation_defect(m0_mat, cartan))
+        return np.eye(dim, dtype=complex), zero, 0, subspace_error
 
     torus = np.linalg.eigh(-1j * build_v(cartan).matrix)
     rng = np.random.default_rng(RESTART_SEED)
-    reference = expm_skew(m0_mat)
-    best: Optional[_MinimizeOutcome] = None
     for attempt in range(1 + RESTARTS):
         if attempt == 0:
             k1 = np.eye(dim, dtype=complex)
@@ -395,35 +383,31 @@ def _minimize_full(
                 start = inv.even_part(start)
             k1 = expm_skew(start)
         k1, rel, steps = _newton_polish(k1, m0_mat, torus, fixing, MAX_NEWTON_STEPS)
-        k1 = _maybe_repair(k1)
-        h_raw = k1.conj().T @ m0_mat @ k1
-        coords, residual = project_onto_span(h_raw, cartan)
-        residual_norm = float(np.linalg.norm(residual))
-        h_proj = h_raw - residual
-        outcome = _MinimizeOutcome(
-            k1=k1,
-            h=AlgebraElement(
-                matrix=h_proj,
-                coords=tuple(float(c) for c in coords),
-                residual_norm=residual_norm,
-            ),
-            relative_commutator=float(rel),
-            iterations=steps,
-            subspace_error=float(commutation_defect(h_raw, cartan)),
-        )
-        ok = (
-            rel <= CARTAN_TOL
-            and residual_norm <= SUBSPACE_TOL
-            and eigenphase_mismatch(expm_skew(h_proj), reference) <= _SPECTRUM_TOL
-        )
-        if best is None or outcome.relative_commutator < best.relative_commutator:
-            best = outcome
-        if ok:
-            return outcome
+        if attempt == 0 or rel < best_rel:
+            best_k1, best_rel, best_steps = k1, rel, steps
+        if rel <= CARTAN_TOL:
+            break
+
+    k1 = _maybe_repair(best_k1)
+    h_raw = k1.conj().T @ m0_mat @ k1
+    coords, residual = project_onto_span(h_raw, cartan)
+    residual_norm = float(np.linalg.norm(residual))
+    h = AlgebraElement(
+        matrix=h_raw - residual,
+        coords=tuple(float(c) for c in coords),
+        residual_norm=residual_norm,
+    )
+    if (
+        best_rel <= CARTAN_TOL
+        and residual_norm <= SUBSPACE_TOL
+        and eigenphase_mismatch(expm_skew(h.matrix), expm_skew(m0_mat))
+        <= _SPECTRUM_TOL
+    ):
+        return k1, h, best_steps, float(commutation_defect(h_raw, cartan))
     raise OptimizerFailedError(
-        f"no restart reached relative commutator {CARTAN_TOL:.1e} "
-        f"(best {best.relative_commutator:.3e})",
-        best=(best.k1, best.h),
+        f"best start ended at relative commutator {best_rel:.3e} "
+        f"(bound {CARTAN_TOL:.1e}), projection residual {residual_norm:.3e}",
+        best=(k1, h),
     )
 
 
@@ -439,14 +423,7 @@ def khk_stage(
     """
     m = compute_m(g, inv)
     k0 = _maybe_repair(residual_k(g, m))
-    outcome = _minimize_full(m, cartan, (inv,))
-    return StageResult(
-        k0=k0,
-        k1=outcome.k1,
-        h=outcome.h,
-        optimizer_iters=outcome.iterations,
-        subspace_error=outcome.subspace_error,
-    )
+    return StageResult(k0, *_minimize_full(m, cartan, (inv,)))
 
 
 def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
@@ -536,17 +513,17 @@ def _secondary_stage(
     m = compute_m(w, inv_x, (inv_z,))
     k = _maybe_repair(residual_k(w, m))
     _, m_hat = project_onto_span(m.matrix, (kg.z_word,))
-    out = _minimize_full(m_hat, kg.f_set, (inv_z, inv_x))
-    sub, phi = extract_subunitary(k @ out.k1, n)
-    inner, psi = extract_subunitary(out.k1, n)
+    k1, f, steps, subspace_error = _minimize_full(m_hat, kg.f_set, (inv_z, inv_x))
+    sub, phi = extract_subunitary(k @ k1, n)
+    inner, psi = extract_subunitary(k1, n)
     last = extract_last_qubit(m.matrix - m_hat, n)
     factors = (
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub),
-        _cartan_factor(out.h, kg.f_set, f"F{n}", n),
+        _cartan_factor(f, kg.f_set, f"F{n}", n),
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=inner.conj().T),
         Factor(kind=FactorKind.LAST_QUBIT, level_qubits=n, matrix=last),
     )
-    return factors, phi, psi, out.subspace_error, out.iterations
+    return factors, phi, psi, subspace_error, steps
 
 
 def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:

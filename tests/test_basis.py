@@ -94,6 +94,13 @@ def test_is_cartan_label_matches_built_sets(n):
         assert found == [w.label for w in expected]
 
 
+def test_is_cartan_label_reads_long_labels():
+    # the check once recursed per letter and hit the recursion limit
+    assert is_cartan_label("X" * 5000, "H", 5000)
+    assert is_cartan_label("X" * 4999 + "Z", "F", 5000)
+    assert not is_cartan_label("X" * 4999 + "Y", "H", 5000)
+
+
 def test_cartan_sets_are_subsets():
     for n in (3, 4):
         kg = build_kg_basis(n)

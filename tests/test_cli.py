@@ -195,6 +195,24 @@ def test_verify_dimension_mismatch_is_a_parse_failure(tmp_path, su8_file, monkey
     assert "n = 14" in capsys.readouterr().err
 
 
+def test_verify_reads_a_long_cartan_label(tmp_path, su8_file, capsys):
+    # a valid 3000-letter H3000 label once ended in a RecursionError
+    # traceback inside deserialize
+    matrix_path, _ = su8_file
+    doc = {
+        "format": "kgdecomp-tree", "version": 1, "n_total": 3000, "phase": 0.0,
+        "report": None,
+        "factors": [{"kind": "cartan_exp", "level_qubits": 3000, "basis": "H3000",
+                     "coeffs": [["X" * 3000, 0.1]]}],
+    }
+    long_label = tmp_path / "long.json"
+    long_label.write_text(dump_json(doc))
+    capsys.readouterr()
+    assert main(["verify", str(matrix_path), str(long_label)]) == 2
+    err = capsys.readouterr().err
+    assert "dimension mismatch" in err and "n = 3000" in err
+
+
 @pytest.mark.parametrize("command, kind, level, location", [
     ("decompose", None, None, "[entries]"),
     ("verify", "sub_unitary", 9000, "[factors[0]]"),

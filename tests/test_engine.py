@@ -235,8 +235,7 @@ def test_minimize_to_cartan_recovers_spectrum():
         k_prime = random_k_unitary(rng, kg)
         m0_mat = k_prime @ h_true @ k_prime.conj().T
         m0 = AlgebraElement(matrix=m0_mat)
-        outcome = _minimize_full(m0, kg.h_set, (AxisInvolution(3, "Z"),))
-        k1, h = outcome.k1, outcome.h
+        k1, h, _, _ = _minimize_full(m0, kg.h_set, (AxisInvolution(3, "Z"),))
         assert h.residual_norm < 1e-10
         assert eigenphase_mismatch(expm_skew(h.matrix), expm_skew(h_true)) < 1e-8
         conj = k1.conj().T @ m0_mat @ k1
@@ -246,9 +245,9 @@ def test_minimize_to_cartan_recovers_spectrum():
 def test_minimize_to_cartan_zero_input_short_circuits():
     kg = build_kg_basis(3)
     m0 = AlgebraElement(matrix=np.zeros((8, 8), dtype=complex))
-    outcome = _minimize_full(m0, kg.h_set, (AxisInvolution(3, "Z"),))
-    assert np.array_equal(outcome.k1, np.eye(8))
-    assert np.linalg.norm(outcome.h.matrix) == 0.0
+    k1, h, _, _ = _minimize_full(m0, kg.h_set, (AxisInvolution(3, "Z"),))
+    assert np.array_equal(k1, np.eye(8))
+    assert np.linalg.norm(h.matrix) == 0.0
 
 
 def test_minimize_to_cartan_rounding_level_input_counts_as_zero():
@@ -260,10 +259,10 @@ def test_minimize_to_cartan_rounding_level_input_counts_as_zero():
     m0 = random_span_element(rng, kg.k1_set)
     m0 = AlgebraElement(matrix=1e-11 * m0 / np.linalg.norm(m0))
     fixing = (AxisInvolution(3, "Z"), AxisInvolution(3, "X"))
-    outcome = _minimize_full(m0, kg.f_set, fixing)
-    assert np.array_equal(outcome.k1, np.eye(8))
-    assert np.linalg.norm(outcome.h.matrix) == 0.0
-    assert outcome.iterations == 0
+    k1, h, steps, _ = _minimize_full(m0, kg.f_set, fixing)
+    assert np.array_equal(k1, np.eye(8))
+    assert np.linalg.norm(h.matrix) == 0.0
+    assert steps == 0
 
 
 def test_minimize_to_cartan_keeps_the_given_cartan_order():
@@ -276,7 +275,7 @@ def test_minimize_to_cartan_keeps_the_given_cartan_order():
     k_prime = random_k_unitary(rng, kg)
     m0_mat = k_prime @ random_span_element(rng, kg.h_set, 0.4) @ k_prime.conj().T
     fixing = (AxisInvolution(3, "Z"),)
-    h = _minimize_full(AlgebraElement(matrix=m0_mat), cartan, fixing).h
+    _, h, _, _ = _minimize_full(AlgebraElement(matrix=m0_mat), cartan, fixing)
     rebuilt = sum(c * w.matrix for c, w in zip(h.coords, cartan))
     assert np.linalg.norm(rebuilt - h.matrix) < 1e-12
 
@@ -294,6 +293,9 @@ def test_minimize_to_cartan_failure_carries_best(monkeypatch):
     best_k1, best_h = info.value.best
     assert best_k1.shape == (8, 8)
     assert isinstance(best_h, AlgebraElement)
+    # the message says how close the best start got
+    assert "relative commutator" in str(info.value)
+    assert "projection residual" in str(info.value)
 
 
 def test_newton_polish_evaluates_its_last_step():
@@ -498,6 +500,43 @@ def test_restart_rescues_failed_identity_start(label, angle, monkeypatch):
     monkeypatch.setattr(engine, "RESTARTS", 0)
     with pytest.raises(OptimizerFailedError):
         decompose_full(g, 3)
+
+
+def test_optimizer_checks_only_its_best_start(monkeypatch):
+    # On exp(0.3 ZIZ) the K = I start of the one nonzero stage fails and a
+    # restart converges; the acceptance checks (projection, E_s and the
+    # eigenphase comparison) run once per call, not once per start. The
+    # other stages meet the zero cutoff, which runs no Newton start and
+    # no eigenphase check.
+    calls = []
+
+    def recording(name):
+        inner = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            if name == "_minimize_full":
+                calls.append([])
+            calls[-1].append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, wrapper)
+
+    for name in (
+        "_minimize_full",
+        "_newton_polish",
+        "commutation_defect",
+        "eigenphase_mismatch",
+    ):
+        recording(name)
+    decompose_full(expm_skew(0.3 * pauli_word("ZIZ").matrix), 3)
+    newton_calls = [c for c in calls if "_newton_polish" in c]
+    assert newton_calls
+    for call in calls:
+        assert call.count("commutation_defect") == 1
+    for call in newton_calls:
+        assert call.count("eigenphase_mismatch") == 1
+    starts = sum(call.count("_newton_polish") for call in newton_calls)
+    assert starts > len(newton_calls)
 
 
 def test_su16_top_level_h_stage_is_short(su16_batch):

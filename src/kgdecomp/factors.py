@@ -19,7 +19,7 @@ import numpy as np
 # build_kg_basis is unused here since Cartan labels are checked by
 # is_cartan_label; perfbench/spans.py still patches it at this name
 from .basis import build_kg_basis, is_cartan_label, pauli_word
-from .errors import LevelExceedsRegisterError, ParseError
+from .errors import DimensionMismatchError, LevelExceedsRegisterError, ParseError
 from .fileio import (
     complex_entries,
     dump_json,
@@ -117,43 +117,77 @@ def _cartan_generator(factor: Factor) -> np.ndarray:
     return gen
 
 
+def _block(factor: Factor, n_total: int) -> Tuple[np.ndarray, int]:
+    """The factor's payload as a 2^k block and the first qubit it acts on.
+
+    A level-l SubUnitary is its 2^(l-1) payload on qubit 0, a level-l
+    LastQubit its 2x2 payload on qubit l-1, and a level-l CartanExp is
+    expm_skew(sum_i c_i word_i) on qubit 0. Cartan labels are not
+    re-checked here: `deserialize` checks them when a document is read,
+    and the engine builds them from the basis.
+
+    Raises:
+        LevelExceedsRegisterError: if the factor does not fit.
+        DimensionMismatchError: if a payload's size does not match its
+            kind and level.
+    """
+    level = factor.level_qubits
+    top = n_total + 1 if factor.kind is FactorKind.SUB_UNITARY else n_total
+    if level > top:
+        raise LevelExceedsRegisterError(
+            f"{factor.kind.value} at level {level} does not fit {n_total} qubits"
+        )
+    if factor.kind is FactorKind.CARTAN_EXP:
+        return expm_skew(_cartan_generator(factor)), 0
+    if factor.kind is FactorKind.SUB_UNITARY:
+        size, first = 2 ** (level - 1), 0
+    else:
+        size, first = 2, level - 1
+    # a payload of another size would still reshape, onto the wrong qubits
+    if np.shape(factor.matrix) != (size, size):
+        raise DimensionMismatchError(
+            f"{factor.kind.value} at level {level} needs a {size}x{size} payload,"
+            f" got shape {np.shape(factor.matrix)}"
+        )
+    return factor.matrix, first
+
+
 def expand(factor: Factor, n_total: int) -> np.ndarray:
     """Expands one factor to the full 2^n_total register.
 
     A level-l SubUnitary maps to payload (x) I^(n_total-l+1); a level-l
     LastQubit to I^(l-1) (x) payload (x) I^(n_total-l); a level-l
-    CartanExp to expm_skew(sum_i c_i word_i) (x) I^(n_total-l). Cartan
-    labels are not re-checked here: `deserialize` checks them when a
-    document is read, and the engine builds them from the basis.
+    CartanExp to expm_skew(sum_i c_i word_i) (x) I^(n_total-l). It is
+    the one-factor `product`, the factor's block applied to an identity;
+    `product` itself never builds this padded matrix.
 
     Raises:
         LevelExceedsRegisterError: if the factor does not fit.
+        DimensionMismatchError: if a payload's size does not match its
+            kind and level.
     """
-    level = factor.level_qubits
-    if factor.kind is FactorKind.SUB_UNITARY:
-        pad = n_total - level + 1
-        if pad < 0:
-            raise LevelExceedsRegisterError(
-                f"SubUnitary at level {level} does not fit {n_total} qubits"
-            )
-        return np.kron(factor.matrix, np.eye(2**pad, dtype=complex))
-    if level > n_total:
-        raise LevelExceedsRegisterError(
-            f"{factor.kind.value} at level {level} does not fit {n_total} qubits"
-        )
-    if factor.kind is FactorKind.LAST_QUBIT:
-        body = np.kron(np.eye(2 ** (level - 1), dtype=complex), factor.matrix)
-        return np.kron(body, np.eye(2 ** (n_total - level), dtype=complex))
-    body = expm_skew(_cartan_generator(factor))
-    return np.kron(body, np.eye(2 ** (n_total - level), dtype=complex))
+    return product(FactorTree(n_total, 0.0, (factor,)))
 
 
 def product(tree: FactorTree) -> np.ndarray:
-    """Left-to-right product of the expanded factors times the phase."""
+    """Left-to-right product of the factors times the phase.
+
+    Each factor is applied to the running product as a block on its own
+    qubits, so no factor is padded to the full register.
+
+    Raises:
+        LevelExceedsRegisterError: if a factor does not fit.
+        DimensionMismatchError: if a payload's size does not match its
+            kind and level.
+    """
     dim = 2**tree.n_total
     out = np.exp(1j * tree.phase) * np.eye(dim, dtype=complex)
     for factor in tree.factors:
-        out = out @ expand(factor, tree.n_total)
+        # out @ (I_left (x) block (x) I_right): the block contracts the
+        # axis of its qubits, as a state-vector simulator applies a gate
+        block, first = _block(factor, tree.n_total)
+        grouped = out.reshape(dim, 2**first, len(block), -1)
+        out = np.matmul(block.T, grouped).reshape(dim, dim)
     return out
 
 

@@ -35,6 +35,7 @@ from kgdecomp import (
 )
 from kgdecomp import basis as basis_module
 from kgdecomp import engine, linalg
+from kgdecomp import factors as factors_module
 from kgdecomp.config import CARTAN_TOL, DEFAULT_TOLS, SUBSPACE_TOL
 from kgdecomp.engine import _minimize_full, _newton_polish
 from kgdecomp.linalg import AlgebraElement
@@ -463,6 +464,18 @@ def test_decompose_full_su16_recurses_fully():
     assert np.linalg.norm(product(tree) - g) == pytest.approx(
         tree.report.approx_error, abs=1e-12
     )
+
+
+def test_decompose_full_gates_reconstruction_through_product(monkeypatch):
+    # the E_a gate applies each factor as a block; no factor is padded
+    def padded(*_args):
+        raise AssertionError("expand called in the E_a gate")
+
+    monkeypatch.setattr(engine, "expand", padded)
+    monkeypatch.setattr(factors_module, "expand", padded)
+    g = haar_special_unitary(4, np.random.default_rng(17))
+    tree = decompose_full(g, 4)
+    assert tree.report.approx_error == float(np.linalg.norm(g - product(tree)))
 
 
 @pytest.mark.parametrize("label, angle", [("XIX", 0.3), ("IXX", 2.5)])

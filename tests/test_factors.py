@@ -8,6 +8,7 @@ from kgdecomp import (
     FactorKind,
     FactorTree,
     DecompositionReport,
+    DimensionMismatchError,
     LevelExceedsRegisterError,
     ParseError,
     deserialize,
@@ -64,6 +65,84 @@ def test_expand_rejects_oversized_level():
     u = su(2, 3)
     f = Factor(kind=FactorKind.SUB_UNITARY, level_qubits=6, matrix=u)
     with pytest.raises(LevelExceedsRegisterError):
+        expand(f, 3)
+
+
+def _padded_oracle(factor, n_total):
+    # the dense expansion product() once multiplied, padded with np.kron
+    level = factor.level_qubits
+    if factor.kind is FactorKind.SUB_UNITARY:
+        return np.kron(factor.matrix, np.eye(2 ** (n_total - level + 1)))
+    if factor.kind is FactorKind.LAST_QUBIT:
+        body = np.kron(np.eye(2 ** (level - 1)), factor.matrix)
+        return np.kron(body, np.eye(2 ** (n_total - level)))
+    gen = np.zeros((2**level, 2**level), dtype=complex)
+    for label, c in factor.coeffs:  # F2 has no words: its generator is 0
+        gen = gen + c * pauli_word(label).matrix
+    return np.kron(expm_skew(gen), np.eye(2 ** (n_total - level)))
+
+
+def _random_unitary(size, rng):
+    z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_factor(kind, level, rng):
+    if kind is FactorKind.CARTAN_EXP:
+        basis = str(rng.choice(["H", "F"]))
+        labels = [w for w in _words(level) if is_cartan_label(w, basis, level)]
+        coeffs = tuple((label, float(rng.normal())) for label in labels)
+        return Factor(kind=kind, level_qubits=level, basis_name=f"{basis}{level}",
+                      coeffs=coeffs)
+    size = 2 ** (level - 1) if kind is FactorKind.SUB_UNITARY else 2
+    return Factor(kind=kind, level_qubits=level, matrix=_random_unitary(size, rng))
+
+
+@pytest.mark.parametrize("n_total", [2, 3, 4, 5])
+def test_product_matches_padded_kron_oracle(n_total):
+    rng = np.random.default_rng(100 + n_total)
+    legal = (
+        [(FactorKind.SUB_UNITARY, l) for l in range(1, n_total + 2)]
+        + [(FactorKind.LAST_QUBIT, l) for l in range(1, n_total + 1)]
+        + [(FactorKind.CARTAN_EXP, l) for l in range(2, n_total + 1)]
+    )
+    # every legal (kind, level) once, then a seeded shuffle of extras
+    picks = legal + [legal[i] for i in rng.integers(len(legal), size=12)]
+    rng.shuffle(picks)
+    tree = FactorTree(n_total, float(rng.uniform(-np.pi, np.pi)),
+                      tuple(_random_factor(k, l, rng) for k, l in picks))
+    want = np.exp(1j * tree.phase) * np.eye(2**n_total, dtype=complex)
+    for factor in tree.factors:
+        want = want @ _padded_oracle(factor, n_total)
+    assert np.linalg.norm(product(tree) - want) < 1e-13
+    for factor in tree.factors:
+        assert np.linalg.norm(expand(factor, n_total)
+                              - _padded_oracle(factor, n_total)) < 1e-13
+
+
+@pytest.mark.parametrize("kind, level", [
+    (FactorKind.SUB_UNITARY, 5),
+    (FactorKind.LAST_QUBIT, 4),
+    (FactorKind.CARTAN_EXP, 4),
+])
+def test_product_rejects_oversized_level(kind, level):
+    rng = np.random.default_rng(7)
+    tree = FactorTree(3, 0.0, (_random_factor(kind, level, rng),))
+    with pytest.raises(LevelExceedsRegisterError):
+        product(tree)
+
+
+@pytest.mark.parametrize("kind, level, size", [
+    (FactorKind.SUB_UNITARY, 2, 4),   # a level-3 block under a level-2 label
+    (FactorKind.SUB_UNITARY, 3, 2),
+    (FactorKind.LAST_QUBIT, 2, 4),
+])
+def test_mis_sized_payload_raises_dimension_mismatch(kind, level, size):
+    f = Factor(kind=kind, level_qubits=level, matrix=np.eye(size, dtype=complex))
+    with pytest.raises(DimensionMismatchError, match="payload"):
+        product(FactorTree(3, 0.0, (f,)))
+    with pytest.raises(DimensionMismatchError, match="payload"):
         expand(f, 3)
 
 

@@ -4,11 +4,13 @@ Every basis element is the word (i/2) * (s_1 (x) ... (x) s_n) for letters
 s_j in {I, X, Y, Z}, so distinct words satisfy
 tr(w_p w_q) = -2^(n-2) delta_pq. The recursion seeds at two qubits with
 
-    M_2 = {ab : a, b in {X,Y,Z}}        (the -1 eigenspace of theta_Z)
+    M_2 = {ab : a, b in {X,Y,Z}}        (the -1 eigenspace of theta_KAK)
     K_2 = {aI, Ia : a in {X,Y,Z}}       (the +1 eigenspace)
     H_2 = {XX, YY, ZZ}                  (maximal Abelian inside M_2)
 
-and grows one qubit at a time, with G_n = M_n + K_n:
+where theta_KAK(A) = (Y (x) Y) conj(A) (Y (x) Y) is the two-qubit KAK
+involution (theta_Z would keep XZ, YZ, ZZ and negate IX, IY), and grows
+one qubit at a time, with G_n = M_n + K_n:
 
     M_n   = {I..IX, I..IY} + G_{n-1}*X + G_{n-1}*Y
     K_n0  = G_{n-1}*I
@@ -129,9 +131,10 @@ class KGBasis:
     """The six labeled word sets splitting su(2^n) at one recursion level.
 
     m_set/k_set partition a full basis of su(2^n) into the -1/+1
-    eigenspaces of theta_Z. For n >= 3, k0_set/k1_set refine k_set by
-    theta_X sign, with the central I..IZ word kept separately at the
-    front of k_set; both refinements are empty at the n = 2 seed.
+    eigenspaces of theta_Z for n >= 3, and of theta_KAK at the n = 2
+    seed (see the module docstring). For n >= 3, k0_set/k1_set refine
+    k_set by theta_X sign, with the central I..IZ word kept separately
+    at the front of k_set; both refinements are empty at the n = 2 seed.
     h_set and f_set are the Abelian subsets, in canonical order.
 
     The decomposition stacks only h_set, f_set and z_word; it reaches

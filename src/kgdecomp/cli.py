@@ -175,8 +175,10 @@ def cmd_bench(args) -> int:
 
 def cmd_compare_bch(args) -> int:
     n, g = matrix_from_document(_read_text(args.input))
-    if n < 2:
-        raise DimensionMismatchError("comparison needs n >= 2")
+    # at n = 2 the seed sets M_2, K_2 are not theta_Z's eigenspaces, so
+    # the two splits would land in different subspaces
+    if n < 3:
+        raise DimensionMismatchError("comparison needs n >= 3")
 
     kg = build_kg_basis(n)
     inv = AxisInvolution(n, "Z")

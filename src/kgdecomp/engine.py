@@ -140,6 +140,9 @@ class LevelResult(NamedTuple):
 
 def validate_special_unitary(g: np.ndarray) -> float:
     """Returns the unitarity defect, raising if g is not SU within 1e-8."""
+    # checked first, so that no det of a NaN or inf matrix is taken
+    if not np.all(np.isfinite(g)):
+        raise NotUnitaryError("input has non-finite entries")
     defect, det_defect = su_defects(g)
     # written as `not <=` so that a NaN defect fails too
     if not defect <= _INGEST_TOL:

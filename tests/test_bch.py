@@ -1,9 +1,20 @@
-"""Truncated-BCH tests: low-order closed forms, series symmetry, exact
-commuting collapse, and the two-factor split solver."""
+"""Truncated-BCH tests: a Dynkin-expansion oracle, low-order closed
+forms, series symmetry, exact commuting collapse, the two-factor split
+solver and its on-demand scipy.optimize import."""
+
+import os
+import subprocess
+import sys
+from collections import defaultdict
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kgdecomp
 from kgdecomp import (
     OrderTooHighError,
     RootSearchFailedError,
@@ -15,7 +26,6 @@ from kgdecomp import (
     solve_bch_split,
     truncated_bch,
 )
-from kgdecomp.bch import _word_coefficients
 
 
 def comm(a, b):
@@ -29,15 +39,65 @@ def random_skew(rng, dim, scale):
     return scale * a
 
 
-def test_word_coefficients_low_orders():
-    # order 1: both singletons with weight 1
-    c1 = _word_coefficients(1)
-    assert c1[(0,)] == 1 and c1[(1,)] == 1
-    # order 2: net 1/4 on ab and -1/4 on ba (evaluates to [a,b]/2)
-    c2 = _word_coefficients(2)
-    assert float(c2[(0, 1)]) == 0.25
-    assert float(c2[(1, 0)]) == -0.25
-    assert (0, 0) not in c2 and (1, 1) not in c2
+def _pair_compositions(total, k):
+    """All k-tuples of pairs (r, s) with r + s >= 1 summing to total."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(1, total - (k - 1) + 1):
+        for r in range(first + 1):
+            for rest in _pair_compositions(total - first, k - 1):
+                yield ((r, first - r),) + rest
+
+
+@lru_cache(maxsize=None)
+def dynkin_coefficients(n):
+    """Net Dynkin coefficient of each degree-n word over {0: a, 1: b}."""
+    coeffs = defaultdict(Fraction)
+    for k in range(1, n + 1):
+        for pairs in _pair_compositions(n, k):
+            denom = n
+            word = ()
+            for r, s in pairs:
+                denom *= factorial(r) * factorial(s)
+                word += (0,) * r + (1,) * s
+            coeffs[word] += Fraction((-1) ** (k - 1), k * denom)
+    return coeffs
+
+
+def dynkin_bch(a, b, order):
+    """Reference: Dynkin's expansion with exact word coefficients,
+
+    log(e^a e^b) = sum_k (-1)^(k-1)/k
+        sum [a^r1 b^s1 ... a^rk b^sk] / ((sum_i r_i+s_i) prod_i r_i! s_i!)
+
+    with right-nested brackets, summed degree by degree up to `order`.
+    """
+    mats = (a, b)
+    total = np.zeros_like(a)
+    for n in range(1, order + 1):
+        for word, coeff in dynkin_coefficients(n).items():
+            value = mats[word[-1]]
+            for letter in reversed(word[:-1]):
+                value = comm(mats[letter], value)
+            total = total + float(coeff) * value
+    return total
+
+
+def test_truncated_bch_matches_dynkin_oracle():
+    rng = np.random.default_rng(7)
+    for dim in (4, 8, 16):
+        for order in range(1, 9):
+            for norm in (0.01, 0.1, 0.5, 1.0):
+                a = random_skew(rng, dim, 1.0)
+                b = random_skew(rng, dim, 1.0)
+                a *= norm / np.linalg.norm(a)
+                b *= norm / np.linalg.norm(b)
+                want = dynkin_bch(a, b, order)
+                got = truncated_bch(a, b, order)
+                gap = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert gap < 1e-13, (dim, order, norm, gap)
 
 
 def test_order_two_closed_form():
@@ -126,3 +186,20 @@ def test_solve_bch_split_fails_outside_ball():
         solve_bch_split(g, kg.k_set, kg.m_set)
     k_best, m_best, res_best = info.value.best
     assert res_best > 1e-6
+
+
+def test_scipy_optimize_loads_only_for_the_split():
+    script = (
+        "import sys, numpy as np, kgdecomp, kgdecomp.cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "kg = kgdecomp.build_kg_basis(3)\n"
+        "kgdecomp.solve_bch_split(np.eye(8), kg.k_set, kg.m_set)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = Path(kgdecomp.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout.split()
+    assert out == ["False", "True"]

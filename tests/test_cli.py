@@ -420,6 +420,23 @@ def test_compare_bch_rejects_non_special_unitary(tmp_path, capsys):
     assert "not special unitary" in capsys.readouterr().err
 
 
+def test_compare_bch_refuses_two_qubits(tmp_path, capsys):
+    # the n = 2 seed sets are not theta_Z's eigenspaces, so on this input
+    # the two splits differ by 2e-2 in m although both reconstruct exactly
+    rng = np.random.default_rng(1)
+    kg = build_kg_basis(2)
+    k = sum(c * w.matrix
+            for c, w in zip(rng.uniform(-0.05, 0.05, len(kg.k_set)), kg.k_set))
+    m = sum(c * w.matrix
+            for c, w in zip(rng.uniform(-0.05, 0.05, len(kg.m_set)), kg.m_set))
+    path = tmp_path / "two.json"
+    path.write_text(matrix_to_document(expm_skew(k) @ expm_skew(m)))
+    assert main(["compare-bch", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "comparison needs n >= 3" in captured.err
+    assert captured.out == ""
+
+
 def test_basis_dump(capsys):
     assert main(["basis", "--n", "2", "--set", "H"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

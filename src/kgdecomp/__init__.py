@@ -3,10 +3,11 @@
 The package factors G in SU(2^n), n >= 3, into nested products of
 (n-1)-qubit unitaries, single-qubit unitaries, and exponentials of
 Abelian Cartan generators, plus one global phase. Splitting is exact up
-to numerical optimization: each level takes the logarithm fixed by an
-involutive automorphism (conjugation by I..IZ or I..IX), conjugates it
-into the level's Cartan span, and peels the last qubit off the
-residual factors; the sub-unitaries recurse.
+to rounding: each level takes the logarithm fixed by an involutive
+automorphism (conjugation by I..IZ or I..IX), conjugates it into the
+level's Cartan span by one SVD or Hermitian eigendecomposition, and
+peels the last qubit off the residual factors; the sub-unitaries
+recurse.
 
 Entry points: decompose_full for the whole recursion, decompose_one_level
 for a single level, run_benchmark for Haar-random error statistics, and

@@ -10,7 +10,7 @@ Subcommands:
 Exit codes: 0 success, 1 verification, reconstruction or generic
 failure, 2 unreadable or malformed input, an unwritable output path or a
 bad option value, 3 input not special unitary (and --repair not given),
-4 optimizer or root search did not converge.
+4 a Cartan stage or the root search did not converge.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 CARTAN_TOL = 1e-8
-"""Relative commutator bound ||[h, v]|| / (||h|| ||v||) that the Cartan
-optimizer must reach."""
+"""Relative commutator bound ||[h, v]|| / (||h|| ||v||) that a Cartan
+stage's closed-form solution must meet, with v the stage's regular torus
+generator."""
 
 SUBSPACE_TOL = 1e-3
 """Largest projection residual that snap-to-span repair will absorb;

@@ -58,10 +58,11 @@ class ParseError(KgDecompError):
 
 
 class OptimizerFailedError(KgDecompError):
-    """All optimizer restarts ended above tolerance.
+    """A Cartan stage's solution failed its commutator, projection or
+    eigenphase check.
 
     Attributes:
-        best: the best (k1, h) pair found, kept for diagnostics.
+        best: the (k1, h) pair found, kept for diagnostics.
     """
 
     def __init__(self, message: str, best=None):

@@ -64,7 +64,7 @@ class Factor:
         matrix: payload for SubUnitary / LastQubit.
         basis_name: Cartan basis identifier ("H3", "F4") for CartanExp.
         coeffs: labeled real coefficients over that basis for CartanExp.
-        subspace_residual: pre-repair distance of the raw optimizer
+        subspace_residual: pre-repair distance of the raw Cartan stage
             output from the Cartan span; only Cartan factors carry one.
     """
 
@@ -86,7 +86,9 @@ class DecompositionReport:
             E_s is the stacked-commutator metric of the raw element
             against its Cartan basis, before snap-to-span repair.
         wall_time: seconds spent in the decomposition.
-        optimizer_stats: (stage label, iteration count) per optimizer run.
+        optimizer_stats: (stage label, iteration count) per Cartan stage.
+            The closed-form stages take no iterations and record 0; the
+            field stays so that v1 documents keep one shape.
     """
 
     approx_error: float

@@ -110,7 +110,7 @@ def run_benchmark(
     """Decomposes `count` Haar samples from SU(2^n) and aggregates errors.
 
     Sample i draws from default_rng(seed + i), so batches are stable
-    under reordering and threading. Failures (optimizer exhaustion or
+    under reordering and threading. Failures (a failed Cartan stage or
     any other library error) are counted, not raised. Each successful
     result keeps its factor tree.
     """

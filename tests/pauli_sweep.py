@@ -1,10 +1,10 @@
-"""Prints one `name status steps` line per Pauli exponential at n = 3.
+"""Prints one `name status identities` line per Pauli exponential at n = 3.
 
 The inputs (252) are expm_skew(a P) for a in ANGLES and P every
 three-qubit Pauli word except III, named like `exp-0.3XIX`. The status
-is `ok` or the class of the error that decomposition raised, and steps
-counts the Newton steps taken over every optimizer start of every
-stage, failed starts included. A change to the optimizer is compared by
+is `ok` or the class of the error that decomposition raised, and
+identities counts the tree's identity factors (see identity_factors),
+0 for a failed input. A change to the Cartan stages is compared by
 running this on the parent checkout and on the change, then diffing:
 
     PYTHONPATH=src python3 tests/pauli_sweep.py > after.txt
@@ -19,7 +19,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from kgdecomp import decompose_full, engine, expm_skew, pauli_word
+from kgdecomp import FactorKind, FactorTree, decompose_full, expm_skew, pauli_word
 
 ANGLES = (0.3, 0.7, 1.5, 2.5)
 
@@ -33,28 +33,35 @@ def inputs() -> Iterator[Tuple[str, np.ndarray]]:
                 yield f"exp-{angle}{label}", expm_skew(angle * pauli_word(label).matrix)
 
 
+def identity_factors(tree: FactorTree) -> int:
+    """The number of factors of tree that act as the identity.
+
+    A Cartan factor counts when every coefficient is within 1e-8 of 0; a
+    matrix factor when its payload minus its (0, 0) multiple of I has
+    norm at most 1e-8, so a root-of-unity payload counts too.
+    """
+    count = 0
+    for factor in tree.factors:
+        if factor.kind is FactorKind.CARTAN_EXP:
+            count += all(abs(c) <= 1e-8 for _, c in factor.coeffs)
+        else:
+            m = factor.matrix
+            count += np.linalg.norm(m - m[0, 0] * np.eye(len(m))) <= 1e-8
+    return count
+
+
 def sweep_line(name: str, g: np.ndarray) -> str:
-    """Decomposes g in SU(2^n) and reports its status and Newton steps."""
-    polish = engine._newton_polish
-    steps = 0
-
-    def counting_polish(*args):
-        nonlocal steps
-        result = polish(*args)
-        steps += result[2]
-        return result
-
-    engine._newton_polish = counting_polish
+    """Decomposes g in SU(2^n) and reports its status and identity factors."""
+    identities = 0
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            decompose_full(g, int(g.shape[0]).bit_length() - 1)
+            tree = decompose_full(g, int(g.shape[0]).bit_length() - 1)
         status = "ok"
+        identities = identity_factors(tree)
     except Exception as exc:  # the failure class is what gets compared
         status = type(exc).__name__
-    finally:
-        engine._newton_polish = polish
-    return f"{name} {status} {steps}"
+    return f"{name} {status} {identities}"
 
 
 def main() -> int:

@@ -1,4 +1,4 @@
-"""Prints one `name status steps` line per structured input at n = 3, 4.
+"""Prints one `name status identities` line per structured input at n = 3, 4.
 
 The corpus (180 inputs) holds 15 inputs of each of six families at
 n = 3 and at n = 4, all drawn from default_rng(7) and scaled into SU by
@@ -7,7 +7,7 @@ det^(-1/N): random permutation matrices, +-1 diagonals, diagonals of
 CNOT, A (x) B with Haar A on n - 1 qubits and a Haar one-qubit B, and
 controlled-U with a Haar U on the last n - 1 qubits. Degenerate spectra
 are the point: they put the eigenvalue -1 into the involution logs and
-zero gaps into the Newton step. Lines are shaped like those of
+degenerate clusters into the Cartan stages. Lines are shaped like those of
 pauli_sweep.py, and a change is compared by running this on the parent
 checkout and on the change, then diffing:
 

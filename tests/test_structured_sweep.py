@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kgdecomp import decompose_full
+from pauli_sweep import identity_factors
 from structured_sweep import inputs, sweep_line
 
 
@@ -24,6 +25,8 @@ def test_structured_inputs_decompose(name):
     # the -1 eigenvalue of theta_Z(g^dag) g once made compute_m's
     # principal log theta-even here, a SubspaceViolationError
     g = dict(inputs())[name]
-    line_name, status, steps = sweep_line(name, g).split()
-    assert (line_name, status) == (name, "ok") and int(steps) > 0
-    assert decompose_full(g, 3).report.approx_error <= 1e-10
+    line_name, status, identities = sweep_line(name, g).split()
+    assert (line_name, status) == (name, "ok")
+    tree = decompose_full(g, 3)
+    assert int(identities) == identity_factors(tree)
+    assert tree.report.approx_error <= 1e-10

@@ -347,7 +347,7 @@ def _closed_form_k(m0_mat: np.ndarray, cartan: Tuple[PauliWord, ...]) -> np.ndar
     - F set: m0 is diag(C, -C); the eigh -i C = V D V^dag gives
       A = B = V U^dag, and A^dag C A = i U D U^dag.
     Within each cluster of equal S or D values (sorted neighbours within
-    1e-9 (1 + max)) the columns of V1, V2 or V are free up to one common
+    1e-9 max |S| or 1e-9 max |D|) the columns of V1, V2 or V are free up to one common
     unitary R; R is taken as the polar factor that maximizes
     Re tr((U^dag (A + B) U) R) on the cluster, which keeps K closest to I
     and makes it continuous in m0 where the values are distinct. K is
@@ -362,7 +362,9 @@ def _closed_form_k(m0_mat: np.ndarray, cartan: Tuple[PauliWord, ...]) -> np.ndar
         v2 = v1
     overlap = u.conj().T @ (v1 + v2)
     rotation = np.zeros_like(overlap)
-    tol = _CLUSTER_TOL * (1.0 + np.max(np.abs(values)))
+    # relative, so that a stage input of any norm keeps its distinct
+    # values apart; a zero m0 never gets here
+    tol = _CLUSTER_TOL * np.max(np.abs(values))
     cuts = np.flatnonzero(np.abs(np.diff(values)) > tol) + 1
     for run in np.split(np.arange(len(values)), cuts):
         w, _, zh = np.linalg.svd(overlap[np.ix_(run, run)])
@@ -449,8 +451,17 @@ def khk_stage(
     k0 = g exp(-m) is fixed by the stage involution; k1, fixed by it too,
     and h come from the closed-form Cartan solve of m. That solve is the
     level's theta_Z stage: inv is AxisInvolution(n, "Z") and cartan the
-    H_n set.
+    H_n set, in any order.
+
+    Raises:
+        ValueError: inv and cartan are not theta_Z and H_n.
     """
+    h_labels = sorted(word.label for word in build_kg_basis(inv.n).h_set)
+    if inv.axis != "Z" or sorted(word.label for word in cartan) != h_labels:
+        raise ValueError(
+            f"the closed-form stage pairs theta_Z with H_{inv.n}, got theta_{inv.axis}"
+            f" with {len(cartan)} words"
+        )
     m = compute_m(g, inv)
     k0 = _maybe_repair(residual_k(g, m))
     return StageResult(k0, *_minimize_full(m, cartan))

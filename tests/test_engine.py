@@ -357,6 +357,16 @@ def test_khk_stage_reconstructs():
     assert np.linalg.norm(g - stage.k0 @ k1h) < 1e-10
 
 
+@pytest.mark.parametrize("axis, family", [("X", "h"), ("Z", "f")])
+def test_khk_stage_refuses_other_pairs(axis, family):
+    # the closed form solves only the theta_Z stage against H_n
+    kg = build_kg_basis(3)
+    cartan = kg.h_set if family == "h" else kg.f_set
+    g = haar_special_unitary(3, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="pairs theta_Z with H_3"):
+        khk_stage(g, AxisInvolution(3, axis), cartan)
+
+
 def test_secondary_m_pair_involution_identities():
     rng = np.random.default_rng(6)
     kg = build_kg_basis(3)
@@ -517,6 +527,33 @@ def test_decompose_full_su64_haar():
     g = haar_special_unitary(6, np.random.default_rng(0))
     tree = decompose_full(g, 6)
     assert tree.report.approx_error <= DEFAULT_TOLS.reconstruct_bound(6)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("scale", [1e-9, 1e-8])
+def test_near_identity_input_decomposes(n, scale):
+    # stage inputs of norm ~scale, just above the zero cutoff: the value
+    # clusters of the closed form must scale with the input, or every
+    # distinct singular value or eigenvalue falls into one cluster
+    dim = 2**n
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x = a - a.conj().T
+    x -= np.trace(x) / dim * np.eye(dim)
+    x /= np.linalg.norm(x)
+    tree = decompose_full(expm_skew(scale * x), n)
+    assert tree.report.approx_error <= DEFAULT_TOLS.reconstruct_bound(n)
+
+
+@pytest.mark.parametrize(
+    "label, angle", [("XIX", 0.3), ("IXX", 2.5), ("ZIZ", 0.3), ("ZIZ", 2.5)]
+)
+def test_degenerate_pauli_exponentials_decompose(label, angle):
+    # each nonzero stage input of these gates has repeated singular
+    # values or eigenvalues, so its solve relies on the cluster gauge
+    g = expm_skew(angle * pauli_word(label).matrix)
+    tree = decompose_full(g, 3)
+    assert tree.report.approx_error <= 1e-10
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -30,7 +30,11 @@ step of the quantum Shannon decomposition (Shende, Bullock and Markov,
 IEEE TCAD 25:1000, 2006; Paige and Wei, Linear Algebra Appl. 208:303,
 1994), which Drury and Love (J. Phys. A 41:395305, 2008) showed is the
 KG decomposition with exactly these involutions. The Cartan element is
-only ever determined up to its Weyl orbit.
+only ever determined up to its Weyl orbit, so each solve checks that
+exp(h) and exp(m0) share their eigenphases. The check reads them off the
+generators: the eigenphases of exp(x) for a skew-Hermitian x are the
+eigenvalues of the Hermitian -i x wrapped into (-pi, pi], so it takes
+one eigvalsh per generator and builds no exponential.
 """
 
 from __future__ import annotations
@@ -67,9 +71,12 @@ from .linalg import (
     AlgebraElement,
     as_matrix,
     commutation_defect,
+    # eigenphase_mismatch is unused here since the phase check compares
+    # generators; perfbench/spans.py still patches it at this name
     eigenphase_mismatch,
     expm_skew,
     expm_skew_many,
+    generator_phase_mismatch,
     logm_unitary,
     nearest_special_unitary,
     project_onto_span,
@@ -350,8 +357,12 @@ def _closed_form_k(m0_mat: np.ndarray, cartan: Tuple[PauliWord, ...]) -> np.ndar
     1e-9 max |S| or 1e-9 max |D|) the columns of V1, V2 or V are free up to one common
     unitary R; R is taken as the polar factor that maximizes
     Re tr((U^dag (A + B) U) R) on the cluster, which keeps K closest to I
-    and makes it continuous in m0 where the values are distinct. K is
-    scaled by e^(-i arg det K / 2^n) so that det K = 1.
+    and makes it continuous in m0 where the values are distinct. On a
+    cluster of one value, the only kind a generic stage has, that polar
+    factor of the 1 x 1 overlap o is conj(o) / |o|, or 1 where o = 0:
+    all singletons are set in one array operation, and only clusters of
+    two or more values take an SVD. K is scaled by e^(-i arg det K / 2^n)
+    so that det K = 1.
     """
     _, u = _cartan_frame(cartan)
     if cartan[0].label[-1] == "X":
@@ -365,10 +376,18 @@ def _closed_form_k(m0_mat: np.ndarray, cartan: Tuple[PauliWord, ...]) -> np.ndar
     # relative, so that a stage input of any norm keeps its distinct
     # values apart; a zero m0 never gets here
     tol = _CLUSTER_TOL * np.max(np.abs(values))
-    cuts = np.flatnonzero(np.abs(np.diff(values)) > tol) + 1
-    for run in np.split(np.arange(len(values)), cuts):
-        w, _, zh = np.linalg.svd(overlap[np.ix_(run, run)])
-        rotation[np.ix_(run, run)] = zh.conj().T @ w.conj().T
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(np.abs(np.diff(values)) > tol) + 1, [len(values)])
+    )
+    single = bounds[:-1][np.diff(bounds) == 1]
+    o = overlap[single, single]
+    rotation[single, single] = np.divide(
+        o.conj(), np.abs(o), out=np.ones_like(o), where=o != 0
+    )
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start > 1:
+            w, _, zh = np.linalg.svd(overlap[start:stop, start:stop])
+            rotation[start:stop, start:stop] = zh.conj().T @ w.conj().T
     half = u.shape[0]
     k = np.zeros((2 * half, 2 * half), dtype=complex)
     k[0::2, 0::2] = v1 @ rotation @ u.conj().T
@@ -386,8 +405,11 @@ def _minimize_full(
     of the span. The solution is checked once: its relative commutator
     ||[v, h]|| / (||v|| ||h||) must be at most CARTAN_TOL, its projection
     residual at most SUBSPACE_TOL, and exp(h) must share the eigenphases
-    of exp(m0) (h is only determined up to its Weyl orbit). An m0 of norm
-    at most Tolerances.structure counts as zero: K1 = I, h = 0.
+    of exp(m0) within 1e-8 (h is only determined up to its Weyl orbit).
+    Those eigenphases are the eigvalsh of -i h and -i m0 wrapped into
+    (-pi, pi] and compared over cyclic alignments
+    (linalg.generator_phase_mismatch); no exponential is built. An m0 of
+    norm at most Tolerances.structure counts as zero: K1 = I, h = 0.
 
     Returns (k1, h, subspace_error): h = k1^dag m0 k1 snapped onto the
     span, with the pre-projection residual on h.residual_norm and
@@ -430,8 +452,7 @@ def _minimize_full(
     if (
         rel <= CARTAN_TOL
         and residual_norm <= SUBSPACE_TOL
-        and eigenphase_mismatch(expm_skew(h.matrix), expm_skew(m0_mat))
-        <= _SPECTRUM_TOL
+        and generator_phase_mismatch(h.matrix, m0_mat) <= _SPECTRUM_TOL
     ):
         return k1, h, float(commutation_defect(h_raw, cartan))
     raise OptimizerFailedError(

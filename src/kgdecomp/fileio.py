@@ -3,7 +3,10 @@
 Documents are JSON. The writer is hand-rolled for one reason: every float
 must carry at least 17 significant digits, and the stdlib encoder emits
 shortest-repr floats ("1.0"), which round-trip exactly but violate that
-requirement for round values. Reading uses json.loads unchanged.
+requirement for round values. A list of [re, im] float pairs, the bulk
+of every matrix and tree document, is written row by row, one "%.16e"
+format per pair, with the same bytes and the same 17 digits as the
+per-float path. Reading uses json.loads unchanged.
 """
 
 from __future__ import annotations
@@ -26,9 +29,25 @@ __all__ = [
 
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     return format(float(x), ".16e")
+
+
+def _pair_rows(obj, inner: str):
+    """The lines of a list of finite [re, im] Python-float pairs, or None
+    for any other list, which the per-float path then writes or rejects."""
+    rows = []
+    for row in obj:
+        if type(row) is not list or len(row) != 2:
+            return None
+        re, im = row
+        if type(re) is not float or type(im) is not float:
+            return None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            return None
+        rows.append("%s[%.16e, %.16e]" % (inner, re, im))
+    return rows
 
 
 def dump_json(obj, indent: int = 0) -> str:
@@ -59,6 +78,11 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        # a pair is at least 48 characters, so a pair list never fits on
+        # one line
+        rows = _pair_rows(obj, inner)
+        if rows is not None:
+            return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
         parts = [dump_json(v, indent + 1) for v in obj]
         if all(len(p) < 48 and "\n" not in p for p in parts) and len(parts) <= 8:
             return "[" + ", ".join(parts) + "]"
@@ -94,9 +118,9 @@ def is_json_number(value, integer: bool = False) -> bool:
 
 
 def complex_entries(matrix: np.ndarray) -> list:
-    """Row-major [re, im] pair list for a complex matrix."""
-    flat = np.asarray(matrix, dtype=complex).ravel()
-    return [[float(z.real), float(z.imag)] for z in flat]
+    """Row-major [re, im] pair list of Python floats for a complex matrix."""
+    flat = np.ascontiguousarray(matrix, dtype=complex).view(float)
+    return flat.reshape(-1, 2).tolist()
 
 
 def entries_to_matrix(entries, n: int, location: str) -> np.ndarray:

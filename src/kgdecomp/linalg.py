@@ -35,6 +35,7 @@ __all__ = [
     "su_defects",
     "commutation_defect",
     "eigenphase_mismatch",
+    "generator_phase_mismatch",
 ]
 
 _MINUS_ONE_CLUSTER = 1e-9
@@ -238,6 +239,17 @@ def commutation_defect(x: np.ndarray, words: Sequence[PauliWord]) -> float:
     return np.sqrt(total) / len(stack)
 
 
+def _cyclic_phase_mismatch(p1: np.ndarray, p2: np.ndarray) -> float:
+    """Smallest max |p1 - p2| over cyclic alignments of two sorted phase
+    lists in (-pi, pi], with differences taken mod 2 pi, so that values
+    straddling the branch cut at pi match correctly."""
+    n = len(p1)
+    # row s holds np.roll(p2, s)
+    shifted = p2[(np.arange(n) - np.arange(n)[:, None]) % n]
+    d = np.abs((p1 - shifted + np.pi) % (2 * np.pi) - np.pi)
+    return float(np.min(np.max(d, axis=1)))
+
+
 def eigenphase_mismatch(u1: np.ndarray, u2: np.ndarray) -> float:
     """Distance between the eigenphase multisets of two unitaries.
 
@@ -247,8 +259,21 @@ def eigenphase_mismatch(u1: np.ndarray, u2: np.ndarray) -> float:
     """
     p1 = np.sort(np.angle(np.linalg.eigvals(as_matrix(u1))))
     p2 = np.sort(np.angle(np.linalg.eigvals(as_matrix(u2))))
-    n = len(p1)
-    # row s holds np.roll(p2, s)
-    shifted = p2[(np.arange(n) - np.arange(n)[:, None]) % n]
-    d = np.abs((p1 - shifted + np.pi) % (2 * np.pi) - np.pi)
-    return float(np.min(np.max(d, axis=1)))
+    return _cyclic_phase_mismatch(p1, p2)
+
+
+def generator_phase_mismatch(a: np.ndarray, b: np.ndarray) -> float:
+    """eigenphase_mismatch(expm_skew(a), expm_skew(b)) for skew-Hermitian
+    a and b, from the generators alone.
+
+    The eigenphases of exp(x) are the eigenvalues l of the Hermitian
+    -i x wrapped into (-pi, pi] by angle(exp(i l)), so one eigvalsh per
+    generator replaces an exponential and a general eigvals. Only the
+    lower triangle of -i x is read: x must be skew-Hermitian.
+    """
+
+    def phases(x: np.ndarray) -> np.ndarray:
+        lam = np.linalg.eigvalsh(-1j * as_matrix(x))
+        return np.sort(np.angle(np.exp(1j * lam)))
+
+    return _cyclic_phase_mismatch(phases(a), phases(b))

@@ -40,7 +40,7 @@ from kgdecomp import engine, linalg
 from kgdecomp import factors as factors_module
 from kgdecomp.config import DEFAULT_TOLS, SUBSPACE_TOL
 from kgdecomp.engine import _minimize_full, _newton_polish
-from kgdecomp.linalg import AlgebraElement
+from kgdecomp.linalg import AlgebraElement, as_matrix
 from tree_digests import _special, structured_gates
 
 
@@ -324,6 +324,50 @@ def test_minimize_to_cartan_gauge_keeps_a_degenerate_rotation_small():
     assert np.ptp(top) < 1e-14 and np.ptp(bottom) < 1e-14
     assert abs(top[0] * bottom[0] - 1.0) < 1e-14
     assert np.allclose(h.coords, (0.5, 0.0, 0.0, 0.0), rtol=0.0, atol=1e-14)
+
+
+def _closed_form_k_by_cluster_svds(m0_mat, cartan):
+    # reference: the closed form with one polar SVD per value cluster,
+    # singletons included
+    _, u = engine._cartan_frame(cartan)
+    if cartan[0].label[-1] == "X":
+        v1, values, v2h = np.linalg.svd(-1j * m0_mat[0::2, 1::2])
+        v2 = v2h.conj().T
+    else:
+        values, v1 = np.linalg.eigh(-1j * m0_mat[0::2, 0::2])
+        v2 = v1
+    overlap = u.conj().T @ (v1 + v2)
+    rotation = np.zeros_like(overlap)
+    tol = engine._CLUSTER_TOL * np.max(np.abs(values))
+    cuts = np.flatnonzero(np.abs(np.diff(values)) > tol) + 1
+    for run in np.split(np.arange(len(values)), cuts):
+        w, _, zh = np.linalg.svd(overlap[np.ix_(run, run)])
+        rotation[np.ix_(run, run)] = zh.conj().T @ w.conj().T
+    half = u.shape[0]
+    k = np.zeros((2 * half, 2 * half), dtype=complex)
+    k[0::2, 0::2] = v1 @ rotation @ u.conj().T
+    k[1::2, 1::2] = v2 @ rotation @ u.conj().T
+    det = np.linalg.det(k[0::2, 0::2]) * np.linalg.det(k[1::2, 1::2])
+    return k * np.exp(-1j * np.angle(det) / (2 * half))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_closed_form_singleton_gauge_matches_cluster_svds(monkeypatch, n):
+    # a Haar stage has only singleton value clusters, whose polar factor
+    # _closed_form_k sets as conj(o) / |o| without an SVD
+    stages = []
+    solve = engine._minimize_full
+
+    def recording_solve(m0, cartan):
+        stages.append((as_matrix(m0), tuple(cartan)))
+        return solve(m0, cartan)
+
+    monkeypatch.setattr(engine, "_minimize_full", recording_solve)
+    decompose_full(haar_special_unitary(n, np.random.default_rng(n)), n)
+    assert {len(cartan[0].label) for _, cartan in stages} == set(range(3, n + 1))
+    for m0_mat, cartan in stages:
+        want = _closed_form_k_by_cluster_svds(m0_mat, cartan)
+        assert np.max(np.abs(engine._closed_form_k(m0_mat, cartan) - want)) <= 1e-13
 
 
 def test_newton_polish_evaluates_its_last_step():

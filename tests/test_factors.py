@@ -1,5 +1,7 @@
 """Factor model tests: expansion oracles, products, serialization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,12 @@ from kgdecomp import (
 )
 import kgdecomp.factors
 from kgdecomp.basis import is_cartan_label
-from kgdecomp.fileio import complex_entries, dump_json
+from kgdecomp.fileio import (
+    complex_entries,
+    dump_json,
+    matrix_from_document,
+    matrix_to_document,
+)
 
 
 def su(n_qubits, seed):
@@ -212,6 +219,31 @@ def test_serialize_round_trip_preserves_product_and_coords():
     assert again.report.approx_error == report.approx_error
     assert again.report.subspace_errors == report.subspace_errors
     assert np.linalg.norm(product(again) - product(tree)) < 1e-14
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "verify"
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.name)
+def test_writer_reproduces_committed_documents_byte_for_byte(path):
+    doc = path.read_text(encoding="utf-8")
+    if path.name.endswith(".tree.json"):
+        assert serialize(deserialize(doc)) == doc
+    else:
+        assert matrix_to_document(matrix_from_document(doc)[1]) == doc
+
+
+@pytest.mark.parametrize("entry", [
+    complex(np.nan, 0.5), complex(0.5, np.nan), complex(np.inf, 0.5), complex(0.5, -np.inf),
+])
+def test_serialize_refuses_a_non_finite_entry(entry):
+    u = su(2, 11)
+    u[1, 2] = entry
+    tree = FactorTree(2, 0.0, (
+        Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=u),
+    ))
+    with pytest.raises(ValueError, match="non-finite"):
+        serialize(tree)
 
 
 def test_deserialize_rejects_malformed_documents(monkeypatch):

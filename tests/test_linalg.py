@@ -27,7 +27,7 @@ from kgdecomp import (
     pauli_word,
     project_onto_span,
 )
-from kgdecomp.linalg import expm_skew_many
+from kgdecomp.linalg import expm_skew_many, generator_phase_mismatch
 
 
 def random_skew(rng, dim, scale=1.0):
@@ -232,3 +232,32 @@ def test_eigenphase_mismatch_handles_branch_cut():
     u1 = np.diag([np.exp(1j * (np.pi - eps)), np.exp(-1j * (np.pi - eps))])
     u2 = np.diag([np.exp(1j * (np.pi - 2 * eps)), np.exp(-1j * (np.pi - 2 * eps))])
     assert eigenphase_mismatch(u1, u2) == pytest.approx(eps, abs=1e-9)
+
+
+def _in_random_basis(rng, phases):
+    # skew-Hermitian generator with eigenvalues i * phases
+    k = expm_skew(random_skew(rng, len(phases)))
+    return k @ np.diag(1j * np.asarray(phases)) @ k.conj().T
+
+
+def test_generator_phase_mismatch_matches_exponentials():
+    rng = np.random.default_rng(21)
+    eps = 1e-9
+    pairs = [(random_skew(rng, 8, scale), random_skew(rng, 8, scale))
+             for scale in (0.1, 0.5, 2.0)]
+    a = random_skew(rng, 8, 0.5)
+    k = expm_skew(random_skew(rng, 8, 0.5))
+    pairs.append((a, k @ a @ k.conj().T))
+    # eigenvalues at pi - eps and -pi + eps: one pair matches only after
+    # the 2 pi wrap, the other straddles the cut 2 eps apart
+    wrap = _in_random_basis(rng, [np.pi - eps, -np.pi + eps, 0.3, -0.3])
+    pairs.append((wrap, _in_random_basis(rng, [-np.pi - eps, np.pi + eps, 0.3, -0.3])))
+    pairs.append((wrap, _in_random_basis(rng, [np.pi - 3 * eps, -np.pi + 3 * eps, 0.3, -0.3])))
+    for a, b in pairs:
+        want = eigenphase_mismatch(expm_skew(a), expm_skew(b))
+        assert abs(generator_phase_mismatch(a, b) - want) <= 1e-12
+    assert generator_phase_mismatch(*pairs[-2]) <= 1e-12
+    assert generator_phase_mismatch(*pairs[-1]) == pytest.approx(2 * eps, abs=1e-12)
+    # the known pi/2 case: spectra {0, pi/2} vs {0, -pi/2}
+    a, b = np.diag([0.0, 0.5j * np.pi]), np.diag([0.0, -0.5j * np.pi])
+    assert generator_phase_mismatch(a, b) == pytest.approx(np.pi / 2, abs=1e-12)

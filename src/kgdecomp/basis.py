@@ -22,13 +22,17 @@ one qubit at a time, with G_n = M_n + K_n:
 
 H_n is a Cartan subalgebra inside span(M_n) and F_n one inside span(K_n1);
 both are returned pre-sorted in the canonical alphabetical order.
+
+Each Cartan set is diagonal in one unitary basis Q, its torus
+(cartan_torus), so the decomposition and the factor product reach its
+words through 2^n eigenvalues each and never stack their matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +46,10 @@ __all__ = [
     "build_kg_basis",
     "order_cartan_basis",
     "is_cartan_label",
+    "binary_weights",
+    "word_sum",
+    "CartanTorus",
+    "cartan_torus",
 ]
 
 _SIGMA = {
@@ -78,6 +86,28 @@ def _word_matrix(label: str) -> np.ndarray:
     out = 0.5j * out
     out.setflags(write=False)
     return out
+
+
+def _word_entries(label: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(cols, vals): the word (i/2) s_1 (x) ... (x) s_n as a signed
+    permutation, whose row r holds vals[r] in column cols[r].
+
+    With the first letter the most significant bit, X flips a bit, Z
+    signs it, and Y = i X Z does both; a row's sign is the parity of its
+    column on the Z and Y letters.
+    """
+    flip = sign = 0
+    for ch in label:
+        flip = (flip << 1) | (ch in "XY")
+        sign = (sign << 1) | (ch in "YZ")
+    cols = np.arange(2 ** len(label)) ^ flip
+    parity = np.zeros(len(cols), dtype=int)
+    masked = cols & sign
+    while masked.any():
+        parity ^= masked & 1
+        masked = masked >> 1
+    vals = (0.5j * 1j ** label.count("Y")) * (1 - 2 * parity)
+    return cols, vals
 
 
 def pauli_word(label: str) -> PauliWord:
@@ -126,6 +156,56 @@ def order_cartan_basis(words: Sequence[PauliWord]) -> Tuple[PauliWord, ...]:
     return tuple(sorted(words, key=lambda w: w.label))
 
 
+def _symplectic_bits(label: str) -> int:
+    """The (x, z) bit pairs of a Pauli label, two bits per qubit, as an int.
+
+    Words multiply, up to phase, as these vectors add over GF(2)
+    (Aaronson & Gottesman, PRA 70, 052328, 2004).
+    """
+    bits = 0
+    for letter in label:
+        bits = (bits << 2) | "IZXY".index(letter)
+    return bits
+
+
+def binary_weights(labels: Sequence[str]) -> Tuple[float, ...]:
+    """The weights of the torus generator v (engine.build_v) on labels.
+
+    Walking labels in order, a word whose symplectic bit vector is
+    GF(2)-independent of the words kept so far gets the next weight
+    1, 2, 4, ...; a word that is a product of kept ones gets 0.
+    """
+    pivots = {}
+    weights = []
+    for label in labels:
+        bits = _symplectic_bits(label)
+        while bits and bits.bit_length() in pivots:
+            bits ^= pivots[bits.bit_length()]
+        if bits:
+            pivots[bits.bit_length()] = bits
+            weights.append(2.0 ** (len(pivots) - 1))
+        else:
+            weights.append(0.0)
+    return tuple(weights)
+
+
+def word_sum(labels: Sequence[str], coeffs: Sequence[float], n: int) -> np.ndarray:
+    """sum_i coeffs[i] * word(labels[i]) as a 2^n matrix, with no stack.
+
+    Words with a zero coefficient are skipped. Each other word adds its
+    signed-permutation entries into a zero matrix; with power-of-two
+    coefficients every sum is exact, so build_v's v comes out the same
+    to the bit as a tensordot over the full word stack.
+    """
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    rows = np.arange(2**n)
+    for label, coeff in zip(labels, coeffs):
+        if coeff:
+            cols, vals = _word_entries(label)
+            out[rows, cols] += coeff * vals
+    return out
+
+
 @dataclass(frozen=True)
 class KGBasis:
     """The six labeled word sets splitting su(2^n) at one recursion level.
@@ -137,7 +217,8 @@ class KGBasis:
     at the front of k_set; both refinements are empty at the n = 2 seed.
     h_set and f_set are the Abelian subsets, in canonical order.
 
-    The decomposition stacks only h_set, f_set and z_word; it reaches
+    The decomposition stacks no words: it reaches h_set and f_set
+    through their tori (cartan_torus), z_word through its diagonal, and
     the other subspaces by the involution averages (1 +- theta) / 2.
     """
 
@@ -240,4 +321,108 @@ def build_kg_basis(n: int) -> KGBasis:
         k1_set=words(k1),
         h_set=order_cartan_basis(words(h)),
         f_set=order_cartan_basis(words(f)),
+    )
+
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class CartanTorus:
+    """One Cartan set in the unitary basis q that makes all its words diagonal.
+
+    Attributes:
+        name: the basis name, "H3" or "F4".
+        labels: the set's labels in canonical order.
+        rows: label -> its row of signs.
+        v: the torus generator build_v over labels.
+        u: for n >= 3, the joint eigenbasis of the head words W on the
+            first n - 1 qubits, the eigh of -i times v's off-diagonal
+            (H) or diagonal (F) last-qubit block; None at n = 2.
+        q: kron(u, hadamard) for H_n, kron(u, I2) for F_n (the last
+            qubit least significant), and the eigh of -i v for H_2, a
+            Bell basis.
+        signs: (|labels|, 2^n) entries +-1 with
+            q^dag word q = (i/2) diag(signs[row]).
+        mu: the eigenvalues of -i v, (1/2) signs^T weights.
+        es_weights: C_ab = sum_w (signs_wa - signs_wb)^2 / 4, so that
+            sum_w ||[word, x]||_F^2 = sum_ab C_ab |(q^dag x q)_ab|^2.
+    """
+
+    name: str
+    labels: Tuple[str, ...]
+    rows: Dict[str, int]
+    v: np.ndarray
+    u: Optional[np.ndarray]
+    q: np.ndarray
+    signs: np.ndarray
+    mu: np.ndarray
+    es_weights: np.ndarray
+
+    def rows_of(self, labels: Iterable[str]) -> np.ndarray:
+        """The signs rows of labels, in their order.
+
+        Raises:
+            BadLabelError: a label is not in the set; the message names it.
+        """
+        try:
+            return np.array([self.rows[label] for label in labels], dtype=int)
+        except KeyError as exc:
+            raise BadLabelError(
+                f"label {exc.args[0]!r} is not in basis {self.name}"
+            ) from None
+
+
+def _word_diagonal(label: str, q: np.ndarray) -> np.ndarray:
+    """diag(q^dag s q) for the Hermitian word s named by label."""
+    cols, vals = _word_entries(label)
+    # (s q)[r] = (-2i vals[r]) q[cols[r]]
+    return np.einsum("ra,ra->a", q.conj(), (-2j * vals)[:, None] * q[cols]).real
+
+
+@lru_cache(maxsize=None)
+def cartan_torus(family: str, n: int) -> CartanTorus:
+    """The cached torus of H_n (family "H", n >= 2) or F_n ("F", n >= 2).
+
+    Built from the labels alone: v is a word_sum of its nonzero-weight
+    words, and each row of signs is one signed permutation applied to q,
+    so no word stack is formed. F_2 is empty; its torus has no rows and
+    q = I.
+
+    Raises:
+        ValueError: family is not "H" or "F", or n < 2.
+    """
+    if family not in ("H", "F") or n < 2:
+        raise ValueError(f"no Cartan set {family}{n}")
+    labels = tuple(sorted(_label_sets(n)[4 if family == "H" else 5]))
+    weights = np.asarray(binary_weights(labels))
+    v = word_sum(labels, weights, n)
+    u = None
+    if n == 2:
+        _, q = np.linalg.eigh(-1j * v)
+    else:
+        block = v[0::2, 1::2] if family == "H" else v[0::2, 0::2]
+        _, u = np.linalg.eigh(-1j * block)
+        q = np.kron(u, _HADAMARD if family == "H" else np.eye(2))
+    diagonals = np.array([_word_diagonal(label, q) for label in labels])
+    diagonals = diagonals.reshape(len(labels), 2**n)
+    signs = np.rint(diagonals)
+    if np.any(np.abs(diagonals - signs) > 1e-8) or np.any(signs == 0):
+        raise AssertionError(f"{family}{n} is not diagonal in its torus basis")
+    es_weights = 0.5 * (len(labels) - signs.T @ signs)
+    for array in (v, u, q, signs, es_weights):
+        if array is not None:
+            array.setflags(write=False)
+    mu = 0.5 * (weights @ signs)
+    mu.setflags(write=False)
+    return CartanTorus(
+        name=f"{family}{n}",
+        labels=labels,
+        rows={label: row for row, label in enumerate(labels)},
+        v=v,
+        u=u,
+        q=q,
+        signs=signs,
+        mu=mu,
+        es_weights=es_weights,
     )

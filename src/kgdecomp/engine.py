@@ -29,12 +29,22 @@ eigenvectors. This is the cosine-sine split and the demultiplexing
 step of the quantum Shannon decomposition (Shende, Bullock and Markov,
 IEEE TCAD 25:1000, 2006; Paige and Wei, Linear Algebra Appl. 208:303,
 1994), which Drury and Love (J. Phys. A 41:395305, 2008) showed is the
-KG decomposition with exactly these involutions. The Cartan element is
-only ever determined up to its Weyl orbit, so each solve checks that
-exp(h) and exp(m0) share their eigenphases. The check reads them off the
-generators: the eigenphases of exp(x) for a skew-Hermitian x are the
-eigenvalues of the Hermitian -i x wrapped into (-pi, pi], so it takes
-one eigvalsh per generator and builds no exponential.
+KG decomposition with exactly these involutions.
+
+Each Cartan set is diagonal in one fixed unitary basis Q, kept with the
+set's torus (basis.cartan_torus): Q = U (x) Hadamard for H_n and
+U (x) I2 for F_n, with U the joint eigenbasis of W and the last qubit
+least significant. A stage rotates its input once, x~ = P^dag m0 P with
+P = K Q, and reads everything off x~: the Cartan coordinates
+(2 / 2^n) signs Im diag(x~), the off-span residual, the relative
+commutator from the eigenvalues mu of -i v, and E_s from the weights
+C_ab. The central word I..IZ is diagonal already and splits off by a
+trace of the diagonal. No stack of word matrices is ever built. The
+Cartan element is only ever determined up to its Weyl orbit, so each
+solve checks that exp(h) and exp(m0) share their eigenphases: those of
+exp(h) are its diagonal phases p in Q, those of exp(m0) the eigenvalues
+of the Hermitian -i m0, both wrapped into (-pi, pi]; no exponential is
+built.
 """
 
 from __future__ import annotations
@@ -46,7 +56,16 @@ from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .basis import KGBasis, PauliWord, build_kg_basis, word_stack
+from .basis import (
+    CartanTorus,
+    KGBasis,
+    PauliWord,
+    binary_weights,
+    build_kg_basis,
+    cartan_torus,
+    word_stack,
+    word_sum,
+)
 from .config import CARTAN_TOL, DEFAULT_TOLS, PATTERN_TOL, SUBSPACE_TOL, Tolerances
 from .errors import (
     DimensionMismatchError,
@@ -69,14 +88,17 @@ from .factors import (
 from .involutions import AxisInvolution
 from .linalg import (
     AlgebraElement,
+    _cyclic_phase_mismatch,
+    _wrapped_phases,
     as_matrix,
+    # commutation_defect, eigenphase_mismatch and project_onto_span are
+    # unused here since the stages read the Cartan words off their torus
+    # and compare eigenphases from the generators; perfbench/spans.py
+    # still patches them at these names
     commutation_defect,
-    # eigenphase_mismatch is unused here since the phase check compares
-    # generators; perfbench/spans.py still patches it at this name
     eigenphase_mismatch,
     expm_skew,
     expm_skew_many,
-    generator_phase_mismatch,
     logm_unitary,
     nearest_special_unitary,
     project_onto_span,
@@ -203,18 +225,6 @@ def residual_k(g: np.ndarray, m: AlgebraElement) -> np.ndarray:
     return np.asarray(g, dtype=complex) @ expm_skew(-as_matrix(m))
 
 
-def _symplectic_bits(label: str) -> int:
-    """The (x, z) bit pairs of a Pauli label, two bits per qubit, as an int.
-
-    Words multiply, up to phase, as these vectors add over GF(2)
-    (Aaronson & Gottesman, PRA 70, 052328, 2004).
-    """
-    bits = 0
-    for letter in label:
-        bits = (bits << 2) | "IZXY".index(letter)
-    return bits
-
-
 def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
     """The regular torus generator v = sum_i w_i u_i with binary weights.
 
@@ -227,20 +237,11 @@ def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
     1, and its centralizer is exactly the Cartan span. The engine passes
     the canonical order from build_kg_basis, so v is reproducible.
     """
-    pivots = {}
-    weights = []
-    for word in cartan:
-        bits = _symplectic_bits(word.label)
-        while bits and bits.bit_length() in pivots:
-            bits ^= pivots[bits.bit_length()]
-        if bits:
-            pivots[bits.bit_length()] = bits
-            weights.append(2.0 ** (len(pivots) - 1))
-        else:
-            weights.append(0.0)
+    labels = [word.label for word in cartan]
+    weights = binary_weights(labels)
     return AlgebraElement(
-        matrix=np.tensordot(np.asarray(weights), word_stack(cartan), axes=1),
-        coords=tuple(weights),
+        matrix=word_sum(labels, weights, len(labels[0])),
+        coords=weights,
         residual_norm=0.0,
     )
 
@@ -333,22 +334,63 @@ def _newton_polish(
 
 
 @lru_cache(maxsize=64)
-def _cartan_frame(cartan: Tuple[PauliWord, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """(v, U): the torus generator build_v(cartan) and the joint eigenbasis
-    U of W, the eigh of -i times v's off-diagonal (H set) or diagonal (F
-    set) last-qubit block, which has distinct eigenvalues."""
-    v = build_v(cartan).matrix
-    block = v[0::2, 1::2] if cartan[0].label[-1] == "X" else v[0::2, 0::2]
-    _, u = np.linalg.eigh(-1j * block)
-    v.setflags(write=False)
-    u.setflags(write=False)
-    return v, u
+def _torus(cartan: Tuple[PauliWord, ...]) -> Tuple[CartanTorus, np.ndarray]:
+    """The torus of the whole Cartan set cartan, and the rows of its
+    signs in cartan's order (an H set's words end in X, an F set's in Z).
+
+    Raises:
+        ValueError: cartan is not a whole H_n or F_n set.
+    """
+    family = "H" if cartan[0].label[-1] == "X" else "F"
+    torus = cartan_torus(family, cartan[0].n)
+    rows = torus.rows_of(word.label for word in cartan)
+    if len(set(rows.tolist())) != len(rows) or len(rows) != len(torus.labels):
+        raise ValueError(f"{len(rows)} words are not the whole set {torus.name}")
+    return torus, rows
+
+
+def _cartan_frame(cartan: Sequence[PauliWord]) -> Tuple[np.ndarray, np.ndarray]:
+    """(v, U): the torus generator build_v over the canonical order of
+    cartan and the joint eigenbasis U of W, as cartan_torus keeps them."""
+    torus, _ = _torus(tuple(cartan))
+    return torus.v, torus.u
+
+
+def _torus_split(xt: np.ndarray, torus: CartanTorus):
+    """(c, p, residual_norm) of x~ = Q^dag x Q against the torus's span.
+
+    With d = Im diag(x~), the projection of x has coordinates
+    c = (2 / 2^n) signs d in the torus's canonical order and is
+    Q (i diag(p)) Q^dag with p = (1/2) signs^T c; residual_norm is
+    ||x~ - i diag(p)||_F, the distance of x from the span.
+    """
+    c = (2.0 / len(xt)) * (torus.signs @ np.diagonal(xt).imag)
+    p = 0.5 * (c @ torus.signs)
+    off = xt.copy()
+    off.flat[:: len(xt) + 1] -= 1j * p
+    return c, p, float(np.linalg.norm(off))
+
+
+def _relative_commutator(xt: np.ndarray, torus: CartanTorus) -> float:
+    """||[v, x]|| / (||v|| ||x||) for x = Q x~ Q^dag, a nonzero x, from
+    [v, x]~_ab = i (mu_a - mu_b) x~_ab."""
+    mu = torus.mu
+    gaps = mu[:, None] - mu[None, :]
+    return float(np.linalg.norm(gaps * xt) / (np.linalg.norm(mu) * np.linalg.norm(xt)))
+
+
+def _subspace_error(xt: np.ndarray, torus: CartanTorus) -> float:
+    """commutation_defect(x, words) for x = Q x~ Q^dag, from
+    sum_w ||[w, x]||^2 = sum_ab C_ab |x~_ab|^2 (CartanTorus.es_weights)."""
+    abs2 = xt.real**2 + xt.imag**2
+    return float(np.sqrt(np.sum(torus.es_weights * abs2)) / len(torus.labels))
 
 
 def _closed_form_k(m0_mat: np.ndarray, cartan: Tuple[PauliWord, ...]) -> np.ndarray:
     """The K = diag(A, B) in SU(2^n) that conjugates m0 into span(cartan).
 
-    With U the joint eigenbasis of W (_cartan_frame):
+    With U the joint eigenbasis of W, which the set's torus keeps
+    (basis.cartan_torus, read through _cartan_frame):
     - H set: m0 is [[0, Y], [-Y^dag, 0]]; the SVD -i Y = V1 S V2^dag
       gives A = V1 U^dag, B = V2 U^dag, and A^dag Y B = i U S U^dag.
     - F set: m0 is diag(C, -C); the eigh -i C = V D V^dag gives
@@ -362,7 +404,9 @@ def _closed_form_k(m0_mat: np.ndarray, cartan: Tuple[PauliWord, ...]) -> np.ndar
     factor of the 1 x 1 overlap o is conj(o) / |o|, or 1 where o = 0:
     all singletons are set in one array operation, and only clusters of
     two or more values take an SVD. K is scaled by e^(-i arg det K / 2^n)
-    so that det K = 1.
+    so that det K = 1. In the torus basis Q that U builds, (K Q)^dag m0
+    (K Q) is then diagonal up to rounding: _minimize_full reads the stage
+    off that one rotation.
     """
     _, u = _cartan_frame(cartan)
     if cartan[0].label[-1] == "X":
@@ -402,14 +446,19 @@ def _minimize_full(
     """Conjugates m0 into the Cartan span over the stage's subgroup exp(k).
 
     K1 is _closed_form_k's, or I when m0 already lies within 1e-12 ||m0||
-    of the span. The solution is checked once: its relative commutator
-    ||[v, h]|| / (||v|| ||h||) must be at most CARTAN_TOL, its projection
-    residual at most SUBSPACE_TOL, and exp(h) must share the eigenphases
-    of exp(m0) within 1e-8 (h is only determined up to its Weyl orbit).
-    Those eigenphases are the eigvalsh of -i h and -i m0 wrapped into
-    (-pi, pi] and compared over cyclic alignments
-    (linalg.generator_phase_mismatch); no exponential is built. An m0 of
-    norm at most Tolerances.structure counts as zero: K1 = I, h = 0.
+    of the span. Everything else is read off one rotation
+    x~ = P^dag m0 P with P = K1 Q, where Q is the basis of the set's torus
+    (basis.cartan_torus) in which every Cartan word is diagonal: the
+    coordinates and off-span residual (_torus_split), the relative
+    commutator ||[v, h]|| / (||v|| ||h||) and E_s (_relative_commutator,
+    _subspace_error), and h = Q (i diag(p)) Q^dag. The solution is
+    checked once: the relative commutator must be at most CARTAN_TOL,
+    the residual at most SUBSPACE_TOL, and exp(h) must share the
+    eigenphases of exp(m0) within 1e-8 (h is only determined up to its
+    Weyl orbit). Those of exp(h) are p wrapped into (-pi, pi], those of
+    exp(m0) the wrapped eigvalsh of -i m0, compared over cyclic
+    alignments; no exponential is built. An m0 of norm at most
+    Tolerances.structure counts as zero: K1 = I, h = 0.
 
     Returns (k1, h, subspace_error): h = k1^dag m0 k1 snapped onto the
     span, with the pre-projection residual on h.residual_norm and
@@ -422,39 +471,41 @@ def _minimize_full(
     """
     m0_mat = as_matrix(m0)
     cartan = tuple(cartan)
+    torus, rows = _torus(cartan)
+    q = torus.q
     k1 = np.eye(m0_mat.shape[0], dtype=complex)
 
     norm_m0 = np.linalg.norm(m0_mat)
+    xt = q.conj().T @ m0_mat @ q
     if norm_m0 <= DEFAULT_TOLS.structure:
         zero = AlgebraElement(
             matrix=np.zeros_like(m0_mat),
             coords=(0.0,) * len(cartan),
             residual_norm=float(norm_m0),
         )
-        return k1, zero, float(commutation_defect(m0_mat, cartan))
+        return k1, zero, _subspace_error(xt, torus)
 
-    h_raw = m0_mat
-    coords, residual = project_onto_span(h_raw, cartan)
-    if np.linalg.norm(residual) > _IN_SPAN_TOL * norm_m0:
+    c, p, residual_norm = _torus_split(xt, torus)
+    if residual_norm > _IN_SPAN_TOL * norm_m0:
         k1 = _maybe_repair(_closed_form_k(m0_mat, cartan))
-        h_raw = k1.conj().T @ m0_mat @ k1
-        coords, residual = project_onto_span(h_raw, cartan)
-    residual_norm = float(np.linalg.norm(residual))
+        frame = k1 @ q
+        xt = frame.conj().T @ m0_mat @ frame
+        c, p, residual_norm = _torus_split(xt, torus)
     h = AlgebraElement(
-        matrix=h_raw - residual,
-        coords=tuple(float(c) for c in coords),
+        matrix=(q * (1j * p)) @ q.conj().T,
+        coords=tuple(c[rows].tolist()),
         residual_norm=residual_norm,
     )
-    v, _ = _cartan_frame(cartan)
-    rel = np.linalg.norm(v @ h_raw - h_raw @ v) / (
-        np.linalg.norm(v) * np.linalg.norm(h_raw)
-    )
+    rel = _relative_commutator(xt, torus)
     if (
         rel <= CARTAN_TOL
         and residual_norm <= SUBSPACE_TOL
-        and generator_phase_mismatch(h.matrix, m0_mat) <= _SPECTRUM_TOL
+        and _cyclic_phase_mismatch(
+            _wrapped_phases(p), _wrapped_phases(np.linalg.eigvalsh(-1j * m0_mat))
+        )
+        <= _SPECTRUM_TOL
     ):
-        return k1, h, float(commutation_defect(h_raw, cartan))
+        return k1, h, _subspace_error(xt, torus)
     raise OptimizerFailedError(
         f"closed-form solve left relative commutator {rel:.3e} "
         f"(bound {CARTAN_TOL:.1e}), projection residual {residual_norm:.3e}",
@@ -516,6 +567,20 @@ def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
     return _maybe_repair(sub), phase
 
 
+def _central_split(x: np.ndarray) -> Tuple[float, np.ndarray]:
+    """(alpha, x - alpha z): the coordinate of x on the central word
+    z = (i/2) I..IZ = (i/2) diag(s), s = (1, -1, 1, ...), and the rest.
+
+    The projection coordinate Re tr(z^dag x) / ||z||^2 reduces to
+    alpha = (2 / 2^n) s . Im diag(x).
+    """
+    s = np.resize([1.0, -1.0], len(x))
+    alpha = float(s @ np.diagonal(x).imag) * (2.0 / len(x))
+    rest = x.copy()
+    rest.flat[:: len(x) + 1] -= (0.5j * alpha) * s
+    return alpha, rest
+
+
 def extract_last_qubit(m_tilde, n: int) -> np.ndarray:
     """Exponentiates the central phase log into its SU(2) last-qubit factor.
 
@@ -530,7 +595,7 @@ def extract_last_qubit(m_tilde, n: int) -> np.ndarray:
     dim = 2**n
     if mat.shape != (dim, dim):
         raise DimensionMismatchError(f"expected shape {(dim, dim)}, got {mat.shape}")
-    (alpha,), residual = project_onto_span(mat, (PauliWord("I" * (n - 1) + "Z"),))
+    alpha, residual = _central_split(mat)
     defect = np.linalg.norm(residual)
     if defect > PATTERN_TOL * (1.0 + abs(alpha)):
         raise SubspaceViolationError(
@@ -574,7 +639,7 @@ def _secondary_stage(
     inv_z = AxisInvolution(n, "Z")
     m = compute_m(w, inv_x, (inv_z,))
     k = _maybe_repair(residual_k(w, m))
-    _, m_hat = project_onto_span(m.matrix, (kg.z_word,))
+    _, m_hat = _central_split(m.matrix)
     k1, f, subspace_error = _minimize_full(m_hat, kg.f_set)
     sub, phi = extract_subunitary(k @ k1, n)
     inner, psi = extract_subunitary(k1, n)

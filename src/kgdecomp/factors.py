@@ -18,8 +18,13 @@ import numpy as np
 
 # build_kg_basis is unused here since Cartan labels are checked by
 # is_cartan_label; perfbench/spans.py still patches it at this name
-from .basis import build_kg_basis, is_cartan_label, pauli_word
-from .errors import DimensionMismatchError, LevelExceedsRegisterError, ParseError
+from .basis import build_kg_basis, cartan_torus, is_cartan_label
+from .errors import (
+    BadLabelError,
+    DimensionMismatchError,
+    LevelExceedsRegisterError,
+    ParseError,
+)
 from .fileio import (
     complex_entries,
     dump_json,
@@ -27,6 +32,8 @@ from .fileio import (
     is_json_number,
     parse_json,
 )
+# expm_skew is unused here since CartanExp blocks come from the torus;
+# perfbench/spans.py still patches it at this name
 from .linalg import expm_skew, su_defects
 
 __all__ = [
@@ -111,12 +118,31 @@ class FactorTree:
     report: Optional[DecompositionReport] = None
 
 
-def _cartan_generator(factor: Factor) -> np.ndarray:
-    dim = 2**factor.level_qubits
-    gen = np.zeros((dim, dim), dtype=complex)
-    for label, coeff in factor.coeffs:
-        gen = gen + float(coeff) * pauli_word(label).matrix
-    return gen
+def _cartan_block(factor: Factor) -> np.ndarray:
+    """exp(sum_i c_i word_i) of a CartanExp factor, as Q diag(e^{i phi}) Q^dag.
+
+    Q is the basis of the factor's torus (basis.cartan_torus), where
+    every word of its set is (i/2) diag(signs row); repeated labels add
+    their coefficients, and phi = (1/2) signs^T c.
+
+    Raises:
+        BadLabelError: the basis does not name H or F at the factor's
+            level, or a label is not in that set; the message names it.
+    """
+    level = factor.level_qubits
+    if factor.basis_name not in (f"H{level}", f"F{level}"):
+        raise BadLabelError(
+            f"basis {factor.basis_name!r} is not H{level} or F{level}"
+        )
+    torus = cartan_torus(factor.basis_name[0], level)
+    labels = [label for label, _ in factor.coeffs]
+    coeffs = np.bincount(
+        torus.rows_of(labels),
+        weights=[float(c) for _, c in factor.coeffs],
+        minlength=len(torus.labels),
+    )
+    phi = 0.5 * (coeffs @ torus.signs)
+    return (torus.q * np.exp(1j * phi)) @ torus.q.conj().T
 
 
 def _block(factor: Factor, n_total: int) -> Tuple[np.ndarray, int]:
@@ -124,14 +150,14 @@ def _block(factor: Factor, n_total: int) -> Tuple[np.ndarray, int]:
 
     A level-l SubUnitary is its 2^(l-1) payload on qubit 0, a level-l
     LastQubit its 2x2 payload on qubit l-1, and a level-l CartanExp is
-    expm_skew(sum_i c_i word_i) on qubit 0. Cartan labels are not
-    re-checked here: `deserialize` checks them when a document is read,
-    and the engine builds them from the basis.
+    exp(sum_i c_i word_i) on qubit 0, built from its torus
+    (_cartan_block) with no word matrix and no exponential routine.
 
     Raises:
         LevelExceedsRegisterError: if the factor does not fit.
         DimensionMismatchError: if a payload's size does not match its
             kind and level.
+        BadLabelError: if a CartanExp label is not in its basis.
     """
     level = factor.level_qubits
     top = n_total + 1 if factor.kind is FactorKind.SUB_UNITARY else n_total
@@ -140,7 +166,7 @@ def _block(factor: Factor, n_total: int) -> Tuple[np.ndarray, int]:
             f"{factor.kind.value} at level {level} does not fit {n_total} qubits"
         )
     if factor.kind is FactorKind.CARTAN_EXP:
-        return expm_skew(_cartan_generator(factor)), 0
+        return _cartan_block(factor), 0
     if factor.kind is FactorKind.SUB_UNITARY:
         size, first = 2 ** (level - 1), 0
     else:
@@ -159,14 +185,15 @@ def expand(factor: Factor, n_total: int) -> np.ndarray:
 
     A level-l SubUnitary maps to payload (x) I^(n_total-l+1); a level-l
     LastQubit to I^(l-1) (x) payload (x) I^(n_total-l); a level-l
-    CartanExp to expm_skew(sum_i c_i word_i) (x) I^(n_total-l). It is
-    the one-factor `product`, the factor's block applied to an identity;
+    CartanExp to exp(sum_i c_i word_i) (x) I^(n_total-l). It is the
+    one-factor `product`, the factor's block applied to an identity;
     `product` itself never builds this padded matrix.
 
     Raises:
         LevelExceedsRegisterError: if the factor does not fit.
         DimensionMismatchError: if a payload's size does not match its
             kind and level.
+        BadLabelError: if a CartanExp label is not in its basis.
     """
     return product(FactorTree(n_total, 0.0, (factor,)))
 
@@ -175,12 +202,15 @@ def product(tree: FactorTree) -> np.ndarray:
     """Left-to-right product of the factors times the phase.
 
     Each factor is applied to the running product as a block on its own
-    qubits, so no factor is padded to the full register.
+    qubits, so no factor is padded to the full register. A CartanExp
+    block is Q diag(e^{i phi}) Q^dag in the basis Q of its cached torus,
+    so no word matrix is summed and no exponential is taken.
 
     Raises:
         LevelExceedsRegisterError: if a factor does not fit.
         DimensionMismatchError: if a payload's size does not match its
             kind and level.
+        BadLabelError: if a CartanExp label is not in its basis.
     """
     dim = 2**tree.n_total
     out = np.exp(1j * tree.phase) * np.eye(dim, dtype=complex)

@@ -6,7 +6,8 @@ shortest-repr floats ("1.0"), which round-trip exactly but violate that
 requirement for round values. A list of [re, im] float pairs, the bulk
 of every matrix and tree document, is written row by row, one "%.16e"
 format per pair, with the same bytes and the same 17 digits as the
-per-float path. Reading uses json.loads unchanged.
+per-float path. Reading uses json.loads unchanged; a pair list of plain
+finite numbers then becomes a matrix in one array conversion.
 """
 
 from __future__ import annotations
@@ -123,14 +124,47 @@ def complex_entries(matrix: np.ndarray) -> list:
     return flat.reshape(-1, 2).tolist()
 
 
+_PLAIN_NUMBERS = (float, int)
+
+
+def _pairs_array(entries) -> np.ndarray:
+    """The (len, 2) float array of a list of [re, im] pairs whose values
+    are all finite Python floats or ints, or None for any other list.
+
+    bool fails the type test; an int beyond float range, a NaN or an
+    inf also gives None, and the per-entry loop then names the entry.
+    """
+    for pair in entries:
+        if (
+            type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) not in _PLAIN_NUMBERS
+            or type(pair[1]) not in _PLAIN_NUMBERS
+        ):
+            return None
+    try:
+        values = np.array(entries, dtype=float)
+    except OverflowError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
 def entries_to_matrix(entries, n: int, location: str) -> np.ndarray:
-    """Parses a row-major [re, im] pair list back into a 2^n x 2^n matrix."""
+    """Parses a row-major [re, im] pair list back into a 2^n x 2^n matrix.
+
+    A list of finite float or int pairs, the only kind a valid document
+    holds, is converted in one array operation; any other list goes
+    through the per-entry loop, which names the first bad entry.
+    """
     count = len(entries) if isinstance(entries, list) else None
     # 4^n has bit length 2n + 1, so a huge n fails before 4^n is built
     if count is None or count.bit_length() != 2 * n + 1 or count != 4**n:
         got = type(entries).__name__ if count is None else count
         raise ParseError(f"expected 4^{n} [re, im] entries, got {got}", location)
     dim = 2**n
+    values = _pairs_array(entries)
+    if values is not None:
+        return values.view(complex).reshape(dim, dim)
     flat = np.empty(dim * dim, dtype=complex)
     for idx, pair in enumerate(entries):
         if (

@@ -250,6 +250,11 @@ def _cyclic_phase_mismatch(p1: np.ndarray, p2: np.ndarray) -> float:
     return float(np.min(np.max(d, axis=1)))
 
 
+def _wrapped_phases(lam: np.ndarray) -> np.ndarray:
+    """The real angles lam wrapped into (-pi, pi] by angle(exp(i lam)), sorted."""
+    return np.sort(np.angle(np.exp(1j * lam)))
+
+
 def eigenphase_mismatch(u1: np.ndarray, u2: np.ndarray) -> float:
     """Distance between the eigenphase multisets of two unitaries.
 
@@ -273,7 +278,6 @@ def generator_phase_mismatch(a: np.ndarray, b: np.ndarray) -> float:
     """
 
     def phases(x: np.ndarray) -> np.ndarray:
-        lam = np.linalg.eigvalsh(-1j * as_matrix(x))
-        return np.sort(np.angle(np.exp(1j * lam)))
+        return _wrapped_phases(np.linalg.eigvalsh(-1j * as_matrix(x)))
 
     return _cyclic_phase_mismatch(phases(a), phases(b))

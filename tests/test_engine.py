@@ -326,6 +326,42 @@ def test_minimize_to_cartan_gauge_keeps_a_degenerate_rotation_small():
     assert np.allclose(h.coords, (0.5, 0.0, 0.0, 0.0), rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("family", ["h", "f"])
+def test_torus_formulas_match_word_stack_oracles(family, n):
+    # a seeded span element plus off-span noise, with the words shuffled:
+    # the torus's coordinates, residual, E_s and relative commutator
+    # match the word-stack projection, commutation_defect and the
+    # matrix formula ||[v, x]|| / (||v|| ||x||)
+    rng = np.random.default_rng(100 * n + (family == "f"))
+    kg = build_kg_basis(n)
+    canonical = kg.h_set if family == "h" else kg.f_set
+    words = tuple(canonical[i] for i in rng.permutation(len(canonical)))
+    torus, rows = engine._torus(words)
+    v = build_v(canonical).matrix
+    noise = random_span_element(rng, kg.m_set + kg.k_set)
+    noise /= np.linalg.norm(noise)
+    for eps in (0.0, 1e-9, 1e-3, 1.0):
+        x = random_span_element(rng, words, scale=0.8) + eps * noise
+        xt = torus.q.conj().T @ x @ torus.q
+        c, p, residual_norm = engine._torus_split(xt, torus)
+        coords, residual = linalg.project_onto_span(x, words)
+        assert np.max(np.abs(c[rows] - coords)) <= 1e-13
+        assert abs(residual_norm - np.linalg.norm(residual)) <= 1e-13
+        assert np.linalg.norm(
+            (torus.q * (1j * p)) @ torus.q.conj().T - (x - residual)
+        ) <= 1e-13
+        es = linalg.commutation_defect(x, words)
+        assert abs(engine._subspace_error(xt, torus) - es) <= 1e-13
+        rel = np.linalg.norm(v @ x - x @ v) / (np.linalg.norm(v) * np.linalg.norm(x))
+        assert abs(engine._relative_commutator(xt, torus) - rel) <= 1e-13
+        # the central word I..IZ splits off by its diagonal
+        (alpha,), rest = linalg.project_onto_span(x, (kg.z_word,))
+        alpha_t, rest_t = engine._central_split(x)
+        assert abs(alpha_t - alpha) <= 1e-13
+        assert np.linalg.norm(rest_t - rest) <= 1e-13
+
+
 def _closed_form_k_by_cluster_svds(m0_mat, cartan):
     # reference: the closed form with one polar SVD per value cluster,
     # singletons included
@@ -621,23 +657,17 @@ def test_cartan_coordinates_are_stable_under_rounding(n):
         assert np.max(np.abs(np.subtract(*coords))) <= 1e-9, seed
 
 
-def test_decompose_full_stacks_only_cartan_words(monkeypatch):
-    # every other subspace is an involution average, so no stack holds
-    # more than the 2^(n-1) words of a level-n Cartan set
-    sizes = []
-    stack = basis_module.word_stack
+def test_decompose_full_and_product_stack_no_words(monkeypatch):
+    # the Cartan words are reached through their tori and every other
+    # subspace by involution averages, so no word stack is ever built
+    def refuse(words):
+        raise AssertionError(f"stacked {len(tuple(words))} words")
 
-    def recording_stack(words):
-        words = tuple(words)
-        sizes.append((len(words), words[0].n))
-        return stack(words)
-
-    for module in (basis_module, linalg, engine):
-        monkeypatch.setattr(module, "word_stack", recording_stack)
+    for module in (basis_module, linalg, engine, factors_module):
+        monkeypatch.setattr(module, "word_stack", refuse, raising=False)
     g = haar_special_unitary(5, np.random.default_rng(0))
-    decompose_full(g, 5)
-    assert {n for _, n in sizes} == {3, 4, 5}
-    assert all(count <= 2 ** (n - 1) for count, n in sizes), max(sizes)
+    tree = decompose_full(g, 5)
+    assert np.linalg.norm(product(tree) - g) < 1e-12
 
 
 def test_decompose_full_enforces_reconstruction_bound():

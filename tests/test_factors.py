@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kgdecomp import (
+    BadLabelError,
     Factor,
     FactorKind,
     FactorTree,
@@ -23,12 +24,14 @@ from kgdecomp import (
     serialize,
 )
 import kgdecomp.factors
-from kgdecomp.basis import is_cartan_label
+from kgdecomp.basis import build_kg_basis, is_cartan_label
 from kgdecomp.fileio import (
     complex_entries,
     dump_json,
+    entries_to_matrix,
     matrix_from_document,
     matrix_to_document,
+    parse_json,
 )
 
 
@@ -66,6 +69,32 @@ def test_expand_cartan_exp_oracle():
     gen = 0.3 * pauli_word("XXZ").matrix + 0.1 * pauli_word("ZZZ").matrix
     want = np.kron(expm_skew(gen), np.eye(2))
     assert np.allclose(expand(f, 4), want, atol=1e-14)
+
+
+@pytest.mark.parametrize("basis", ["H2", "H3", "H4", "H5", "H6", "F3", "F4", "F5", "F6"])
+def test_cartan_block_matches_exponential_of_words(basis):
+    # the torus block Q diag(e^{i phi}) Q^dag against expm_skew of the
+    # summed words, with the labels shuffled and some repeated
+    level = int(basis[1:])
+    kg = build_kg_basis(level)
+    words = kg.h_set if basis[0] == "H" else kg.f_set
+    rng = np.random.default_rng(level + 10 * (basis[0] == "F"))
+    labels = [w.label for w in words]
+    labels = [labels[i] for i in rng.permutation(len(labels))]
+    labels += [labels[i] for i in rng.integers(len(labels), size=3)]
+    coeffs = tuple((label, float(rng.uniform(-2.0, 2.0))) for label in labels)
+    gen = sum(c * pauli_word(label).matrix for label, c in coeffs)
+    f = Factor(kind=FactorKind.CARTAN_EXP, level_qubits=level, basis_name=basis,
+               coeffs=coeffs)
+    assert np.max(np.abs(expand(f, level) - expm_skew(gen))) <= 1e-13
+
+
+@pytest.mark.parametrize("basis, label", [("H3", "XXZ"), ("F3", "IIZ"), ("H2", "XY")])
+def test_cartan_block_refuses_a_label_outside_its_basis(basis, label):
+    f = Factor(kind=FactorKind.CARTAN_EXP, level_qubits=int(basis[1:]),
+               basis_name=basis, coeffs=((label, 0.3),))
+    with pytest.raises(BadLabelError, match=repr(label)):
+        product(FactorTree(3, 0.0, (f,)))
 
 
 def test_expand_rejects_oversized_level():
@@ -231,6 +260,43 @@ def test_writer_reproduces_committed_documents_byte_for_byte(path):
         assert serialize(deserialize(doc)) == doc
     else:
         assert matrix_to_document(matrix_from_document(doc)[1]) == doc
+
+
+def _entries_oracle(entries, n):
+    # the per-entry reading of a valid pair list
+    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    return flat.reshape(2**n, 2**n)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.name)
+def test_reader_matches_per_entry_reading_on_committed_documents(path):
+    doc = parse_json(path.read_text(encoding="utf-8"))
+    payloads = [doc] if "entries" in doc else [
+        rec for rec in doc["factors"] if "entries" in rec]
+    assert payloads
+    for rec in payloads:
+        n = len(rec["entries"]).bit_length() // 2
+        got = entries_to_matrix(rec["entries"], n, "entries")
+        assert got.tobytes() == _entries_oracle(rec["entries"], n).tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    [True, 0.5], ["0.5", 0.5], [0.5, float("nan")], [float("inf"), 0.5],
+    [10**400, 0.5], [0.5, 0.5, 0.5], (0.5, 0.5),
+], ids=["bool", "string", "nan", "inf", "huge-int", "three-list", "non-list"])
+def test_reader_names_the_bad_entry(bad):
+    entries = complex_entries(su(2, 12))
+    entries[7] = bad
+    with pytest.raises(ParseError) as info:
+        entries_to_matrix(entries, 2, "entries")
+    assert info.value.message == "entry is not an [re, im] pair"
+    assert info.value.location == "entries[7]"
+
+
+def test_reader_takes_ints_and_values_near_the_float_limit():
+    entries = [[1, -2], [1.5e308, 1.5e308], [2**70, 0], [0.0, -0.0]]
+    got = entries_to_matrix(entries, 1, "entries")
+    assert got.tobytes() == _entries_oracle(entries, 1).tobytes()
 
 
 @pytest.mark.parametrize("entry", [

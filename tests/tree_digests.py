@@ -8,6 +8,16 @@ parent checkout and on the change, then diffing the two outputs:
 
     PYTHONPATH=src python3 tests/tree_digests.py > after.txt
 
+A change that should move trees only at rounding level is checked by
+dumping the documents on both sides and comparing them:
+
+    PYTHONPATH=src python3 tests/tree_digests.py --dump DIR
+    PYTHONPATH=src python3 tests/tree_digests.py --compare BEFORE AFTER
+
+--dump writes DIR/<name>.tree.json, the document with wall_time zeroed,
+or DIR/<name>.error.txt for an input that fails. --compare prints one
+`name verdict` line per input of BEFORE (see compare_documents).
+
 The inputs (93): the committed `perfbench/fixtures/verify` matrices,
 Haar SU(8) seeds 0..49, Haar SU(4) seed 0, Haar SU(16) seeds 20251 and
 20252, the identities at n = 2, 3, 4, expm_skew(0.7 P) for ten
@@ -19,6 +29,7 @@ have degenerate spectra: their involution logs meet the eigenvalue -1.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import sys
@@ -31,6 +42,7 @@ from kgdecomp import (
     FactorTree,
     decompose_full,
     expm_skew,
+    deserialize,
     haar_special_unitary,
     pauli_word,
     serialize,
@@ -38,6 +50,7 @@ from kgdecomp import (
 from kgdecomp.fileio import matrix_from_document
 
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "verify"
+CLOSE_TOL = 1e-9
 PAULI_WORDS = ("XXX", "IIZ", "ZZX", "XYZ", "IXI", "YYI", "ZIZ", "XIX", "IXX", "YZY")
 
 
@@ -73,11 +86,56 @@ def structured_gates() -> Iterator[Tuple[str, np.ndarray, int]]:
         yield label.lower(), -2j * pauli_word(label).matrix, 3
 
 
+def tree_document(tree: FactorTree) -> str:
+    """The serialized tree, with wall_time zeroed."""
+    report = dataclasses.replace(tree.report, wall_time=0.0)
+    return serialize(dataclasses.replace(tree, report=report))
+
+
 def tree_digest(tree: FactorTree) -> str:
     """SHA-256 of the serialized tree, with wall_time zeroed."""
-    report = dataclasses.replace(tree.report, wall_time=0.0)
-    document = serialize(dataclasses.replace(tree, report=report))
-    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+    return hashlib.sha256(tree_document(tree).encode("utf-8")).hexdigest()
+
+
+def compare_documents(before: str, after: str) -> str:
+    """The verdict on two tree documents of one input.
+
+    `same` when they are byte-identical. `close` when both trees have
+    the same factor shapes and labels, every Cartan coordinate moves by
+    at most 1e-9 and every payload P of before lies within 1e-9 of
+    omega Q, the matching payload Q of after times the phase
+    omega = tr(Q^dag P) / |tr(Q^dag P)| that a payload may shed into the
+    global phase; the global phase itself is not compared. `differs`
+    otherwise, naming the first factor that does not match.
+    """
+    if before == after:
+        return "same"
+    a, b = deserialize(before), deserialize(after)
+    if a.n_total != b.n_total or len(a.factors) != len(b.factors):
+        return (f"differs: {len(a.factors)} factors on {a.n_total} qubits against "
+                f"{len(b.factors)} on {b.n_total}")
+    worst_move = worst_payload = 0.0
+    for i, (fa, fb) in enumerate(zip(a.factors, b.factors)):
+        where = f"factors[{i}] {fa.kind.value} level {fa.level_qubits}"
+        if (fa.kind, fa.level_qubits, fa.basis_name) != (fb.kind, fb.level_qubits,
+                                                         fb.basis_name):
+            return f"differs: {where} against {fb.kind.value} level {fb.level_qubits}"
+        if fa.coeffs is not None:
+            if [label for label, _ in fa.coeffs] != [label for label, _ in fb.coeffs]:
+                return f"differs: {where} has other labels"
+            move = max((abs(x - y) for (_, x), (_, y) in zip(fa.coeffs, fb.coeffs)),
+                       default=0.0)
+            if not move <= CLOSE_TOL:
+                return f"differs: {where} coordinate move {move:.3e}"
+            worst_move = max(worst_move, move)
+        else:
+            overlap = np.trace(fb.matrix.conj().T @ fa.matrix)
+            omega = overlap / abs(overlap) if overlap != 0 else 1.0
+            distance = float(np.linalg.norm(fa.matrix - omega * fb.matrix))
+            if not distance <= CLOSE_TOL:
+                return f"differs: {where} payload distance {distance:.3e}"
+            worst_payload = max(worst_payload, distance)
+    return f"close: coordinate move {worst_move:.3e}, payload distance {worst_payload:.3e}"
 
 
 def inputs() -> Iterator[Tuple[str, np.ndarray, int]]:
@@ -105,9 +163,57 @@ def digest_line(name: str, g: np.ndarray, n: int) -> str:
         return f"{name} {type(exc).__name__}: {exc}"
 
 
-def main() -> int:
+def dump(directory: Path) -> None:
+    """Writes each input's document, or its failure, under directory."""
+    directory.mkdir(parents=True, exist_ok=True)
     for name, g, n in inputs():
-        print(digest_line(name, g, n), flush=True)
+        try:
+            text, suffix = tree_document(decompose_full(g, n)), ".tree.json"
+        except Exception as exc:  # the failure itself is what gets compared
+            text, suffix = f"{type(exc).__name__}: {exc}\n", ".error.txt"
+        (directory / (name + suffix)).write_text(text, encoding="utf-8")
+
+
+def _read_outcome(directory: Path, name: str):
+    for suffix in (".tree.json", ".error.txt"):
+        path = directory / (name + suffix)
+        if path.is_file():
+            return suffix, path.read_text(encoding="utf-8")
+    return None, None
+
+
+def compare(before: Path, after: Path) -> None:
+    """Prints `name verdict` for every input dumped under before."""
+    names = sorted({path.name.rsplit(".", 2)[0] for path in before.iterdir()
+                    if path.name.endswith((".tree.json", ".error.txt"))})
+    for name in names:
+        kind_a, text_a = _read_outcome(before, name)
+        kind_b, text_b = _read_outcome(after, name)
+        if kind_b is None:
+            verdict = "differs: missing after"
+        elif kind_a == kind_b == ".tree.json":
+            verdict = compare_documents(text_a, text_b)
+        elif text_a == text_b:
+            verdict = "same"
+        else:
+            verdict = f"differs: {text_a.strip()} against {text_b.strip()[:200]}"
+        print(f"{name} {verdict}", flush=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--dump", type=Path, metavar="DIR")
+    group.add_argument("--compare", type=Path, nargs=2, metavar=("BEFORE", "AFTER"))
+    args = parser.parse_args(argv)
+    if args.dump:
+        dump(args.dump)
+    elif args.compare:
+        compare(*args.compare)
+    else:
+        for name, g, n in inputs():
+            print(digest_line(name, g, n), flush=True)
     return 0
 
 

@@ -20,14 +20,12 @@ from .config import DEFAULT_TOLS, Tolerances
 from .engine import (
     LevelResult,
     StageResult,
-    build_v,
     compute_m,
     decompose_full,
     decompose_one_level,
     extract_last_qubit,
     extract_subunitary,
     khk_stage,
-    objective,
     residual_k,
     validate_special_unitary,
 )
@@ -112,7 +110,6 @@ __all__ = [
     "SubspaceViolationError",
     "Tolerances",
     "build_kg_basis",
-    "build_v",
     "commutation_defect",
     "compute_m",
     "decompose_full",
@@ -129,7 +126,6 @@ __all__ = [
     "khk_stage",
     "logm_unitary",
     "nearest_special_unitary",
-    "objective",
     "order_cartan_basis",
     "pauli_word",
     "product",

@@ -149,9 +149,9 @@ def _stack(words: Tuple[PauliWord, ...]) -> np.ndarray:
 def order_cartan_basis(words: Sequence[PauliWord]) -> Tuple[PauliWord, ...]:
     """Sorts words by label, ascending under I < X < Y < Z.
 
-    Plain string sorting realizes that character order, and the result
-    fixes which words get the binary weights of the torus generator v
-    (engine.build_v).
+    Plain string sorting realizes that character order, the order of
+    CartanTorus.labels, and the result fixes which words get the binary
+    weights of the torus generator v (binary_weights).
     """
     return tuple(sorted(words, key=lambda w: w.label))
 
@@ -169,11 +169,17 @@ def _symplectic_bits(label: str) -> int:
 
 
 def binary_weights(labels: Sequence[str]) -> Tuple[float, ...]:
-    """The weights of the torus generator v (engine.build_v) on labels.
+    """The weights w of the torus generator v = sum_i w_i word_i on labels.
 
     Walking labels in order, a word whose symplectic bit vector is
     GF(2)-independent of the words kept so far gets the next weight
-    1, 2, 4, ...; a word that is a product of kept ones gets 0.
+    1, 2, 4, ...; a word that is a product of kept ones gets 0, so sorted
+    H_3 gets (1, 2, 4, 0) and sorted F_4 gets (1, 2, 4, 8, 0, 0, 0). The
+    n kept words of an H_n or F_n set have 2^n joint eigenspaces of
+    dimension one, so -i v has 2^n distinct eigenvalues, sums of
+    +-w_i / 2 with gap 1, and its centralizer is exactly the Cartan span.
+    cartan_torus applies this to the canonical order, so v is
+    reproducible.
     """
     pivots = {}
     weights = []
@@ -194,8 +200,9 @@ def word_sum(labels: Sequence[str], coeffs: Sequence[float], n: int) -> np.ndarr
 
     Words with a zero coefficient are skipped. Each other word adds its
     signed-permutation entries into a zero matrix; with power-of-two
-    coefficients every sum is exact, so build_v's v comes out the same
-    to the bit as a tensordot over the full word stack.
+    coefficients every sum is exact, so the torus generator v
+    (cartan_torus) comes out the same to the bit as a tensordot of
+    binary_weights over the full word stack.
     """
     out = np.zeros((2**n, 2**n), dtype=complex)
     rows = np.arange(2**n)
@@ -217,9 +224,11 @@ class KGBasis:
     at the front of k_set; both refinements are empty at the n = 2 seed.
     h_set and f_set are the Abelian subsets, in canonical order.
 
-    The decomposition stacks no words: it reaches h_set and f_set
-    through their tori (cartan_torus), z_word through its diagonal, and
-    the other subspaces by the involution averages (1 +- theta) / 2.
+    The decomposition builds no KGBasis and stacks no words: it reaches
+    H_n and F_n through their tori (cartan_torus), z_word through its
+    diagonal, and the other subspaces by the involution averages
+    (1 +- theta) / 2. h_set and f_set list the labels of the tori in the
+    same order.
     """
 
     n: int
@@ -335,7 +344,7 @@ class CartanTorus:
         name: the basis name, "H3" or "F4".
         labels: the set's labels in canonical order.
         rows: label -> its row of signs.
-        v: the torus generator build_v over labels.
+        v: the torus generator sum_i w_i word_i, w = binary_weights(labels).
         u: for n >= 3, the joint eigenbasis of the head words W on the
             first n - 1 qubits, the eigh of -i times v's off-diagonal
             (H) or diagonal (F) last-qubit block; None at n = 2.

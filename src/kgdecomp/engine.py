@@ -32,13 +32,14 @@ IEEE TCAD 25:1000, 2006; Paige and Wei, Linear Algebra Appl. 208:303,
 KG decomposition with exactly these involutions.
 
 Each Cartan set is diagonal in one fixed unitary basis Q, kept with the
-set's torus (basis.cartan_torus): Q = U (x) Hadamard for H_n and
-U (x) I2 for F_n, with U the joint eigenbasis of W and the last qubit
-least significant. A stage rotates its input once, x~ = P^dag m0 P with
-P = K Q, and reads everything off x~: the Cartan coordinates
-(2 / 2^n) signs Im diag(x~), the off-span residual, the relative
-commutator from the eigenvalues mu of -i v, and E_s from the weights
-C_ab. The central word I..IZ is diagonal already and splits off by a
+set's torus (basis.cartan_torus), and a stage takes its set as that
+torus alone: Q = U (x) Hadamard for H_n and U (x) I2 for F_n, with U the
+joint eigenbasis of W and the last qubit least significant. A stage
+rotates its input once, x~ = P^dag m0 P with P = K Q, and reads
+everything off x~: the Cartan coordinates (2 / 2^n) signs Im diag(x~),
+in the torus's canonical label order, the off-span residual, the
+relative commutator from the eigenvalues mu of -i v, and E_s from the
+weights C_ab. The central word I..IZ is diagonal already and splits off by a
 trace of the diagonal. No stack of word matrices is ever built. The
 Cartan element is only ever determined up to its Weyl orbit, so each
 solve checks that exp(h) and exp(m0) share their eigenphases: those of
@@ -51,20 +52,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .basis import (
     CartanTorus,
-    KGBasis,
     PauliWord,
-    binary_weights,
+    # build_kg_basis is unused here since the stages take their Cartan
+    # sets as tori; perfbench/spans.py still patches it at this name
     build_kg_basis,
     cartan_torus,
-    word_stack,
-    word_sum,
 )
 from .config import CARTAN_TOL, DEFAULT_TOLS, PATTERN_TOL, SUBSPACE_TOL, Tolerances
 from .errors import (
@@ -91,10 +89,10 @@ from .linalg import (
     _cyclic_phase_mismatch,
     _wrapped_phases,
     as_matrix,
-    # commutation_defect, eigenphase_mismatch and project_onto_span are
-    # unused here since the stages read the Cartan words off their torus
-    # and compare eigenphases from the generators; perfbench/spans.py
-    # still patches them at these names
+    # commutation_defect, eigenphase_mismatch, expm_skew_many and
+    # project_onto_span are unused here since the stages read the Cartan
+    # words off their torus and compare eigenphases from the generators;
+    # perfbench/spans.py still patches them at these names
     commutation_defect,
     eigenphase_mismatch,
     expm_skew,
@@ -110,8 +108,6 @@ __all__ = [
     "LevelResult",
     "compute_m",
     "residual_k",
-    "build_v",
-    "objective",
     "khk_stage",
     "extract_subunitary",
     "extract_last_qubit",
@@ -121,6 +117,7 @@ __all__ = [
 ]
 
 _SPECTRUM_TOL = 1e-8
+# unused since the stages are closed-form; _newton_polish reads it
 _POLISH_TARGET = 1e-13
 _REPAIR_THRESHOLD = 1e-12
 _INGEST_TOL = 1e-8
@@ -150,7 +147,6 @@ class LevelResult(NamedTuple):
     factors: Tuple[Factor, ...]
     phase: float
     subspace_errors: Tuple[Tuple[str, float], ...]
-    optimizer_stats: Tuple[Tuple[str, int], ...]
 
 
 def validate_special_unitary(g: np.ndarray) -> float:
@@ -225,57 +221,9 @@ def residual_k(g: np.ndarray, m: AlgebraElement) -> np.ndarray:
     return np.asarray(g, dtype=complex) @ expm_skew(-as_matrix(m))
 
 
-def build_v(cartan: Sequence[PauliWord]) -> AlgebraElement:
-    """The regular torus generator v = sum_i w_i u_i with binary weights.
-
-    Walking cartan in order, a word whose symplectic bit vector is
-    GF(2)-independent of the words kept so far gets the next weight
-    1, 2, 4, ...; a word that is a product of kept ones gets 0, so H_3
-    gets (1, 2, 4, 0) and F_4 gets (1, 2, 4, 8, 0, 0, 0). The n kept
-    words of an H_n or F_n set have 2^n joint eigenspaces of dimension
-    one, so -i v has 2^n distinct eigenvalues, sums of +-w_i / 2 with gap
-    1, and its centralizer is exactly the Cartan span. The engine passes
-    the canonical order from build_kg_basis, so v is reproducible.
-    """
-    labels = [word.label for word in cartan]
-    weights = binary_weights(labels)
-    return AlgebraElement(
-        matrix=word_sum(labels, weights, len(labels[0])),
-        coords=weights,
-        residual_norm=0.0,
-    )
-
-
-# The decomposition calls neither objective nor _newton_polish. They
-# stay, with their direct tests, because perfbench/spans.py patches
-# kgdecomp.engine._newton_polish and tests/test_trace_targets.py requires
-# every span target to exist; they go with that span target.
-def objective(
-    v: AlgebraElement,
-    m0: AlgebraElement,
-    theta: Sequence[float],
-    k_basis: Sequence[PauliWord],
-) -> float:
-    """Killing-form objective f(theta) = c_N Re tr(v K^dag m0 K).
-
-    K = expm_skew(sum_j theta_j k_j) and c_N = 2 * 2^n normalizes the
-    trace form to the su(N) Killing form. The K^dag m0 K orientation
-    makes first-order criticality force [v, K^dag m0 K] = 0, so the
-    optimizer's terminal h = K^dag m0 K lies in the centralizer of v.
-    """
-    k_stack = word_stack(k_basis)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (len(k_basis),):
-        raise DimensionMismatchError(
-            f"theta has shape {theta.shape}, expected ({len(k_basis)},)"
-        )
-    v_mat = as_matrix(v)
-    m_mat = as_matrix(m0)
-    c_n = 2.0 * v_mat.shape[0]
-    k = expm_skew_many(np.tensordot(theta, k_stack, axes=1)[None])[0]
-    return float(c_n * np.einsum("ij,ji->", v_mat, k.conj().T @ m_mat @ k).real)
-
-
+# The decomposition never calls _newton_polish. It stays, with its direct
+# tests, because perfbench/spans.py patches kgdecomp.engine._newton_polish
+# and tests/test_trace_targets.py requires every span target to exist.
 def _newton_polish(
     k1: np.ndarray,
     m0_mat: np.ndarray,
@@ -333,29 +281,6 @@ def _newton_polish(
     return best_k, best_rel, steps
 
 
-@lru_cache(maxsize=64)
-def _torus(cartan: Tuple[PauliWord, ...]) -> Tuple[CartanTorus, np.ndarray]:
-    """The torus of the whole Cartan set cartan, and the rows of its
-    signs in cartan's order (an H set's words end in X, an F set's in Z).
-
-    Raises:
-        ValueError: cartan is not a whole H_n or F_n set.
-    """
-    family = "H" if cartan[0].label[-1] == "X" else "F"
-    torus = cartan_torus(family, cartan[0].n)
-    rows = torus.rows_of(word.label for word in cartan)
-    if len(set(rows.tolist())) != len(rows) or len(rows) != len(torus.labels):
-        raise ValueError(f"{len(rows)} words are not the whole set {torus.name}")
-    return torus, rows
-
-
-def _cartan_frame(cartan: Sequence[PauliWord]) -> Tuple[np.ndarray, np.ndarray]:
-    """(v, U): the torus generator build_v over the canonical order of
-    cartan and the joint eigenbasis U of W, as cartan_torus keeps them."""
-    torus, _ = _torus(tuple(cartan))
-    return torus.v, torus.u
-
-
 def _torus_split(xt: np.ndarray, torus: CartanTorus):
     """(c, p, residual_norm) of x~ = Q^dag x Q against the torus's span.
 
@@ -386,11 +311,11 @@ def _subspace_error(xt: np.ndarray, torus: CartanTorus) -> float:
     return float(np.sqrt(np.sum(torus.es_weights * abs2)) / len(torus.labels))
 
 
-def _closed_form_k(m0_mat: np.ndarray, cartan: Tuple[PauliWord, ...]) -> np.ndarray:
-    """The K = diag(A, B) in SU(2^n) that conjugates m0 into span(cartan).
+def _closed_form_k(m0_mat: np.ndarray, torus: CartanTorus) -> np.ndarray:
+    """The K = diag(A, B) in SU(2^n) that conjugates m0 into the span of
+    the torus's Cartan set.
 
-    With U the joint eigenbasis of W, which the set's torus keeps
-    (basis.cartan_torus, read through _cartan_frame):
+    With U = torus.u the joint eigenbasis of W:
     - H set: m0 is [[0, Y], [-Y^dag, 0]]; the SVD -i Y = V1 S V2^dag
       gives A = V1 U^dag, B = V2 U^dag, and A^dag Y B = i U S U^dag.
     - F set: m0 is diag(C, -C); the eigh -i C = V D V^dag gives
@@ -408,8 +333,8 @@ def _closed_form_k(m0_mat: np.ndarray, cartan: Tuple[PauliWord, ...]) -> np.ndar
     (K Q) is then diagonal up to rounding: _minimize_full reads the stage
     off that one rotation.
     """
-    _, u = _cartan_frame(cartan)
-    if cartan[0].label[-1] == "X":
+    u = torus.u
+    if torus.name[0] == "H":
         v1, values, v2h = np.linalg.svd(-1j * m0_mat[0::2, 1::2])
         v2 = v2h.conj().T
     else:
@@ -441,13 +366,13 @@ def _closed_form_k(m0_mat: np.ndarray, cartan: Tuple[PauliWord, ...]) -> np.ndar
 
 
 def _minimize_full(
-    m0, cartan: Sequence[PauliWord]
+    m0, torus: CartanTorus
 ) -> Tuple[np.ndarray, AlgebraElement, float]:
     """Conjugates m0 into the Cartan span over the stage's subgroup exp(k).
 
     K1 is _closed_form_k's, or I when m0 already lies within 1e-12 ||m0||
     of the span. Everything else is read off one rotation
-    x~ = P^dag m0 P with P = K1 Q, where Q is the basis of the set's torus
+    x~ = P^dag m0 P with P = K1 Q, where Q is the basis of the torus
     (basis.cartan_torus) in which every Cartan word is diagonal: the
     coordinates and off-span residual (_torus_split), the relative
     commutator ||[v, h]|| / (||v|| ||h||) and E_s (_relative_commutator,
@@ -462,7 +387,7 @@ def _minimize_full(
 
     Returns (k1, h, subspace_error): h = k1^dag m0 k1 snapped onto the
     span, with the pre-projection residual on h.residual_norm and
-    h.coords in the order cartan is given; subspace_error is the
+    h.coords in torus.labels order; subspace_error is the
     commutation defect of the raw h.
 
     Raises:
@@ -470,8 +395,6 @@ def _minimize_full(
             pair rides in the error's `best` attribute.
     """
     m0_mat = as_matrix(m0)
-    cartan = tuple(cartan)
-    torus, rows = _torus(cartan)
     q = torus.q
     k1 = np.eye(m0_mat.shape[0], dtype=complex)
 
@@ -480,20 +403,20 @@ def _minimize_full(
     if norm_m0 <= DEFAULT_TOLS.structure:
         zero = AlgebraElement(
             matrix=np.zeros_like(m0_mat),
-            coords=(0.0,) * len(cartan),
+            coords=(0.0,) * len(torus.labels),
             residual_norm=float(norm_m0),
         )
         return k1, zero, _subspace_error(xt, torus)
 
     c, p, residual_norm = _torus_split(xt, torus)
     if residual_norm > _IN_SPAN_TOL * norm_m0:
-        k1 = _maybe_repair(_closed_form_k(m0_mat, cartan))
+        k1 = _maybe_repair(_closed_form_k(m0_mat, torus))
         frame = k1 @ q
         xt = frame.conj().T @ m0_mat @ frame
         c, p, residual_norm = _torus_split(xt, torus)
     h = AlgebraElement(
         matrix=(q * (1j * p)) @ q.conj().T,
-        coords=tuple(c[rows].tolist()),
+        coords=tuple(c.tolist()),
         residual_norm=residual_norm,
     )
     rel = _relative_commutator(xt, torus)
@@ -523,20 +446,29 @@ def khk_stage(
     k0 = g exp(-m) is fixed by the stage involution; k1, fixed by it too,
     and h come from the closed-form Cartan solve of m. That solve is the
     level's theta_Z stage: inv is AxisInvolution(n, "Z") and cartan the
-    H_n set, in any order.
+    H_n set in canonical order (build_kg_basis(n).h_set), the order of
+    h.coords.
 
     Raises:
-        ValueError: inv and cartan are not theta_Z and H_n.
+        ValueError: inv and cartan are not theta_Z and H_n in canonical
+            order.
     """
-    h_labels = sorted(word.label for word in build_kg_basis(inv.n).h_set)
-    if inv.axis != "Z" or sorted(word.label for word in cartan) != h_labels:
+    torus = cartan_torus("H", inv.n)
+    if inv.axis != "Z" or tuple(word.label for word in cartan) != torus.labels:
         raise ValueError(
-            f"the closed-form stage pairs theta_Z with H_{inv.n}, got theta_{inv.axis}"
-            f" with {len(cartan)} words"
+            f"the closed-form stage pairs theta_Z with H_{inv.n} in canonical order,"
+            f" got theta_{inv.axis} with {len(cartan)} words"
         )
-    m = compute_m(g, inv)
+    return _theta_z_stage(g, inv, torus)
+
+
+def _theta_z_stage(
+    g: np.ndarray, inv_z: AxisInvolution, torus: CartanTorus
+) -> StageResult:
+    """The theta_Z stage G = k0 k1 exp(h) k1^dag against the H_n torus."""
+    m = compute_m(g, inv_z)
     k0 = _maybe_repair(residual_k(g, m))
-    return StageResult(k0, *_minimize_full(m, cartan))
+    return StageResult(k0, *_minimize_full(m, torus))
 
 
 def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
@@ -604,24 +536,19 @@ def extract_last_qubit(m_tilde, n: int) -> np.ndarray:
     return expm_skew(mat[:2, :2], tol=max(DEFAULT_TOLS.structure * 2, 4.0 * defect))
 
 
-def _cartan_factor(
-    element: AlgebraElement,
-    cartan: Sequence[PauliWord],
-    basis_name: str,
-    level: int,
-) -> Factor:
-    """Builds a CartanExp factor from a projected Cartan element."""
+def _cartan_factor(element: AlgebraElement, torus: CartanTorus) -> Factor:
+    """Builds a CartanExp factor from a Cartan element of the torus's set."""
     return Factor(
         kind=FactorKind.CARTAN_EXP,
-        level_qubits=level,
-        basis_name=basis_name,
-        coeffs=tuple((word.label, float(c)) for word, c in zip(cartan, element.coords)),
+        level_qubits=int(torus.name[1:]),
+        basis_name=torus.name,
+        coeffs=tuple(zip(torus.labels, map(float, element.coords))),
         subspace_residual=element.residual_norm,
     )
 
 
 def _secondary_stage(
-    w: np.ndarray, n: int, kg: KGBasis, inv_x: AxisInvolution
+    w: np.ndarray, n: int, inv_x: AxisInvolution
 ) -> Tuple[Tuple[Factor, ...], float, float, float]:
     """The theta_X stage on one K-type input w of level n.
 
@@ -637,16 +564,17 @@ def _secondary_stage(
     subspace error.
     """
     inv_z = AxisInvolution(n, "Z")
+    torus = cartan_torus("F", n)
     m = compute_m(w, inv_x, (inv_z,))
     k = _maybe_repair(residual_k(w, m))
     _, m_hat = _central_split(m.matrix)
-    k1, f, subspace_error = _minimize_full(m_hat, kg.f_set)
+    k1, f, subspace_error = _minimize_full(m_hat, torus)
     sub, phi = extract_subunitary(k @ k1, n)
     inner, psi = extract_subunitary(k1, n)
     last = extract_last_qubit(m.matrix - m_hat, n)
     factors = (
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub),
-        _cartan_factor(f, kg.f_set, f"F{n}", n),
+        _cartan_factor(f, torus),
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=inner.conj().T),
         Factor(kind=FactorKind.LAST_QUBIT, level_qubits=n, matrix=last),
     )
@@ -666,24 +594,21 @@ def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
     g = np.asarray(g, dtype=complex)
     if g.shape != (2**n, 2**n):
         raise DimensionMismatchError(f"expected shape {(2**n, 2**n)}, got {g.shape}")
-    kg = build_kg_basis(n)
     inv_x = AxisInvolution(n, "X")
+    h_torus = cartan_torus("H", n)
 
-    stage = khk_stage(g, AxisInvolution(n, "Z"), kg.h_set)
-    left, phi0, psi1, es0 = _secondary_stage(stage.k0 @ stage.k1, n, kg, inv_x)
-    right, phi2, psi2, es1 = _secondary_stage(stage.k1.conj().T, n, kg, inv_x)
+    stage = _theta_z_stage(g, AxisInvolution(n, "Z"), h_torus)
+    left, phi0, psi1, es0 = _secondary_stage(stage.k0 @ stage.k1, n, inv_x)
+    right, phi2, psi2, es1 = _secondary_stage(stage.k1.conj().T, n, inv_x)
 
-    factors = left + (_cartan_factor(stage.h, kg.h_set, f"H{n}", n),) + right
+    factors = left + (_cartan_factor(stage.h, h_torus),) + right
     phase = phi0 + phi2 - psi1 - psi2
     subspace_errors = (
         (f"f0[F{n}]", es0),
         (f"h[H{n}]", stage.subspace_error),
         (f"f1[F{n}]", es1),
     )
-    # the stages take no iterations; the report keeps its per-stage
-    # count field for the readers of v1 tree documents
-    optimizer_stats = tuple((f"n{n}:{label}", 0) for label in ("h", "f0", "f1"))
-    return LevelResult(factors, float(phase), subspace_errors, optimizer_stats)
+    return LevelResult(factors, float(phase), subspace_errors)
 
 
 def _recurse(g: np.ndarray, n: int, prefix: str) -> LevelResult:
@@ -696,12 +621,11 @@ def _recurse(g: np.ndarray, n: int, prefix: str) -> LevelResult:
     """
     if n == 2:
         leaf = Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=g)
-        return LevelResult((leaf,), 0.0, (), ())
+        return LevelResult((leaf,), 0.0, ())
     level = decompose_one_level(g, n)
     factors = []
     phase = level.phase
     subspace_errors = [(prefix + label, v) for label, v in level.subspace_errors]
-    optimizer_stats = [(prefix + label, v) for label, v in level.optimizer_stats]
     slot = 0
     for factor in level.factors:
         if factor.kind is not FactorKind.SUB_UNITARY:
@@ -712,10 +636,7 @@ def _recurse(g: np.ndarray, n: int, prefix: str) -> LevelResult:
         factors.extend(child.factors)
         phase += child.phase
         subspace_errors.extend(child.subspace_errors)
-        optimizer_stats.extend(child.optimizer_stats)
-    return LevelResult(
-        tuple(factors), phase, tuple(subspace_errors), tuple(optimizer_stats)
-    )
+    return LevelResult(tuple(factors), phase, tuple(subspace_errors))
 
 
 def decompose_full(
@@ -757,6 +678,5 @@ def decompose_full(
         approx_error=approx,
         subspace_errors=result.subspace_errors,
         wall_time=time.perf_counter() - start,
-        optimizer_stats=result.optimizer_stats,
     )
     return replace(tree, report=report)

@@ -16,7 +16,7 @@ from kgdecomp import (
     pauli_word,
     project_onto_span,
 )
-from kgdecomp.basis import is_cartan_label, word_stack
+from kgdecomp.basis import binary_weights, cartan_torus, is_cartan_label, word_stack
 
 H3_EXPECTED = ["IIX", "XXX", "YYX", "ZZX"]
 F3_EXPECTED = ["XXZ", "YYZ", "ZZZ"]
@@ -211,3 +211,28 @@ def test_word_stack_is_cached_and_read_only():
     with pytest.raises(ValueError):
         stack[0, 0, 0] = 1.0
 
+
+
+def test_torus_v_weights_and_norm():
+    # sorted H3 is (IIX, XXX, YYX, ZZX) and ZZX = XXX YYX IIX up to phase
+    torus = cartan_torus("H", 3)
+    assert binary_weights(torus.labels) == (1.0, 2.0, 4.0, 0.0)
+    # ||v||^2 = 2^(n-2) * sum w_i^2 since ||w||^2 = 2^(n-2)
+    assert np.linalg.norm(torus.v) ** 2 == pytest.approx(2.0 * 21.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_binary_weights_make_v_regular(n):
+    if n == 4:
+        assert binary_weights(cartan_torus("H", 4).labels) == (1, 2, 4, 0, 8, 0, 0, 0)
+        assert binary_weights(cartan_torus("F", 4).labels) == (1, 2, 4, 8, 0, 0, 0)
+    for family in ("H", "F"):
+        torus = cartan_torus(family, n)
+        weights = binary_weights(torus.labels)
+        assert sorted(c for c in weights if c) == [2.0**i for i in range(n)]
+        # 2^n distinct eigenvalues with gap 1: [v, h] = 0 exactly when h
+        # is diagonal in v's eigenbasis
+        eig = np.linalg.eigvalsh(-1j * torus.v)
+        assert len(eig) == 2**n
+        assert np.min(np.diff(eig)) == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(np.sort(torus.mu), eig, rtol=0.0, atol=1e-12)

@@ -1,6 +1,7 @@
-"""Engine tests: objective oracle values, stage identities,
+"""Engine tests: stage identities, the torus formulas against word-stack
+oracles, the Newton step kept for the benchmark's spans,
 construct-then-recover properties, extraction patterns, and the full
-recursion on small registers."""
+recursion on registers of up to seven qubits."""
 
 import warnings
 
@@ -19,7 +20,6 @@ from kgdecomp import (
     SubspaceViolationError,
     Tolerances,
     build_kg_basis,
-    build_v,
     compute_m,
     decompose_full,
     decompose_one_level,
@@ -30,12 +30,12 @@ from kgdecomp import (
     extract_subunitary,
     haar_special_unitary,
     khk_stage,
-    objective,
     pauli_word,
     product,
     residual_k,
 )
 from kgdecomp import basis as basis_module
+from kgdecomp.basis import binary_weights, cartan_torus, word_stack
 from kgdecomp import engine, linalg
 from kgdecomp import factors as factors_module
 from kgdecomp.config import DEFAULT_TOLS, SUBSPACE_TOL
@@ -53,100 +53,6 @@ def random_k_unitary(rng, kg, scale=0.4):
     return expm_skew(random_span_element(rng, kg.k_set, scale))
 
 
-def test_build_v_weights_and_norm():
-    # sorted H3 is (IIX, XXX, YYX, ZZX) and ZZX = XXX YYX IIX up to phase
-    kg = build_kg_basis(3)
-    v = build_v(kg.h_set)
-    assert v.coords == (1.0, 2.0, 4.0, 0.0)
-    # ||v||^2 = 2^(n-2) * sum w_i^2 since ||w||^2 = 2^(n-2)
-    assert np.linalg.norm(v.matrix) ** 2 == pytest.approx(2.0 * 21.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_build_v_binary_weights_make_v_regular(n):
-    kg = build_kg_basis(n)
-    if n == 4:
-        assert build_v(kg.h_set).coords == (1, 2, 4, 0, 8, 0, 0, 0)
-        assert build_v(kg.f_set).coords == (1, 2, 4, 8, 0, 0, 0)
-    for cartan in (kg.h_set, kg.f_set):
-        v = build_v(cartan)
-        assert sorted(c for c in v.coords if c) == [2.0**i for i in range(n)]
-        # 2^n distinct eigenvalues with gap 1: [v, h] = 0 exactly when h
-        # is diagonal in v's eigenbasis
-        eig = np.linalg.eigvalsh(-1j * v.matrix)
-        assert np.min(np.diff(eig)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_objective_frozen_value():
-    # theta = 0 leaves m0 in place; with m0 = u_XXX - u_ZZX and weights
-    # (1, 2, 4, 0) on sorted H3, f = 16 (2 tr(u^2) - 0 tr(u^2)) and
-    # tr(u^2) = -2, giving -64
-    kg = build_kg_basis(3)
-    m0 = AlgebraElement(
-        matrix=pauli_word("XXX").matrix - pauli_word("ZZX").matrix
-    )
-    v = build_v(kg.h_set)
-    theta = np.zeros(len(kg.k_set))
-    got = objective(v, m0, theta, kg.k_set)
-    assert got == pytest.approx(-64.0, rel=1e-12)
-
-
-def test_objective_invariant_under_full_torus_turn():
-    # 4 pi on the central word exponentiates to the identity, so the
-    # objective must return to its theta = 0 value exactly
-    kg = build_kg_basis(3)
-    m0 = AlgebraElement(
-        matrix=pauli_word("XXX").matrix - pauli_word("ZZX").matrix
-    )
-    v = build_v(kg.h_set)
-    theta0 = np.zeros(len(kg.k_set))
-    theta1 = np.zeros(len(kg.k_set))
-    z_index = [w.label for w in kg.k_set].index("IIZ")
-    theta1[z_index] = 4.0 * np.pi
-    assert objective(v, m0, theta1, kg.k_set) == pytest.approx(
-        objective(v, m0, theta0, kg.k_set), rel=1e-12
-    )
-
-
-def test_objective_rejects_wrong_theta_shape():
-    kg = build_kg_basis(3)
-    v = build_v(kg.h_set)
-    m0 = AlgebraElement(matrix=pauli_word("XXX").matrix)
-    with pytest.raises(DimensionMismatchError):
-        objective(v, m0, np.zeros(3), kg.k_set)
-
-
-def test_newton_residual_is_scaled_objective_gradient():
-    # On the chart K <- K exp(t k_j) the objective's derivative is
-    # c_N Re tr(k_j [v, h]), so the k-coordinates of [v, h] that the
-    # Newton step drives to zero are -grad_j / (c_N ||k_j||^2). With
-    # h = K^dag m0 K as the objective's m0, theta = +-eps e_j evaluates
-    # f at K exp(+-eps k_j).
-    rng = np.random.default_rng(15)
-    kg = build_kg_basis(3)
-    v = build_v(kg.h_set)
-    m0 = random_span_element(rng, kg.m_set)
-    k = random_k_unitary(rng, kg)
-    h = AlgebraElement(matrix=k.conj().T @ m0 @ k)
-    k_stack = np.stack([w.matrix for w in kg.k_set])
-    norms2 = np.linalg.norm(k_stack, axis=(1, 2)) ** 2
-    comm = v.matrix @ h.matrix - h.matrix @ v.matrix
-    residual = np.einsum("qji,ji->q", k_stack.conj(), comm).real / norms2
-
-    c_n = 2.0 * 8
-    eps = 1e-5
-    grad = np.empty(len(kg.k_set))
-    for j in range(len(kg.k_set)):
-        step = np.zeros(len(kg.k_set))
-        step[j] = eps
-        grad[j] = (
-            objective(v, h, step, kg.k_set) - objective(v, h, -step, kg.k_set)
-        ) / (2.0 * eps)
-    want = -grad / (c_n * norms2)
-    assert np.max(np.abs(want)) > 1e-2
-    assert np.allclose(residual, want, rtol=0.0, atol=1e-7 * np.max(np.abs(want)))
-
-
 def test_newton_step_solves_the_residual_jacobian(monkeypatch):
     # With D the part of h diagonal in v's eigenbasis B (its Cartan
     # projection), K <- K exp(delta) moves h by -[delta, h] to first
@@ -156,7 +62,7 @@ def test_newton_step_solves_the_residual_jacobian(monkeypatch):
     rng = np.random.default_rng(15)
     kg = build_kg_basis(3)
     inv = AxisInvolution(3, "Z")
-    torus = np.linalg.eigh(-1j * build_v(kg.h_set).matrix)
+    torus = np.linalg.eigh(-1j * cartan_torus("H", 3).v)
     basis = torus[1]
     k = random_k_unitary(rng, kg, scale=1e-2)
     h = k.conj().T @ random_span_element(rng, kg.h_set, 0.4) @ k
@@ -238,7 +144,7 @@ def test_minimize_to_cartan_recovers_spectrum():
         k_prime = random_k_unitary(rng, kg)
         m0_mat = k_prime @ h_true @ k_prime.conj().T
         m0 = AlgebraElement(matrix=m0_mat)
-        k1, h, _ = _minimize_full(m0, kg.h_set)
+        k1, h, _ = _minimize_full(m0, cartan_torus("H", 3))
         assert h.residual_norm < 1e-10
         assert eigenphase_mismatch(expm_skew(h.matrix), expm_skew(h_true)) < 1e-8
         conj = k1.conj().T @ m0_mat @ k1
@@ -246,9 +152,8 @@ def test_minimize_to_cartan_recovers_spectrum():
 
 
 def test_minimize_to_cartan_zero_input_short_circuits():
-    kg = build_kg_basis(3)
     m0 = AlgebraElement(matrix=np.zeros((8, 8), dtype=complex))
-    k1, h, _ = _minimize_full(m0, kg.h_set)
+    k1, h, _ = _minimize_full(m0, cartan_torus("H", 3))
     assert np.array_equal(k1, np.eye(8))
     assert np.linalg.norm(h.matrix) == 0.0
 
@@ -261,32 +166,17 @@ def test_minimize_to_cartan_rounding_level_input_counts_as_zero():
     kg = build_kg_basis(3)
     m0 = random_span_element(rng, kg.k1_set)
     m0 = AlgebraElement(matrix=1e-11 * m0 / np.linalg.norm(m0))
-    k1, h, _ = _minimize_full(m0, kg.f_set)
+    k1, h, _ = _minimize_full(m0, cartan_torus("F", 3))
     assert np.array_equal(k1, np.eye(8))
     assert np.linalg.norm(h.matrix) == 0.0
-
-
-def test_minimize_to_cartan_keeps_the_given_cartan_order():
-    # coords follow the words as passed, so a reversed set must give
-    # reversed-order coords that still rebuild h; the optimizer once
-    # sorted the set and returned coords in the sorted order
-    rng = np.random.default_rng(5)
-    kg = build_kg_basis(3)
-    cartan = tuple(reversed(kg.h_set))
-    k_prime = random_k_unitary(rng, kg)
-    m0_mat = k_prime @ random_span_element(rng, kg.h_set, 0.4) @ k_prime.conj().T
-    _, h, _ = _minimize_full(AlgebraElement(matrix=m0_mat), cartan)
-    rebuilt = sum(c * w.matrix for c, w in zip(h.coords, cartan))
-    assert np.linalg.norm(rebuilt - h.matrix) < 1e-12
 
 
 def test_minimize_to_cartan_failure_carries_best():
     # XXI is theta_Z-even, so no element of exp(k) conjugates it into the
     # theta_Z-odd span of H_3: the projection residual stays ||m0||
-    kg = build_kg_basis(3)
     m0 = AlgebraElement(matrix=0.7 * pauli_word("XXI").matrix)
     with pytest.raises(OptimizerFailedError) as info:
-        _minimize_full(m0, kg.h_set)
+        _minimize_full(m0, cartan_torus("H", 3))
     best_k1, best_h = info.value.best
     assert best_k1.shape == (8, 8)
     assert isinstance(best_h, AlgebraElement)
@@ -301,11 +191,10 @@ def test_minimize_to_cartan_keeps_an_in_span_input(family):
     # an m0 already in the span needs no rotation: K1 = I exactly, and h
     # carries m0's own coordinates
     rng = np.random.default_rng(19)
-    kg = build_kg_basis(4)
-    cartan = kg.h_set if family == "h" else kg.f_set
-    coords = rng.uniform(-0.5, 0.5, len(cartan))
-    m0 = sum(c * w.matrix for c, w in zip(coords, cartan))
-    k1, h, _ = _minimize_full(AlgebraElement(matrix=m0), cartan)
+    torus = cartan_torus(family.upper(), 4)
+    coords = rng.uniform(-0.5, 0.5, len(torus.labels))
+    m0 = sum(c * pauli_word(label).matrix for c, label in zip(coords, torus.labels))
+    k1, h, _ = _minimize_full(AlgebraElement(matrix=m0), torus)
     assert np.array_equal(k1, np.eye(16))
     assert np.allclose(h.coords, coords, rtol=0.0, atol=1e-14)
 
@@ -316,9 +205,8 @@ def test_minimize_to_cartan_gauge_keeps_a_degenerate_rotation_small():
     # the cluster gauge must pick the rotation on the last qubit alone,
     # K1 = I (x) diag(e^{i beta}, e^{-i beta}), as the A (x) B inputs of
     # tests/structured_sweep.py need for their identity factors
-    kg = build_kg_basis(3)
     m0 = 0.4 * pauli_word("IIX").matrix + 0.3 * pauli_word("IIY").matrix
-    k1, h, _ = _minimize_full(AlgebraElement(matrix=m0), kg.h_set)
+    k1, h, _ = _minimize_full(AlgebraElement(matrix=m0), cartan_torus("H", 3))
     top, bottom = np.diag(k1)[0::2], np.diag(k1)[1::2]
     assert np.linalg.norm(k1 - np.diag(np.diag(k1))) < 1e-14
     assert np.ptp(top) < 1e-14 and np.ptp(bottom) < 1e-14
@@ -335,10 +223,11 @@ def test_torus_formulas_match_word_stack_oracles(family, n):
     # matrix formula ||[v, x]|| / (||v|| ||x||)
     rng = np.random.default_rng(100 * n + (family == "f"))
     kg = build_kg_basis(n)
-    canonical = kg.h_set if family == "h" else kg.f_set
+    torus = cartan_torus(family.upper(), n)
+    canonical = tuple(pauli_word(label) for label in torus.labels)
     words = tuple(canonical[i] for i in rng.permutation(len(canonical)))
-    torus, rows = engine._torus(words)
-    v = build_v(canonical).matrix
+    rows = torus.rows_of(word.label for word in words)
+    v = np.tensordot(binary_weights(torus.labels), word_stack(canonical), axes=1)
     noise = random_span_element(rng, kg.m_set + kg.k_set)
     noise /= np.linalg.norm(noise)
     for eps in (0.0, 1e-9, 1e-3, 1.0):
@@ -362,11 +251,11 @@ def test_torus_formulas_match_word_stack_oracles(family, n):
         assert np.linalg.norm(rest_t - rest) <= 1e-13
 
 
-def _closed_form_k_by_cluster_svds(m0_mat, cartan):
+def _closed_form_k_by_cluster_svds(m0_mat, torus):
     # reference: the closed form with one polar SVD per value cluster,
     # singletons included
-    _, u = engine._cartan_frame(cartan)
-    if cartan[0].label[-1] == "X":
+    u = torus.u
+    if torus.name[0] == "H":
         v1, values, v2h = np.linalg.svd(-1j * m0_mat[0::2, 1::2])
         v2 = v2h.conj().T
     else:
@@ -394,16 +283,16 @@ def test_closed_form_singleton_gauge_matches_cluster_svds(monkeypatch, n):
     stages = []
     solve = engine._minimize_full
 
-    def recording_solve(m0, cartan):
-        stages.append((as_matrix(m0), tuple(cartan)))
-        return solve(m0, cartan)
+    def recording_solve(m0, torus):
+        stages.append((as_matrix(m0), torus))
+        return solve(m0, torus)
 
     monkeypatch.setattr(engine, "_minimize_full", recording_solve)
     decompose_full(haar_special_unitary(n, np.random.default_rng(n)), n)
-    assert {len(cartan[0].label) for _, cartan in stages} == set(range(3, n + 1))
-    for m0_mat, cartan in stages:
-        want = _closed_form_k_by_cluster_svds(m0_mat, cartan)
-        assert np.max(np.abs(engine._closed_form_k(m0_mat, cartan) - want)) <= 1e-13
+    assert {int(torus.name[1:]) for _, torus in stages} == set(range(3, n + 1))
+    for m0_mat, torus in stages:
+        want = _closed_form_k_by_cluster_svds(m0_mat, torus)
+        assert np.max(np.abs(engine._closed_form_k(m0_mat, torus) - want)) <= 1e-13
 
 
 def test_newton_polish_evaluates_its_last_step():
@@ -414,7 +303,7 @@ def test_newton_polish_evaluates_its_last_step():
     h_true = random_span_element(rng, kg.h_set, scale=0.4)
     k = random_k_unitary(rng, kg, scale=1e-3)
     m0 = k @ h_true @ k.conj().T
-    v = build_v(kg.h_set).matrix
+    v = cartan_torus("H", 3).v
     torus = np.linalg.eigh(-1j * v)
     rel_identity = np.linalg.norm(v @ m0 - m0 @ v) / (
         np.linalg.norm(v) * np.linalg.norm(m0)
@@ -437,11 +326,12 @@ def test_khk_stage_reconstructs():
     assert np.linalg.norm(g - stage.k0 @ k1h) < 1e-10
 
 
-@pytest.mark.parametrize("axis, family", [("X", "h"), ("Z", "f")])
+@pytest.mark.parametrize("axis, family", [("X", "h"), ("Z", "f"), ("Z", "h-reversed")])
 def test_khk_stage_refuses_other_pairs(axis, family):
-    # the closed form solves only the theta_Z stage against H_n
+    # the closed form solves only the theta_Z stage against H_n, and its
+    # coordinates come in canonical order, so a reordered H_n is refused
     kg = build_kg_basis(3)
-    cartan = kg.h_set if family == "h" else kg.f_set
+    cartan = {"h": kg.h_set, "f": kg.f_set, "h-reversed": kg.h_set[::-1]}[family]
     g = haar_special_unitary(3, np.random.default_rng(5))
     with pytest.raises(ValueError, match="pairs theta_Z with H_3"):
         khk_stage(g, AxisInvolution(3, axis), cartan)
@@ -472,7 +362,7 @@ def test_secondary_stage_reconstructs_its_input():
     g = haar_special_unitary(3, np.random.default_rng(7))
     stage = khk_stage(g, AxisInvolution(3, "Z"), kg.h_set)
     for w in (stage.k0 @ stage.k1, stage.k1.conj().T):
-        factors, phi, psi, _ = engine._secondary_stage(w, 3, kg, inv_x)
+        factors, phi, psi, _ = engine._secondary_stage(w, 3, inv_x)
         assert [f.kind for f in factors] == [
             FactorKind.SUB_UNITARY, FactorKind.CARTAN_EXP,
             FactorKind.SUB_UNITARY, FactorKind.LAST_QUBIT,
@@ -560,7 +450,8 @@ def test_decompose_full_su8_tree_shape():
     assert len(tree.factors) == 9
     assert tree.report.approx_error < 1e-10
     assert len(tree.report.subspace_errors) == 3
-    assert len(tree.report.optimizer_stats) == 3
+    # the closed-form stages take no iterations and report none
+    assert tree.report.optimizer_stats == ()
 
 
 def test_decompose_full_su16_recurses_fully():
@@ -607,6 +498,13 @@ def test_decompose_full_su64_haar():
     g = haar_special_unitary(6, np.random.default_rng(0))
     tree = decompose_full(g, 6)
     assert tree.report.approx_error <= DEFAULT_TOLS.reconstruct_bound(6)
+
+
+@pytest.mark.slow
+def test_decompose_full_su128_haar():
+    g = haar_special_unitary(7, np.random.default_rng(0))
+    tree = decompose_full(g, 7)
+    assert tree.report.approx_error <= DEFAULT_TOLS.reconstruct_bound(7)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -659,12 +557,17 @@ def test_cartan_coordinates_are_stable_under_rounding(n):
 
 def test_decompose_full_and_product_stack_no_words(monkeypatch):
     # the Cartan words are reached through their tori and every other
-    # subspace by involution averages, so no word stack is ever built
+    # subspace by involution averages, so no word stack is ever built,
+    # and the engine never builds the level's full word basis
     def refuse(words):
         raise AssertionError(f"stacked {len(tuple(words))} words")
 
+    def refuse_basis(n):
+        raise AssertionError(f"built the {4**n - 1} words of level {n}")
+
     for module in (basis_module, linalg, engine, factors_module):
         monkeypatch.setattr(module, "word_stack", refuse, raising=False)
+    monkeypatch.setattr(engine, "build_kg_basis", refuse_basis)
     g = haar_special_unitary(5, np.random.default_rng(0))
     tree = decompose_full(g, 5)
     assert np.linalg.norm(product(tree) - g) < 1e-12

@@ -58,5 +58,8 @@ def test_compare_documents_tells_close_from_differs():
     turned = dataclasses.replace(tree.factors[payload],
                                  matrix=1j * tree.factors[payload].matrix)
     factors = tree.factors[:payload] + (turned,) + tree.factors[payload + 1:]
-    other = tree_document(dataclasses.replace(tree, factors=factors))
-    assert compare_documents(document, other).startswith("close: ")
+    other = dataclasses.replace(tree, factors=factors, phase=tree.phase - np.pi / 2)
+    assert compare_documents(document, tree_document(other)).startswith("close: ")
+    shifted = dataclasses.replace(tree, phase=tree.phase + 1e-6)
+    assert compare_documents(document, tree_document(shifted)).startswith(
+        "differs: phase ")

@@ -105,8 +105,9 @@ def compare_documents(before: str, after: str) -> str:
     at most 1e-9 and every payload P of before lies within 1e-9 of
     omega Q, the matching payload Q of after times the phase
     omega = tr(Q^dag P) / |tr(Q^dag P)| that a payload may shed into the
-    global phase; the global phase itself is not compared. `differs`
-    otherwise, naming the first factor that does not match.
+    global phase, and the global phases phi take those phases up:
+    |e^{i (phi_before - phi_after)} prod omega - 1| <= 1e-9. `differs`
+    otherwise, naming the first factor that does not match, or the phase.
     """
     if before == after:
         return "same"
@@ -115,6 +116,7 @@ def compare_documents(before: str, after: str) -> str:
         return (f"differs: {len(a.factors)} factors on {a.n_total} qubits against "
                 f"{len(b.factors)} on {b.n_total}")
     worst_move = worst_payload = 0.0
+    shed = np.exp(1j * (a.phase - b.phase))
     for i, (fa, fb) in enumerate(zip(a.factors, b.factors)):
         where = f"factors[{i}] {fa.kind.value} level {fa.level_qubits}"
         if (fa.kind, fa.level_qubits, fa.basis_name) != (fb.kind, fb.level_qubits,
@@ -131,10 +133,14 @@ def compare_documents(before: str, after: str) -> str:
         else:
             overlap = np.trace(fb.matrix.conj().T @ fa.matrix)
             omega = overlap / abs(overlap) if overlap != 0 else 1.0
+            shed *= omega
             distance = float(np.linalg.norm(fa.matrix - omega * fb.matrix))
             if not distance <= CLOSE_TOL:
                 return f"differs: {where} payload distance {distance:.3e}"
             worst_payload = max(worst_payload, distance)
+    if not abs(shed - 1.0) <= CLOSE_TOL:
+        return (f"differs: phase {a.phase!r} against {b.phase!r}, "
+                f"off by {abs(shed - 1.0):.3e}")
     return f"close: coordinate move {worst_move:.3e}, payload distance {worst_payload:.3e}"
 
 

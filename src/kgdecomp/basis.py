@@ -401,6 +401,9 @@ def cartan_torus(family: str, n: int) -> CartanTorus:
     Raises:
         ValueError: family is not "H" or "F", or n < 2.
     """
+    # imported here: linalg imports this module
+    from .linalg import _eigh
+
     if family not in ("H", "F") or n < 2:
         raise ValueError(f"no Cartan set {family}{n}")
     labels = tuple(sorted(_label_sets(n)[4 if family == "H" else 5]))
@@ -408,10 +411,10 @@ def cartan_torus(family: str, n: int) -> CartanTorus:
     v = word_sum(labels, weights, n)
     u = None
     if n == 2:
-        _, q = np.linalg.eigh(-1j * v)
+        _, q = _eigh(-1j * v)
     else:
         block = v[0::2, 1::2] if family == "H" else v[0::2, 0::2]
-        _, u = np.linalg.eigh(-1j * block)
+        _, u = _eigh(-1j * block)
         q = np.kron(u, _HADAMARD if family == "H" else np.eye(2))
     diagonals = np.array([_word_diagonal(label, q) for label in labels])
     diagonals = diagonals.reshape(len(labels), 2**n)

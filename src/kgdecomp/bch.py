@@ -23,10 +23,17 @@ from .errors import (
     OrderTooHighError,
     RootSearchFailedError,
 )
-from .linalg import AlgebraElement, expm_skew, logm_unitary, project_onto_span
+from .linalg import (
+    AlgebraElement,
+    _norm,
+    expm_skew,
+    logm_unitary,
+    project_onto_span,
+)
 
 __all__ = [
     "MAX_ORDER",
+    "SPLIT_TOL",
     "check_order",
     "truncated_bch",
     "solve_bch_split",
@@ -42,6 +49,12 @@ search must reach."""
 
 MAX_ROOT_ITERS = 200
 """Residual evaluations the least-squares root search may spend."""
+
+SPLIT_TOL = 0.1
+"""Largest reconstruction error ||G - exp(k) exp(m)|| a returned split may
+have. The coordinate root can be met while the split misses G by O(1)
+(Haar SU(8) inputs far from the identity); a truncated series that
+accurate is no split at all."""
 
 
 def check_order(order: int) -> None:
@@ -80,7 +93,7 @@ def truncated_bch(a: np.ndarray, b: np.ndarray, order: int = 6) -> np.ndarray:
         )
     check_order(order)
     comm = a @ b - b @ a
-    if np.linalg.norm(comm) <= 1e-14 * (1.0 + np.linalg.norm(a) * np.linalg.norm(b)):
+    if _norm(comm) <= 1e-14 * (1.0 + _norm(a) * _norm(b)):
         return a + b
     # a_pow[r] = a^r / r!, b_pow[s] = b^s / s!
     a_pow = [np.eye(len(a), dtype=complex)]
@@ -129,7 +142,8 @@ def solve_bch_split(
         ValueError, OrderTooHighError: order is outside 1..MAX_ORDER;
             checked before any work.
         RootSearchFailedError: the coordinate residual stayed above
-            ROOT_TOL; the best (k, m, residual) triple rides in `best`.
+            ROOT_TOL, or the reconstruction error exceeds SPLIT_TOL; the
+            best (k, m, residual) triple rides in `best`.
     """
     # imported here: at module level it would add about 21 MiB of peak
     # RSS and 0.25 s to every `import kgdecomp`
@@ -167,18 +181,24 @@ def solve_bch_split(
     k_elt = AlgebraElement(
         matrix=k_part,
         coords=tuple(float(c) for c in k_coords),
-        residual_norm=float(np.linalg.norm(k_resid)),
+        residual_norm=_norm(k_resid),
     )
     m_elt = AlgebraElement(
         matrix=m_mat,
         coords=tuple(float(c) for c in sol.x),
         residual_norm=0.0,
     )
-    residual = float(np.linalg.norm(g - expm_skew(k_part) @ expm_skew(m_mat)))
-    root_gap = float(np.linalg.norm(sol.fun))
-    if root_gap > ROOT_TOL * max(1.0, float(np.linalg.norm(g_m_coords))):
+    residual = _norm(g - expm_skew(k_part) @ expm_skew(m_mat))
+    root_gap = _norm(sol.fun)
+    if root_gap > ROOT_TOL * max(1.0, _norm(g_m_coords)):
         raise RootSearchFailedError(
             f"coordinate residual {root_gap:.3e} stayed above ROOT_TOL",
+            best=(k_elt, m_elt, residual),
+        )
+    if residual > SPLIT_TOL:
+        raise RootSearchFailedError(
+            f"split reconstruction error {residual:.3e} exceeds SPLIT_TOL "
+            f"{SPLIT_TOL:.1e}",
             best=(k_elt, m_elt, residual),
         )
     return k_elt, m_elt, residual

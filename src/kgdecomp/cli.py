@@ -39,7 +39,7 @@ from .errors import (
 from .factors import deserialize, factor_defects, product, serialize
 from .fileio import dump_json, matrix_from_document
 from .involutions import AxisInvolution
-from .linalg import expm_skew, nearest_special_unitary, project_onto_span
+from .linalg import _norm, expm_skew, nearest_special_unitary, project_onto_span
 from .metrics import format_table, run_benchmark, summary_to_dict
 
 __all__ = [
@@ -75,7 +75,7 @@ def cmd_decompose(args) -> int:
     repair_distance = None
     if args.repair:
         g, _ = nearest_special_unitary(g_raw)
-        repair_distance = float(np.linalg.norm(g - g_raw))
+        repair_distance = _norm(g - g_raw)
     else:
         try:
             validate_special_unitary(g_raw)
@@ -123,7 +123,7 @@ def cmd_decompose(args) -> int:
         print(f"E_s {label} = {value:.6e}", file=summary_stream)
     if repair_distance is not None:
         print(f"repair distance = {repair_distance:.6e}", file=summary_stream)
-        raw_error = float(np.linalg.norm(g_raw - product(tree)))
+        raw_error = _norm(g_raw - product(tree))
         print(f"E_a vs raw input = {raw_error:.6e}", file=summary_stream)
     print(f"wall time = {report.wall_time:.3f} s", file=summary_stream)
     if args.output:
@@ -140,7 +140,7 @@ def cmd_verify(args) -> int:
         )
     tols = Tolerances(args.tol_reconstruct)
     threshold = tols.reconstruct_bound(tree.n_total)
-    error = float(np.linalg.norm(g - product(tree)))
+    error = _norm(g - product(tree))
     print(f"E_a = {error:.6e} (threshold {threshold:.6e})")
 
     worst_defect = 0.0
@@ -184,8 +184,8 @@ def cmd_compare_bch(args) -> int:
     inv = AxisInvolution(n, "Z")
     m_inv = compute_m(g, inv)
     k0 = residual_k(g, m_inv)
-    inv_error = float(np.linalg.norm(g - k0 @ expm_skew(m_inv.matrix)))
-    m_norm = float(np.linalg.norm(m_inv.matrix))
+    inv_error = _norm(g - k0 @ expm_skew(m_inv.matrix))
+    m_norm = _norm(m_inv.matrix)
     print(f"involution: reconstruction = {inv_error:.6e}, |m| = {m_norm:.6e}")
 
     if m_norm > args.max_norm:
@@ -198,7 +198,7 @@ def cmd_compare_bch(args) -> int:
 
     k_elt, m_elt, residual = solve_bch_split(g, kg.k_set, kg.m_set, args.order)
     m_inv_coords, _ = project_onto_span(m_inv.matrix, kg.m_set)
-    gap = float(np.linalg.norm(np.asarray(m_elt.coords) - m_inv_coords))
+    gap = _norm(np.asarray(m_elt.coords) - m_inv_coords)
     print(
         f"bch[order={args.order}]: reconstruction = {residual:.6e}, "
         f"m-coordinate gap = {gap:.6e}, k off-span = {k_elt.residual_norm:.6e}"

@@ -18,6 +18,13 @@ Both involution logarithms are theta-odd by construction, also where
 theta(g^dag) g has the eigenvalue -1 and the principal log is not (see
 compute_m), so structured gates split like generic ones.
 
+The theta_X stage runs on one 2^(n-1) block. Its input w is fixed by
+theta_Z, so in the last-qubit block view it is diag(W0, W1), and
+theta_X(w^dag) w = diag(P, P^dag) with P = W1^dag W0. The log is one
+Schur form of P, and the cofactor k = w e^(-m), the central I..IZ
+phase and the F_n rotation all come from one eigh of that log's block
+(_secondary_stage); no 2^n matrix is decomposed or exponentiated there.
+
 Each Cartan stage is solved in closed form, with no iteration. Both
 Cartan sets are a commuting set W of words on the first n - 1 qubits
 times one last letter: H_n = W (x) X and F_n = (W minus I..I) (x) Z. In
@@ -67,6 +74,7 @@ from .basis import (
 from .config import CARTAN_TOL, DEFAULT_TOLS, PATTERN_TOL, SUBSPACE_TOL, Tolerances
 from .errors import (
     DimensionMismatchError,
+    KgDecompError,
     NotTensorWithIdentityError,
     NotUnitaryError,
     OptimizerFailedError,
@@ -87,6 +95,12 @@ from .involutions import AxisInvolution
 from .linalg import (
     AlgebraElement,
     _cyclic_phase_mismatch,
+    _det,
+    _eigh,
+    _eigvalsh,
+    _norm,
+    _schur,
+    _svd,
     _wrapped_phases,
     as_matrix,
     # commutation_defect, eigenphase_mismatch, expm_skew_many and
@@ -123,6 +137,10 @@ _REPAIR_THRESHOLD = 1e-12
 _INGEST_TOL = 1e-8
 _CLUSTER_TOL = 1e-9
 _IN_SPAN_TOL = 1e-12
+# eigenphases of P = W1^dag W0 this close above -pi count as pi, the
+# branch that the theta_X odd reflection takes at the eigenvalue -1
+_MINUS_ONE_BRANCH = 1e-9
+_SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -169,7 +187,7 @@ def validate_special_unitary(g: np.ndarray) -> float:
 
 def _maybe_repair(k: np.ndarray) -> np.ndarray:
     """Re-unitarizes k when its drift exceeds the repair threshold."""
-    defect = np.linalg.norm(k @ k.conj().T - np.eye(k.shape[0]))
+    defect = _norm(k @ k.conj().T - np.eye(k.shape[0]))
     if defect > _REPAIR_THRESHOLD:
         k, _ = nearest_special_unitary(k)
     return k
@@ -191,8 +209,20 @@ def compute_m(
     that cluster. exp(2m) = w holds within tolerance (a tested
     invariant). It is snapped by O(4^n) involution averages: its skew
     part, its theta-odd part, then its part fixed by each phi in fixing,
-    (a + phi(a)) / 2; the theta_X stage passes (theta_Z,) to land in
-    span(K_n1) + span(I..IZ). The pre-snap residual is on residual_norm.
+    (a + phi(a)) / 2. The pre-snap residual is on residual_norm.
+
+    The theta_X stage passes inv = theta_X and fixing = (theta_Z,), on a
+    g fixed by theta_Z, to land in span(K_n1) + span(I..IZ). That log
+    lives on one 2^(n-1) block. In the last-qubit block view (rows and
+    columns 0::2 and 1::2) g = diag(W0, W1), and theta_X swaps the two
+    blocks, so w = diag(P, P^dag) with P = W1^dag W0, and every log
+    m = (1/2) diag(L, -L) with exp(L) = P is exactly theta_X-odd and
+    theta_Z-even. L comes from one Schur form of P, with the eigenphases
+    taken in (-pi, pi] and those within 1e-9 above -pi moved to pi, the
+    branch the odd reflection takes; this path raises no branch warning.
+    Its residual_norm is the norm of the theta_Z-odd part of w, and the
+    determinant is read as det W0 det W1, so no 2^n matrix is decomposed;
+    a g whose off-diagonal blocks exceed SUBSPACE_TOL is refused.
 
     Raises:
         NotUnitaryError: g is not special unitary within tolerance.
@@ -200,6 +230,8 @@ def compute_m(
             tolerance, or the -1 eigenspace has no theta-odd log.
     """
     g = np.asarray(g, dtype=complex)
+    if inv.axis == "X" and tuple(fixing) == (AxisInvolution(inv.n, "Z"),):
+        return _theta_x_log(g, inv)
     defect = validate_special_unitary(g)
     w = inv.apply(g.conj().T) @ g
     log_tol = max(DEFAULT_TOLS.structure * g.shape[0], 4.0 * defect)
@@ -208,11 +240,61 @@ def compute_m(
     m = m - inv.even_part(m)
     for fix in fixing:
         m = fix.even_part(m)
-    residual_norm = float(np.linalg.norm(m_raw - m))
+    residual_norm = _norm(m_raw - m)
     if residual_norm > SUBSPACE_TOL:
         raise SubspaceViolationError(
             f"m lies {residual_norm:.3e} from its span, above {SUBSPACE_TOL:.3e}"
         )
+    return AlgebraElement(matrix=m, residual_norm=residual_norm)
+
+
+def _theta_x_log(g: np.ndarray, inv_x: AxisInvolution) -> AlgebraElement:
+    """compute_m(g, theta_X, (theta_Z,)) on the 2^(n-1) block P = W1^dag W0."""
+    # checked first, so that no det of a NaN or inf matrix is taken
+    if not np.all(np.isfinite(g)):
+        raise NotUnitaryError("input has non-finite entries")
+    w = inv_x.apply(g.conj().T) @ g
+    defect = _norm(g @ g.conj().T - np.eye(len(g)))
+    # written as `not <=` so that a NaN defect fails too
+    if not defect <= _INGEST_TOL:
+        raise NotUnitaryError(
+            f"unitarity defect {defect:.3e} exceeds {_INGEST_TOL:.3e}"
+        )
+    # the block form needs g = diag(W0, W1); an input off that form,
+    # such as I..IX, is refused before its blocks are read
+    off_blocks = float(np.hypot(_norm(g[0::2, 1::2]), _norm(g[1::2, 0::2])))
+    if off_blocks > SUBSPACE_TOL:
+        raise SubspaceViolationError(
+            f"input is {off_blocks:.3e} from the theta_Z-fixed group, "
+            f"above {SUBSPACE_TOL:.3e}"
+        )
+    residual_norm = float(np.hypot(_norm(w[0::2, 1::2]), _norm(w[1::2, 0::2])))
+    if residual_norm > SUBSPACE_TOL:
+        raise SubspaceViolationError(
+            f"m lies {residual_norm:.3e} from its span, above {SUBSPACE_TOL:.3e}"
+        )
+    det_defect = abs(_det(g[0::2, 0::2]) * _det(g[1::2, 1::2]) - 1.0)
+    if not det_defect <= _INGEST_TOL:
+        raise NotUnitaryError(
+            f"determinant defect {det_defect:.3e} of the last-qubit blocks "
+            f"exceeds {_INGEST_TOL:.3e}"
+        )
+    p = w[0::2, 0::2]
+    log_tol = max(DEFAULT_TOLS.structure * len(g), 4.0 * defect)
+    p_defect = _norm(p @ p.conj().T - np.eye(len(p)))
+    if p_defect > log_tol:
+        raise NotUnitaryError(
+            f"unitarity defect {p_defect:.3e} exceeds {log_tol:.3e}"
+        )
+    t, z = _schur(p)
+    phases = np.angle(np.diagonal(t))
+    phases[phases <= _MINUS_ONE_BRANCH - np.pi] = np.pi
+    log_p = (z * (1j * phases)) @ z.conj().T
+    # (1/2) the skew part of log P, exactly skew-Hermitian
+    c = 0.25 * (log_p - log_p.conj().T)
+    m = np.zeros_like(g)
+    m[0::2, 0::2] = c
+    m[1::2, 1::2] = -c
     return AlgebraElement(matrix=m, residual_norm=residual_norm)
 
 
@@ -253,7 +335,7 @@ def _newton_polish(
     basis_dag = basis.conj().T
     word_norm = np.sqrt(basis.shape[0] / 4.0)
     v_gaps = mu[:, None] - mu[None, :]
-    norm_v = np.linalg.norm(mu)
+    norm_v = _norm(mu)
     best_k, best_rel = k1, np.inf
     for steps in range(max_steps + 1):
         kb = k1 @ basis
@@ -261,7 +343,7 @@ def _newton_polish(
         # exactly skew-Hermitian, or a tiny gap would magnify the rounding
         # into a non-skew step
         h = 0.5 * (h - h.conj().T)
-        rel = np.linalg.norm(v_gaps * h) / (norm_v * np.linalg.norm(h) + 1e-300)
+        rel = _norm(v_gaps * h) / (norm_v * _norm(h) + 1e-300)
         if rel < best_rel:
             best_k, best_rel = k1, rel
         if rel <= _POLISH_TARGET or steps == max_steps:
@@ -272,7 +354,7 @@ def _newton_polish(
         delta = basis @ np.divide(h, gaps, out=np.zeros_like(h), where=live) @ basis_dag
         for inv in fixing:
             delta = inv.even_part(delta)
-        step_norm = float(np.linalg.norm(delta)) / word_norm
+        step_norm = _norm(delta) / word_norm
         if not np.isfinite(step_norm) or step_norm == 0.0:
             break
         if step_norm > 1.0:
@@ -281,69 +363,65 @@ def _newton_polish(
     return best_k, best_rel, steps
 
 
-def _torus_split(xt: np.ndarray, torus: CartanTorus):
+def _torus_split(xt: np.ndarray, torus: CartanTorus, block: bool = False):
     """(c, p, residual_norm) of x~ = Q^dag x Q against the torus's span.
 
     With d = Im diag(x~), the projection of x has coordinates
     c = (2 / 2^n) signs d in the torus's canonical order and is
     Q (i diag(p)) Q^dag with p = (1/2) signs^T c; residual_norm is
     ||x~ - i diag(p)||_F, the distance of x from the span.
+
+    block=True takes the F-torus block x~ = U^dag X U of an
+    x = diag(X, -X) in the last-qubit block view: it reads the rows
+    signs[:, 0::2], returns the block of p, and the residual of the
+    whole register, sqrt(2) times that of the block; c is unchanged.
     """
-    c = (2.0 / len(xt)) * (torus.signs @ np.diagonal(xt).imag)
-    p = 0.5 * (c @ torus.signs)
+    signs = torus.signs[:, 0::2] if block else torus.signs
+    c = (2.0 / len(xt)) * (signs @ np.diagonal(xt).imag)
+    p = 0.5 * (c @ signs)
     off = xt.copy()
     off.flat[:: len(xt) + 1] -= 1j * p
-    return c, p, float(np.linalg.norm(off))
+    return c, p, _norm(off) * (_SQRT2 if block else 1.0)
 
 
-def _relative_commutator(xt: np.ndarray, torus: CartanTorus) -> float:
+def _relative_commutator(
+    xt: np.ndarray, torus: CartanTorus, block: bool = False
+) -> float:
     """||[v, x]|| / (||v|| ||x||) for x = Q x~ Q^dag, a nonzero x, from
-    [v, x]~_ab = i (mu_a - mu_b) x~_ab."""
-    mu = torus.mu
+    [v, x]~_ab = i (mu_a - mu_b) x~_ab. block=True as in _torus_split,
+    from mu[0::2]: each norm doubles its square on the whole register,
+    so the block ratio is divided by sqrt(2)."""
+    mu = torus.mu[0::2] if block else torus.mu
     gaps = mu[:, None] - mu[None, :]
-    return float(np.linalg.norm(gaps * xt) / (np.linalg.norm(mu) * np.linalg.norm(xt)))
+    rel = _norm(gaps * xt) / (_norm(mu) * _norm(xt))
+    return rel / _SQRT2 if block else rel
 
 
-def _subspace_error(xt: np.ndarray, torus: CartanTorus) -> float:
+def _subspace_error(xt: np.ndarray, torus: CartanTorus, block: bool = False) -> float:
     """commutation_defect(x, words) for x = Q x~ Q^dag, from
-    sum_w ||[w, x]||^2 = sum_ab C_ab |x~_ab|^2 (CartanTorus.es_weights)."""
+    sum_w ||[w, x]||^2 = sum_ab C_ab |x~_ab|^2 (CartanTorus.es_weights).
+    block=True as in _torus_split, from es_weights[0::2, 0::2], times
+    sqrt(2)."""
+    weights = torus.es_weights[0::2, 0::2] if block else torus.es_weights
     abs2 = xt.real**2 + xt.imag**2
-    return float(np.sqrt(np.sum(torus.es_weights * abs2)) / len(torus.labels))
+    es = float(np.sqrt(np.sum(weights * abs2)) / len(torus.labels))
+    return es * _SQRT2 if block else es
 
 
-def _closed_form_k(m0_mat: np.ndarray, torus: CartanTorus) -> np.ndarray:
-    """The K = diag(A, B) in SU(2^n) that conjugates m0 into the span of
-    the torus's Cartan set.
+def _cluster_gauge(overlap: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The block-diagonal unitary R that best aligns the solve's vectors
+    with the torus basis: on each cluster of equal values (sorted
+    neighbours within 1e-9 max |values|), the polar factor that
+    maximizes Re tr(overlap R) on the cluster.
 
-    With U = torus.u the joint eigenbasis of W:
-    - H set: m0 is [[0, Y], [-Y^dag, 0]]; the SVD -i Y = V1 S V2^dag
-      gives A = V1 U^dag, B = V2 U^dag, and A^dag Y B = i U S U^dag.
-    - F set: m0 is diag(C, -C); the eigh -i C = V D V^dag gives
-      A = B = V U^dag, and A^dag C A = i U D U^dag.
-    Within each cluster of equal S or D values (sorted neighbours within
-    1e-9 max |S| or 1e-9 max |D|) the columns of V1, V2 or V are free up to one common
-    unitary R; R is taken as the polar factor that maximizes
-    Re tr((U^dag (A + B) U) R) on the cluster, which keeps K closest to I
-    and makes it continuous in m0 where the values are distinct. On a
-    cluster of one value, the only kind a generic stage has, that polar
-    factor of the 1 x 1 overlap o is conj(o) / |o|, or 1 where o = 0:
-    all singletons are set in one array operation, and only clusters of
-    two or more values take an SVD. K is scaled by e^(-i arg det K / 2^n)
-    so that det K = 1. In the torus basis Q that U builds, (K Q)^dag m0
-    (K Q) is then diagonal up to rounding: _minimize_full reads the stage
-    off that one rotation.
+    On a cluster of one value, the only kind a generic stage has, that
+    polar factor of the 1 x 1 overlap o is conj(o) / |o|, or 1 where
+    o = 0: all singletons are set in one array operation, and only
+    clusters of two or more values take an SVD.
     """
-    u = torus.u
-    if torus.name[0] == "H":
-        v1, values, v2h = np.linalg.svd(-1j * m0_mat[0::2, 1::2])
-        v2 = v2h.conj().T
-    else:
-        values, v1 = np.linalg.eigh(-1j * m0_mat[0::2, 0::2])
-        v2 = v1
-    overlap = u.conj().T @ (v1 + v2)
     rotation = np.zeros_like(overlap)
     # relative, so that a stage input of any norm keeps its distinct
-    # values apart; a zero m0 never gets here
+    # values apart; a zero stage input never gets here
     tol = _CLUSTER_TOL * np.max(np.abs(values))
     bounds = np.concatenate(
         ([0], np.flatnonzero(np.abs(np.diff(values)) > tol) + 1, [len(values)])
@@ -355,13 +433,35 @@ def _closed_form_k(m0_mat: np.ndarray, torus: CartanTorus) -> np.ndarray:
     )
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if stop - start > 1:
-            w, _, zh = np.linalg.svd(overlap[start:stop, start:stop])
+            w, _, zh = _svd(overlap[start:stop, start:stop])
             rotation[start:stop, start:stop] = zh.conj().T @ w.conj().T
+    return rotation
+
+
+def _closed_form_k(m0_mat: np.ndarray, torus: CartanTorus) -> np.ndarray:
+    """The K = diag(A, B) in SU(2^n) that conjugates m0 into the span of
+    the torus's H_n set (the theta_Z stage; the F_n stage is _f_rotation).
+
+    With U = torus.u the joint eigenbasis of W, m0 is [[0, Y], [-Y^dag, 0]]
+    in the last-qubit block view; the SVD -i Y = V1 S V2^dag gives
+    A = V1 U^dag, B = V2 U^dag, and A^dag Y B = i U S U^dag. Within each
+    cluster of equal singular values the columns of V1 and V2 are free
+    up to one common unitary R; R is _cluster_gauge's polar factor of
+    U^dag (V1 + V2) on the cluster, which keeps K closest to I and makes
+    it continuous in m0 where the values are distinct. K is scaled by
+    e^(-i arg det K / 2^n) so that det K = 1. In the torus basis Q that
+    U builds, (K Q)^dag m0 (K Q) is then diagonal up to rounding:
+    _minimize_full reads the stage off that one rotation.
+    """
+    u = torus.u
+    v1, values, v2h = _svd(-1j * m0_mat[0::2, 1::2])
+    v2 = v2h.conj().T
+    rotation = _cluster_gauge(u.conj().T @ (v1 + v2), values)
     half = u.shape[0]
     k = np.zeros((2 * half, 2 * half), dtype=complex)
     k[0::2, 0::2] = v1 @ rotation @ u.conj().T
     k[1::2, 1::2] = v2 @ rotation @ u.conj().T
-    det = np.linalg.det(k[0::2, 0::2]) * np.linalg.det(k[1::2, 1::2])
+    det = _det(k[0::2, 0::2]) * _det(k[1::2, 1::2])
     return k * np.exp(-1j * np.angle(det) / (2 * half))
 
 
@@ -370,8 +470,9 @@ def _minimize_full(
 ) -> Tuple[np.ndarray, AlgebraElement, float]:
     """Conjugates m0 into the Cartan span over the stage's subgroup exp(k).
 
-    K1 is _closed_form_k's, or I when m0 already lies within 1e-12 ||m0||
-    of the span. Everything else is read off one rotation
+    The theta_Z stage's solve, against the H_n torus. K1 is
+    _closed_form_k's, or I when m0 already lies within 1e-12 ||m0|| of
+    the span (that shortcut and the zero case below hold for any torus). Everything else is read off one rotation
     x~ = P^dag m0 P with P = K1 Q, where Q is the basis of the torus
     (basis.cartan_torus) in which every Cartan word is diagonal: the
     coordinates and off-span residual (_torus_split), the relative
@@ -398,7 +499,7 @@ def _minimize_full(
     q = torus.q
     k1 = np.eye(m0_mat.shape[0], dtype=complex)
 
-    norm_m0 = np.linalg.norm(m0_mat)
+    norm_m0 = _norm(m0_mat)
     xt = q.conj().T @ m0_mat @ q
     if norm_m0 <= DEFAULT_TOLS.structure:
         zero = AlgebraElement(
@@ -424,7 +525,7 @@ def _minimize_full(
         rel <= CARTAN_TOL
         and residual_norm <= SUBSPACE_TOL
         and _cyclic_phase_mismatch(
-            _wrapped_phases(p), _wrapped_phases(np.linalg.eigvalsh(-1j * m0_mat))
+            _wrapped_phases(p), _wrapped_phases(_eigvalsh(-1j * m0_mat))
         )
         <= _SPECTRUM_TOL
     ):
@@ -487,14 +588,14 @@ def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
         raise DimensionMismatchError(f"expected shape {(dim, dim)}, got {k.shape}")
     even = k[0::2, 0::2]
     odd = k[1::2, 1::2]
-    cross = max(np.linalg.norm(k[0::2, 1::2]), np.linalg.norm(k[1::2, 0::2]))
-    mismatch = np.linalg.norm(even - odd)
+    cross = max(_norm(k[0::2, 1::2]), _norm(k[1::2, 0::2]))
+    mismatch = _norm(even - odd)
     if max(cross, mismatch) > PATTERN_TOL:
         raise NotTensorWithIdentityError(
             f"pattern defect {max(cross, mismatch):.3e} exceeds {PATTERN_TOL:.3e}"
         )
     sub = 0.5 * (even + odd)
-    phase = float(np.angle(np.linalg.det(sub))) / 2 ** (n - 1)
+    phase = float(np.angle(_det(sub))) / 2 ** (n - 1)
     sub = np.exp(-1j * phase) * sub
     return _maybe_repair(sub), phase
 
@@ -528,7 +629,7 @@ def extract_last_qubit(m_tilde, n: int) -> np.ndarray:
     if mat.shape != (dim, dim):
         raise DimensionMismatchError(f"expected shape {(dim, dim)}, got {mat.shape}")
     alpha, residual = _central_split(mat)
-    defect = np.linalg.norm(residual)
+    defect = _norm(residual)
     if defect > PATTERN_TOL * (1.0 + abs(alpha)):
         raise SubspaceViolationError(
             f"central-phase defect {defect:.3e} exceeds tolerance"
@@ -536,49 +637,151 @@ def extract_last_qubit(m_tilde, n: int) -> np.ndarray:
     return expm_skew(mat[:2, :2], tol=max(DEFAULT_TOLS.structure * 2, 4.0 * defect))
 
 
-def _cartan_factor(element: AlgebraElement, torus: CartanTorus) -> Factor:
-    """Builds a CartanExp factor from a Cartan element of the torus's set."""
+def _cartan_factor(
+    coords: Sequence[float], residual_norm: float, torus: CartanTorus
+) -> Factor:
+    """Builds a CartanExp factor from coordinates in the torus's label order."""
     return Factor(
         kind=FactorKind.CARTAN_EXP,
         level_qubits=int(torus.name[1:]),
         basis_name=torus.name,
-        coeffs=tuple(zip(torus.labels, map(float, element.coords))),
-        subspace_residual=element.residual_norm,
+        coeffs=tuple(zip(torus.labels, map(float, coords))),
+        subspace_residual=residual_norm,
+    )
+
+
+def _f_rotation(
+    c_hat: np.ndarray, values: np.ndarray, vecs: np.ndarray, torus: CartanTorus
+) -> Tuple[np.ndarray, np.ndarray, float, float]:
+    """The F stage of a theta_X stage, on its 2^(n-1) block.
+
+    m_hat = diag(C^, -C^) in the last-qubit block view, with C^ traceless
+    and values, vecs the eigh of -i C^. The rotation is K1 = A (x) I with
+    A = vecs R U^dag, R the _cluster_gauge of U^dag vecs, or A = I when
+    m_hat lies within 1e-12 ||m_hat|| of span F_n or has norm at most
+    Tolerances.structure; A is scaled by e^(-i arg det(A)^2 / 2^n), as
+    K1 = A (x) I would be into SU(2^n). Everything is read off the block
+    x~ = (A U)^dag C^ (A U) of the torus rotation, with the figures of
+    the whole register (the block keyword of _torus_split,
+    _relative_commutator and _subspace_error), and checked as in
+    _minimize_full: relative commutator at most CARTAN_TOL, residual at
+    most SUBSPACE_TOL, and p against the spectrum values of -i C^ within
+    1e-8, both wrapped into (-pi, pi].
+
+    Returns (A, coords, residual_norm, subspace_error), the coordinates
+    in torus.labels order.
+
+    Raises:
+        OptimizerFailedError: the solution fails a bound; the pair
+            (A (x) I, h) rides in its `best` attribute.
+    """
+    u = torus.u
+    a = np.eye(len(c_hat), dtype=complex)
+    norm_m = _SQRT2 * _norm(c_hat)
+    xt = u.conj().T @ c_hat @ u
+    if norm_m <= DEFAULT_TOLS.structure:
+        coords = np.zeros(len(torus.labels))
+        return a, coords, norm_m, _subspace_error(xt, torus, block=True)
+
+    c, p, residual_norm = _torus_split(xt, torus, block=True)
+    if residual_norm > _IN_SPAN_TOL * norm_m:
+        a = vecs @ _cluster_gauge(u.conj().T @ vecs, values) @ u.conj().T
+        det = _det(a)
+        a = _maybe_repair(a * np.exp(-1j * np.angle(det * det) / (2 * len(a))))
+        frame = a @ u
+        xt = frame.conj().T @ c_hat @ frame
+        c, p, residual_norm = _torus_split(xt, torus, block=True)
+    rel = _relative_commutator(xt, torus, block=True)
+    if (
+        rel <= CARTAN_TOL
+        and residual_norm <= SUBSPACE_TOL
+        and _cyclic_phase_mismatch(_wrapped_phases(p), _wrapped_phases(values))
+        <= _SPECTRUM_TOL
+    ):
+        return a, c, residual_norm, _subspace_error(xt, torus, block=True)
+    h_block = (u * (1j * p)) @ u.conj().T
+    h = np.zeros((2 * len(a), 2 * len(a)), dtype=complex)
+    h[0::2, 0::2] = h_block
+    h[1::2, 1::2] = -h_block
+    raise OptimizerFailedError(
+        f"closed-form solve left relative commutator {rel:.3e} "
+        f"(bound {CARTAN_TOL:.1e}), projection residual {residual_norm:.3e}",
+        best=(
+            np.kron(a, np.eye(2)),
+            AlgebraElement(matrix=h, coords=tuple(c.tolist()), residual_norm=residual_norm),
+        ),
     )
 
 
 def _secondary_stage(
     w: np.ndarray, n: int, inv_x: AxisInvolution
 ) -> Tuple[Tuple[Factor, ...], float, float, float]:
-    """The theta_X stage on one K-type input w of level n.
+    """The theta_X stage on one K-type input w of level n, on 2^(n-1) blocks.
 
-    m = (1/2) log(theta_X(w^dag) w) lands in span(K_n1) + span(I..IZ); its
-    K_n1 part m_hat, m minus its I..IZ part, is conjugated into F_n over
-    exp(K_n0) as m_hat = T e^f T^dag, and the central remainder m - m_hat
-    becomes the last-qubit factor Q. With k = w exp(-m), k T = e^{i phi} (S x I) and
-    T = e^{i psi} (T' x I),
+    w is fixed by theta_Z, so in the last-qubit block view it is
+    diag(W0, W1), and m = (1/2) log(theta_X(w^dag) w) from compute_m is
+    diag(C, -C) with exp(2C) = W1^dag W0. C splits into its central
+    coordinate alpha on I..IZ and the traceless rest C^ = C - (i alpha / 2) I.
+    One eigh -i C^ = V diag(D) V^dag gives both the cofactor
+    k = w exp(-m) = K (x) I, whose blocks are
+    W0 e^(-C) = e^(-i alpha / 2) W0 V e^(-iD) V^dag and
+    W1 e^(C) = e^(i alpha / 2) W1 V e^(iD) V^dag and must agree within
+    PATTERN_TOL, and the F stage's closed form (_f_rotation), which
+    conjugates m_hat = diag(C^, -C^) into F_n by T = A (x) I. With
+    K A = e^{i phi} S and A = e^{i psi} T', both in SU(2^(n-1)),
 
-        w = e^{i(phi - psi)} (S x I) e^f (T'^dag x I) (I x Q).
+        w = e^{i(phi - psi)} (S x I) e^f (T'^dag x I) (I x Q),
+
+    with Q = diag(e^{i alpha/2}, e^{-i alpha/2}) the last-qubit factor.
+    No 2^n matrix is decomposed or exponentiated.
 
     Returns the factors (S, e^f, T'^dag, Q), phi, psi and the F stage's
     subspace error.
+
+    Raises:
+        NotTensorWithIdentityError: the two blocks of k differ beyond
+            PATTERN_TOL.
     """
-    inv_z = AxisInvolution(n, "Z")
     torus = cartan_torus("F", n)
-    m = compute_m(w, inv_x, (inv_z,))
-    k = _maybe_repair(residual_k(w, m))
-    _, m_hat = _central_split(m.matrix)
-    k1, f, subspace_error = _minimize_full(m_hat, torus)
-    sub, phi = extract_subunitary(k @ k1, n)
-    inner, psi = extract_subunitary(k1, n)
-    last = extract_last_qubit(m.matrix - m_hat, n)
+    m = compute_m(w, inv_x, (AxisInvolution(n, "Z"),))
+    c = m.matrix[0::2, 0::2]
+    half = len(c)
+    # the coordinate (2 / 2^n) s . Im diag(m) of I..IZ, read on the block
+    alpha = 2.0 * float(np.trace(c).imag) / half
+    c_hat = c - (0.5j * alpha) * np.eye(half)
+    values, vecs = _eigh(-1j * c_hat)
+    turn = np.exp(-1j * (values + 0.5 * alpha))
+    even = (w[0::2, 0::2] @ vecs) * turn
+    odd = (w[1::2, 1::2] @ vecs) * turn.conj()
+    mismatch = _norm(even - odd)
+    if mismatch > PATTERN_TOL:
+        raise NotTensorWithIdentityError(
+            f"pattern defect {mismatch:.3e} exceeds {PATTERN_TOL:.3e}"
+        )
+    k = _maybe_repair(0.5 * (even + odd) @ vecs.conj().T)
+    a, coords, residual_norm, subspace_error = _f_rotation(c_hat, values, vecs, torus)
+    outer = k @ a
+    phi = float(np.angle(_det(outer))) / half
+    psi = float(np.angle(_det(a))) / half
+    sub = _maybe_repair(np.exp(-1j * phi) * outer)
+    inner = _maybe_repair(np.exp(-1j * psi) * a)
+    last = np.diag(np.exp([0.5j * alpha, -0.5j * alpha]))
     factors = (
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub),
-        _cartan_factor(f, torus),
+        _cartan_factor(coords, residual_norm, torus),
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=inner.conj().T),
         Factor(kind=FactorKind.LAST_QUBIT, level_qubits=n, matrix=last),
     )
     return factors, phi, psi, subspace_error
+
+
+def _run_stage(label: str, stage, *args):
+    """stage(*args), with a KgDecompError it raises named after label."""
+    try:
+        return stage(*args)
+    except KgDecompError as exc:
+        exc.stage = label
+        raise
 
 
 def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
@@ -587,7 +790,9 @@ def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
     A level is three stage calls: the theta_Z stage G = K0 K1 e^h K1^dag,
     then the theta_X stage on K0 K1 and on K1^dag. Each theta_X stage
     yields four factors and two stride-extraction phases; the phases
-    aggregate into the returned scalar phi.
+    aggregate into the returned scalar phi. A KgDecompError raised by a
+    stage carries its label (f0[F<n>], h[H<n>] or f1[F<n>]) in its
+    `stage` attribute and message.
     """
     if n < 3:
         raise ValueError(f"one level requires n >= 3, got {n}")
@@ -597,17 +802,20 @@ def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
     inv_x = AxisInvolution(n, "X")
     h_torus = cartan_torus("H", n)
 
-    stage = _theta_z_stage(g, AxisInvolution(n, "Z"), h_torus)
-    left, phi0, psi1, es0 = _secondary_stage(stage.k0 @ stage.k1, n, inv_x)
-    right, phi2, psi2, es1 = _secondary_stage(stage.k1.conj().T, n, inv_x)
+    labels = (f"f0[F{n}]", f"h[H{n}]", f"f1[F{n}]")
 
-    factors = left + (_cartan_factor(stage.h, h_torus),) + right
-    phase = phi0 + phi2 - psi1 - psi2
-    subspace_errors = (
-        (f"f0[F{n}]", es0),
-        (f"h[H{n}]", stage.subspace_error),
-        (f"f1[F{n}]", es1),
+    stage = _run_stage(labels[1], _theta_z_stage, g, AxisInvolution(n, "Z"), h_torus)
+    left, phi0, psi1, es0 = _run_stage(
+        labels[0], _secondary_stage, stage.k0 @ stage.k1, n, inv_x
     )
+    right, phi2, psi2, es1 = _run_stage(
+        labels[2], _secondary_stage, stage.k1.conj().T, n, inv_x
+    )
+
+    h = _cartan_factor(stage.h.coords, stage.h.residual_norm, h_torus)
+    factors = left + (h,) + right
+    phase = phi0 + phi2 - psi1 - psi2
+    subspace_errors = tuple(zip(labels, (es0, stage.subspace_error, es1)))
     return LevelResult(factors, float(phase), subspace_errors)
 
 
@@ -617,12 +825,19 @@ def _recurse(g: np.ndarray, n: int, prefix: str) -> LevelResult:
     A two-qubit block is the one leaf: a SubUnitary at level 3 covering
     its whole register. Any larger block is split by decompose_one_level,
     and each of that level's SU(2^(n-1)) blocks recurses under the label
-    prefix K<slot>/; child phases add into the level's phase.
+    prefix K<slot>/; child phases add into the level's phase. A stage
+    error of the level gets the same prefix on its `stage` path, such as
+    K2/f1[F3].
     """
     if n == 2:
         leaf = Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=g)
         return LevelResult((leaf,), 0.0, ())
-    level = decompose_one_level(g, n)
+    try:
+        level = decompose_one_level(g, n)
+    except KgDecompError as exc:
+        if exc.stage is not None:
+            exc.stage = prefix + exc.stage
+        raise
     factors = []
     phase = level.phase
     subspace_errors = [(prefix + label, v) for label, v in level.subspace_errors]
@@ -668,7 +883,7 @@ def decompose_full(
     result = _recurse(g, n, "")
 
     tree = FactorTree(n_total=n, phase=float(result.phase), factors=result.factors)
-    approx = float(np.linalg.norm(g - product(tree)))
+    approx = _norm(g - product(tree))
     bound = tols.reconstruct_bound(n)
     if approx > bound:
         raise ReconstructionError(

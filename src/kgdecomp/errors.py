@@ -4,7 +4,20 @@ from __future__ import annotations
 
 
 class KgDecompError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Attributes:
+        stage: the path of the decomposition stage that raised it, such
+            as "K2/f1[F3]" (the f1 stage against F_3 inside the third
+            block of the top level), or None where no stage ran. The
+            message starts with it.
+    """
+
+    stage = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return f"{self.stage}: {message}" if self.stage else message
 
 
 class DimensionMismatchError(KgDecompError):

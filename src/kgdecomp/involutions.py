@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, SubspaceViolationError
+from .linalg import _eigh
 
 __all__ = ["AxisInvolution"]
 
@@ -111,7 +112,7 @@ class AxisInvolution:
         z_on_e = v.conj().T @ (s[:, None] * v)
         if self.axis == "X":
             return v @ z_on_e @ v.conj().T
-        signs, rot = np.linalg.eigh(0.5 * (z_on_e + z_on_e.conj().T))
+        signs, rot = _eigh(0.5 * (z_on_e + z_on_e.conj().T))
         half_b = int(np.count_nonzero(signs < 0.0))
         if 2 * half_b != len(signs):
             raise SubspaceViolationError(

@@ -4,6 +4,12 @@ Exponentials of skew-Hermitian matrices, principal logarithms of
 unitaries, projections onto spans of distinct Pauli words of one length
 (trace-orthogonal by construction), and repair of nearly special-unitary
 matrices. Everything here is a pure function; matrices are complex128.
+
+The small dense decompositions that the stages take on one matrix at a
+time (_eigh, _eigvalsh, _svd, _schur, _det) call their LAPACK routines
+directly, without numpy's or scipy's per-call argument handling and
+workspace queries; _norm is the Frobenius norm of any array. Only the
+stacked exponential expm_skew_many keeps numpy's batched eigh.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .basis import PauliWord, word_stack
 from .config import DEFAULT_TOLS
@@ -39,6 +45,91 @@ __all__ = [
 ]
 
 _MINUS_ONE_CLUSTER = 1e-9
+
+_ZHEEVD = scipy.linalg.lapack.zheevd
+_ZGESDD = scipy.linalg.lapack.zgesdd
+_ZGEES = scipy.linalg.lapack.zgees
+_ZGETRF = scipy.linalg.lapack.zgetrf
+
+
+def _no_select(_value):
+    """The eigenvalue selector zgees requires; unused, nothing is sorted."""
+    return None
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} returned info={info}")
+
+
+def _eigh(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(w, v) with a = v diag(w) v^dag, w ascending, from the lower
+    triangle of the Hermitian a (zheevd), as np.linalg.eigh.
+
+    Raises:
+        np.linalg.LinAlgError: the routine did not converge.
+    """
+    w, v, info = _ZHEEVD(a, lower=1)
+    _check_info(info, "zheevd")
+    return w, v
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of the Hermitian a, from its lower
+    triangle (zheevd without vectors), as np.linalg.eigvalsh.
+
+    Raises:
+        np.linalg.LinAlgError: the routine did not converge.
+    """
+    w, _, info = _ZHEEVD(a, compute_v=0, lower=1)
+    _check_info(info, "zheevd")
+    return w
+
+
+def _svd(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, s, vh) with a = u diag(s) vh, s descending (zgesdd, full
+    matrices), as np.linalg.svd.
+
+    Raises:
+        np.linalg.LinAlgError: the routine did not converge.
+    """
+    u, s, vh, info = _ZGESDD(a)
+    _check_info(info, "zgesdd")
+    return u, s, vh
+
+
+def _schur(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, z) with a = z t z^dag, t upper triangular and z unitary: the
+    complex Schur form (zgees), eigenvalues in the routine's order.
+
+    Raises:
+        np.linalg.LinAlgError: the routine did not converge.
+    """
+    t, _, _, z, _, info = _ZGEES(_no_select, a, sort_t=0)
+    _check_info(info, "zgees")
+    return t, z
+
+
+def _det(a: np.ndarray) -> complex:
+    """det a from its LU factorization (zgetrf): the product of U's
+    diagonal, negated for an odd number of row swaps. A positive info
+    marks an exactly zero pivot, where that product is 0.
+
+    Raises:
+        np.linalg.LinAlgError: the routine refused its arguments.
+    """
+    lu, piv, info = _ZGETRF(a)
+    if info < 0:
+        _check_info(info, "zgetrf")
+    det = lu.diagonal().prod()
+    # piv is 0-based: row i was swapped with row piv[i]
+    swaps = sum(row != pivot for row, pivot in enumerate(piv.tolist()))
+    return -det if swaps % 2 else det
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Frobenius (or, for a vector, Euclidean) norm of x."""
+    return float(np.sqrt(np.vdot(x, x).real))
 
 
 @dataclass(frozen=True)
@@ -90,13 +181,14 @@ def expm_skew(a, tol: Optional[float] = None) -> np.ndarray:
     n = a.shape[0]
     if tol is None:
         tol = DEFAULT_TOLS.structure * n
-    if np.linalg.norm(a + a.conj().T) > tol:
+    skewness = _norm(a + a.conj().T)
+    if skewness > tol:
         raise NotSkewHermitianError(
-            f"skewness defect {np.linalg.norm(a + a.conj().T):.3e} exceeds {tol:.3e}"
+            f"skewness defect {skewness:.3e} exceeds {tol:.3e}"
         )
     h = -1j * a
     h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
+    w, v = _eigh(h)
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
@@ -139,12 +231,10 @@ def logm_unitary(
     n = u.shape[0]
     if tol is None:
         tol = DEFAULT_TOLS.structure * n
-    if np.linalg.norm(u @ u.conj().T - np.eye(n)) > tol:
-        raise NotUnitaryError(
-            f"unitarity defect {np.linalg.norm(u @ u.conj().T - np.eye(n)):.3e} "
-            f"exceeds {tol:.3e}"
-        )
-    t, z = scipy.linalg.schur(u, output="complex")
+    defect = _norm(u @ u.conj().T - np.eye(n))
+    if defect > tol:
+        raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {tol:.3e}")
+    t, z = _schur(u)
     eig = np.diagonal(t)
     distance = np.abs(eig + 1.0)
     cluster = (distance < _MINUS_ONE_CLUSTER) & (odd_branch is not None)
@@ -207,11 +297,11 @@ def nearest_special_unitary(a: np.ndarray) -> Tuple[np.ndarray, float]:
     """
     a = as_matrix(a)
     n = a.shape[0]
-    u_svd, s, vh = np.linalg.svd(a)
+    u_svd, s, vh = _svd(a)
     if s[-1] < 1e-12:
         raise SingularMatrixError(f"smallest singular value {s[-1]:.3e} below 1e-12")
     polar = u_svd @ vh
-    phase = float(np.angle(np.linalg.det(polar)))
+    phase = float(np.angle(_det(polar)))
     u = polar * np.exp(-1j * phase / n)
     return u, phase
 
@@ -219,8 +309,8 @@ def nearest_special_unitary(a: np.ndarray) -> Tuple[np.ndarray, float]:
 def su_defects(u: np.ndarray) -> Tuple[float, float]:
     """(||u u^dag - I||_F, |det u - 1|), both zero exactly when u is in SU(N)."""
     u = as_matrix(u)
-    unitarity = float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0])))
-    return unitarity, float(abs(np.linalg.det(u) - 1.0))
+    unitarity = _norm(u @ u.conj().T - np.eye(u.shape[0]))
+    return unitarity, float(abs(_det(u) - 1.0))
 
 
 def commutation_defect(x: np.ndarray, words: Sequence[PauliWord]) -> float:
@@ -278,6 +368,6 @@ def generator_phase_mismatch(a: np.ndarray, b: np.ndarray) -> float:
     """
 
     def phases(x: np.ndarray) -> np.ndarray:
-        return _wrapped_phases(np.linalg.eigvalsh(-1j * as_matrix(x)))
+        return _wrapped_phases(_eigvalsh(-1j * as_matrix(x)))
 
     return _cyclic_phase_mismatch(phases(a), phases(b))

@@ -21,6 +21,7 @@ import numpy as np
 from .engine import decompose_full
 from .errors import KgDecompError
 from .factors import FactorTree
+from .linalg import _det
 
 __all__ = [
     "haar_special_unitary",
@@ -45,7 +46,7 @@ def haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    det = np.linalg.det(q)
+    det = _det(q)
     return q * det ** (-1.0 / dim)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import sys
 import warnings
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -64,10 +64,24 @@ def sweep_line(name: str, g: np.ndarray) -> str:
     return f"{name} {status} {identities}"
 
 
-def main() -> int:
-    for name, g in inputs():
-        print(sweep_line(name, g), flush=True)
+def run_sweep(corpus: Iterable[Tuple[str, np.ndarray]]) -> int:
+    """Prints the sweep line of every input of corpus to stdout, then one
+    `ok N/M, identity factors K` tally to stderr, so that stdout stays
+    diffable line for line."""
+    passed = total = identities = 0
+    for name, g in corpus:
+        line = sweep_line(name, g)
+        print(line, flush=True)
+        _, status, count = line.rsplit(" ", 2)
+        total += 1
+        passed += status == "ok"
+        identities += int(count)
+    print(f"ok {passed}/{total}, identity factors {identities}", file=sys.stderr)
     return 0
+
+
+def main() -> int:
+    return run_sweep(inputs())
 
 
 if __name__ == "__main__":

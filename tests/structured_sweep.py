@@ -12,6 +12,8 @@ pauli_sweep.py, and a change is compared by running this on the parent
 checkout and on the change, then diffing:
 
     PYTHONPATH=src python3 tests/structured_sweep.py > after.txt
+
+As in pauli_sweep.py, the totals go to stderr as one last line.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from kgdecomp import haar_special_unitary
-from pauli_sweep import sweep_line
+from pauli_sweep import run_sweep
 
 PER_FAMILY = 15
 SEED = 7
@@ -105,9 +107,7 @@ def inputs() -> Iterator[Tuple[str, np.ndarray]]:
 
 
 def main() -> int:
-    for name, g in inputs():
-        print(sweep_line(name, g), flush=True)
-    return 0
+    return run_sweep(inputs())
 
 
 if __name__ == "__main__":

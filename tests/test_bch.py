@@ -26,6 +26,7 @@ from kgdecomp import (
     solve_bch_split,
     truncated_bch,
 )
+from kgdecomp.bch import SPLIT_TOL
 
 
 def comm(a, b):
@@ -186,6 +187,35 @@ def test_solve_bch_split_fails_outside_ball():
         solve_bch_split(g, kg.k_set, kg.m_set)
     k_best, m_best, res_best = info.value.best
     assert res_best > 1e-6
+
+
+def test_solve_bch_split_refuses_a_split_that_misses_g():
+    # Haar SU(8) seed 1 meets the coordinate root, yet exp(k) exp(m)
+    # misses g by about 0.43: that is no split, and it must not return
+    kg = build_kg_basis(3)
+    g = haar_special_unitary(3, np.random.default_rng(1))
+    with pytest.raises(RootSearchFailedError, match="exceeds SPLIT_TOL") as info:
+        solve_bch_split(g, kg.k_set, kg.m_set)
+    k_best, m_best, res_best = info.value.best
+    assert res_best > SPLIT_TOL
+    recon = np.linalg.norm(g - expm_skew(k_best.matrix) @ expm_skew(m_best.matrix))
+    assert recon == pytest.approx(res_best, rel=1e-12)
+
+
+def test_solve_bch_split_returns_a_mixed_split_of_norm_two():
+    # exp(k) exp(m) with |k| = |m| = 2: the truncated series misses by
+    # about 2e-2, within SPLIT_TOL, so the split still returns
+    kg = build_kg_basis(3)
+    rng = np.random.default_rng(77)
+    dirs = []
+    for span in (kg.k_set, kg.m_set):
+        x = sum(c * w.matrix for c, w in zip(rng.uniform(-1.0, 1.0, len(span)), span))
+        dirs.append(2.0 * x / np.linalg.norm(x))
+    g = expm_skew(dirs[0]) @ expm_skew(dirs[1])
+    k_elt, m_elt, residual = solve_bch_split(g, kg.k_set, kg.m_set)
+    assert 1e-3 < residual <= SPLIT_TOL
+    recon = np.linalg.norm(g - expm_skew(k_elt.matrix) @ expm_skew(m_elt.matrix))
+    assert recon == pytest.approx(residual, rel=1e-12)
 
 
 def test_scipy_optimize_loads_only_for_the_split():

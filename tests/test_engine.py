@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kgdecomp import (
     AxisInvolution,
@@ -30,6 +31,7 @@ from kgdecomp import (
     extract_subunitary,
     haar_special_unitary,
     khk_stage,
+    logm_unitary,
     pauli_word,
     product,
     residual_k,
@@ -37,6 +39,7 @@ from kgdecomp import (
 from kgdecomp import basis as basis_module
 from kgdecomp.basis import binary_weights, cartan_torus, word_stack
 from kgdecomp import engine, linalg
+from kgdecomp import involutions as involutions_module
 from kgdecomp import factors as factors_module
 from kgdecomp.config import DEFAULT_TOLS, SUBSPACE_TOL
 from kgdecomp.engine import _minimize_full, _newton_polish
@@ -133,6 +136,15 @@ def test_compute_m_rejects_a_log_off_its_subspace():
     inv_z, inv_x = AxisInvolution(3, "Z"), AxisInvolution(3, "X")
     assert compute_m(g, inv_x).residual_norm < 1e-12
     with pytest.raises(SubspaceViolationError):
+        compute_m(g, inv_x, (inv_z,))
+
+
+def test_theta_x_log_refuses_an_input_off_the_block_form():
+    # I..IX is special unitary but not fixed by theta_Z: its blocks W0 and
+    # W1 are zero, so the theta_X stage's block log does not apply
+    g = np.kron(np.eye(4), [[0.0, 1.0], [1.0, 0.0]]).astype(complex)
+    inv_z, inv_x = AxisInvolution(3, "Z"), AxisInvolution(3, "X")
+    with pytest.raises(SubspaceViolationError, match="theta_Z-fixed group"):
         compute_m(g, inv_x, (inv_z,))
 
 
@@ -369,6 +381,148 @@ def test_secondary_stage_reconstructs_its_input():
         ]
         rebuilt = product(FactorTree(3, phi - psi, factors))
         assert np.linalg.norm(rebuilt - w) < 1e-10
+
+
+def _theta_x_inputs(n, seed):
+    """The two theta_X stage inputs of one level on Haar SU(2^n)."""
+    g = haar_special_unitary(n, np.random.default_rng(seed))
+    stage = engine._theta_z_stage(g, AxisInvolution(n, "Z"), cartan_torus("H", n))
+    return stage.k0 @ stage.k1, stage.k1.conj().T
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_secondary_stage_decomposes_only_half_blocks(monkeypatch, n):
+    # the theta_X stage lives on one 2^(n-1) block: one Schur form of
+    # P = W1^dag W0 and no 2^n matrix decomposed or exponentiated
+    kernels = ("_eigh", "_eigvalsh", "_svd", "_schur", "_det")
+    real = {name: getattr(linalg, name) for name in kernels}
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, len(a)))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for module in (engine, linalg, involutions_module):
+        for name in kernels:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, real[name]))
+    monkeypatch.setattr(scipy.linalg, "schur", spy("schur", scipy.linalg.schur))
+    half = 2 ** (n - 1)
+    for w in _theta_x_inputs(n, n):
+        calls.clear()
+        engine._secondary_stage(w, n, AxisInvolution(n, "X"))
+        assert max(size for _, size in calls) == half, calls
+        assert [call for call in calls if "schur" in call[0]] == [("_schur", half)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_theta_x_log_matches_the_full_register_log(n):
+    # the oracle: the principal log of w' = theta_X(w^dag) w on the whole
+    # register, snapped by (1 - theta_X) / 2 and (1 + theta_Z) / 2
+    inv_z, inv_x = AxisInvolution(n, "Z"), AxisInvolution(n, "X")
+    for w in _theta_x_inputs(n, 20 + n):
+        w_prime = inv_x.apply(w.conj().T) @ w
+        oracle = 0.5 * logm_unitary(w_prime)
+        oracle = inv_z.even_part(oracle - inv_x.even_part(oracle))
+        m = compute_m(w, inv_x, (inv_z,))
+        assert np.linalg.norm(m.matrix - oracle) <= 1e-12
+        assert m.residual_norm == pytest.approx(
+            np.linalg.norm(w_prime - inv_z.even_part(w_prime)), abs=1e-15
+        )
+
+
+def test_theta_x_log_is_odd_on_structured_gates(monkeypatch):
+    # the theta_X inputs of the structured gates meet the eigenvalue -1 of
+    # P = W1^dag W0, where the log takes the branch pi: exp(2m) = w' still
+    # holds and m stays exactly theta_X-odd
+    seen = []
+    stage = engine._secondary_stage
+
+    def recording_stage(w, n, inv_x):
+        seen.append((w, n))
+        return stage(w, n, inv_x)
+
+    monkeypatch.setattr(engine, "_secondary_stage", recording_stage)
+    for _, u, n in structured_gates():
+        decompose_full(_special(u), n)
+    minus_one = 0
+    for w, n in seen:
+        inv_z, inv_x = AxisInvolution(n, "Z"), AxisInvolution(n, "X")
+        w_prime = inv_x.apply(w.conj().T) @ w
+        m = compute_m(w, inv_x, (inv_z,)).matrix
+        assert np.linalg.norm(expm_skew(2.0 * m) - w_prime) < 1e-10
+        assert np.array_equal(inv_x.apply(m), -m)
+        assert np.array_equal(inv_z.apply(m), m)
+        minus_one += np.count_nonzero(
+            np.abs(np.linalg.eigvals(w_prime[0::2, 0::2]) + 1.0) < 1e-9
+        )
+    assert minus_one > 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_block_torus_figures_equal_the_full_register(n):
+    # on x = diag(X, -X) in the last-qubit block view, the F-torus
+    # figures read off the block U^dag X U equal those of the whole
+    # register, sqrt(2) factors included
+    rng = np.random.default_rng(40 + n)
+    torus = cartan_torus("F", n)
+    half = 2 ** (n - 1)
+    span = sum(
+        c * pauli_word(label).matrix[0::2, 0::2]
+        for c, label in zip(rng.uniform(-0.5, 0.5, len(torus.labels)), torus.labels)
+    )
+    a = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+    noise = a - a.conj().T
+    noise -= np.trace(noise) / half * np.eye(half)
+    for eps in (0.0, 1e-6, 1.0):
+        x_block = span + eps * noise
+        x = np.zeros((2 * half, 2 * half), dtype=complex)
+        x[0::2, 0::2] = x_block
+        x[1::2, 1::2] = -x_block
+        xt = torus.q.conj().T @ x @ torus.q
+        xt_block = torus.u.conj().T @ x_block @ torus.u
+        c, p, residual = engine._torus_split(xt, torus)
+        c_b, p_b, residual_b = engine._torus_split(xt_block, torus, block=True)
+        assert np.max(np.abs(c - c_b)) <= 1e-14
+        assert np.max(np.abs(p[0::2] - p_b)) <= 1e-14
+        assert residual_b == pytest.approx(residual, rel=1e-12, abs=1e-15)
+        for figure in (engine._relative_commutator, engine._subspace_error):
+            assert figure(xt_block, torus, block=True) == pytest.approx(
+                figure(xt, torus), rel=1e-12, abs=1e-15
+            )
+
+
+@pytest.mark.parametrize(
+    "target, nth, path",
+    [
+        ("_secondary_stage", 8, "K2/f1[F3]"),
+        ("_secondary_stage", 1, "f0[F4]"),
+        ("_theta_z_stage", 2, "K0/h[H3]"),
+    ],
+)
+def test_stage_failure_names_its_path(monkeypatch, target, nth, path):
+    # stages run level first, then block by block: at n = 4 the top
+    # level's h, f0 and f1, then h, f0 and f1 of K0, K1, K2 and K3, so
+    # the eighth theta_X stage is the f1 stage of K2
+    real = getattr(engine, target)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == nth:
+            raise OptimizerFailedError("forced failure", best=("k1", "h"))
+        return real(*args)
+
+    monkeypatch.setattr(engine, target, failing)
+    g = haar_special_unitary(4, np.random.default_rng(13))
+    with pytest.raises(OptimizerFailedError) as info:
+        decompose_full(g, 4)
+    assert info.value.stage == path
+    assert str(info.value) == f"{path}: forced failure"
+    assert info.value.best == ("k1", "h")
 
 
 def test_extract_subunitary_round_trip():

@@ -27,6 +27,7 @@ from kgdecomp import (
     pauli_word,
     project_onto_span,
 )
+from kgdecomp import linalg
 from kgdecomp.linalg import expm_skew_many, generator_phase_mismatch
 
 
@@ -261,3 +262,92 @@ def test_generator_phase_mismatch_matches_exponentials():
     # the known pi/2 case: spectra {0, pi/2} vs {0, -pi/2}
     a, b = np.diag([0.0, 0.5j * np.pi]), np.diag([0.0, -0.5j * np.pi])
     assert generator_phase_mismatch(a, b) == pytest.approx(np.pi / 2, abs=1e-12)
+
+
+KERNEL_SIZES = (1, 2, 4, 8, 16)
+
+
+def _kernel_inputs(dim):
+    """A general complex matrix, a Hermitian one and a Hermitian one with
+    a degenerate spectrum (a triple eigenvalue, or all equal below 4)."""
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    values = np.repeat([0.5, -1.25], [min(dim, 3), dim - min(dim, 3)])
+    degenerate = (q * values) @ q.conj().T
+    return a, a + a.conj().T, 0.5 * (degenerate + degenerate.conj().T)
+
+
+@pytest.mark.parametrize("dim", KERNEL_SIZES)
+def test_hermitian_kernels_match_numpy(dim):
+    for x in _kernel_inputs(dim)[1:]:
+        w, v = linalg._eigh(x)
+        scale = 1e-13 * max(1.0, np.max(np.abs(x)) * dim)
+        assert np.max(np.abs(w - np.linalg.eigh(x)[0])) <= scale
+        assert np.max(np.abs(linalg._eigvalsh(x) - np.linalg.eigvalsh(x))) <= scale
+        assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) <= 1e-13
+        assert np.linalg.norm((v * w) @ v.conj().T - x) <= 1e-13 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("dim", KERNEL_SIZES)
+def test_svd_kernel_matches_numpy(dim):
+    for x in _kernel_inputs(dim):
+        u, s, vh = linalg._svd(x)
+        assert np.max(np.abs(s - np.linalg.svd(x, compute_uv=False))) <= 1e-13 * s[0]
+        assert np.all(np.diff(s) <= 0.0)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-13
+        assert np.linalg.norm(vh @ vh.conj().T - np.eye(dim)) <= 1e-13
+        assert np.linalg.norm((u * s) @ vh - x) <= 1e-13 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("dim", KERNEL_SIZES)
+def test_schur_kernel_matches_numpy(dim):
+    # the eigenvalues sit on t's diagonal, in the routine's order
+    for x in _kernel_inputs(dim):
+        t, z = linalg._schur(x)
+        assert np.array_equal(t, np.triu(t))
+        assert np.linalg.norm(z.conj().T @ z - np.eye(dim)) <= 1e-13
+        assert np.linalg.norm(z @ t @ z.conj().T - x) <= 1e-13 * np.linalg.norm(x)
+        want = np.linalg.eigvals(x)
+        got = np.diagonal(t)
+        # each eigenvalue has a partner in the other list
+        gaps = np.abs(got[:, None] - want[None, :])
+        assert np.max(np.min(gaps, axis=1)) <= 1e-12 * np.linalg.norm(x)
+        assert np.max(np.min(gaps, axis=0)) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("dim", KERNEL_SIZES)
+def test_det_and_norm_kernels_match_numpy(dim):
+    for x in _kernel_inputs(dim):
+        want = np.linalg.det(x)
+        assert abs(linalg._det(x) - want) <= 1e-13 * max(1.0, abs(want))
+        assert linalg._norm(x) == pytest.approx(np.linalg.norm(x), rel=1e-15)
+        assert linalg._norm(x[0]) == pytest.approx(np.linalg.norm(x[0]), rel=1e-15)
+    # a row swap flips the sign; an exactly singular matrix has det 0
+    swap = np.eye(dim, dtype=complex)[::-1]
+    assert linalg._det(swap) == pytest.approx(np.linalg.det(swap), abs=1e-15)
+    assert linalg._det(np.zeros((dim, dim), dtype=complex)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "routine, kernel",
+    [
+        ("_ZHEEVD", "_eigh"),
+        ("_ZHEEVD", "_eigvalsh"),
+        ("_ZGESDD", "_svd"),
+        ("_ZGEES", "_schur"),
+        ("_ZGETRF", "_det"),
+    ],
+)
+def test_kernels_raise_on_lapack_failure(monkeypatch, routine, kernel):
+    # a nonzero info (negative for zgetrf, whose positive info only marks
+    # a zero pivot) is raised as numpy's LinAlgError
+    real = getattr(linalg, routine)
+    info = -1 if routine == "_ZGETRF" else 1
+
+    def failing(*args, **kwargs):
+        return real(*args, **kwargs)[:-1] + (info,)
+
+    monkeypatch.setattr(linalg, routine, failing)
+    with pytest.raises(np.linalg.LinAlgError, match=f"info={info}"):
+        getattr(linalg, kernel)(np.eye(4, dtype=complex))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from kgdecomp import decompose_full
-from pauli_sweep import identity_factors
-from structured_sweep import inputs, sweep_line
+from pauli_sweep import identity_factors, sweep_line
+from structured_sweep import inputs
 
 
 def test_corpus_is_fixed_and_special_unitary():

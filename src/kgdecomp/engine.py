@@ -18,25 +18,28 @@ Both involution logarithms are theta-odd by construction, also where
 theta(g^dag) g has the eigenvalue -1 and the principal log is not (see
 compute_m), so structured gates split like generic ones.
 
-The theta_X stage runs on one 2^(n-1) block. Its input w is fixed by
-theta_Z, so in the last-qubit block view it is diag(W0, W1), and
-theta_X(w^dag) w = diag(P, P^dag) with P = W1^dag W0. The log is one
-Schur form of P, and the cofactor k = w e^(-m), the central I..IZ
-phase and the F_n rotation all come from one eigh of that log's block
-(_secondary_stage); no 2^n matrix is decomposed or exponentiated there.
+No 2^n matrix is decomposed or exponentiated in a level. In the
+last-qubit block view (rows and columns 0::2 and 1::2) the theta_Z stage
+is one cosine-sine decomposition G = diag(U1, U2) [[C, -S], [S, C]]
+diag(V1, V2)^dag (Sutton, Numer. Algorithms 50:33, 2009), which gives
+m0, K00 and the SVD of m0's off-diagonal block (_theta_z_log). The
+theta_X stage's input w is fixed by theta_Z, so it is diag(W0, W1), and
+theta_X(w^dag) w = diag(P, P^dag) with P = W1^dag W0: one Schur form of
+P gives the log, the cofactor k = w e^(-m), the central I..IZ phase and
+the F_n rotation (_secondary_stage).
 
 Each Cartan stage is solved in closed form, with no iteration. Both
 Cartan sets are a commuting set W of words on the first n - 1 qubits
 times one last letter: H_n = W (x) X and F_n = (W minus I..I) (x) Z. In
-the last-qubit block view (rows and columns 0::2 and 1::2) a k element
-is diag(A, B), so the theta_Z stage is one SVD of the off-diagonal
-block of m0 and the theta_X stage one eigh of its diagonal block, with
-A and B mapping the joint eigenbasis of W onto the singular vectors or
-eigenvectors. This is the cosine-sine split and the demultiplexing
-step of the quantum Shannon decomposition (Shende, Bullock and Markov,
-IEEE TCAD 25:1000, 2006; Paige and Wei, Linear Algebra Appl. 208:303,
-1994), which Drury and Love (J. Phys. A 41:395305, 2008) showed is the
-KG decomposition with exactly these involutions.
+the block view a k element is diag(A, B), so the theta_Z stage needs
+the SVD of the off-diagonal block of m0 and the theta_X stage the
+eigenvectors of its diagonal block, with A and B mapping the joint
+eigenbasis of W onto them. This is the cosine-sine split and the
+demultiplexing step of the quantum Shannon decomposition (Shende,
+Bullock and Markov, IEEE TCAD 25:1000, 2006; Paige and Wei, Linear
+Algebra Appl. 208:303, 1994), which Drury and Love (J. Phys. A
+41:395305, 2008) showed is the KG decomposition with exactly these
+involutions.
 
 Each Cartan set is diagonal in one fixed unitary basis Q, kept with the
 set's torus (basis.cartan_torus), and a stage takes its set as that
@@ -51,8 +54,8 @@ trace of the diagonal. No stack of word matrices is ever built. The
 Cartan element is only ever determined up to its Weyl orbit, so each
 solve checks that exp(h) and exp(m0) share their eigenphases: those of
 exp(h) are its diagonal phases p in Q, those of exp(m0) the eigenvalues
-of the Hermitian -i m0, both wrapped into (-pi, pi]; no exponential is
-built.
+of the Hermitian -i m0 (the +-Theta of the CSD), both wrapped into
+(-pi, pi]; no exponential is built.
 """
 
 from __future__ import annotations
@@ -94,13 +97,14 @@ from .factors import (
 from .involutions import AxisInvolution
 from .linalg import (
     AlgebraElement,
+    _csd,
     _cyclic_phase_mismatch,
     _det,
-    _eigh,
     _eigvalsh,
     _norm,
     _schur,
     _svd,
+    _unitarity_gap,
     _wrapped_phases,
     as_matrix,
     # commutation_defect, eigenphase_mismatch, expm_skew_many and
@@ -114,7 +118,6 @@ from .linalg import (
     logm_unitary,
     nearest_special_unitary,
     project_onto_span,
-    su_defects,
 )
 
 __all__ = [
@@ -169,25 +172,39 @@ class LevelResult(NamedTuple):
 
 def validate_special_unitary(g: np.ndarray) -> float:
     """Returns the unitarity defect, raising if g is not SU within 1e-8."""
+    defect = _unitarity_defect(g)
+    _check_det(_det(as_matrix(g)))
+    return defect
+
+
+def _unitarity_defect(g: np.ndarray) -> float:
+    """||g g^dag - I||_F, raising NotUnitaryError above 1e-8 or on a
+    non-finite entry."""
     # checked first, so that no det of a NaN or inf matrix is taken
     if not np.all(np.isfinite(g)):
         raise NotUnitaryError("input has non-finite entries")
-    defect, det_defect = su_defects(g)
+    g = as_matrix(g)
+    defect = _unitarity_gap(g)
     # written as `not <=` so that a NaN defect fails too
     if not defect <= _INGEST_TOL:
         raise NotUnitaryError(
             f"unitarity defect {defect:.3e} exceeds {_INGEST_TOL:.3e}"
         )
-    if not det_defect <= _INGEST_TOL:
-        raise NotUnitaryError(
-            f"determinant defect {det_defect:.3e} exceeds {_INGEST_TOL:.3e}"
-        )
     return defect
+
+
+def _check_det(det: complex, where: str = "") -> None:
+    """Raises NotUnitaryError when |det - 1| exceeds 1e-8."""
+    defect = abs(det - 1.0)
+    if not defect <= _INGEST_TOL:
+        raise NotUnitaryError(
+            f"determinant defect {defect:.3e}{where} exceeds {_INGEST_TOL:.3e}"
+        )
 
 
 def _maybe_repair(k: np.ndarray) -> np.ndarray:
     """Re-unitarizes k when its drift exceeds the repair threshold."""
-    defect = _norm(k @ k.conj().T - np.eye(k.shape[0]))
+    defect = _unitarity_gap(k)
     if defect > _REPAIR_THRESHOLD:
         k, _ = nearest_special_unitary(k)
     return k
@@ -202,27 +219,24 @@ def compute_m(
 
     w = theta(g^dag) g satisfies theta(w) = w^dag, so away from the
     eigenvalue -1 its principal log is theta-odd. On the eigenspace E of
-    the eigenvalues within 1e-9 of -1 the principal log would be
-    i pi P_E, which is theta-even; the log takes i pi J there instead,
-    with J Hermitian, J^2 = P_E and theta(J) = -J
-    (AxisInvolution.odd_reflection), and raises no branch warning for
-    that cluster. exp(2m) = w holds within tolerance (a tested
-    invariant). It is snapped by O(4^n) involution averages: its skew
-    part, its theta-odd part, then its part fixed by each phi in fixing,
-    (a + phi(a)) / 2. The pre-snap residual is on residual_norm.
+    the eigenvalues within 1e-9 of -1 it would be i pi P_E, which is
+    theta-even; m takes a theta-odd log there, with no branch warning.
+    exp(2m) = w holds within tolerance (a tested invariant).
 
-    The theta_X stage passes inv = theta_X and fixing = (theta_Z,), on a
-    g fixed by theta_Z, to land in span(K_n1) + span(I..IZ). That log
-    lives on one 2^(n-1) block. In the last-qubit block view (rows and
-    columns 0::2 and 1::2) g = diag(W0, W1), and theta_X swaps the two
-    blocks, so w = diag(P, P^dag) with P = W1^dag W0, and every log
-    m = (1/2) diag(L, -L) with exp(L) = P is exactly theta_X-odd and
-    theta_Z-even. L comes from one Schur form of P, with the eigenphases
-    taken in (-pi, pi] and those within 1e-9 above -pi moved to pi, the
-    branch the odd reflection takes; this path raises no branch warning.
-    Its residual_norm is the norm of the theta_Z-odd part of w, and the
-    determinant is read as det W0 det W1, so no 2^n matrix is decomposed;
-    a g whose off-diagonal blocks exceed SUBSPACE_TOL is refused.
+    The two stage calls decompose no 2^n matrix. compute_m(g, theta_Z)
+    is the m0 of one CSD of g's last-qubit blocks (_theta_z_log), with
+    the CSD's reconstruction residual on residual_norm.
+    compute_m(g, theta_X, (theta_Z,)), on a g = diag(W0, W1) fixed by
+    theta_Z, is (1/2) diag(L, -L) with exp(L) = P = W1^dag W0 from one
+    Schur form of P (_theta_x_log), exactly theta_X-odd and theta_Z-even;
+    its residual_norm is the norm of the theta_Z-odd part of w, and a g
+    whose off-diagonal blocks exceed SUBSPACE_TOL is refused. Any other
+    pair takes the principal log of the whole w, with i pi J on E,
+    J Hermitian, J^2 = P_E and theta(J) = -J
+    (AxisInvolution.odd_reflection), snapped by O(4^n) involution
+    averages: its skew part, its theta-odd part, then its part fixed by
+    each phi in fixing, (a + phi(a)) / 2. The pre-snap residual is on
+    residual_norm.
 
     Raises:
         NotUnitaryError: g is not special unitary within tolerance.
@@ -230,8 +244,22 @@ def compute_m(
             tolerance, or the -1 eigenspace has no theta-odd log.
     """
     g = np.asarray(g, dtype=complex)
-    if inv.axis == "X" and tuple(fixing) == (AxisInvolution(inv.n, "Z"),):
-        return _theta_x_log(g, inv)
+    fixing = tuple(fixing)
+    if inv.axis == "Z" and not fixing:
+        if g.shape != (inv.dim, inv.dim):
+            raise DimensionMismatchError(
+                f"expected shape {(inv.dim, inv.dim)}, got {g.shape}"
+            )
+        return _theta_z_log(g)[0]
+    if inv.axis == "X" and fixing == (AxisInvolution(inv.n, "Z"),):
+        phases, z, residual_norm = _theta_x_log(g, inv)
+        log_p = (z * (1j * phases)) @ z.conj().T
+        # (1/2) the skew part of log P, exactly skew-Hermitian
+        c = 0.25 * (log_p - log_p.conj().T)
+        m = np.zeros_like(g)
+        m[0::2, 0::2] = c
+        m[1::2, 1::2] = -c
+        return AlgebraElement(matrix=m, residual_norm=residual_norm)
     defect = validate_special_unitary(g)
     w = inv.apply(g.conj().T) @ g
     log_tol = max(DEFAULT_TOLS.structure * g.shape[0], 4.0 * defect)
@@ -248,18 +276,59 @@ def compute_m(
     return AlgebraElement(matrix=m, residual_norm=residual_norm)
 
 
-def _theta_x_log(g: np.ndarray, inv_x: AxisInvolution) -> AlgebraElement:
-    """compute_m(g, theta_X, (theta_Z,)) on the 2^(n-1) block P = W1^dag W0."""
-    # checked first, so that no det of a NaN or inf matrix is taken
-    if not np.all(np.isfinite(g)):
-        raise NotUnitaryError("input has non-finite entries")
-    w = inv_x.apply(g.conj().T) @ g
-    defect = _norm(g @ g.conj().T - np.eye(len(g)))
-    # written as `not <=` so that a NaN defect fails too
-    if not defect <= _INGEST_TOL:
-        raise NotUnitaryError(
-            f"unitarity defect {defect:.3e} exceeds {_INGEST_TOL:.3e}"
+def _theta_z_log(g: np.ndarray):
+    """(m0, k0, svd): the theta_Z split g = k0 e^(m0) from one CSD.
+
+    In the last-qubit block view g = diag(U1, U2) CS diag(V1, V2)^dag
+    with CS = [[C, -S], [S, C]] (linalg._csd). theta_Z(CS) = CS^dag, so
+    theta_Z(g^dag) g = V CS^2 V^dag, whose theta_Z-odd log is
+    2 m0 with m0 = V [[0, -Theta], [Theta, 0]] V^dag, also where an angle
+    is pi/2; and k0 = g e^(-m0) = diag(U1 V1^dag, U2 V2^dag), whose
+    determinant is that of g. svd = (i V1, Theta, V2^dag) is the SVD
+    -i Y = (i V1) Theta V2^dag of m0's off-diagonal block Y = m0[0::2, 1::2],
+    Theta descending, for _closed_form_k. m0.residual_norm is
+    ||g - diag(U1, U2) CS V^dag||_F.
+
+    Raises:
+        NotUnitaryError: g is not special unitary within 1e-8.
+        SubspaceViolationError: the reconstruction residual exceeds
+            SUBSPACE_TOL.
+    """
+    _unitarity_defect(g)
+    blocks = (g[0::2, 0::2], g[0::2, 1::2], g[1::2, 0::2], g[1::2, 1::2])
+    (u1, u2), theta, (v1h, v2h) = _csd(*blocks)
+    cos, sin = np.cos(theta), np.sin(theta)
+    rebuilt = ((u1 * cos) @ v1h, (u1 * -sin) @ v2h, (u2 * sin) @ v1h, (u2 * cos) @ v2h)
+    residual_norm = _norm(np.stack(blocks) - np.stack(rebuilt))
+    if residual_norm > SUBSPACE_TOL:
+        raise SubspaceViolationError(
+            f"cosine-sine decomposition leaves {residual_norm:.3e}, "
+            f"above {SUBSPACE_TOL:.3e}"
         )
+    k0 = np.zeros_like(g)
+    k0[0::2, 0::2] = u1 @ v1h
+    k0[1::2, 1::2] = u2 @ v2h
+    _check_det(_det(k0[0::2, 0::2]) * _det(k0[1::2, 1::2]))
+    # descending as from _svd: _closed_form_k pairs the j-th value with the
+    # torus's j-th column, and _cluster_gauge clusters sorted neighbours
+    order = np.argsort(-theta)
+    theta, v1, v2h = theta[order], v1h[order].conj().T, v2h[order]
+    y = (v1 * -theta) @ v2h
+    m0 = np.zeros_like(g)
+    m0[0::2, 1::2] = y
+    m0[1::2, 0::2] = -y.conj().T
+    m0 = AlgebraElement(matrix=m0, residual_norm=residual_norm)
+    return m0, k0, (1j * v1, theta, v2h)
+
+
+def _theta_x_log(
+    g: np.ndarray, inv_x: AxisInvolution
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(phases, z, residual_norm) of compute_m(g, theta_X, (theta_Z,)):
+    P = W1^dag W0 = z diag(e^{i phases}) z^dag from one Schur form, the
+    phases in (-pi, pi] and those within 1e-9 above -pi moved to pi."""
+    defect = _unitarity_defect(g)
+    w = inv_x.apply(g.conj().T) @ g
     # the block form needs g = diag(W0, W1); an input off that form,
     # such as I..IX, is refused before its blocks are read
     off_blocks = float(np.hypot(_norm(g[0::2, 1::2]), _norm(g[1::2, 0::2])))
@@ -273,15 +342,10 @@ def _theta_x_log(g: np.ndarray, inv_x: AxisInvolution) -> AlgebraElement:
         raise SubspaceViolationError(
             f"m lies {residual_norm:.3e} from its span, above {SUBSPACE_TOL:.3e}"
         )
-    det_defect = abs(_det(g[0::2, 0::2]) * _det(g[1::2, 1::2]) - 1.0)
-    if not det_defect <= _INGEST_TOL:
-        raise NotUnitaryError(
-            f"determinant defect {det_defect:.3e} of the last-qubit blocks "
-            f"exceeds {_INGEST_TOL:.3e}"
-        )
+    _check_det(_det(g[0::2, 0::2]) * _det(g[1::2, 1::2]), " of the last-qubit blocks")
     p = w[0::2, 0::2]
     log_tol = max(DEFAULT_TOLS.structure * len(g), 4.0 * defect)
-    p_defect = _norm(p @ p.conj().T - np.eye(len(p)))
+    p_defect = _unitarity_gap(p)
     if p_defect > log_tol:
         raise NotUnitaryError(
             f"unitarity defect {p_defect:.3e} exceeds {log_tol:.3e}"
@@ -289,13 +353,7 @@ def _theta_x_log(g: np.ndarray, inv_x: AxisInvolution) -> AlgebraElement:
     t, z = _schur(p)
     phases = np.angle(np.diagonal(t))
     phases[phases <= _MINUS_ONE_BRANCH - np.pi] = np.pi
-    log_p = (z * (1j * phases)) @ z.conj().T
-    # (1/2) the skew part of log P, exactly skew-Hermitian
-    c = 0.25 * (log_p - log_p.conj().T)
-    m = np.zeros_like(g)
-    m[0::2, 0::2] = c
-    m[1::2, 1::2] = -c
-    return AlgebraElement(matrix=m, residual_norm=residual_norm)
+    return phases, z, residual_norm
 
 
 def residual_k(g: np.ndarray, m: AlgebraElement) -> np.ndarray:
@@ -416,34 +474,37 @@ def _cluster_gauge(overlap: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     On a cluster of one value, the only kind a generic stage has, that
     polar factor of the 1 x 1 overlap o is conj(o) / |o|, or 1 where
-    o = 0: all singletons are set in one array operation, and only
-    clusters of two or more values take an SVD.
+    o = 0: the whole diagonal is set so in one array operation, and only
+    clusters of two or more values take an SVD, which overwrites their
+    blocks.
     """
-    rotation = np.zeros_like(overlap)
+    o = np.diagonal(overlap)
+    rotation = np.diag(
+        np.divide(o.conj(), np.abs(o), out=np.ones_like(o), where=o != 0)
+    )
     # relative, so that a stage input of any norm keeps its distinct
     # values apart; a zero stage input never gets here
-    tol = _CLUSTER_TOL * np.max(np.abs(values))
-    bounds = np.concatenate(
-        ([0], np.flatnonzero(np.abs(np.diff(values)) > tol) + 1, [len(values)])
-    )
-    single = bounds[:-1][np.diff(bounds) == 1]
-    o = overlap[single, single]
-    rotation[single, single] = np.divide(
-        o.conj(), np.abs(o), out=np.ones_like(o), where=o != 0
-    )
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if stop - start > 1:
-            w, _, zh = _svd(overlap[start:stop, start:stop])
-            rotation[start:stop, start:stop] = zh.conj().T @ w.conj().T
+    tol = _CLUSTER_TOL * np.abs(values).max()
+    cuts = np.flatnonzero(np.abs(values[1:] - values[:-1]) > tol) + 1
+    # fewer cuts than gaps: some cluster holds two or more values
+    if len(cuts) < len(values) - 1:
+        bounds = np.concatenate(([0], cuts, [len(values)]))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if stop - start > 1:
+                w, _, zh = _svd(overlap[start:stop, start:stop])
+                rotation[start:stop, start:stop] = zh.conj().T @ w.conj().T
     return rotation
 
 
-def _closed_form_k(m0_mat: np.ndarray, torus: CartanTorus) -> np.ndarray:
+def _closed_form_k(
+    m0_mat: np.ndarray, torus: CartanTorus, svd=None
+) -> np.ndarray:
     """The K = diag(A, B) in SU(2^n) that conjugates m0 into the span of
     the torus's H_n set (the theta_Z stage; the F_n stage is _f_rotation).
 
     With U = torus.u the joint eigenbasis of W, m0 is [[0, Y], [-Y^dag, 0]]
-    in the last-qubit block view; the SVD -i Y = V1 S V2^dag gives
+    in the last-qubit block view; the SVD -i Y = V1 S V2^dag, given as
+    svd = (V1, S, V2^dag) with S descending or else taken here, gives
     A = V1 U^dag, B = V2 U^dag, and A^dag Y B = i U S U^dag. Within each
     cluster of equal singular values the columns of V1 and V2 are free
     up to one common unitary R; R is _cluster_gauge's polar factor of
@@ -454,7 +515,7 @@ def _closed_form_k(m0_mat: np.ndarray, torus: CartanTorus) -> np.ndarray:
     _minimize_full reads the stage off that one rotation.
     """
     u = torus.u
-    v1, values, v2h = _svd(-1j * m0_mat[0::2, 1::2])
+    v1, values, v2h = _svd(-1j * m0_mat[0::2, 1::2]) if svd is None else svd
     v2 = v2h.conj().T
     rotation = _cluster_gauge(u.conj().T @ (v1 + v2), values)
     half = u.shape[0]
@@ -466,13 +527,15 @@ def _closed_form_k(m0_mat: np.ndarray, torus: CartanTorus) -> np.ndarray:
 
 
 def _minimize_full(
-    m0, torus: CartanTorus
+    m0, torus: CartanTorus, svd=None
 ) -> Tuple[np.ndarray, AlgebraElement, float]:
     """Conjugates m0 into the Cartan span over the stage's subgroup exp(k).
 
     The theta_Z stage's solve, against the H_n torus. K1 is
-    _closed_form_k's, or I when m0 already lies within 1e-12 ||m0|| of
-    the span (that shortcut and the zero case below hold for any torus). Everything else is read off one rotation
+    _closed_form_k's, from the SVD svd of m0's off-diagonal block that
+    the stage's CSD gives (_theta_z_log), or I when m0 already lies
+    within 1e-12 ||m0|| of the span (that shortcut and the zero case
+    below hold for any torus). Everything else is read off one rotation
     x~ = P^dag m0 P with P = K1 Q, where Q is the basis of the torus
     (basis.cartan_torus) in which every Cartan word is diagonal: the
     coordinates and off-span residual (_torus_split), the relative
@@ -482,8 +545,9 @@ def _minimize_full(
     the residual at most SUBSPACE_TOL, and exp(h) must share the
     eigenphases of exp(m0) within 1e-8 (h is only determined up to its
     Weyl orbit). Those of exp(h) are p wrapped into (-pi, pi], those of
-    exp(m0) the wrapped eigvalsh of -i m0, compared over cyclic
-    alignments; no exponential is built. An m0 of norm at most
+    exp(m0) the wrapped spectrum of -i m0, compared over cyclic
+    alignments; no exponential is built. That spectrum is +-S from svd,
+    or an eigvalsh of -i m0 when svd is None. An m0 of norm at most
     Tolerances.structure counts as zero: K1 = I, h = 0.
 
     Returns (k1, h, subspace_error): h = k1^dag m0 k1 snapped onto the
@@ -511,7 +575,7 @@ def _minimize_full(
 
     c, p, residual_norm = _torus_split(xt, torus)
     if residual_norm > _IN_SPAN_TOL * norm_m0:
-        k1 = _maybe_repair(_closed_form_k(m0_mat, torus))
+        k1 = _maybe_repair(_closed_form_k(m0_mat, torus, svd))
         frame = k1 @ q
         xt = frame.conj().T @ m0_mat @ frame
         c, p, residual_norm = _torus_split(xt, torus)
@@ -521,12 +585,14 @@ def _minimize_full(
         residual_norm=residual_norm,
     )
     rel = _relative_commutator(xt, torus)
+    if svd is None:
+        spectrum = _eigvalsh(-1j * m0_mat)
+    else:
+        spectrum = np.concatenate((svd[1], -svd[1]))
     if (
         rel <= CARTAN_TOL
         and residual_norm <= SUBSPACE_TOL
-        and _cyclic_phase_mismatch(
-            _wrapped_phases(p), _wrapped_phases(_eigvalsh(-1j * m0_mat))
-        )
+        and _cyclic_phase_mismatch(_wrapped_phases(p), _wrapped_phases(spectrum))
         <= _SPECTRUM_TOL
     ):
         return k1, h, _subspace_error(xt, torus)
@@ -560,16 +626,20 @@ def khk_stage(
             f"the closed-form stage pairs theta_Z with H_{inv.n} in canonical order,"
             f" got theta_{inv.axis} with {len(cartan)} words"
         )
-    return _theta_z_stage(g, inv, torus)
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (inv.dim, inv.dim):
+        raise DimensionMismatchError(
+            f"expected shape {(inv.dim, inv.dim)}, got {g.shape}"
+        )
+    return _theta_z_stage(g, torus)
 
 
-def _theta_z_stage(
-    g: np.ndarray, inv_z: AxisInvolution, torus: CartanTorus
-) -> StageResult:
-    """The theta_Z stage G = k0 k1 exp(h) k1^dag against the H_n torus."""
-    m = compute_m(g, inv_z)
-    k0 = _maybe_repair(residual_k(g, m))
-    return StageResult(k0, *_minimize_full(m, torus))
+def _theta_z_stage(g: np.ndarray, torus: CartanTorus) -> StageResult:
+    """The theta_Z stage G = k0 k1 exp(h) k1^dag against the H_n torus:
+    one CSD of g's last-qubit blocks (_theta_z_log) gives m0, k0 and the
+    SVD that _minimize_full's closed form takes."""
+    m0, k0, svd = _theta_z_log(g)
+    return StageResult(_maybe_repair(k0), *_minimize_full(m0, torus, svd))
 
 
 def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
@@ -719,10 +789,12 @@ def _secondary_stage(
     """The theta_X stage on one K-type input w of level n, on 2^(n-1) blocks.
 
     w is fixed by theta_Z, so in the last-qubit block view it is
-    diag(W0, W1), and m = (1/2) log(theta_X(w^dag) w) from compute_m is
-    diag(C, -C) with exp(2C) = W1^dag W0. C splits into its central
-    coordinate alpha on I..IZ and the traceless rest C^ = C - (i alpha / 2) I.
-    One eigh -i C^ = V diag(D) V^dag gives both the cofactor
+    diag(W0, W1), and m = (1/2) log(theta_X(w^dag) w) is diag(C, -C)
+    with exp(2C) = P = W1^dag W0. The Schur form P = V diag(e^{i t}) V^dag
+    of _theta_x_log, sorted by t, gives C = V diag(i t / 2) V^dag, its
+    central coordinate alpha = sum(t) / 2^(n-1) on I..IZ, and the
+    traceless rest C^ = C - (i alpha / 2) I, with -i C^ = V diag(D) V^dag
+    for D = (t - alpha) / 2. That one decomposition gives both the cofactor
     k = w exp(-m) = K (x) I, whose blocks are
     W0 e^(-C) = e^(-i alpha / 2) W0 V e^(-iD) V^dag and
     W1 e^(C) = e^(i alpha / 2) W1 V e^(iD) V^dag and must agree within
@@ -743,14 +815,16 @@ def _secondary_stage(
             PATTERN_TOL.
     """
     torus = cartan_torus("F", n)
-    m = compute_m(w, inv_x, (AxisInvolution(n, "Z"),))
-    c = m.matrix[0::2, 0::2]
-    half = len(c)
-    # the coordinate (2 / 2^n) s . Im diag(m) of I..IZ, read on the block
-    alpha = 2.0 * float(np.trace(c).imag) / half
-    c_hat = c - (0.5j * alpha) * np.eye(half)
-    values, vecs = _eigh(-1j * c_hat)
-    turn = np.exp(-1j * (values + 0.5 * alpha))
+    phases, vecs, _ = _theta_x_log(w, inv_x)
+    # ascending as from eigh: _f_rotation pairs the j-th value with the
+    # torus's j-th column, and _cluster_gauge clusters sorted neighbours
+    order = np.argsort(phases)
+    phases, vecs = phases[order], vecs[:, order]
+    half = len(vecs)
+    alpha = float(np.sum(phases)) / half
+    values = 0.5 * (phases - alpha)
+    c_hat = (vecs * (1j * values)) @ vecs.conj().T
+    turn = np.exp(-0.5j * phases)
     even = (w[0::2, 0::2] @ vecs) * turn
     odd = (w[1::2, 1::2] @ vecs) * turn.conj()
     mismatch = _norm(even - odd)
@@ -804,7 +878,7 @@ def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
 
     labels = (f"f0[F{n}]", f"h[H{n}]", f"f1[F{n}]")
 
-    stage = _run_stage(labels[1], _theta_z_stage, g, AxisInvolution(n, "Z"), h_torus)
+    stage = _run_stage(labels[1], _theta_z_stage, g, h_torus)
     left, phi0, psi1, es0 = _run_stage(
         labels[0], _secondary_stage, stage.k0 @ stage.k1, n, inv_x
     )

@@ -6,10 +6,11 @@ unitaries, projections onto spans of distinct Pauli words of one length
 matrices. Everything here is a pure function; matrices are complex128.
 
 The small dense decompositions that the stages take on one matrix at a
-time (_eigh, _eigvalsh, _svd, _schur, _det) call their LAPACK routines
-directly, without numpy's or scipy's per-call argument handling and
-workspace queries; _norm is the Frobenius norm of any array. Only the
-stacked exponential expm_skew_many keeps numpy's batched eigh.
+time (_eigh, _eigvalsh, _svd, _schur, _det, and _csd on the four blocks
+of one matrix) call their LAPACK routines directly, without numpy's or
+scipy's per-call argument handling and workspace queries; _norm is the
+Frobenius norm of any array. Only the stacked exponential expm_skew_many
+keeps numpy's batched eigh.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ _ZHEEVD = scipy.linalg.lapack.zheevd
 _ZGESDD = scipy.linalg.lapack.zgesdd
 _ZGEES = scipy.linalg.lapack.zgees
 _ZGETRF = scipy.linalg.lapack.zgetrf
+_ZUNCSD = scipy.linalg.lapack.zuncsd
 
 
 def _no_select(_value):
@@ -110,6 +112,22 @@ def _schur(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return t, z
 
 
+def _csd(x11, x12, x21, x22):
+    """((u1, u2), theta, (v1h, v2h)) with [[x11, x12], [x21, x22]] =
+    diag(u1, u2) [[C, -S], [S, C]] diag(v1h, v2h), C = diag(cos theta),
+    S = diag(sin theta) and theta in [0, pi/2]: the cosine-sine
+    decomposition of a unitary with four square blocks of one size
+    (zuncsd), as scipy.linalg.cossin(..., separate=True). The angles come
+    in the routine's order, which is not guaranteed to be sorted.
+
+    Raises:
+        np.linalg.LinAlgError: the routine did not converge.
+    """
+    *_, theta, u1, u2, v1h, v2h, info = _ZUNCSD(x11, x12, x21, x22)
+    _check_info(info, "zuncsd")
+    return (u1, u2), theta, (v1h, v2h)
+
+
 def _det(a: np.ndarray) -> complex:
     """det a from its LU factorization (zgetrf): the product of U's
     diagonal, negated for an odd number of row swaps. A positive info
@@ -130,6 +148,13 @@ def _det(a: np.ndarray) -> complex:
 def _norm(x: np.ndarray) -> float:
     """The Frobenius (or, for a vector, Euclidean) norm of x."""
     return float(np.sqrt(np.vdot(x, x).real))
+
+
+def _unitarity_gap(u: np.ndarray) -> float:
+    """||u u^dag - I||_F of a square u, with no identity matrix built."""
+    gap = u @ u.conj().T
+    gap.flat[:: len(gap) + 1] -= 1.0
+    return _norm(gap)
 
 
 @dataclass(frozen=True)
@@ -231,7 +256,7 @@ def logm_unitary(
     n = u.shape[0]
     if tol is None:
         tol = DEFAULT_TOLS.structure * n
-    defect = _norm(u @ u.conj().T - np.eye(n))
+    defect = _unitarity_gap(u)
     if defect > tol:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {tol:.3e}")
     t, z = _schur(u)
@@ -309,7 +334,7 @@ def nearest_special_unitary(a: np.ndarray) -> Tuple[np.ndarray, float]:
 def su_defects(u: np.ndarray) -> Tuple[float, float]:
     """(||u u^dag - I||_F, |det u - 1|), both zero exactly when u is in SU(N)."""
     u = as_matrix(u)
-    unitarity = _norm(u @ u.conj().T - np.eye(u.shape[0]))
+    unitarity = _unitarity_gap(u)
     return unitarity, float(abs(_det(u) - 1.0))
 
 
@@ -337,7 +362,7 @@ def _cyclic_phase_mismatch(p1: np.ndarray, p2: np.ndarray) -> float:
     # row s holds np.roll(p2, s)
     shifted = p2[(np.arange(n) - np.arange(n)[:, None]) % n]
     d = np.abs((p1 - shifted + np.pi) % (2 * np.pi) - np.pi)
-    return float(np.min(np.max(d, axis=1)))
+    return float(d.max(axis=1).min())
 
 
 def _wrapped_phases(lam: np.ndarray) -> np.ndarray:

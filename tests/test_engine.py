@@ -129,6 +129,17 @@ def test_compute_m_rejects_non_unitary():
         compute_m(1.5 * np.eye(8), inv)
 
 
+def test_compute_m_rejects_a_register_of_another_size():
+    # the theta_Z log reads the last-qubit blocks of any even size, so the
+    # involution's size is checked before them, in compute_m and khk_stage
+    g = haar_special_unitary(3, np.random.default_rng(4))
+    for inv in (AxisInvolution(4, "Z"), AxisInvolution(4, "X")):
+        with pytest.raises(DimensionMismatchError, match=r"\(16, 16\)"):
+            compute_m(g, inv)
+    with pytest.raises(DimensionMismatchError, match=r"\(16, 16\)"):
+        khk_stage(g, AxisInvolution(4, "Z"), build_kg_basis(4).h_set)
+
+
 def test_compute_m_rejects_a_log_off_its_subspace():
     # a Haar input is not fixed by theta_Z, so its theta_X log has a large
     # theta_Z-odd part, which the theta_X stage's fixing must refuse
@@ -295,9 +306,9 @@ def test_closed_form_singleton_gauge_matches_cluster_svds(monkeypatch, n):
     stages = []
     solve = engine._minimize_full
 
-    def recording_solve(m0, torus):
+    def recording_solve(m0, torus, *svd):
         stages.append((as_matrix(m0), torus))
-        return solve(m0, torus)
+        return solve(m0, torus, *svd)
 
     monkeypatch.setattr(engine, "_minimize_full", recording_solve)
     decompose_full(haar_special_unitary(n, np.random.default_rng(n)), n)
@@ -386,21 +397,21 @@ def test_secondary_stage_reconstructs_its_input():
 def _theta_x_inputs(n, seed):
     """The two theta_X stage inputs of one level on Haar SU(2^n)."""
     g = haar_special_unitary(n, np.random.default_rng(seed))
-    stage = engine._theta_z_stage(g, AxisInvolution(n, "Z"), cartan_torus("H", n))
+    stage = engine._theta_z_stage(g, cartan_torus("H", n))
     return stage.k0 @ stage.k1, stage.k1.conj().T
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_secondary_stage_decomposes_only_half_blocks(monkeypatch, n):
-    # the theta_X stage lives on one 2^(n-1) block: one Schur form of
-    # P = W1^dag W0 and no 2^n matrix decomposed or exponentiated
-    kernels = ("_eigh", "_eigvalsh", "_svd", "_schur", "_det")
+def _spy_kernels(monkeypatch):
+    """Records (name, size) for every call of a decomposition kernel, of
+    scipy.linalg.schur and of the engine's expm_skew and logm_unitary;
+    for _csd the size is that of its first block."""
+    kernels = ("_eigh", "_eigvalsh", "_svd", "_schur", "_det", "_csd")
     real = {name: getattr(linalg, name) for name in kernels}
     calls = []
 
     def spy(name, fn):
         def wrapper(a, *args, **kwargs):
-            calls.append((name, len(a)))
+            calls.append((name, len(as_matrix(a))))
             return fn(a, *args, **kwargs)
 
         return wrapper
@@ -410,12 +421,82 @@ def test_secondary_stage_decomposes_only_half_blocks(monkeypatch, n):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, real[name]))
     monkeypatch.setattr(scipy.linalg, "schur", spy("schur", scipy.linalg.schur))
+    for name in ("expm_skew", "logm_unitary"):
+        monkeypatch.setattr(engine, name, spy(name, getattr(engine, name)))
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_secondary_stage_decomposes_only_half_blocks(monkeypatch, n):
+    # the theta_X stage lives on one 2^(n-1) block: one Schur form of
+    # P = W1^dag W0, which also gives the F rotation's eigenvectors, and
+    # no 2^n matrix decomposed or exponentiated
     half = 2 ** (n - 1)
-    for w in _theta_x_inputs(n, n):
+    inputs = _theta_x_inputs(n, n)
+    cartan_torus("F", n)  # built once and cached, outside the stage
+    calls = _spy_kernels(monkeypatch)
+    for w in inputs:
         calls.clear()
         engine._secondary_stage(w, n, AxisInvolution(n, "X"))
         assert max(size for _, size in calls) == half, calls
         assert [call for call in calls if "schur" in call[0]] == [("_schur", half)]
+        assert not any(name == "_eigh" for name, _ in calls), calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_theta_z_stage_decomposes_only_half_blocks(monkeypatch, n):
+    # the theta_Z stage is one CSD of the four 2^(n-1) blocks: no Schur
+    # form, no log or exponential, and no 2^n matrix decomposed
+    half = 2 ** (n - 1)
+    torus = cartan_torus("H", n)
+    calls = _spy_kernels(monkeypatch)
+    for seed in range(3):
+        g = haar_special_unitary(n, np.random.default_rng(60 + seed))
+        calls.clear()
+        engine._theta_z_stage(g, torus)
+        assert max(size for _, size in calls) == half, calls
+        names = [name for name, _ in calls]
+        assert names.count("_csd") == 1, calls
+        assert not {"_schur", "schur", "logm_unitary", "expm_skew"} & set(names)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_theta_z_log_matches_the_full_register_log(n):
+    # the oracle: the principal log of w = theta_Z(g^dag) g on the whole
+    # register, snapped onto its theta_Z-odd part
+    inv_z = AxisInvolution(n, "Z")
+    for seed in range(3):
+        g = haar_special_unitary(n, np.random.default_rng(30 + 10 * n + seed))
+        w = inv_z.apply(g.conj().T) @ g
+        oracle = 0.5 * logm_unitary(w)
+        oracle = oracle - inv_z.even_part(oracle)
+        m = compute_m(g, inv_z)
+        assert np.linalg.norm(m.matrix - oracle) <= 1e-12
+        assert m.residual_norm <= 1e-12
+        # the stage's SVD of -i Y, Y = m0[0::2, 1::2], with sorted values
+        m0, _, (v1, values, v2h) = engine._theta_z_log(g)
+        assert np.array_equal(m0.matrix, m.matrix)
+        y = m0.matrix[0::2, 1::2]
+        assert np.linalg.norm(-1j * y - (v1 * values) @ v2h) <= 1e-13
+        assert np.all(np.diff(values) <= 0.0)
+
+
+@pytest.mark.parametrize("name", ["toffoli", "ccz", "qft3", "swap13", "xxx"])
+def test_theta_z_log_is_odd_on_structured_gates(name):
+    # the CS angles of these gates are 0 or pi/2, the eigenvalue -1 of
+    # theta_Z(g^dag) g (all but ccz have one): exp(2 m0) = w still holds,
+    # m0 is exactly theta_Z-odd, and k0 = g e^(-m0) is block-diagonal
+    (g,) = [_special(u) for label, u, _ in structured_gates() if label == name]
+    inv_z = AxisInvolution(3, "Z")
+    w = inv_z.apply(g.conj().T) @ g
+    m0, k0, _ = engine._theta_z_log(g)
+    assert np.linalg.norm(expm_skew(2.0 * m0.matrix) - w) <= 1e-14
+    assert np.array_equal(inv_z.apply(m0.matrix), -m0.matrix)
+    k = residual_k(g, m0)
+    off_blocks = np.hypot(np.linalg.norm(k[0::2, 1::2]), np.linalg.norm(k[1::2, 0::2]))
+    assert off_blocks <= 1e-14
+    assert np.linalg.norm(k - k0) <= 1e-14
+    assert not k0[0::2, 1::2].any() and not k0[1::2, 0::2].any()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

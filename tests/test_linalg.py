@@ -329,6 +329,38 @@ def test_det_and_norm_kernels_match_numpy(dim):
     assert linalg._det(np.zeros((dim, dim), dtype=complex)) == 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 4, 6, 8, 16])
+def test_csd_kernel_matches_cossin(dim):
+    # a Haar unitary, and one built with repeated angles, 0 and pi/2
+    rng = np.random.default_rng(70 + dim)
+    half = dim // 2
+
+    def unitary(size):
+        a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        return np.linalg.qr(a)[0]
+
+    theta = np.resize([0.3, 0.3, np.pi / 2, 0.0, 0.3, 1.1, np.pi / 2, 0.0], half)
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    cs = np.block([[c, -s], [s, c]])
+    repeated = scipy.linalg.block_diag(unitary(half), unitary(half)) @ cs
+    repeated = repeated @ scipy.linalg.block_diag(unitary(half), unitary(half))
+    for x in (unitary(dim), repeated):
+        blocks = (x[:half, :half], x[:half, half:], x[half:, :half], x[half:, half:])
+        (u1, u2), angles, (v1h, v2h) = linalg._csd(*blocks)
+        (cu1, cu2), want, (cv1h, cv2h) = scipy.linalg.cossin(x, p=half, q=half,
+                                                             separate=True)
+        assert np.max(np.abs(np.sort(angles) - np.sort(want))) <= 1e-13
+        assert np.all((0.0 <= angles) & (angles <= np.pi / 2))
+        for f in (u1, u2, v1h, v2h):
+            assert np.linalg.norm(f.conj().T @ f - np.eye(half)) <= 1e-13
+        c, s = np.diag(np.cos(angles)), np.diag(np.sin(angles))
+        rebuilt = scipy.linalg.block_diag(u1, u2) @ np.block([[c, -s], [s, c]])
+        rebuilt = rebuilt @ scipy.linalg.block_diag(v1h, v2h)
+        assert np.linalg.norm(rebuilt - x) <= 1e-13
+    # the angles the last input was built with come back
+    assert np.max(np.abs(np.sort(angles) - np.sort(theta))) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "routine, kernel",
     [
@@ -337,6 +369,7 @@ def test_det_and_norm_kernels_match_numpy(dim):
         ("_ZGESDD", "_svd"),
         ("_ZGEES", "_schur"),
         ("_ZGETRF", "_det"),
+        ("_ZUNCSD", "_csd"),
     ],
 )
 def test_kernels_raise_on_lapack_failure(monkeypatch, routine, kernel):
@@ -349,5 +382,8 @@ def test_kernels_raise_on_lapack_failure(monkeypatch, routine, kernel):
         return real(*args, **kwargs)[:-1] + (info,)
 
     monkeypatch.setattr(linalg, routine, failing)
+    a = np.eye(4, dtype=complex)
+    # _csd takes the four 2 x 2 blocks of the 4 x 4 identity
+    args = (a[:2, :2], a[:2, 2:], a[2:, :2], a[2:, 2:]) if kernel == "_csd" else (a,)
     with pytest.raises(np.linalg.LinAlgError, match=f"info={info}"):
-        getattr(linalg, kernel)(np.eye(4, dtype=complex))
+        getattr(linalg, kernel)(*args)

@@ -9,6 +9,7 @@ import numpy as np
 from kgdecomp import decompose_full, haar_special_unitary
 from kgdecomp import FactorKind
 from tree_digests import (
+    compare,
     compare_documents,
     digest_line,
     inputs,
@@ -63,3 +64,28 @@ def test_compare_documents_tells_close_from_differs():
     shifted = dataclasses.replace(tree, phase=tree.phase + 1e-6)
     assert compare_documents(document, tree_document(shifted)).startswith(
         "differs: phase ")
+
+
+def test_compare_ends_with_a_tally_on_stderr(tmp_path, capsys):
+    # one input per verdict, and one that fails after: stdout keeps one
+    # `name verdict` line each, and stderr gets only the tally
+    tree = decompose_full(haar_special_unitary(3, np.random.default_rng(0)), 3)
+    document = tree_document(tree)
+    before, after = tmp_path / "before", tmp_path / "after"
+    before.mkdir()
+    after.mkdir()
+    for name, shift in (("a", 0.0), ("b", 1e-13), ("c", 1e-6), ("d", None)):
+        (before / f"{name}.tree.json").write_text(document, encoding="utf-8")
+        if shift is not None:
+            moved = dataclasses.replace(tree, phase=tree.phase + shift)
+            (after / f"{name}.tree.json").write_text(tree_document(moved),
+                                                    encoding="utf-8")
+    (after / "d.error.txt").write_text("NotUnitaryError: bad\n", encoding="utf-8")
+    compare(before, after)
+    out, err = capsys.readouterr()
+    verdicts = [line.split(" ", 1) for line in out.splitlines()]
+    assert [name for name, _ in verdicts] == ["a", "b", "c", "d"]
+    assert [verdict.split(":")[0] for _, verdict in verdicts] == [
+        "same", "close", "differs", "differs"]
+    assert verdicts[3][1] == "differs: a tree against NotUnitaryError: bad"
+    assert err == "same 1, close 1, differs 1, failed 1\n"

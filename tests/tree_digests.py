@@ -16,7 +16,9 @@ dumping the documents on both sides and comparing them:
 
 --dump writes DIR/<name>.tree.json, the document with wall_time zeroed,
 or DIR/<name>.error.txt for an input that fails. --compare prints one
-`name verdict` line per input of BEFORE (see compare_documents).
+`name verdict` line per input of BEFORE (see compare_documents) and
+ends with a `same N, close M, differs K, failed F` tally on stderr,
+where `failed` counts the inputs that fail, or are missing, in AFTER.
 
 The inputs (93): the committed `perfbench/fixtures/verify` matrices,
 Haar SU(8) seeds 0..49, Haar SU(4) seed 0, Haar SU(16) seeds 20251 and
@@ -188,10 +190,17 @@ def _read_outcome(directory: Path, name: str):
     return None, None
 
 
+def _summary(kind: str, text: str) -> str:
+    """One line for an outcome: `a tree`, or the start of the error."""
+    return "a tree" if kind == ".tree.json" else " ".join(text.split())[:200]
+
+
 def compare(before: Path, after: Path) -> None:
-    """Prints `name verdict` for every input dumped under before."""
+    """Prints `name verdict` for every input dumped under before, then the
+    tally of the verdicts to stderr, so that stdout stays diffable."""
     names = sorted({path.name.rsplit(".", 2)[0] for path in before.iterdir()
                     if path.name.endswith((".tree.json", ".error.txt"))})
+    tally = dict.fromkeys(("same", "close", "differs", "failed"), 0)
     for name in names:
         kind_a, text_a = _read_outcome(before, name)
         kind_b, text_b = _read_outcome(after, name)
@@ -202,8 +211,12 @@ def compare(before: Path, after: Path) -> None:
         elif text_a == text_b:
             verdict = "same"
         else:
-            verdict = f"differs: {text_a.strip()} against {text_b.strip()[:200]}"
+            verdict = (f"differs: {_summary(kind_a, text_a)} against "
+                       f"{_summary(kind_b, text_b)}")
         print(f"{name} {verdict}", flush=True)
+        tally["failed" if kind_b != ".tree.json" else verdict.split(":")[0]] += 1
+    print(", ".join(f"{key} {count}" for key, count in tally.items()),
+          file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -295,11 +295,14 @@ def _theta_z_log(g: np.ndarray):
             SUBSPACE_TOL.
     """
     _unitarity_defect(g)
-    blocks = (g[0::2, 0::2], g[0::2, 1::2], g[1::2, 0::2], g[1::2, 1::2])
-    (u1, u2), theta, (v1h, v2h) = _csd(*blocks)
+    half = g.shape[0] // 2
+    # blocks[a, b] = g[a::2, b::2]
+    blocks = g.reshape(half, 2, half, 2).transpose(1, 3, 0, 2)
+    (u1, u2), theta, (v1h, v2h) = _csd(blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1])
     cos, sin = np.cos(theta), np.sin(theta)
-    rebuilt = ((u1 * cos) @ v1h, (u1 * -sin) @ v2h, (u2 * sin) @ v1h, (u2 * cos) @ v2h)
-    residual_norm = _norm(np.stack(blocks) - np.stack(rebuilt))
+    cs = np.array([[cos, -sin], [sin, cos]])[:, :, None]
+    rebuilt = (np.stack((u1, u2))[:, None] * cs) @ np.stack((v1h, v2h))[None]
+    residual_norm = _norm(blocks - rebuilt)
     if residual_norm > SUBSPACE_TOL:
         raise SubspaceViolationError(
             f"cosine-sine decomposition leaves {residual_norm:.3e}, "

@@ -26,7 +26,6 @@ from .errors import (
     ParseError,
 )
 from .fileio import (
-    complex_entries,
     dump_json,
     entries_to_matrix,
     is_json_number,
@@ -252,7 +251,7 @@ def serialize(tree: FactorTree) -> str:
             if factor.subspace_residual is not None:
                 rec["subspace_residual"] = float(factor.subspace_residual)
         else:
-            rec["entries"] = complex_entries(factor.matrix)
+            rec["entries"] = np.asarray(factor.matrix, dtype=complex)
         records.append(rec)
     report = None
     if tree.report is not None:

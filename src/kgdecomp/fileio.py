@@ -3,17 +3,19 @@
 Documents are JSON. The writer is hand-rolled for one reason: every float
 must carry at least 17 significant digits, and the stdlib encoder emits
 shortest-repr floats ("1.0"), which round-trip exactly but violate that
-requirement for round values. A list of [re, im] float pairs, the bulk
-of every matrix and tree document, is written row by row, one "%.16e"
-format per pair, with the same bytes and the same 17 digits as the
-per-float path. Reading uses json.loads unchanged; a pair list of plain
-finite numbers then becomes a matrix in one array conversion.
+requirement for round values. A matrix, the bulk of every matrix and tree
+document, is handed to the writer as a 2-D complex array and written as
+its row-major [re, im] pair list with one finiteness check and one
+"%.16e" format call for the whole payload, the same bytes as a Python
+list of float pairs. Reading uses json.loads unchanged; a pair list of
+plain finite numbers then becomes a matrix in one array conversion.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Tuple
 
 import numpy as np
@@ -35,60 +37,92 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def _pair_rows(obj, inner: str):
-    """The lines of a list of finite [re, im] Python-float pairs, or None
-    for any other list, which the per-float path then writes or rejects."""
-    rows = []
-    for row in obj:
-        if type(row) is not list or len(row) != 2:
-            return None
-        re, im = row
-        if type(re) is not float or type(im) is not float:
-            return None
-        if not (math.isfinite(re) and math.isfinite(im)):
-            return None
-        rows.append("%s[%.16e, %.16e]" % (inner, re, im))
-    return rows
+def _pair_list(matrix: np.ndarray, indent: int) -> str:
+    """The row-major [re, im] pair list of a 2-D complex array, one pair
+    per line, as dump_json writes a Python list of float pairs."""
+    flat = np.ascontiguousarray(matrix, dtype=complex).view(float).ravel()
+    if not flat.size:
+        return "[]"
+    finite = np.isfinite(flat)
+    if not finite.all():
+        bad = flat[~finite][0]
+        raise ValueError(f"cannot serialize non-finite float {float(bad)!r}")
+    row = "  " * (indent + 1) + "[%.16e, %.16e]"
+    rows = ",\n".join([row] * (flat.size // 2)) % tuple(flat.tolist())
+    return "[\n" + rows + "\n" + "  " * indent + "]"
 
 
 def dump_json(obj, indent: int = 0) -> str:
     """Serializes nested dict/list/str/bool/int/float/None to JSON text.
 
     Floats are written as %.16e (17 significant digits, full round trip).
+    A 2-D complex ndarray is written as its row-major list of [re, im]
+    pairs, the same bytes as that list of Python floats, and refused with
+    ValueError if any entry is not finite; any other ndarray, like any
+    other type, raises TypeError. The exact types of a document (float,
+    str, int, dict, list) are dispatched first, and their scalar members
+    are written inside the dict and list loops.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    kind = type(obj)
+    if kind is float:
         return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
+    if kind is str:
+        return _encode_str(obj)
+    if kind is np.ndarray:
+        if obj.ndim != 2 or obj.dtype.kind != "c":
+            raise TypeError(f"cannot serialize {obj.dtype} array of {obj.ndim} dimensions")
+        return _pair_list(obj, indent)
+    if kind is not dict and kind is not list:
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return _fmt_float(obj)
+        if isinstance(obj, str):
+            return _encode_str(obj)
+        if isinstance(obj, dict):
+            kind = dict
+        elif not isinstance(obj, (list, tuple)):
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    pad = "  " * indent
+    inner = pad + "  "
+    if kind is dict:
         if not obj:
             return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {dump_json(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        # a pair is at least 48 characters, so a pair list never fits on
-        # one line
-        rows = _pair_rows(obj, inner)
-        if rows is not None:
-            return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-        parts = [dump_json(v, indent + 1) for v in obj]
-        if all(len(p) < 48 and "\n" not in p for p in parts) and len(parts) <= 8:
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        items = []
+        for key, value in obj.items():
+            kind = type(value)
+            if kind is float and math.isfinite(value):
+                text = "%.16e" % value
+            elif kind is str:
+                text = _encode_str(value)
+            elif kind is int:
+                text = str(value)
+            else:
+                text = dump_json(value, indent + 1)
+            key = _encode_str(key if type(key) is str else str(key))
+            items.append(f"{inner}{key}: {text}")
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if not obj:
+        return "[]"
+    parts = []
+    for value in obj:
+        kind = type(value)
+        if kind is float and math.isfinite(value):
+            parts.append("%.16e" % value)
+        elif kind is str:
+            parts.append(_encode_str(value))
+        elif kind is int:
+            parts.append(str(value))
+        else:
+            parts.append(dump_json(value, indent + 1))
+    # a pair is at least 48 characters, so a pair list never fits on one line
+    if len(parts) <= 8 and all(len(p) < 48 and "\n" not in p for p in parts):
+        return "[" + ", ".join(parts) + "]"
+    return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
 
 
 def parse_json(text: str):
@@ -116,12 +150,6 @@ def is_json_number(value, integer: bool = False) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-def complex_entries(matrix: np.ndarray) -> list:
-    """Row-major [re, im] pair list of Python floats for a complex matrix."""
-    flat = np.ascontiguousarray(matrix, dtype=complex).view(float)
-    return flat.reshape(-1, 2).tolist()
 
 
 _PLAIN_NUMBERS = (float, int)
@@ -188,7 +216,7 @@ def matrix_to_document(matrix: np.ndarray) -> str:
     n = int(round(np.log2(dim)))
     if matrix.shape != (dim, dim) or 2**n != dim:
         raise ValueError(f"matrix shape {matrix.shape} is not 2^n x 2^n")
-    return dump_json({"n": n, "entries": complex_entries(matrix)}) + "\n"
+    return dump_json({"n": n, "entries": matrix}) + "\n"
 
 
 def matrix_from_document(text: str) -> Tuple[int, np.ndarray]:

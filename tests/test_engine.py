@@ -500,6 +500,37 @@ def test_theta_z_log_is_odd_on_structured_gates(name):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_theta_z_log_residual_matches_the_blockwise_products(n):
+    # the oracle: ||g - diag(U1, U2) CS V^dag||_F as four block products
+    for seed in range(3):
+        g = haar_special_unitary(n, np.random.default_rng(90 + 10 * n + seed))
+        blocks = (g[0::2, 0::2], g[0::2, 1::2], g[1::2, 0::2], g[1::2, 1::2])
+        (u1, u2), theta, (v1h, v2h) = linalg._csd(*blocks)
+        cos, sin = np.cos(theta), np.sin(theta)
+        rebuilt = ((u1 * cos) @ v1h, (u1 * -sin) @ v2h, (u2 * sin) @ v1h, (u2 * cos) @ v2h)
+        oracle = np.linalg.norm(np.stack(blocks) - np.stack(rebuilt))
+        m0, _, _ = engine._theta_z_log(g)
+        assert m0.residual_norm == pytest.approx(oracle, abs=1e-15)
+
+
+@pytest.mark.parametrize("shift, tol", [(1e-6, 1e-7), (1e-2, SUBSPACE_TOL)])
+def test_theta_z_log_refuses_a_csd_that_misses_g(monkeypatch, shift, tol):
+    # a u1 moved by `shift` leaves a reconstruction residual of that size;
+    # 1e-6 is under SUBSPACE_TOL, so that case lowers the bound below it
+    csd = engine._csd
+
+    def perturbed(*blocks):
+        (u1, u2), theta, vh = csd(*blocks)
+        return (u1 + shift, u2), theta, vh
+
+    monkeypatch.setattr(engine, "_csd", perturbed)
+    monkeypatch.setattr(engine, "SUBSPACE_TOL", tol)
+    g = haar_special_unitary(3, np.random.default_rng(8))
+    with pytest.raises(SubspaceViolationError, match="cosine-sine decomposition leaves"):
+        engine._theta_z_log(g)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_theta_x_log_matches_the_full_register_log(n):
     # the oracle: the principal log of w' = theta_X(w^dag) w on the whole
     # register, snapped by (1 - theta_X) / 2 and (1 + theta_Z) / 2

@@ -26,7 +26,6 @@ from kgdecomp import (
 import kgdecomp.factors
 from kgdecomp.basis import build_kg_basis, is_cartan_label
 from kgdecomp.fileio import (
-    complex_entries,
     dump_json,
     entries_to_matrix,
     matrix_from_document,
@@ -37,6 +36,11 @@ from kgdecomp.fileio import (
 
 def su(n_qubits, seed):
     return haar_special_unitary(n_qubits, np.random.default_rng(seed))
+
+
+def complex_entries(matrix):
+    """Row-major [re, im] pair list of Python floats for a complex matrix."""
+    return np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def test_expand_sub_unitary_pads_right():

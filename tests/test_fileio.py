@@ -1,0 +1,210 @@
+"""Writer contract tests: `fileio.dump_json` against the pair-list writer
+it replaced, kept here as the oracle, on array payloads, Python pair
+lists, scalar leaves and whole tree and benchmark documents."""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from kgdecomp import decompose_full, haar_special_unitary, run_benchmark
+from kgdecomp import factors as factors_module
+from kgdecomp.factors import serialize
+from kgdecomp.fileio import dump_json, matrix_from_document, matrix_to_document
+from kgdecomp.metrics import summary_to_dict
+from structured_sweep import inputs as structured_inputs
+
+
+def _oracle_fmt_float(x):
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    return format(float(x), ".16e")
+
+
+def _oracle_pair_rows(obj, inner):
+    rows = []
+    for row in obj:
+        if type(row) is not list or len(row) != 2:
+            return None
+        re, im = row
+        if type(re) is not float or type(im) is not float:
+            return None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            return None
+        rows.append("%s[%.16e, %.16e]" % (inner, re, im))
+    return rows
+
+
+def oracle_dump_json(obj, indent=0):
+    """The writer as it was when matrices were handed over as Python
+    [re, im] pair lists; it knows no arrays."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _oracle_fmt_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(str(k))}: {oracle_dump_json(v, indent + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rows = _oracle_pair_rows(obj, inner)
+        if rows is not None:
+            return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        parts = [oracle_dump_json(v, indent + 1) for v in obj]
+        if all(len(p) < 48 and "\n" not in p for p in parts) and len(parts) <= 8:
+            return "[" + ", ".join(parts) + "]"
+        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def pair_list(matrix):
+    """Row-major [re, im] pair list of Python floats, built entry by entry."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(matrix).ravel()]
+
+
+def as_lists(obj):
+    """obj with every ndarray replaced by its pair list."""
+    if isinstance(obj, np.ndarray):
+        return pair_list(obj)
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [as_lists(v) for v in obj]
+    return obj
+
+
+SPECIALS = (-0.0, 5e-324, -5e-324, 1.5e308, -1.5e308, 1.0, -1.0, 0.0)
+
+LAYOUTS = {
+    "c-order": lambda m: m,
+    "strided": lambda m: m[0::2, 0::2],
+    "transpose": lambda m: m.T,
+    "adjoint": lambda m: m.conj().T,
+    "fortran": np.asfortranarray,
+}
+
+
+def random_matrices(seed, count=60):
+    """Complex 2^k x 2^k matrices, k = 1..4, with special values mixed in."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = 2 ** int(rng.integers(1, 5))
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m *= 10.0 ** rng.integers(-300, 300, size=(dim, dim))
+        flat = m.view(float).reshape(-1)
+        picks = rng.integers(0, flat.size, size=flat.size // 3 + 1)
+        flat[picks] = rng.choice(SPECIALS, size=picks.size)
+        yield m
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_array_payload_writes_the_oracle_bytes(layout):
+    for m in random_matrices(seed=sorted(LAYOUTS).index(layout)):
+        view = LAYOUTS[layout](m)
+        expected = oracle_dump_json({"entries": pair_list(view)}, 1)
+        assert dump_json({"entries": view}, 1) == expected
+        assert dump_json(view, 2) == oracle_dump_json(pair_list(view), 2)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_python_pair_list_writes_the_oracle_bytes(layout):
+    for m in random_matrices(seed=10 + sorted(LAYOUTS).index(layout), count=20):
+        entries = pair_list(LAYOUTS[layout](m))
+        assert dump_json({"entries": entries}) == oracle_dump_json({"entries": entries})
+
+
+def test_matrix_document_writes_the_oracle_bytes():
+    for m in random_matrices(seed=20, count=20):
+        doc = oracle_dump_json({"n": int(np.log2(m.shape[0])), "entries": pair_list(m)})
+        assert matrix_to_document(m) == doc + "\n"
+        assert matrix_to_document(m.T) == matrix_to_document(np.ascontiguousarray(m.T))
+    g = haar_special_unitary(3, np.random.default_rng(4))
+    assert np.array_equal(matrix_from_document(matrix_to_document(g))[1], g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_non_finite_entries_are_refused(bad, part):
+    rng = np.random.default_rng(3)
+    for index in range(16):
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        flat = m.view(float).reshape(-1, 2)
+        flat[index, 0 if part == "real" else 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dump_json(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            dump_json({"entries": m.T})
+        with pytest.raises(ValueError, match="non-finite"):
+            dump_json(pair_list(m))
+
+
+@pytest.mark.parametrize("value", [
+    np.float64(0.1), np.float64(-0.0), np.int64(-7), True, False, None,
+    (1, 2.5, "a"), ((0.5, 0.25),), [], {}, [[]], {"a": {}}, 3, 2**70,
+    "quote\" and \\ and é and \n", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
+    {1: "int key", "x": [np.float64(1.0), np.int64(2), True, None]},
+    {"nested": [{"a": [0.5, -0.5]}, [["ZZ", 1e-300]], ("t", 1)]},
+])
+def test_scalars_and_containers_write_the_oracle_bytes(value):
+    for indent in (0, 2):
+        assert dump_json(value, indent) == oracle_dump_json(value, indent)
+        assert dump_json([value], indent) == oracle_dump_json([value], indent)
+        assert dump_json({"k": value}, indent) == oracle_dump_json({"k": value}, indent)
+
+
+@pytest.mark.parametrize("value", [
+    np.bool_(True), np.zeros((2, 2)), np.zeros(4, dtype=complex),
+    np.zeros((2, 2, 2), dtype=complex), {1, 2}, object(),
+], ids=["bool_", "float-array", "complex-vector", "complex-3d", "set", "object"])
+def test_other_types_raise_type_error(value):
+    with pytest.raises(TypeError):
+        dump_json(value)
+    with pytest.raises(TypeError):
+        dump_json({"entries": value})
+
+
+def _oracle_serialize(tree, monkeypatch):
+    """serialize(tree) with the oracle writer fed the payloads as pair lists."""
+    with monkeypatch.context() as patch:
+        patch.setattr(factors_module, "dump_json", lambda doc: oracle_dump_json(as_lists(doc)))
+        return serialize(tree)
+
+
+def _fixed_clock(tree):
+    report = dataclasses.replace(tree.report, wall_time=0.125)
+    return dataclasses.replace(tree, report=report)
+
+
+def test_fresh_trees_write_the_oracle_bytes(monkeypatch):
+    cases = [
+        (f"haar{n}-{seed}", haar_special_unitary(n, np.random.default_rng([seed, n])))
+        for n in (2, 3, 4, 5)
+        for seed in range(3 if n < 5 else 1)
+    ]
+    cases += list(structured_inputs())
+    for name, g in cases:
+        n = int(np.log2(g.shape[0]))
+        tree = _fixed_clock(decompose_full(g, n))
+        assert serialize(tree) == _oracle_serialize(tree, monkeypatch), name
+
+
+def test_benchmark_summary_writes_the_oracle_bytes():
+    summary = run_benchmark(n=3, count=3, seed=5)
+    doc = summary_to_dict(summary)
+    assert dump_json(doc) == oracle_dump_json(doc)

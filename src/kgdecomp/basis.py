@@ -31,7 +31,7 @@ words through 2^n eigenvalues each and never stack their matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -356,6 +356,9 @@ class CartanTorus:
         mu: the eigenvalues of -i v, (1/2) signs^T weights.
         es_weights: C_ab = sum_w (signs_wa - signs_wb)^2 / 4, so that
             sum_w ||[word, x]||_F^2 = sum_ab C_ab |(q^dag x q)_ab|^2.
+
+    The read-only q_dag, figure_weights and block_figure_weights are
+    built on first use and kept.
     """
 
     name: str
@@ -367,6 +370,26 @@ class CartanTorus:
     signs: np.ndarray
     mu: np.ndarray
     es_weights: np.ndarray
+
+    @cached_property
+    def q_dag(self) -> np.ndarray:
+        """q^dag."""
+        return _read_only(self.q.conj().T)
+
+    @cached_property
+    def figure_weights(self) -> np.ndarray:
+        """The real (4, 4^n) rows (mu_a - mu_b)^2, C_ab, 1 - delta_ab and 1,
+        each flattened row-major over (a, b): one product with
+        |q^dag x q|^2 gives ||[v, x]||^2, sum_w ||[word, x]||^2, the
+        off-diagonal and the whole ||x||^2 (engine._stage_figures)."""
+        return _figure_weights(self.mu, self.es_weights)
+
+    @cached_property
+    def block_figure_weights(self) -> np.ndarray:
+        """figure_weights of the block x~[0::2, 0::2], from mu[0::2] and
+        es_weights[0::2, 0::2]: what the F torus reads off an
+        x = diag(X, -X) in the last-qubit block view."""
+        return _figure_weights(self.mu[0::2], self.es_weights[0::2, 0::2])
 
     def rows_of(self, labels: Iterable[str]) -> np.ndarray:
         """The signs rows of labels, in their order.
@@ -380,6 +403,19 @@ class CartanTorus:
             raise BadLabelError(
                 f"label {exc.args[0]!r} is not in basis {self.name}"
             ) from None
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _figure_weights(mu: np.ndarray, es_weights: np.ndarray) -> np.ndarray:
+    """CartanTorus.figure_weights from mu and the E_s weights."""
+    dim = len(mu)
+    gaps = mu[:, None] - mu[None, :]
+    rows = (gaps * gaps, es_weights, 1.0 - np.eye(dim), np.ones((dim, dim)))
+    return _read_only(np.stack(rows).reshape(4, dim * dim))
 
 
 def _word_diagonal(label: str, q: np.ndarray) -> np.ndarray:

@@ -47,19 +47,22 @@ torus alone: Q = U (x) Hadamard for H_n and U (x) I2 for F_n, with U the
 joint eigenbasis of W and the last qubit least significant. A stage
 rotates its input once, x~ = P^dag m0 P with P = K Q, and reads
 everything off x~: the Cartan coordinates (2 / 2^n) signs Im diag(x~),
-in the torus's canonical label order, the off-span residual, the
-relative commutator from the eigenvalues mu of -i v, and E_s from the
-weights C_ab. The central word I..IZ is diagonal already and splits off by a
-trace of the diagonal. No stack of word matrices is ever built. The
-Cartan element is only ever determined up to its Weyl orbit, so each
-solve checks that exp(h) and exp(m0) share their eigenphases: those of
-exp(h) are its diagonal phases p in Q, those of exp(m0) the eigenvalues
-of the Hermitian -i m0 (the +-Theta of the CSD), both wrapped into
-(-pi, pi]; no exponential is built.
+in the torus's canonical label order, then the off-span residual, the
+relative commutator from the eigenvalues mu of -i v and E_s from the
+weights C_ab, all three from one weighted sum of |x~|^2 with weights
+kept on the torus (_stage_figures). The central word I..IZ is diagonal
+already and splits off by a trace of the diagonal. No stack of word
+matrices is ever built. The Cartan element is only ever determined up
+to its Weyl orbit, so each solve checks that exp(h) and exp(m0) share
+their eigenphases: those of exp(h) are its diagonal phases p in Q,
+those of exp(m0) the eigenvalues of the Hermitian -i m0 (the +-Theta of
+the CSD), both wrapped into (-pi, pi]; no exponential is built.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence, Tuple
@@ -292,7 +295,8 @@ def _theta_z_log(g: np.ndarray):
     Raises:
         NotUnitaryError: g is not special unitary within 1e-8.
         SubspaceViolationError: the reconstruction residual exceeds
-            SUBSPACE_TOL.
+            SUBSPACE_TOL, or exceeds 1e-8 where det k0 misses 1 by more
+            than 1e-8.
     """
     _unitarity_defect(g)
     half = g.shape[0] // 2
@@ -300,7 +304,7 @@ def _theta_z_log(g: np.ndarray):
     blocks = g.reshape(half, 2, half, 2).transpose(1, 3, 0, 2)
     (u1, u2), theta, (v1h, v2h) = _csd(blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1])
     cos, sin = np.cos(theta), np.sin(theta)
-    cs = np.array([[cos, -sin], [sin, cos]])[:, :, None]
+    cs = np.stack((cos, -sin, sin, cos)).reshape(2, 2, 1, half)
     rebuilt = (np.stack((u1, u2))[:, None] * cs) @ np.stack((v1h, v2h))[None]
     residual_norm = _norm(blocks - rebuilt)
     if residual_norm > SUBSPACE_TOL:
@@ -308,10 +312,19 @@ def _theta_z_log(g: np.ndarray):
             f"cosine-sine decomposition leaves {residual_norm:.3e}, "
             f"above {SUBSPACE_TOL:.3e}"
         )
+    k00, k11 = u1 @ v1h, u2 @ v2h
+    det = _det(k00) * _det(k11)
+    # g passed its unitarity check, so where the CSD misses g by more
+    # than that check allows, a determinant miss is the CSD's
+    if residual_norm > _INGEST_TOL and not abs(det - 1.0) <= _INGEST_TOL:
+        raise SubspaceViolationError(
+            f"cosine-sine decomposition leaves {residual_norm:.3e}, above "
+            f"{_INGEST_TOL:.3e}, and determinant defect {abs(det - 1.0):.3e}"
+        )
+    _check_det(det)
     k0 = np.zeros_like(g)
-    k0[0::2, 0::2] = u1 @ v1h
-    k0[1::2, 1::2] = u2 @ v2h
-    _check_det(_det(k0[0::2, 0::2]) * _det(k0[1::2, 1::2]))
+    k0[0::2, 0::2] = k00
+    k0[1::2, 1::2] = k11
     # descending as from _svd: _closed_form_k pairs the j-th value with the
     # torus's j-th column, and _cluster_gauge clusters sorted neighbours
     order = np.argsort(-theta)
@@ -445,28 +458,54 @@ def _torus_split(xt: np.ndarray, torus: CartanTorus, block: bool = False):
     return c, p, _norm(off) * (_SQRT2 if block else 1.0)
 
 
-def _relative_commutator(
-    xt: np.ndarray, torus: CartanTorus, block: bool = False
-) -> float:
-    """||[v, x]|| / (||v|| ||x||) for x = Q x~ Q^dag, a nonzero x, from
-    [v, x]~_ab = i (mu_a - mu_b) x~_ab. block=True as in _torus_split,
-    from mu[0::2]: each norm doubles its square on the whole register,
-    so the block ratio is divided by sqrt(2)."""
-    mu = torus.mu[0::2] if block else torus.mu
-    gaps = mu[:, None] - mu[None, :]
-    rel = _norm(gaps * xt) / (_norm(mu) * _norm(xt))
-    return rel / _SQRT2 if block else rel
+def _stage_figures(xt: np.ndarray, torus: CartanTorus, block: bool = False):
+    """(c, p, residual_norm, rel, es) of x = Q x~ Q^dag against the torus.
 
-
-def _subspace_error(xt: np.ndarray, torus: CartanTorus, block: bool = False) -> float:
-    """commutation_defect(x, words) for x = Q x~ Q^dag, from
+    c, p and residual_norm are _torus_split's; rel is the relative
+    commutator ||[v, x]|| / (||v|| ||x||), from
+    [v, x]~_ab = i (mu_a - mu_b) x~_ab, or 0 for x = 0; es is
+    commutation_defect(x, words), from
     sum_w ||[w, x]||^2 = sum_ab C_ab |x~_ab|^2 (CartanTorus.es_weights).
-    block=True as in _torus_split, from es_weights[0::2, 0::2], times
-    sqrt(2)."""
-    weights = torus.es_weights[0::2, 0::2] if block else torus.es_weights
-    abs2 = xt.real**2 + xt.imag**2
-    es = float(np.sqrt(np.sum(weights * abs2)) / len(torus.labels))
-    return es * _SQRT2 if block else es
+    The three norms come from one product of |x~|^2 with the torus's
+    figure_weights. residual_norm^2 is the off-diagonal sum plus
+    ||diag(x~) - i p||^2, not ||x~||^2 - ||p||^2, whose cancellation
+    would lose the residuals near rounding that trees record.
+
+    block=True as in _torus_split, from mu[0::2] and
+    es_weights[0::2, 0::2] (block_figure_weights): each norm doubles its
+    square on the whole register, so rel is the block ratio divided by
+    sqrt(2), and es and residual_norm are sqrt(2) times the block's.
+    """
+    if block:
+        signs, mu = torus.signs[:, 0::2], torus.mu[0::2]
+        weights = torus.block_figure_weights
+    else:
+        signs, mu, weights = torus.signs, torus.mu, torus.figure_weights
+    d = np.diagonal(xt)
+    c = (2.0 / len(xt)) * (signs @ d.imag)
+    p = 0.5 * (c @ signs)
+    gap2, es2, off2, total2 = (weights @ (xt * xt.conj()).real.ravel()).tolist()
+    on_diagonal = d - 1j * p
+    residual_norm = math.sqrt(off2 + np.vdot(on_diagonal, on_diagonal).real)
+    rel = math.sqrt(gap2 / total2) / math.sqrt(mu @ mu) if total2 > 0.0 else 0.0
+    es = math.sqrt(es2) / len(torus.labels)
+    if block:
+        return c, p, _SQRT2 * residual_norm, rel / _SQRT2, _SQRT2 * es
+    return c, p, residual_norm, rel, es
+
+
+def _phases_match(p: np.ndarray, spectrum: np.ndarray) -> bool:
+    """_cyclic_phase_mismatch of the wrapped p and spectrum within 1e-8.
+
+    The identity alignment of the two sorted lists decides first: the
+    minimum over cyclic alignments is at most its value, so only a miss
+    there, as where values straddle the branch cut at pi, runs every
+    alignment, and the decision is the same either way.
+    """
+    a, b = _wrapped_phases(p), _wrapped_phases(spectrum)
+    if np.abs((a - b + np.pi) % (2 * np.pi) - np.pi).max() <= _SPECTRUM_TOL:
+        return True
+    return _cyclic_phase_mismatch(a, b) <= _SPECTRUM_TOL
 
 
 def _cluster_gauge(overlap: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -520,13 +559,15 @@ def _closed_form_k(
     u = torus.u
     v1, values, v2h = _svd(-1j * m0_mat[0::2, 1::2]) if svd is None else svd
     v2 = v2h.conj().T
-    rotation = _cluster_gauge(u.conj().T @ (v1 + v2), values)
-    half = u.shape[0]
+    u_dag = u.conj().T
+    rotation = _cluster_gauge(u_dag @ (v1 + v2), values)
+    a, b = v1 @ rotation @ u_dag, v2 @ rotation @ u_dag
+    half = len(a)
+    turn = cmath.exp(-1j * cmath.phase(_det(a) * _det(b)) / (2 * half))
     k = np.zeros((2 * half, 2 * half), dtype=complex)
-    k[0::2, 0::2] = v1 @ rotation @ u.conj().T
-    k[1::2, 1::2] = v2 @ rotation @ u.conj().T
-    det = _det(k[0::2, 0::2]) * _det(k[1::2, 1::2])
-    return k * np.exp(-1j * np.angle(det) / (2 * half))
+    k[0::2, 0::2] = turn * a
+    k[1::2, 1::2] = turn * b
+    return k
 
 
 def _minimize_full(
@@ -541,16 +582,16 @@ def _minimize_full(
     below hold for any torus). Everything else is read off one rotation
     x~ = P^dag m0 P with P = K1 Q, where Q is the basis of the torus
     (basis.cartan_torus) in which every Cartan word is diagonal: the
-    coordinates and off-span residual (_torus_split), the relative
-    commutator ||[v, h]|| / (||v|| ||h||) and E_s (_relative_commutator,
-    _subspace_error), and h = Q (i diag(p)) Q^dag. The solution is
+    coordinates, the off-span residual, the relative commutator
+    ||[v, h]|| / (||v|| ||h||) and E_s, all from one weighted sum
+    (_stage_figures), and h = Q (i diag(p)) Q^dag. The solution is
     checked once: the relative commutator must be at most CARTAN_TOL,
     the residual at most SUBSPACE_TOL, and exp(h) must share the
     eigenphases of exp(m0) within 1e-8 (h is only determined up to its
     Weyl orbit). Those of exp(h) are p wrapped into (-pi, pi], those of
     exp(m0) the wrapped spectrum of -i m0, compared over cyclic
-    alignments; no exponential is built. That spectrum is +-S from svd,
-    or an eigvalsh of -i m0 when svd is None. An m0 of norm at most
+    alignments (_phases_match); no exponential is built. That spectrum
+    is +-S from svd, or an eigvalsh of -i m0 when svd is None. An m0 of norm at most
     Tolerances.structure counts as zero: K1 = I, h = 0.
 
     Returns (k1, h, subspace_error): h = k1^dag m0 k1 snapped onto the
@@ -567,38 +608,31 @@ def _minimize_full(
     k1 = np.eye(m0_mat.shape[0], dtype=complex)
 
     norm_m0 = _norm(m0_mat)
-    xt = q.conj().T @ m0_mat @ q
+    xt = torus.q_dag @ m0_mat @ q
     if norm_m0 <= DEFAULT_TOLS.structure:
         zero = AlgebraElement(
             matrix=np.zeros_like(m0_mat),
             coords=(0.0,) * len(torus.labels),
-            residual_norm=float(norm_m0),
+            residual_norm=norm_m0,
         )
-        return k1, zero, _subspace_error(xt, torus)
+        return k1, zero, _stage_figures(xt, torus)[4]
 
-    c, p, residual_norm = _torus_split(xt, torus)
-    if residual_norm > _IN_SPAN_TOL * norm_m0:
+    if _torus_split(xt, torus)[2] > _IN_SPAN_TOL * norm_m0:
         k1 = _maybe_repair(_closed_form_k(m0_mat, torus, svd))
         frame = k1 @ q
         xt = frame.conj().T @ m0_mat @ frame
-        c, p, residual_norm = _torus_split(xt, torus)
+    c, p, residual_norm, rel, es = _stage_figures(xt, torus)
     h = AlgebraElement(
-        matrix=(q * (1j * p)) @ q.conj().T,
+        matrix=(q * (1j * p)) @ torus.q_dag,
         coords=tuple(c.tolist()),
         residual_norm=residual_norm,
     )
-    rel = _relative_commutator(xt, torus)
     if svd is None:
         spectrum = _eigvalsh(-1j * m0_mat)
     else:
         spectrum = np.concatenate((svd[1], -svd[1]))
-    if (
-        rel <= CARTAN_TOL
-        and residual_norm <= SUBSPACE_TOL
-        and _cyclic_phase_mismatch(_wrapped_phases(p), _wrapped_phases(spectrum))
-        <= _SPECTRUM_TOL
-    ):
-        return k1, h, _subspace_error(xt, torus)
+    if rel <= CARTAN_TOL and residual_norm <= SUBSPACE_TOL and _phases_match(p, spectrum):
+        return k1, h, es
     raise OptimizerFailedError(
         f"closed-form solve left relative commutator {rel:.3e} "
         f"(bound {CARTAN_TOL:.1e}), projection residual {residual_norm:.3e}",
@@ -725,7 +759,7 @@ def _cartan_factor(
 
 def _f_rotation(
     c_hat: np.ndarray, values: np.ndarray, vecs: np.ndarray, torus: CartanTorus
-) -> Tuple[np.ndarray, np.ndarray, float, float]:
+) -> Tuple[np.ndarray, np.ndarray, float, float, complex]:
     """The F stage of a theta_X stage, on its 2^(n-1) block.
 
     m_hat = diag(C^, -C^) in the last-qubit block view, with C^ traceless
@@ -735,44 +769,44 @@ def _f_rotation(
     Tolerances.structure; A is scaled by e^(-i arg det(A)^2 / 2^n), as
     K1 = A (x) I would be into SU(2^n). Everything is read off the block
     x~ = (A U)^dag C^ (A U) of the torus rotation, with the figures of
-    the whole register (the block keyword of _torus_split,
-    _relative_commutator and _subspace_error), and checked as in
-    _minimize_full: relative commutator at most CARTAN_TOL, residual at
-    most SUBSPACE_TOL, and p against the spectrum values of -i C^ within
-    1e-8, both wrapped into (-pi, pi].
+    the whole register (_stage_figures with block=True), and checked as
+    in _minimize_full: relative commutator at most CARTAN_TOL, residual
+    at most SUBSPACE_TOL, and p against the spectrum values of -i C^
+    within 1e-8, both wrapped into (-pi, pi] (_phases_match).
 
-    Returns (A, coords, residual_norm, subspace_error), the coordinates
-    in torus.labels order.
+    Returns (A, coords, residual_norm, subspace_error, det A), the
+    coordinates in torus.labels order. det A is the determinant of the
+    unscaled A times the scale's 2^(n-1)-th power, or a fresh one where
+    _maybe_repair replaced the scaled A.
 
     Raises:
         OptimizerFailedError: the solution fails a bound; the pair
             (A (x) I, h) rides in its `best` attribute.
     """
     u = torus.u
+    u_dag = u.conj().T
     a = np.eye(len(c_hat), dtype=complex)
+    det_a = 1.0
     norm_m = _SQRT2 * _norm(c_hat)
-    xt = u.conj().T @ c_hat @ u
+    xt = u_dag @ c_hat @ u
     if norm_m <= DEFAULT_TOLS.structure:
         coords = np.zeros(len(torus.labels))
-        return a, coords, norm_m, _subspace_error(xt, torus, block=True)
+        return a, coords, norm_m, _stage_figures(xt, torus, block=True)[4], det_a
 
-    c, p, residual_norm = _torus_split(xt, torus, block=True)
-    if residual_norm > _IN_SPAN_TOL * norm_m:
-        a = vecs @ _cluster_gauge(u.conj().T @ vecs, values) @ u.conj().T
+    if _torus_split(xt, torus, block=True)[2] > _IN_SPAN_TOL * norm_m:
+        a = vecs @ _cluster_gauge(u_dag @ vecs, values) @ u_dag
         det = _det(a)
-        a = _maybe_repair(a * np.exp(-1j * np.angle(det * det) / (2 * len(a))))
+        turn = cmath.exp(-1j * cmath.phase(det * det) / (2 * len(a)))
+        scaled = turn * a
+        a = _maybe_repair(scaled)
+        # det(turn A) = turn^len(A) det(A)
+        det_a = det * turn ** len(a) if a is scaled else _det(a)
         frame = a @ u
         xt = frame.conj().T @ c_hat @ frame
-        c, p, residual_norm = _torus_split(xt, torus, block=True)
-    rel = _relative_commutator(xt, torus, block=True)
-    if (
-        rel <= CARTAN_TOL
-        and residual_norm <= SUBSPACE_TOL
-        and _cyclic_phase_mismatch(_wrapped_phases(p), _wrapped_phases(values))
-        <= _SPECTRUM_TOL
-    ):
-        return a, c, residual_norm, _subspace_error(xt, torus, block=True)
-    h_block = (u * (1j * p)) @ u.conj().T
+    c, p, residual_norm, rel, es = _stage_figures(xt, torus, block=True)
+    if rel <= CARTAN_TOL and residual_norm <= SUBSPACE_TOL and _phases_match(p, values):
+        return a, c, residual_norm, es, det_a
+    h_block = (u * (1j * p)) @ u_dag
     h = np.zeros((2 * len(a), 2 * len(a)), dtype=complex)
     h[0::2, 0::2] = h_block
     h[1::2, 1::2] = -h_block
@@ -836,10 +870,12 @@ def _secondary_stage(
             f"pattern defect {mismatch:.3e} exceeds {PATTERN_TOL:.3e}"
         )
     k = _maybe_repair(0.5 * (even + odd) @ vecs.conj().T)
-    a, coords, residual_norm, subspace_error = _f_rotation(c_hat, values, vecs, torus)
+    a, coords, residual_norm, subspace_error, det_a = _f_rotation(
+        c_hat, values, vecs, torus
+    )
     outer = k @ a
-    phi = float(np.angle(_det(outer))) / half
-    psi = float(np.angle(_det(a))) / half
+    phi = cmath.phase(_det(outer)) / half
+    psi = cmath.phase(det_a) / half
     sub = _maybe_repair(np.exp(-1j * phi) * outer)
     inner = _maybe_repair(np.exp(-1j * psi) * a)
     last = np.diag(np.exp([0.5j * alpha, -0.5j * alpha]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -117,12 +118,27 @@ class FactorTree:
     report: Optional[DecompositionReport] = None
 
 
+@lru_cache(maxsize=64)
+def _label_signs(basis_name: str, labels: Tuple[str, ...]) -> np.ndarray:
+    """The signs rows of labels in the torus of basis_name, in their
+    order, read-only: repeated labels repeat their row.
+
+    Raises:
+        BadLabelError: a label is not in the set; the message names it.
+    """
+    torus = cartan_torus(basis_name[0], int(basis_name[1:]))
+    signs = torus.signs[torus.rows_of(labels)]
+    signs.setflags(write=False)
+    return signs
+
+
 def _cartan_block(factor: Factor) -> np.ndarray:
     """exp(sum_i c_i word_i) of a CartanExp factor, as Q diag(e^{i phi}) Q^dag.
 
     Q is the basis of the factor's torus (basis.cartan_torus), where
-    every word of its set is (i/2) diag(signs row); repeated labels add
-    their coefficients, and phi = (1/2) signs^T c.
+    every word of its set is (i/2) diag(signs row), and phi = (1/2)
+    sum_i c_i signs_i over the factor's labels, so repeated labels add
+    their coefficients. The signs rows of a label list are cached.
 
     Raises:
         BadLabelError: the basis does not name H or F at the factor's
@@ -134,14 +150,10 @@ def _cartan_block(factor: Factor) -> np.ndarray:
             f"basis {factor.basis_name!r} is not H{level} or F{level}"
         )
     torus = cartan_torus(factor.basis_name[0], level)
-    labels = [label for label, _ in factor.coeffs]
-    coeffs = np.bincount(
-        torus.rows_of(labels),
-        weights=[float(c) for _, c in factor.coeffs],
-        minlength=len(torus.labels),
-    )
-    phi = 0.5 * (coeffs @ torus.signs)
-    return (torus.q * np.exp(1j * phi)) @ torus.q.conj().T
+    labels = tuple(label for label, _ in factor.coeffs)
+    coeffs = np.array([c for _, c in factor.coeffs], dtype=float)
+    phi = 0.5 * (coeffs @ _label_signs(factor.basis_name, labels))
+    return (torus.q * np.exp(1j * phi)) @ torus.q_dag
 
 
 def _block(factor: Factor, n_total: int) -> Tuple[np.ndarray, int]:

@@ -15,8 +15,10 @@ keeps numpy's batched eigh.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,14 +149,20 @@ def _det(a: np.ndarray) -> complex:
 
 def _norm(x: np.ndarray) -> float:
     """The Frobenius (or, for a vector, Euclidean) norm of x."""
-    return float(np.sqrt(np.vdot(x, x).real))
+    return math.sqrt(np.vdot(x, x).real)
+
+
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The read-only complex identity of one size, built once."""
+    eye = np.eye(dim, dtype=complex)
+    eye.setflags(write=False)
+    return eye
 
 
 def _unitarity_gap(u: np.ndarray) -> float:
-    """||u u^dag - I||_F of a square u, with no identity matrix built."""
-    gap = u @ u.conj().T
-    gap.flat[:: len(gap) + 1] -= 1.0
-    return _norm(gap)
+    """||u u^dag - I||_F of a square u."""
+    return _norm(np.dot(u, u.conj().T) - _identity(len(u)))
 
 
 @dataclass(frozen=True)
@@ -354,13 +362,20 @@ def commutation_defect(x: np.ndarray, words: Sequence[PauliWord]) -> float:
     return np.sqrt(total) / len(stack)
 
 
+@lru_cache(maxsize=None)
+def _roll_index(n: int) -> np.ndarray:
+    """The read-only (n, n) index whose row s takes a list to np.roll(list, s)."""
+    index = (np.arange(n) - np.arange(n)[:, None]) % n
+    index.setflags(write=False)
+    return index
+
+
 def _cyclic_phase_mismatch(p1: np.ndarray, p2: np.ndarray) -> float:
     """Smallest max |p1 - p2| over cyclic alignments of two sorted phase
     lists in (-pi, pi], with differences taken mod 2 pi, so that values
-    straddling the branch cut at pi match correctly."""
-    n = len(p1)
-    # row s holds np.roll(p2, s)
-    shifted = p2[(np.arange(n) - np.arange(n)[:, None]) % n]
+    straddling the branch cut at pi match correctly. Row 0 of the
+    alignments is the identity one."""
+    shifted = p2[_roll_index(len(p1))]
     d = np.abs((p1 - shifted + np.pi) % (2 * np.pi) - np.pi)
     return float(d.max(axis=1).min())
 

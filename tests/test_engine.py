@@ -256,7 +256,7 @@ def test_torus_formulas_match_word_stack_oracles(family, n):
     for eps in (0.0, 1e-9, 1e-3, 1.0):
         x = random_span_element(rng, words, scale=0.8) + eps * noise
         xt = torus.q.conj().T @ x @ torus.q
-        c, p, residual_norm = engine._torus_split(xt, torus)
+        c, p, residual_norm, rel_t, es_t = engine._stage_figures(xt, torus)
         coords, residual = linalg.project_onto_span(x, words)
         assert np.max(np.abs(c[rows] - coords)) <= 1e-13
         assert abs(residual_norm - np.linalg.norm(residual)) <= 1e-13
@@ -264,9 +264,9 @@ def test_torus_formulas_match_word_stack_oracles(family, n):
             (torus.q * (1j * p)) @ torus.q.conj().T - (x - residual)
         ) <= 1e-13
         es = linalg.commutation_defect(x, words)
-        assert abs(engine._subspace_error(xt, torus) - es) <= 1e-13
+        assert abs(es_t - es) <= 1e-13
         rel = np.linalg.norm(v @ x - x @ v) / (np.linalg.norm(v) * np.linalg.norm(x))
-        assert abs(engine._relative_commutator(xt, torus) - rel) <= 1e-13
+        assert abs(rel_t - rel) <= 1e-13
         # the central word I..IZ splits off by its diagonal
         (alpha,), rest = linalg.project_onto_span(x, (kg.z_word,))
         alpha_t, rest_t = engine._central_split(x)
@@ -596,15 +596,167 @@ def test_block_torus_figures_equal_the_full_register(n):
         x[1::2, 1::2] = -x_block
         xt = torus.q.conj().T @ x @ torus.q
         xt_block = torus.u.conj().T @ x_block @ torus.u
-        c, p, residual = engine._torus_split(xt, torus)
-        c_b, p_b, residual_b = engine._torus_split(xt_block, torus, block=True)
+        c, p, *figures = engine._stage_figures(xt, torus)
+        c_b, p_b, *figures_b = engine._stage_figures(xt_block, torus, block=True)
         assert np.max(np.abs(c - c_b)) <= 1e-14
         assert np.max(np.abs(p[0::2] - p_b)) <= 1e-14
-        assert residual_b == pytest.approx(residual, rel=1e-12, abs=1e-15)
-        for figure in (engine._relative_commutator, engine._subspace_error):
-            assert figure(xt_block, torus, block=True) == pytest.approx(
-                figure(xt, torus), rel=1e-12, abs=1e-15
-            )
+        # residual, relative commutator and E_s
+        for figure_b, figure in zip(figures_b, figures):
+            assert figure_b == pytest.approx(figure, rel=1e-12, abs=1e-15)
+
+
+def _torus_split_oracle(xt, torus, block=False):
+    # the figures as three separate walks over x~, before _stage_figures
+    # read them off one weighted sum
+    signs = torus.signs[:, 0::2] if block else torus.signs
+    c = (2.0 / len(xt)) * (signs @ np.diagonal(xt).imag)
+    p = 0.5 * (c @ signs)
+    off = xt.copy()
+    off.flat[:: len(xt) + 1] -= 1j * p
+    return c, p, np.linalg.norm(off) * (np.sqrt(2.0) if block else 1.0)
+
+
+def _relative_commutator_oracle(xt, torus, block=False):
+    mu = torus.mu[0::2] if block else torus.mu
+    gaps = mu[:, None] - mu[None, :]
+    rel = np.linalg.norm(gaps * xt) / (np.linalg.norm(mu) * np.linalg.norm(xt))
+    return rel / np.sqrt(2.0) if block else rel
+
+
+def _subspace_error_oracle(xt, torus, block=False):
+    weights = torus.es_weights[0::2, 0::2] if block else torus.es_weights
+    es = np.sqrt(np.sum(weights * np.abs(xt) ** 2)) / len(torus.labels)
+    return es * np.sqrt(2.0) if block else es
+
+
+def _assert_figures_match_oracles(xt, torus, block):
+    c, p, residual_norm, rel, es = engine._stage_figures(xt, torus, block)
+    c_o, p_o, residual_o = _torus_split_oracle(xt, torus, block)
+    assert np.array_equal(c, c_o) and np.array_equal(p, p_o)
+    assert residual_norm == pytest.approx(residual_o, rel=1e-12, abs=0.0)
+    assert es == pytest.approx(_subspace_error_oracle(xt, torus, block), rel=1e-12, abs=0.0)
+    if np.any(xt):
+        want = _relative_commutator_oracle(xt, torus, block)
+        assert rel == pytest.approx(want, rel=1e-12, abs=0.0)
+    else:
+        assert rel == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stage_figures_match_the_separate_walks(monkeypatch, n):
+    # every x~ that the three stages of a Haar level read, then in-span
+    # and zero inputs on both tori, against the separate figure walks
+    real = engine._stage_figures
+    seen = []
+
+    def spy(xt, torus, block=False):
+        seen.append((xt.copy(), torus, block))
+        return real(xt, torus, block)
+
+    monkeypatch.setattr(engine, "_stage_figures", spy)
+    decompose_one_level(haar_special_unitary(n, np.random.default_rng(60 + n)), n)
+    monkeypatch.undo()
+    assert [block for *_, block in seen] == [False, True, True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xt, torus, block in seen:
+            _assert_figures_match_oracles(xt, torus, block)
+        rng = np.random.default_rng(70 + n)
+        for family in ("H", "F"):
+            torus = cartan_torus(family, n)
+            words = tuple(pauli_word(label) for label in torus.labels)
+            x = random_span_element(rng, words, scale=0.8)
+            for block in (False, True) if family == "F" else (False,):
+                if block:
+                    xt = torus.u.conj().T @ x[0::2, 0::2] @ torus.u
+                else:
+                    xt = torus.q.conj().T @ x @ torus.q
+                _assert_figures_match_oracles(xt, torus, block)
+                _assert_figures_match_oracles(np.zeros_like(xt), torus, block)
+
+
+def _wrapped(values):
+    return np.sort(np.angle(np.exp(1j * np.asarray(values))))
+
+
+def test_phases_match_decides_as_every_cyclic_alignment():
+    rng = np.random.default_rng(90)
+    tol = engine._SPECTRUM_TOL
+    cases = []
+    for size in (4, 8, 16):
+        base = rng.uniform(-np.pi, np.pi, size)
+        # random lists, a match up to rounding, and a near miss
+        cases.append((base, rng.uniform(-np.pi, np.pi, size)))
+        cases.append((base, base[rng.permutation(size)] + 1e-12))
+        cases.append((base, base + 2 * tol))
+        # values straddling +-pi: wrapped and sorted, the two lists only
+        # align after a cyclic shift
+        edge = np.concatenate(([np.pi - 1e-10], rng.uniform(-3.0, 3.0, size - 1)))
+        cases.append((edge, edge + 2e-10))
+        cases.append((edge, edge + 1e-6))
+    identity_misses = 0
+    for p, spectrum in cases:
+        want = linalg._cyclic_phase_mismatch(_wrapped(p), _wrapped(spectrum)) <= tol
+        assert engine._phases_match(p, spectrum) == want
+        a, b = _wrapped(p), _wrapped(spectrum)
+        identity = np.abs((a - b + np.pi) % (2 * np.pi) - np.pi).max()
+        identity_misses += bool(want and identity > tol)
+    # the straddling matches pass only on a shifted alignment
+    assert identity_misses == 3
+
+
+def test_a_level_takes_twelve_determinants(monkeypatch):
+    # two for k0 and two for K1 in the theta_Z stage; per theta_X stage
+    # two for its input's blocks, one for A and one for K A, with det A
+    # carried from the rotation instead of taken again
+    g = haar_special_unitary(3, np.random.default_rng(3))
+    decompose_one_level(g, 3)  # tori built and cached outside the count
+    calls = _spy_kernels(monkeypatch)
+    decompose_one_level(g, 3)
+    assert sum(name == "_det" for name, _ in calls) == 12
+
+
+@pytest.mark.parametrize("threshold", [engine._REPAIR_THRESHOLD, 0.0])
+def test_secondary_stage_psi_is_the_angle_of_det_a(monkeypatch, threshold):
+    # threshold 0 sends every A through _maybe_repair's polar factor, so
+    # det A is taken afresh there; otherwise it is carried as
+    # det(A) times the scale's power
+    monkeypatch.setattr(engine, "_REPAIR_THRESHOLD", threshold)
+    real = engine._f_rotation
+    rotations = []
+
+    def spy(*args):
+        rotations.append(real(*args))
+        return rotations[-1]
+
+    monkeypatch.setattr(engine, "_f_rotation", spy)
+    for w in _theta_x_inputs(3, 21):
+        rotations.clear()
+        _, _, psi, _ = engine._secondary_stage(w, 3, AxisInvolution(3, "X"))
+        a = rotations[0][0]
+        assert abs(psi - np.angle(np.linalg.det(a)) / len(a)) <= 1e-14
+
+
+def test_an_inaccurate_csd_is_not_reported_as_a_non_unitary_input(monkeypatch):
+    # a CSD that misses g by 1e-6 leaves k0 a determinant defect of about
+    # 3e-6; g itself is special unitary, so the CSD is named
+    g = haar_special_unitary(3, np.random.default_rng(8))
+    real = engine._csd
+
+    def off_by_1e6(*blocks):
+        (u1, u2), theta, vh = real(*blocks)
+        return (u1 + 1e-6, u2), theta, vh
+
+    monkeypatch.setattr(engine, "_csd", off_by_1e6)
+    with pytest.raises(SubspaceViolationError, match="cosine-sine decomposition leaves") as info:
+        decompose_full(g, 3)
+    assert info.value.stage == "h[H3]"
+
+
+def test_theta_z_log_still_refuses_a_determinant_off_one():
+    g = haar_special_unitary(3, np.random.default_rng(8)) * np.exp(0.3j / 8)
+    with pytest.raises(NotUnitaryError, match="determinant defect"):
+        compute_m(g, AxisInvolution(3, "Z"))
 
 
 @pytest.mark.parametrize(

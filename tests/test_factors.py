@@ -24,7 +24,7 @@ from kgdecomp import (
     serialize,
 )
 import kgdecomp.factors
-from kgdecomp.basis import build_kg_basis, is_cartan_label
+from kgdecomp.basis import build_kg_basis, cartan_torus, is_cartan_label
 from kgdecomp.fileio import (
     dump_json,
     entries_to_matrix,
@@ -93,12 +93,46 @@ def test_cartan_block_matches_exponential_of_words(basis):
     assert np.max(np.abs(expand(f, level) - expm_skew(gen))) <= 1e-13
 
 
+def _cartan_block_by_bincount(factor):
+    # the block with the label rows summed by np.bincount on every call
+    torus = cartan_torus(factor.basis_name[0], factor.level_qubits)
+    coeffs = np.bincount(
+        torus.rows_of([label for label, _ in factor.coeffs]),
+        weights=[float(c) for _, c in factor.coeffs],
+        minlength=len(torus.labels),
+    )
+    phi = 0.5 * (coeffs @ torus.signs)
+    return (torus.q * np.exp(1j * phi)) @ torus.q.conj().T
+
+
+@pytest.mark.parametrize("basis", ["H2", "H3", "H4", "F3", "F4", "F5"])
+def test_cartan_block_matches_the_bincount_form(basis):
+    # shuffled, repeated and empty label lists, each built twice so the
+    # second read comes from the cached signs rows
+    level = int(basis[1:])
+    labels = list(cartan_torus(basis[0], level).labels)
+    rng = np.random.default_rng(30 + level + 10 * (basis[0] == "F"))
+    shuffled = [labels[i] for i in rng.permutation(len(labels))]
+    repeated = shuffled + [labels[i] for i in rng.integers(len(labels), size=4)]
+    for chosen in (shuffled, repeated, [labels[0]] * 3, []):
+        coeffs = tuple((label, float(rng.uniform(-2.0, 2.0))) for label in chosen)
+        f = Factor(kind=FactorKind.CARTAN_EXP, level_qubits=level, basis_name=basis,
+                   coeffs=coeffs)
+        for _ in range(2):
+            got = kgdecomp.factors._cartan_block(f)
+            assert np.max(np.abs(got - _cartan_block_by_bincount(f))) <= 1e-14
+
+
 @pytest.mark.parametrize("basis, label", [("H3", "XXZ"), ("F3", "IIZ"), ("H2", "XY")])
 def test_cartan_block_refuses_a_label_outside_its_basis(basis, label):
-    f = Factor(kind=FactorKind.CARTAN_EXP, level_qubits=int(basis[1:]),
-               basis_name=basis, coeffs=((label, 0.3),))
-    with pytest.raises(BadLabelError, match=repr(label)):
-        product(FactorTree(3, 0.0, (f,)))
+    good = cartan_torus(basis[0], int(basis[1:])).labels[0]
+    for coeffs in (((label, 0.3),), ((good, 0.1), (label, 0.3))):
+        f = Factor(kind=FactorKind.CARTAN_EXP, level_qubits=int(basis[1:]),
+                   basis_name=basis, coeffs=coeffs)
+        # twice: a refused label list is not cached
+        for _ in range(2):
+            with pytest.raises(BadLabelError, match=repr(label)):
+                product(FactorTree(3, 0.0, (f,)))
 
 
 def test_expand_rejects_oversized_level():

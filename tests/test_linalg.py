@@ -329,6 +329,21 @@ def test_det_and_norm_kernels_match_numpy(dim):
     assert linalg._det(np.zeros((dim, dim), dtype=complex)) == 0.0
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_unitarity_gap_matches_the_dense_formula(dim):
+    rng = np.random.default_rng(80 + dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    unitary = np.linalg.qr(a)[0]
+    for u in (unitary, unitary + 1e-6 * a, a):
+        want = np.linalg.norm(u @ u.conj().T - np.eye(dim))
+        assert abs(linalg._unitarity_gap(u) - want) <= 1e-15 * max(1.0, want)
+    nan = unitary.copy()
+    nan[0, 0] = np.nan
+    assert np.isnan(linalg._unitarity_gap(nan))
+    # the cached identity stays the identity
+    assert np.array_equal(linalg._identity(dim), np.eye(dim))
+
+
 @pytest.mark.parametrize("dim", [2, 4, 6, 8, 16])
 def test_csd_kernel_matches_cossin(dim):
     # a Haar unitary, and one built with repeated angles, 0 and pi/2

@@ -938,9 +938,10 @@ def _recurse(g: np.ndarray, n: int, prefix: str) -> LevelResult:
     A two-qubit block is the one leaf: a SubUnitary at level 3 covering
     its whole register. Any larger block is split by decompose_one_level,
     and each of that level's SU(2^(n-1)) blocks recurses under the label
-    prefix K<slot>/; child phases add into the level's phase. A stage
-    error of the level gets the same prefix on its `stage` path, such as
-    K2/f1[F3].
+    prefix K<slot>/; child phases add into the level's phase. The blocks
+    of an n = 3 level are already such leaves and are kept as they are. A
+    stage error of the level gets the same prefix on its `stage` path,
+    such as K2/f1[F3].
     """
     if n == 2:
         leaf = Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=g)
@@ -956,7 +957,7 @@ def _recurse(g: np.ndarray, n: int, prefix: str) -> LevelResult:
     subspace_errors = [(prefix + label, v) for label, v in level.subspace_errors]
     slot = 0
     for factor in level.factors:
-        if factor.kind is not FactorKind.SUB_UNITARY:
+        if factor.kind is not FactorKind.SUB_UNITARY or n == 3:
             factors.append(factor)
             continue
         child = _recurse(factor.matrix, n - 1, f"{prefix}K{slot}/")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,6 +31,7 @@ from .fileio import (
     dump_json,
     entries_to_matrix,
     is_json_number,
+    pair_list_template,
     parse_json,
 )
 # expm_skew is unused here since CartanExp blocks come from the torus;
@@ -248,12 +250,8 @@ def factor_defects(factor: Factor) -> dict:
     return {"unitarity": unitarity, "det": det}
 
 
-def serialize(tree: FactorTree) -> str:
-    """Renders a factor tree as its text document.
-
-    The document round-trips through deserialize to a tree with the same
-    product within 1e-14 (floats carry 17 significant digits).
-    """
+def _document(tree: FactorTree) -> dict:
+    """The tree document as the dict that dump_json writes."""
     records = []
     for factor in tree.factors:
         rec = {"kind": factor.kind.value, "level_qubits": factor.level_qubits}
@@ -265,23 +263,136 @@ def serialize(tree: FactorTree) -> str:
         else:
             rec["entries"] = np.asarray(factor.matrix, dtype=complex)
         records.append(rec)
-    report = None
-    if tree.report is not None:
-        report = {
-            "approx_error": tree.report.approx_error,
-            "subspace_errors": [[label, v] for label, v in tree.report.subspace_errors],
-            "wall_time": tree.report.wall_time,
-            "optimizer_stats": [[label, int(v)] for label, v in tree.report.optimizer_stats],
-        }
-    doc = {
+    return {
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
         "n_total": tree.n_total,
         "phase": float(tree.phase),
-        "report": report,
+        "report": _report_document(tree.report),
         "factors": records,
     }
-    return dump_json(doc) + "\n"
+
+
+def _report_document(report: Optional[DecompositionReport]) -> Optional[dict]:
+    if report is None:
+        return None
+    return {
+        "approx_error": report.approx_error,
+        "subspace_errors": [[label, v] for label, v in report.subspace_errors],
+        "wall_time": report.wall_time,
+        "optimizer_stats": [[label, int(v)] for label, v in report.optimizer_stats],
+    }
+
+
+def _record_template(kind: str, level: int, fields) -> str:
+    """A record as dump_json lays it out in the factors list (indent 2):
+    its kind, its level, then the (key, text) fields."""
+    items = [("kind", f'"{kind}"'), ("level_qubits", str(level)), *fields]
+    return "    {\n" + ",\n".join(f'      "{key}": {text}' for key, text in items) + "\n    }"
+
+
+@lru_cache(maxsize=64, typed=True)
+def _payload_template(kind: str, level, pairs: int) -> Optional[str]:
+    """The %-template of a payload record with `pairs` entries, or None
+    where level is not an int."""
+    if type(level) is not int:
+        return None
+    return _record_template(kind, level, [("entries", pair_list_template(pairs, 3))])
+
+
+@lru_cache(maxsize=64, typed=True)
+def _cartan_template(level, basis, labels: tuple, residual: bool) -> Optional[str]:
+    """The %-template of a CartanExp record, or None where dump_json's
+    layout could depend on the values: a level that is not an int, a
+    basis or label that is not a string, or a label longer than 17
+    characters once encoded (a [label, value] pair under 48 characters
+    fits any %.16e value only up to there)."""
+    if type(level) is not int or not isinstance(basis, str):
+        return None
+    pairs = []
+    for label in labels:
+        if not isinstance(label, str):
+            return None
+        name = _encode_str(label)
+        if len(name) > 19:
+            return None
+        pairs.append(f"[{name.replace('%', '%%')}, %.16e]")
+    if len(pairs) > 8:
+        coeffs = "[\n" + ",\n".join("        " + p for p in pairs) + "\n      ]"
+    else:
+        coeffs = "[" + ", ".join(pairs) + "]"
+    fields = [("basis", _encode_str(basis).replace("%", "%%")), ("coeffs", coeffs)]
+    if residual:
+        fields.append(("subspace_residual", "%.16e"))
+    return _record_template("cartan_exp", level, fields)
+
+
+def serialize(tree: FactorTree) -> str:
+    """Renders a factor tree as its text document.
+
+    The document round-trips through deserialize to a tree with the same
+    product within 1e-14 (floats carry 17 significant digits). The bytes
+    are those dump_json writes for the document dict (_document), built
+    another way: each record is a %-template cached per shape, (kind,
+    level, payload size) for a payload and (level, basis, labels,
+    residual or not) for a CartanExp. The phase and every record float
+    go into one float64 array in document order, which is checked for
+    finiteness once and formatted into the joined templates in one %
+    call. The report block, whose layout depends on its label and value
+    widths, is written by dump_json. A record with no exact template (a
+    label of more than 17 characters, whose one-line layout depends on
+    its value, a non-string label, a payload that is not 2-D) sends the
+    whole tree through dump_json instead, and so does a non-finite
+    value, so that the error names the first one in document order.
+
+    Raises:
+        TypeError: a payload is not a 2-D array.
+        ValueError: a value is not finite; the message names the first.
+    """
+    templates = []
+    chunks = []
+    for factor in tree.factors:
+        if factor.kind is FactorKind.CARTAN_EXP:
+            values = [float(c) for _, c in factor.coeffs]
+            residual = factor.subspace_residual
+            if residual is not None:
+                values.append(float(residual))
+            try:
+                template = _cartan_template(
+                    factor.level_qubits,
+                    factor.basis_name,
+                    tuple([label for label, _ in factor.coeffs]),
+                    residual is not None,
+                )
+            except TypeError:  # an unhashable basis or label
+                template = None
+        else:
+            kind = factor.kind.value
+            matrix = np.asarray(factor.matrix, dtype=complex)
+            values = matrix.ravel().view(float)
+            template = (
+                _payload_template(kind, factor.level_qubits, matrix.size)
+                if matrix.ndim == 2
+                else None
+            )
+        if template is None:
+            return dump_json(_document(tree)) + "\n"
+        templates.append(template)
+        chunks.append(values)
+    report = _report_document(tree.report)
+    phase = float(tree.phase)
+    n_total = tree.n_total
+    flat = np.concatenate([[phase], *chunks])
+    if type(n_total) is not int or not np.isfinite(flat).all():
+        return dump_json(_document(tree)) + "\n"
+    report_text = dump_json(report, 1).replace("%", "%%")
+    factors_text = "[\n" + ",\n".join(templates) + "\n  ]" if templates else "[]"
+    template = (
+        f'{{\n  "format": "{_FORMAT_NAME}",\n  "version": {_FORMAT_VERSION},\n'
+        f'  "n_total": {n_total},\n  "phase": %.16e,\n  "report": {report_text},\n'
+        f'  "factors": {factors_text}\n}}\n'
+    )
+    return template % tuple(flat.tolist())
 
 
 def _parse_factor(rec, where: str, n_total: int) -> Factor:

@@ -7,8 +7,12 @@ requirement for round values. A matrix, the bulk of every matrix and tree
 document, is handed to the writer as a 2-D complex array and written as
 its row-major [re, im] pair list with one finiteness check and one
 "%.16e" format call for the whole payload, the same bytes as a Python
-list of float pairs. Reading uses json.loads unchanged; a pair list of
-plain finite numbers then becomes a matrix in one array conversion.
+list of float pairs. The layout of such a list is one %-template
+(pair_list_template), which the tree writer (factors.serialize) also
+fills: it keeps a cached template per record shape and formats a whole
+tree in one call, leaving only the report block to dump_json. Reading
+uses json.loads unchanged; a pair list of plain finite numbers then
+becomes a matrix in one array conversion.
 """
 
 from __future__ import annotations
@@ -37,19 +41,25 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".16e")
 
 
+def pair_list_template(pairs: int, indent: int) -> str:
+    """The %-template of a list of `pairs` [re, im] float pairs at indent,
+    one "[%.16e, %.16e]" row per line, as dump_json lays it out; "[]"
+    for none. The tree writer fills it inside its record templates."""
+    if not pairs:
+        return "[]"
+    row = "  " * (indent + 1) + "[%.16e, %.16e]"
+    return "[\n" + ",\n".join([row] * pairs) + "\n" + "  " * indent + "]"
+
+
 def _pair_list(matrix: np.ndarray, indent: int) -> str:
     """The row-major [re, im] pair list of a 2-D complex array, one pair
     per line, as dump_json writes a Python list of float pairs."""
     flat = np.ascontiguousarray(matrix, dtype=complex).view(float).ravel()
-    if not flat.size:
-        return "[]"
     finite = np.isfinite(flat)
     if not finite.all():
         bad = flat[~finite][0]
         raise ValueError(f"cannot serialize non-finite float {float(bad)!r}")
-    row = "  " * (indent + 1) + "[%.16e, %.16e]"
-    rows = ",\n".join([row] * (flat.size // 2)) % tuple(flat.tolist())
-    return "[\n" + rows + "\n" + "  " * indent + "]"
+    return pair_list_template(flat.size // 2, indent) % tuple(flat.tolist())
 
 
 def dump_json(obj, indent: int = 0) -> str:

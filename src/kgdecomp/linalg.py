@@ -16,6 +16,7 @@ keeps numpy's batched eigh.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -141,9 +142,9 @@ def _det(a: np.ndarray) -> complex:
     lu, piv, info = _ZGETRF(a)
     if info < 0:
         _check_info(info, "zgetrf")
-    det = lu.diagonal().prod()
+    det = math.prod(lu.diagonal().tolist())
     # piv is 0-based: row i was swapped with row piv[i]
-    swaps = sum(row != pivot for row, pivot in enumerate(piv.tolist()))
+    swaps = sum(map(operator.ne, piv.tolist(), range(len(piv))))
     return -det if swaps % 2 else det
 
 

@@ -46,8 +46,9 @@ def haar_special_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    det = _det(q)
-    return q * det ** (-1.0 / dim)
+    # numpy's complex power: Python's differs in the last bits, and the
+    # seeded draws must not move
+    return q * np.power(_det(q), -1.0 / dim)
 
 
 @dataclass(frozen=True)

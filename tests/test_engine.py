@@ -891,6 +891,47 @@ def test_decompose_full_su16_recurses_fully():
     )
 
 
+def _recurse_oracle(g, n, prefix):
+    """_recurse as it was when every SU(4) block of an n = 3 level went
+    through a child call that rebuilt it as a leaf."""
+    if n == 2:
+        leaf = factors_module.Factor(FactorKind.SUB_UNITARY, level_qubits=3, matrix=g)
+        return engine.LevelResult((leaf,), 0.0, ())
+    level = decompose_one_level(g, n)
+    factors = []
+    phase = level.phase
+    subspace_errors = [(prefix + label, v) for label, v in level.subspace_errors]
+    slot = 0
+    for factor in level.factors:
+        if factor.kind is not FactorKind.SUB_UNITARY:
+            factors.append(factor)
+            continue
+        child = _recurse_oracle(factor.matrix, n - 1, f"{prefix}K{slot}/")
+        slot += 1
+        factors.extend(child.factors)
+        phase += child.phase
+        subspace_errors.extend(child.subspace_errors)
+    return engine.LevelResult(tuple(factors), phase, tuple(subspace_errors))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_n3_blocks_pass_through_as_leaves(n):
+    g = haar_special_unitary(n, np.random.default_rng([31, n]))
+    got = engine._recurse(g, n, "")
+    want = _recurse_oracle(g, n, "")
+    assert got.phase == want.phase
+    assert got.subspace_errors == want.subspace_errors
+    assert len(got.factors) == len(want.factors)
+    for mine, theirs in zip(got.factors, want.factors):
+        assert (mine.kind, mine.level_qubits, mine.basis_name, mine.coeffs,
+                mine.subspace_residual) == (theirs.kind, theirs.level_qubits,
+                theirs.basis_name, theirs.coeffs, theirs.subspace_residual)
+        if mine.matrix is None:
+            assert theirs.matrix is None
+        else:
+            assert mine.matrix.tobytes() == theirs.matrix.tobytes()
+
+
 def test_decompose_full_gates_reconstruction_through_product(monkeypatch):
     # the E_a gate applies each factor as a block; no factor is padded
     def padded(*_args):

@@ -1,8 +1,11 @@
 """Writer contract tests: `fileio.dump_json` against the pair-list writer
 it replaced, kept here as the oracle, on array payloads, Python pair
-lists, scalar leaves and whole tree and benchmark documents."""
+lists, scalar leaves and whole tree and benchmark documents; and the
+templated tree writer `factors.serialize` against the dict-building
+writer before it, kept here too, on edge cases and on its errors."""
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -11,7 +14,7 @@ import pytest
 
 from kgdecomp import decompose_full, haar_special_unitary, run_benchmark
 from kgdecomp import factors as factors_module
-from kgdecomp.factors import serialize
+from kgdecomp.factors import Factor, FactorKind, FactorTree, serialize
 from kgdecomp.fileio import dump_json, matrix_from_document, matrix_to_document
 from kgdecomp.metrics import summary_to_dict
 from structured_sweep import inputs as structured_inputs
@@ -179,11 +182,37 @@ def test_other_types_raise_type_error(value):
         dump_json({"entries": value})
 
 
-def _oracle_serialize(tree, monkeypatch):
-    """serialize(tree) with the oracle writer fed the payloads as pair lists."""
-    with monkeypatch.context() as patch:
-        patch.setattr(factors_module, "dump_json", lambda doc: oracle_dump_json(as_lists(doc)))
-        return serialize(tree)
+def _oracle_serialize(tree):
+    """The tree document as the dict-building writer made it, written by
+    the oracle writer with the payloads as pair lists."""
+    records = []
+    for factor in tree.factors:
+        rec = {"kind": factor.kind.value, "level_qubits": factor.level_qubits}
+        if factor.kind is FactorKind.CARTAN_EXP:
+            rec["basis"] = factor.basis_name
+            rec["coeffs"] = [[label, float(c)] for label, c in factor.coeffs]
+            if factor.subspace_residual is not None:
+                rec["subspace_residual"] = float(factor.subspace_residual)
+        else:
+            rec["entries"] = np.asarray(factor.matrix, dtype=complex)
+        records.append(rec)
+    report = None
+    if tree.report is not None:
+        report = {
+            "approx_error": tree.report.approx_error,
+            "subspace_errors": [[label, v] for label, v in tree.report.subspace_errors],
+            "wall_time": tree.report.wall_time,
+            "optimizer_stats": [[label, int(v)] for label, v in tree.report.optimizer_stats],
+        }
+    doc = {
+        "format": "kgdecomp-tree",
+        "version": 1,
+        "n_total": tree.n_total,
+        "phase": float(tree.phase),
+        "report": report,
+        "factors": records,
+    }
+    return oracle_dump_json(as_lists(doc)) + "\n"
 
 
 def _fixed_clock(tree):
@@ -191,7 +220,7 @@ def _fixed_clock(tree):
     return dataclasses.replace(tree, report=report)
 
 
-def test_fresh_trees_write_the_oracle_bytes(monkeypatch):
+def test_fresh_trees_write_the_oracle_bytes():
     cases = [
         (f"haar{n}-{seed}", haar_special_unitary(n, np.random.default_rng([seed, n])))
         for n in (2, 3, 4, 5)
@@ -201,10 +230,151 @@ def test_fresh_trees_write_the_oracle_bytes(monkeypatch):
     for name, g in cases:
         n = int(np.log2(g.shape[0]))
         tree = _fixed_clock(decompose_full(g, n))
-        assert serialize(tree) == _oracle_serialize(tree, monkeypatch), name
+        assert serialize(tree) == _oracle_serialize(tree), name
 
 
 def test_benchmark_summary_writes_the_oracle_bytes():
     summary = run_benchmark(n=3, count=3, seed=5)
     doc = summary_to_dict(summary)
     assert dump_json(doc) == oracle_dump_json(doc)
+
+
+@functools.lru_cache(maxsize=None)
+def _haar_tree(seed=41):
+    g = haar_special_unitary(3, np.random.default_rng([seed, 3]))
+    return _fixed_clock(decompose_full(g, 3))
+
+
+def _cartan(labels, values, basis="H3", residual=None):
+    coeffs = tuple(zip(labels, values))
+    return Factor(FactorKind.CARTAN_EXP, level_qubits=3, basis_name=basis,
+                  coeffs=coeffs, subspace_residual=residual)
+
+
+def _with_factors(*factors):
+    tree = _haar_tree()
+    return dataclasses.replace(tree, factors=tree.factors + factors)
+
+
+LABEL_VALUES = (-1.2345678901234567e-300, 2.5e-7, -9.87e+150, 1e100, -0.0, 3.0)
+
+
+def _writer_cases():
+    tree = _haar_tree()
+    stats = dataclasses.replace(tree.report, optimizer_stats=(("h[H3]", 0), ("f0[F3]", 12)))
+    yield "no-report", dataclasses.replace(tree, report=None)
+    yield "optimizer-stats", dataclasses.replace(tree, report=stats)
+    labels = dataclasses.replace(
+        stats, subspace_errors=(("h%s[H3]", 1e-15), ('f"0\u00e9', -2e-300), ("%", 0.0)),
+        optimizer_stats=(("f1%%[F3]", 3),))
+    yield "report-escapes", dataclasses.replace(tree, report=labels)
+    yield "no-factors", dataclasses.replace(tree, factors=())
+    yield "no-factors-no-report", FactorTree(3, -0.25, ())
+    # each on its own: one label too long for a template sends a whole
+    # tree down the dump_json path
+    yield "escapes-percent", _with_factors(
+        _cartan(["Z%Z", 'a"b', "Z\u00e9Z", "%s", "%%", "%(x)s"], LABEL_VALUES, basis="H%3"))
+    yield "escapes-quote", _with_factors(_cartan(["ZZ"], [0.5], basis='F"3', residual=1e-12))
+    yield "escapes-unicode", _with_factors(
+        _cartan(["\u00e9" * 2, "\u2603"], [1.0, -1.0], basis="H\u00e9", residual=0.0))
+    yield "escapes-long", _with_factors(
+        _cartan(["\u00e9" * 3, "%"], [1.0, -1.0], basis="%\u00e9", residual=0.0))
+    yield "no-coeffs", _with_factors(_cartan([], [], residual=2.0), _cartan([], []))
+    yield "odd-labels", _with_factors(_cartan([5, ("t",), ["u"]], [1.0, 2.0, 3.0]))
+    for width in (16, 17, 18, 19, 20):
+        for count in (1, 6, 8, 9):
+            labels = ["X" * width] * count
+            for values in ([-1.2345678901234567e-300] * count, [0.5] * count,
+                           list(LABEL_VALUES * 2)[:count]):
+                yield f"labels-{width}x{count}", _with_factors(
+                    _cartan(labels, values), _cartan(labels, values, residual=-1e-300))
+
+
+@pytest.mark.parametrize("name, tree", list(_writer_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_writer_edge_cases_write_the_oracle_bytes(name, tree):
+    assert serialize(tree) == _oracle_serialize(tree), name
+
+
+def test_a_tree_writes_only_its_report_through_dump_json(monkeypatch):
+    calls = []
+    writer = factors_module.dump_json
+    monkeypatch.setattr(factors_module, "dump_json",
+                        lambda obj, indent=0: calls.append(obj) or writer(obj, indent))
+    tree = _haar_tree()
+    serialize(tree)
+    assert calls == [{
+        "approx_error": tree.report.approx_error,
+        "subspace_errors": [list(pair) for pair in tree.report.subspace_errors],
+        "wall_time": tree.report.wall_time,
+        "optimizer_stats": [],
+    }]
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_payloads_that_are_not_2d_are_refused(shape):
+    tree = _haar_tree()
+    bad = Factor(FactorKind.LAST_QUBIT, level_qubits=3, matrix=np.zeros(shape, dtype=complex))
+    for factors in ((bad,), tree.factors[:2] + (bad,) + tree.factors[2:]):
+        with pytest.raises(TypeError):
+            serialize(dataclasses.replace(tree, factors=factors))
+
+
+def _spoil(tree, where, value):
+    """tree with value put at one float of the document."""
+    report = tree.report
+    factors = list(tree.factors)
+    if where == "phase":
+        return dataclasses.replace(tree, phase=value)
+    if where in ("approx_error", "wall_time"):
+        return dataclasses.replace(tree, report=dataclasses.replace(report, **{where: value}))
+    if where == "subspace_error":
+        errors = report.subspace_errors
+        errors = errors[:1] + ((errors[1][0], value),) + errors[2:]
+        report = dataclasses.replace(report, subspace_errors=errors)
+        return dataclasses.replace(tree, report=report)
+    index = next(i for i, f in enumerate(factors)
+                 if (f.kind is FactorKind.CARTAN_EXP) == (where != "payload"))
+    factor = factors[index]
+    if where == "payload":
+        matrix = factor.matrix.copy()
+        matrix[1, 2] = complex(0.5, value)
+        factors[index] = dataclasses.replace(factor, matrix=matrix)
+    elif where == "coefficient":
+        coeffs = factor.coeffs[:1] + ((factor.coeffs[1][0], value),) + factor.coeffs[2:]
+        factors[index] = dataclasses.replace(factor, coeffs=coeffs)
+    else:
+        factors[index] = dataclasses.replace(factor, subspace_residual=value)
+    return dataclasses.replace(tree, factors=tuple(factors))
+
+
+# in document order: the first payload record precedes the first Cartan one
+SPOTS = ("phase", "approx_error", "subspace_error", "wall_time", "payload",
+         "coefficient", "residual")
+
+
+def _oracle_error(tree):
+    with pytest.raises(ValueError) as exc:
+        _oracle_serialize(tree)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", SPOTS)
+def test_a_non_finite_value_is_named(where, bad):
+    tree = _spoil(_haar_tree(), where, bad)
+    want = _oracle_error(tree)
+    assert want == f"cannot serialize non-finite float {bad!r}"
+    with pytest.raises(ValueError) as exc:
+        serialize(tree)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("first, second", [
+    (first, second) for i, first in enumerate(SPOTS) for second in SPOTS[i + 1:]
+])
+def test_the_first_non_finite_value_in_document_order_is_named(first, second):
+    tree = _spoil(_spoil(_haar_tree(), second, -np.inf), first, np.nan)
+    assert _oracle_error(tree) == "cannot serialize non-finite float nan"
+    with pytest.raises(ValueError, match="non-finite float nan$"):
+        serialize(tree)

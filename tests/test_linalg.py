@@ -329,6 +329,29 @@ def test_det_and_norm_kernels_match_numpy(dim):
     assert linalg._det(np.zeros((dim, dim), dtype=complex)) == 0.0
 
 
+def _det_oracle(a):
+    """_det as numpy's product of U's diagonal, with the pivot parity
+    counted from enumerate."""
+    lu, piv, _ = scipy.linalg.lapack.zgetrf(a)
+    det = lu.diagonal().prod()
+    swaps = sum(row != pivot for row, pivot in enumerate(piv.tolist()))
+    return -det if swaps % 2 else det
+
+
+@pytest.mark.parametrize("dim", KERNEL_SIZES)
+def test_det_keeps_the_bits_of_the_numpy_product(dim):
+    rng = np.random.default_rng(90 + dim)
+    shuffle = np.eye(dim, dtype=complex)[rng.permutation(dim)]
+    reverse = -np.eye(dim, dtype=complex)[::-1]
+    singular = _kernel_inputs(dim)[0].copy()
+    singular[:, -1] = 0.0
+    real = rng.standard_normal((dim, dim)).astype(complex)
+    for x in (*_kernel_inputs(dim), shuffle, reverse, singular, real):
+        got, want = linalg._det(x), _det_oracle(x)
+        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+    assert linalg._det(singular) == 0.0
+
+
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])
 def test_unitarity_gap_matches_the_dense_formula(dim):
     rng = np.random.default_rng(80 + dim)

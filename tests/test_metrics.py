@@ -15,6 +15,7 @@ from kgdecomp import (
     run_benchmark,
 )
 from kgdecomp.fileio import dump_json, parse_json
+from kgdecomp.linalg import _det
 from kgdecomp.metrics import summary_to_dict
 
 
@@ -32,6 +33,26 @@ def test_subspace_error_zero_inside_span():
     kg = build_kg_basis(3)
     h = 0.3 * pauli_word("XXX").matrix - 0.1 * pauli_word("IIX").matrix
     assert commutation_defect(h, kg.h_set) < 1e-15
+
+
+def _haar_oracle(n, rng):
+    """The sampler with det^(-1/N) taken on numpy's complex128 scalar."""
+    dim = 2**n
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d))
+    return q * np.complex128(_det(q)) ** (-1.0 / dim)
+
+
+def test_haar_sampler_keeps_its_seeded_draws():
+    # the draws are the benchmark's inputs: a last-bit move in the
+    # determinant's root would move every tree built from them
+    for n in (1, 2, 3, 4):
+        for seed in range(40):
+            got = haar_special_unitary(n, np.random.default_rng([seed, n]))
+            want = _haar_oracle(n, np.random.default_rng([seed, n]))
+            assert got.tobytes() == want.tobytes()
 
 
 def test_haar_sampler_is_special_unitary_and_deterministic():

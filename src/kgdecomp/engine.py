@@ -110,16 +110,17 @@ from .linalg import (
     _unitarity_gap,
     _wrapped_phases,
     as_matrix,
-    # commutation_defect, eigenphase_mismatch, expm_skew_many and
-    # project_onto_span are unused here since the stages read the Cartan
-    # words off their torus and compare eigenphases from the generators;
+    expm_skew,
+    nearest_special_unitary,
+    # commutation_defect, eigenphase_mismatch, expm_skew_many,
+    # logm_unitary and project_onto_span are unused here since the stages
+    # read the Cartan words off their torus, compare eigenphases from the
+    # generators and take their logs from one CSD or Schur form;
     # perfbench/spans.py still patches them at these names
     commutation_defect,
     eigenphase_mismatch,
-    expm_skew,
     expm_skew_many,
     logm_unitary,
-    nearest_special_unitary,
     project_onto_span,
 )
 
@@ -143,8 +144,8 @@ _REPAIR_THRESHOLD = 1e-12
 _INGEST_TOL = 1e-8
 _CLUSTER_TOL = 1e-9
 _IN_SPAN_TOL = 1e-12
-# eigenphases of P = W1^dag W0 this close above -pi count as pi, the
-# branch that the theta_X odd reflection takes at the eigenvalue -1
+# eigenphases of P = W1^dag W0 this close above -pi count as pi, so that
+# an eigenvalue -1 takes one branch of the theta_X log
 _MINUS_ONE_BRANCH = 1e-9
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -220,31 +221,25 @@ def compute_m(
 ) -> AlgebraElement:
     """The involution logarithm m = (1/2) log(theta(g^dag) g) on its subspace.
 
-    w = theta(g^dag) g satisfies theta(w) = w^dag, so away from the
-    eigenvalue -1 its principal log is theta-odd. On the eigenspace E of
-    the eigenvalues within 1e-9 of -1 it would be i pi P_E, which is
-    theta-even; m takes a theta-odd log there, with no branch warning.
-    exp(2m) = w holds within tolerance (a tested invariant).
-
-    The two stage calls decompose no 2^n matrix. compute_m(g, theta_Z)
-    is the m0 of one CSD of g's last-qubit blocks (_theta_z_log), with
-    the CSD's reconstruction residual on residual_norm.
-    compute_m(g, theta_X, (theta_Z,)), on a g = diag(W0, W1) fixed by
-    theta_Z, is (1/2) diag(L, -L) with exp(L) = P = W1^dag W0 from one
-    Schur form of P (_theta_x_log), exactly theta_X-odd and theta_Z-even;
-    its residual_norm is the norm of the theta_Z-odd part of w, and a g
-    whose off-diagonal blocks exceed SUBSPACE_TOL is refused. Any other
-    pair takes the principal log of the whole w, with i pi J on E,
-    J Hermitian, J^2 = P_E and theta(J) = -J
-    (AxisInvolution.odd_reflection), snapped by O(4^n) involution
-    averages: its skew part, its theta-odd part, then its part fixed by
-    each phi in fixing, (a + phi(a)) / 2. The pre-snap residual is on
-    residual_norm.
+    Takes the two involution pairs of a level, and decomposes no 2^n
+    matrix for either. compute_m(g, theta_Z) is the m0 of one CSD of
+    g's last-qubit blocks (_theta_z_log), with the CSD's reconstruction
+    residual on residual_norm. compute_m(g, theta_X, (theta_Z,)), on a
+    g = diag(W0, W1) fixed by theta_Z, is (1/2) diag(L, -L) with
+    exp(L) = P = W1^dag W0 from one Schur form of P (_theta_x_log),
+    exactly theta_X-odd and theta_Z-even; its residual_norm is the norm
+    of the theta_Z-odd part of w, and a g whose off-diagonal blocks
+    exceed SUBSPACE_TOL is refused. Both logs are theta-odd also where
+    theta(g^dag) g has the eigenvalue -1, whose principal log is
+    theta-even there, and exp(2m) = theta(g^dag) g holds within
+    tolerance (a tested invariant).
 
     Raises:
+        ValueError: (inv, fixing) is neither (theta_Z, ()) nor
+            (theta_X, (theta_Z,)) of one register.
         NotUnitaryError: g is not special unitary within tolerance.
         SubspaceViolationError: projection residual exceeds the subspace
-            tolerance, or the -1 eigenspace has no theta-odd log.
+            tolerance.
     """
     g = np.asarray(g, dtype=complex)
     fixing = tuple(fixing)
@@ -263,20 +258,10 @@ def compute_m(
         m[0::2, 0::2] = c
         m[1::2, 1::2] = -c
         return AlgebraElement(matrix=m, residual_norm=residual_norm)
-    defect = validate_special_unitary(g)
-    w = inv.apply(g.conj().T) @ g
-    log_tol = max(DEFAULT_TOLS.structure * g.shape[0], 4.0 * defect)
-    m_raw = 0.5 * logm_unitary(w, tol=log_tol, odd_branch=inv.odd_reflection)
-    m = 0.5 * (m_raw - m_raw.conj().T)
-    m = m - inv.even_part(m)
-    for fix in fixing:
-        m = fix.even_part(m)
-    residual_norm = _norm(m_raw - m)
-    if residual_norm > SUBSPACE_TOL:
-        raise SubspaceViolationError(
-            f"m lies {residual_norm:.3e} from its span, above {SUBSPACE_TOL:.3e}"
-        )
-    return AlgebraElement(matrix=m, residual_norm=residual_norm)
+    raise ValueError(
+        "compute_m takes (theta_Z, ()) or (theta_X, (theta_Z,)) of one register,"
+        f" got {inv} fixing {fixing}"
+    )
 
 
 def _theta_z_log(g: np.ndarray):
@@ -437,32 +422,14 @@ def _newton_polish(
     return best_k, best_rel, steps
 
 
-def _torus_split(xt: np.ndarray, torus: CartanTorus, block: bool = False):
-    """(c, p, residual_norm) of x~ = Q^dag x Q against the torus's span.
-
-    With d = Im diag(x~), the projection of x has coordinates
-    c = (2 / 2^n) signs d in the torus's canonical order and is
-    Q (i diag(p)) Q^dag with p = (1/2) signs^T c; residual_norm is
-    ||x~ - i diag(p)||_F, the distance of x from the span.
-
-    block=True takes the F-torus block x~ = U^dag X U of an
-    x = diag(X, -X) in the last-qubit block view: it reads the rows
-    signs[:, 0::2], returns the block of p, and the residual of the
-    whole register, sqrt(2) times that of the block; c is unchanged.
-    """
-    signs = torus.signs[:, 0::2] if block else torus.signs
-    c = (2.0 / len(xt)) * (signs @ np.diagonal(xt).imag)
-    p = 0.5 * (c @ signs)
-    off = xt.copy()
-    off.flat[:: len(xt) + 1] -= 1j * p
-    return c, p, _norm(off) * (_SQRT2 if block else 1.0)
-
-
 def _stage_figures(xt: np.ndarray, torus: CartanTorus, block: bool = False):
     """(c, p, residual_norm, rel, es) of x = Q x~ Q^dag against the torus.
 
-    c, p and residual_norm are _torus_split's; rel is the relative
-    commutator ||[v, x]|| / (||v|| ||x||), from
+    With d = Im diag(x~), the projection of x onto the torus's span has
+    coordinates c = (2 / 2^n) signs d in the torus's canonical order and
+    is Q (i diag(p)) Q^dag with p = (1/2) signs^T c; residual_norm is
+    ||x~ - i diag(p)||_F, the distance of x from the span. rel is the
+    relative commutator ||[v, x]|| / (||v|| ||x||), from
     [v, x]~_ab = i (mu_a - mu_b) x~_ab, or 0 for x = 0; es is
     commutation_defect(x, words), from
     sum_w ||[w, x]||^2 = sum_ab C_ab |x~_ab|^2 (CartanTorus.es_weights).
@@ -471,10 +438,13 @@ def _stage_figures(xt: np.ndarray, torus: CartanTorus, block: bool = False):
     ||diag(x~) - i p||^2, not ||x~||^2 - ||p||^2, whose cancellation
     would lose the residuals near rounding that trees record.
 
-    block=True as in _torus_split, from mu[0::2] and
-    es_weights[0::2, 0::2] (block_figure_weights): each norm doubles its
-    square on the whole register, so rel is the block ratio divided by
-    sqrt(2), and es and residual_norm are sqrt(2) times the block's.
+    block=True takes the F-torus block x~ = U^dag X U of an
+    x = diag(X, -X) in the last-qubit block view: it reads the rows
+    signs[:, 0::2], mu[0::2] and es_weights[0::2, 0::2]
+    (block_figure_weights) and returns the block of p; c is unchanged.
+    Each norm doubles its square on the whole register, so rel is the
+    block ratio divided by sqrt(2), and es and residual_norm are sqrt(2)
+    times the block's.
     """
     if block:
         signs, mu = torus.signs[:, 0::2], torus.mu[0::2]
@@ -608,20 +578,20 @@ def _minimize_full(
     k1 = np.eye(m0_mat.shape[0], dtype=complex)
 
     norm_m0 = _norm(m0_mat)
-    xt = torus.q_dag @ m0_mat @ q
+    figures = _stage_figures(torus.q_dag @ m0_mat @ q, torus)
     if norm_m0 <= DEFAULT_TOLS.structure:
         zero = AlgebraElement(
             matrix=np.zeros_like(m0_mat),
             coords=(0.0,) * len(torus.labels),
             residual_norm=norm_m0,
         )
-        return k1, zero, _stage_figures(xt, torus)[4]
+        return k1, zero, figures[4]
 
-    if _torus_split(xt, torus)[2] > _IN_SPAN_TOL * norm_m0:
+    if figures[2] > _IN_SPAN_TOL * norm_m0:
         k1 = _maybe_repair(_closed_form_k(m0_mat, torus, svd))
         frame = k1 @ q
-        xt = frame.conj().T @ m0_mat @ frame
-    c, p, residual_norm, rel, es = _stage_figures(xt, torus)
+        figures = _stage_figures(frame.conj().T @ m0_mat @ frame, torus)
+    c, p, residual_norm, rel, es = figures
     h = AlgebraElement(
         matrix=(q * (1j * p)) @ torus.q_dag,
         coords=tuple(c.tolist()),
@@ -788,12 +758,12 @@ def _f_rotation(
     a = np.eye(len(c_hat), dtype=complex)
     det_a = 1.0
     norm_m = _SQRT2 * _norm(c_hat)
-    xt = u_dag @ c_hat @ u
+    figures = _stage_figures(u_dag @ c_hat @ u, torus, block=True)
     if norm_m <= DEFAULT_TOLS.structure:
         coords = np.zeros(len(torus.labels))
-        return a, coords, norm_m, _stage_figures(xt, torus, block=True)[4], det_a
+        return a, coords, norm_m, figures[4], det_a
 
-    if _torus_split(xt, torus, block=True)[2] > _IN_SPAN_TOL * norm_m:
+    if figures[2] > _IN_SPAN_TOL * norm_m:
         a = vecs @ _cluster_gauge(u_dag @ vecs, values) @ u_dag
         det = _det(a)
         turn = cmath.exp(-1j * cmath.phase(det * det) / (2 * len(a)))
@@ -802,8 +772,8 @@ def _f_rotation(
         # det(turn A) = turn^len(A) det(A)
         det_a = det * turn ** len(a) if a is scaled else _det(a)
         frame = a @ u
-        xt = frame.conj().T @ c_hat @ frame
-    c, p, residual_norm, rel, es = _stage_figures(xt, torus, block=True)
+        figures = _stage_figures(frame.conj().T @ c_hat @ frame, torus, block=True)
+    c, p, residual_norm, rel, es = figures
     if rel <= CARTAN_TOL and residual_norm <= SUBSPACE_TOL and _phases_match(p, values):
         return a, c, residual_norm, es, det_a
     h_block = (u * (1j * p)) @ u_dag

@@ -16,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SubspaceViolationError
-from .linalg import _eigh
+from .errors import DimensionMismatchError
 
 __all__ = ["AxisInvolution"]
 
@@ -91,35 +90,3 @@ class AxisInvolution:
         if self.axis == "Z":
             return a * _z_even_mask(self.dim)
         return 0.5 * (a + a[_x_index(self.dim)])
-
-    def odd_reflection(self, v: np.ndarray) -> np.ndarray:
-        """A Hermitian J with J^2 = V V^dag and theta(J) = -J.
-
-        V holds orthonormal columns spanning a subspace E that the
-        conjugating Pauli C maps to itself; i pi J is then a theta-odd
-        logarithm of -1 on E, where i pi V V^dag is theta-even.
-
-        - theta_Z: E splits by the sign of V^dag Z V into halves A and B,
-          and J = A B^dag + B A^dag, which Z anticommutes with.
-        - theta_X: J = V (V^dag Z V) V^dag with Z = I..IZ. When E is also
-          Z-invariant, as it is for a group element fixed by theta_Z, J is
-          Z P_E, which X anticommutes with and which stays theta_Z-even.
-
-        Raises:
-            SubspaceViolationError: under theta_Z, the halves differ in size.
-        """
-        s = np.tile([1.0, -1.0], self.dim // 2)
-        z_on_e = v.conj().T @ (s[:, None] * v)
-        if self.axis == "X":
-            return v @ z_on_e @ v.conj().T
-        signs, rot = _eigh(0.5 * (z_on_e + z_on_e.conj().T))
-        half_b = int(np.count_nonzero(signs < 0.0))
-        if 2 * half_b != len(signs):
-            raise SubspaceViolationError(
-                f"the -1 eigenspace splits {len(signs) - half_b}/{half_b} "
-                "under I..IZ, so it has no theta_Z-odd logarithm of -1"
-            )
-        b = v @ rot[:, :half_b]
-        a = v @ rot[:, half_b:]
-        pair = a @ b.conj().T
-        return pair + pair.conj().T

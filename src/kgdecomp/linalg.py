@@ -20,7 +20,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -45,10 +45,7 @@ __all__ = [
     "su_defects",
     "commutation_defect",
     "eigenphase_mismatch",
-    "generator_phase_mismatch",
 ]
-
-_MINUS_ONE_CLUSTER = 1e-9
 
 _ZHEEVD = scipy.linalg.lapack.zheevd
 _ZGESDD = scipy.linalg.lapack.zgesdd
@@ -234,12 +231,8 @@ def expm_skew_many(stack: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def logm_unitary(
-    u: np.ndarray,
-    tol: Optional[float] = None,
-    odd_branch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """Principal logarithm of a unitary matrix, or a chosen branch at -1.
+def logm_unitary(u: np.ndarray, tol: Optional[float] = None) -> np.ndarray:
+    """Principal logarithm of a unitary matrix.
 
     Diagonalizes u through a complex Schur form (exactly unitary basis, so
     the result is skew-Hermitian by construction), takes the argument of
@@ -248,18 +241,13 @@ def logm_unitary(
     Args:
         u: unitary matrix.
         tol: unitarity tolerance (default structure tol * dim).
-        odd_branch: maps the Schur vectors V of the eigenvalues within
-            1e-9 of -1 to a Hermitian J with J^2 = V V^dag; the log is
-            then i pi J on that cluster instead of the principal branch,
-            and the cluster raises no warning.
 
     Raises:
         NotUnitaryError: if ||u u^dag - I||_F exceeds tol.
 
     Warns:
-        BranchAmbiguityWarning: if any eigenvalue lies within 1e-8 of -1
-        and outside a cluster that odd_branch resolved, where the
-        principal branch choice is ambiguous.
+        BranchAmbiguityWarning: if any eigenvalue lies within 1e-8 of -1,
+        where the principal branch choice is ambiguous.
     """
     u = as_matrix(u)
     n = u.shape[0]
@@ -270,19 +258,13 @@ def logm_unitary(
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {tol:.3e}")
     t, z = _schur(u)
     eig = np.diagonal(t)
-    distance = np.abs(eig + 1.0)
-    cluster = (distance < _MINUS_ONE_CLUSTER) & (odd_branch is not None)
-    if np.any((distance < 1e-8) & ~cluster):
+    if np.any(np.abs(eig + 1.0) < 1e-8):
         warnings.warn(
             "eigenvalue within 1e-8 of -1; principal log branch is ambiguous",
             BranchAmbiguityWarning,
             stacklevel=2,
         )
-    rest = z[:, ~cluster]
-    out = (rest * (1j * np.angle(eig[~cluster]))) @ rest.conj().T
-    if cluster.any():
-        out += 1j * np.pi * odd_branch(z[:, cluster])
-    return out
+    return (z * (1j * np.angle(eig))) @ z.conj().T
 
 
 def project_onto_span(
@@ -396,19 +378,3 @@ def eigenphase_mismatch(u1: np.ndarray, u2: np.ndarray) -> float:
     p1 = np.sort(np.angle(np.linalg.eigvals(as_matrix(u1))))
     p2 = np.sort(np.angle(np.linalg.eigvals(as_matrix(u2))))
     return _cyclic_phase_mismatch(p1, p2)
-
-
-def generator_phase_mismatch(a: np.ndarray, b: np.ndarray) -> float:
-    """eigenphase_mismatch(expm_skew(a), expm_skew(b)) for skew-Hermitian
-    a and b, from the generators alone.
-
-    The eigenphases of exp(x) are the eigenvalues l of the Hermitian
-    -i x wrapped into (-pi, pi] by angle(exp(i l)), so one eigvalsh per
-    generator replaces an exponential and a general eigvals. Only the
-    lower triangle of -i x is read: x must be skew-Hermitian.
-    """
-
-    def phases(x: np.ndarray) -> np.ndarray:
-        return _wrapped_phases(_eigvalsh(-1j * as_matrix(x)))
-
-    return _cyclic_phase_mismatch(phases(a), phases(b))

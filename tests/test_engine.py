@@ -3,6 +3,7 @@ oracles, the Newton step kept for the benchmark's spans,
 construct-then-recover properties, extraction patterns, and the full
 recursion on registers of up to seven qubits."""
 
+import re
 import warnings
 
 import numpy as np
@@ -133,9 +134,10 @@ def test_compute_m_rejects_a_register_of_another_size():
     # the theta_Z log reads the last-qubit blocks of any even size, so the
     # involution's size is checked before them, in compute_m and khk_stage
     g = haar_special_unitary(3, np.random.default_rng(4))
-    for inv in (AxisInvolution(4, "Z"), AxisInvolution(4, "X")):
+    inv_z4, inv_x4 = AxisInvolution(4, "Z"), AxisInvolution(4, "X")
+    for inv, fixing in ((inv_z4, ()), (inv_x4, (inv_z4,))):
         with pytest.raises(DimensionMismatchError, match=r"\(16, 16\)"):
-            compute_m(g, inv)
+            compute_m(g, inv, fixing)
     with pytest.raises(DimensionMismatchError, match=r"\(16, 16\)"):
         khk_stage(g, AxisInvolution(4, "Z"), build_kg_basis(4).h_set)
 
@@ -145,9 +147,19 @@ def test_compute_m_rejects_a_log_off_its_subspace():
     # theta_Z-odd part, which the theta_X stage's fixing must refuse
     g = haar_special_unitary(3, np.random.default_rng(2))
     inv_z, inv_x = AxisInvolution(3, "Z"), AxisInvolution(3, "X")
-    assert compute_m(g, inv_x).residual_norm < 1e-12
     with pytest.raises(SubspaceViolationError):
         compute_m(g, inv_x, (inv_z,))
+
+
+def test_compute_m_refuses_the_pairs_no_stage_takes():
+    # a level takes theta_Z alone and theta_X fixing theta_Z; any other
+    # pair has no closed-form log, and compute_m names the two it takes
+    g = haar_special_unitary(3, np.random.default_rng(5))
+    inv_z, inv_x = AxisInvolution(3, "Z"), AxisInvolution(3, "X")
+    names = re.escape("(theta_Z, ()) or (theta_X, (theta_Z,))")
+    for inv, fixing in ((inv_x, ()), (inv_z, (inv_x,)), (inv_z, (inv_z,))):
+        with pytest.raises(ValueError, match=names):
+            compute_m(g, inv, fixing)
 
 
 def test_theta_x_log_refuses_an_input_off_the_block_form():
@@ -656,7 +668,7 @@ def test_stage_figures_match_the_separate_walks(monkeypatch, n):
     monkeypatch.setattr(engine, "_stage_figures", spy)
     decompose_one_level(haar_special_unitary(n, np.random.default_rng(60 + n)), n)
     monkeypatch.undo()
-    assert [block for *_, block in seen] == [False, True, True]
+    assert [block for *_, block in seen] == [False, False, True, True, True, True]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for xt, torus, block in seen:

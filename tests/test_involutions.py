@@ -6,7 +6,6 @@ import pytest
 from kgdecomp import (
     AxisInvolution,
     DimensionMismatchError,
-    SubspaceViolationError,
     pauli_word,
 )
 
@@ -71,27 +70,3 @@ def test_even_part_is_the_fixed_projection(axis):
     inv = AxisInvolution(3, axis)
     a = random_matrix(rng, 8)
     assert np.allclose(inv.even_part(a), 0.5 * (a + inv.apply(a)), atol=1e-15)
-
-
-@pytest.mark.parametrize("axis", ["Z", "X"])
-def test_odd_reflection_squares_to_the_projector_and_is_odd(axis):
-    # E is spanned by basis vectors 0..3 of SU(8): Z- and X-invariant,
-    # with two +1 and two -1 vectors of I..IZ
-    rng = np.random.default_rng(4)
-    q, _ = np.linalg.qr(random_matrix(rng, 4))
-    v = np.zeros((8, 4), dtype=complex)
-    v[:4] = q
-    inv = AxisInvolution(3, axis)
-    j = inv.odd_reflection(v)
-    projector = v @ v.conj().T
-    assert np.linalg.norm(j - j.conj().T) < 1e-14
-    assert np.linalg.norm(j @ j - projector) < 1e-13
-    assert np.linalg.norm(inv.apply(j) + j) < 1e-13
-
-
-def test_odd_reflection_rejects_an_unbalanced_split():
-    # E = span(e_0) lies in the +1 eigenspace of I..IZ: no odd J exists
-    v = np.zeros((8, 1), dtype=complex)
-    v[0, 0] = 1.0
-    with pytest.raises(SubspaceViolationError, match="splits 1/0"):
-        AxisInvolution(3, "Z").odd_reflection(v)

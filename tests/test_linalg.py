@@ -5,8 +5,6 @@ implementations), projections against hand-built decompositions, and
 single frozen values are derived in the comments where they appear.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,7 +26,7 @@ from kgdecomp import (
     project_onto_span,
 )
 from kgdecomp import linalg
-from kgdecomp.linalg import expm_skew_many, generator_phase_mismatch
+from kgdecomp.linalg import expm_skew_many
 
 
 def random_skew(rng, dim, scale=1.0):
@@ -96,25 +94,6 @@ def test_logm_unitary_rejects_non_unitary():
 def test_logm_unitary_warns_at_branch_cut():
     with pytest.warns(BranchAmbiguityWarning):
         logm_unitary(np.diag([-1.0 + 0j, 1.0]))
-
-
-def test_logm_unitary_odd_branch_resolves_the_minus_one_cluster():
-    # diag(-1, -1, 1, 1) with J swapping the first two basis vectors:
-    # the log is i pi J there, which exponentiates back to -1, and no
-    # warning is raised for the resolved cluster
-    u = np.diag([-1.0, -1.0, 1.0, 1.0]).astype(complex)
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-
-    def odd_branch(v):
-        return v @ swap @ v.conj().T
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        log = logm_unitary(u, odd_branch=odd_branch)
-    assert np.linalg.norm(scipy.linalg.expm(log) - u) < 1e-12
-    want = np.zeros((4, 4), dtype=complex)
-    want[:2, :2] = 1j * np.pi * swap
-    assert np.linalg.norm(log - want) < 1e-12
 
 
 def test_project_onto_span_recovers_coordinates():
@@ -233,35 +212,6 @@ def test_eigenphase_mismatch_handles_branch_cut():
     u1 = np.diag([np.exp(1j * (np.pi - eps)), np.exp(-1j * (np.pi - eps))])
     u2 = np.diag([np.exp(1j * (np.pi - 2 * eps)), np.exp(-1j * (np.pi - 2 * eps))])
     assert eigenphase_mismatch(u1, u2) == pytest.approx(eps, abs=1e-9)
-
-
-def _in_random_basis(rng, phases):
-    # skew-Hermitian generator with eigenvalues i * phases
-    k = expm_skew(random_skew(rng, len(phases)))
-    return k @ np.diag(1j * np.asarray(phases)) @ k.conj().T
-
-
-def test_generator_phase_mismatch_matches_exponentials():
-    rng = np.random.default_rng(21)
-    eps = 1e-9
-    pairs = [(random_skew(rng, 8, scale), random_skew(rng, 8, scale))
-             for scale in (0.1, 0.5, 2.0)]
-    a = random_skew(rng, 8, 0.5)
-    k = expm_skew(random_skew(rng, 8, 0.5))
-    pairs.append((a, k @ a @ k.conj().T))
-    # eigenvalues at pi - eps and -pi + eps: one pair matches only after
-    # the 2 pi wrap, the other straddles the cut 2 eps apart
-    wrap = _in_random_basis(rng, [np.pi - eps, -np.pi + eps, 0.3, -0.3])
-    pairs.append((wrap, _in_random_basis(rng, [-np.pi - eps, np.pi + eps, 0.3, -0.3])))
-    pairs.append((wrap, _in_random_basis(rng, [np.pi - 3 * eps, -np.pi + 3 * eps, 0.3, -0.3])))
-    for a, b in pairs:
-        want = eigenphase_mismatch(expm_skew(a), expm_skew(b))
-        assert abs(generator_phase_mismatch(a, b) - want) <= 1e-12
-    assert generator_phase_mismatch(*pairs[-2]) <= 1e-12
-    assert generator_phase_mismatch(*pairs[-1]) == pytest.approx(2 * eps, abs=1e-12)
-    # the known pi/2 case: spectra {0, pi/2} vs {0, -pi/2}
-    a, b = np.diag([0.0, 0.5j * np.pi]), np.diag([0.0, -0.5j * np.pi])
-    assert generator_phase_mismatch(a, b) == pytest.approx(np.pi / 2, abs=1e-12)
 
 
 KERNEL_SIZES = (1, 2, 4, 8, 16)

@@ -357,8 +357,8 @@ class CartanTorus:
         es_weights: C_ab = sum_w (signs_wa - signs_wb)^2 / 4, so that
             sum_w ||[word, x]||_F^2 = sum_ab C_ab |(q^dag x q)_ab|^2.
 
-    The read-only q_dag, figure_weights and block_figure_weights are
-    built on first use and kept.
+    The read-only q_dag, figure_weights and block_figures are built on
+    first use and kept.
     """
 
     name: str
@@ -385,11 +385,13 @@ class CartanTorus:
         return _figure_weights(self.mu, self.es_weights)
 
     @cached_property
-    def block_figure_weights(self) -> np.ndarray:
-        """figure_weights of the block x~[0::2, 0::2], from mu[0::2] and
+    def block_figures(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(signs[:, 0::2], mu[0::2], figure_weights) of the block
+        x~[0::2, 0::2], the weights from mu[0::2] and
         es_weights[0::2, 0::2]: what the F torus reads off an
         x = diag(X, -X) in the last-qubit block view."""
-        return _figure_weights(self.mu[0::2], self.es_weights[0::2, 0::2])
+        mu = self.mu[0::2]
+        return self.signs[:, 0::2], mu, _figure_weights(mu, self.es_weights[0::2, 0::2])
 
     def rows_of(self, labels: Iterable[str]) -> np.ndarray:
         """The signs rows of labels, in their order.

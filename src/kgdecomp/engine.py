@@ -104,6 +104,7 @@ from .linalg import (
     _cyclic_phase_mismatch,
     _det,
     _eigvalsh,
+    _identity,
     _norm,
     _schur,
     _svd,
@@ -111,16 +112,19 @@ from .linalg import (
     _wrapped_phases,
     as_matrix,
     expm_skew,
-    nearest_special_unitary,
     # commutation_defect, eigenphase_mismatch, expm_skew_many,
-    # logm_unitary and project_onto_span are unused here since the stages
-    # read the Cartan words off their torus, compare eigenphases from the
-    # generators and take their logs from one CSD or Schur form;
-    # perfbench/spans.py still patches them at these names
+    # logm_unitary, project_onto_span and _newton_polish are unused here
+    # since the stages read the Cartan words off their torus, compare
+    # eigenphases from the generators, take their logs from one CSD or
+    # Schur form and solve in closed form, and nearest_special_unitary
+    # since nothing is re-unitarized; perfbench/spans.py still patches
+    # them at these names
+    _newton_polish,
     commutation_defect,
     eigenphase_mismatch,
     expm_skew_many,
     logm_unitary,
+    nearest_special_unitary,
     project_onto_span,
 )
 
@@ -138,12 +142,12 @@ __all__ = [
 ]
 
 _SPECTRUM_TOL = 1e-8
-# unused since the stages are closed-form; _newton_polish reads it
-_POLISH_TARGET = 1e-13
-_REPAIR_THRESHOLD = 1e-12
+_DRIFT_TOL = 1e-12
 _INGEST_TOL = 1e-8
 _CLUSTER_TOL = 1e-9
 _IN_SPAN_TOL = 1e-12
+# far above 1e-24, the in-span bound squared, and above rounding
+_OFF_SPAN_SHARE = 1e-6
 # eigenphases of P = W1^dag W0 this close above -pi count as pi, so that
 # an eigenvalue -1 takes one branch of the theta_X log
 _MINUS_ONE_BRANCH = 1e-9
@@ -206,14 +210,6 @@ def _check_det(det: complex, where: str = "") -> None:
         )
 
 
-def _maybe_repair(k: np.ndarray) -> np.ndarray:
-    """Re-unitarizes k when its drift exceeds the repair threshold."""
-    defect = _unitarity_gap(k)
-    if defect > _REPAIR_THRESHOLD:
-        k, _ = nearest_special_unitary(k)
-    return k
-
-
 def compute_m(
     g: np.ndarray,
     inv: AxisInvolution,
@@ -264,7 +260,7 @@ def compute_m(
     )
 
 
-def _theta_z_log(g: np.ndarray):
+def _theta_z_log(g: np.ndarray, checked: bool = False):
     """(m0, k0, svd): the theta_Z split g = k0 e^(m0) from one CSD.
 
     In the last-qubit block view g = diag(U1, U2) CS diag(V1, V2)^dag
@@ -275,7 +271,8 @@ def _theta_z_log(g: np.ndarray):
     determinant is that of g. svd = (i V1, Theta, V2^dag) is the SVD
     -i Y = (i V1) Theta V2^dag of m0's off-diagonal block Y = m0[0::2, 1::2],
     Theta descending, for _closed_form_k. m0.residual_norm is
-    ||g - diag(U1, U2) CS V^dag||_F.
+    ||g - diag(U1, U2) CS V^dag||_F. checked=True skips g's unitarity
+    check.
 
     Raises:
         NotUnitaryError: g is not special unitary within 1e-8.
@@ -283,14 +280,15 @@ def _theta_z_log(g: np.ndarray):
             SUBSPACE_TOL, or exceeds 1e-8 where det k0 misses 1 by more
             than 1e-8.
     """
-    _unitarity_defect(g)
+    if not checked:
+        _unitarity_defect(g)
     half = g.shape[0] // 2
     # blocks[a, b] = g[a::2, b::2]
     blocks = g.reshape(half, 2, half, 2).transpose(1, 3, 0, 2)
     (u1, u2), theta, (v1h, v2h) = _csd(blocks[0, 0], blocks[0, 1], blocks[1, 0], blocks[1, 1])
     cos, sin = np.cos(theta), np.sin(theta)
-    cs = np.stack((cos, -sin, sin, cos)).reshape(2, 2, 1, half)
-    rebuilt = (np.stack((u1, u2))[:, None] * cs) @ np.stack((v1h, v2h))[None]
+    cs = np.array((cos, -sin, sin, cos)).reshape(2, 2, 1, half)
+    rebuilt = (np.array((u1, u2))[:, None] * cs) @ np.array((v1h, v2h))[None]
     residual_norm = _norm(blocks - rebuilt)
     if residual_norm > SUBSPACE_TOL:
         raise SubspaceViolationError(
@@ -362,66 +360,6 @@ def residual_k(g: np.ndarray, m: AlgebraElement) -> np.ndarray:
     return np.asarray(g, dtype=complex) @ expm_skew(-as_matrix(m))
 
 
-# The decomposition never calls _newton_polish. It stays, with its direct
-# tests, because perfbench/spans.py patches kgdecomp.engine._newton_polish
-# and tests/test_trace_targets.py requires every span target to exist.
-def _newton_polish(
-    k1: np.ndarray,
-    m0_mat: np.ndarray,
-    torus: Tuple[np.ndarray, np.ndarray],
-    fixing: Sequence[AxisInvolution],
-    max_steps: int,
-) -> Tuple[np.ndarray, float, int]:
-    """Drives [v, K^dag m0 K] to zero by Newton steps K <- K exp(delta).
-
-    torus = (mu, B) is the eigendecomposition -i v = B diag(mu) B^dag
-    with mu distinct, so [v, h] = 0 exactly when h~ = B^dag h B is
-    diagonal, and ||[v, h]|| = ||(mu_x - mu_y) h~_xy||. To first order
-    the update moves h~ by -[X, h~] with X = B^dag delta B, and at the
-    diagonal i d of h~ that bracket's (x, y) entry is i X_xy (d_y - d_x).
-    Each step solves this entrywise, X_xy = h~_xy / (i (d_y - d_x)), with
-    X_xy = 0 where |d_y - d_x| <= 1e-12 (1 + max |d|), and takes
-    delta = P_k(B X B^dag), where P_k multiplies the fixed-part maps
-    (1 + theta) / 2 of the involutions in fixing, whose common fixed
-    algebra is k. A step longer than 1 in word coordinates,
-    ||delta||_F / sqrt(2^n / 4), is clipped to unit length, and a zero
-    step ends the start. Takes at most max_steps steps and evaluates
-    every iterate, the last one included. Returns the best iterate, its
-    relative commutator ||[v,h]|| / (||v|| ||h||), and the number of
-    steps taken.
-    """
-    mu, basis = torus
-    basis_dag = basis.conj().T
-    word_norm = np.sqrt(basis.shape[0] / 4.0)
-    v_gaps = mu[:, None] - mu[None, :]
-    norm_v = _norm(mu)
-    best_k, best_rel = k1, np.inf
-    for steps in range(max_steps + 1):
-        kb = k1 @ basis
-        h = kb.conj().T @ m0_mat @ kb
-        # exactly skew-Hermitian, or a tiny gap would magnify the rounding
-        # into a non-skew step
-        h = 0.5 * (h - h.conj().T)
-        rel = _norm(v_gaps * h) / (norm_v * _norm(h) + 1e-300)
-        if rel < best_rel:
-            best_k, best_rel = k1, rel
-        if rel <= _POLISH_TARGET or steps == max_steps:
-            break
-        d = np.diagonal(h).imag
-        gaps = 1j * (d[None, :] - d[:, None])
-        live = np.abs(gaps) > 1e-12 * (1.0 + np.max(np.abs(d)))
-        delta = basis @ np.divide(h, gaps, out=np.zeros_like(h), where=live) @ basis_dag
-        for inv in fixing:
-            delta = inv.even_part(delta)
-        step_norm = _norm(delta) / word_norm
-        if not np.isfinite(step_norm) or step_norm == 0.0:
-            break
-        if step_norm > 1.0:
-            delta = delta / step_norm
-        k1 = k1 @ expm_skew(delta)
-    return best_k, best_rel, steps
-
-
 def _stage_figures(xt: np.ndarray, torus: CartanTorus, block: bool = False):
     """(c, p, residual_norm, rel, es) of x = Q x~ Q^dag against the torus.
 
@@ -441,14 +379,13 @@ def _stage_figures(xt: np.ndarray, torus: CartanTorus, block: bool = False):
     block=True takes the F-torus block x~ = U^dag X U of an
     x = diag(X, -X) in the last-qubit block view: it reads the rows
     signs[:, 0::2], mu[0::2] and es_weights[0::2, 0::2]
-    (block_figure_weights) and returns the block of p; c is unchanged.
+    (CartanTorus.block_figures) and returns the block of p; c is unchanged.
     Each norm doubles its square on the whole register, so rel is the
     block ratio divided by sqrt(2), and es and residual_norm are sqrt(2)
     times the block's.
     """
     if block:
-        signs, mu = torus.signs[:, 0::2], torus.mu[0::2]
-        weights = torus.block_figure_weights
+        signs, mu, weights = torus.block_figures
     else:
         signs, mu, weights = torus.signs, torus.mu, torus.figure_weights
     d = np.diagonal(xt)
@@ -464,15 +401,27 @@ def _stage_figures(xt: np.ndarray, torus: CartanTorus, block: bool = False):
     return c, p, residual_norm, rel, es
 
 
+def _off_span(norm: float, diagonal: np.ndarray) -> bool:
+    """Whether an x~ of norm above Tolerances.structure, with this
+    diagonal, is too far off the span for the in-span pretest to pass:
+    its squared residual is at least norm^2 - ||diagonal||^2."""
+    norm2 = norm * norm
+    return (
+        norm > DEFAULT_TOLS.structure
+        and norm2 - np.vdot(diagonal, diagonal).real > _OFF_SPAN_SHARE * norm2
+    )
+
+
 def _phases_match(p: np.ndarray, spectrum: np.ndarray) -> bool:
-    """_cyclic_phase_mismatch of the wrapped p and spectrum within 1e-8.
+    """_cyclic_phase_mismatch of the wrapped p and the sorted spectrum,
+    in (-pi, pi] already, within 1e-8.
 
     The identity alignment of the two sorted lists decides first: the
     minimum over cyclic alignments is at most its value, so only a miss
     there, as where values straddle the branch cut at pi, runs every
     alignment, and the decision is the same either way.
     """
-    a, b = _wrapped_phases(p), _wrapped_phases(spectrum)
+    a, b = _wrapped_phases(p), spectrum
     if np.abs((a - b + np.pi) % (2 * np.pi) - np.pi).max() <= _SPECTRUM_TOL:
         return True
     return _cyclic_phase_mismatch(a, b) <= _SPECTRUM_TOL
@@ -549,7 +498,8 @@ def _minimize_full(
     _closed_form_k's, from the SVD svd of m0's off-diagonal block that
     the stage's CSD gives (_theta_z_log), or I when m0 already lies
     within 1e-12 ||m0|| of the span (that shortcut and the zero case
-    below hold for any torus). Everything else is read off one rotation
+    below hold for any torus), a pretest skipped where the diagonal of
+    Q^dag m0 Q rules it out (_off_span). Everything else is read off one rotation
     x~ = P^dag m0 P with P = K1 Q, where Q is the basis of the torus
     (basis.cartan_torus) in which every Cartan word is diagonal: the
     coordinates, the off-span residual, the relative commutator
@@ -575,22 +525,24 @@ def _minimize_full(
     """
     m0_mat = as_matrix(m0)
     q = torus.q
-    k1 = np.eye(m0_mat.shape[0], dtype=complex)
-
     norm_m0 = _norm(m0_mat)
-    figures = _stage_figures(torus.q_dag @ m0_mat @ q, torus)
-    if norm_m0 <= DEFAULT_TOLS.structure:
-        zero = AlgebraElement(
-            matrix=np.zeros_like(m0_mat),
-            coords=(0.0,) * len(torus.labels),
-            residual_norm=norm_m0,
-        )
-        return k1, zero, figures[4]
-
-    if figures[2] > _IN_SPAN_TOL * norm_m0:
-        k1 = _maybe_repair(_closed_form_k(m0_mat, torus, svd))
+    left = torus.q_dag @ m0_mat
+    figures = None
+    if not _off_span(norm_m0, (left * q.T).sum(axis=1)):
+        figures = _stage_figures(left @ q, torus)
+        if norm_m0 <= DEFAULT_TOLS.structure:
+            zero = AlgebraElement(
+                matrix=np.zeros_like(m0_mat),
+                coords=(0.0,) * len(torus.labels),
+                residual_norm=norm_m0,
+            )
+            return np.eye(len(m0_mat), dtype=complex), zero, figures[4]
+    if figures is None or figures[2] > _IN_SPAN_TOL * norm_m0:
+        k1 = _closed_form_k(m0_mat, torus, svd)
         frame = k1 @ q
         figures = _stage_figures(frame.conj().T @ m0_mat @ frame, torus)
+    else:
+        k1 = np.eye(len(m0_mat), dtype=complex)
     c, p, residual_norm, rel, es = figures
     h = AlgebraElement(
         matrix=(q * (1j * p)) @ torus.q_dag,
@@ -598,9 +550,10 @@ def _minimize_full(
         residual_norm=residual_norm,
     )
     if svd is None:
-        spectrum = _eigvalsh(-1j * m0_mat)
+        spectrum = _wrapped_phases(_eigvalsh(-1j * m0_mat))
     else:
-        spectrum = np.concatenate((svd[1], -svd[1]))
+        # the CS angles lie in [0, pi/2], descending
+        spectrum = np.concatenate((-svd[1], svd[1][::-1]))
     if rel <= CARTAN_TOL and residual_norm <= SUBSPACE_TOL and _phases_match(p, spectrum):
         return k1, h, es
     raise OptimizerFailedError(
@@ -641,19 +594,22 @@ def khk_stage(
     return _theta_z_stage(g, torus)
 
 
-def _theta_z_stage(g: np.ndarray, torus: CartanTorus) -> StageResult:
+def _theta_z_stage(
+    g: np.ndarray, torus: CartanTorus, checked: bool = False
+) -> StageResult:
     """The theta_Z stage G = k0 k1 exp(h) k1^dag against the H_n torus:
     one CSD of g's last-qubit blocks (_theta_z_log) gives m0, k0 and the
     SVD that _minimize_full's closed form takes."""
-    m0, k0, svd = _theta_z_log(g)
-    return StageResult(_maybe_repair(k0), *_minimize_full(m0, torus, svd))
+    m0, k0, svd = _theta_z_log(g, checked)
+    return StageResult(k0, *_minimize_full(m0, torus, svd))
 
 
 def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
     """Strips the trailing identity qubit off a matrix with shape A (x) I2.
 
-    sub' is the stride-2 submatrix (even rows/columns); the global phase
-    phi = arg(det(sub')) / 2^(n-1) is divided out so det(sub) = 1.
+    sub' is the mean of the two stride-2 diagonal blocks, not
+    re-unitarized; the global phase phi = arg(det(sub')) / 2^(n-1) is
+    divided out so det(sub) = 1.
 
     Raises:
         NotTensorWithIdentityError: block pattern violated beyond the
@@ -674,7 +630,7 @@ def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
     sub = 0.5 * (even + odd)
     phase = float(np.angle(_det(sub))) / 2 ** (n - 1)
     sub = np.exp(-1j * phase) * sub
-    return _maybe_repair(sub), phase
+    return sub, phase
 
 
 def _central_split(x: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -737,7 +693,8 @@ def _f_rotation(
     A = vecs R U^dag, R the _cluster_gauge of U^dag vecs, or A = I when
     m_hat lies within 1e-12 ||m_hat|| of span F_n or has norm at most
     Tolerances.structure; A is scaled by e^(-i arg det(A)^2 / 2^n), as
-    K1 = A (x) I would be into SU(2^n). Everything is read off the block
+    K1 = A (x) I would be into SU(2^n), the pretest skipped as in
+    _minimize_full. Everything is read off the block
     x~ = (A U)^dag C^ (A U) of the torus rotation, with the figures of
     the whole register (_stage_figures with block=True), and checked as
     in _minimize_full: relative commutator at most CARTAN_TOL, residual
@@ -746,8 +703,7 @@ def _f_rotation(
 
     Returns (A, coords, residual_norm, subspace_error, det A), the
     coordinates in torus.labels order. det A is the determinant of the
-    unscaled A times the scale's 2^(n-1)-th power, or a fresh one where
-    _maybe_repair replaced the scaled A.
+    unscaled A times the scale's 2^(n-1)-th power.
 
     Raises:
         OptimizerFailedError: the solution fails a bound; the pair
@@ -755,24 +711,26 @@ def _f_rotation(
     """
     u = torus.u
     u_dag = u.conj().T
-    a = np.eye(len(c_hat), dtype=complex)
-    det_a = 1.0
     norm_m = _SQRT2 * _norm(c_hat)
-    figures = _stage_figures(u_dag @ c_hat @ u, torus, block=True)
-    if norm_m <= DEFAULT_TOLS.structure:
-        coords = np.zeros(len(torus.labels))
-        return a, coords, norm_m, figures[4], det_a
-
-    if figures[2] > _IN_SPAN_TOL * norm_m:
-        a = vecs @ _cluster_gauge(u_dag @ vecs, values) @ u_dag
+    overlap = u_dag @ vecs
+    figures = None
+    # diag(U^dag C^ U) = i |U^dag vecs|^2 values; both norms scale by sqrt(2)
+    if not _off_span(norm_m, _SQRT2 * ((overlap * overlap.conj()).real @ values)):
+        figures = _stage_figures(u_dag @ c_hat @ u, torus, block=True)
+        if norm_m <= DEFAULT_TOLS.structure:
+            coords = np.zeros(len(torus.labels))
+            return np.eye(len(c_hat), dtype=complex), coords, norm_m, figures[4], 1.0
+    if figures is None or figures[2] > _IN_SPAN_TOL * norm_m:
+        a = vecs @ _cluster_gauge(overlap, values) @ u_dag
         det = _det(a)
         turn = cmath.exp(-1j * cmath.phase(det * det) / (2 * len(a)))
-        scaled = turn * a
-        a = _maybe_repair(scaled)
+        a = turn * a
         # det(turn A) = turn^len(A) det(A)
-        det_a = det * turn ** len(a) if a is scaled else _det(a)
+        det_a = det * turn ** len(a)
         frame = a @ u
         figures = _stage_figures(frame.conj().T @ c_hat @ frame, torus, block=True)
+    else:
+        a, det_a = np.eye(len(c_hat), dtype=complex), 1.0
     c, p, residual_norm, rel, es = figures
     if rel <= CARTAN_TOL and residual_norm <= SUBSPACE_TOL and _phases_match(p, values):
         return a, c, residual_norm, es, det_a
@@ -815,11 +773,13 @@ def _secondary_stage(
     No 2^n matrix is decomposed or exponentiated.
 
     Returns the factors (S, e^f, T'^dag, Q), phi, psi and the F stage's
-    subspace error.
+    subspace error. Nothing is re-unitarized: S and T' are checked once,
+    by one stacked gap ||X X^dag - I||_F.
 
     Raises:
         NotTensorWithIdentityError: the two blocks of k differ beyond
             PATTERN_TOL.
+        NotUnitaryError: the payload drift of S and T' exceeds 1e-12.
     """
     torus = cartan_torus("F", n)
     phases, vecs, _ = _theta_x_log(w, inv_x)
@@ -839,16 +799,20 @@ def _secondary_stage(
         raise NotTensorWithIdentityError(
             f"pattern defect {mismatch:.3e} exceeds {PATTERN_TOL:.3e}"
         )
-    k = _maybe_repair(0.5 * (even + odd) @ vecs.conj().T)
+    k = 0.5 * (even + odd) @ vecs.conj().T
     a, coords, residual_norm, subspace_error, det_a = _f_rotation(
         c_hat, values, vecs, torus
     )
     outer = k @ a
     phi = cmath.phase(_det(outer)) / half
     psi = cmath.phase(det_a) / half
-    sub = _maybe_repair(np.exp(-1j * phi) * outer)
-    inner = _maybe_repair(np.exp(-1j * psi) * a)
-    last = np.diag(np.exp([0.5j * alpha, -0.5j * alpha]))
+    sub = np.exp(-1j * phi) * outer
+    inner = np.exp(-1j * psi) * a
+    pair = np.array((sub, inner))
+    drift = _norm(pair @ pair.conj().transpose(0, 2, 1) - _identity(half))
+    if not drift <= _DRIFT_TOL:
+        raise NotUnitaryError(f"payload drift {drift:.3e} exceeds {_DRIFT_TOL:.3e}")
+    last = np.array([[cmath.exp(0.5j * alpha), 0], [0, cmath.exp(-0.5j * alpha)]])
     factors = (
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub),
         _cartan_factor(coords, residual_norm, torus),
@@ -867,7 +831,7 @@ def _run_stage(label: str, stage, *args):
         raise
 
 
-def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
+def decompose_one_level(g: np.ndarray, n: int, checked: bool = False) -> LevelResult:
     """Factors G in SU(2^n), n >= 3, into the nine-factor corollary form.
 
     A level is three stage calls: the theta_Z stage G = K0 K1 e^h K1^dag,
@@ -875,7 +839,8 @@ def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
     yields four factors and two stride-extraction phases; the phases
     aggregate into the returned scalar phi. A KgDecompError raised by a
     stage carries its label (f0[F<n>], h[H<n>] or f1[F<n>]) in its
-    `stage` attribute and message.
+    `stage` attribute and message. checked=True skips g's unitarity
+    check, which the caller has made.
     """
     if n < 3:
         raise ValueError(f"one level requires n >= 3, got {n}")
@@ -887,7 +852,7 @@ def decompose_one_level(g: np.ndarray, n: int) -> LevelResult:
 
     labels = (f"f0[F{n}]", f"h[H{n}]", f"f1[F{n}]")
 
-    stage = _run_stage(labels[1], _theta_z_stage, g, h_torus)
+    stage = _run_stage(labels[1], _theta_z_stage, g, h_torus, checked)
     left, phi0, psi1, es0 = _run_stage(
         labels[0], _secondary_stage, stage.k0 @ stage.k1, n, inv_x
     )
@@ -911,13 +876,14 @@ def _recurse(g: np.ndarray, n: int, prefix: str) -> LevelResult:
     prefix K<slot>/; child phases add into the level's phase. The blocks
     of an n = 3 level are already such leaves and are kept as they are. A
     stage error of the level gets the same prefix on its `stage` path,
-    such as K2/f1[F3].
+    such as K2/f1[F3]. g's unitarity is not checked again: decompose_full
+    checked the top level's, and each block below passed a drift check.
     """
     if n == 2:
         leaf = Factor(kind=FactorKind.SUB_UNITARY, level_qubits=3, matrix=g)
         return LevelResult((leaf,), 0.0, ())
     try:
-        level = decompose_one_level(g, n)
+        level = decompose_one_level(g, n, checked=True)
     except KgDecompError as exc:
         if exc.stage is not None:
             exc.stage = prefix + exc.stage

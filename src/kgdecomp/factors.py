@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Tuple
 
@@ -73,8 +74,9 @@ class Factor:
         matrix: payload for SubUnitary / LastQubit.
         basis_name: Cartan basis identifier ("H3", "F4") for CartanExp.
         coeffs: labeled real coefficients over that basis for CartanExp.
-        subspace_residual: pre-repair distance of the raw Cartan stage
-            output from the Cartan span; only Cartan factors carry one.
+        subspace_residual: distance of the raw Cartan stage output from
+            the Cartan span, before it is snapped onto the span; only
+            Cartan factors carry one.
     """
 
     kind: FactorKind
@@ -152,7 +154,7 @@ def _cartan_block(factor: Factor) -> np.ndarray:
             f"basis {factor.basis_name!r} is not H{level} or F{level}"
         )
     torus = cartan_torus(factor.basis_name[0], level)
-    labels = tuple(label for label, _ in factor.coeffs)
+    labels = tuple([label for label, _ in factor.coeffs])
     coeffs = np.array([c for _, c in factor.coeffs], dtype=float)
     phi = 0.5 * (coeffs @ _label_signs(factor.basis_name, labels))
     return (torus.q * np.exp(1j * phi)) @ torus.q_dag
@@ -217,7 +219,12 @@ def product(tree: FactorTree) -> np.ndarray:
     Each factor is applied to the running product as a block on its own
     qubits, so no factor is padded to the full register. A CartanExp
     block is Q diag(e^{i phi}) Q^dag in the basis Q of its cached torus,
-    so no word matrix is summed and no exponential is taken.
+    so no word matrix is summed and no exponential is taken. On four or
+    more qubits, each maximal run of two or more factors whose support
+    (the prefix of qubits a factor covers) is below the register is
+    first multiplied on a register of the run's largest support, the
+    same way, and applied as one block (_fused), as simulators fuse
+    gates; every factor passes _block's checks first.
 
     Raises:
         LevelExceedsRegisterError: if a factor does not fit.
@@ -225,15 +232,39 @@ def product(tree: FactorTree) -> np.ndarray:
             kind and level.
         BadLabelError: if a CartanExp label is not in its basis.
     """
-    dim = 2**tree.n_total
-    out = np.exp(1j * tree.phase) * np.eye(dim, dtype=complex)
-    for factor in tree.factors:
-        # out @ (I_left (x) block (x) I_right): the block contracts the
-        # axis of its qubits, as a state-vector simulator applies a gate
-        block, first = _block(factor, tree.n_total)
-        grouped = out.reshape(dim, 2**first, len(block), -1)
+    n = tree.n_total
+    dim = 1 << n
+    blocks = [_block(factor, n) for factor in tree.factors]
+    # at n <= 3 a run holds 4 x 4 blocks at most, and folding gains nothing
+    if n > 3:
+        blocks = _fused(blocks, dim)
+    return _apply(np.exp(1j * tree.phase) * np.eye(dim, dtype=complex), blocks)
+
+
+def _apply(out: np.ndarray, blocks) -> np.ndarray:
+    """out times I_left (x) block (x) I_right for each (block, first qubit)
+    in turn: the block contracts the axis of its qubits, as a
+    state-vector simulator applies a gate."""
+    dim = len(out)
+    for block, first in blocks:
+        grouped = out.reshape(dim, 1 << first, len(block), -1)
         out = np.matmul(block.T, grouped).reshape(dim, dim)
     return out
+
+
+def _fused(blocks: list, dim: int) -> list:
+    """blocks with each maximal run of two or more whose support is below
+    the dim-sized register replaced by the product of the run, taken on
+    a register of its largest support with its own runs fused."""
+    fused = []
+    for small, run in groupby(blocks, key=lambda step: len(step[0]) << step[1] < dim):
+        run = list(run)
+        if small and len(run) > 1:
+            size = max([len(block) << first for block, first in run])
+            fused.append((_apply(np.eye(size, dtype=complex), _fused(run, size)), 0))
+        else:
+            fused.extend(run)
+    return fused
 
 
 def factor_defects(factor: Factor) -> dict:
@@ -300,15 +331,11 @@ def _payload_template(kind: str, level, pairs: int) -> Optional[str]:
     return _record_template(kind, level, [("entries", pair_list_template(pairs, 3))])
 
 
-@lru_cache(maxsize=64, typed=True)
-def _cartan_template(level, basis, labels: tuple, residual: bool) -> Optional[str]:
-    """The %-template of a CartanExp record, or None where dump_json's
-    layout could depend on the values: a level that is not an int, a
-    basis or label that is not a string, or a label longer than 17
-    characters once encoded (a [label, value] pair under 48 characters
-    fits any %.16e value only up to there)."""
-    if type(level) is not int or not isinstance(basis, str):
-        return None
+def _float_pairs(labels: tuple) -> Optional[list]:
+    """The "[label, %.16e]" templates of labels, or None where dump_json's
+    layout could depend on the values: a label that is not a string or
+    is longer than 17 characters once encoded (a [label, value] pair
+    under 48 characters fits any %.16e value only up to there)."""
     pairs = []
     for label in labels:
         if not isinstance(label, str):
@@ -317,14 +344,64 @@ def _cartan_template(level, basis, labels: tuple, residual: bool) -> Optional[st
         if len(name) > 19:
             return None
         pairs.append(f"[{name.replace('%', '%%')}, %.16e]")
-    if len(pairs) > 8:
-        coeffs = "[\n" + ",\n".join("        " + p for p in pairs) + "\n      ]"
-    else:
-        coeffs = "[" + ", ".join(pairs) + "]"
+    return pairs
+
+
+def _pair_lines(pairs: list, indent: int) -> str:
+    """A list of one-line pairs at indent as dump_json lays it out: on one
+    line for at most 8 pairs, else one pair per line."""
+    if len(pairs) <= 8:
+        return "[" + ", ".join(pairs) + "]"
+    pad = "  " * indent
+    return "[\n" + ",\n".join(pad + "  " + p for p in pairs) + "\n" + pad + "]"
+
+
+@lru_cache(maxsize=64, typed=True)
+def _cartan_template(level, basis, labels: tuple, residual: bool) -> Optional[str]:
+    """The %-template of a CartanExp record, or None where dump_json's
+    layout could depend on the values: a level that is not an int, a
+    basis that is not a string, or a label as _float_pairs refuses."""
+    pairs = _float_pairs(labels)
+    if type(level) is not int or not isinstance(basis, str) or pairs is None:
+        return None
+    coeffs = _pair_lines(pairs, 3)
     fields = [("basis", _encode_str(basis).replace("%", "%%")), ("coeffs", coeffs)]
     if residual:
         fields.append(("subspace_residual", "%.16e"))
     return _record_template("cartan_exp", level, fields)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _report_template(labels: tuple) -> Optional[str]:
+    """The %-template of a report block (indent 1) whose subspace_errors
+    carry labels and whose optimizer_stats are empty, as decompose_full
+    writes them; approx_error, the subspace_errors values and wall_time
+    are left as %.16e. None where dump_json's layout could depend on the
+    values (a label as _float_pairs refuses)."""
+    errors = _float_pairs(labels)
+    if errors is None:
+        return None
+    return (
+        f'{{\n    "approx_error": %.16e,\n    "subspace_errors": {_pair_lines(errors, 2)},'
+        '\n    "wall_time": %.16e,\n    "optimizer_stats": []\n  }'
+    )
+
+
+def _report_parts(report: Optional[DecompositionReport]) -> Tuple[Optional[str], list]:
+    """The report block's %-template and its floats in document order:
+    "null" for no report, the cached _report_template where every float
+    field is a float, optimizer_stats is empty and the labels allow a
+    template, else None and no floats."""
+    if report is None:
+        return "null", []
+    values = [report.approx_error, *[v for _, v in report.subspace_errors], report.wall_time]
+    if report.optimizer_stats or not all(isinstance(v, float) for v in values):
+        return None, []
+    try:
+        template = _report_template(tuple([label for label, _ in report.subspace_errors]))
+    except TypeError:  # an unhashable label
+        return None, []
+    return template, values if template else []
 
 
 def serialize(tree: FactorTree) -> str:
@@ -338,12 +415,14 @@ def serialize(tree: FactorTree) -> str:
     residual or not) for a CartanExp. The phase and every record float
     go into one float64 array in document order, which is checked for
     finiteness once and formatted into the joined templates in one %
-    call. The report block, whose layout depends on its label and value
-    widths, is written by dump_json. A record with no exact template (a
-    label of more than 17 characters, whose one-line layout depends on
-    its value, a non-string label, a payload that is not 2-D) sends the
-    whole tree through dump_json instead, and so does a non-finite
-    value, so that the error names the first one in document order.
+    call. The report block is one more template, cached per label tuple
+    (_report_template), whose floats follow the phase; a report with no
+    exact template, or with optimizer_stats, is written by dump_json. A
+    record with no exact template (a label of more than 17 characters,
+    whose one-line layout depends on its value, a non-string label, a
+    payload that is not 2-D) sends the whole tree through dump_json
+    instead, and so does a non-finite value, so that the error names
+    the first one in document order.
 
     Raises:
         TypeError: a payload is not a 2-D array.
@@ -379,13 +458,13 @@ def serialize(tree: FactorTree) -> str:
             return dump_json(_document(tree)) + "\n"
         templates.append(template)
         chunks.append(values)
-    report = _report_document(tree.report)
-    phase = float(tree.phase)
+    report_text, report_values = _report_parts(tree.report)
     n_total = tree.n_total
-    flat = np.concatenate([[phase], *chunks])
+    flat = np.concatenate([[float(tree.phase)], report_values, *chunks])
     if type(n_total) is not int or not np.isfinite(flat).all():
         return dump_json(_document(tree)) + "\n"
-    report_text = dump_json(report, 1).replace("%", "%%")
+    if report_text is None:
+        report_text = dump_json(_report_document(tree.report), 1).replace("%", "%%")
     factors_text = "[\n" + ",\n".join(templates) + "\n  ]" if templates else "[]"
     template = (
         f'{{\n  "format": "{_FORMAT_NAME}",\n  "version": {_FORMAT_VERSION},\n'

@@ -10,7 +10,8 @@ time (_eigh, _eigvalsh, _svd, _schur, _det, and _csd on the four blocks
 of one matrix) call their LAPACK routines directly, without numpy's or
 scipy's per-call argument handling and workspace queries; _norm is the
 Frobenius norm of any array. Only the stacked exponential expm_skew_many
-keeps numpy's batched eigh.
+keeps numpy's batched eigh. _newton_polish, the Newton step that the
+closed-form stages replaced, is kept only as a benchmark span target.
 """
 
 from __future__ import annotations
@@ -378,3 +379,67 @@ def eigenphase_mismatch(u1: np.ndarray, u2: np.ndarray) -> float:
     p1 = np.sort(np.angle(np.linalg.eigvals(as_matrix(u1))))
     p2 = np.sort(np.angle(np.linalg.eigvals(as_matrix(u2))))
     return _cyclic_phase_mismatch(p1, p2)
+
+
+_POLISH_TARGET = 1e-13
+
+
+# The decomposition never calls _newton_polish, the step the closed-form
+# stages replaced. It stays, with its direct tests, because
+# perfbench/spans.py patches kgdecomp.engine._newton_polish and
+# tests/test_trace_targets.py requires every span target to exist.
+def _newton_polish(
+    k1: np.ndarray,
+    m0_mat: np.ndarray,
+    torus: Tuple[np.ndarray, np.ndarray],
+    fixing: Sequence,
+    max_steps: int,
+) -> Tuple[np.ndarray, float, int]:
+    """Drives [v, K^dag m0 K] to zero by Newton steps K <- K exp(delta).
+
+    torus = (mu, B) is the eigendecomposition -i v = B diag(mu) B^dag
+    with mu distinct, so [v, h] = 0 exactly when h~ = B^dag h B is
+    diagonal, and ||[v, h]|| = ||(mu_x - mu_y) h~_xy||. To first order
+    the update moves h~ by -[X, h~] with X = B^dag delta B, and at the
+    diagonal i d of h~ that bracket's (x, y) entry is i X_xy (d_y - d_x).
+    Each step solves this entrywise, X_xy = h~_xy / (i (d_y - d_x)), with
+    X_xy = 0 where |d_y - d_x| <= 1e-12 (1 + max |d|), and takes
+    delta = P_k(B X B^dag), where P_k multiplies the fixed-part maps
+    (1 + theta) / 2 (AxisInvolution.even_part) of the involutions in
+    fixing, whose common fixed algebra is k. A step longer than 1 in
+    word coordinates, ||delta||_F / sqrt(2^n / 4), is clipped to unit
+    length, and a zero step ends the start. Takes at most max_steps
+    steps and evaluates every iterate, the last one included. Returns
+    the best iterate, its relative commutator ||[v,h]|| / (||v|| ||h||),
+    and the number of steps taken.
+    """
+    mu, basis = torus
+    basis_dag = basis.conj().T
+    word_norm = np.sqrt(basis.shape[0] / 4.0)
+    v_gaps = mu[:, None] - mu[None, :]
+    norm_v = _norm(mu)
+    best_k, best_rel = k1, np.inf
+    for steps in range(max_steps + 1):
+        kb = k1 @ basis
+        h = kb.conj().T @ m0_mat @ kb
+        # exactly skew-Hermitian, or a tiny gap would magnify the rounding
+        # into a non-skew step
+        h = 0.5 * (h - h.conj().T)
+        rel = _norm(v_gaps * h) / (norm_v * _norm(h) + 1e-300)
+        if rel < best_rel:
+            best_k, best_rel = k1, rel
+        if rel <= _POLISH_TARGET or steps == max_steps:
+            break
+        d = np.diagonal(h).imag
+        gaps = 1j * (d[None, :] - d[:, None])
+        live = np.abs(gaps) > 1e-12 * (1.0 + np.max(np.abs(d)))
+        delta = basis @ np.divide(h, gaps, out=np.zeros_like(h), where=live) @ basis_dag
+        for inv in fixing:
+            delta = inv.even_part(delta)
+        step_norm = _norm(delta) / word_norm
+        if not np.isfinite(step_norm) or step_norm == 0.0:
+            break
+        if step_norm > 1.0:
+            delta = delta / step_norm
+        k1 = k1 @ expm_skew(delta)
+    return best_k, best_rel, steps

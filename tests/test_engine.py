@@ -4,7 +4,6 @@ construct-then-recover properties, extraction patterns, and the full
 recursion on registers of up to seven qubits."""
 
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -73,7 +72,7 @@ def test_newton_step_solves_the_residual_jacobian(monkeypatch):
     cartan_part = basis @ np.diag(np.diag(basis.conj().T @ h @ basis)) @ basis.conj().T
 
     steps = []
-    monkeypatch.setattr(engine, "expm_skew", lambda a: steps.append(a) or expm_skew(a))
+    monkeypatch.setattr(linalg, "expm_skew", lambda a: steps.append(a) or expm_skew(a))
     _newton_polish(np.eye(8, dtype=complex), h, torus, (inv,), 1)
     (delta,) = steps
 
@@ -668,23 +667,23 @@ def test_stage_figures_match_the_separate_walks(monkeypatch, n):
     monkeypatch.setattr(engine, "_stage_figures", spy)
     decompose_one_level(haar_special_unitary(n, np.random.default_rng(60 + n)), n)
     monkeypatch.undo()
-    assert [block for *_, block in seen] == [False, False, True, True, True, True]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for xt, torus, block in seen:
+    # a Haar level's stage inputs lie far off the span, so each stage
+    # skips the unrotated pretest and reads its rotated x~ alone
+    assert [block for *_, block in seen] == [False, True, True]
+    for xt, torus, block in seen:
+        _assert_figures_match_oracles(xt, torus, block)
+    rng = np.random.default_rng(70 + n)
+    for family in ("H", "F"):
+        torus = cartan_torus(family, n)
+        words = tuple(pauli_word(label) for label in torus.labels)
+        x = random_span_element(rng, words, scale=0.8)
+        for block in (False, True) if family == "F" else (False,):
+            if block:
+                xt = torus.u.conj().T @ x[0::2, 0::2] @ torus.u
+            else:
+                xt = torus.q.conj().T @ x @ torus.q
             _assert_figures_match_oracles(xt, torus, block)
-        rng = np.random.default_rng(70 + n)
-        for family in ("H", "F"):
-            torus = cartan_torus(family, n)
-            words = tuple(pauli_word(label) for label in torus.labels)
-            x = random_span_element(rng, words, scale=0.8)
-            for block in (False, True) if family == "F" else (False,):
-                if block:
-                    xt = torus.u.conj().T @ x[0::2, 0::2] @ torus.u
-                else:
-                    xt = torus.q.conj().T @ x @ torus.q
-                _assert_figures_match_oracles(xt, torus, block)
-                _assert_figures_match_oracles(np.zeros_like(xt), torus, block)
+            _assert_figures_match_oracles(np.zeros_like(xt), torus, block)
 
 
 def _wrapped(values):
@@ -709,7 +708,8 @@ def test_phases_match_decides_as_every_cyclic_alignment():
     identity_misses = 0
     for p, spectrum in cases:
         want = linalg._cyclic_phase_mismatch(_wrapped(p), _wrapped(spectrum)) <= tol
-        assert engine._phases_match(p, spectrum) == want
+        # the stages pass their spectra sorted and in (-pi, pi] already
+        assert engine._phases_match(p, _wrapped(spectrum)) == want
         a, b = _wrapped(p), _wrapped(spectrum)
         identity = np.abs((a - b + np.pi) % (2 * np.pi) - np.pi).max()
         identity_misses += bool(want and identity > tol)
@@ -728,12 +728,11 @@ def test_a_level_takes_twelve_determinants(monkeypatch):
     assert sum(name == "_det" for name, _ in calls) == 12
 
 
-@pytest.mark.parametrize("threshold", [engine._REPAIR_THRESHOLD, 0.0])
-def test_secondary_stage_psi_is_the_angle_of_det_a(monkeypatch, threshold):
-    # threshold 0 sends every A through _maybe_repair's polar factor, so
-    # det A is taken afresh there; otherwise it is carried as
-    # det(A) times the scale's power
-    monkeypatch.setattr(engine, "_REPAIR_THRESHOLD", threshold)
+@pytest.mark.parametrize("n", [3, 4])
+def test_secondary_stage_psi_is_the_angle_of_det_a(monkeypatch, n):
+    # det A is not taken again but carried from the rotation, as det(A)
+    # times the scale's power, and psi must still be its angle; the scale
+    # makes det A = +-1, so the angle is compared on the circle
     real = engine._f_rotation
     rotations = []
 
@@ -742,11 +741,12 @@ def test_secondary_stage_psi_is_the_angle_of_det_a(monkeypatch, threshold):
         return rotations[-1]
 
     monkeypatch.setattr(engine, "_f_rotation", spy)
-    for w in _theta_x_inputs(3, 21):
-        rotations.clear()
-        _, _, psi, _ = engine._secondary_stage(w, 3, AxisInvolution(3, "X"))
-        a = rotations[0][0]
-        assert abs(psi - np.angle(np.linalg.det(a)) / len(a)) <= 1e-14
+    for seed in (21, 22):
+        for w in _theta_x_inputs(n, seed):
+            rotations.clear()
+            _, _, psi, _ = engine._secondary_stage(w, n, AxisInvolution(n, "X"))
+            a = rotations[0][0]
+            assert abs(np.exp(1j * psi * len(a)) - np.linalg.det(a)) <= 1e-13
 
 
 def test_an_inaccurate_csd_is_not_reported_as_a_non_unitary_input(monkeypatch):
@@ -1065,10 +1065,142 @@ def test_decompose_full_validates_input():
         decompose_full(np.eye(8), 4)
     with pytest.raises(NotUnitaryError):
         decompose_full(1.01 * np.eye(8), 3)
-    # rejected before any det is taken, so numpy warns of nothing
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NotUnitaryError, match="non-finite"):
-            decompose_full(np.full((8, 8), np.nan), 3)
+    # rejected before any det is taken, so numpy warns of nothing (the
+    # suite turns warnings into errors)
+    with pytest.raises(NotUnitaryError, match="non-finite"):
+        decompose_full(np.full((8, 8), np.nan), 3)
     with pytest.raises(ValueError):
         decompose_full(np.eye(2), 1)
+
+
+def _stage_logs(n, seed):
+    """(label, m0, svd) theta_Z logs of one register: exp of an H_n span
+    element, the same perturbed off the span by eps, and a Haar input."""
+    rng = np.random.default_rng(seed)
+    torus = cartan_torus("H", n)
+    h = random_span_element(rng, tuple(pauli_word(label) for label in torus.labels), 0.15)
+    noise = random_span_element(rng, build_kg_basis(n).m_set)
+    noise /= np.linalg.norm(noise)
+    for eps in (0.0, 1e-14, 1e-10, 1e-8, 1e-4):
+        yield eps, *engine._theta_z_log(expm_skew(h + eps * noise))[::2]
+    yield "haar", *engine._theta_z_log(haar_special_unitary(n, rng))[::2]
+
+
+def _f_blocks(n, seed):
+    """(label, c_hat, values, vecs) F stage inputs on the 2^(n-1) block:
+    an F_n span block, the same perturbed by eps, and a random one."""
+    rng = np.random.default_rng(seed)
+    torus = cartan_torus("F", n)
+    half = 2 ** (n - 1)
+    span = random_span_element(
+        rng, tuple(pauli_word(label) for label in torus.labels), 0.15
+    )[0::2, 0::2]
+    a = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+    noise = a - a.conj().T
+    noise -= np.trace(noise) / half * np.eye(half)
+    noise /= np.linalg.norm(noise)
+    for label, c in [(eps, span + eps * noise) for eps in (0.0, 1e-14, 1e-10, 1e-8, 1e-4)] + [
+        ("haar", 0.5 * noise)
+    ]:
+        values, vecs = np.linalg.eigh(-1j * c)
+        yield label, (vecs * (1j * values)) @ vecs.conj().T, values, vecs
+
+
+def _record_off_span(monkeypatch):
+    real = engine._off_span
+    verdicts = []
+
+    def spy(norm, diagonal):
+        verdicts.append(real(norm, diagonal))
+        return verdicts[-1]
+
+    monkeypatch.setattr(engine, "_off_span", spy)
+    return verdicts
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        if isinstance(x, AlgebraElement):
+            assert np.array_equal(x.matrix, y.matrix)
+            assert x.coords == y.coords and x.residual_norm == y.residual_norm
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y)
+        else:
+            assert x == y
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_pretest_bound_changes_no_bit_of_a_solve(monkeypatch, n):
+    # where the diagonal of x~ rules the in-span shortcut out, the
+    # unrotated figures are skipped; the solve must return bitwise what
+    # it returns with that pretest always taken
+    torus_h, torus_f = cartan_torus("H", n), cartan_torus("F", n)
+    for seed in (1, 2):
+        for label, m0, svd in _stage_logs(n, 80 + 10 * n + seed):
+            verdicts = _record_off_span(monkeypatch)
+            bounded = _minimize_full(m0, torus_h, svd)
+            monkeypatch.setattr(engine, "_off_span", lambda norm, diagonal: False)
+            full = _minimize_full(m0, torus_h, svd)
+            monkeypatch.undo()
+            _assert_same_bits(bounded, full)
+            assert verdicts == [label == "haar"], label
+            if label in (0.0, 1e-14):
+                assert np.array_equal(bounded[0], np.eye(2**n)), label
+        for label, *args in _f_blocks(n, 90 + 10 * n + seed):
+            verdicts = _record_off_span(monkeypatch)
+            bounded = engine._f_rotation(*args, torus_f)
+            monkeypatch.setattr(engine, "_off_span", lambda norm, diagonal: False)
+            full = engine._f_rotation(*args, torus_f)
+            monkeypatch.undo()
+            _assert_same_bits(bounded, full)
+            assert verdicts == [label == "haar"], label
+            if label in (0.0, 1e-14):
+                assert np.array_equal(bounded[0], np.eye(2 ** (n - 1))), label
+
+
+@pytest.mark.parametrize("n, nth, path", [(3, 2, "f1[F3]"), (4, 5, "K1/f0[F3]")])
+def test_payload_drift_is_refused_with_its_stage_path(monkeypatch, n, nth, path):
+    # a drift of 1e-11 in the F rotation of the nth theta_X stage reaches
+    # both payloads, S and T'; it is refused, not re-unitarized
+    real = engine._f_rotation
+    calls = []
+
+    def drifting(*args):
+        calls.append(args)
+        a, *rest = real(*args)
+        return ((1.0 + 1e-11) * a if len(calls) == nth else a, *rest)
+
+    monkeypatch.setattr(engine, "_f_rotation", drifting)
+    g = haar_special_unitary(n, np.random.default_rng(31))
+    with pytest.raises(NotUnitaryError, match="payload drift .* exceeds 1.000e-12") as info:
+        decompose_full(g, n)
+    assert info.value.stage == path
+    assert str(info.value).startswith(f"{path}: payload drift")
+
+
+@pytest.mark.parametrize("n, gaps", [(3, 5), (4, 21)])
+def test_decompose_full_checks_its_input_once(monkeypatch, n, gaps):
+    # validate_special_unitary checks the top-level g once; the level's
+    # theta_Z log does not check it again, nor the blocks below it, which
+    # passed their stage's drift check. Each theta_X stage still checks
+    # its input w and its P (four gaps a level)
+    g = haar_special_unitary(n, np.random.default_rng(32))
+    real = engine._unitarity_gap
+    seen = []
+
+    def spy(u):
+        seen.append(u)
+        return real(u)
+
+    monkeypatch.setattr(engine, "_unitarity_gap", spy)
+    decompose_full(g, n)
+    assert sum(u.shape == g.shape and np.array_equal(u, g) for u in seen) == 1
+    assert len(seen) == gaps
+    # one level called on its own still checks its input
+    seen.clear()
+    decompose_one_level(g, n)
+    assert sum(u.shape == g.shape and np.array_equal(u, g) for u in seen) == 1
+    with pytest.raises(NotUnitaryError) as info:
+        decompose_one_level(1.01 * g, n)
+    assert info.value.stage == f"h[H{n}]"

@@ -195,6 +195,76 @@ def test_product_matches_padded_kron_oracle(n_total):
                               - _padded_oracle(factor, n_total)) < 1e-13
 
 
+def _unfolded_product(tree):
+    # product() before it folded runs of small factors: each block
+    # applied to the whole running product in turn
+    dim = 2**tree.n_total
+    out = np.exp(1j * tree.phase) * np.eye(dim, dtype=complex)
+    for factor in tree.factors:
+        block, first = kgdecomp.factors._block(factor, tree.n_total)
+        grouped = out.reshape(dim, 2**first, len(block), -1)
+        out = np.matmul(block.T, grouped).reshape(dim, dim)
+    return out
+
+
+def _legal_picks(n_total):
+    return (
+        [(FactorKind.SUB_UNITARY, l) for l in range(1, n_total + 2)]
+        + [(FactorKind.LAST_QUBIT, l) for l in range(1, n_total + 1)]
+        + [(FactorKind.CARTAN_EXP, l) for l in range(2, n_total + 1)]
+    )
+
+
+@pytest.mark.parametrize("n_total", [2, 3, 4, 5, 6])
+def test_folded_product_matches_the_unfolded_loop(n_total):
+    # seeded trees of every kind and level, most of them with long runs
+    # of factors below the register; at n <= 3 nothing is folded and the
+    # bits are the loop's own
+    rng = np.random.default_rng(200 + n_total)
+    legal = _legal_picks(n_total)
+    small = [(kind, level) for kind, level in legal
+             if level - (kind is FactorKind.SUB_UNITARY) < n_total]
+    for extra in (legal, small, small):
+        picks = legal + [extra[i] for i in rng.integers(len(extra), size=30)]
+        rng.shuffle(picks)
+        tree = FactorTree(n_total, float(rng.uniform(-np.pi, np.pi)),
+                          tuple(_random_factor(k, l, rng) for k, l in picks))
+        got, want = product(tree), _unfolded_product(tree)
+        if n_total <= 3:
+            assert np.array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) < 1e-13
+    for seed in range(2):
+        g = su(n_total, 300 + seed)
+        tree = kgdecomp.decompose_full(g, n_total)
+        assert np.linalg.norm(product(tree) - _unfolded_product(tree)) < 1e-13
+
+
+@pytest.mark.parametrize("where", [0, 1, 3])
+@pytest.mark.parametrize("bad", [
+    Factor(FactorKind.SUB_UNITARY, level_qubits=3, matrix=np.eye(2, dtype=complex)),
+    Factor(FactorKind.LAST_QUBIT, level_qubits=6),
+    Factor(FactorKind.CARTAN_EXP, level_qubits=3, basis_name="F3", coeffs=(("XXX", 0.1),)),
+])
+def test_a_bad_factor_in_a_folded_run_raises_as_unfolded(where, bad):
+    # a run of three small factors on five qubits, with the bad one at
+    # its start, middle or after it: every factor passes _block first
+    rng = np.random.default_rng(9)
+    good = [_random_factor(FactorKind.SUB_UNITARY, 3, rng),
+            _random_factor(FactorKind.LAST_QUBIT, 2, rng),
+            _random_factor(FactorKind.CARTAN_EXP, 4, rng),
+            _random_factor(FactorKind.CARTAN_EXP, 5, rng)]
+    tree = FactorTree(5, 0.0, tuple(good[:where] + [bad] + good[where:]))
+    with pytest.raises(Exception) as want:
+        _unfolded_product(tree)
+    with pytest.raises(type(want.value)) as got:
+        product(tree)
+    assert str(got.value) == str(want.value)
+    assert type(want.value) in (
+        DimensionMismatchError, LevelExceedsRegisterError, BadLabelError
+    )
+
+
 @pytest.mark.parametrize("kind, level", [
     (FactorKind.SUB_UNITARY, 5),
     (FactorKind.LAST_QUBIT, 4),

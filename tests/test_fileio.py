@@ -297,18 +297,89 @@ def test_writer_edge_cases_write_the_oracle_bytes(name, tree):
 
 
 def test_a_tree_writes_only_its_report_through_dump_json(monkeypatch):
+    # a fresh tree's report fills its cached template, so dump_json is not
+    # called at all; a report with no exact template is the one block that
+    # dump_json still writes
     calls = []
     writer = factors_module.dump_json
     monkeypatch.setattr(factors_module, "dump_json",
                         lambda obj, indent=0: calls.append(obj) or writer(obj, indent))
     tree = _haar_tree()
     serialize(tree)
+    assert calls == []
+    errors = (("K0/K0/K0/K0/f0[F3]", 1e-15),) + tree.report.subspace_errors
+    long_label = dataclasses.replace(tree.report, subspace_errors=errors)
+    serialize(dataclasses.replace(tree, report=long_label))
     assert calls == [{
         "approx_error": tree.report.approx_error,
-        "subspace_errors": [list(pair) for pair in tree.report.subspace_errors],
+        "subspace_errors": [list(pair) for pair in errors],
         "wall_time": tree.report.wall_time,
         "optimizer_stats": [],
     }]
+
+
+def _report_cases():
+    report = _haar_tree().report
+    yield "empty", dataclasses.replace(report, subspace_errors=())
+    for width in (16, 17, 18, 19, 20):
+        for count in (1, 8, 9, 15):
+            for value in (-1.2345678901234567e-300, 0.5, -0.0):
+                errors = tuple(("E" * width, value) for _ in range(count))
+                yield f"errors-{width}x{count}", dataclasses.replace(
+                    report, subspace_errors=errors)
+    for width in (20, 40, 41, 42, 60):
+        for count in (0, 7, 1234567):
+            stats = tuple(("S" * width, count) for _ in range(3))
+            yield f"stats-{width}-{count}", dataclasses.replace(report, optimizer_stats=stats)
+    yield "stats-nine", dataclasses.replace(
+        report, optimizer_stats=tuple((f"s{i}", i) for i in range(9)))
+    yield "stats-bool", dataclasses.replace(report, optimizer_stats=(("h[H3]", True),))
+    yield "stats-odd-label", dataclasses.replace(report, optimizer_stats=((7, 1),))
+    yield "errors-odd-label", dataclasses.replace(
+        report, subspace_errors=((("t",), 1.0), (None, 2.0)))
+    yield "errors-escapes", dataclasses.replace(
+        report, subspace_errors=(("%(x)s", 1.0), ('"\n%', 2.0), ("\u00e9" * 2, 3.0)))
+    yield "errors-escapes-long", dataclasses.replace(
+        report, subspace_errors=(("%(x)s", 1.0), ("\u00e9" * 3, 3.0)))
+    yield "int-approx", dataclasses.replace(report, approx_error=0)
+    yield "int-wall", dataclasses.replace(report, wall_time=3)
+    yield "int-error", dataclasses.replace(report, subspace_errors=(("h[H3]", 1),))
+    yield "numpy-float64", dataclasses.replace(
+        report, approx_error=np.float64(2.5e-15), subspace_errors=(("h[H3]", np.float64(-0.0)),))
+    yield "numpy-floats", dataclasses.replace(
+        report, approx_error=np.float64(2.5e-15), wall_time=np.float32(0.25),
+        subspace_errors=(("h[H3]", np.float64(1e-300)), ("f0[F3]", np.float32(3.5))))
+
+
+@pytest.mark.parametrize("name, report", list(_report_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_report_templates_write_the_dump_json_bytes(name, report):
+    # the report block's template keeps dump_json's one-line rules: a
+    # [label, value] pair only for labels of up to 17 characters, a list
+    # only of up to 8 entries
+    tree = dataclasses.replace(_haar_tree(), report=report)
+    want = dump_json(factors_module._document(tree)) + "\n"
+    assert serialize(tree) == want, name
+    assert serialize(tree) == _oracle_serialize(tree), name
+
+
+@pytest.mark.parametrize("label", ["h[H3]", "K0/K0/K0/K0/f0[F3]", 5])
+def test_a_non_finite_phase_is_named_before_the_report(label):
+    # with or without a report template, the phase precedes the report
+    tree = _haar_tree()
+    report = dataclasses.replace(tree.report, subspace_errors=((label, np.nan),))
+    tree = dataclasses.replace(tree, phase=np.inf, report=report)
+    assert _oracle_error(tree) == "cannot serialize non-finite float inf"
+    with pytest.raises(ValueError, match="non-finite float inf$"):
+        serialize(tree)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_fresh_tree_reports_write_the_dump_json_bytes(n):
+    tree = decompose_full(haar_special_unitary(n, np.random.default_rng([5, n])), n)
+    assert serialize(tree) == dump_json(factors_module._document(tree)) + "\n"
+    # the templates are cached per shape: a second tree reuses them
+    assert serialize(tree) == dump_json(factors_module._document(tree)) + "\n"
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])

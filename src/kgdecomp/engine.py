@@ -64,7 +64,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -100,15 +100,16 @@ from .factors import (
 from .involutions import AxisInvolution
 from .linalg import (
     AlgebraElement,
+    _concatenate,
     _csd,
     _cyclic_phase_mismatch,
     _det,
-    _eigvalsh,
     _identity,
     _norm,
     _schur,
     _svd,
     _unitarity_gap,
+    _vdot,
     _wrapped_phases,
     as_matrix,
     expm_skew,
@@ -169,6 +170,21 @@ class StageResult:
     subspace_error: float
 
 
+class CartanSolve(NamedTuple):
+    """_minimize_full's solution of a theta_Z stage against a torus with
+    basis Q: k1, and h = k1^dag m0 k1 snapped onto the span as
+    Q (i diag(p)) Q^dag, with coordinates coords in torus.labels order
+    and the pre-projection residual residual_norm; subspace_error is the
+    commutation defect of the raw h. h's matrix is built only where it
+    is returned (_cartan_element)."""
+
+    k1: np.ndarray
+    p: np.ndarray
+    coords: Tuple[float, ...]
+    residual_norm: float
+    subspace_error: float
+
+
 class LevelResult(NamedTuple):
     """Factors, phase and labeled diagnostics of one level, or of a whole
     subtree once _recurse has spliced the children in."""
@@ -189,7 +205,7 @@ def _unitarity_defect(g: np.ndarray) -> float:
     """||g g^dag - I||_F, raising NotUnitaryError above 1e-8 or on a
     non-finite entry."""
     # checked first, so that no det of a NaN or inf matrix is taken
-    if not np.all(np.isfinite(g)):
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NotUnitaryError("input has non-finite entries")
     g = as_matrix(g)
     defect = _unitarity_gap(g)
@@ -305,15 +321,15 @@ def _theta_z_log(g: np.ndarray, checked: bool = False):
             f"{_INGEST_TOL:.3e}, and determinant defect {abs(det - 1.0):.3e}"
         )
     _check_det(det)
-    k0 = np.zeros_like(g)
+    k0 = np.zeros(g.shape, dtype=complex)
     k0[0::2, 0::2] = k00
     k0[1::2, 1::2] = k11
     # descending as from _svd: _closed_form_k pairs the j-th value with the
     # torus's j-th column, and _cluster_gauge clusters sorted neighbours
-    order = np.argsort(-theta)
+    order = (-theta).argsort()
     theta, v1, v2h = theta[order], v1h[order].conj().T, v2h[order]
     y = (v1 * -theta) @ v2h
-    m0 = np.zeros_like(g)
+    m0 = np.zeros(g.shape, dtype=complex)
     m0[0::2, 1::2] = y
     m0[1::2, 0::2] = -y.conj().T
     m0 = AlgebraElement(matrix=m0, residual_norm=residual_norm)
@@ -350,7 +366,9 @@ def _theta_x_log(
             f"unitarity defect {p_defect:.3e} exceeds {log_tol:.3e}"
         )
     t, z = _schur(p)
-    phases = np.angle(np.diagonal(t))
+    eig = t.diagonal()
+    # np.angle's own formula
+    phases = np.arctan2(eig.imag, eig.real)
     phases[phases <= _MINUS_ONE_BRANCH - np.pi] = np.pi
     return phases, z, residual_norm
 
@@ -388,12 +406,12 @@ def _stage_figures(xt: np.ndarray, torus: CartanTorus, block: bool = False):
         signs, mu, weights = torus.block_figures
     else:
         signs, mu, weights = torus.signs, torus.mu, torus.figure_weights
-    d = np.diagonal(xt)
+    d = xt.diagonal()
     c = (2.0 / len(xt)) * (signs @ d.imag)
     p = 0.5 * (c @ signs)
     gap2, es2, off2, total2 = (weights @ (xt * xt.conj()).real.ravel()).tolist()
     on_diagonal = d - 1j * p
-    residual_norm = math.sqrt(off2 + np.vdot(on_diagonal, on_diagonal).real)
+    residual_norm = math.sqrt(off2 + _vdot(on_diagonal, on_diagonal).real)
     rel = math.sqrt(gap2 / total2) / math.sqrt(mu @ mu) if total2 > 0.0 else 0.0
     es = math.sqrt(es2) / len(torus.labels)
     if block:
@@ -408,7 +426,7 @@ def _off_span(norm: float, diagonal: np.ndarray) -> bool:
     norm2 = norm * norm
     return (
         norm > DEFAULT_TOLS.structure
-        and norm2 - np.vdot(diagonal, diagonal).real > _OFF_SPAN_SHARE * norm2
+        and norm2 - _vdot(diagonal, diagonal).real > _OFF_SPAN_SHARE * norm2
     )
 
 
@@ -422,7 +440,8 @@ def _phases_match(p: np.ndarray, spectrum: np.ndarray) -> bool:
     alignment, and the decision is the same either way.
     """
     a, b = _wrapped_phases(p), spectrum
-    if np.abs((a - b + np.pi) % (2 * np.pi) - np.pi).max() <= _SPECTRUM_TOL:
+    gaps = np.abs((a - b + np.pi) % (2 * np.pi) - np.pi)
+    if np.maximum.reduce(gaps) <= _SPECTRUM_TOL:
         return True
     return _cyclic_phase_mismatch(a, b) <= _SPECTRUM_TOL
 
@@ -435,20 +454,25 @@ def _cluster_gauge(overlap: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     On a cluster of one value, the only kind a generic stage has, that
     polar factor of the 1 x 1 overlap o is conj(o) / |o|, or 1 where
-    o = 0: the whole diagonal is set so in one array operation, and only
-    clusters of two or more values take an SVD, which overwrites their
-    blocks.
+    o = 0: the whole diagonal is set so by one masked division. One
+    comparison of the gaps between sorted neighbours tells whether any
+    cluster holds two or more values; only then are the clusters cut
+    out, and each such cluster takes an SVD, which overwrites its block.
     """
-    o = np.diagonal(overlap)
-    rotation = np.diag(
-        np.divide(o.conj(), np.abs(o), out=np.ones_like(o), where=o != 0)
-    )
+    o = overlap.diagonal()
+    size = len(o)
+    diagonal = np.empty(size, dtype=complex)
+    diagonal.fill(1.0)
+    np.divide(o.conj(), np.abs(o), out=diagonal, where=o != 0)
+    rotation = np.zeros((size, size), dtype=complex)
+    rotation.flat[:: size + 1] = diagonal
     # relative, so that a stage input of any norm keeps its distinct
     # values apart; a zero stage input never gets here
-    tol = _CLUSTER_TOL * np.abs(values).max()
-    cuts = np.flatnonzero(np.abs(values[1:] - values[:-1]) > tol) + 1
-    # fewer cuts than gaps: some cluster holds two or more values
-    if len(cuts) < len(values) - 1:
+    tol = _CLUSTER_TOL * np.maximum.reduce(np.abs(values))
+    apart = np.abs(values[1:] - values[:-1]) > tol
+    # a gap within tol: some cluster holds two or more values
+    if not np.logical_and.reduce(apart):
+        cuts = np.flatnonzero(apart) + 1
         bounds = np.concatenate(([0], cuts, [len(values)]))
         for start, stop in zip(bounds[:-1], bounds[1:]):
             if stop - start > 1:
@@ -457,15 +481,13 @@ def _cluster_gauge(overlap: np.ndarray, values: np.ndarray) -> np.ndarray:
     return rotation
 
 
-def _closed_form_k(
-    m0_mat: np.ndarray, torus: CartanTorus, svd=None
-) -> np.ndarray:
+def _closed_form_k(m0_mat: np.ndarray, torus: CartanTorus, svd) -> np.ndarray:
     """The K = diag(A, B) in SU(2^n) that conjugates m0 into the span of
     the torus's H_n set (the theta_Z stage; the F_n stage is _f_rotation).
 
     With U = torus.u the joint eigenbasis of W, m0 is [[0, Y], [-Y^dag, 0]]
     in the last-qubit block view; the SVD -i Y = V1 S V2^dag, given as
-    svd = (V1, S, V2^dag) with S descending or else taken here, gives
+    svd = (V1, S, V2^dag) with S descending, gives
     A = V1 U^dag, B = V2 U^dag, and A^dag Y B = i U S U^dag. Within each
     cluster of equal singular values the columns of V1 and V2 are free
     up to one common unitary R; R is _cluster_gauge's polar factor of
@@ -476,7 +498,7 @@ def _closed_form_k(
     _minimize_full reads the stage off that one rotation.
     """
     u = torus.u
-    v1, values, v2h = _svd(-1j * m0_mat[0::2, 1::2]) if svd is None else svd
+    v1, values, v2h = svd
     v2 = v2h.conj().T
     u_dag = u.conj().T
     rotation = _cluster_gauge(u_dag @ (v1 + v2), values)
@@ -489,35 +511,29 @@ def _closed_form_k(
     return k
 
 
-def _minimize_full(
-    m0, torus: CartanTorus, svd=None
-) -> Tuple[np.ndarray, AlgebraElement, float]:
+def _minimize_full(m0, torus: CartanTorus, svd) -> CartanSolve:
     """Conjugates m0 into the Cartan span over the stage's subgroup exp(k).
 
     The theta_Z stage's solve, against the H_n torus. K1 is
-    _closed_form_k's, from the SVD svd of m0's off-diagonal block that
-    the stage's CSD gives (_theta_z_log), or I when m0 already lies
-    within 1e-12 ||m0|| of the span (that shortcut and the zero case
-    below hold for any torus), a pretest skipped where the diagonal of
-    Q^dag m0 Q rules it out (_off_span). Everything else is read off one rotation
-    x~ = P^dag m0 P with P = K1 Q, where Q is the basis of the torus
-    (basis.cartan_torus) in which every Cartan word is diagonal: the
-    coordinates, the off-span residual, the relative commutator
+    _closed_form_k's, from the SVD svd = (V1, S, V2^dag) of -i times
+    m0's off-diagonal block Y = m0[0::2, 1::2], S descending, that the
+    stage's CSD gives (_theta_z_log), or I when m0 already lies within
+    1e-12 ||m0|| of the span, a pretest skipped where the diagonal of
+    Q^dag m0 Q rules it out (_off_span). Everything else is read off one
+    rotation x~ = P^dag m0 P with P = K1 Q, where Q is the basis of the
+    torus (basis.cartan_torus) in which every Cartan word is diagonal:
+    the coordinates, the off-span residual, the relative commutator
     ||[v, h]|| / (||v|| ||h||) and E_s, all from one weighted sum
-    (_stage_figures), and h = Q (i diag(p)) Q^dag. The solution is
-    checked once: the relative commutator must be at most CARTAN_TOL,
+    (_stage_figures), and p with h = Q (i diag(p)) Q^dag. The solution
+    is checked once: the relative commutator must be at most CARTAN_TOL,
     the residual at most SUBSPACE_TOL, and exp(h) must share the
     eigenphases of exp(m0) within 1e-8 (h is only determined up to its
     Weyl orbit). Those of exp(h) are p wrapped into (-pi, pi], those of
-    exp(m0) the wrapped spectrum of -i m0, compared over cyclic
-    alignments (_phases_match); no exponential is built. That spectrum
-    is +-S from svd, or an eigvalsh of -i m0 when svd is None. An m0 of norm at most
-    Tolerances.structure counts as zero: K1 = I, h = 0.
+    exp(m0) are +-S, compared over cyclic alignments (_phases_match); no
+    exponential is built. An m0 of norm at most Tolerances.structure
+    counts as zero: K1 = I, h = 0, whatever svd holds.
 
-    Returns (k1, h, subspace_error): h = k1^dag m0 k1 snapped onto the
-    span, with the pre-projection residual on h.residual_norm and
-    h.coords in torus.labels order; subspace_error is the
-    commutation defect of the raw h.
+    Returns the CartanSolve of k1 and h; h's matrix is not built.
 
     Raises:
         OptimizerFailedError: the solution fails a bound; its (k1, h)
@@ -528,15 +544,11 @@ def _minimize_full(
     norm_m0 = _norm(m0_mat)
     left = torus.q_dag @ m0_mat
     figures = None
-    if not _off_span(norm_m0, (left * q.T).sum(axis=1)):
+    if not _off_span(norm_m0, np.add.reduce(left * q.T, axis=1)):
         figures = _stage_figures(left @ q, torus)
         if norm_m0 <= DEFAULT_TOLS.structure:
-            zero = AlgebraElement(
-                matrix=np.zeros_like(m0_mat),
-                coords=(0.0,) * len(torus.labels),
-                residual_norm=norm_m0,
-            )
-            return np.eye(len(m0_mat), dtype=complex), zero, figures[4]
+            k1, p = np.eye(len(m0_mat), dtype=complex), np.zeros(len(q))
+            return CartanSolve(k1, p, (0.0,) * len(torus.labels), norm_m0, figures[4])
     if figures is None or figures[2] > _IN_SPAN_TOL * norm_m0:
         k1 = _closed_form_k(m0_mat, torus, svd)
         frame = k1 @ q
@@ -544,22 +556,25 @@ def _minimize_full(
     else:
         k1 = np.eye(len(m0_mat), dtype=complex)
     c, p, residual_norm, rel, es = figures
-    h = AlgebraElement(
-        matrix=(q * (1j * p)) @ torus.q_dag,
-        coords=tuple(c.tolist()),
-        residual_norm=residual_norm,
-    )
-    if svd is None:
-        spectrum = _wrapped_phases(_eigvalsh(-1j * m0_mat))
-    else:
-        # the CS angles lie in [0, pi/2], descending
-        spectrum = np.concatenate((-svd[1], svd[1][::-1]))
+    # the CS angles lie in [0, pi/2], descending
+    spectrum = _concatenate((-svd[1], svd[1][::-1]))
+    solve = CartanSolve(k1, p, tuple(c.tolist()), residual_norm, es)
     if rel <= CARTAN_TOL and residual_norm <= SUBSPACE_TOL and _phases_match(p, spectrum):
-        return k1, h, es
+        return solve
     raise OptimizerFailedError(
         f"closed-form solve left relative commutator {rel:.3e} "
         f"(bound {CARTAN_TOL:.1e}), projection residual {residual_norm:.3e}",
-        best=(k1, h),
+        best=(k1, _cartan_element(solve, torus)),
+    )
+
+
+def _cartan_element(solve: CartanSolve, torus: CartanTorus) -> AlgebraElement:
+    """The solve's h = Q (i diag(p)) Q^dag in the torus basis Q, with its
+    coordinates and pre-projection residual."""
+    return AlgebraElement(
+        matrix=(torus.q * (1j * solve.p)) @ torus.q_dag,
+        coords=solve.coords,
+        residual_norm=solve.residual_norm,
     )
 
 
@@ -591,17 +606,20 @@ def khk_stage(
         raise DimensionMismatchError(
             f"expected shape {(inv.dim, inv.dim)}, got {g.shape}"
         )
-    return _theta_z_stage(g, torus)
+    k0, solve = _theta_z_stage(g, torus)
+    h = _cartan_element(solve, torus)
+    return StageResult(k0, solve.k1, h, solve.subspace_error)
 
 
 def _theta_z_stage(
     g: np.ndarray, torus: CartanTorus, checked: bool = False
-) -> StageResult:
+) -> Tuple[np.ndarray, CartanSolve]:
     """The theta_Z stage G = k0 k1 exp(h) k1^dag against the H_n torus:
     one CSD of g's last-qubit blocks (_theta_z_log) gives m0, k0 and the
-    SVD that _minimize_full's closed form takes."""
+    SVD that _minimize_full's closed form takes. Returns k0 and
+    _minimize_full's solve."""
     m0, k0, svd = _theta_z_log(g, checked)
-    return StageResult(k0, *_minimize_full(m0, torus, svd))
+    return k0, _minimize_full(m0, torus, svd)
 
 
 def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
@@ -785,10 +803,10 @@ def _secondary_stage(
     phases, vecs, _ = _theta_x_log(w, inv_x)
     # ascending as from eigh: _f_rotation pairs the j-th value with the
     # torus's j-th column, and _cluster_gauge clusters sorted neighbours
-    order = np.argsort(phases)
+    order = phases.argsort()
     phases, vecs = phases[order], vecs[:, order]
     half = len(vecs)
-    alpha = float(np.sum(phases)) / half
+    alpha = float(np.add.reduce(phases)) / half
     values = 0.5 * (phases - alpha)
     c_hat = (vecs * (1j * values)) @ vecs.conj().T
     turn = np.exp(-0.5j * phases)
@@ -852,18 +870,18 @@ def decompose_one_level(g: np.ndarray, n: int, checked: bool = False) -> LevelRe
 
     labels = (f"f0[F{n}]", f"h[H{n}]", f"f1[F{n}]")
 
-    stage = _run_stage(labels[1], _theta_z_stage, g, h_torus, checked)
+    k0, solve = _run_stage(labels[1], _theta_z_stage, g, h_torus, checked)
     left, phi0, psi1, es0 = _run_stage(
-        labels[0], _secondary_stage, stage.k0 @ stage.k1, n, inv_x
+        labels[0], _secondary_stage, k0 @ solve.k1, n, inv_x
     )
     right, phi2, psi2, es1 = _run_stage(
-        labels[2], _secondary_stage, stage.k1.conj().T, n, inv_x
+        labels[2], _secondary_stage, solve.k1.conj().T, n, inv_x
     )
 
-    h = _cartan_factor(stage.h.coords, stage.h.residual_norm, h_torus)
+    h = _cartan_factor(solve.coords, solve.residual_norm, h_torus)
     factors = left + (h,) + right
     phase = phi0 + phi2 - psi1 - psi2
-    subspace_errors = tuple(zip(labels, (es0, stage.subspace_error, es1)))
+    subspace_errors = tuple(zip(labels, (es0, solve.subspace_error, es1)))
     return LevelResult(factors, float(phase), subspace_errors)
 
 
@@ -932,8 +950,8 @@ def decompose_full(
     start = time.perf_counter()
     result = _recurse(g, n, "")
 
-    tree = FactorTree(n_total=n, phase=float(result.phase), factors=result.factors)
-    approx = _norm(g - product(tree))
+    phase = float(result.phase)
+    approx = _norm(g - product(FactorTree(n, phase, result.factors)))
     bound = tols.reconstruct_bound(n)
     if approx > bound:
         raise ReconstructionError(
@@ -944,4 +962,4 @@ def decompose_full(
         subspace_errors=result.subspace_errors,
         wall_time=time.perf_counter() - start,
     )
-    return replace(tree, report=report)
+    return FactorTree(n, phase, result.factors, report)

@@ -37,7 +37,7 @@ from .fileio import (
 )
 # expm_skew is unused here since CartanExp blocks come from the torus;
 # perfbench/spans.py still patches it at this name
-from .linalg import expm_skew, su_defects
+from .linalg import _concatenate, _identity, expm_skew, su_defects
 
 __all__ = [
     "FactorKind",
@@ -186,11 +186,12 @@ def _block(factor: Factor, n_total: int) -> Tuple[np.ndarray, int]:
         size, first = 2 ** (level - 1), 0
     else:
         size, first = 2, level - 1
+    shape = np.asarray(factor.matrix).shape
     # a payload of another size would still reshape, onto the wrong qubits
-    if np.shape(factor.matrix) != (size, size):
+    if shape != (size, size):
         raise DimensionMismatchError(
             f"{factor.kind.value} at level {level} needs a {size}x{size} payload,"
-            f" got shape {np.shape(factor.matrix)}"
+            f" got shape {shape}"
         )
     return factor.matrix, first
 
@@ -238,7 +239,7 @@ def product(tree: FactorTree) -> np.ndarray:
     # at n <= 3 a run holds 4 x 4 blocks at most, and folding gains nothing
     if n > 3:
         blocks = _fused(blocks, dim)
-    return _apply(np.exp(1j * tree.phase) * np.eye(dim, dtype=complex), blocks)
+    return _apply(np.exp(1j * tree.phase) * _identity(dim), blocks)
 
 
 def _apply(out: np.ndarray, blocks) -> np.ndarray:
@@ -261,7 +262,7 @@ def _fused(blocks: list, dim: int) -> list:
         run = list(run)
         if small and len(run) > 1:
             size = max([len(block) << first for block, first in run])
-            fused.append((_apply(np.eye(size, dtype=complex), _fused(run, size)), 0))
+            fused.append((_apply(_identity(size), _fused(run, size)), 0))
         else:
             fused.extend(run)
     return fused
@@ -323,12 +324,13 @@ def _record_template(kind: str, level: int, fields) -> str:
 
 
 @lru_cache(maxsize=64, typed=True)
-def _payload_template(kind: str, level, pairs: int) -> Optional[str]:
-    """The %-template of a payload record with `pairs` entries, or None
-    where level is not an int."""
+def _payload_template(kind: FactorKind, level, pairs: int) -> Optional[str]:
+    """The %-template of a payload record of this kind with `pairs`
+    entries, or None where level is not an int."""
     if type(level) is not int:
         return None
-    return _record_template(kind, level, [("entries", pair_list_template(pairs, 3))])
+    entries = pair_list_template(pairs, 3)
+    return _record_template(kind.value, level, [("entries", entries)])
 
 
 def _float_pairs(labels: tuple) -> Optional[list]:
@@ -446,11 +448,10 @@ def serialize(tree: FactorTree) -> str:
             except TypeError:  # an unhashable basis or label
                 template = None
         else:
-            kind = factor.kind.value
             matrix = np.asarray(factor.matrix, dtype=complex)
             values = matrix.ravel().view(float)
             template = (
-                _payload_template(kind, factor.level_qubits, matrix.size)
+                _payload_template(factor.kind, factor.level_qubits, matrix.size)
                 if matrix.ndim == 2
                 else None
             )
@@ -460,8 +461,8 @@ def serialize(tree: FactorTree) -> str:
         chunks.append(values)
     report_text, report_values = _report_parts(tree.report)
     n_total = tree.n_total
-    flat = np.concatenate([[float(tree.phase)], report_values, *chunks])
-    if type(n_total) is not int or not np.isfinite(flat).all():
+    flat = _concatenate([[float(tree.phase)], report_values, *chunks])
+    if type(n_total) is not int or not np.logical_and.reduce(np.isfinite(flat)):
         return dump_json(_document(tree)) + "\n"
     if report_text is None:
         report_text = dump_json(_report_document(tree.report), 1).replace("%", "%%")

@@ -6,11 +6,12 @@ unitaries, projections onto spans of distinct Pauli words of one length
 matrices. Everything here is a pure function; matrices are complex128.
 
 The small dense decompositions that the stages take on one matrix at a
-time (_eigh, _eigvalsh, _svd, _schur, _det, and _csd on the four blocks
-of one matrix) call their LAPACK routines directly, without numpy's or
-scipy's per-call argument handling and workspace queries; _norm is the
-Frobenius norm of any array. Only the stacked exponential expm_skew_many
-keeps numpy's batched eigh. _newton_polish, the Newton step that the
+time (_eigh, _svd, _schur, _det, and _csd on the four blocks of one
+matrix) call their LAPACK routines directly, without numpy's or scipy's
+per-call argument handling and workspace queries, and so does _eigvalsh,
+which no stage takes any more; _norm is the Frobenius norm of any array,
+from numpy's C vdot. Only the stacked exponential expm_skew_many keeps
+numpy's batched eigh. _newton_polish, the Newton step that the
 closed-form stages replaced, is kept only as a benchmark span target.
 """
 
@@ -53,6 +54,14 @@ _ZGESDD = scipy.linalg.lapack.zgesdd
 _ZGEES = scipy.linalg.lapack.zgees
 _ZGETRF = scipy.linalg.lapack.zgetrf
 _ZUNCSD = scipy.linalg.lapack.zuncsd
+
+# numpy's C vdot and concatenate, without the Python-level dispatcher
+# that np.vdot and np.concatenate run on every call. __wrapped__ is how
+# numpy 2.x exposes them, not a documented API; without it the public
+# names keep every result the same, and
+# test_vdot_and_concatenate_skip_numpy_dispatchers fails
+_vdot = getattr(np.vdot, "__wrapped__", np.vdot)
+_concatenate = getattr(np.concatenate, "__wrapped__", np.concatenate)
 
 
 def _no_select(_value):
@@ -148,7 +157,7 @@ def _det(a: np.ndarray) -> complex:
 
 def _norm(x: np.ndarray) -> float:
     """The Frobenius (or, for a vector, Euclidean) norm of x."""
-    return math.sqrt(np.vdot(x, x).real)
+    return math.sqrt(_vdot(x, x).real)
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +170,7 @@ def _identity(dim: int) -> np.ndarray:
 
 def _unitarity_gap(u: np.ndarray) -> float:
     """||u u^dag - I||_F of a square u."""
-    return _norm(np.dot(u, u.conj().T) - _identity(len(u)))
+    return _norm(u.dot(u.conj().T) - _identity(len(u)))
 
 
 @dataclass(frozen=True)
@@ -366,7 +375,11 @@ def _cyclic_phase_mismatch(p1: np.ndarray, p2: np.ndarray) -> float:
 
 def _wrapped_phases(lam: np.ndarray) -> np.ndarray:
     """The real angles lam wrapped into (-pi, pi] by angle(exp(i lam)), sorted."""
-    return np.sort(np.angle(np.exp(1j * lam)))
+    z = np.exp(1j * lam)
+    # np.angle's own formula
+    phases = np.arctan2(z.imag, z.real)
+    phases.sort()
+    return phases
 
 
 def eigenphase_mismatch(u1: np.ndarray, u2: np.ndarray) -> float:

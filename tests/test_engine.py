@@ -3,7 +3,10 @@ oracles, the Newton step kept for the benchmark's spans,
 construct-then-recover properties, extraction patterns, and the full
 recursion on registers of up to seven qubits."""
 
+import dataclasses
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from kgdecomp import (
     pauli_word,
     product,
     residual_k,
+    serialize,
 )
 from kgdecomp import basis as basis_module
 from kgdecomp.basis import binary_weights, cartan_torus, word_stack
@@ -54,6 +58,18 @@ def random_span_element(rng, words, scale=0.3):
 
 def random_k_unitary(rng, kg, scale=0.4):
     return expm_skew(random_span_element(rng, kg.k_set, scale))
+
+
+def _off_diagonal_svd(m0_mat):
+    """The SVD of -i m0[0::2, 1::2], the one _minimize_full takes."""
+    return linalg._svd(-1j * m0_mat[0::2, 1::2])
+
+
+def _solve(m0, torus):
+    """(k1, h, subspace_error) of _minimize_full on m0, given the SVD of
+    its off-diagonal block, with h built as khk_stage builds it."""
+    solve = _minimize_full(m0, torus, _off_diagonal_svd(as_matrix(m0)))
+    return solve.k1, engine._cartan_element(solve, torus), solve.subspace_error
 
 
 def test_newton_step_solves_the_residual_jacobian(monkeypatch):
@@ -178,7 +194,7 @@ def test_minimize_to_cartan_recovers_spectrum():
         k_prime = random_k_unitary(rng, kg)
         m0_mat = k_prime @ h_true @ k_prime.conj().T
         m0 = AlgebraElement(matrix=m0_mat)
-        k1, h, _ = _minimize_full(m0, cartan_torus("H", 3))
+        k1, h, _ = _solve(m0, cartan_torus("H", 3))
         assert h.residual_norm < 1e-10
         assert eigenphase_mismatch(expm_skew(h.matrix), expm_skew(h_true)) < 1e-8
         conj = k1.conj().T @ m0_mat @ k1
@@ -187,7 +203,7 @@ def test_minimize_to_cartan_recovers_spectrum():
 
 def test_minimize_to_cartan_zero_input_short_circuits():
     m0 = AlgebraElement(matrix=np.zeros((8, 8), dtype=complex))
-    k1, h, _ = _minimize_full(m0, cartan_torus("H", 3))
+    k1, h, _ = _solve(m0, cartan_torus("H", 3))
     assert np.array_equal(k1, np.eye(8))
     assert np.linalg.norm(h.matrix) == 0.0
 
@@ -200,7 +216,7 @@ def test_minimize_to_cartan_rounding_level_input_counts_as_zero():
     kg = build_kg_basis(3)
     m0 = random_span_element(rng, kg.k1_set)
     m0 = AlgebraElement(matrix=1e-11 * m0 / np.linalg.norm(m0))
-    k1, h, _ = _minimize_full(m0, cartan_torus("F", 3))
+    k1, h, _ = _solve(m0, cartan_torus("F", 3))
     assert np.array_equal(k1, np.eye(8))
     assert np.linalg.norm(h.matrix) == 0.0
 
@@ -210,7 +226,7 @@ def test_minimize_to_cartan_failure_carries_best():
     # theta_Z-odd span of H_3: the projection residual stays ||m0||
     m0 = AlgebraElement(matrix=0.7 * pauli_word("XXI").matrix)
     with pytest.raises(OptimizerFailedError) as info:
-        _minimize_full(m0, cartan_torus("H", 3))
+        _solve(m0, cartan_torus("H", 3))
     best_k1, best_h = info.value.best
     assert best_k1.shape == (8, 8)
     assert isinstance(best_h, AlgebraElement)
@@ -223,14 +239,22 @@ def test_minimize_to_cartan_failure_carries_best():
 @pytest.mark.parametrize("family", ["h", "f"])
 def test_minimize_to_cartan_keeps_an_in_span_input(family):
     # an m0 already in the span needs no rotation: K1 = I exactly, and h
-    # carries m0's own coordinates
+    # carries m0's own coordinates. The F set's solve is _f_rotation, on
+    # the block C^ of m0 = diag(C^, -C^), whose rotation is A (x) I
     rng = np.random.default_rng(19)
     torus = cartan_torus(family.upper(), 4)
     coords = rng.uniform(-0.5, 0.5, len(torus.labels))
     m0 = sum(c * pauli_word(label).matrix for c, label in zip(coords, torus.labels))
-    k1, h, _ = _minimize_full(AlgebraElement(matrix=m0), torus)
-    assert np.array_equal(k1, np.eye(16))
-    assert np.allclose(h.coords, coords, rtol=0.0, atol=1e-14)
+    if family == "h":
+        k1, h, _ = _solve(AlgebraElement(matrix=m0), torus)
+        assert np.array_equal(k1, np.eye(16))
+        assert np.allclose(h.coords, coords, rtol=0.0, atol=1e-14)
+    else:
+        c_hat = m0[0::2, 0::2]
+        values, vecs = np.linalg.eigh(-1j * c_hat)
+        a, got, *_ = engine._f_rotation(c_hat, values, vecs, torus)
+        assert np.array_equal(a, np.eye(8))
+        assert np.allclose(got, coords, rtol=0.0, atol=1e-14)
 
 
 def test_minimize_to_cartan_gauge_keeps_a_degenerate_rotation_small():
@@ -240,7 +264,7 @@ def test_minimize_to_cartan_gauge_keeps_a_degenerate_rotation_small():
     # K1 = I (x) diag(e^{i beta}, e^{-i beta}), as the A (x) B inputs of
     # tests/structured_sweep.py need for their identity factors
     m0 = 0.4 * pauli_word("IIX").matrix + 0.3 * pauli_word("IIY").matrix
-    k1, h, _ = _minimize_full(AlgebraElement(matrix=m0), cartan_torus("H", 3))
+    k1, h, _ = _solve(AlgebraElement(matrix=m0), cartan_torus("H", 3))
     top, bottom = np.diag(k1)[0::2], np.diag(k1)[1::2]
     assert np.linalg.norm(k1 - np.diag(np.diag(k1))) < 1e-14
     assert np.ptp(top) < 1e-14 and np.ptp(bottom) < 1e-14
@@ -326,7 +350,94 @@ def test_closed_form_singleton_gauge_matches_cluster_svds(monkeypatch, n):
     assert {int(torus.name[1:]) for _, torus in stages} == set(range(3, n + 1))
     for m0_mat, torus in stages:
         want = _closed_form_k_by_cluster_svds(m0_mat, torus)
-        assert np.max(np.abs(engine._closed_form_k(m0_mat, torus) - want)) <= 1e-13
+        got = engine._closed_form_k(m0_mat, torus, _off_diagonal_svd(m0_mat))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def _cluster_gauge_oracle(overlap, values):
+    # _cluster_gauge as it was first written, through np.diag, np.divide
+    # with a mask on every call, and flatnonzero on every call
+    o = np.diagonal(overlap)
+    rotation = np.diag(
+        np.divide(o.conj(), np.abs(o), out=np.ones_like(o), where=o != 0)
+    )
+    tol = engine._CLUSTER_TOL * np.abs(values).max()
+    cuts = np.flatnonzero(np.abs(values[1:] - values[:-1]) > tol) + 1
+    if len(cuts) < len(values) - 1:
+        bounds = np.concatenate(([0], cuts, [len(values)]))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if stop - start > 1:
+                w, _, zh = linalg._svd(overlap[start:stop, start:stop])
+                rotation[start:stop, start:stop] = zh.conj().T @ w.conj().T
+    return rotation
+
+
+def _gauge_cases():
+    """(name, overlap, values): seeded overlaps with distinct values in
+    both sort orders, an overlap with a zero diagonal entry, a two-value
+    cluster and an all-equal cluster."""
+    rng = np.random.default_rng(23)
+    for size in (4, 8, 16):
+        for seed in range(3):
+            shape = (size, size)
+            overlap = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            values = np.sort(rng.uniform(-1.5, 1.5, size))
+            yield f"seeded{size}-{seed}-ascending", overlap, values
+            yield f"seeded{size}-{seed}-descending", overlap, values[::-1].copy()
+    overlap = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    values = np.sort(rng.uniform(0.0, 1.5, 8))
+    for zero in (0, 3, 7):
+        hole = overlap.copy()
+        hole[zero, zero] = 0.0
+        yield f"zero-diagonal-{zero}", hole, values
+    pair = np.array([0.1, 0.4, 0.4 * (1.0 + 1e-12), 0.9, 1.1, 1.2, 1.3, 1.4])
+    yield "two-value-cluster", overlap, pair
+    yield "two-value-cluster-descending", overlap, pair[::-1].copy()
+    pair_hole = overlap.copy()
+    pair_hole[2, 2] = 0.0
+    yield "two-value-cluster-zero-diagonal", pair_hole, pair
+    yield "all-equal", overlap, np.full(8, 0.6)
+    yield "all-zero", overlap, np.zeros(8)
+
+
+def test_cluster_gauge_matches_its_first_form_bit_for_bit():
+    for name, overlap, values in _gauge_cases():
+        got = engine._cluster_gauge(overlap, values)
+        want = _cluster_gauge_oracle(overlap, values)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_a_haar_level_calls_no_python_level_numpy_function():
+    # a Haar SU(8) solve and its document reach numpy through ndarray
+    # methods, ufuncs and C functions only: no numpy function written in
+    # Python (np.diagonal, np.angle, np.sort, the .all() and .max() of
+    # numpy/_core/_methods.py, the dispatchers of np.vdot, ...) and no
+    # dataclasses.replace. Which numpy calls run Python is numpy's own
+    # layout, pinned here as of numpy 2.4: a numpy that moves a ufunc
+    # method or np.asarray into Python fails this test with the same
+    # results
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    replace_code = dataclasses.replace.__code__
+    for family in ("H", "F"):
+        cartan_torus(family, 3)
+    serialize(decompose_full(haar_special_unitary(3, np.random.default_rng(40)), 3))
+    inputs = [haar_special_unitary(3, np.random.default_rng(41 + i)) for i in range(3)]
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(numpy_dir) or code is replace_code:
+                calls.append(f"{code.co_filename}:{code.co_name}")
+
+    sys.setprofile(hook)
+    try:
+        for g in inputs:
+            serialize(decompose_full(g, 3))
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 def test_newton_polish_evaluates_its_last_step():
@@ -408,8 +519,8 @@ def test_secondary_stage_reconstructs_its_input():
 def _theta_x_inputs(n, seed):
     """The two theta_X stage inputs of one level on Haar SU(2^n)."""
     g = haar_special_unitary(n, np.random.default_rng(seed))
-    stage = engine._theta_z_stage(g, cartan_torus("H", n))
-    return stage.k0 @ stage.k1, stage.k1.conj().T
+    k0, solve = engine._theta_z_stage(g, cartan_torus("H", n))
+    return k0 @ solve.k1, solve.k1.conj().T
 
 
 def _spy_kernels(monkeypatch):

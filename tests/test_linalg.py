@@ -279,6 +279,17 @@ def test_det_and_norm_kernels_match_numpy(dim):
     assert linalg._det(np.zeros((dim, dim), dtype=complex)) == 0.0
 
 
+def test_vdot_and_concatenate_skip_numpy_dispatchers():
+    # _vdot and _concatenate are the C functions under numpy's
+    # array-function dispatchers, read off their __wrapped__ attribute;
+    # a numpy that drops it leaves the public names, and fails here
+    assert linalg._vdot is not np.vdot
+    assert linalg._concatenate is not np.concatenate
+    x = np.arange(6.0) + 1j
+    assert linalg._vdot(x, x) == np.vdot(x, x)
+    assert np.array_equal(linalg._concatenate((x, x[::-1])), np.concatenate((x, x[::-1])))
+
+
 def _det_oracle(a):
     """_det as numpy's product of U's diagonal, with the pivot parity
     counted from enumerate."""

@@ -357,8 +357,8 @@ class CartanTorus:
         es_weights: C_ab = sum_w (signs_wa - signs_wb)^2 / 4, so that
             sum_w ||[word, x]||_F^2 = sum_ab C_ab |(q^dag x q)_ab|^2.
 
-    The read-only q_dag, figure_weights and block_figures are built on
-    first use and kept.
+    The read-only q_dag, u_dag, figure_weights and block_figures are
+    built on first use and kept.
     """
 
     name: str
@@ -375,6 +375,11 @@ class CartanTorus:
     def q_dag(self) -> np.ndarray:
         """q^dag."""
         return _read_only(self.q.conj().T)
+
+    @cached_property
+    def u_dag(self) -> Optional[np.ndarray]:
+        """u^dag, or None where u is."""
+        return None if self.u is None else _read_only(self.u.conj().T)
 
     @cached_property
     def figure_weights(self) -> np.ndarray:

@@ -22,11 +22,18 @@ No 2^n matrix is decomposed or exponentiated in a level. In the
 last-qubit block view (rows and columns 0::2 and 1::2) the theta_Z stage
 is one cosine-sine decomposition G = diag(U1, U2) [[C, -S], [S, C]]
 diag(V1, V2)^dag (Sutton, Numer. Algorithms 50:33, 2009), which gives
-m0, K00 and the SVD of m0's off-diagonal block (_theta_z_log). The
-theta_X stage's input w is fixed by theta_Z, so it is diag(W0, W1), and
-theta_X(w^dag) w = diag(P, P^dag) with P = W1^dag W0: one Schur form of
-P gives the log, the cofactor k = w e^(-m), the central I..IZ phase and
-the F_n rotation (_secondary_stage).
+m0, the SVD of m0's off-diagonal block and K00 = diag(U1 V1^dag,
+U2 V2^dag) as its two blocks (_theta_z_log). Every K-type factor of a
+level is such a multiplexor diag(B0, B1), and the level keeps it as its
+two 2^(n-1) blocks and their determinant (BlockPair): with
+K01 = diag(A, B), each theta_X stage is handed (W0, W1) =
+(U1 V1^dag A, U2 V2^dag B) or (A^dag, B^dag) and never forms
+theta_X(w^dag) w at 2^n, since that is diag(P, P^dag) with
+P = W1^dag W0. One Schur form of P gives the log, the cofactor
+k = w e^(-m), the central I..IZ phase and the F_n rotation
+(_secondary_stage). The stage checks its blocks' unitarity and its P,
+and checks the determinant the level carries from the two factors in
+place of taking it again.
 
 Each Cartan stage is solved in closed form, with no iteration. Both
 Cartan sets are a commuting set W of words on the first n - 1 qubits
@@ -170,15 +177,26 @@ class StageResult:
     subspace_error: float
 
 
+class BlockPair(NamedTuple):
+    """A K-type diag(B0, B1) in the last-qubit block view, kept as its
+    two 2^(n-1) blocks, with det = det B0 det B1 carried from where the
+    blocks were made."""
+
+    b0: np.ndarray
+    b1: np.ndarray
+    det: complex
+
+
 class CartanSolve(NamedTuple):
     """_minimize_full's solution of a theta_Z stage against a torus with
-    basis Q: k1, and h = k1^dag m0 k1 snapped onto the span as
-    Q (i diag(p)) Q^dag, with coordinates coords in torus.labels order
-    and the pre-projection residual residual_norm; subspace_error is the
-    commutation defect of the raw h. h's matrix is built only where it
-    is returned (_cartan_element)."""
+    basis Q: k1, also as its blocks k1_blocks, and h = k1^dag m0 k1
+    snapped onto the span as Q (i diag(p)) Q^dag, with coordinates
+    coords in torus.labels order and the pre-projection residual
+    residual_norm; subspace_error is the commutation defect of the raw
+    h. h's matrix is built only where it is returned (_cartan_element)."""
 
     k1: np.ndarray
+    k1_blocks: BlockPair
     p: np.ndarray
     coords: Tuple[float, ...]
     residual_norm: float
@@ -202,13 +220,14 @@ def validate_special_unitary(g: np.ndarray) -> float:
 
 
 def _unitarity_defect(g: np.ndarray) -> float:
-    """||g g^dag - I||_F, raising NotUnitaryError above 1e-8 or on a
+    """||g g^dag - I||_F of a matrix, or over a (2, h, h) stack of the
+    blocks of a diag(B0, B1), raising NotUnitaryError above 1e-8 or on a
     non-finite entry."""
     # checked first, so that no det of a NaN or inf matrix is taken
     if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NotUnitaryError("input has non-finite entries")
-    g = as_matrix(g)
-    defect = _unitarity_gap(g)
+    g = np.asarray(g, dtype=complex)
+    defect = _unitarity_gap(g if g.ndim == 3 else as_matrix(g))
     # written as `not <=` so that a NaN defect fails too
     if not defect <= _INGEST_TOL:
         raise NotUnitaryError(
@@ -238,13 +257,15 @@ def compute_m(
     g's last-qubit blocks (_theta_z_log), with the CSD's reconstruction
     residual on residual_norm. compute_m(g, theta_X, (theta_Z,)), on a
     g = diag(W0, W1) fixed by theta_Z, is (1/2) diag(L, -L) with
-    exp(L) = P = W1^dag W0 from one Schur form of P (_theta_x_log),
-    exactly theta_X-odd and theta_Z-even; its residual_norm is the norm
-    of the theta_Z-odd part of w, and a g whose off-diagonal blocks
-    exceed SUBSPACE_TOL is refused. Both logs are theta-odd also where
-    theta(g^dag) g has the eigenvalue -1, whose principal log is
-    theta-even there, and exp(2m) = theta(g^dag) g holds within
-    tolerance (a tested invariant).
+    exp(L) = P = W1^dag W0, exactly theta_X-odd and theta_Z-even. It
+    checks the whole register first: a g whose off-diagonal blocks
+    exceed SUBSPACE_TOL is refused, residual_norm is the norm of the
+    theta_Z-odd part of theta_X(g^dag) g, and det W0 det W1 must be 1
+    within 1e-8. It then takes L from the blocks by the theta_X stage's
+    own block log (_theta_x_log), which a level calls on its blocks
+    alone. Both logs are theta-odd also where theta(g^dag) g has the
+    eigenvalue -1, whose principal log is theta-even there, and
+    exp(2m) = theta(g^dag) g holds within tolerance (a tested invariant).
 
     Raises:
         ValueError: (inv, fixing) is neither (theta_Z, ()) nor
@@ -262,7 +283,24 @@ def compute_m(
             )
         return _theta_z_log(g)[0]
     if inv.axis == "X" and fixing == (AxisInvolution(inv.n, "Z"),):
-        phases, z, residual_norm = _theta_x_log(g, inv)
+        defect = _unitarity_defect(g)
+        w = inv.apply(g.conj().T) @ g
+        # the block form needs g = diag(W0, W1); an input off that form,
+        # such as I..IX, is refused before its blocks are read
+        off_blocks = float(np.hypot(_norm(g[0::2, 1::2]), _norm(g[1::2, 0::2])))
+        if off_blocks > SUBSPACE_TOL:
+            raise SubspaceViolationError(
+                f"input is {off_blocks:.3e} from the theta_Z-fixed group, "
+                f"above {SUBSPACE_TOL:.3e}"
+            )
+        residual_norm = float(np.hypot(_norm(w[0::2, 1::2]), _norm(w[1::2, 0::2])))
+        if residual_norm > SUBSPACE_TOL:
+            raise SubspaceViolationError(
+                f"m lies {residual_norm:.3e} from its span, above {SUBSPACE_TOL:.3e}"
+            )
+        w0, w1 = g[0::2, 0::2], g[1::2, 1::2]
+        _check_det(_det(w0) * _det(w1), " of the last-qubit blocks")
+        phases, z = _theta_x_log(w0, w1, defect)
         log_p = (z * (1j * phases)) @ z.conj().T
         # (1/2) the skew part of log P, exactly skew-Hermitian
         c = 0.25 * (log_p - log_p.conj().T)
@@ -284,11 +322,12 @@ def _theta_z_log(g: np.ndarray, checked: bool = False):
     theta_Z(g^dag) g = V CS^2 V^dag, whose theta_Z-odd log is
     2 m0 with m0 = V [[0, -Theta], [Theta, 0]] V^dag, also where an angle
     is pi/2; and k0 = g e^(-m0) = diag(U1 V1^dag, U2 V2^dag), whose
-    determinant is that of g. svd = (i V1, Theta, V2^dag) is the SVD
-    -i Y = (i V1) Theta V2^dag of m0's off-diagonal block Y = m0[0::2, 1::2],
-    Theta descending, for _closed_form_k. m0.residual_norm is
-    ||g - diag(U1, U2) CS V^dag||_F. checked=True skips g's unitarity
-    check.
+    determinant is that of g, comes as the BlockPair of its two blocks
+    and that determinant, with no 2^n matrix built. svd =
+    (i V1, Theta, V2^dag) is the SVD -i Y = (i V1) Theta V2^dag of m0's
+    off-diagonal block Y = m0[0::2, 1::2], Theta descending, for
+    _closed_form_k. m0.residual_norm is ||g - diag(U1, U2) CS V^dag||_F.
+    checked=True skips g's unitarity check.
 
     Raises:
         NotUnitaryError: g is not special unitary within 1e-8.
@@ -321,9 +360,6 @@ def _theta_z_log(g: np.ndarray, checked: bool = False):
             f"{_INGEST_TOL:.3e}, and determinant defect {abs(det - 1.0):.3e}"
         )
     _check_det(det)
-    k0 = np.zeros(g.shape, dtype=complex)
-    k0[0::2, 0::2] = k00
-    k0[1::2, 1::2] = k11
     # descending as from _svd: _closed_form_k pairs the j-th value with the
     # torus's j-th column, and _cluster_gauge clusters sorted neighbours
     order = (-theta).argsort()
@@ -333,33 +369,24 @@ def _theta_z_log(g: np.ndarray, checked: bool = False):
     m0[0::2, 1::2] = y
     m0[1::2, 0::2] = -y.conj().T
     m0 = AlgebraElement(matrix=m0, residual_norm=residual_norm)
-    return m0, k0, (1j * v1, theta, v2h)
+    return m0, BlockPair(k00, k11, det), (1j * v1, theta, v2h)
 
 
 def _theta_x_log(
-    g: np.ndarray, inv_x: AxisInvolution
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """(phases, z, residual_norm) of compute_m(g, theta_X, (theta_Z,)):
+    w0: np.ndarray, w1: np.ndarray, defect: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(phases, z) of the theta_X log of w = diag(W0, W1), from its blocks:
     P = W1^dag W0 = z diag(e^{i phases}) z^dag from one Schur form, the
-    phases in (-pi, pi] and those within 1e-9 above -pi moved to pi."""
-    defect = _unitarity_defect(g)
-    w = inv_x.apply(g.conj().T) @ g
-    # the block form needs g = diag(W0, W1); an input off that form,
-    # such as I..IX, is refused before its blocks are read
-    off_blocks = float(np.hypot(_norm(g[0::2, 1::2]), _norm(g[1::2, 0::2])))
-    if off_blocks > SUBSPACE_TOL:
-        raise SubspaceViolationError(
-            f"input is {off_blocks:.3e} from the theta_Z-fixed group, "
-            f"above {SUBSPACE_TOL:.3e}"
-        )
-    residual_norm = float(np.hypot(_norm(w[0::2, 1::2]), _norm(w[1::2, 0::2])))
-    if residual_norm > SUBSPACE_TOL:
-        raise SubspaceViolationError(
-            f"m lies {residual_norm:.3e} from its span, above {SUBSPACE_TOL:.3e}"
-        )
-    _check_det(_det(g[0::2, 0::2]) * _det(g[1::2, 1::2]), " of the last-qubit blocks")
-    p = w[0::2, 0::2]
-    log_tol = max(DEFAULT_TOLS.structure * len(g), 4.0 * defect)
+    phases in (-pi, pi] and those within 1e-9 above -pi moved to pi.
+
+    defect is w's unitarity gap, which the caller has checked; P must be
+    unitary within max(Tolerances.structure 2^n, 4 defect).
+
+    Raises:
+        NotUnitaryError: P's unitarity gap exceeds that bound.
+    """
+    p = w1.conj().T @ w0
+    log_tol = max(DEFAULT_TOLS.structure * 2 * len(p), 4.0 * defect)
     p_defect = _unitarity_gap(p)
     if p_defect > log_tol:
         raise NotUnitaryError(
@@ -370,7 +397,7 @@ def _theta_x_log(
     # np.angle's own formula
     phases = np.arctan2(eig.imag, eig.real)
     phases[phases <= _MINUS_ONE_BRANCH - np.pi] = np.pi
-    return phases, z, residual_norm
+    return phases, z
 
 
 def residual_k(g: np.ndarray, m: AlgebraElement) -> np.ndarray:
@@ -481,9 +508,12 @@ def _cluster_gauge(overlap: np.ndarray, values: np.ndarray) -> np.ndarray:
     return rotation
 
 
-def _closed_form_k(m0_mat: np.ndarray, torus: CartanTorus, svd) -> np.ndarray:
-    """The K = diag(A, B) in SU(2^n) that conjugates m0 into the span of
-    the torus's H_n set (the theta_Z stage; the F_n stage is _f_rotation).
+def _closed_form_k(
+    m0_mat: np.ndarray, torus: CartanTorus, svd
+) -> Tuple[np.ndarray, BlockPair]:
+    """(K, its BlockPair): the K = diag(A, B) in SU(2^n) that conjugates
+    m0 into the span of the torus's H_n set (the theta_Z stage; the F_n
+    stage is _f_rotation).
 
     With U = torus.u the joint eigenbasis of W, m0 is [[0, Y], [-Y^dag, 0]]
     in the last-qubit block view; the SVD -i Y = V1 S V2^dag, given as
@@ -495,20 +525,24 @@ def _closed_form_k(m0_mat: np.ndarray, torus: CartanTorus, svd) -> np.ndarray:
     it continuous in m0 where the values are distinct. K is scaled by
     e^(-i arg det K / 2^n) so that det K = 1. In the torus basis Q that
     U builds, (K Q)^dag m0 (K Q) is then diagonal up to rounding:
-    _minimize_full reads the stage off that one rotation.
+    _minimize_full reads the stage off that one rotation. The BlockPair
+    holds the scaled A and B and det K, computed from the unscaled
+    det A det B and the scale, not taken again.
     """
-    u = torus.u
+    u_dag = torus.u_dag
     v1, values, v2h = svd
     v2 = v2h.conj().T
-    u_dag = u.conj().T
     rotation = _cluster_gauge(u_dag @ (v1 + v2), values)
     a, b = v1 @ rotation @ u_dag, v2 @ rotation @ u_dag
     half = len(a)
-    turn = cmath.exp(-1j * cmath.phase(_det(a) * _det(b)) / (2 * half))
+    det = _det(a) * _det(b)
+    turn = cmath.exp(-1j * cmath.phase(det) / (2 * half))
+    a, b = turn * a, turn * b
     k = np.zeros((2 * half, 2 * half), dtype=complex)
-    k[0::2, 0::2] = turn * a
-    k[1::2, 1::2] = turn * b
-    return k
+    k[0::2, 0::2] = a
+    k[1::2, 1::2] = b
+    # det(turn A) det(turn B) = turn^(2 half) det A det B
+    return k, BlockPair(a, b, det * turn ** (2 * half))
 
 
 def _minimize_full(m0, torus: CartanTorus, svd) -> CartanSolve:
@@ -533,7 +567,8 @@ def _minimize_full(m0, torus: CartanTorus, svd) -> CartanSolve:
     exponential is built. An m0 of norm at most Tolerances.structure
     counts as zero: K1 = I, h = 0, whatever svd holds.
 
-    Returns the CartanSolve of k1 and h; h's matrix is not built.
+    Returns the CartanSolve of k1 and h; h's matrix is not built, and
+    k1 comes also as its BlockPair, for the level's theta_X stages.
 
     Raises:
         OptimizerFailedError: the solution fails a bound; its (k1, h)
@@ -548,17 +583,19 @@ def _minimize_full(m0, torus: CartanTorus, svd) -> CartanSolve:
         figures = _stage_figures(left @ q, torus)
         if norm_m0 <= DEFAULT_TOLS.structure:
             k1, p = np.eye(len(m0_mat), dtype=complex), np.zeros(len(q))
-            return CartanSolve(k1, p, (0.0,) * len(torus.labels), norm_m0, figures[4])
+            blocks = _identity_pair(len(m0_mat) // 2)
+            coords = (0.0,) * len(torus.labels)
+            return CartanSolve(k1, blocks, p, coords, norm_m0, figures[4])
     if figures is None or figures[2] > _IN_SPAN_TOL * norm_m0:
-        k1 = _closed_form_k(m0_mat, torus, svd)
+        k1, blocks = _closed_form_k(m0_mat, torus, svd)
         frame = k1 @ q
         figures = _stage_figures(frame.conj().T @ m0_mat @ frame, torus)
     else:
-        k1 = np.eye(len(m0_mat), dtype=complex)
+        k1, blocks = np.eye(len(m0_mat), dtype=complex), _identity_pair(len(m0_mat) // 2)
     c, p, residual_norm, rel, es = figures
     # the CS angles lie in [0, pi/2], descending
     spectrum = _concatenate((-svd[1], svd[1][::-1]))
-    solve = CartanSolve(k1, p, tuple(c.tolist()), residual_norm, es)
+    solve = CartanSolve(k1, blocks, p, tuple(c.tolist()), residual_norm, es)
     if rel <= CARTAN_TOL and residual_norm <= SUBSPACE_TOL and _phases_match(p, spectrum):
         return solve
     raise OptimizerFailedError(
@@ -566,6 +603,12 @@ def _minimize_full(m0, torus: CartanTorus, svd) -> CartanSolve:
         f"(bound {CARTAN_TOL:.1e}), projection residual {residual_norm:.3e}",
         best=(k1, _cartan_element(solve, torus)),
     )
+
+
+def _identity_pair(half: int) -> BlockPair:
+    """The BlockPair of the identity on 2 half rows, its blocks read-only."""
+    eye = _identity(half)
+    return BlockPair(eye, eye, 1.0)
 
 
 def _cartan_element(solve: CartanSolve, torus: CartanTorus) -> AlgebraElement:
@@ -606,18 +649,22 @@ def khk_stage(
         raise DimensionMismatchError(
             f"expected shape {(inv.dim, inv.dim)}, got {g.shape}"
         )
-    k0, solve = _theta_z_stage(g, torus)
+    blocks, solve = _theta_z_stage(g, torus)
+    # a level keeps k0 as its blocks; the public stage returns its matrix
+    k0 = np.zeros(g.shape, dtype=complex)
+    k0[0::2, 0::2] = blocks.b0
+    k0[1::2, 1::2] = blocks.b1
     h = _cartan_element(solve, torus)
     return StageResult(k0, solve.k1, h, solve.subspace_error)
 
 
 def _theta_z_stage(
     g: np.ndarray, torus: CartanTorus, checked: bool = False
-) -> Tuple[np.ndarray, CartanSolve]:
+) -> Tuple[BlockPair, CartanSolve]:
     """The theta_Z stage G = k0 k1 exp(h) k1^dag against the H_n torus:
     one CSD of g's last-qubit blocks (_theta_z_log) gives m0, k0 and the
-    SVD that _minimize_full's closed form takes. Returns k0 and
-    _minimize_full's solve."""
+    SVD that _minimize_full's closed form takes. Returns k0, as its
+    BlockPair, and _minimize_full's solve."""
     m0, k0, svd = _theta_z_log(g, checked)
     return k0, _minimize_full(m0, torus, svd)
 
@@ -727,8 +774,7 @@ def _f_rotation(
         OptimizerFailedError: the solution fails a bound; the pair
             (A (x) I, h) rides in its `best` attribute.
     """
-    u = torus.u
-    u_dag = u.conj().T
+    u, u_dag = torus.u, torus.u_dag
     norm_m = _SQRT2 * _norm(c_hat)
     overlap = u_dag @ vecs
     figures = None
@@ -767,17 +813,18 @@ def _f_rotation(
 
 
 def _secondary_stage(
-    w: np.ndarray, n: int, inv_x: AxisInvolution
+    w0: np.ndarray, w1: np.ndarray, n: int, det: complex
 ) -> Tuple[Tuple[Factor, ...], float, float, float]:
-    """The theta_X stage on one K-type input w of level n, on 2^(n-1) blocks.
+    """The theta_X stage on one K-type input w = diag(W0, W1) of level n,
+    given as its two 2^(n-1) last-qubit blocks and det = det W0 det W1.
 
-    w is fixed by theta_Z, so in the last-qubit block view it is
-    diag(W0, W1), and m = (1/2) log(theta_X(w^dag) w) is diag(C, -C)
-    with exp(2C) = P = W1^dag W0. The Schur form P = V diag(e^{i t}) V^dag
-    of _theta_x_log, sorted by t, gives C = V diag(i t / 2) V^dag, its
-    central coordinate alpha = sum(t) / 2^(n-1) on I..IZ, and the
-    traceless rest C^ = C - (i alpha / 2) I, with -i C^ = V diag(D) V^dag
-    for D = (t - alpha) / 2. That one decomposition gives both the cofactor
+    m = (1/2) log(theta_X(w^dag) w) is diag(C, -C) with
+    exp(2C) = P = W1^dag W0; theta_X(w^dag) w itself is never formed.
+    The Schur form P = V diag(e^{i t}) V^dag of _theta_x_log, sorted by t,
+    gives C = V diag(i t / 2) V^dag, its central coordinate
+    alpha = sum(t) / 2^(n-1) on I..IZ, and the traceless rest
+    C^ = C - (i alpha / 2) I, with -i C^ = V diag(D) V^dag for
+    D = (t - alpha) / 2. That one decomposition gives both the cofactor
     k = w exp(-m) = K (x) I, whose blocks are
     W0 e^(-C) = e^(-i alpha / 2) W0 V e^(-iD) V^dag and
     W1 e^(C) = e^(i alpha / 2) W1 V e^(iD) V^dag and must agree within
@@ -788,36 +835,44 @@ def _secondary_stage(
         w = e^{i(phi - psi)} (S x I) e^f (T'^dag x I) (I x Q),
 
     with Q = diag(e^{i alpha/2}, e^{-i alpha/2}) the last-qubit factor.
-    No 2^n matrix is decomposed or exponentiated.
+    No 2^n matrix is built, decomposed or exponentiated.
 
+    The blocks are checked for finite entries and by one stacked
+    unitarity gap, and det, which the level carries from the factors
+    that made w, against 1 within 1e-8 (" of the last-qubit blocks").
     Returns the factors (S, e^f, T'^dag, Q), phi, psi and the F stage's
     subspace error. Nothing is re-unitarized: S and T' are checked once,
     by one stacked gap ||X X^dag - I||_F.
 
     Raises:
+        NotUnitaryError: the blocks are not unitary within 1e-8, det
+            misses 1, P is not unitary (_theta_x_log), or the payload
+            drift of S and T' exceeds 1e-12.
         NotTensorWithIdentityError: the two blocks of k differ beyond
             PATTERN_TOL.
-        NotUnitaryError: the payload drift of S and T' exceeds 1e-12.
     """
     torus = cartan_torus("F", n)
-    phases, vecs, _ = _theta_x_log(w, inv_x)
+    defect = _unitarity_defect(np.array((w0, w1)))
+    _check_det(det, " of the last-qubit blocks")
+    phases, vecs = _theta_x_log(w0, w1, defect)
     # ascending as from eigh: _f_rotation pairs the j-th value with the
     # torus's j-th column, and _cluster_gauge clusters sorted neighbours
     order = phases.argsort()
     phases, vecs = phases[order], vecs[:, order]
+    vecs_dag = vecs.conj().T
     half = len(vecs)
     alpha = float(np.add.reduce(phases)) / half
     values = 0.5 * (phases - alpha)
-    c_hat = (vecs * (1j * values)) @ vecs.conj().T
+    c_hat = (vecs * (1j * values)) @ vecs_dag
     turn = np.exp(-0.5j * phases)
-    even = (w[0::2, 0::2] @ vecs) * turn
-    odd = (w[1::2, 1::2] @ vecs) * turn.conj()
+    even = (w0 @ vecs) * turn
+    odd = (w1 @ vecs) * turn.conj()
     mismatch = _norm(even - odd)
     if mismatch > PATTERN_TOL:
         raise NotTensorWithIdentityError(
             f"pattern defect {mismatch:.3e} exceeds {PATTERN_TOL:.3e}"
         )
-    k = 0.5 * (even + odd) @ vecs.conj().T
+    k = 0.5 * (even + odd) @ vecs_dag
     a, coords, residual_norm, subspace_error, det_a = _f_rotation(
         c_hat, values, vecs, torus
     )
@@ -853,7 +908,11 @@ def decompose_one_level(g: np.ndarray, n: int, checked: bool = False) -> LevelRe
     """Factors G in SU(2^n), n >= 3, into the nine-factor corollary form.
 
     A level is three stage calls: the theta_Z stage G = K0 K1 e^h K1^dag,
-    then the theta_X stage on K0 K1 and on K1^dag. Each theta_X stage
+    then the theta_X stage on K0 K1 and on K1^dag. Each K-type factor is
+    block-diagonal, K0 = diag(K00, K11) and K1 = diag(A, B), so the theta_X
+    stages are handed the blocks (K00 A, K11 B) and (A^dag, B^dag), with
+    det K0 det K1 and its conjugate carried from the theta_Z stage; no 2^n
+    matrix is formed for K0 or either input. Each theta_X stage
     yields four factors and two stride-extraction phases; the phases
     aggregate into the returned scalar phi. A KgDecompError raised by a
     stage carries its label (f0[F<n>], h[H<n>] or f1[F<n>]) in its
@@ -865,17 +924,17 @@ def decompose_one_level(g: np.ndarray, n: int, checked: bool = False) -> LevelRe
     g = np.asarray(g, dtype=complex)
     if g.shape != (2**n, 2**n):
         raise DimensionMismatchError(f"expected shape {(2**n, 2**n)}, got {g.shape}")
-    inv_x = AxisInvolution(n, "X")
     h_torus = cartan_torus("H", n)
 
     labels = (f"f0[F{n}]", f"h[H{n}]", f"f1[F{n}]")
 
     k0, solve = _run_stage(labels[1], _theta_z_stage, g, h_torus, checked)
+    a, b, det_k1 = solve.k1_blocks
     left, phi0, psi1, es0 = _run_stage(
-        labels[0], _secondary_stage, k0 @ solve.k1, n, inv_x
+        labels[0], _secondary_stage, k0.b0 @ a, k0.b1 @ b, n, k0.det * det_k1
     )
     right, phi2, psi2, es1 = _run_stage(
-        labels[2], _secondary_stage, solve.k1.conj().T, n, inv_x
+        labels[2], _secondary_stage, a.conj().T, b.conj().T, n, det_k1.conjugate()
     )
 
     h = _cartan_factor(solve.coords, solve.residual_norm, h_torus)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Tuple
 
@@ -166,8 +167,9 @@ _PLAIN_NUMBERS = (float, int)
 
 
 def _pairs_array(entries) -> np.ndarray:
-    """The (len, 2) float array of a list of [re, im] pairs whose values
-    are all finite Python floats or ints, or None for any other list.
+    """The flat float array re0, im0, re1, ... of a list of [re, im]
+    pairs whose values are all finite Python floats or ints, or None for
+    any other list.
 
     bool fails the type test; an int beyond float range, a NaN or an
     inf also gives None, and the per-entry loop then names the entry.
@@ -181,7 +183,7 @@ def _pairs_array(entries) -> np.ndarray:
         ):
             return None
     try:
-        values = np.array(entries, dtype=float)
+        values = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
     except OverflowError:
         return None
     return values if np.isfinite(values).all() else None

@@ -169,8 +169,9 @@ def _identity(dim: int) -> np.ndarray:
 
 
 def _unitarity_gap(u: np.ndarray) -> float:
-    """||u u^dag - I||_F of a square u."""
-    return _norm(u.dot(u.conj().T) - _identity(len(u)))
+    """||u u^dag - I||_F of a square u, or over a stack of square blocks,
+    the root sum of their squared gaps."""
+    return _norm(u @ u.conj().swapaxes(-1, -2) - _identity(u.shape[-1]))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ oracles, the Newton step kept for the benchmark's spans,
 construct-then-recover properties, extraction patterns, and the full
 recursion on registers of up to seven qubits."""
 
+import cmath
 import dataclasses
 import os
 import re
@@ -350,8 +351,12 @@ def test_closed_form_singleton_gauge_matches_cluster_svds(monkeypatch, n):
     assert {int(torus.name[1:]) for _, torus in stages} == set(range(3, n + 1))
     for m0_mat, torus in stages:
         want = _closed_form_k_by_cluster_svds(m0_mat, torus)
-        got = engine._closed_form_k(m0_mat, torus, _off_diagonal_svd(m0_mat))
+        svd = _off_diagonal_svd(m0_mat)
+        got, (a, b, det) = engine._closed_form_k(m0_mat, torus, svd)
         assert np.max(np.abs(got - want)) <= 1e-13
+        # the blocks are k's own, and det is det k = 1 up to rounding
+        assert np.array_equal(got, _block_diag(a, b))
+        assert abs(det - 1.0) <= 1e-13
 
 
 def _cluster_gauge_oracle(overlap, values):
@@ -503,11 +508,12 @@ def test_secondary_m_pair_involution_identities():
 
 def test_secondary_stage_reconstructs_its_input():
     kg = build_kg_basis(3)
-    inv_x = AxisInvolution(3, "X")
     g = haar_special_unitary(3, np.random.default_rng(7))
     stage = khk_stage(g, AxisInvolution(3, "Z"), kg.h_set)
     for w in (stage.k0 @ stage.k1, stage.k1.conj().T):
-        factors, phi, psi, _ = engine._secondary_stage(w, 3, inv_x)
+        w0, w1 = w[0::2, 0::2], w[1::2, 1::2]
+        det = np.linalg.det(w0) * np.linalg.det(w1)
+        factors, phi, psi, _ = engine._secondary_stage(w0, w1, 3, det)
         assert [f.kind for f in factors] == [
             FactorKind.SUB_UNITARY, FactorKind.CARTAN_EXP,
             FactorKind.SUB_UNITARY, FactorKind.LAST_QUBIT,
@@ -516,11 +522,32 @@ def test_secondary_stage_reconstructs_its_input():
         assert np.linalg.norm(rebuilt - w) < 1e-10
 
 
-def _theta_x_inputs(n, seed):
-    """The two theta_X stage inputs of one level on Haar SU(2^n)."""
-    g = haar_special_unitary(n, np.random.default_rng(seed))
+def _level_inputs(g, n):
+    """The two theta_X stage inputs of one level on g: the argument
+    tuples (W0, W1, det) the level hands the block stage, each paired with
+    the 2^n input w = K0 K1 or K1^dag that the level used to form."""
     k0, solve = engine._theta_z_stage(g, cartan_torus("H", n))
-    return k0 @ solve.k1, solve.k1.conj().T
+    a, b, det_k1 = solve.k1_blocks
+    k0_mat = _block_diag(k0.b0, k0.b1)
+    return (
+        (k0_mat @ solve.k1, (k0.b0 @ a, k0.b1 @ b, k0.det * det_k1)),
+        (solve.k1.conj().T, (a.conj().T, b.conj().T, np.conj(det_k1))),
+    )
+
+
+def _theta_x_inputs(n, seed):
+    """The two theta_X stage argument tuples (W0, W1, det) of one level
+    on Haar SU(2^n)."""
+    g = haar_special_unitary(n, np.random.default_rng(seed))
+    return tuple(args for _, args in _level_inputs(g, n))
+
+
+def _block_diag(w0, w1):
+    """diag(W0, W1) in the last-qubit block view."""
+    w = np.zeros((2 * len(w0), 2 * len(w0)), dtype=complex)
+    w[0::2, 0::2] = w0
+    w[1::2, 1::2] = w1
+    return w
 
 
 def _spy_kernels(monkeypatch):
@@ -557,9 +584,9 @@ def test_secondary_stage_decomposes_only_half_blocks(monkeypatch, n):
     inputs = _theta_x_inputs(n, n)
     cartan_torus("F", n)  # built once and cached, outside the stage
     calls = _spy_kernels(monkeypatch)
-    for w in inputs:
+    for w0, w1, det in inputs:
         calls.clear()
-        engine._secondary_stage(w, n, AxisInvolution(n, "X"))
+        engine._secondary_stage(w0, w1, n, det)
         assert max(size for _, size in calls) == half, calls
         assert [call for call in calls if "schur" in call[0]] == [("_schur", half)]
         assert not any(name == "_eigh" for name, _ in calls), calls
@@ -617,8 +644,9 @@ def test_theta_z_log_is_odd_on_structured_gates(name):
     k = residual_k(g, m0)
     off_blocks = np.hypot(np.linalg.norm(k[0::2, 1::2]), np.linalg.norm(k[1::2, 0::2]))
     assert off_blocks <= 1e-14
-    assert np.linalg.norm(k - k0) <= 1e-14
-    assert not k0[0::2, 1::2].any() and not k0[1::2, 0::2].any()
+    # k0 comes as its two blocks and their determinant
+    assert np.linalg.norm(k - _block_diag(k0.b0, k0.b1)) <= 1e-14
+    assert abs(k0.det - np.linalg.det(k)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -657,7 +685,8 @@ def test_theta_x_log_matches_the_full_register_log(n):
     # the oracle: the principal log of w' = theta_X(w^dag) w on the whole
     # register, snapped by (1 - theta_X) / 2 and (1 + theta_Z) / 2
     inv_z, inv_x = AxisInvolution(n, "Z"), AxisInvolution(n, "X")
-    for w in _theta_x_inputs(n, 20 + n):
+    for w0, w1, _ in _theta_x_inputs(n, 20 + n):
+        w = _block_diag(w0, w1)
         w_prime = inv_x.apply(w.conj().T) @ w
         oracle = 0.5 * logm_unitary(w_prime)
         oracle = inv_z.even_part(oracle - inv_x.even_part(oracle))
@@ -675,9 +704,9 @@ def test_theta_x_log_is_odd_on_structured_gates(monkeypatch):
     seen = []
     stage = engine._secondary_stage
 
-    def recording_stage(w, n, inv_x):
-        seen.append((w, n))
-        return stage(w, n, inv_x)
+    def recording_stage(w0, w1, n, det):
+        seen.append((_block_diag(w0, w1), n))
+        return stage(w0, w1, n, det)
 
     monkeypatch.setattr(engine, "_secondary_stage", recording_stage)
     for _, u, n in structured_gates():
@@ -694,6 +723,168 @@ def test_theta_x_log_is_odd_on_structured_gates(monkeypatch):
             np.abs(np.linalg.eigvals(w_prime[0::2, 0::2]) + 1.0) < 1e-9
         )
     assert minus_one > 0
+
+
+def _theta_x_log_oracle(g, inv_x):
+    # the theta_X log as it was written on the whole register: theta_X
+    # applied and w = theta_X(g^dag) g formed at 2^n, the off-diagonal
+    # blocks of g and w measured, and both block determinants taken
+    defect = engine._unitarity_defect(g)
+    w = inv_x.apply(g.conj().T) @ g
+    off_blocks = float(np.hypot(linalg._norm(g[0::2, 1::2]), linalg._norm(g[1::2, 0::2])))
+    assert off_blocks <= SUBSPACE_TOL
+    residual_norm = float(np.hypot(linalg._norm(w[0::2, 1::2]), linalg._norm(w[1::2, 0::2])))
+    assert residual_norm <= SUBSPACE_TOL
+    engine._check_det(linalg._det(g[0::2, 0::2]) * linalg._det(g[1::2, 1::2]))
+    p = w[0::2, 0::2]
+    log_tol = max(DEFAULT_TOLS.structure * len(g), 4.0 * defect)
+    assert linalg._unitarity_gap(p) <= log_tol
+    t, z = linalg._schur(p)
+    eig = t.diagonal()
+    phases = np.arctan2(eig.imag, eig.real)
+    phases[phases <= engine._MINUS_ONE_BRANCH - np.pi] = np.pi
+    return phases, z, residual_norm
+
+
+def _secondary_stage_oracle(w, n, inv_x):
+    # the theta_X stage as it was written on a 2^n input w
+    torus = cartan_torus("F", n)
+    phases, vecs, _ = _theta_x_log_oracle(w, inv_x)
+    order = phases.argsort()
+    phases, vecs = phases[order], vecs[:, order]
+    half = len(vecs)
+    alpha = float(np.add.reduce(phases)) / half
+    values = 0.5 * (phases - alpha)
+    c_hat = (vecs * (1j * values)) @ vecs.conj().T
+    turn = np.exp(-0.5j * phases)
+    even = (w[0::2, 0::2] @ vecs) * turn
+    odd = (w[1::2, 1::2] @ vecs) * turn.conj()
+    assert linalg._norm(even - odd) <= engine.PATTERN_TOL
+    k = 0.5 * (even + odd) @ vecs.conj().T
+    a, coords, residual_norm, subspace_error, det_a = engine._f_rotation(
+        c_hat, values, vecs, torus
+    )
+    outer = k @ a
+    phi = cmath.phase(linalg._det(outer)) / half
+    psi = cmath.phase(det_a) / half
+    sub = np.exp(-1j * phi) * outer
+    inner = np.exp(-1j * psi) * a
+    last = np.array([[cmath.exp(0.5j * alpha), 0], [0, cmath.exp(-0.5j * alpha)]])
+    payloads = (sub, inner.conj().T, last)
+    return payloads, tuple(coords.tolist()), residual_norm, phi, psi, subspace_error
+
+
+def _structured_level_inputs():
+    for name in ("toffoli", "qft3", "swap13", "xxx"):
+        (g,) = [_special(u) for label, u, _ in structured_gates() if label == name]
+        for pair in _level_inputs(g, 3):
+            yield name, 3, pair
+
+
+def _haar_level_inputs():
+    for n in (3, 4, 5, 6):
+        for seed in (50, 51):
+            g = haar_special_unitary(n, np.random.default_rng(seed + 10 * n))
+            for pair in _level_inputs(g, n):
+                yield f"haar{n}-s{seed}", n, pair
+
+
+def test_block_stage_matches_the_full_register_stage_bit_for_bit():
+    # the level hands the stage (W0, W1) and the carried determinant; the
+    # stage must return bitwise what the 2^n stage returned on w, on Haar
+    # inputs and on gates whose P = W1^dag W0 has the eigenvalue -1
+    minus_one = 0
+    cases = list(_haar_level_inputs()) + list(_structured_level_inputs())
+    for name, n, (w, (w0, w1, det)) in cases:
+        inv_x = AxisInvolution(n, "X")
+        want = _secondary_stage_oracle(w, n, inv_x)
+        factors, phi, psi, es = engine._secondary_stage(w0, w1, n, det)
+        sub, cartan, inner_dag, last = factors
+        payloads = (sub.matrix, inner_dag.matrix, last.matrix)
+        for got_payload, want_payload in zip(payloads, want[0]):
+            assert got_payload.tobytes() == want_payload.tobytes(), name
+        assert cartan.coeffs == tuple(zip(cartan_torus("F", n).labels, want[1])), name
+        assert cartan.subspace_residual == want[2], name
+        assert (phi, psi, es) == want[3:], name
+        p = w[1::2, 1::2].conj().T @ w[0::2, 0::2]
+        minus_one += np.count_nonzero(np.abs(np.linalg.eigvals(p) + 1.0) < 1e-9)
+    assert minus_one > 0
+
+
+@pytest.mark.parametrize("n, nth, path", [(4, 1, "f0[F4]"), (4, 5, "K1/f0[F3]")])
+@pytest.mark.parametrize("spoil", ["nan", "scaled", "det"])
+def test_a_spoiled_block_pair_is_refused_with_its_stage_path(
+    monkeypatch, n, nth, path, spoil
+):
+    # the level's theta_X inputs are not checked on the whole register
+    # any more; their blocks still pass a finiteness and unitarity check,
+    # and the determinant the level carries is checked against 1, each
+    # named by the stage's path. Stages run level first: at n = 4 the top
+    # level's f0 is the first theta_X stage and K1's f0 the fifth
+    real = engine._secondary_stage
+    calls = []
+
+    def spoiling(w0, w1, n, det):
+        calls.append(n)
+        if len(calls) == nth:
+            if spoil == "nan":
+                w1 = w1.copy()
+                w1[0, 1] = np.nan
+            elif spoil == "scaled":
+                w0, w1 = 1.01 * w0, 1.01 * w1
+            else:
+                det = -det
+        return real(w0, w1, n, det)
+
+    monkeypatch.setattr(engine, "_secondary_stage", spoiling)
+    g = haar_special_unitary(n, np.random.default_rng(33))
+    message = {
+        "nan": "non-finite",
+        "scaled": "unitarity defect",
+        "det": "determinant defect .* of the last-qubit blocks",
+    }[spoil]
+    with pytest.raises(NotUnitaryError, match=message) as info:
+        decompose_full(g, n)
+    assert info.value.stage == path
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_compute_m_refuses_last_qubit_blocks_of_determinant_minus_one():
+    # diag(W0, W1) is unitary and fixed by theta_Z, but det W0 det W1 = -1:
+    # the public theta_X log still takes both block determinants
+    rng = np.random.default_rng(34)
+    w0 = haar_special_unitary(2, rng)
+    w1 = haar_special_unitary(2, rng) @ np.diag([-1.0, 1.0, 1.0, 1.0])
+    g = _block_diag(w0, w1)
+    assert abs(np.linalg.det(g) + 1.0) <= 1e-12
+    with pytest.raises(NotUnitaryError, match="of the last-qubit blocks"):
+        compute_m(g, AxisInvolution(3, "X"), (AxisInvolution(3, "Z"),))
+
+
+def test_a_haar_level_applies_no_involution_and_forms_no_full_input(monkeypatch):
+    # a level hands each theta_X stage its two 2^(n-1) blocks: theta_X is
+    # never applied, and no 2^n matrix is passed for K0 or either input
+    g = haar_special_unitary(3, np.random.default_rng(35))
+    decompose_one_level(g, 3)  # tori built and cached outside the spies
+    applied = []
+    apply = involutions_module.AxisInvolution.apply
+
+    def spy_apply(self, a):
+        applied.append(self)
+        return apply(self, a)
+
+    monkeypatch.setattr(involutions_module.AxisInvolution, "apply", spy_apply)
+    shapes = []
+    stage = engine._secondary_stage
+
+    def spy_stage(w0, w1, n, det):
+        shapes.append((w0.shape, w1.shape))
+        return stage(w0, w1, n, det)
+
+    monkeypatch.setattr(engine, "_secondary_stage", spy_stage)
+    decompose_one_level(g, 3)
+    assert applied == []
+    assert shapes == [((4, 4), (4, 4))] * 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -828,15 +1019,15 @@ def test_phases_match_decides_as_every_cyclic_alignment():
     assert identity_misses == 3
 
 
-def test_a_level_takes_twelve_determinants(monkeypatch):
+def test_a_level_takes_eight_determinants(monkeypatch):
     # two for k0 and two for K1 in the theta_Z stage; per theta_X stage
-    # two for its input's blocks, one for A and one for K A, with det A
-    # carried from the rotation instead of taken again
+    # one for A and one for K A, with det A carried from the rotation and
+    # the input's determinant from det K0 and det K1, not taken again
     g = haar_special_unitary(3, np.random.default_rng(3))
     decompose_one_level(g, 3)  # tori built and cached outside the count
     calls = _spy_kernels(monkeypatch)
     decompose_one_level(g, 3)
-    assert sum(name == "_det" for name, _ in calls) == 12
+    assert sum(name == "_det" for name, _ in calls) == 8
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -853,9 +1044,9 @@ def test_secondary_stage_psi_is_the_angle_of_det_a(monkeypatch, n):
 
     monkeypatch.setattr(engine, "_f_rotation", spy)
     for seed in (21, 22):
-        for w in _theta_x_inputs(n, seed):
+        for w0, w1, det in _theta_x_inputs(n, seed):
             rotations.clear()
-            _, _, psi, _ = engine._secondary_stage(w, n, AxisInvolution(n, "X"))
+            _, _, psi, _ = engine._secondary_stage(w0, w1, n, det)
             a = rotations[0][0]
             assert abs(np.exp(1j * psi * len(a)) - np.linalg.det(a)) <= 1e-13
 
@@ -1237,6 +1428,8 @@ def _assert_same_bits(got, want):
             assert x.coords == y.coords and x.residual_norm == y.residual_norm
         elif isinstance(x, np.ndarray):
             assert np.array_equal(x, y)
+        elif isinstance(x, tuple):
+            _assert_same_bits(x, y)
         else:
             assert x == y
 

@@ -321,6 +321,10 @@ def test_unitarity_gap_matches_the_dense_formula(dim):
     for u in (unitary, unitary + 1e-6 * a, a):
         want = np.linalg.norm(u @ u.conj().T - np.eye(dim))
         assert abs(linalg._unitarity_gap(u) - want) <= 1e-15 * max(1.0, want)
+    # a stack of blocks: the root sum of the blocks' squared gaps
+    pair = np.array((unitary + 1e-6 * a, a))
+    want = np.hypot(*(np.linalg.norm(u @ u.conj().T - np.eye(dim)) for u in pair))
+    assert abs(linalg._unitarity_gap(pair) - want) <= 1e-15 * want
     nan = unitary.copy()
     nan[0, 0] = np.nan
     assert np.isnan(linalg._unitarity_gap(nan))

@@ -158,12 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    summary = run_benchmark(
-        n=args.n,
-        count=args.count,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    summary = run_benchmark(n=args.n, count=args.count, seed=args.seed)
     if args.json:
         print(dump_json(summary_to_dict(summary)))
     else:
@@ -266,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of samples")
     p_bench.add_argument("--json", action="store_true",
                          help="emit the summary as JSON instead of a table")
-    p_bench.add_argument("--threads", type=int, default=1,
-                         help="samples decomposed concurrently (default 1)")
     p_bench.add_argument("--seed", type=int, default=0,
                          help="sample i draws from default_rng(seed + i) "
                               "(default 0)")
@@ -302,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # option values are checked before any input is read or any work runs
-    for name, low in (("n", 2), ("count", 0), ("seed", 0), ("threads", 1)):
+    for name, low in (("n", 2), ("count", 0), ("seed", 0)):
         value = getattr(args, name, low)
         if value < low:
             parser.error(f"--{name} must be at least {low}, got {value}")

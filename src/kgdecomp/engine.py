@@ -152,12 +152,12 @@ __all__ = [
 _SPECTRUM_TOL = 1e-8
 _DRIFT_TOL = 1e-12
 _INGEST_TOL = 1e-8
-_CLUSTER_TOL = 1e-9
+_CLUSTER_TOL = 1e-13
 _IN_SPAN_TOL = 1e-12
 # far above 1e-24, the in-span bound squared, and above rounding
 _OFF_SPAN_SHARE = 1e-6
-# eigenphases of P = W1^dag W0 this close above -pi count as pi, so that
-# an eigenvalue -1 takes one branch of the theta_X log
+# eigenphases of P = W1^dag W0 this close above -pi are moved up by 2 pi,
+# so that an eigenvalue -1 takes one branch of the theta_X log
 _MINUS_ONE_BRANCH = 1e-9
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -377,7 +377,8 @@ def _theta_x_log(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(phases, z) of the theta_X log of w = diag(W0, W1), from its blocks:
     P = W1^dag W0 = z diag(e^{i phases}) z^dag from one Schur form, the
-    phases in (-pi, pi] and those within 1e-9 above -pi moved to pi.
+    phases in (-pi, pi] and those within 1e-9 above -pi moved up by 2 pi,
+    into (pi, pi + 1e-9], which leaves e^{i phases} as it was.
 
     defect is w's unitarity gap, which the caller has checked; P must be
     unitary within max(Tolerances.structure 2^n, 4 defect).
@@ -396,7 +397,7 @@ def _theta_x_log(
     eig = t.diagonal()
     # np.angle's own formula
     phases = np.arctan2(eig.imag, eig.real)
-    phases[phases <= _MINUS_ONE_BRANCH - np.pi] = np.pi
+    phases[phases <= _MINUS_ONE_BRANCH - np.pi] += 2 * np.pi
     return phases, z
 
 
@@ -476,7 +477,7 @@ def _phases_match(p: np.ndarray, spectrum: np.ndarray) -> bool:
 def _cluster_gauge(overlap: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The block-diagonal unitary R that best aligns the solve's vectors
     with the torus basis: on each cluster of equal values (sorted
-    neighbours within 1e-9 max |values|), the polar factor that
+    neighbours within 1e-13 max |values|), the polar factor that
     maximizes Re tr(overlap R) on the cluster.
 
     On a cluster of one value, the only kind a generic stage has, that

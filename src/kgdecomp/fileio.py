@@ -70,66 +70,37 @@ def dump_json(obj, indent: int = 0) -> str:
     A 2-D complex ndarray is written as its row-major list of [re, im]
     pairs, the same bytes as that list of Python floats, and refused with
     ValueError if any entry is not finite; any other ndarray, like any
-    other type, raises TypeError. The exact types of a document (float,
-    str, int, dict, list) are dispatched first, and their scalar members
-    are written inside the dict and list loops.
+    other type, raises TypeError.
     """
-    kind = type(obj)
-    if kind is float:
-        return _fmt_float(obj)
-    if kind is str:
-        return _encode_str(obj)
-    if kind is np.ndarray:
+    if isinstance(obj, np.ndarray):
         if obj.ndim != 2 or obj.dtype.kind != "c":
             raise TypeError(f"cannot serialize {obj.dtype} array of {obj.ndim} dimensions")
         return _pair_list(obj, indent)
-    if kind is not dict and kind is not list:
-        if obj is None:
-            return "null"
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
-        if isinstance(obj, (int, np.integer)):
-            return str(int(obj))
-        if isinstance(obj, (float, np.floating)):
-            return _fmt_float(obj)
-        if isinstance(obj, str):
-            return _encode_str(obj)
-        if isinstance(obj, dict):
-            kind = dict
-        elif not isinstance(obj, (list, tuple)):
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return _encode_str(obj)
     pad = "  " * indent
     inner = pad + "  "
-    if kind is dict:
+    if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key, value in obj.items():
-            kind = type(value)
-            if kind is float and math.isfinite(value):
-                text = "%.16e" % value
-            elif kind is str:
-                text = _encode_str(value)
-            elif kind is int:
-                text = str(value)
-            else:
-                text = dump_json(value, indent + 1)
-            key = _encode_str(key if type(key) is str else str(key))
-            items.append(f"{inner}{key}: {text}")
+        items = [
+            f"{inner}{_encode_str(str(key))}: {dump_json(value, indent + 1)}"
+            for key, value in obj.items()
+        ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
     if not obj:
         return "[]"
-    parts = []
-    for value in obj:
-        kind = type(value)
-        if kind is float and math.isfinite(value):
-            parts.append("%.16e" % value)
-        elif kind is str:
-            parts.append(_encode_str(value))
-        elif kind is int:
-            parts.append(str(value))
-        else:
-            parts.append(dump_json(value, indent + 1))
+    parts = [dump_json(value, indent + 1) for value in obj]
     # a pair is at least 48 characters, so a pair list never fits on one line
     if len(parts) <= 8 and all(len(p) < 48 and "\n" not in p for p in parts):
         return "[" + ", ".join(parts) + "]"

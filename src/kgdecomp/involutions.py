@@ -12,38 +12,12 @@ No conjugator matrix is built (see `AxisInvolution.apply`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 
 __all__ = ["AxisInvolution"]
-
-
-@lru_cache(maxsize=None)
-def _z_signs(dim: int) -> np.ndarray:
-    """s_i s_j for the diagonal s = (1, -1, 1, -1, ...) of I..IZ."""
-    s = np.tile([1.0, -1.0], dim // 2)
-    out = np.outer(s, s)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _z_even_mask(dim: int) -> np.ndarray:
-    """The 0/1 entry mask of (1 + theta_Z) / 2."""
-    out = 0.5 * (1.0 + _z_signs(dim))
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _x_index(dim: int):
-    """np.ix_ of the index swap (2j, 2j+1) that I..IX performs."""
-    perm = np.arange(dim).reshape(-1, 2)[:, ::-1].ravel()
-    perm.setflags(write=False)
-    return np.ix_(perm, perm)
 
 
 @dataclass(frozen=True)
@@ -66,8 +40,7 @@ class AxisInvolution:
 
         I..IZ is diagonal with s = (1, -1, 1, -1, ...), so entry (i, j) is
         multiplied by s_i s_j; I..IX swaps each index pair (2j, 2j+1), so
-        rows and columns 2j and 2j+1 trade places. Both index tables are
-        cached per dimension.
+        rows and columns 2j and 2j+1 trade places.
 
         Raises:
             DimensionMismatchError: if a is not 2^n x 2^n.
@@ -78,15 +51,11 @@ class AxisInvolution:
                 f"expected shape {(self.dim, self.dim)}, got {a.shape}"
             )
         if self.axis == "Z":
-            return a * _z_signs(self.dim)
-        return a[_x_index(self.dim)]
+            s = np.tile([1.0, -1.0], self.dim // 2)
+            return a * np.outer(s, s)
+        swap = np.arange(self.dim) ^ 1
+        return a[np.ix_(swap, swap)]
 
     def even_part(self, a: np.ndarray) -> np.ndarray:
-        """The fixed part (a + theta(a)) / 2 of a 2^n x 2^n array, unchecked.
-
-        For theta_Z this is one multiply by a cached 0/1 mask; for theta_X
-        one cached index permutation.
-        """
-        if self.axis == "Z":
-            return a * _z_even_mask(self.dim)
-        return 0.5 * (a + a[_x_index(self.dim)])
+        """The fixed part (a + theta(a)) / 2 of a 2^n x 2^n array."""
+        return 0.5 * (a + self.apply(a))

@@ -8,11 +8,11 @@ matrices. Everything here is a pure function; matrices are complex128.
 The small dense decompositions that the stages take on one matrix at a
 time (_eigh, _svd, _schur, _det, and _csd on the four blocks of one
 matrix) call their LAPACK routines directly, without numpy's or scipy's
-per-call argument handling and workspace queries, and so does _eigvalsh,
-which no stage takes any more; _norm is the Frobenius norm of any array,
-from numpy's C vdot. Only the stacked exponential expm_skew_many keeps
-numpy's batched eigh. _newton_polish, the Newton step that the
-closed-form stages replaced, is kept only as a benchmark span target.
+per-call argument handling and workspace queries; _norm is the
+Frobenius norm of any array, from numpy's C vdot. Only the stacked
+exponential expm_skew_many keeps numpy's batched eigh. _newton_polish,
+the Newton step that the closed-form stages replaced, is kept only as a
+benchmark span target.
 """
 
 from __future__ import annotations
@@ -84,18 +84,6 @@ def _eigh(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     w, v, info = _ZHEEVD(a, lower=1)
     _check_info(info, "zheevd")
     return w, v
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """The ascending eigenvalues of the Hermitian a, from its lower
-    triangle (zheevd without vectors), as np.linalg.eigvalsh.
-
-    Raises:
-        np.linalg.LinAlgError: the routine did not converge.
-    """
-    w, _, info = _ZHEEVD(a, compute_v=0, lower=1)
-    _check_info(info, "zheevd")
-    return w
 
 
 def _svd(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -356,20 +344,14 @@ def commutation_defect(x: np.ndarray, words: Sequence[PauliWord]) -> float:
     return np.sqrt(total) / len(stack)
 
 
-@lru_cache(maxsize=None)
-def _roll_index(n: int) -> np.ndarray:
-    """The read-only (n, n) index whose row s takes a list to np.roll(list, s)."""
-    index = (np.arange(n) - np.arange(n)[:, None]) % n
-    index.setflags(write=False)
-    return index
-
-
 def _cyclic_phase_mismatch(p1: np.ndarray, p2: np.ndarray) -> float:
     """Smallest max |p1 - p2| over cyclic alignments of two sorted phase
     lists in (-pi, pi], with differences taken mod 2 pi, so that values
     straddling the branch cut at pi match correctly. Row 0 of the
     alignments is the identity one."""
-    shifted = p2[_roll_index(len(p1))]
+    size = len(p1)
+    # row s of the index takes p2 to np.roll(p2, s)
+    shifted = p2[(np.arange(size) - np.arange(size)[:, None]) % size]
     d = np.abs((p1 - shifted + np.pi) % (2 * np.pi) - np.pi)
     return float(d.max(axis=1).min())
 

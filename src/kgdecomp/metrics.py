@@ -12,7 +12,6 @@ tree's report.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -103,16 +102,11 @@ def _summarize(n: int, count: int, results: Sequence[BenchmarkResult]) -> Benchm
     )
 
 
-def run_benchmark(
-    n: int,
-    count: int,
-    seed: int = 0,
-    threads: int = 1,
-) -> BenchmarkSummary:
+def run_benchmark(n: int, count: int, seed: int = 0) -> BenchmarkSummary:
     """Decomposes `count` Haar samples from SU(2^n) and aggregates errors.
 
-    Sample i draws from default_rng(seed + i), so batches are stable
-    under reordering and threading. Failures (a failed Cartan stage or
+    Sample i draws from default_rng(seed + i), so a sample does not
+    depend on the batch around it. Failures (a failed Cartan stage or
     any other library error) are counted, not raised. Each successful
     result keeps its factor tree.
     """
@@ -132,12 +126,7 @@ def run_benchmark(
             index=index, wall_time=time.perf_counter() - start, tree=tree
         )
 
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, range(count)))
-    else:
-        results = [run_one(i) for i in range(count)]
-    return _summarize(n, count, results)
+    return _summarize(n, count, [run_one(i) for i in range(count)])
 
 
 def format_table(summaries: Sequence[BenchmarkSummary]) -> str:

@@ -12,10 +12,10 @@ SU16_SEED = 20251
 @pytest.fixture(scope="session")
 def su8_batch():
     """200 decomposed Haar samples from SU(8), trees retained."""
-    return run_benchmark(n=3, count=200, seed=SU8_SEED, threads=4)
+    return run_benchmark(n=3, count=200, seed=SU8_SEED)
 
 
 @pytest.fixture(scope="session")
 def su16_batch():
     """10 decomposed Haar samples from SU(16), trees retained."""
-    return run_benchmark(n=4, count=10, seed=SU16_SEED, threads=4)
+    return run_benchmark(n=4, count=10, seed=SU16_SEED)

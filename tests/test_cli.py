@@ -94,6 +94,7 @@ def test_decompose_rejects_input_just_outside_ingest_tolerance(tmp_path, capsys)
 
 @pytest.mark.parametrize("argv, field", [
     (["bench", "--n", "3", "--count", "1", "--seed", "-1"], "--seed"),
+    # bench has no thread pool, so --threads is an unrecognized argument
     (["bench", "--n", "3", "--count", "1", "--threads", "0"], "--threads"),
     (["compare-bch", "g.json", "--order", "0"], "--order"),
     (["compare-bch", "g.json", "--order", "9"], "--order"),
@@ -127,7 +128,7 @@ def test_out_of_range_optimizer_flags_are_usage_errors(argv, field, capsys):
     ("decompose", ("--threads", "--ingest-tol", "--tol-subspace", "--max-iters",
                    "--restarts", "--seed")),
     ("compare-bch", ("--ingest-tol",)),
-    ("bench", ("--max-iters", "--restarts")),
+    ("bench", ("--threads", "--max-iters", "--restarts")),
 ])
 def test_removed_flags_are_gone(command, removed, capsys):
     with pytest.raises(SystemExit):
@@ -374,13 +375,6 @@ def test_bench_table_and_json(capsys):
     assert main(
         ["bench", "--n", "3", "--count", "2", "--seed", "42", "--json"]
     ) == 0
-    doc = parse_json(capsys.readouterr().out)
-    assert doc["count"] == 2 and doc["failures"] == 0
-
-
-def test_bench_keeps_threads_flag(capsys):
-    argv = ["bench", "--n", "3", "--count", "2", "--threads", "2", "--json"]
-    assert main(argv) == 0
     doc = parse_json(capsys.readouterr().out)
     assert doc["count"] == 2 and doc["failures"] == 0
 

@@ -234,7 +234,6 @@ def test_hermitian_kernels_match_numpy(dim):
         w, v = linalg._eigh(x)
         scale = 1e-13 * max(1.0, np.max(np.abs(x)) * dim)
         assert np.max(np.abs(w - np.linalg.eigh(x)[0])) <= scale
-        assert np.max(np.abs(linalg._eigvalsh(x) - np.linalg.eigvalsh(x))) <= scale
         assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) <= 1e-13
         assert np.linalg.norm((v * w) @ v.conj().T - x) <= 1e-13 * np.linalg.norm(x)
 
@@ -368,7 +367,6 @@ def test_csd_kernel_matches_cossin(dim):
     "routine, kernel",
     [
         ("_ZHEEVD", "_eigh"),
-        ("_ZHEEVD", "_eigvalsh"),
         ("_ZGESDD", "_svd"),
         ("_ZGEES", "_schur"),
         ("_ZGETRF", "_det"),

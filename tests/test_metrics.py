@@ -93,14 +93,6 @@ def test_run_benchmark_basic_aggregation():
     assert summary.mean_subspace_error < 1e-3
 
 
-def test_run_benchmark_threaded_matches_serial():
-    serial = run_benchmark(n=3, count=4, seed=5, threads=1)
-    threaded = run_benchmark(n=3, count=4, seed=5, threads=4)
-    for a, b in zip(serial.results, threaded.results):
-        assert a.tree.report.approx_error == b.tree.report.approx_error
-        assert a.tree.report.subspace_errors == b.tree.report.subspace_errors
-
-
 def test_run_benchmark_keep_trees():
     # every successful sample keeps its tree
     summary = run_benchmark(n=3, count=2, seed=3)

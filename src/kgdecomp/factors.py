@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import groupby
-from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,12 +27,16 @@ from .errors import (
     LevelExceedsRegisterError,
     ParseError,
 )
+# dump_json is unused here since the tree writer fills its own
+# templates; perfbench/spans.py still patches it at this name
 from .fileio import (
+    Verbatim,
     dump_json,
     entries_to_matrix,
+    fill,
     is_json_number,
-    pair_list_template,
     parse_json,
+    template,
 )
 # expm_skew is unused here since CartanExp blocks come from the torus;
 # perfbench/spans.py still patches it at this name
@@ -97,9 +100,10 @@ class DecompositionReport:
             E_s is the stacked-commutator metric of the raw element
             against its Cartan basis, before snap-to-span repair.
         wall_time: seconds spent in the decomposition.
-        optimizer_stats: (stage label, iteration count) per Cartan stage.
-            The closed-form stages take no iterations and record 0; the
-            field stays so that v1 documents keep one shape.
+        optimizer_stats: (stage label, iteration count) pairs. The
+            closed-form stages take no iterations, so decompose_full
+            leaves it empty; the field stays so that v1 documents,
+            which may carry counts, keep one shape.
     """
 
     approx_error: float
@@ -282,152 +286,85 @@ def factor_defects(factor: Factor) -> dict:
     return {"unitarity": unitarity, "det": det}
 
 
-def _document(tree: FactorTree) -> dict:
-    """The tree document as the dict that dump_json writes."""
-    records = []
-    for factor in tree.factors:
-        rec = {"kind": factor.kind.value, "level_qubits": factor.level_qubits}
-        if factor.kind is FactorKind.CARTAN_EXP:
-            rec["basis"] = factor.basis_name
-            rec["coeffs"] = [[label, float(c)] for label, c in factor.coeffs]
-            if factor.subspace_residual is not None:
-                rec["subspace_residual"] = float(factor.subspace_residual)
-        else:
-            rec["entries"] = np.asarray(factor.matrix, dtype=complex)
-        records.append(rec)
-    return {
+# the walker lays a record out at depth 2 (in the factors list) and the
+# report at depth 1. _RECORD is a record's place in _frame: its line break
+# keeps the list one record per line; an encoded document holds no \x1e
+_RECORD = Verbatim("\x1e\n")
+
+
+@lru_cache(maxsize=64, typed=True)
+def _payload_template(kind: FactorKind, level, shape: tuple) -> str:
+    """The %-template of a payload record of this kind, level and payload
+    shape; TypeError for a shape that is not 2-D."""
+    record = {"kind": kind.value, "level_qubits": level, "entries": np.zeros(shape, complex)}
+    return template(record, 2)[0]
+
+
+@lru_cache(maxsize=64, typed=True)
+def _cartan_template(level, basis, labels: tuple, residual: bool) -> str:
+    """The %-template of a CartanExp record: its coefficients under
+    labels, then a subspace residual if it has one."""
+    record = {
+        "kind": FactorKind.CARTAN_EXP.value,
+        "level_qubits": level,
+        "basis": basis,
+        "coeffs": [[label, 0.0] for label in labels],
+    }
+    if residual:
+        record["subspace_residual"] = 0.0
+    return template(record, 2)[0]
+
+
+@lru_cache(maxsize=64)
+def _report_template(labels: tuple, optimizer_stats: tuple) -> str:
+    """The %-template of a report block whose subspace_errors carry labels:
+    approx_error, those errors and wall_time are its floats, and the
+    (label, count) optimizer_stats are part of its text."""
+    report = {
+        "approx_error": 0.0,
+        "subspace_errors": [[label, 0.0] for label in labels],
+        "wall_time": 0.0,
+        "optimizer_stats": [[label, int(count)] for label, count in optimizer_stats],
+    }
+    return template(report, 1)[0]
+
+
+@lru_cache(maxsize=64, typed=True)
+def _frame(n_total, report: Optional[str], records: bool) -> Tuple[str, str, str]:
+    """The document's %-template around its records, with its phase as
+    its first float and the report template (None for no report) in
+    place: the text before the first record, between two, and after the
+    last; with no records, the whole template and two empty strings."""
+    text = template({
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
-        "n_total": tree.n_total,
-        "phase": float(tree.phase),
-        "report": _report_document(tree.report),
-        "factors": records,
-    }
-
-
-def _report_document(report: Optional[DecompositionReport]) -> Optional[dict]:
-    if report is None:
-        return None
-    return {
-        "approx_error": report.approx_error,
-        "subspace_errors": [[label, v] for label, v in report.subspace_errors],
-        "wall_time": report.wall_time,
-        "optimizer_stats": [[label, int(v)] for label, v in report.optimizer_stats],
-    }
-
-
-def _record_template(kind: str, level: int, fields) -> str:
-    """A record as dump_json lays it out in the factors list (indent 2):
-    its kind, its level, then the (key, text) fields."""
-    items = [("kind", f'"{kind}"'), ("level_qubits", str(level)), *fields]
-    return "    {\n" + ",\n".join(f'      "{key}": {text}' for key, text in items) + "\n    }"
-
-
-@lru_cache(maxsize=64, typed=True)
-def _payload_template(kind: FactorKind, level, pairs: int) -> Optional[str]:
-    """The %-template of a payload record of this kind with `pairs`
-    entries, or None where level is not an int."""
-    if type(level) is not int:
-        return None
-    entries = pair_list_template(pairs, 3)
-    return _record_template(kind.value, level, [("entries", entries)])
-
-
-def _float_pairs(labels: tuple) -> Optional[list]:
-    """The "[label, %.16e]" templates of labels, or None where dump_json's
-    layout could depend on the values: a label that is not a string or
-    is longer than 17 characters once encoded (a [label, value] pair
-    under 48 characters fits any %.16e value only up to there)."""
-    pairs = []
-    for label in labels:
-        if not isinstance(label, str):
-            return None
-        name = _encode_str(label)
-        if len(name) > 19:
-            return None
-        pairs.append(f"[{name.replace('%', '%%')}, %.16e]")
-    return pairs
-
-
-def _pair_lines(pairs: list, indent: int) -> str:
-    """A list of one-line pairs at indent as dump_json lays it out: on one
-    line for at most 8 pairs, else one pair per line."""
-    if len(pairs) <= 8:
-        return "[" + ", ".join(pairs) + "]"
-    pad = "  " * indent
-    return "[\n" + ",\n".join(pad + "  " + p for p in pairs) + "\n" + pad + "]"
-
-
-@lru_cache(maxsize=64, typed=True)
-def _cartan_template(level, basis, labels: tuple, residual: bool) -> Optional[str]:
-    """The %-template of a CartanExp record, or None where dump_json's
-    layout could depend on the values: a level that is not an int, a
-    basis that is not a string, or a label as _float_pairs refuses."""
-    pairs = _float_pairs(labels)
-    if type(level) is not int or not isinstance(basis, str) or pairs is None:
-        return None
-    coeffs = _pair_lines(pairs, 3)
-    fields = [("basis", _encode_str(basis).replace("%", "%%")), ("coeffs", coeffs)]
-    if residual:
-        fields.append(("subspace_residual", "%.16e"))
-    return _record_template("cartan_exp", level, fields)
-
-
-@lru_cache(maxsize=64, typed=True)
-def _report_template(labels: tuple) -> Optional[str]:
-    """The %-template of a report block (indent 1) whose subspace_errors
-    carry labels and whose optimizer_stats are empty, as decompose_full
-    writes them; approx_error, the subspace_errors values and wall_time
-    are left as %.16e. None where dump_json's layout could depend on the
-    values (a label as _float_pairs refuses)."""
-    errors = _float_pairs(labels)
-    if errors is None:
-        return None
-    return (
-        f'{{\n    "approx_error": %.16e,\n    "subspace_errors": {_pair_lines(errors, 2)},'
-        '\n    "wall_time": %.16e,\n    "optimizer_stats": []\n  }'
-    )
-
-
-def _report_parts(report: Optional[DecompositionReport]) -> Tuple[Optional[str], list]:
-    """The report block's %-template and its floats in document order:
-    "null" for no report, the cached _report_template where every float
-    field is a float, optimizer_stats is empty and the labels allow a
-    template, else None and no floats."""
-    if report is None:
-        return "null", []
-    values = [report.approx_error, *[v for _, v in report.subspace_errors], report.wall_time]
-    if report.optimizer_stats or not all(isinstance(v, float) for v in values):
-        return None, []
-    try:
-        template = _report_template(tuple([label for label, _ in report.subspace_errors]))
-    except TypeError:  # an unhashable label
-        return None, []
-    return template, values if template else []
+        "n_total": n_total,
+        "phase": 0.0,
+        "report": None if report is None else Verbatim(report),
+        "factors": [_RECORD, _RECORD] if records else [],
+    })[0]
+    head, between, tail = text.split(_RECORD) if records else (text, "", "")
+    return head, between, tail + "\n"
 
 
 def serialize(tree: FactorTree) -> str:
     """Renders a factor tree as its text document.
 
     The document round-trips through deserialize to a tree with the same
-    product within 1e-14 (floats carry 17 significant digits). The bytes
-    are those dump_json writes for the document dict (_document), built
-    another way: each record is a %-template cached per shape, (kind,
-    level, payload size) for a payload and (level, basis, labels,
-    residual or not) for a CartanExp. The phase and every record float
-    go into one float64 array in document order, which is checked for
-    finiteness once and formatted into the joined templates in one %
-    call. The report block is one more template, cached per label tuple
-    (_report_template), whose floats follow the phase; a report with no
-    exact template, or with optimizer_stats, is written by dump_json. A
-    record with no exact template (a label of more than 17 characters,
-    whose one-line layout depends on its value, a non-string label, a
-    payload that is not 2-D) sends the whole tree through dump_json
-    instead, and so does a non-finite value, so that the error names
-    the first one in document order.
+    product within 1e-14 (floats carry 17 significant digits), and is
+    laid out by fileio's one walker. Each record is a %-template cached
+    per shape, (kind, level, payload shape) for a payload and (level,
+    basis, labels, residual or not) for a CartanExp; the report block is
+    one per (labels, optimizer_stats), and the frame around the records
+    one per (n_total, report template, any records). The phase, the
+    report's floats and every record's floats, in document order, are
+    checked for finiteness once and formatted into the joined templates
+    in one % call (fileio.fill).
 
     Raises:
-        TypeError: a payload is not a 2-D array.
+        TypeError: a payload is not a 2-D array, a label, a basis or
+            optimizer_stats is unhashable, or a level or n_total is a
+            float (it would take a value of its own).
         ValueError: a value is not finite; the message names the first.
     """
     templates = []
@@ -438,41 +375,32 @@ def serialize(tree: FactorTree) -> str:
             residual = factor.subspace_residual
             if residual is not None:
                 values.append(float(residual))
-            try:
-                template = _cartan_template(
-                    factor.level_qubits,
-                    factor.basis_name,
-                    tuple([label for label, _ in factor.coeffs]),
-                    residual is not None,
-                )
-            except TypeError:  # an unhashable basis or label
-                template = None
+            record = _cartan_template(
+                factor.level_qubits,
+                factor.basis_name,
+                tuple([label for label, _ in factor.coeffs]),
+                residual is not None,
+            )
         else:
             matrix = np.asarray(factor.matrix, dtype=complex)
             values = matrix.ravel().view(float)
-            template = (
-                _payload_template(factor.kind, factor.level_qubits, matrix.size)
-                if matrix.ndim == 2
-                else None
-            )
-        if template is None:
-            return dump_json(_document(tree)) + "\n"
-        templates.append(template)
+            record = _payload_template(factor.kind, factor.level_qubits, matrix.shape)
+        templates.append(record)
         chunks.append(values)
-    report_text, report_values = _report_parts(tree.report)
-    n_total = tree.n_total
-    flat = _concatenate([[float(tree.phase)], report_values, *chunks])
-    if type(n_total) is not int or not np.logical_and.reduce(np.isfinite(flat)):
-        return dump_json(_document(tree)) + "\n"
-    if report_text is None:
-        report_text = dump_json(_report_document(tree.report), 1).replace("%", "%%")
-    factors_text = "[\n" + ",\n".join(templates) + "\n  ]" if templates else "[]"
-    template = (
-        f'{{\n  "format": "{_FORMAT_NAME}",\n  "version": {_FORMAT_VERSION},\n'
-        f'  "n_total": {n_total},\n  "phase": %.16e,\n  "report": {report_text},\n'
-        f'  "factors": {factors_text}\n}}\n'
+    report = tree.report
+    if report is None:
+        report_text, report_values = None, []
+    else:
+        errors = report.subspace_errors
+        report_text = _report_template(
+            tuple([label for label, _ in errors]), report.optimizer_stats
+        )
+        report_values = [report.approx_error, *[v for _, v in errors], report.wall_time]
+    head, between, tail = _frame(tree.n_total, report_text, bool(templates))
+    return fill(
+        head + between.join(templates) + tail,
+        [[float(tree.phase)], report_values, *chunks],
     )
-    return template % tuple(flat.tolist())
 
 
 def _parse_factor(rec, where: str, n_total: int) -> Factor:

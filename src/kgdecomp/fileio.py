@@ -1,18 +1,25 @@
 """Text document helpers shared by the matrix and factor-tree formats.
 
-Documents are JSON. The writer is hand-rolled for one reason: every float
-must carry at least 17 significant digits, and the stdlib encoder emits
+Documents are JSON, which any JSON reader reads; json.loads reads them
+here. The writer is hand-rolled for one reason: every float must carry
+at least 17 significant digits, and the stdlib encoder emits
 shortest-repr floats ("1.0"), which round-trip exactly but violate that
-requirement for round values. A matrix, the bulk of every matrix and tree
-document, is handed to the writer as a 2-D complex array and written as
-its row-major [re, im] pair list with one finiteness check and one
-"%.16e" format call for the whole payload, the same bytes as a Python
-list of float pairs. The layout of such a list is one %-template
-(pair_list_template), which the tree writer (factors.serialize) also
-fills: it keeps a cached template per record shape and formats a whole
-tree in one call, leaving only the report block to dump_json. Reading
-uses json.loads unchanged; a pair list of plain finite numbers then
-becomes a matrix in one array conversion.
+requirement for round values.
+
+The layout, which this module alone holds: two spaces of indent per
+level; an object puts each key on its own line; a list goes on one line,
+", "-separated, only if it has at most 8 items and each is one line of
+under 48 characters, else one item per line; a float is "%.16e" and
+counts as 24 characters, the widest it prints, so that the layout never
+depends on a value. A 2-D complex array is written as its row-major
+[re, im] pair list, which that rule always puts one pair per line.
+
+One walker (template) lays a document out as a %-template, each float a
+"%.16e" slot, and collects the floats in document order as chunks (an
+array's are one chunk). fill checks the floats for finiteness once,
+names the first that is not finite, and formats them all in one %
+call; dump_json is the two in turn. The tree writer (factors.serialize)
+caches the templates of its records and fills a whole tree at once.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ParseError
+from .linalg import _concatenate
 
 __all__ = [
     "dump_json",
@@ -35,47 +43,41 @@ __all__ = [
     "matrix_from_document",
 ]
 
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return format(float(x), ".16e")
-
-
-def pair_list_template(pairs: int, indent: int) -> str:
-    """The %-template of a list of `pairs` [re, im] float pairs at indent,
-    one "[%.16e, %.16e]" row per line, as dump_json lays it out; "[]"
-    for none. The tree writer fills it inside its record templates."""
-    if not pairs:
-        return "[]"
-    row = "  " * (indent + 1) + "[%.16e, %.16e]"
-    return "[\n" + ",\n".join([row] * pairs) + "\n" + "  " * indent + "]"
+# a float's place while the text is laid out, as wide as the widest
+# "%.16e" text ("-1.2345678901234567e-300"); JSON text holds no NUL
+_SLOT = "\0" * 24
+# a "%" of a string while the text is laid out, one character wide like
+# the "%" it stands for; an encoded string holds no raw control character
+_PERCENT = "\1"
 
 
-def _pair_list(matrix: np.ndarray, indent: int) -> str:
-    """The row-major [re, im] pair list of a 2-D complex array, one pair
-    per line, as dump_json writes a Python list of float pairs."""
-    flat = np.ascontiguousarray(matrix, dtype=complex).view(float).ravel()
-    finite = np.isfinite(flat)
-    if not finite.all():
-        bad = flat[~finite][0]
-        raise ValueError(f"cannot serialize non-finite float {float(bad)!r}")
-    return pair_list_template(flat.size // 2, indent) % tuple(flat.tolist())
+class Verbatim(str):
+    """Template text that template() places as it stands, such as a
+    template it built before. Its length as text, not as printed, is its
+    width, so it belongs where no one-line choice depends on it: as a
+    dict value, or holding a line break."""
 
 
-def dump_json(obj, indent: int = 0) -> str:
-    """Serializes nested dict/list/str/bool/int/float/None to JSON text.
+def template(obj, indent: int = 0) -> Tuple[str, list]:
+    """The %-template of obj as a document at indent, and its floats as
+    chunks in document order, for fill.
 
-    Floats are written as %.16e (17 significant digits, full round trip).
-    A 2-D complex ndarray is written as its row-major list of [re, im]
-    pairs, the same bytes as that list of Python floats, and refused with
-    ValueError if any entry is not finite; any other ndarray, like any
-    other type, raises TypeError.
+    obj is nested dict/list/tuple/str/bool/int/float/None, where a 2-D
+    complex ndarray stands for its [re, im] pair list and a Verbatim is
+    placed as it stands. Any other type, or any other ndarray, raises
+    TypeError.
     """
+    chunks = []
+    text = _walk(obj, indent, chunks)
+    return text.replace(_SLOT, "%.16e").replace(_PERCENT, "%%"), chunks
+
+
+def _walk(obj, indent: int, chunks: list) -> str:
     if isinstance(obj, np.ndarray):
         if obj.ndim != 2 or obj.dtype.kind != "c":
             raise TypeError(f"cannot serialize {obj.dtype} array of {obj.ndim} dimensions")
-        return _pair_list(obj, indent)
+        chunks.append(np.ascontiguousarray(obj, dtype=complex).view(float).ravel())
+        return _list([f"[{_SLOT}, {_SLOT}]"] * obj.size, indent)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -83,28 +85,56 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
+        chunks.append((obj,))
+        return _SLOT
+    if isinstance(obj, Verbatim):
+        return obj
     if isinstance(obj, str):
-        return _encode_str(obj)
-    pad = "  " * indent
-    inner = pad + "  "
+        return _encode_str(obj).replace("%", _PERCENT)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        pad = "  " * indent
         items = [
-            f"{inner}{_encode_str(str(key))}: {dump_json(value, indent + 1)}"
+            f"{pad}  {_walk(str(key), 0, chunks)}: {_walk(value, indent + 1, chunks)}"
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if not isinstance(obj, (list, tuple)):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    if not obj:
+    return _list([_walk(value, indent + 1, chunks) for value in obj], indent)
+
+
+def _list(parts: list, indent: int) -> str:
+    if not parts:
         return "[]"
-    parts = [dump_json(value, indent + 1) for value in obj]
-    # a pair is at least 48 characters, so a pair list never fits on one line
     if len(parts) <= 8 and all(len(p) < 48 and "\n" not in p for p in parts):
         return "[" + ", ".join(parts) + "]"
-    return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
+    pad = "  " * indent
+    return "[\n" + pad + "  " + (",\n  " + pad).join(parts) + "\n" + pad + "]"
+
+
+def fill(text: str, chunks: list) -> str:
+    """A %-template filled with its chunks of floats, which are checked
+    for finiteness first: ValueError names the first in document order
+    that is not finite."""
+    # the () gives a float64 array even for no chunks
+    flat = _concatenate([(), *chunks])
+    finite = np.isfinite(flat)
+    if not np.logical_and.reduce(finite):
+        raise ValueError(f"cannot serialize non-finite float {float(flat[~finite][0])!r}")
+    return text % tuple(flat.tolist())
+
+
+def dump_json(obj, indent: int = 0) -> str:
+    """Serializes nested dict/list/str/bool/int/float/None to JSON text
+    laid out at indent, as the module docstring sets out.
+
+    A 2-D complex ndarray is written as its row-major list of [re, im]
+    pairs. ValueError names the first float that is not finite; any
+    other type, or any other ndarray, raises TypeError.
+    """
+    return fill(*template(obj, indent))
 
 
 def parse_json(text: str):
@@ -193,13 +223,18 @@ def matrix_to_document(matrix: np.ndarray) -> str:
 
     The document is a JSON object with fields `n` (qubit count) and
     `entries` (row-major [re, im] pairs, length 4^n).
+
+    Raises:
+        ValueError: the array is not 2^n x 2^n with n >= 1; the message
+            names its shape.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    dim = matrix.shape[0]
-    n = int(round(np.log2(dim)))
-    if matrix.shape != (dim, dim) or 2**n != dim:
-        raise ValueError(f"matrix shape {matrix.shape} is not 2^n x 2^n")
-    return dump_json({"n": n, "entries": matrix}) + "\n"
+    shape = matrix.shape
+    dim = shape[0] if len(shape) == 2 else 0
+    # dim & (dim - 1) is 0 only for a power of two, or for 0
+    if shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+        raise ValueError(f"matrix shape {shape} is not 2^n x 2^n with n >= 1")
+    return dump_json({"n": dim.bit_length() - 1, "entries": matrix}) + "\n"
 
 
 def matrix_from_document(text: str) -> Tuple[int, np.ndarray]:

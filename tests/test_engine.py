@@ -1274,10 +1274,8 @@ def test_decompose_full_su64_haar():
 
 
 @pytest.mark.slow
-def test_decompose_full_su128_haar():
-    g = haar_special_unitary(7, np.random.default_rng(0))
-    tree = decompose_full(g, 7)
-    assert tree.report.approx_error <= DEFAULT_TOLS.reconstruct_bound(7)
+def test_decompose_full_su128_haar(su128_tree):
+    assert su128_tree.report.approx_error <= DEFAULT_TOLS.reconstruct_bound(7)
 
 
 @pytest.mark.parametrize("n", [3, 4])

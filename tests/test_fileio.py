@@ -2,19 +2,35 @@
 it replaced, kept here as the oracle, on array payloads, Python pair
 lists, scalar leaves and whole tree and benchmark documents; and the
 templated tree writer `factors.serialize` against the dict-building
-writer before it, kept here too, on edge cases and on its errors."""
+writer before it, kept here too, on edge cases and on its errors.
+
+Both writers lay out with one walker that counts every float as 24
+characters wide. The oracle measured each float as printed, so the two
+part on a list of at most 8 [label, value] pairs whose labels encode to
+18 or 19 characters: a value that prints in 22 or 23 kept it on one
+line. widest_dump_json is the oracle under the one rule, and pins those
+cases; the oracle stays the reference for every other."""
 
 import dataclasses
 import functools
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from kgdecomp import decompose_full, haar_special_unitary, run_benchmark
 from kgdecomp import factors as factors_module
-from kgdecomp.factors import Factor, FactorKind, FactorTree, serialize
+from kgdecomp import fileio as fileio_module
+from kgdecomp.factors import (
+    DecompositionReport,
+    Factor,
+    FactorKind,
+    FactorTree,
+    deserialize,
+    serialize,
+)
 from kgdecomp.fileio import dump_json, matrix_from_document, matrix_to_document
 from kgdecomp.metrics import summary_to_dict
 from structured_sweep import inputs as structured_inputs
@@ -74,6 +90,31 @@ def oracle_dump_json(obj, indent=0):
             return "[" + ", ".join(parts) + "]"
         return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# prints in 24 characters, the most that "%.16e" takes
+WIDEST = -1.2345678901234567e-300
+WIDEST_TEXT = _oracle_fmt_float(WIDEST)
+
+
+def widest_dump_json(obj, indent=0):
+    """oracle_dump_json with every float counted 24 characters wide: the
+    oracle lays obj out with each float at WIDEST, and each is then
+    written at its own value."""
+    floats = []
+
+    def widen(value):
+        if isinstance(value, (float, np.floating)):
+            floats.append(value)
+            return WIDEST
+        if isinstance(value, dict):
+            return {k: widen(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [widen(v) for v in value]
+        return value
+
+    pieces = oracle_dump_json(widen(obj), indent).split(WIDEST_TEXT)
+    return "".join(chain(*zip(pieces, map(_oracle_fmt_float, floats)))) + pieces[-1]
 
 
 def pair_list(matrix):
@@ -141,6 +182,15 @@ def test_matrix_document_writes_the_oracle_bytes():
     assert np.array_equal(matrix_from_document(matrix_to_document(g))[1], g)
 
 
+@pytest.mark.parametrize("shape", [(), (0,), (0, 0), (1, 1), (1, 2), (3, 3), (6, 6), (4,),
+                                   (2, 4), (2, 2, 2)], ids=str)
+def test_matrix_document_needs_2n_by_2n_with_n_at_least_1(shape):
+    # 1 x 1 would write "n": 0, which matrix_from_document refuses
+    with pytest.raises(ValueError) as info:
+        matrix_to_document(np.zeros(shape, dtype=complex))
+    assert str(info.value) == f"matrix shape {shape} is not 2^n x 2^n with n >= 1"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("part", ["real", "imag"])
 def test_non_finite_entries_are_refused(bad, part):
@@ -182,7 +232,7 @@ def test_other_types_raise_type_error(value):
         dump_json({"entries": value})
 
 
-def _oracle_serialize(tree):
+def _oracle_serialize(tree, writer=oracle_dump_json):
     """The tree document as the dict-building writer made it, written by
     the oracle writer with the payloads as pair lists."""
     records = []
@@ -212,7 +262,22 @@ def _oracle_serialize(tree):
         "report": report,
         "factors": records,
     }
-    return oracle_dump_json(as_lists(doc)) + "\n"
+    return writer(as_lists(doc)) + "\n"
+
+
+def _expected_serialize(tree):
+    """The tree document under the writer's one rule: as the oracle writes
+    it with every float counted 24 characters wide (widest_dump_json),
+    and each report value a float."""
+    report = tree.report
+    if report is not None:
+        report = dataclasses.replace(
+            report,
+            approx_error=float(report.approx_error),
+            subspace_errors=tuple((label, float(v)) for label, v in report.subspace_errors),
+            wall_time=float(report.wall_time),
+        )
+    return _oracle_serialize(dataclasses.replace(tree, report=report), widest_dump_json)
 
 
 def _fixed_clock(tree):
@@ -258,6 +323,23 @@ def _with_factors(*factors):
 
 LABEL_VALUES = (-1.2345678901234567e-300, 2.5e-7, -9.87e+150, 1e100, -0.0, 3.0)
 
+# the cases where the writer's one rule parts from the oracle: at most 8
+# [label, value] pairs whose labels encode to 18 or 19 characters, and
+# report values given as ints
+NEW_RULE = {
+    *(f"{kind}-{width}x{count}"
+      for kind, counts in (("labels", (1, 6, 8)), ("errors", (1, 8)))
+      for width in (18, 19) for count in counts),
+    "escapes-long", "errors-escapes-long", "int-approx", "int-wall", "int-error",
+}
+
+
+def _check_writer(name, tree):
+    want = _expected_serialize(tree)
+    assert serialize(tree) == want, name
+    if name not in NEW_RULE:
+        assert want == _oracle_serialize(tree), name
+
 
 def _writer_cases():
     tree = _haar_tree()
@@ -270,8 +352,6 @@ def _writer_cases():
     yield "report-escapes", dataclasses.replace(tree, report=labels)
     yield "no-factors", dataclasses.replace(tree, factors=())
     yield "no-factors-no-report", FactorTree(3, -0.25, ())
-    # each on its own: one label too long for a template sends a whole
-    # tree down the dump_json path
     yield "escapes-percent", _with_factors(
         _cartan(["Z%Z", 'a"b', "Z\u00e9Z", "%s", "%%", "%(x)s"], LABEL_VALUES, basis="H%3"))
     yield "escapes-quote", _with_factors(_cartan(["ZZ"], [0.5], basis='F"3', residual=1e-12))
@@ -280,7 +360,7 @@ def _writer_cases():
     yield "escapes-long", _with_factors(
         _cartan(["\u00e9" * 3, "%"], [1.0, -1.0], basis="%\u00e9", residual=0.0))
     yield "no-coeffs", _with_factors(_cartan([], [], residual=2.0), _cartan([], []))
-    yield "odd-labels", _with_factors(_cartan([5, ("t",), ["u"]], [1.0, 2.0, 3.0]))
+    yield "odd-labels", _with_factors(_cartan([5, ("t",), None], [1.0, 2.0, 3.0]))
     for width in (16, 17, 18, 19, 20):
         for count in (1, 6, 8, 9):
             labels = ["X" * width] * count
@@ -293,29 +373,75 @@ def _writer_cases():
 @pytest.mark.parametrize("name, tree", list(_writer_cases()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_writer_edge_cases_write_the_oracle_bytes(name, tree):
-    assert serialize(tree) == _oracle_serialize(tree), name
+    _check_writer(name, tree)
 
 
-def test_a_tree_writes_only_its_report_through_dump_json(monkeypatch):
-    # a fresh tree's report fills its cached template, so dump_json is not
-    # called at all; a report with no exact template is the one block that
-    # dump_json still writes
-    calls = []
-    writer = factors_module.dump_json
-    monkeypatch.setattr(factors_module, "dump_json",
-                        lambda obj, indent=0: calls.append(obj) or writer(obj, indent))
+def test_band_pairs_go_one_per_line_and_int_values_as_floats():
+    # ["K0/K0/K0/K0/f0[F3]", 0.5] prints in 46 characters, but counts as
+    # 48 with its float 24 wide, so even two such pairs go one per line;
+    # an int approx_error is written as a float and reads back equal
+    label = "K0/K0/K0/K0/f0[F3]"
+    tree = FactorTree(3, 0.0, (), DecompositionReport(
+        approx_error=0, subspace_errors=((label, 0.5), (label, -0.0))))
+    text = serialize(tree)
+    assert text == (
+        '{\n  "format": "kgdecomp-tree",\n  "version": 1,\n  "n_total": 3,\n'
+        '  "phase": 0.0000000000000000e+00,\n  "report": {\n'
+        '    "approx_error": 0.0000000000000000e+00,\n    "subspace_errors": [\n'
+        '      ["K0/K0/K0/K0/f0[F3]", 5.0000000000000000e-01],\n'
+        '      ["K0/K0/K0/K0/f0[F3]", -0.0000000000000000e+00]\n    ],\n'
+        '    "wall_time": 0.0000000000000000e+00,\n    "optimizer_stats": []\n  },\n'
+        '  "factors": []\n}\n'
+    )
+    assert deserialize(text) == tree
+    assert dump_json([[label, 0.5]]) == '[\n  ["K0/K0/K0/K0/f0[F3]", 5.0000000000000000e-01]\n]'
+
+
+@pytest.mark.parametrize("where", ["coefficient", "subspace_error", "optimizer_stat"])
+def test_an_unhashable_label_is_a_type_error(where):
     tree = _haar_tree()
-    serialize(tree)
+    report = tree.report
+    if where == "coefficient":
+        tree = _with_factors(_cartan([5, ("t",), ["u"]], [1.0, 2.0, 3.0]))
+    elif where == "subspace_error":
+        tree = dataclasses.replace(tree, report=dataclasses.replace(
+            report, subspace_errors=((["u"], 1.0),)))
+    else:
+        tree = dataclasses.replace(tree, report=dataclasses.replace(
+            report, optimizer_stats=((["u"], 1),)))
+    with pytest.raises(TypeError):
+        serialize(tree)
+
+
+@pytest.mark.parametrize("where", ["n_total", "payload", "cartan"])
+def test_a_float_level_or_n_total_is_a_type_error(where):
+    # deserialize refuses a float there, so no document is written
+    tree = _haar_tree()
+    if where == "n_total":
+        tree = dataclasses.replace(tree, n_total=3.0)
+    else:
+        kind = FactorKind.CARTAN_EXP if where == "cartan" else FactorKind.SUB_UNITARY
+        factor = next(f for f in tree.factors if f.kind is kind)
+        tree = dataclasses.replace(tree, factors=(dataclasses.replace(factor, level_qubits=3.0),))
+    with pytest.raises(TypeError):
+        serialize(tree)
+
+
+def test_serialize_never_calls_dump_json(monkeypatch):
+    # the tree writer fills its cached templates itself, for every report
+    # too: one with deep 18-character labels or with optimizer_stats
+    calls = []
+    for module in (factors_module, fileio_module):
+        writer = module.dump_json
+        monkeypatch.setattr(module, "dump_json", lambda obj, indent=0, writer=writer:
+                            calls.append(obj) or writer(obj, indent))
+    tree = _haar_tree()
+    report = tree.report
+    errors = (("K0/K0/K0/K0/f0[F3]", 1e-15),) + report.subspace_errors
+    for other in (report, None, dataclasses.replace(report, subspace_errors=errors),
+                  dataclasses.replace(report, optimizer_stats=(("h[H3]", 3),))):
+        serialize(dataclasses.replace(tree, report=other))
     assert calls == []
-    errors = (("K0/K0/K0/K0/f0[F3]", 1e-15),) + tree.report.subspace_errors
-    long_label = dataclasses.replace(tree.report, subspace_errors=errors)
-    serialize(dataclasses.replace(tree, report=long_label))
-    assert calls == [{
-        "approx_error": tree.report.approx_error,
-        "subspace_errors": [list(pair) for pair in errors],
-        "wall_time": tree.report.wall_time,
-        "optimizer_stats": [],
-    }]
 
 
 def _report_cases():
@@ -354,13 +480,13 @@ def _report_cases():
 @pytest.mark.parametrize("name, report", list(_report_cases()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_report_templates_write_the_dump_json_bytes(name, report):
-    # the report block's template keeps dump_json's one-line rules: a
-    # [label, value] pair only for labels of up to 17 characters, a list
-    # only of up to 8 entries
+    # the report block is laid out by the same walker as dump_json: a
+    # list of at most 8 entries on one line where each is under 48
+    # characters; every report reads back equal
     tree = dataclasses.replace(_haar_tree(), report=report)
-    want = dump_json(factors_module._document(tree)) + "\n"
-    assert serialize(tree) == want, name
-    assert serialize(tree) == _oracle_serialize(tree), name
+    _check_writer(name, tree)
+    if "odd-label" not in name:  # deserialize refuses a label that is not a string
+        assert deserialize(serialize(tree)).report == report, name
 
 
 @pytest.mark.parametrize("label", ["h[H3]", "K0/K0/K0/K0/f0[F3]", 5])
@@ -377,9 +503,15 @@ def test_a_non_finite_phase_is_named_before_the_report(label):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_fresh_tree_reports_write_the_dump_json_bytes(n):
     tree = decompose_full(haar_special_unitary(n, np.random.default_rng([5, n])), n)
-    assert serialize(tree) == dump_json(factors_module._document(tree)) + "\n"
+    assert serialize(tree) == _oracle_serialize(tree)
     # the templates are cached per shape: a second tree reuses them
-    assert serialize(tree) == dump_json(factors_module._document(tree)) + "\n"
+    assert serialize(tree) == _oracle_serialize(tree)
+
+
+def test_an_su128_tree_writes_the_oracle_bytes(su128_tree):
+    # its report labels ("K0/K0/K0/K0/f0[F3]") are 18 characters, but it
+    # has far more than 8 of them, so both rules put them one per line
+    assert serialize(su128_tree) == _oracle_serialize(su128_tree)
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])

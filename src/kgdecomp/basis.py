@@ -30,6 +30,7 @@ words through 2^n eigenvalues each and never stack their matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -350,15 +351,18 @@ class CartanTorus:
             (H) or diagonal (F) last-qubit block; None at n = 2.
         q: kron(u, hadamard) for H_n, kron(u, I2) for F_n (the last
             qubit least significant), and the eigh of -i v for H_2, a
-            Bell basis.
+            Bell basis. A level's Cartan stages read neither q nor
+            q_dag: they work on the 2^(n-1) block with u and
+            block_figures, and q serves only the 2^n matrices of h
+            (khk_stage, a failed solve) and of Cartan factors.
         signs: (|labels|, 2^n) entries +-1 with
             q^dag word q = (i/2) diag(signs[row]).
         mu: the eigenvalues of -i v, (1/2) signs^T weights.
         es_weights: C_ab = sum_w (signs_wa - signs_wb)^2 / 4, so that
             sum_w ||[word, x]||_F^2 = sum_ab C_ab |(q^dag x q)_ab|^2.
 
-    The read-only q_dag, u_dag, figure_weights and block_figures are
-    built on first use and kept.
+    The read-only q_dag, u_dag and block_figures are built on first use
+    and kept.
     """
 
     name: str
@@ -382,21 +386,25 @@ class CartanTorus:
         return None if self.u is None else _read_only(self.u.conj().T)
 
     @cached_property
-    def figure_weights(self) -> np.ndarray:
-        """The real (4, 4^n) rows (mu_a - mu_b)^2, C_ab, 1 - delta_ab and 1,
-        each flattened row-major over (a, b): one product with
-        |q^dag x q|^2 gives ||[v, x]||^2, sum_w ||[word, x]||^2, the
-        off-diagonal and the whole ||x||^2 (engine._stage_figures)."""
-        return _figure_weights(self.mu, self.es_weights)
+    def block_figures(self) -> Tuple[np.ndarray, np.ndarray, float]:
+        """(signs[:, 0::2], weights, ||mu||): what a Cartan stage reads off
+        its rotated 2^(n-1) block D (engine._stage_figures).
 
-    @cached_property
-    def block_figures(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(signs[:, 0::2], mu[0::2], figure_weights) of the block
-        x~[0::2, 0::2], the weights from mu[0::2] and
-        es_weights[0::2, 0::2]: what the F torus reads off an
-        x = diag(X, -X) in the last-qubit block view."""
-        mu = self.mu[0::2]
-        return self.signs[:, 0::2], mu, _figure_weights(mu, self.es_weights[0::2, 0::2])
+        x~ = q^dag x q is [[K, -H], [H, -K]] on H_n, with K and H the
+        skew-Hermitian and Hermitian parts of D, and diag(D, -D) on F_n,
+        in the last-qubit block view, and signs[:, 1::2] is
+        -signs[:, 0::2] on both. weights are the real rows
+        (mu_a - mu_b)^2, C_ab, 1 - delta_ab and 1 of the whole register
+        at its entries (a, b) = (2i, 2j), then on H_n at (2i, 2j + 1),
+        each flattened row-major over (i, j): one product with |D|^2
+        (F_n), or with |K|^2 then |H|^2 (H_n), gives half of ||[v, x]||^2,
+        sum_w ||[word, x]||^2, the off-diagonal and the whole ||x||^2.
+        """
+        weights = _block_weights(self.mu, self.es_weights, 0)
+        if self.name[0] == "H":
+            off = _block_weights(self.mu, self.es_weights, 1)
+            weights = np.concatenate((weights, off), axis=1)
+        return self.signs[:, 0::2], _read_only(weights), math.sqrt(self.mu @ self.mu)
 
     def rows_of(self, labels: Iterable[str]) -> np.ndarray:
         """The signs rows of labels, in their order.
@@ -417,12 +425,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _figure_weights(mu: np.ndarray, es_weights: np.ndarray) -> np.ndarray:
-    """CartanTorus.figure_weights from mu and the E_s weights."""
-    dim = len(mu)
-    gaps = mu[:, None] - mu[None, :]
-    rows = (gaps * gaps, es_weights, 1.0 - np.eye(dim), np.ones((dim, dim)))
-    return _read_only(np.stack(rows).reshape(4, dim * dim))
+def _block_weights(mu: np.ndarray, es_weights: np.ndarray, col: int) -> np.ndarray:
+    """The real (4, h^2) rows (mu_a - mu_b)^2, C_ab, 1 - delta_ab and 1 at
+    the entries (a, b) = (2i, 2j + col) of a register of 2h, flattened
+    row-major over (i, j)."""
+    rows, cols = np.arange(0, len(mu), 2), np.arange(col, len(mu), 2)
+    gaps = mu[rows][:, None] - mu[cols][None, :]
+    off = rows[:, None] != cols
+    table = (gaps * gaps, es_weights[0::2, col::2], off, np.ones(gaps.shape))
+    return np.stack(table).reshape(4, gaps.size)
 
 
 def _word_diagonal(label: str, q: np.ndarray) -> np.ndarray:

@@ -18,16 +18,16 @@ Both involution logarithms are theta-odd by construction, also where
 theta(g^dag) g has the eigenvalue -1 and the principal log is not (see
 compute_m), so structured gates split like generic ones.
 
-No 2^n matrix is decomposed or exponentiated in a level. In the
-last-qubit block view (rows and columns 0::2 and 1::2) the theta_Z stage
-is one cosine-sine decomposition G = diag(U1, U2) [[C, -S], [S, C]]
-diag(V1, V2)^dag (Sutton, Numer. Algorithms 50:33, 2009), which gives
-m0, the SVD of m0's off-diagonal block and K00 = diag(U1 V1^dag,
-U2 V2^dag) as its two blocks (_theta_z_log). Every K-type factor of a
-level is such a multiplexor diag(B0, B1), and the level keeps it as its
-two 2^(n-1) blocks and their determinant (BlockPair): with
-K01 = diag(A, B), each theta_X stage is handed (W0, W1) =
-(U1 V1^dag A, U2 V2^dag B) or (A^dag, B^dag) and never forms
+No 2^n matrix is formed in a level. In the last-qubit block view (rows
+and columns 0::2 and 1::2) the theta_Z stage is one cosine-sine
+decomposition G = diag(U1, U2) [[C, -S], [S, C]] diag(V1, V2)^dag
+(Sutton, Numer. Algorithms 50:33, 2009), which gives the off-diagonal
+block Y of m0 = [[0, Y], [-Y^dag, 0]], the SVD of Y and
+K00 = diag(U1 V1^dag, U2 V2^dag) as its two blocks (_theta_z_log). Every
+K-type factor of a level is such a multiplexor diag(B0, B1), and the
+level keeps it as its two 2^(n-1) blocks and their determinant
+(BlockPair): with K01 = diag(A, B), each theta_X stage is handed
+(W0, W1) = (U1 V1^dag A, U2 V2^dag B) or (A^dag, B^dag) and never forms
 theta_X(w^dag) w at 2^n, since that is diag(P, P^dag) with
 P = W1^dag W0. One Schur form of P gives the log, the cofactor
 k = w e^(-m), the central I..IZ phase and the F_n rotation
@@ -35,35 +35,37 @@ k = w e^(-m), the central I..IZ phase and the F_n rotation
 and checks the determinant the level carries from the two factors in
 place of taking it again.
 
-Each Cartan stage is solved in closed form, with no iteration. Both
-Cartan sets are a commuting set W of words on the first n - 1 qubits
-times one last letter: H_n = W (x) X and F_n = (W minus I..I) (x) Z. In
-the block view a k element is diag(A, B), so the theta_Z stage needs
-the SVD of the off-diagonal block of m0 and the theta_X stage the
-eigenvectors of its diagonal block, with A and B mapping the joint
-eigenbasis of W onto them. This is the cosine-sine split and the
-demultiplexing step of the quantum Shannon decomposition (Shende,
-Bullock and Markov, IEEE TCAD 25:1000, 2006; Paige and Wei, Linear
-Algebra Appl. 208:303, 1994), which Drury and Love (J. Phys. A
-41:395305, 2008) showed is the KG decomposition with exactly these
-involutions.
+Each Cartan stage is solved in closed form, with no iteration, by one
+solve on the stage's 2^(n-1) block x (_minimize_full). Both Cartan sets
+are a commuting set W of words on the first n - 1 qubits times one last
+letter: H_n = W (x) X and F_n = (W minus I..I) (x) Z. In the block view
+a k element is diag(A, B); the theta_Z stage's x is Y, the theta_X
+stage's x is the C^ of its log diag(C^, -C^), and A and B map the joint
+eigenbasis of W onto the singular vectors of Y, or onto the eigenvectors
+of C^ taken twice. This is the cosine-sine split and the demultiplexing
+step of the quantum Shannon decomposition (Shende, Bullock and Markov,
+IEEE TCAD 25:1000, 2006; Paige and Wei, Linear Algebra Appl. 208:303,
+1994), which Drury and Love (J. Phys. A 41:395305, 2008) showed is the
+KG decomposition with exactly these involutions.
 
 Each Cartan set is diagonal in one fixed unitary basis Q, kept with the
 set's torus (basis.cartan_torus), and a stage takes its set as that
 torus alone: Q = U (x) Hadamard for H_n and U (x) I2 for F_n, with U the
-joint eigenbasis of W and the last qubit least significant. A stage
-rotates its input once, x~ = P^dag m0 P with P = K Q, and reads
-everything off x~: the Cartan coordinates (2 / 2^n) signs Im diag(x~),
-in the torus's canonical label order, then the off-span residual, the
-relative commutator from the eigenvalues mu of -i v and E_s from the
-weights C_ab, all three from one weighted sum of |x~|^2 with weights
-kept on the torus (_stage_figures). The central word I..IZ is diagonal
-already and splits off by a trace of the diagonal. No stack of word
-matrices is ever built. The Cartan element is only ever determined up
-to its Weyl orbit, so each solve checks that exp(h) and exp(m0) share
-their eigenphases: those of exp(h) are its diagonal phases p in Q,
-those of exp(m0) the eigenvalues of the Hermitian -i m0 (the +-Theta of
-the CSD), both wrapped into (-pi, pi]; no exponential is built.
+joint eigenbasis of W and the last qubit least significant. The rotated
+log x~ = (K Q)^dag m (K Q) is [[K, -H], [H, -K]] on H_n and diag(D, -D)
+on F_n in the block view, where D = (A U)^dag x (B U) and K and H are
+the skew-Hermitian and Hermitian parts of D, so a stage reads everything
+off D: the Cartan coordinates (2 / 2^(n-1)) signs Im diag(D), in the
+torus's canonical label order, then the off-span residual, the relative
+commutator from the eigenvalues mu of -i v and E_s from the weights
+C_ab, all three from one weighted sum of |K|^2 and |H|^2, or of |D|^2,
+with weights kept on the torus (_stage_figures). The central word I..IZ
+is diagonal already and splits off by a trace of the diagonal. No stack
+of word matrices is ever built. The Cartan element is only ever
+determined up to its Weyl orbit, so each solve checks that exp(h) and
+exp(m) share their eigenphases: those of exp(h) are its diagonal phases
+in Q, those of exp(m) the eigenvalues of the Hermitian -i m (the +-Theta
+of the CSD), both wrapped into (-pi, pi]; no exponential is built.
 """
 
 from __future__ import annotations
@@ -188,15 +190,18 @@ class BlockPair(NamedTuple):
 
 
 class CartanSolve(NamedTuple):
-    """_minimize_full's solution of a theta_Z stage against a torus with
-    basis Q: k1, also as its blocks k1_blocks, and h = k1^dag m0 k1
-    snapped onto the span as Q (i diag(p)) Q^dag, with coordinates
-    coords in torus.labels order and the pre-projection residual
-    residual_norm; subspace_error is the commutation defect of the raw
-    h. h's matrix is built only where it is returned (_cartan_element)."""
+    """_minimize_full's solution of one Cartan stage against a torus with
+    basis Q, read off the stage's 2^(n-1) block: K = diag(A, B) as its
+    BlockPair k, whose det is det K, and det A apart; h = K^dag m K
+    snapped onto the span as Q (i diag(p, -p)) Q^dag, with p and -p
+    interleaved, given as p, with coordinates coords in torus.labels
+    order and the pre-projection residual residual_norm; subspace_error
+    is the commutation defect of the raw h. No 2^n matrix is held: K's
+    and h's are built only where they are returned (_block_diag,
+    _cartan_element)."""
 
-    k1: np.ndarray
-    k1_blocks: BlockPair
+    k: BlockPair
+    det_a: complex
     p: np.ndarray
     coords: Tuple[float, ...]
     residual_norm: float
@@ -281,7 +286,11 @@ def compute_m(
             raise DimensionMismatchError(
                 f"expected shape {(inv.dim, inv.dim)}, got {g.shape}"
             )
-        return _theta_z_log(g)[0]
+        y, residual_norm, _, _ = _theta_z_log(g)
+        m0 = np.zeros(g.shape, dtype=complex)
+        m0[0::2, 1::2] = y
+        m0[1::2, 0::2] = -y.conj().T
+        return AlgebraElement(matrix=m0, residual_norm=residual_norm)
     if inv.axis == "X" and fixing == (AxisInvolution(inv.n, "Z"),):
         defect = _unitarity_defect(g)
         w = inv.apply(g.conj().T) @ g
@@ -304,10 +313,7 @@ def compute_m(
         log_p = (z * (1j * phases)) @ z.conj().T
         # (1/2) the skew part of log P, exactly skew-Hermitian
         c = 0.25 * (log_p - log_p.conj().T)
-        m = np.zeros_like(g)
-        m[0::2, 0::2] = c
-        m[1::2, 1::2] = -c
-        return AlgebraElement(matrix=m, residual_norm=residual_norm)
+        return AlgebraElement(matrix=_block_diag(c, -c), residual_norm=residual_norm)
     raise ValueError(
         "compute_m takes (theta_Z, ()) or (theta_X, (theta_Z,)) of one register,"
         f" got {inv} fixing {fixing}"
@@ -315,7 +321,8 @@ def compute_m(
 
 
 def _theta_z_log(g: np.ndarray, checked: bool = False):
-    """(m0, k0, svd): the theta_Z split g = k0 e^(m0) from one CSD.
+    """(y, residual_norm, k0, vectors): the theta_Z split g = k0 e^(m0)
+    from one CSD, with no 2^n matrix built.
 
     In the last-qubit block view g = diag(U1, U2) CS diag(V1, V2)^dag
     with CS = [[C, -S], [S, C]] (linalg._csd). theta_Z(CS) = CS^dag, so
@@ -323,11 +330,12 @@ def _theta_z_log(g: np.ndarray, checked: bool = False):
     2 m0 with m0 = V [[0, -Theta], [Theta, 0]] V^dag, also where an angle
     is pi/2; and k0 = g e^(-m0) = diag(U1 V1^dag, U2 V2^dag), whose
     determinant is that of g, comes as the BlockPair of its two blocks
-    and that determinant, with no 2^n matrix built. svd =
-    (i V1, Theta, V2^dag) is the SVD -i Y = (i V1) Theta V2^dag of m0's
-    off-diagonal block Y = m0[0::2, 1::2], Theta descending, for
-    _closed_form_k. m0.residual_norm is ||g - diag(U1, U2) CS V^dag||_F.
-    checked=True skips g's unitarity check.
+    and that determinant. m0 = [[0, Y], [-Y^dag, 0]] comes as its block
+    y = Y = -V1 Theta V2^dag, and vectors = (i V1, Theta, V2), with
+    Y = (i V1) diag(i Theta) V2^dag and Theta descending, is the form
+    that _minimize_full takes. residual_norm is
+    ||g - diag(U1, U2) CS V^dag||_F. checked=True skips g's unitarity
+    check.
 
     Raises:
         NotUnitaryError: g is not special unitary within 1e-8.
@@ -360,16 +368,12 @@ def _theta_z_log(g: np.ndarray, checked: bool = False):
             f"{_INGEST_TOL:.3e}, and determinant defect {abs(det - 1.0):.3e}"
         )
     _check_det(det)
-    # descending as from _svd: _closed_form_k pairs the j-th value with the
+    # descending as from _svd: _minimize_full pairs the j-th value with the
     # torus's j-th column, and _cluster_gauge clusters sorted neighbours
     order = (-theta).argsort()
     theta, v1, v2h = theta[order], v1h[order].conj().T, v2h[order]
     y = (v1 * -theta) @ v2h
-    m0 = np.zeros(g.shape, dtype=complex)
-    m0[0::2, 1::2] = y
-    m0[1::2, 0::2] = -y.conj().T
-    m0 = AlgebraElement(matrix=m0, residual_norm=residual_norm)
-    return m0, BlockPair(k00, k11, det), (1j * v1, theta, v2h)
+    return y, residual_norm, BlockPair(k00, k11, det), (1j * v1, theta, v2h.conj().T)
 
 
 def _theta_x_log(
@@ -406,45 +410,50 @@ def residual_k(g: np.ndarray, m: AlgebraElement) -> np.ndarray:
     return np.asarray(g, dtype=complex) @ expm_skew(-as_matrix(m))
 
 
-def _stage_figures(xt: np.ndarray, torus: CartanTorus, block: bool = False):
-    """(c, p, residual_norm, rel, es) of x = Q x~ Q^dag against the torus.
+def _stage_figures(d: np.ndarray, torus: CartanTorus):
+    """(c, p, residual_norm, rel, es) of a stage's rotated block
+    D = (A U)^dag x (B U) against the torus.
 
-    With d = Im diag(x~), the projection of x onto the torus's span has
-    coordinates c = (2 / 2^n) signs d in the torus's canonical order and
-    is Q (i diag(p)) Q^dag with p = (1/2) signs^T c; residual_norm is
-    ||x~ - i diag(p)||_F, the distance of x from the span. rel is the
-    relative commutator ||[v, x]|| / (||v|| ||x||), from
-    [v, x]~_ab = i (mu_a - mu_b) x~_ab, or 0 for x = 0; es is
-    commutation_defect(x, words), from
-    sum_w ||[w, x]||^2 = sum_ab C_ab |x~_ab|^2 (CartanTorus.es_weights).
-    The three norms come from one product of |x~|^2 with the torus's
-    figure_weights. residual_norm^2 is the off-diagonal sum plus
-    ||diag(x~) - i p||^2, not ||x~||^2 - ||p||^2, whose cancellation
-    would lose the residuals near rounding that trees record.
-
-    block=True takes the F-torus block x~ = U^dag X U of an
-    x = diag(X, -X) in the last-qubit block view: it reads the rows
-    signs[:, 0::2], mu[0::2] and es_weights[0::2, 0::2]
-    (CartanTorus.block_figures) and returns the block of p; c is unchanged.
-    Each norm doubles its square on the whole register, so rel is the
-    block ratio divided by sqrt(2), and es and residual_norm are sqrt(2)
-    times the block's.
+    D stands for the whole register's x~ = Q^dag m Q, which is
+    [[K, -H], [H, -K]] on H_n, with K and H the skew-Hermitian and
+    Hermitian parts of D, and diag(D, -D) on F_n, in the last-qubit block
+    view (CartanTorus.block_figures). The projection of m onto the
+    torus's span has coordinates
+    c = (2 / 2^(n-1)) signs[:, 0::2] Im diag(D) in the torus's canonical
+    order and is Q (i diag(p, -p)) Q^dag, p and -p interleaved, with
+    p = (1/2) signs[:, 0::2]^T c; residual_norm is
+    ||x~ - i diag(p, -p)||_F, the distance of m from the span. rel is the
+    relative commutator ||[v, m]|| / (||v|| ||m||), from
+    [v, m]~_ab = i (mu_a - mu_b) x~_ab, or 0 for m = 0; es is
+    commutation_defect(m, words), from
+    sum_w ||[w, m]||^2 = sum_ab C_ab |x~_ab|^2 (CartanTorus.es_weights).
+    The three norms come from one product of the torus's block weights
+    with |D|^2 on F_n, and with |K|^2 and |H|^2 weighed apart on H_n,
+    which gives half of each squared norm of the whole register, so that
+    residual_norm and es are sqrt(2) times the block's. residual_norm^2
+    is the off-diagonal sum plus ||diag - i p||^2, not
+    ||x~||^2 - ||p||^2, and the H_n parts are not |D|^2 less a
+    Re(D o D^T) term: both cancel, and would lose the residuals near
+    rounding that trees record.
     """
-    if block:
-        signs, mu, weights = torus.block_figures
-    else:
-        signs, mu, weights = torus.signs, torus.mu, torus.figure_weights
-    d = xt.diagonal()
-    c = (2.0 / len(xt)) * (signs @ d.imag)
+    signs, weights, mu_norm = torus.block_figures
+    diagonal = d.diagonal()
+    c = (2.0 / len(d)) * (signs @ diagonal.imag)
     p = 0.5 * (c @ signs)
-    gap2, es2, off2, total2 = (weights @ (xt * xt.conj()).real.ravel()).tolist()
-    on_diagonal = d - 1j * p
+    if torus.name[0] == "H":
+        d_dag = d.conj().T
+        parts = 0.5 * np.array((d - d_dag, d + d_dag))
+        squares = (parts * parts.conj()).real.ravel()
+        # K's diagonal is i Im diag(D); Re diag(D) lies on H, off x~'s diagonal
+        on_diagonal = 1j * (diagonal.imag - p)
+    else:
+        squares = (d * d.conj()).real.ravel()
+        on_diagonal = diagonal - 1j * p
+    gap2, es2, off2, total2 = (weights @ squares).tolist()
     residual_norm = math.sqrt(off2 + _vdot(on_diagonal, on_diagonal).real)
-    rel = math.sqrt(gap2 / total2) / math.sqrt(mu @ mu) if total2 > 0.0 else 0.0
+    rel = math.sqrt(gap2 / total2) / mu_norm if total2 > 0.0 else 0.0
     es = math.sqrt(es2) / len(torus.labels)
-    if block:
-        return c, p, _SQRT2 * residual_norm, rel / _SQRT2, _SQRT2 * es
-    return c, p, residual_norm, rel, es
+    return c, p, _SQRT2 * residual_norm, rel, _SQRT2 * es
 
 
 def _off_span(norm: float, diagonal: np.ndarray) -> bool:
@@ -509,101 +518,98 @@ def _cluster_gauge(overlap: np.ndarray, values: np.ndarray) -> np.ndarray:
     return rotation
 
 
-def _closed_form_k(
-    m0_mat: np.ndarray, torus: CartanTorus, svd
-) -> Tuple[np.ndarray, BlockPair]:
-    """(K, its BlockPair): the K = diag(A, B) in SU(2^n) that conjugates
-    m0 into the span of the torus's H_n set (the theta_Z stage; the F_n
-    stage is _f_rotation).
+def _minimize_full(x: np.ndarray, torus: CartanTorus, vectors) -> CartanSolve:
+    """Conjugates a stage's log into the torus's Cartan span over the
+    stage's subgroup exp(k), in closed form, on the 2^(n-1) block x.
 
-    With U = torus.u the joint eigenbasis of W, m0 is [[0, Y], [-Y^dag, 0]]
-    in the last-qubit block view; the SVD -i Y = V1 S V2^dag, given as
-    svd = (V1, S, V2^dag) with S descending, gives
-    A = V1 U^dag, B = V2 U^dag, and A^dag Y B = i U S U^dag. Within each
-    cluster of equal singular values the columns of V1 and V2 are free
-    up to one common unitary R; R is _cluster_gauge's polar factor of
-    U^dag (V1 + V2) on the cluster, which keeps K closest to I and makes
-    it continuous in m0 where the values are distinct. K is scaled by
-    e^(-i arg det K / 2^n) so that det K = 1. In the torus basis Q that
-    U builds, (K Q)^dag m0 (K Q) is then diagonal up to rounding:
-    _minimize_full reads the stage off that one rotation. The BlockPair
-    holds the scaled A and B and det K, computed from the unscaled
-    det A det B and the scale, not taken again.
-    """
-    u_dag = torus.u_dag
-    v1, values, v2h = svd
-    v2 = v2h.conj().T
-    rotation = _cluster_gauge(u_dag @ (v1 + v2), values)
-    a, b = v1 @ rotation @ u_dag, v2 @ rotation @ u_dag
-    half = len(a)
-    det = _det(a) * _det(b)
-    turn = cmath.exp(-1j * cmath.phase(det) / (2 * half))
-    a, b = turn * a, turn * b
-    k = np.zeros((2 * half, 2 * half), dtype=complex)
-    k[0::2, 0::2] = a
-    k[1::2, 1::2] = b
-    # det(turn A) det(turn B) = turn^(2 half) det A det B
-    return k, BlockPair(a, b, det * turn ** (2 * half))
+    In the last-qubit block view the theta_Z stage's
+    m0 = [[0, Y], [-Y^dag, 0]] is solved against the H_n torus with
+    x = Y, and the theta_X stage's m = diag(C^, -C^) against the F_n
+    torus with x = C^. vectors = (V1, s, V2) with x = V1 diag(i s) V2^dag
+    and s sorted: the SVD of Y that the stage's CSD gives (_theta_z_log),
+    s descending, or the eigenvectors of -i C^ passed twice with their
+    ascending values. With U = torus.u the joint eigenbasis of W,
+    K = diag(A, B) with A = V1 R U^dag and B = V2 R U^dag: within each
+    cluster of equal values the columns of V1 and V2 are free up to one
+    common unitary R, and R is _cluster_gauge's polar factor of
+    U^dag (V1 + V2) on the cluster (of U^dag V1 where V2 is V1), which
+    keeps K closest to I and makes it continuous in x where the values
+    are distinct. K is scaled by e^(-i arg det K / 2^n) into SU(2^n);
+    where V2 is V1, B is A and det A is taken once. K = I instead where m
+    already lies within 1e-12 ||m|| of the span, a pretest skipped where
+    the diagonal of U^dag x U rules it out (_off_span), and an m of norm
+    at most Tolerances.structure counts as zero: K = I, h = 0, whatever
+    vectors hold. ||m|| = sqrt(2) ||x||.
 
-
-def _minimize_full(m0, torus: CartanTorus, svd) -> CartanSolve:
-    """Conjugates m0 into the Cartan span over the stage's subgroup exp(k).
-
-    The theta_Z stage's solve, against the H_n torus. K1 is
-    _closed_form_k's, from the SVD svd = (V1, S, V2^dag) of -i times
-    m0's off-diagonal block Y = m0[0::2, 1::2], S descending, that the
-    stage's CSD gives (_theta_z_log), or I when m0 already lies within
-    1e-12 ||m0|| of the span, a pretest skipped where the diagonal of
-    Q^dag m0 Q rules it out (_off_span). Everything else is read off one
-    rotation x~ = P^dag m0 P with P = K1 Q, where Q is the basis of the
-    torus (basis.cartan_torus) in which every Cartan word is diagonal:
-    the coordinates, the off-span residual, the relative commutator
-    ||[v, h]|| / (||v|| ||h||) and E_s, all from one weighted sum
-    (_stage_figures), and p with h = Q (i diag(p)) Q^dag. The solution
-    is checked once: the relative commutator must be at most CARTAN_TOL,
-    the residual at most SUBSPACE_TOL, and exp(h) must share the
-    eigenphases of exp(m0) within 1e-8 (h is only determined up to its
-    Weyl orbit). Those of exp(h) are p wrapped into (-pi, pi], those of
-    exp(m0) are +-S, compared over cyclic alignments (_phases_match); no
-    exponential is built. An m0 of norm at most Tolerances.structure
-    counts as zero: K1 = I, h = 0, whatever svd holds.
-
-    Returns the CartanSolve of k1 and h; h's matrix is not built, and
-    k1 comes also as its BlockPair, for the level's theta_X stages.
+    Everything else is read off one product D = (A U)^dag x (B U)
+    (_stage_figures): the coordinates, the off-span residual, the
+    relative commutator ||[v, h]|| / (||v|| ||h||), E_s and p. The
+    solution is checked once: the relative commutator must be at most
+    CARTAN_TOL, the residual at most SUBSPACE_TOL, and exp(h) must share
+    the eigenphases of exp(m) within 1e-8 (h is only determined up to
+    its Weyl orbit): +-p against the CS angles +-s on H_n, and p against
+    the eigenvalues s of -i C^ on F_n, wrapped into (-pi, pi] and
+    compared over cyclic alignments (_phases_match); no exponential is
+    built.
 
     Raises:
-        OptimizerFailedError: the solution fails a bound; its (k1, h)
-            pair rides in the error's `best` attribute.
+        OptimizerFailedError: the solution fails a bound; the whole
+            register's (K, h) pair rides in the error's `best` attribute.
     """
-    m0_mat = as_matrix(m0)
-    q = torus.q
-    norm_m0 = _norm(m0_mat)
-    left = torus.q_dag @ m0_mat
+    v1, values, v2 = vectors
+    same = v2 is v1
+    u, u_dag = torus.u, torus.u_dag
+    half = len(x)
+    norm = _SQRT2 * _norm(x)
+    o1 = u_dag @ v1
+    o2 = o1 if same else u_dag @ v2
     figures = None
-    if not _off_span(norm_m0, np.add.reduce(left * q.T, axis=1)):
-        figures = _stage_figures(left @ q, torus)
-        if norm_m0 <= DEFAULT_TOLS.structure:
-            k1, p = np.eye(len(m0_mat), dtype=complex), np.zeros(len(q))
-            blocks = _identity_pair(len(m0_mat) // 2)
-            coords = (0.0,) * len(torus.labels)
-            return CartanSolve(k1, blocks, p, coords, norm_m0, figures[4])
-    if figures is None or figures[2] > _IN_SPAN_TOL * norm_m0:
-        k1, blocks = _closed_form_k(m0_mat, torus, svd)
-        frame = k1 @ q
-        figures = _stage_figures(frame.conj().T @ m0_mat @ frame, torus)
+    # Im diag(U^dag x U) = Re(o1 o2^*) s, each entry twice on the diagonal
+    # of m's x~
+    if not _off_span(norm, _SQRT2 * ((o1 * o2.conj()).real @ values)):
+        figures = _stage_figures(u_dag @ x @ u, torus)
+        if norm <= DEFAULT_TOLS.structure:
+            zero = (0.0,) * len(torus.labels)
+            return CartanSolve(_identity_pair(half), 1.0, np.zeros(half), zero, norm, figures[4])
+    if figures is None or figures[2] > _IN_SPAN_TOL * norm:
+        rotation = _cluster_gauge(o1 if same else u_dag @ (v1 + v2), values)
+        a = v1 @ rotation @ u_dag
+        b = None if same else v2 @ rotation @ u_dag
+        det_a = _det(a)
+        det = det_a * (det_a if same else _det(b))
+        turn = cmath.exp(-1j * cmath.phase(det) / (2 * half))
+        a = turn * a
+        b = a if same else turn * b
+        # det(turn A) = turn^half det A
+        k, det_a = BlockPair(a, b, det * turn ** (2 * half)), det_a * turn ** half
+        frame_a = a @ u
+        frame_b = frame_a if same else b @ u
+        figures = _stage_figures(frame_a.conj().T @ x @ frame_b, torus)
     else:
-        k1, blocks = np.eye(len(m0_mat), dtype=complex), _identity_pair(len(m0_mat) // 2)
+        k, det_a = _identity_pair(half), 1.0
     c, p, residual_norm, rel, es = figures
-    # the CS angles lie in [0, pi/2], descending
-    spectrum = _concatenate((-svd[1], svd[1][::-1]))
-    solve = CartanSolve(k1, blocks, p, tuple(c.tolist()), residual_norm, es)
-    if rel <= CARTAN_TOL and residual_norm <= SUBSPACE_TOL and _phases_match(p, spectrum):
+    if torus.name[0] == "H":
+        # the CS angles lie in [0, pi/2], descending
+        phases, spectrum = _concatenate((p, -p)), _concatenate((-values, values[::-1]))
+    else:
+        phases, spectrum = p, values
+    solve = CartanSolve(k, det_a, p, tuple(c.tolist()), residual_norm, es)
+    if rel <= CARTAN_TOL and residual_norm <= SUBSPACE_TOL and _phases_match(phases, spectrum):
         return solve
     raise OptimizerFailedError(
         f"closed-form solve left relative commutator {rel:.3e} "
         f"(bound {CARTAN_TOL:.1e}), projection residual {residual_norm:.3e}",
-        best=(k1, _cartan_element(solve, torus)),
+        best=(_block_diag(k.b0, k.b1), _cartan_element(solve, torus)),
     )
+
+
+def _block_diag(b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """diag(B0, B1) in the last-qubit block view, at 2^n."""
+    half = len(b0)
+    out = np.zeros((2 * half, 2 * half), dtype=complex)
+    out[0::2, 0::2] = b0
+    out[1::2, 1::2] = b1
+    return out
 
 
 def _identity_pair(half: int) -> BlockPair:
@@ -613,10 +619,11 @@ def _identity_pair(half: int) -> BlockPair:
 
 
 def _cartan_element(solve: CartanSolve, torus: CartanTorus) -> AlgebraElement:
-    """The solve's h = Q (i diag(p)) Q^dag in the torus basis Q, with its
-    coordinates and pre-projection residual."""
+    """The solve's h = Q (i diag(p, -p)) Q^dag in the torus basis Q, p and
+    -p interleaved, with its coordinates and pre-projection residual."""
+    p = np.array((solve.p, -solve.p)).T.ravel()
     return AlgebraElement(
-        matrix=(torus.q * (1j * solve.p)) @ torus.q_dag,
+        matrix=(torus.q * (1j * p)) @ torus.q_dag,
         coords=solve.coords,
         residual_norm=solve.residual_norm,
     )
@@ -650,24 +657,26 @@ def khk_stage(
         raise DimensionMismatchError(
             f"expected shape {(inv.dim, inv.dim)}, got {g.shape}"
         )
-    blocks, solve = _theta_z_stage(g, torus)
-    # a level keeps k0 as its blocks; the public stage returns its matrix
-    k0 = np.zeros(g.shape, dtype=complex)
-    k0[0::2, 0::2] = blocks.b0
-    k0[1::2, 1::2] = blocks.b1
-    h = _cartan_element(solve, torus)
-    return StageResult(k0, solve.k1, h, solve.subspace_error)
+    k0, solve = _theta_z_stage(g, torus)
+    # a level keeps k0 and k1 as their blocks; the public stage returns
+    # their matrices
+    return StageResult(
+        _block_diag(k0.b0, k0.b1),
+        _block_diag(solve.k.b0, solve.k.b1),
+        _cartan_element(solve, torus),
+        solve.subspace_error,
+    )
 
 
 def _theta_z_stage(
     g: np.ndarray, torus: CartanTorus, checked: bool = False
 ) -> Tuple[BlockPair, CartanSolve]:
     """The theta_Z stage G = k0 k1 exp(h) k1^dag against the H_n torus:
-    one CSD of g's last-qubit blocks (_theta_z_log) gives m0, k0 and the
-    SVD that _minimize_full's closed form takes. Returns k0, as its
-    BlockPair, and _minimize_full's solve."""
-    m0, k0, svd = _theta_z_log(g, checked)
-    return k0, _minimize_full(m0, torus, svd)
+    one CSD of g's last-qubit blocks (_theta_z_log) gives m0's block Y,
+    k0 and the SVD of Y that _minimize_full's closed form takes. Returns
+    k0, as its BlockPair, and _minimize_full's solve."""
+    y, _, k0, vectors = _theta_z_log(g, checked)
+    return k0, _minimize_full(y, torus, vectors)
 
 
 def extract_subunitary(k: np.ndarray, n: int) -> Tuple[np.ndarray, float]:
@@ -749,70 +758,6 @@ def _cartan_factor(
     )
 
 
-def _f_rotation(
-    c_hat: np.ndarray, values: np.ndarray, vecs: np.ndarray, torus: CartanTorus
-) -> Tuple[np.ndarray, np.ndarray, float, float, complex]:
-    """The F stage of a theta_X stage, on its 2^(n-1) block.
-
-    m_hat = diag(C^, -C^) in the last-qubit block view, with C^ traceless
-    and values, vecs the eigh of -i C^. The rotation is K1 = A (x) I with
-    A = vecs R U^dag, R the _cluster_gauge of U^dag vecs, or A = I when
-    m_hat lies within 1e-12 ||m_hat|| of span F_n or has norm at most
-    Tolerances.structure; A is scaled by e^(-i arg det(A)^2 / 2^n), as
-    K1 = A (x) I would be into SU(2^n), the pretest skipped as in
-    _minimize_full. Everything is read off the block
-    x~ = (A U)^dag C^ (A U) of the torus rotation, with the figures of
-    the whole register (_stage_figures with block=True), and checked as
-    in _minimize_full: relative commutator at most CARTAN_TOL, residual
-    at most SUBSPACE_TOL, and p against the spectrum values of -i C^
-    within 1e-8, both wrapped into (-pi, pi] (_phases_match).
-
-    Returns (A, coords, residual_norm, subspace_error, det A), the
-    coordinates in torus.labels order. det A is the determinant of the
-    unscaled A times the scale's 2^(n-1)-th power.
-
-    Raises:
-        OptimizerFailedError: the solution fails a bound; the pair
-            (A (x) I, h) rides in its `best` attribute.
-    """
-    u, u_dag = torus.u, torus.u_dag
-    norm_m = _SQRT2 * _norm(c_hat)
-    overlap = u_dag @ vecs
-    figures = None
-    # diag(U^dag C^ U) = i |U^dag vecs|^2 values; both norms scale by sqrt(2)
-    if not _off_span(norm_m, _SQRT2 * ((overlap * overlap.conj()).real @ values)):
-        figures = _stage_figures(u_dag @ c_hat @ u, torus, block=True)
-        if norm_m <= DEFAULT_TOLS.structure:
-            coords = np.zeros(len(torus.labels))
-            return np.eye(len(c_hat), dtype=complex), coords, norm_m, figures[4], 1.0
-    if figures is None or figures[2] > _IN_SPAN_TOL * norm_m:
-        a = vecs @ _cluster_gauge(overlap, values) @ u_dag
-        det = _det(a)
-        turn = cmath.exp(-1j * cmath.phase(det * det) / (2 * len(a)))
-        a = turn * a
-        # det(turn A) = turn^len(A) det(A)
-        det_a = det * turn ** len(a)
-        frame = a @ u
-        figures = _stage_figures(frame.conj().T @ c_hat @ frame, torus, block=True)
-    else:
-        a, det_a = np.eye(len(c_hat), dtype=complex), 1.0
-    c, p, residual_norm, rel, es = figures
-    if rel <= CARTAN_TOL and residual_norm <= SUBSPACE_TOL and _phases_match(p, values):
-        return a, c, residual_norm, es, det_a
-    h_block = (u * (1j * p)) @ u_dag
-    h = np.zeros((2 * len(a), 2 * len(a)), dtype=complex)
-    h[0::2, 0::2] = h_block
-    h[1::2, 1::2] = -h_block
-    raise OptimizerFailedError(
-        f"closed-form solve left relative commutator {rel:.3e} "
-        f"(bound {CARTAN_TOL:.1e}), projection residual {residual_norm:.3e}",
-        best=(
-            np.kron(a, np.eye(2)),
-            AlgebraElement(matrix=h, coords=tuple(c.tolist()), residual_norm=residual_norm),
-        ),
-    )
-
-
 def _secondary_stage(
     w0: np.ndarray, w1: np.ndarray, n: int, det: complex
 ) -> Tuple[Tuple[Factor, ...], float, float, float]:
@@ -829,8 +774,9 @@ def _secondary_stage(
     k = w exp(-m) = K (x) I, whose blocks are
     W0 e^(-C) = e^(-i alpha / 2) W0 V e^(-iD) V^dag and
     W1 e^(C) = e^(i alpha / 2) W1 V e^(iD) V^dag and must agree within
-    PATTERN_TOL, and the F stage's closed form (_f_rotation), which
-    conjugates m_hat = diag(C^, -C^) into F_n by T = A (x) I. With
+    PATTERN_TOL, and the F stage's closed form (_minimize_full on C^,
+    with V passed twice), which conjugates m_hat = diag(C^, -C^) into F_n
+    by T = A (x) I. With
     K A = e^{i phi} S and A = e^{i psi} T', both in SU(2^(n-1)),
 
         w = e^{i(phi - psi)} (S x I) e^f (T'^dag x I) (I x Q),
@@ -856,7 +802,7 @@ def _secondary_stage(
     defect = _unitarity_defect(np.array((w0, w1)))
     _check_det(det, " of the last-qubit blocks")
     phases, vecs = _theta_x_log(w0, w1, defect)
-    # ascending as from eigh: _f_rotation pairs the j-th value with the
+    # ascending as from eigh: _minimize_full pairs the j-th value with the
     # torus's j-th column, and _cluster_gauge clusters sorted neighbours
     order = phases.argsort()
     phases, vecs = phases[order], vecs[:, order]
@@ -874,12 +820,11 @@ def _secondary_stage(
             f"pattern defect {mismatch:.3e} exceeds {PATTERN_TOL:.3e}"
         )
     k = 0.5 * (even + odd) @ vecs_dag
-    a, coords, residual_norm, subspace_error, det_a = _f_rotation(
-        c_hat, values, vecs, torus
-    )
+    solve = _minimize_full(c_hat, torus, (vecs, values, vecs))
+    a = solve.k.b0
     outer = k @ a
     phi = cmath.phase(_det(outer)) / half
-    psi = cmath.phase(det_a) / half
+    psi = cmath.phase(solve.det_a) / half
     sub = np.exp(-1j * phi) * outer
     inner = np.exp(-1j * psi) * a
     pair = np.array((sub, inner))
@@ -889,11 +834,11 @@ def _secondary_stage(
     last = np.array([[cmath.exp(0.5j * alpha), 0], [0, cmath.exp(-0.5j * alpha)]])
     factors = (
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=sub),
-        _cartan_factor(coords, residual_norm, torus),
+        _cartan_factor(solve.coords, solve.residual_norm, torus),
         Factor(kind=FactorKind.SUB_UNITARY, level_qubits=n, matrix=inner.conj().T),
         Factor(kind=FactorKind.LAST_QUBIT, level_qubits=n, matrix=last),
     )
-    return factors, phi, psi, subspace_error
+    return factors, phi, psi, solve.subspace_error
 
 
 def _run_stage(label: str, stage, *args):
@@ -930,7 +875,7 @@ def decompose_one_level(g: np.ndarray, n: int, checked: bool = False) -> LevelRe
     labels = (f"f0[F{n}]", f"h[H{n}]", f"f1[F{n}]")
 
     k0, solve = _run_stage(labels[1], _theta_z_stage, g, h_torus, checked)
-    a, b, det_k1 = solve.k1_blocks
+    a, b, det_k1 = solve.k
     left, phi0, psi1, es0 = _run_stage(
         labels[0], _secondary_stage, k0.b0 @ a, k0.b1 @ b, n, k0.det * det_k1
     )

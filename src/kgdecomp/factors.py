@@ -301,9 +301,11 @@ def _payload_template(kind: FactorKind, level, shape: tuple) -> str:
 
 
 @lru_cache(maxsize=64, typed=True)
-def _cartan_template(level, basis, labels: tuple, residual: bool) -> str:
+def _cartan_template(level, basis, labels: tuple, types: tuple, residual: bool) -> str:
     """The %-template of a CartanExp record: its coefficients under
-    labels, then a subspace residual if it has one."""
+    labels, then a subspace residual if it has one. types, the labels'
+    types, only keys the cache: labels 1, 1.0 and True are equal and hash
+    alike, and typed=True does not look inside a tuple."""
     record = {
         "kind": FactorKind.CARTAN_EXP.value,
         "level_qubits": level,
@@ -316,10 +318,12 @@ def _cartan_template(level, basis, labels: tuple, residual: bool) -> str:
 
 
 @lru_cache(maxsize=64)
-def _report_template(labels: tuple, optimizer_stats: tuple) -> str:
+def _report_template(labels: tuple, optimizer_stats: tuple, types: tuple) -> str:
     """The %-template of a report block whose subspace_errors carry labels:
     approx_error, those errors and wall_time are its floats, and the
-    (label, count) optimizer_stats are part of its text."""
+    (label, count) optimizer_stats are part of its text. types, the types
+    of labels and of the optimizer_stats labels, only keys the cache, as
+    in _cartan_template."""
     report = {
         "approx_error": 0.0,
         "subspace_errors": [[label, 0.0] for label in labels],
@@ -355,7 +359,8 @@ def serialize(tree: FactorTree) -> str:
     laid out by fileio's one walker. Each record is a %-template cached
     per shape, (kind, level, payload shape) for a payload and (level,
     basis, labels, residual or not) for a CartanExp; the report block is
-    one per (labels, optimizer_stats), and the frame around the records
+    one per (labels, optimizer_stats), labels told apart by type too
+    (1, 1.0 and True are equal keys), and the frame around the records
     one per (n_total, report template, any records). The phase, the
     report's floats and every record's floats, in document order, are
     checked for finiteness once and formatted into the joined templates
@@ -363,8 +368,8 @@ def serialize(tree: FactorTree) -> str:
 
     Raises:
         TypeError: a payload is not a 2-D array, a label, a basis or
-            optimizer_stats is unhashable, or a level or n_total is a
-            float (it would take a value of its own).
+            optimizer_stats is unhashable, or a level, n_total or a
+            label is a float (it would take a value of its own).
         ValueError: a value is not finite; the message names the first.
     """
     templates = []
@@ -375,10 +380,12 @@ def serialize(tree: FactorTree) -> str:
             residual = factor.subspace_residual
             if residual is not None:
                 values.append(float(residual))
+            labels = tuple([label for label, _ in factor.coeffs])
             record = _cartan_template(
                 factor.level_qubits,
                 factor.basis_name,
-                tuple([label for label, _ in factor.coeffs]),
+                labels,
+                tuple(map(type, labels)),
                 residual is not None,
             )
         else:
@@ -391,10 +398,10 @@ def serialize(tree: FactorTree) -> str:
     if report is None:
         report_text, report_values = None, []
     else:
-        errors = report.subspace_errors
-        report_text = _report_template(
-            tuple([label for label, _ in errors]), report.optimizer_stats
-        )
+        errors, stats = report.subspace_errors, report.optimizer_stats
+        labels = tuple([label for label, _ in errors])
+        types = tuple(map(type, labels)) + tuple([type(label) for label, _ in stats])
+        report_text = _report_template(labels, stats, types)
         report_values = [report.approx_error, *[v for _, v in errors], report.wall_time]
     head, between, tail = _frame(tree.n_total, report_text, bool(templates))
     return fill(

@@ -8,13 +8,17 @@ default_rng([7, 3, i]), as perfbench draws them for seed 7). Each input
 is timed as perfbench's `decompose_op` times it, matrix document ->
 decompose_full -> serialize, once on each side, the side that runs
 first alternating from input to input. Before any timing, every input's
-document must be byte-identical on the two sides with the report's
-wall_time zeroed.
+two documents, with the report's wall_time zeroed, are compared by
+tree_digests.compare_documents: each must be `same` (byte-identical) or
+`close` (moved at rounding level only); an input that `differs`, or
+fails on either side, ends the run, and a `same N, close M` line tallies
+the rest.
 
     PYTHONPATH=src python3 tests/interleave.py PARENT_SRC [--rounds R]
 
-prints one `round r  ratio x` line per round, x the change's per-solve
-time over the parent's, then the median ratio and its range. One
+prints the tally, then one `round r  ratio x` line per round, x the
+change's per-solve time over the parent's, then the median ratio and its
+range. One
 process sees the same clock drift on both sides, which two benchmark
 runs minutes apart do not.
 """
@@ -74,6 +78,18 @@ def zeroed(kg, doc: str) -> str:
     return kg.serialize(dataclasses.replace(tree, report=report))
 
 
+def verdict(change, parent, doc: str) -> str:
+    """compare_documents on the parent's and the change's documents of
+    one input, or `failed: ...` where either side raises."""
+    # imported here: tree_digests imports kgdecomp, which load() has set
+    from tree_digests import compare_documents
+
+    try:
+        return compare_documents(zeroed(parent, doc), zeroed(change, doc))
+    except Exception as exc:  # the failure itself is what gets reported
+        return f"failed: {type(exc).__name__}: {exc}"
+
+
 def one_round(change, parent, docs, change_first: bool):
     """(change seconds, parent seconds) of one pass over docs, the two
     sides alternating input by input, so that both see the same drift."""
@@ -101,10 +117,15 @@ def main(argv=None) -> int:
     change = load(HERE_SRC, "kgdecomp")
     parent = load(args.parent_src.resolve(), "kgdecomp_parent")
     docs = documents(change)
+    tally = {"same": 0, "close": 0}
     for i, doc in enumerate(docs):
-        if zeroed(change, doc) != zeroed(parent, doc):
-            print(f"input {i}: the two sides write different documents", file=sys.stderr)
+        outcome = verdict(change, parent, doc)
+        kind = outcome.split(":")[0]
+        if kind not in tally:
+            print(f"input {i}: {outcome}", file=sys.stderr)
             return 1
+        tally[kind] += 1
+    print(f"same {tally['same']}, close {tally['close']}", flush=True)
     ratios = []
     for r in range(args.rounds):
         new, base = one_round(change, parent, docs, change_first=r % 2 == 0)

@@ -1,13 +1,16 @@
 """Engine tests: stage identities, the torus formulas against word-stack
-oracles, the Newton step kept for the benchmark's spans,
+oracles, the block Cartan solve against the whole-register solves it
+replaced, the Newton step kept for the benchmark's spans,
 construct-then-recover properties, extraction patterns, and the full
 recursion on registers of up to seven qubits."""
 
 import cmath
 import dataclasses
+import math
 import os
 import re
 import sys
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -51,6 +54,8 @@ from kgdecomp.engine import _minimize_full, _newton_polish
 from kgdecomp.linalg import AlgebraElement, as_matrix
 from tree_digests import _special, structured_gates
 
+SQRT2 = float(np.sqrt(2.0))
+
 
 def random_span_element(rng, words, scale=0.3):
     coords = rng.uniform(-scale, scale, len(words))
@@ -61,16 +66,166 @@ def random_k_unitary(rng, kg, scale=0.4):
     return expm_skew(random_span_element(rng, kg.k_set, scale))
 
 
-def _off_diagonal_svd(m0_mat):
-    """The SVD of -i m0[0::2, 1::2], the one _minimize_full takes."""
-    return linalg._svd(-1j * m0_mat[0::2, 1::2])
+def _block_diag(w0, w1):
+    """diag(W0, W1) in the last-qubit block view."""
+    w = np.zeros((2 * len(w0), 2 * len(w0)), dtype=complex)
+    w[0::2, 0::2] = w0
+    w[1::2, 1::2] = w1
+    return w
+
+
+def _stage_vectors(x, torus):
+    """The vectors (V1, s, V2) that x's stage hands _minimize_full: the
+    SVD -i Y = V1 s V2^dag of an H_n stage's block x = Y, or the eigh of
+    -i C^ passed twice for an F_n stage's x = C^."""
+    if torus.name[0] == "H":
+        v1, values, v2h = linalg._svd(-1j * x)
+        return v1, values, v2h.conj().T
+    values, vecs = np.linalg.eigh(-1j * x)
+    return vecs, values, vecs
+
+
+def _stage_block(m, family):
+    """The block of m that its stage's solve reads: Y = m[0::2, 1::2] of
+    an H_n stage's m = [[0, Y], [-Y^dag, 0]], C^ = m[0::2, 0::2] of an
+    F_n stage's m = diag(C^, -C^), in the last-qubit block view."""
+    return m[0::2, 1::2] if family == "H" else m[0::2, 0::2]
+
+
+def _stage_log(x, family):
+    """The whole register's m of an H_n or F_n stage's block x."""
+    if family == "F":
+        return _block_diag(x, -x)
+    m = np.zeros((2 * len(x), 2 * len(x)), dtype=complex)
+    m[0::2, 1::2] = x
+    m[1::2, 0::2] = -x.conj().T
+    return m
 
 
 def _solve(m0, torus):
-    """(k1, h, subspace_error) of _minimize_full on m0, given the SVD of
-    its off-diagonal block, with h built as khk_stage builds it."""
-    solve = _minimize_full(m0, torus, _off_diagonal_svd(as_matrix(m0)))
-    return solve.k1, engine._cartan_element(solve, torus), solve.subspace_error
+    """(K, h, subspace_error) of _minimize_full on the block of m0 that
+    its stage solves, given the vectors that stage hands it, with K and h
+    built as khk_stage builds them."""
+    x = _stage_block(as_matrix(m0), torus.name[0])
+    solve = _minimize_full(x, torus, _stage_vectors(x, torus))
+    k = _block_diag(solve.k.b0, solve.k.b1)
+    return k, engine._cartan_element(solve, torus), solve.subspace_error
+
+
+# The parent's Cartan solves, kept as oracles for the one block solve:
+# the theta_Z stage's on 2^n matrices (_minimize_full_oracle, with
+# _closed_form_k_oracle) and the F stage's on its block
+# (_f_rotation_oracle), both reading the whole register's figures
+# (_stage_figures_oracle).
+
+
+def _figure_weights_oracle(mu, es_weights):
+    # the rows (mu_a - mu_b)^2, C_ab, 1 - delta_ab and 1 over (a, b)
+    dim = len(mu)
+    gaps = mu[:, None] - mu[None, :]
+    rows = (gaps * gaps, es_weights, 1.0 - np.eye(dim), np.ones((dim, dim)))
+    return np.stack(rows).reshape(4, dim * dim)
+
+
+def _stage_figures_oracle(xt, torus, block=False):
+    # (c, p, residual_norm, rel, es) of the whole register's x~, or of the
+    # block x~[0::2, 0::2] of an F-torus x~ = diag(X, -X)
+    if block:
+        signs, mu = torus.signs[:, 0::2], torus.mu[0::2]
+        weights = _figure_weights_oracle(mu, torus.es_weights[0::2, 0::2])
+    else:
+        signs, mu = torus.signs, torus.mu
+        weights = _figure_weights_oracle(mu, torus.es_weights)
+    d = xt.diagonal()
+    c = (2.0 / len(xt)) * (signs @ d.imag)
+    p = 0.5 * (c @ signs)
+    gap2, es2, off2, total2 = (weights @ (xt * xt.conj()).real.ravel()).tolist()
+    on_diagonal = d - 1j * p
+    residual_norm = math.sqrt(off2 + linalg._vdot(on_diagonal, on_diagonal).real)
+    rel = math.sqrt(gap2 / total2) / math.sqrt(mu @ mu) if total2 > 0.0 else 0.0
+    es = math.sqrt(es2) / len(torus.labels)
+    if block:
+        return c, p, SQRT2 * residual_norm, rel / SQRT2, SQRT2 * es
+    return c, p, residual_norm, rel, es
+
+
+def _closed_form_k_oracle(m0_mat, torus, svd):
+    # (K, its BlockPair) of the H_n stage, svd = (V1, S, V2^dag) of -i Y
+    u_dag = torus.u_dag
+    v1, values, v2h = svd
+    v2 = v2h.conj().T
+    rotation = engine._cluster_gauge(u_dag @ (v1 + v2), values)
+    a, b = v1 @ rotation @ u_dag, v2 @ rotation @ u_dag
+    half = len(a)
+    det = linalg._det(a) * linalg._det(b)
+    turn = cmath.exp(-1j * cmath.phase(det) / (2 * half))
+    a, b = turn * a, turn * b
+    return _block_diag(a, b), engine.BlockPair(a, b, det * turn ** (2 * half))
+
+
+ParentSolve = namedtuple(
+    "ParentSolve", "k1 k1_blocks p coords residual_norm subspace_error"
+)
+
+
+def _minimize_full_oracle(m0_mat, torus, svd):
+    # the theta_Z stage's solve on the whole register: the pretest from
+    # diag(Q^dag m0 Q), K1 = I or _closed_form_k_oracle's, and the figures
+    # of x~ = (K1 Q)^dag m0 (K1 Q)
+    q = torus.q
+    norm_m0 = linalg._norm(m0_mat)
+    left = torus.q_dag @ m0_mat
+    figures = None
+    if not engine._off_span(norm_m0, np.add.reduce(left * q.T, axis=1)):
+        figures = _stage_figures_oracle(left @ q, torus)
+        if norm_m0 <= DEFAULT_TOLS.structure:
+            k1, p = np.eye(len(m0_mat), dtype=complex), np.zeros(len(q))
+            blocks = engine._identity_pair(len(m0_mat) // 2)
+            coords = (0.0,) * len(torus.labels)
+            return ParentSolve(k1, blocks, p, coords, norm_m0, figures[4])
+    if figures is None or figures[2] > engine._IN_SPAN_TOL * norm_m0:
+        k1, blocks = _closed_form_k_oracle(m0_mat, torus, svd)
+        frame = k1 @ q
+        figures = _stage_figures_oracle(frame.conj().T @ m0_mat @ frame, torus)
+    else:
+        k1 = np.eye(len(m0_mat), dtype=complex)
+        blocks = engine._identity_pair(len(m0_mat) // 2)
+    c, p, residual_norm, rel, es = figures
+    spectrum = linalg._concatenate((-svd[1], svd[1][::-1]))
+    solve = ParentSolve(k1, blocks, p, tuple(c.tolist()), residual_norm, es)
+    if (rel <= engine.CARTAN_TOL and residual_norm <= SUBSPACE_TOL
+            and engine._phases_match(p, spectrum)):
+        return solve
+    raise OptimizerFailedError("closed-form solve failed", best=None)
+
+
+def _f_rotation_oracle(c_hat, values, vecs, torus):
+    # (A, coords, residual_norm, subspace_error, det A) of the F stage on
+    # its block: the same pretest, gauge, scale and checks
+    u, u_dag = torus.u, torus.u_dag
+    norm_m = SQRT2 * linalg._norm(c_hat)
+    overlap = u_dag @ vecs
+    figures = None
+    if not engine._off_span(norm_m, SQRT2 * ((overlap * overlap.conj()).real @ values)):
+        figures = _stage_figures_oracle(u_dag @ c_hat @ u, torus, block=True)
+        if norm_m <= DEFAULT_TOLS.structure:
+            coords = np.zeros(len(torus.labels))
+            return np.eye(len(c_hat), dtype=complex), coords, norm_m, figures[4], 1.0
+    if figures is None or figures[2] > engine._IN_SPAN_TOL * norm_m:
+        a = vecs @ engine._cluster_gauge(overlap, values) @ u_dag
+        det = linalg._det(a)
+        turn = cmath.exp(-1j * cmath.phase(det * det) / (2 * len(a)))
+        a = turn * a
+        det_a = det * turn ** len(a)
+        frame = a @ u
+        figures = _stage_figures_oracle(frame.conj().T @ c_hat @ frame, torus, block=True)
+    else:
+        a, det_a = np.eye(len(c_hat), dtype=complex), 1.0
+    c, p, residual_norm, rel, es = figures
+    if (rel <= engine.CARTAN_TOL and residual_norm <= SUBSPACE_TOL
+            and engine._phases_match(p, values)):
+        return a, c, residual_norm, es, det_a
+    raise OptimizerFailedError("closed-form solve failed", best=None)
 
 
 def test_newton_step_solves_the_residual_jacobian(monkeypatch):
@@ -223,15 +378,18 @@ def test_minimize_to_cartan_rounding_level_input_counts_as_zero():
 
 
 def test_minimize_to_cartan_failure_carries_best():
-    # XXI is theta_Z-even, so no element of exp(k) conjugates it into the
-    # theta_Z-odd span of H_3: the projection residual stays ||m0||
-    m0 = AlgebraElement(matrix=0.7 * pauli_word("XXI").matrix)
+    # the closed form trusts the log's vectors; V1 = V2 = I with s = 0 do
+    # not diagonalize x = Y, and their gauge leaves K = I up to rounding.
+    # IIY is orthogonal to span H_3, so the projection residual stays
+    # ||m0||, and the whole register's (K, h) pair rides in `best`
+    m0 = 0.7 * pauli_word("IIY").matrix
+    eye = np.eye(4, dtype=complex)
     with pytest.raises(OptimizerFailedError) as info:
-        _solve(m0, cartan_torus("H", 3))
+        _minimize_full(m0[0::2, 1::2], cartan_torus("H", 3), (eye, np.zeros(4), eye))
     best_k1, best_h = info.value.best
     assert best_k1.shape == (8, 8)
     assert isinstance(best_h, AlgebraElement)
-    assert best_h.residual_norm == pytest.approx(np.linalg.norm(m0.matrix), rel=1e-12)
+    assert best_h.residual_norm == pytest.approx(np.linalg.norm(m0), rel=1e-12)
     # the message says how close the solution got
     assert "relative commutator" in str(info.value)
     assert "projection residual 9.899e-01" in str(info.value)
@@ -240,22 +398,15 @@ def test_minimize_to_cartan_failure_carries_best():
 @pytest.mark.parametrize("family", ["h", "f"])
 def test_minimize_to_cartan_keeps_an_in_span_input(family):
     # an m0 already in the span needs no rotation: K1 = I exactly, and h
-    # carries m0's own coordinates. The F set's solve is _f_rotation, on
-    # the block C^ of m0 = diag(C^, -C^), whose rotation is A (x) I
+    # carries m0's own coordinates. The F set's solve reads the block C^
+    # of m0 = diag(C^, -C^), whose rotation is A (x) I
     rng = np.random.default_rng(19)
     torus = cartan_torus(family.upper(), 4)
     coords = rng.uniform(-0.5, 0.5, len(torus.labels))
     m0 = sum(c * pauli_word(label).matrix for c, label in zip(coords, torus.labels))
-    if family == "h":
-        k1, h, _ = _solve(AlgebraElement(matrix=m0), torus)
-        assert np.array_equal(k1, np.eye(16))
-        assert np.allclose(h.coords, coords, rtol=0.0, atol=1e-14)
-    else:
-        c_hat = m0[0::2, 0::2]
-        values, vecs = np.linalg.eigh(-1j * c_hat)
-        a, got, *_ = engine._f_rotation(c_hat, values, vecs, torus)
-        assert np.array_equal(a, np.eye(8))
-        assert np.allclose(got, coords, rtol=0.0, atol=1e-14)
+    k1, h, _ = _solve(AlgebraElement(matrix=m0), torus)
+    assert np.array_equal(k1, np.eye(16))
+    assert np.allclose(h.coords, coords, rtol=0.0, atol=1e-14)
 
 
 def test_minimize_to_cartan_gauge_keeps_a_degenerate_rotation_small():
@@ -273,13 +424,34 @@ def test_minimize_to_cartan_gauge_keeps_a_degenerate_rotation_small():
     assert np.allclose(h.coords, (0.5, 0.0, 0.0, 0.0), rtol=0.0, atol=1e-14)
 
 
+def _stage_part(x, family):
+    """The part of x of its stage's form in the last-qubit block view:
+    [[0, Y], [-Y^dag, 0]] for H_n, diag(C, -C) for F_n."""
+    if family == "H":
+        return _stage_log(x[0::2, 1::2], family)
+    return _stage_log(0.5 * (x[0::2, 0::2] - x[1::2, 1::2]), family)
+
+
+def _block_reading(x, torus):
+    """engine._stage_figures on the rotated block D = U^dag x U of an x
+    of its stage's form, K = I, with p spread over the whole register as
+    p and -p interleaved."""
+    u = torus.u
+    c, p, *figures = engine._stage_figures(
+        u.conj().T @ _stage_block(x, torus.name[0]) @ u, torus
+    )
+    return (c, np.array((p, -p)).T.ravel(), *figures)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("family", ["h", "f"])
 def test_torus_formulas_match_word_stack_oracles(family, n):
     # a seeded span element plus off-span noise, with the words shuffled:
     # the torus's coordinates, residual, E_s and relative commutator
     # match the word-stack projection, commutation_defect and the
-    # matrix formula ||[v, x]|| / (||v|| ||x||)
+    # matrix formula ||[v, x]|| / (||v|| ||x||), read off the whole
+    # register's x~ = Q^dag x Q for any noise, and off the stage's block
+    # for noise of the stage's form
     rng = np.random.default_rng(100 * n + (family == "f"))
     kg = build_kg_basis(n)
     torus = cartan_torus(family.upper(), n)
@@ -289,21 +461,30 @@ def test_torus_formulas_match_word_stack_oracles(family, n):
     v = np.tensordot(binary_weights(torus.labels), word_stack(canonical), axes=1)
     noise = random_span_element(rng, kg.m_set + kg.k_set)
     noise /= np.linalg.norm(noise)
+    stage_noise = _stage_part(noise, family.upper())
+    full_register = lambda x, torus: _stage_figures_oracle(
+        torus.q.conj().T @ x @ torus.q, torus
+    )
     for eps in (0.0, 1e-9, 1e-3, 1.0):
-        x = random_span_element(rng, words, scale=0.8) + eps * noise
-        xt = torus.q.conj().T @ x @ torus.q
-        c, p, residual_norm, rel_t, es_t = engine._stage_figures(xt, torus)
-        coords, residual = linalg.project_onto_span(x, words)
-        assert np.max(np.abs(c[rows] - coords)) <= 1e-13
-        assert abs(residual_norm - np.linalg.norm(residual)) <= 1e-13
-        assert np.linalg.norm(
-            (torus.q * (1j * p)) @ torus.q.conj().T - (x - residual)
-        ) <= 1e-13
-        es = linalg.commutation_defect(x, words)
-        assert abs(es_t - es) <= 1e-13
-        rel = np.linalg.norm(v @ x - x @ v) / (np.linalg.norm(v) * np.linalg.norm(x))
-        assert abs(rel_t - rel) <= 1e-13
+        span = random_span_element(rng, words, scale=0.8)
+        for x, read in (
+            (span + eps * noise, full_register),
+            (span + eps * stage_noise, full_register),
+            (span + eps * stage_noise, _block_reading),
+        ):
+            c, p, residual_norm, rel_t, es_t = read(x, torus)
+            coords, residual = linalg.project_onto_span(x, words)
+            assert np.max(np.abs(c[rows] - coords)) <= 1e-13
+            assert abs(residual_norm - np.linalg.norm(residual)) <= 1e-13
+            assert np.linalg.norm(
+                (torus.q * (1j * p)) @ torus.q.conj().T - (x - residual)
+            ) <= 1e-13
+            es = linalg.commutation_defect(x, words)
+            assert abs(es_t - es) <= 1e-13
+            rel = np.linalg.norm(v @ x - x @ v) / (np.linalg.norm(v) * np.linalg.norm(x))
+            assert abs(rel_t - rel) <= 1e-13
         # the central word I..IZ splits off by its diagonal
+        x = span + eps * noise
         (alpha,), rest = linalg.project_onto_span(x, (kg.z_word,))
         alpha_t, rest_t = engine._central_split(x)
         assert abs(alpha_t - alpha) <= 1e-13
@@ -338,25 +519,26 @@ def _closed_form_k_by_cluster_svds(m0_mat, torus):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_closed_form_singleton_gauge_matches_cluster_svds(monkeypatch, n):
     # a Haar stage has only singleton value clusters, whose polar factor
-    # _closed_form_k sets as conj(o) / |o| without an SVD
+    # _minimize_full sets as conj(o) / |o| without an SVD; both stages
+    # of every level go through it
     stages = []
     solve = engine._minimize_full
 
-    def recording_solve(m0, torus, *svd):
-        stages.append((as_matrix(m0), torus))
-        return solve(m0, torus, *svd)
+    def recording_solve(x, torus, vectors):
+        stages.append((_stage_log(x, torus.name[0]), torus, solve(x, torus, vectors)))
+        return stages[-1][-1]
 
     monkeypatch.setattr(engine, "_minimize_full", recording_solve)
     decompose_full(haar_special_unitary(n, np.random.default_rng(n)), n)
-    assert {int(torus.name[1:]) for _, torus in stages} == set(range(3, n + 1))
-    for m0_mat, torus in stages:
+    assert {int(torus.name[1:]) for _, torus, _ in stages} == set(range(3, n + 1))
+    assert {torus.name[0] for _, torus, _ in stages} == {"H", "F"}
+    for m0_mat, torus, got in stages:
         want = _closed_form_k_by_cluster_svds(m0_mat, torus)
-        svd = _off_diagonal_svd(m0_mat)
-        got, (a, b, det) = engine._closed_form_k(m0_mat, torus, svd)
-        assert np.max(np.abs(got - want)) <= 1e-13
-        # the blocks are k's own, and det is det k = 1 up to rounding
-        assert np.array_equal(got, _block_diag(a, b))
+        a, b, det = got.k
+        assert np.max(np.abs(_block_diag(a, b) - want)) <= 1e-13
+        # det is det K = 1 up to rounding, and an F stage's K is A (x) I
         assert abs(det - 1.0) <= 1e-13
+        assert torus.name[0] == "H" or b is a
 
 
 def _cluster_gauge_oracle(overlap, values):
@@ -527,11 +709,11 @@ def _level_inputs(g, n):
     tuples (W0, W1, det) the level hands the block stage, each paired with
     the 2^n input w = K0 K1 or K1^dag that the level used to form."""
     k0, solve = engine._theta_z_stage(g, cartan_torus("H", n))
-    a, b, det_k1 = solve.k1_blocks
-    k0_mat = _block_diag(k0.b0, k0.b1)
+    a, b, det_k1 = solve.k
+    k0_mat, k1 = _block_diag(k0.b0, k0.b1), _block_diag(a, b)
     return (
-        (k0_mat @ solve.k1, (k0.b0 @ a, k0.b1 @ b, k0.det * det_k1)),
-        (solve.k1.conj().T, (a.conj().T, b.conj().T, np.conj(det_k1))),
+        (k0_mat @ k1, (k0.b0 @ a, k0.b1 @ b, k0.det * det_k1)),
+        (k1.conj().T, (a.conj().T, b.conj().T, np.conj(det_k1))),
     )
 
 
@@ -540,14 +722,6 @@ def _theta_x_inputs(n, seed):
     on Haar SU(2^n)."""
     g = haar_special_unitary(n, np.random.default_rng(seed))
     return tuple(args for _, args in _level_inputs(g, n))
-
-
-def _block_diag(w0, w1):
-    """diag(W0, W1) in the last-qubit block view."""
-    w = np.zeros((2 * len(w0), 2 * len(w0)), dtype=complex)
-    w[0::2, 0::2] = w0
-    w[1::2, 1::2] = w1
-    return w
 
 
 def _spy_kernels(monkeypatch):
@@ -622,11 +796,12 @@ def test_theta_z_log_matches_the_full_register_log(n):
         m = compute_m(g, inv_z)
         assert np.linalg.norm(m.matrix - oracle) <= 1e-12
         assert m.residual_norm <= 1e-12
-        # the stage's SVD of -i Y, Y = m0[0::2, 1::2], with sorted values
-        m0, _, (v1, values, v2h) = engine._theta_z_log(g)
-        assert np.array_equal(m0.matrix, m.matrix)
-        y = m0.matrix[0::2, 1::2]
-        assert np.linalg.norm(-1j * y - (v1 * values) @ v2h) <= 1e-13
+        # the stage's block Y = m0[0::2, 1::2] and the SVD of -i Y, with
+        # sorted values, as (V1, s, V2)
+        y, residual_norm, _, (v1, values, v2) = engine._theta_z_log(g)
+        assert np.array_equal(y, m.matrix[0::2, 1::2])
+        assert residual_norm == m.residual_norm
+        assert np.linalg.norm(-1j * y - (v1 * values) @ v2.conj().T) <= 1e-13
         assert np.all(np.diff(values) <= 0.0)
 
 
@@ -638,7 +813,8 @@ def test_theta_z_log_is_odd_on_structured_gates(name):
     (g,) = [_special(u) for label, u, _ in structured_gates() if label == name]
     inv_z = AxisInvolution(3, "Z")
     w = inv_z.apply(g.conj().T) @ g
-    m0, k0, _ = engine._theta_z_log(g)
+    m0 = compute_m(g, inv_z)
+    _, _, k0, _ = engine._theta_z_log(g)
     assert np.linalg.norm(expm_skew(2.0 * m0.matrix) - w) <= 1e-14
     assert np.array_equal(inv_z.apply(m0.matrix), -m0.matrix)
     k = residual_k(g, m0)
@@ -659,8 +835,8 @@ def test_theta_z_log_residual_matches_the_blockwise_products(n):
         cos, sin = np.cos(theta), np.sin(theta)
         rebuilt = ((u1 * cos) @ v1h, (u1 * -sin) @ v2h, (u2 * sin) @ v1h, (u2 * cos) @ v2h)
         oracle = np.linalg.norm(np.stack(blocks) - np.stack(rebuilt))
-        m0, _, _ = engine._theta_z_log(g)
-        assert m0.residual_norm == pytest.approx(oracle, abs=1e-15)
+        _, residual_norm, _, _ = engine._theta_z_log(g)
+        assert residual_norm == pytest.approx(oracle, abs=1e-15)
 
 
 @pytest.mark.parametrize("shift, tol", [(1e-6, 1e-7), (1e-2, SUBSPACE_TOL)])
@@ -761,7 +937,7 @@ def _secondary_stage_oracle(w, n, inv_x):
     odd = (w[1::2, 1::2] @ vecs) * turn.conj()
     assert linalg._norm(even - odd) <= engine.PATTERN_TOL
     k = 0.5 * (even + odd) @ vecs.conj().T
-    a, coords, residual_norm, subspace_error, det_a = engine._f_rotation(
+    a, coords, residual_norm, subspace_error, det_a = _f_rotation_oracle(
         c_hat, values, vecs, torus
     )
     outer = k @ a
@@ -887,69 +1063,102 @@ def test_a_haar_level_applies_no_involution_and_forms_no_full_input(monkeypatch)
     assert shapes == [((4, 4), (4, 4))] * 2
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+def _full_register_xt(d, torus):
+    """The whole register's x~ that a stage's rotated block D stands for,
+    in the last-qubit block view: [[K, -H], [H, -K]] on H_n, with K and H
+    the skew-Hermitian and Hermitian parts of D, and diag(D, -D) on F_n."""
+    if torus.name[0] == "F":
+        return _block_diag(d, -d)
+    k, h = 0.5 * (d - d.conj().T), 0.5 * (d + d.conj().T)
+    xt = _block_diag(k, -k)
+    xt[0::2, 1::2] = -h
+    xt[1::2, 0::2] = h
+    return xt
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_block_torus_figures_equal_the_full_register(n):
-    # on x = diag(X, -X) in the last-qubit block view, the F-torus
-    # figures read off the block U^dag X U equal those of the whole
-    # register, sqrt(2) factors included
-    rng = np.random.default_rng(40 + n)
-    torus = cartan_torus("F", n)
+    # on an x of its stage's form, [[0, Y], [-Y^dag, 0]] for H_n and
+    # diag(C, -C) for F_n in the last-qubit block view, the figures read
+    # off the rotated block D = (A U)^dag x (B U) equal those of the whole
+    # register's x~ = (K Q)^dag x (K Q), K = diag(A, B), sqrt(2) factors
+    # included; K = I, and a rotation K = diag(A, B), A (x) I on F_n
+    for family in ("F", "H"):
+        _assert_block_figures_equal_the_full_register(family, n)
+
+
+def _assert_block_figures_equal_the_full_register(family, n):
+    rng = np.random.default_rng(40 + n + 10 * (family == "H"))
+    torus = cartan_torus(family, n)
     half = 2 ** (n - 1)
-    span = sum(
-        c * pauli_word(label).matrix[0::2, 0::2]
-        for c, label in zip(rng.uniform(-0.5, 0.5, len(torus.labels)), torus.labels)
+    span = _stage_block(
+        sum(
+            c * pauli_word(label).matrix
+            for c, label in zip(rng.uniform(-0.5, 0.5, len(torus.labels)), torus.labels)
+        ),
+        family,
     )
     a = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
-    noise = a - a.conj().T
-    noise -= np.trace(noise) / half * np.eye(half)
+    if family == "F":
+        a = a - a.conj().T
+        a -= np.trace(a) / half * np.eye(half)
+    rotations = [(np.eye(half), np.eye(half))]
+    rotations.append((haar_special_unitary(n - 1, rng), haar_special_unitary(n - 1, rng)))
+    if family == "F":
+        rotations[1] = (rotations[1][0], rotations[1][0])
+    u = torus.u
     for eps in (0.0, 1e-6, 1.0):
-        x_block = span + eps * noise
-        x = np.zeros((2 * half, 2 * half), dtype=complex)
-        x[0::2, 0::2] = x_block
-        x[1::2, 1::2] = -x_block
-        xt = torus.q.conj().T @ x @ torus.q
-        xt_block = torus.u.conj().T @ x_block @ torus.u
-        c, p, *figures = engine._stage_figures(xt, torus)
-        c_b, p_b, *figures_b = engine._stage_figures(xt_block, torus, block=True)
-        assert np.max(np.abs(c - c_b)) <= 1e-14
-        assert np.max(np.abs(p[0::2] - p_b)) <= 1e-14
-        # residual, relative commutator and E_s
-        for figure_b, figure in zip(figures_b, figures):
-            assert figure_b == pytest.approx(figure, rel=1e-12, abs=1e-15)
+        x_block = span + eps * a
+        for k0, k1 in rotations:
+            frame = _block_diag(k0, k1) @ torus.q
+            xt = frame.conj().T @ _stage_log(x_block, family) @ frame
+            d = (k0 @ u).conj().T @ x_block @ (k1 @ u)
+            c, p, *figures = _stage_figures_oracle(xt, torus)
+            c_b, p_b, *figures_b = engine._stage_figures(d, torus)
+            assert np.max(np.abs(c - c_b)) <= 1e-14
+            assert np.max(np.abs(p[0::2] - p_b)) <= 1e-14
+            # residual, relative commutator and E_s
+            for figure_b, figure in zip(figures_b, figures):
+                assert figure_b == pytest.approx(figure, rel=1e-12, abs=1e-15)
 
 
-def _torus_split_oracle(xt, torus, block=False):
-    # the figures as three separate walks over x~, before _stage_figures
-    # read them off one weighted sum
-    signs = torus.signs[:, 0::2] if block else torus.signs
-    c = (2.0 / len(xt)) * (signs @ np.diagonal(xt).imag)
-    p = 0.5 * (c @ signs)
+def _torus_split_oracle(d, signs):
+    # the figures as separate walks over x~, before _stage_figures read
+    # them off one weighted sum: c and p off the diagonal of D
+    c = (2.0 / len(d)) * (signs @ np.diagonal(d).imag)
+    return c, 0.5 * (c @ signs)
+
+
+def _residual_oracle(xt, p):
+    # ||x~ - i diag(p, -p)||, p and -p interleaved
     off = xt.copy()
-    off.flat[:: len(xt) + 1] -= 1j * p
-    return c, p, np.linalg.norm(off) * (np.sqrt(2.0) if block else 1.0)
+    off.flat[:: len(xt) + 1] -= 1j * np.array((p, -p)).T.ravel()
+    return np.linalg.norm(off)
 
 
-def _relative_commutator_oracle(xt, torus, block=False):
-    mu = torus.mu[0::2] if block else torus.mu
+def _relative_commutator_oracle(xt, torus):
+    mu = torus.mu
     gaps = mu[:, None] - mu[None, :]
-    rel = np.linalg.norm(gaps * xt) / (np.linalg.norm(mu) * np.linalg.norm(xt))
-    return rel / np.sqrt(2.0) if block else rel
+    return np.linalg.norm(gaps * xt) / (np.linalg.norm(mu) * np.linalg.norm(xt))
 
 
-def _subspace_error_oracle(xt, torus, block=False):
-    weights = torus.es_weights[0::2, 0::2] if block else torus.es_weights
-    es = np.sqrt(np.sum(weights * np.abs(xt) ** 2)) / len(torus.labels)
-    return es * np.sqrt(2.0) if block else es
+def _subspace_error_oracle(xt, torus):
+    es = np.sqrt(np.sum(torus.es_weights * np.abs(xt) ** 2)) / len(torus.labels)
+    return es
 
 
-def _assert_figures_match_oracles(xt, torus, block):
-    c, p, residual_norm, rel, es = engine._stage_figures(xt, torus, block)
-    c_o, p_o, residual_o = _torus_split_oracle(xt, torus, block)
+def _assert_figures_match_oracles(d, torus):
+    # c and p by the walk over the block, the norms by the walks over the
+    # whole register's x~ that D stands for
+    c, p, residual_norm, rel, es = engine._stage_figures(d, torus)
+    c_o, p_o = _torus_split_oracle(d, torus.signs[:, 0::2])
     assert np.array_equal(c, c_o) and np.array_equal(p, p_o)
+    xt = _full_register_xt(d, torus)
+    residual_o = _residual_oracle(xt, p_o)
     assert residual_norm == pytest.approx(residual_o, rel=1e-12, abs=0.0)
-    assert es == pytest.approx(_subspace_error_oracle(xt, torus, block), rel=1e-12, abs=0.0)
-    if np.any(xt):
-        want = _relative_commutator_oracle(xt, torus, block)
+    assert es == pytest.approx(_subspace_error_oracle(xt, torus), rel=1e-12, abs=0.0)
+    if np.any(d):
+        want = _relative_commutator_oracle(xt, torus)
         assert rel == pytest.approx(want, rel=1e-12, abs=0.0)
     else:
         assert rel == 0.0
@@ -957,35 +1166,32 @@ def _assert_figures_match_oracles(xt, torus, block):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_stage_figures_match_the_separate_walks(monkeypatch, n):
-    # every x~ that the three stages of a Haar level read, then in-span
-    # and zero inputs on both tori, against the separate figure walks
+    # every block D that the three stages of a Haar level read, then
+    # in-span and zero inputs on both tori, against the separate figure
+    # walks
     real = engine._stage_figures
     seen = []
 
-    def spy(xt, torus, block=False):
-        seen.append((xt.copy(), torus, block))
-        return real(xt, torus, block)
+    def spy(d, torus):
+        seen.append((d.copy(), torus))
+        return real(d, torus)
 
     monkeypatch.setattr(engine, "_stage_figures", spy)
     decompose_one_level(haar_special_unitary(n, np.random.default_rng(60 + n)), n)
     monkeypatch.undo()
     # a Haar level's stage inputs lie far off the span, so each stage
-    # skips the unrotated pretest and reads its rotated x~ alone
-    assert [block for *_, block in seen] == [False, True, True]
-    for xt, torus, block in seen:
-        _assert_figures_match_oracles(xt, torus, block)
+    # skips the unrotated pretest and reads its rotated D alone
+    assert [torus.name[0] for _, torus in seen] == ["H", "F", "F"]
+    for d, torus in seen:
+        _assert_figures_match_oracles(d, torus)
     rng = np.random.default_rng(70 + n)
     for family in ("H", "F"):
         torus = cartan_torus(family, n)
         words = tuple(pauli_word(label) for label in torus.labels)
         x = random_span_element(rng, words, scale=0.8)
-        for block in (False, True) if family == "F" else (False,):
-            if block:
-                xt = torus.u.conj().T @ x[0::2, 0::2] @ torus.u
-            else:
-                xt = torus.q.conj().T @ x @ torus.q
-            _assert_figures_match_oracles(xt, torus, block)
-            _assert_figures_match_oracles(np.zeros_like(xt), torus, block)
+        d = torus.u.conj().T @ _stage_block(x, family) @ torus.u
+        _assert_figures_match_oracles(d, torus)
+        _assert_figures_match_oracles(np.zeros_like(d), torus)
 
 
 def _wrapped(values):
@@ -1035,19 +1241,19 @@ def test_secondary_stage_psi_is_the_angle_of_det_a(monkeypatch, n):
     # det A is not taken again but carried from the rotation, as det(A)
     # times the scale's power, and psi must still be its angle; the scale
     # makes det A = +-1, so the angle is compared on the circle
-    real = engine._f_rotation
+    real = engine._minimize_full
     rotations = []
 
     def spy(*args):
         rotations.append(real(*args))
         return rotations[-1]
 
-    monkeypatch.setattr(engine, "_f_rotation", spy)
+    monkeypatch.setattr(engine, "_minimize_full", spy)
     for seed in (21, 22):
         for w0, w1, det in _theta_x_inputs(n, seed):
             rotations.clear()
             _, _, psi, _ = engine._secondary_stage(w0, w1, n, det)
-            a = rotations[0][0]
+            a = rotations[0].k.b0
             assert abs(np.exp(1j * psi * len(a)) - np.linalg.det(a)) <= 1e-13
 
 
@@ -1374,16 +1580,18 @@ def test_decompose_full_validates_input():
 
 
 def _stage_logs(n, seed):
-    """(label, m0, svd) theta_Z logs of one register: exp of an H_n span
-    element, the same perturbed off the span by eps, and a Haar input."""
+    """(label, y, vectors) theta_Z logs of one register, as the block
+    Y = m0[0::2, 1::2] and the SVD that the stage's CSD gives: exp of an
+    H_n span element, the same perturbed off the span by eps, and a Haar
+    input."""
     rng = np.random.default_rng(seed)
     torus = cartan_torus("H", n)
     h = random_span_element(rng, tuple(pauli_word(label) for label in torus.labels), 0.15)
     noise = random_span_element(rng, build_kg_basis(n).m_set)
     noise /= np.linalg.norm(noise)
     for eps in (0.0, 1e-14, 1e-10, 1e-8, 1e-4):
-        yield eps, *engine._theta_z_log(expm_skew(h + eps * noise))[::2]
-    yield "haar", *engine._theta_z_log(haar_special_unitary(n, rng))[::2]
+        yield eps, *engine._theta_z_log(expm_skew(h + eps * noise))[::3]
+    yield "haar", *engine._theta_z_log(haar_special_unitary(n, rng))[::3]
 
 
 def _f_blocks(n, seed):
@@ -1439,41 +1647,109 @@ def test_the_pretest_bound_changes_no_bit_of_a_solve(monkeypatch, n):
     # it returns with that pretest always taken
     torus_h, torus_f = cartan_torus("H", n), cartan_torus("F", n)
     for seed in (1, 2):
-        for label, m0, svd in _stage_logs(n, 80 + 10 * n + seed):
+        inputs = [(torus_h, label, y, vectors)
+                  for label, y, vectors in _stage_logs(n, 80 + 10 * n + seed)]
+        inputs += [(torus_f, label, c_hat, (vecs, values, vecs))
+                   for label, c_hat, values, vecs in _f_blocks(n, 90 + 10 * n + seed)]
+        for torus, label, x, vectors in inputs:
             verdicts = _record_off_span(monkeypatch)
-            bounded = _minimize_full(m0, torus_h, svd)
+            bounded = _minimize_full(x, torus, vectors)
             monkeypatch.setattr(engine, "_off_span", lambda norm, diagonal: False)
-            full = _minimize_full(m0, torus_h, svd)
+            full = _minimize_full(x, torus, vectors)
             monkeypatch.undo()
             _assert_same_bits(bounded, full)
             assert verdicts == [label == "haar"], label
             if label in (0.0, 1e-14):
-                assert np.array_equal(bounded[0], np.eye(2**n)), label
-        for label, *args in _f_blocks(n, 90 + 10 * n + seed):
-            verdicts = _record_off_span(monkeypatch)
-            bounded = engine._f_rotation(*args, torus_f)
-            monkeypatch.setattr(engine, "_off_span", lambda norm, diagonal: False)
-            full = engine._f_rotation(*args, torus_f)
-            monkeypatch.undo()
-            _assert_same_bits(bounded, full)
-            assert verdicts == [label == "haar"], label
-            if label in (0.0, 1e-14):
-                assert np.array_equal(bounded[0], np.eye(2 ** (n - 1))), label
+                assert np.array_equal(bounded.k.b0, np.eye(2 ** (n - 1))), label
+                assert np.array_equal(bounded.k.b1, np.eye(2 ** (n - 1))), label
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_block_solve_matches_the_parent_solves(n):
+    # the theta_Z stage's solve read off its block matches the parent's
+    # on the whole register to rounding, relative to ||m0||, with the
+    # same K = I decisions and the same bits of K; the F stage's solve
+    # is the parent's bit for bit
+    torus_h, torus_f = cartan_torus("H", n), cartan_torus("F", n)
+    identity = np.eye(2 ** (n - 1))
+    for seed in (1, 2):
+        for label, y, vectors in _stage_logs(n, 80 + 10 * n + seed):
+            m0 = _stage_log(y, "H")
+            v1, values, v2 = vectors
+            want = _minimize_full_oracle(m0, torus_h, (v1, values, v2.conj().T))
+            got = _minimize_full(y, torus_h, vectors)
+            tol = 1e-13 * np.linalg.norm(m0)
+            assert np.max(np.abs(np.subtract(got.coords, want.coords))) <= tol, label
+            assert np.max(np.abs(got.p - want.p[0::2])) <= tol, label
+            assert np.array_equal(want.p[1::2], -want.p[0::2]), label
+            assert abs(got.residual_norm - want.residual_norm) <= tol, label
+            assert abs(got.subspace_error - want.subspace_error) <= tol, label
+            kept = np.array_equal(want.k1, np.eye(2**n))
+            assert kept == (np.array_equal(got.k.b0, identity)
+                            and np.array_equal(got.k.b1, identity)), label
+            assert kept == (label in (0.0, 1e-14)), label
+            _assert_same_bits(got.k, want.k1_blocks)
+        for label, c_hat, values, vecs in _f_blocks(n, 90 + 10 * n + seed):
+            a, coords, residual_norm, es, det_a = _f_rotation_oracle(
+                c_hat, values, vecs, torus_f
+            )
+            got = _minimize_full(c_hat, torus_f, (vecs, values, vecs))
+            assert np.array_equal(got.k.b0, a) and got.k.b1 is got.k.b0, label
+            assert got.coords == tuple(coords.tolist()), label
+            assert (got.residual_norm, got.subspace_error, got.det_a) == (
+                residual_norm, es, det_a
+            ), label
+
+
+class _NoFullRegisterBasis:
+    """A torus whose 2^n basis q and q_dag raise when read."""
+
+    def __init__(self, torus):
+        self._torus = torus
+
+    def __getattr__(self, name):
+        if name in ("q", "q_dag"):
+            raise AssertionError(f"{self._torus.name}.{name} was read")
+        return getattr(self._torus, name)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_haar_level_reads_no_full_register_torus_basis(monkeypatch, n):
+    # each Cartan stage reads its block off U alone: no 2^n product with
+    # the torus basis Q is left in a level
+    real = engine.cartan_torus
+    tori = []
+
+    def guarded(family, n):
+        tori.append(f"{family}{n}")
+        return _NoFullRegisterBasis(real(family, n))
+
+    g = haar_special_unitary(n, np.random.default_rng(36 + n))
+    want = decompose_one_level(g, n)
+    monkeypatch.setattr(engine, "cartan_torus", guarded)
+    got = decompose_one_level(g, n)
+    assert tori == [f"H{n}", f"F{n}", f"F{n}"]
+    assert got.subspace_errors == want.subspace_errors
+    assert [f.coeffs for f in got.factors] == [f.coeffs for f in want.factors]
 
 
 @pytest.mark.parametrize("n, nth, path", [(3, 2, "f1[F3]"), (4, 5, "K1/f0[F3]")])
 def test_payload_drift_is_refused_with_its_stage_path(monkeypatch, n, nth, path):
     # a drift of 1e-11 in the F rotation of the nth theta_X stage reaches
     # both payloads, S and T'; it is refused, not re-unitarized
-    real = engine._f_rotation
+    real = engine._minimize_full
     calls = []
 
-    def drifting(*args):
-        calls.append(args)
-        a, *rest = real(*args)
-        return ((1.0 + 1e-11) * a if len(calls) == nth else a, *rest)
+    def drifting(x, torus, vectors):
+        solve = real(x, torus, vectors)
+        if torus.name[0] == "F":
+            calls.append(x)
+            if len(calls) == nth:
+                a = (1.0 + 1e-11) * solve.k.b0
+                solve = solve._replace(k=solve.k._replace(b0=a, b1=a))
+        return solve
 
-    monkeypatch.setattr(engine, "_f_rotation", drifting)
+    monkeypatch.setattr(engine, "_minimize_full", drifting)
     g = haar_special_unitary(n, np.random.default_rng(31))
     with pytest.raises(NotUnitaryError, match="payload drift .* exceeds 1.000e-12") as info:
         decompose_full(g, n)

@@ -413,6 +413,46 @@ def test_an_unhashable_label_is_a_type_error(where):
         serialize(tree)
 
 
+def _serialize_outcome(tree):
+    """serialize(tree), or the type and message of what it raised."""
+    try:
+        return serialize(tree)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _clear_record_templates():
+    factors_module._cartan_template.cache_clear()
+    factors_module._report_template.cache_clear()
+
+
+@pytest.mark.parametrize("where", ["coefficient", "subspace_error", "optimizer_stat"])
+@pytest.mark.parametrize("first, second", [
+    (True, 1), (1, True), (True, 1.0), (1.0, True), (1, 1.0), (1.0, 1),
+])
+def test_equal_labels_of_other_types_share_no_template(where, first, second):
+    # 1, 1.0 and True are equal and hash alike, so the record templates'
+    # caches key on the labels' types too: what a tree writes, or raises,
+    # does not depend on what was written before it
+    tree = _haar_tree()
+    report = tree.report
+
+    def labelled(label):
+        if where == "coefficient":
+            return _with_factors(_cartan([label], [0.25]))
+        if where == "subspace_error":
+            return dataclasses.replace(tree, report=dataclasses.replace(
+                report, subspace_errors=((label, 0.5),)))
+        return dataclasses.replace(tree, report=dataclasses.replace(
+            report, optimizer_stats=((label, 2),)))
+
+    _clear_record_templates()
+    want = _serialize_outcome(labelled(second))
+    _clear_record_templates()
+    _serialize_outcome(labelled(first))
+    assert _serialize_outcome(labelled(second)) == want
+
+
 @pytest.mark.parametrize("where", ["n_total", "payload", "cartan"])
 def test_a_float_level_or_n_total_is_a_type_error(where):
     # deserialize refuses a float there, so no document is written

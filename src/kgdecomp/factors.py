@@ -6,6 +6,13 @@ on the trailing qubits, times one aggregated global phase. Recursion
 strips the LAST qubit at every level, which is why a level-l SubUnitary
 payload lives on l-1 qubits and a level-l LastQubit payload sits at
 register position l.
+
+A document is read in one pass (deserialize): each record is checked in
+document order, building no location string unless it fails, and the
+entries of all payload records are then read into one array, of which
+each payload matrix is a view. `product` keeps one cached frame per
+CartanExp label set: the torus basis, its adjoint and half the signs
+rows of the labels.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ from .fileio import (
     entries_to_matrix,
     fill,
     is_json_number,
+    pairs_values,
     parse_json,
+    plain_pairs,
     template,
 )
 # expm_skew is unused here since CartanExp blocks come from the torus;
@@ -126,42 +135,43 @@ class FactorTree:
     report: Optional[DecompositionReport] = None
 
 
-@lru_cache(maxsize=64)
-def _label_signs(basis_name: str, labels: Tuple[str, ...]) -> np.ndarray:
-    """The signs rows of labels in the torus of basis_name, in their
-    order, read-only: repeated labels repeat their row.
+@lru_cache(maxsize=64, typed=True)
+def _cartan_frame(
+    basis_name: str, level: int, labels: Tuple[str, ...]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, q_dag, half_signs) of a CartanExp factor: the basis of its torus
+    (basis.cartan_torus), its adjoint, and half the signs rows of labels
+    in their order, read-only; repeated labels repeat their row.
 
     Raises:
-        BadLabelError: a label is not in the set; the message names it.
+        BadLabelError: the basis does not name H or F at level, or a
+            label is not in that set; the message names it.
     """
-    torus = cartan_torus(basis_name[0], int(basis_name[1:]))
-    signs = torus.signs[torus.rows_of(labels)]
-    signs.setflags(write=False)
-    return signs
+    if basis_name not in (f"H{level}", f"F{level}"):
+        raise BadLabelError(f"basis {basis_name!r} is not H{level} or F{level}")
+    torus = cartan_torus(basis_name[0], level)
+    half_signs = 0.5 * torus.signs[torus.rows_of(labels)]
+    half_signs.setflags(write=False)
+    return torus.q, torus.q_dag, half_signs
 
 
 def _cartan_block(factor: Factor) -> np.ndarray:
     """exp(sum_i c_i word_i) of a CartanExp factor, as Q diag(e^{i phi}) Q^dag.
 
-    Q is the basis of the factor's torus (basis.cartan_torus), where
-    every word of its set is (i/2) diag(signs row), and phi = (1/2)
-    sum_i c_i signs_i over the factor's labels, so repeated labels add
-    their coefficients. The signs rows of a label list are cached.
+    Q is the basis of the factor's torus, where every word of its set is
+    (i/2) diag(signs row), and phi = (1/2) sum_i c_i signs_i over the
+    factor's labels, so repeated labels add their coefficients. Q, Q^dag
+    and half the signs rows are cached per (basis, level, labels); the
+    halving is exact, so phi has the bits of 0.5 (c . signs).
 
     Raises:
         BadLabelError: the basis does not name H or F at the factor's
             level, or a label is not in that set; the message names it.
     """
-    level = factor.level_qubits
-    if factor.basis_name not in (f"H{level}", f"F{level}"):
-        raise BadLabelError(
-            f"basis {factor.basis_name!r} is not H{level} or F{level}"
-        )
-    torus = cartan_torus(factor.basis_name[0], level)
     labels = tuple([label for label, _ in factor.coeffs])
-    coeffs = np.array([c for _, c in factor.coeffs], dtype=float)
-    phi = 0.5 * (coeffs @ _label_signs(factor.basis_name, labels))
-    return (torus.q * np.exp(1j * phi)) @ torus.q_dag
+    q, q_dag, half_signs = _cartan_frame(factor.basis_name, factor.level_qubits, labels)
+    phi = np.array([c for _, c in factor.coeffs], dtype=float) @ half_signs
+    return (q * np.exp(1j * phi)) @ q_dag
 
 
 def _block(factor: Factor, n_total: int) -> Tuple[np.ndarray, int]:
@@ -301,11 +311,9 @@ def _payload_template(kind: FactorKind, level, shape: tuple) -> str:
 
 
 @lru_cache(maxsize=64, typed=True)
-def _cartan_template(level, basis, labels: tuple, types: tuple, residual: bool) -> str:
+def _cartan_template(level, basis, labels: tuple, residual: bool) -> str:
     """The %-template of a CartanExp record: its coefficients under
-    labels, then a subspace residual if it has one. types, the labels'
-    types, only keys the cache: labels 1, 1.0 and True are equal and hash
-    alike, and typed=True does not look inside a tuple."""
+    labels, then a subspace residual if it has one."""
     record = {
         "kind": FactorKind.CARTAN_EXP.value,
         "level_qubits": level,
@@ -318,12 +326,10 @@ def _cartan_template(level, basis, labels: tuple, types: tuple, residual: bool) 
 
 
 @lru_cache(maxsize=64)
-def _report_template(labels: tuple, optimizer_stats: tuple, types: tuple) -> str:
+def _report_template(labels: tuple, optimizer_stats: tuple) -> str:
     """The %-template of a report block whose subspace_errors carry labels:
     approx_error, those errors and wall_time are its floats, and the
-    (label, count) optimizer_stats are part of its text. types, the types
-    of labels and of the optimizer_stats labels, only keys the cache, as
-    in _cartan_template."""
+    (label, count) optimizer_stats are part of its text."""
     report = {
         "approx_error": 0.0,
         "subspace_errors": [[label, 0.0] for label in labels],
@@ -331,6 +337,17 @@ def _report_template(labels: tuple, optimizer_stats: tuple, types: tuple) -> str
         "optimizer_stats": [[label, int(count)] for label, count in optimizer_stats],
     }
     return template(report, 1)[0]
+
+
+def _labels(pairs, where) -> tuple:
+    """The labels of (label, value) pairs. A label that is not a str would
+    be laid out as a value, so TypeError names the first such and its
+    path, where() + [j]; where() is called only then."""
+    labels = tuple([label for label, _ in pairs])
+    for j, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise TypeError(f"label {label!r} at {where()}[{j}] is not a str")
+    return labels
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -359,34 +376,32 @@ def serialize(tree: FactorTree) -> str:
     laid out by fileio's one walker. Each record is a %-template cached
     per shape, (kind, level, payload shape) for a payload and (level,
     basis, labels, residual or not) for a CartanExp; the report block is
-    one per (labels, optimizer_stats), labels told apart by type too
-    (1, 1.0 and True are equal keys), and the frame around the records
-    one per (n_total, report template, any records). The phase, the
+    one per (labels, optimizer_stats), and the frame around the records
+    one per (n_total, report template, any records). Every label must be
+    a str, and is checked before any record is filled. The phase, the
     report's floats and every record's floats, in document order, are
     checked for finiteness once and formatted into the joined templates
     in one % call (fileio.fill).
 
     Raises:
-        TypeError: a payload is not a 2-D array, a label, a basis or
-            optimizer_stats is unhashable, or a level, n_total or a
-            label is a float (it would take a value of its own).
+        TypeError: a label is not a str (the message names it and its
+            path, such as factors[4].coeffs[1] or
+            report.optimizer_stats[0]), a payload is not a 2-D array, a
+            basis or optimizer_stats is unhashable, or a level or
+            n_total is a float (it would take a value of its own).
         ValueError: a value is not finite; the message names the first.
     """
     templates = []
     chunks = []
-    for factor in tree.factors:
+    for i, factor in enumerate(tree.factors):
         if factor.kind is FactorKind.CARTAN_EXP:
+            labels = _labels(factor.coeffs, lambda: f"factors[{i}].coeffs")
             values = [float(c) for _, c in factor.coeffs]
             residual = factor.subspace_residual
             if residual is not None:
                 values.append(float(residual))
-            labels = tuple([label for label, _ in factor.coeffs])
             record = _cartan_template(
-                factor.level_qubits,
-                factor.basis_name,
-                labels,
-                tuple(map(type, labels)),
-                residual is not None,
+                factor.level_qubits, factor.basis_name, labels, residual is not None
             )
         else:
             matrix = np.asarray(factor.matrix, dtype=complex)
@@ -399,9 +414,9 @@ def serialize(tree: FactorTree) -> str:
         report_text, report_values = None, []
     else:
         errors, stats = report.subspace_errors, report.optimizer_stats
-        labels = tuple([label for label, _ in errors])
-        types = tuple(map(type, labels)) + tuple([type(label) for label, _ in stats])
-        report_text = _report_template(labels, stats, types)
+        labels = _labels(errors, lambda: "report.subspace_errors")
+        _labels(stats, lambda: "report.optimizer_stats")
+        report_text = _report_template(labels, stats)
         report_values = [report.approx_error, *[v for _, v in errors], report.wall_time]
     head, between, tail = _frame(tree.n_total, report_text, bool(templates))
     return fill(
@@ -410,98 +425,132 @@ def serialize(tree: FactorTree) -> str:
     )
 
 
-def _parse_factor(rec, where: str, n_total: int) -> Factor:
-    if not isinstance(rec, dict):
-        raise ParseError("factor record must be an object", where)
-    try:
-        kind = FactorKind(rec["kind"])
-    except (KeyError, ValueError):
-        raise ParseError(f"missing or unknown factor kind {rec.get('kind')!r}", where)
-    level = rec.get("level_qubits", 1)
-    if not is_json_number(level, integer=True) or level < 1:
-        raise ParseError(f"bad level_qubits {level!r}", where)
-    if kind is FactorKind.CARTAN_EXP:
-        basis_name = rec.get("basis")
-        coeffs = rec.get("coeffs")
-        if not isinstance(basis_name, str) or not isinstance(coeffs, list):
-            raise ParseError("cartan_exp record needs 'basis' and 'coeffs'", where)
-        if not 2 <= level <= n_total:
-            raise ParseError(
-                f"cartan_exp level_qubits {level} outside [2, n_total = {n_total}]",
-                where,
-            )
-        if basis_name not in (f"H{level}", f"F{level}"):
-            raise ParseError(
-                f"basis {basis_name!r} does not match level_qubits {level}", where
-            )
-        # a document declares its own level, so the label check builds no
-        # basis: it costs O(level^2) per label, not the 4^level basis words
-        parsed = []
-        for idx, pair in enumerate(coeffs):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not isinstance(pair[0], str)
-                or not is_json_number(pair[1])
-            ):
-                raise ParseError("coefficient is not a [label, value] pair",
-                                 f"{where}.coeffs[{idx}]")
-            if not is_cartan_label(pair[0], basis_name[0], level):
-                raise ParseError(f"label {pair[0]!r} is not in basis {basis_name}",
-                                 f"{where}.coeffs[{idx}]")
-            parsed.append((pair[0], float(pair[1])))
-        residual = rec.get("subspace_residual")
-        if residual is not None and not is_json_number(residual):
-            raise ParseError("subspace_residual must be numeric", where)
-        return Factor(
-            kind=kind,
-            level_qubits=level,
-            basis_name=basis_name,
-            coeffs=tuple(parsed),
-            subspace_residual=None if residual is None else float(residual),
+# The reader tests a parsed JSON value by its exact type: json.loads yields
+# only plain int, float and bool (bool, an int subclass, is no number
+# here). A float v is finite when v - v == 0.0, since inf - inf and NaN
+# give NaN; any other value goes through is_json_number, which also
+# refuses an int beyond the float range.
+_KINDS = {kind.value: kind for kind in FactorKind}
+
+
+def _cartan_factor(rec: dict, i: int, level: int, n_total: int) -> Factor:
+    """The CartanExp factor of record i, whose kind and level are checked."""
+    basis_name = rec.get("basis")
+    coeffs = rec.get("coeffs")
+    if type(basis_name) is not str or type(coeffs) is not list:
+        raise ParseError("cartan_exp record needs 'basis' and 'coeffs'", f"factors[{i}]")
+    if not 2 <= level <= n_total:
+        raise ParseError(
+            f"cartan_exp level_qubits {level} outside [2, n_total = {n_total}]",
+            f"factors[{i}]",
         )
-    # checked before the entries are read: a level-l SubUnitary covers
-    # l - 1 qubits, up to the whole register, and a LastQubit sits at l
-    top = n_total + 1 if kind is FactorKind.SUB_UNITARY else n_total
-    if level > top:
-        raise ParseError(f"{kind.value} level {level} does not fit n_total = {n_total}", where)
-    qubits = level - 1 if kind is FactorKind.SUB_UNITARY else 1
-    matrix = entries_to_matrix(rec.get("entries", []), qubits, f"{where}.entries")
-    return Factor(kind=kind, level_qubits=level, matrix=matrix)
+    if basis_name not in (f"H{level}", f"F{level}"):
+        raise ParseError(
+            f"basis {basis_name!r} does not match level_qubits {level}", f"factors[{i}]"
+        )
+    # a document declares its own level, so the label check builds no
+    # basis: it costs O(level^2) per label, not the 4^level basis words
+    family = basis_name[0]
+    parsed = []
+    for j, pair in enumerate(coeffs):
+        if (
+            type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) is not str
+            or not (type(pair[1]) is float and pair[1] - pair[1] == 0.0
+                    or is_json_number(pair[1]))
+        ):
+            raise ParseError("coefficient is not a [label, value] pair",
+                             f"factors[{i}].coeffs[{j}]")
+        label, value = pair
+        if not is_cartan_label(label, family, level):
+            raise ParseError(f"label {label!r} is not in basis {basis_name}",
+                             f"factors[{i}].coeffs[{j}]")
+        parsed.append((label, float(value)))
+    residual = rec.get("subspace_residual")
+    if residual is not None and not (
+        type(residual) is float and residual - residual == 0.0 or is_json_number(residual)
+    ):
+        raise ParseError("subspace_residual must be numeric", f"factors[{i}]")
+    return Factor(
+        kind=FactorKind.CARTAN_EXP,
+        level_qubits=level,
+        basis_name=basis_name,
+        coeffs=tuple(parsed),
+        subspace_residual=None if residual is None else float(residual),
+    )
+
+
+def _payload_matrices(payloads: list) -> list:
+    """The matrices of the payload records (record index, qubits, entries)
+    whose entries pass fileio.plain_pairs, in order: each a 2^qubits
+    square view of one array that one pass reads from all of them. If a
+    value is out of range or not finite, the records are read one by one
+    instead, which names the first bad entry in document order."""
+    sizes = [1 << qubits for _, qubits, _ in payloads]
+    values = pairs_values([entries for _, _, entries in payloads], sum([d * d for d in sizes]))
+    if values is None:
+        return [
+            entries_to_matrix(entries, qubits, f"factors[{i}].entries")
+            for i, qubits, entries in payloads
+        ]
+    flat = values.view(complex)
+    matrices = []
+    start = 0
+    for dim in sizes:
+        matrices.append(flat[start:start + dim * dim].reshape(dim, dim))
+        start += dim * dim
+    return matrices
 
 
 def _parse_report(raw) -> DecompositionReport:
-    if not isinstance(raw, dict):
+    if type(raw) is not dict:
         raise ParseError("malformed report block", "report")
-    for key, default in (("approx_error", None), ("wall_time", 0.0)):
-        if not is_json_number(raw.get(key, default)):
+    approx_error = raw.get("approx_error")
+    wall_time = raw.get("wall_time", 0.0)
+    for key, value in (("approx_error", approx_error), ("wall_time", wall_time)):
+        if not (type(value) is float and value - value == 0.0 or is_json_number(value)):
             raise ParseError(f"{key} must be numeric", f"report.{key}")
-
-    def labeled(key: str, cast) -> tuple:
-        pairs = raw.get(key, [])
-        if not isinstance(pairs, list):
-            raise ParseError(f"{key} must be a list", f"report.{key}")
-        for idx, pair in enumerate(pairs):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not isinstance(pair[0], str)
-                or not is_json_number(pair[1], integer=cast is int)
-            ):
-                raise ParseError("entry is not a [label, value] pair",
-                                 f"report.{key}[{idx}]")
-        return tuple((label, cast(v)) for label, v in pairs)
-
+    errors = raw.get("subspace_errors", [])
+    if type(errors) is not list:
+        raise ParseError("subspace_errors must be a list", "report.subspace_errors")
+    for j, pair in enumerate(errors):
+        if (
+            type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) is not str
+            or not (type(pair[1]) is float and pair[1] - pair[1] == 0.0
+                    or is_json_number(pair[1]))
+        ):
+            raise ParseError("entry is not a [label, value] pair",
+                             f"report.subspace_errors[{j}]")
+    stats = raw.get("optimizer_stats", [])
+    if type(stats) is not list:
+        raise ParseError("optimizer_stats must be a list", "report.optimizer_stats")
+    for j, pair in enumerate(stats):
+        if (
+            type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) is not str
+            or type(pair[1]) is not int
+        ):
+            raise ParseError("entry is not a [label, value] pair",
+                             f"report.optimizer_stats[{j}]")
     return DecompositionReport(
-        approx_error=float(raw["approx_error"]),
-        subspace_errors=labeled("subspace_errors", float),
-        wall_time=float(raw.get("wall_time", 0.0)),
-        optimizer_stats=labeled("optimizer_stats", int),
+        approx_error=float(approx_error),
+        subspace_errors=tuple([(label, float(v)) for label, v in errors]),
+        wall_time=float(wall_time),
+        optimizer_stats=tuple([(label, v) for label, v in stats]),
     )
 
 
 def deserialize(document: str) -> FactorTree:
     """Parses a factor-tree document back into a FactorTree.
+
+    The records are checked one by one in document order, and the
+    entries of all payload records are then read in one pass into one
+    array, of which each payload is a view. A fault found after a bad
+    entry is reported after it: the earlier payloads are read first.
 
     A `global_phase` record, which version-1 documents may hold, is folded
     into `tree.phase`; the phase is central, so the product is unchanged.
@@ -510,30 +559,69 @@ def deserialize(document: str) -> FactorTree:
         ParseError: with a location string, on any malformed content.
     """
     doc = parse_json(document)
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
+    if type(doc) is not dict or doc.get("format") != _FORMAT_NAME:
         raise ParseError(f"document is not a {_FORMAT_NAME} file", "top level")
     if doc.get("version") != _FORMAT_VERSION:
         raise ParseError(f"unsupported version {doc.get('version')!r}", "version")
     n_total = doc.get("n_total")
     phase = doc.get("phase")
-    if not is_json_number(n_total, integer=True) or n_total < 1:
+    if type(n_total) is not int or n_total < 1:
         raise ParseError(f"bad n_total {n_total!r}", "n_total")
-    if not is_json_number(phase):
+    if not (type(phase) is float and phase - phase == 0.0 or is_json_number(phase)):
         raise ParseError("phase must be numeric", "phase")
     records = doc.get("factors")
-    if not isinstance(records, list):
+    if type(records) is not list:
         raise ParseError("'factors' must be a list", "factors")
     phase = float(phase)
+    # a payload record holds its factor's place (None) until its entries
+    # are read with the others: slots holds (place, kind, level) and
+    # payloads (record index, qubits, entries) of each, in order
     factors = []
-    for i, rec in enumerate(records):
-        where = f"factors[{i}]"
-        if isinstance(rec, dict) and rec.get("kind") == "global_phase":
-            phi = rec.get("phi")
-            if not is_json_number(phi):
-                raise ParseError("global_phase record needs numeric 'phi'", where)
-            phase += float(phi)
-        else:
-            factors.append(_parse_factor(rec, where, n_total))
-    raw_report = doc.get("report")
-    report = None if raw_report is None else _parse_report(raw_report)
+    slots = []
+    payloads = []
+    try:
+        for i, rec in enumerate(records):
+            if type(rec) is not dict:
+                raise ParseError("factor record must be an object", f"factors[{i}]")
+            name = rec.get("kind")
+            kind = _KINDS.get(name) if type(name) is str else None
+            if kind is None:
+                if name != "global_phase":
+                    raise ParseError(f"missing or unknown factor kind {name!r}", f"factors[{i}]")
+                phi = rec.get("phi")
+                if not (type(phi) is float and phi - phi == 0.0 or is_json_number(phi)):
+                    raise ParseError("global_phase record needs numeric 'phi'", f"factors[{i}]")
+                phase += float(phi)
+                continue
+            level = rec.get("level_qubits", 1)
+            if type(level) is not int or level < 1:
+                raise ParseError(f"bad level_qubits {level!r}", f"factors[{i}]")
+            if kind is FactorKind.CARTAN_EXP:
+                factors.append(_cartan_factor(rec, i, level, n_total))
+                continue
+            # checked before the entries are read: a level-l SubUnitary covers
+            # l - 1 qubits, up to the whole register, and a LastQubit sits at l
+            sub = kind is FactorKind.SUB_UNITARY
+            if level > (n_total + 1 if sub else n_total):
+                raise ParseError(
+                    f"{kind.value} level {level} does not fit n_total = {n_total}",
+                    f"factors[{i}]",
+                )
+            qubits = level - 1 if sub else 1
+            entries = rec.get("entries", [])
+            if not plain_pairs(entries, qubits):
+                # json.loads yields no other pair list, so the per-entry
+                # reading raises here, naming a wrong count or a bad entry
+                entries_to_matrix(entries, qubits, f"factors[{i}].entries")
+            slots.append((len(factors), kind, level))
+            payloads.append((i, qubits, entries))
+            factors.append(None)
+        raw_report = doc.get("report")
+        report = None if raw_report is None else _parse_report(raw_report)
+    except ParseError:
+        # a bad entry in an earlier payload is the first fault
+        _payload_matrices(payloads)
+        raise
+    for (place, kind, level), matrix in zip(slots, _payload_matrices(payloads)):
+        factors[place] = Factor(kind=kind, level_qubits=level, matrix=matrix)
     return FactorTree(n_total=n_total, phase=phase, factors=tuple(factors), report=report)

@@ -19,16 +19,27 @@ One walker (template) lays a document out as a %-template, each float a
 array's are one chunk). fill checks the floats for finiteness once,
 names the first that is not finite, and formats them all in one %
 call; dump_json is the two in turn. The tree writer (factors.serialize)
-caches the templates of its records and fills a whole tree at once.
+caches the templates of its records and fills a whole tree at once, and
+matrix_to_document caches one template per matrix size, so that writing
+a document is one fill.
+
+A document is read with json.loads, and its [re, im] pair lists by type:
+plain_pairs tests that a list holds 4^n pairs of plain floats or ints,
+and pairs_values reads any number of such lists into one float array,
+with one np.fromiter pass and one finiteness check. entries_to_matrix
+reads one list, and falls back to a per-entry loop that names the first
+bad entry; the tree reader (factors.deserialize) reads all payloads of a
+document at once and calls it only to name a fault.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -167,14 +178,20 @@ def is_json_number(value, integer: bool = False) -> bool:
 _PLAIN_NUMBERS = (float, int)
 
 
-def _pairs_array(entries) -> np.ndarray:
-    """The flat float array re0, im0, re1, ... of a list of [re, im]
-    pairs whose values are all finite Python floats or ints, or None for
-    any other list.
+def plain_pairs(entries, n: int) -> bool:
+    """Whether entries is a list of 4^n [re, im] pairs of Python floats
+    or ints, the only kind a valid document holds; pairs_values then
+    reads such lists in one array operation.
 
-    bool fails the type test; an int beyond float range, a NaN or an
-    inf also gives None, and the per-entry loop then names the entry.
+    bool fails the type test. The values' range and finiteness are left
+    to pairs_values.
     """
+    if type(entries) is not list:
+        return False
+    count = len(entries)
+    # 4^n has bit length 2n + 1, so a huge n fails before 4^n is built
+    if count.bit_length() != 2 * n + 1 or count != 4**n:
+        return False
     for pair in entries:
         if (
             type(pair) is not list
@@ -182,9 +199,17 @@ def _pairs_array(entries) -> np.ndarray:
             or type(pair[0]) not in _PLAIN_NUMBERS
             or type(pair[1]) not in _PLAIN_NUMBERS
         ):
-            return None
+            return False
+    return True
+
+
+def pairs_values(lists: list, count: int) -> Optional[np.ndarray]:
+    """The flat float array re0, im0, re1, ... of pair lists that pass
+    plain_pairs, one list after another, count pairs in all, or None if
+    a value is an int beyond the float range, a NaN or an inf."""
+    pairs = chain.from_iterable(lists)
     try:
-        values = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
+        values = np.fromiter(chain.from_iterable(pairs), float, 2 * count)
     except OverflowError:
         return None
     return values if np.isfinite(values).all() else None
@@ -197,15 +222,16 @@ def entries_to_matrix(entries, n: int, location: str) -> np.ndarray:
     holds, is converted in one array operation; any other list goes
     through the per-entry loop, which names the first bad entry.
     """
+    if plain_pairs(entries, n):
+        dim = 1 << n
+        values = pairs_values([entries], dim * dim)
+        if values is not None:
+            return values.view(complex).reshape(dim, dim)
     count = len(entries) if isinstance(entries, list) else None
-    # 4^n has bit length 2n + 1, so a huge n fails before 4^n is built
     if count is None or count.bit_length() != 2 * n + 1 or count != 4**n:
         got = type(entries).__name__ if count is None else count
         raise ParseError(f"expected 4^{n} [re, im] entries, got {got}", location)
-    dim = 2**n
-    values = _pairs_array(entries)
-    if values is not None:
-        return values.view(complex).reshape(dim, dim)
+    dim = 1 << n
     flat = np.empty(dim * dim, dtype=complex)
     for idx, pair in enumerate(entries):
         if (
@@ -216,6 +242,13 @@ def entries_to_matrix(entries, n: int, location: str) -> np.ndarray:
             raise ParseError("entry is not an [re, im] pair", f"{location}[{idx}]")
         flat[idx] = complex(pair[0], pair[1])
     return flat.reshape(dim, dim)
+
+
+@lru_cache(maxsize=8)
+def _matrix_template(dim: int) -> str:
+    """The %-template of the matrix document of a dim x dim matrix."""
+    document = {"n": dim.bit_length() - 1, "entries": np.zeros((dim, dim), complex)}
+    return template(document)[0] + "\n"
 
 
 def matrix_to_document(matrix: np.ndarray) -> str:
@@ -234,7 +267,7 @@ def matrix_to_document(matrix: np.ndarray) -> str:
     # dim & (dim - 1) is 0 only for a power of two, or for 0
     if shape != (dim, dim) or dim < 2 or dim & (dim - 1):
         raise ValueError(f"matrix shape {shape} is not 2^n x 2^n with n >= 1")
-    return dump_json({"n": dim.bit_length() - 1, "entries": matrix}) + "\n"
+    return fill(_matrix_template(dim), [matrix.ravel().view(float)])
 
 
 def matrix_from_document(text: str) -> Tuple[int, np.ndarray]:

@@ -1,5 +1,7 @@
 """Factor model tests: expansion oracles, products, serialization."""
 
+import copy
+import json
 from pathlib import Path
 
 import numpy as np
@@ -503,6 +505,91 @@ def test_deserialize_rejects_malformed_documents(monkeypatch):
     with pytest.raises(ParseError) as info:
         deserialize(dump_json(doc))
     assert info.value.location == "factors[0].coeffs[1]"
+
+    # faults in the later records of real trees, one or two to a
+    # document: the first in document order is named, as when each
+    # record's entries were read on their own, so a bad entry comes
+    # before any fault in a later record or in the report
+    for case, bad, message, location in _fixture_faults():
+        with pytest.raises(ParseError) as info:
+            deserialize(bad)
+        assert (info.value.message, info.value.location) == (message, location), case
+
+
+def _fixture_faults():
+    """(case, document, message, location) for spoiled copies of the n=3
+    tree n3_00 (9 records) and the n=4 tree n4_00 (41 records)."""
+    not_pair = "entry is not an [re, im] pair"
+    for stem in ("n3_00", "n4_00"):
+        doc = json.loads((FIXTURES / f"{stem}.tree.json").read_text(encoding="utf-8"))
+        records = doc["factors"]
+        last = len(records) - 1
+        payloads = [i for i, rec in enumerate(records) if "entries" in rec]
+        early, k = payloads[1], payloads[-1]
+        cartan = max(i for i, rec in enumerate(records) if rec["kind"] == "cartan_exp")
+        count = len(records[k]["entries"])
+        qubits = count.bit_length() // 2
+
+        def spoiled(*edits):
+            bad = copy.deepcopy(doc)
+            for path, value in edits:
+                place = bad
+                for key in path[:-1]:
+                    place = place[key]
+                place[path[-1]] = value
+            return json.dumps(bad)
+
+        for name, pair in [
+            ("bool", [True, 0.5]), ("string", ["0.5", 0.5]), ("short", [0.5]),
+            ("nan", [0.5, float("nan")]), ("inf", [float("inf"), 0.5]),
+            ("huge-int", [10**400, 0.5]),
+        ]:
+            yield (f"{stem} {name}", spoiled((("factors", k, "entries", 3), pair)),
+                   not_pair, f"factors[{k}].entries[3]")
+        yield (f"{stem} count", spoiled((("factors", k, "entries"), records[k]["entries"][1:])),
+               f"expected 4^{qubits} [re, im] entries, got {count - 1}", f"factors[{k}].entries")
+        yield (f"{stem} kind", spoiled((("factors", last, "kind"), "mystery")),
+               "missing or unknown factor kind 'mystery'", f"factors[{last}]")
+        yield (f"{stem} level", spoiled((("factors", last, "level_qubits"), 0)),
+               "bad level_qubits 0", f"factors[{last}]")
+        yield (f"{stem} global_phase", spoiled((("factors", 5), {"kind": "global_phase", "phi": True})),
+               "global_phase record needs numeric 'phi'", "factors[5]")
+        nan_early = (("factors", early, "entries", 5), [float("nan"), 0.5])
+        for name, later in [
+            ("kind", (("factors", last, "kind"), "mystery")),
+            ("report", (("report", "approx_error"), "x")),
+            ("coefficient", (("factors", cartan, "coeffs", 0, 1), float("nan"))),
+            ("bad entry", (("factors", k, "entries", 3), [True, 0.5])),
+            ("count", (("factors", k, "entries"), [])),
+        ]:
+            yield (f"{stem} nan then {name}", spoiled(nan_early, later),
+                   not_pair, f"factors[{early}].entries[5]")
+        yield (f"{stem} level then nan",
+               spoiled((("factors", 1, "level_qubits"), 0),
+                       (("factors", k, "entries", 3), [0.5, float("nan")])),
+               "bad level_qubits 0", "factors[1]")
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.tree.json")), ids=lambda p: p.name)
+def test_deserialize_matches_per_record_reading_on_committed_trees(path):
+    # every payload is read in one pass over the document; each must have
+    # the bits that reading its record alone gives
+    text = path.read_text(encoding="utf-8")
+    tree = deserialize(text)
+    records = [rec for rec in parse_json(text)["factors"] if rec["kind"] != "global_phase"]
+    assert len(records) == len(tree.factors)
+    payloads = 0
+    for i, (rec, factor) in enumerate(zip(records, tree.factors)):
+        if "entries" not in rec:
+            assert factor.matrix is None
+            continue
+        n = len(rec["entries"]).bit_length() // 2
+        want = entries_to_matrix(rec["entries"], n, f"factors[{i}].entries")
+        assert factor.matrix.shape == want.shape and factor.matrix.dtype == want.dtype
+        assert factor.matrix.tobytes() == want.tobytes()
+        assert want.tobytes() == _entries_oracle(rec["entries"], n).tobytes()
+        payloads += 1
+    assert payloads > 0
 
 
 def test_deserialize_rejects_wrong_entry_count():

@@ -334,7 +334,21 @@ NEW_RULE = {
 }
 
 
+# the cases whose labels are not all strings: serialize refuses the
+# first such by name and path before it writes anything
+REFUSED = {
+    "odd-labels": "label 5 at factors[9].coeffs[0] is not a str",
+    "stats-odd-label": "label 7 at report.optimizer_stats[0] is not a str",
+    "errors-odd-label": "label ('t',) at report.subspace_errors[0] is not a str",
+}
+
+
 def _check_writer(name, tree):
+    if name in REFUSED:
+        with pytest.raises(TypeError) as exc:
+            serialize(tree)
+        assert str(exc.value) == REFUSED[name]
+        return
     want = _expected_serialize(tree)
     assert serialize(tree) == want, name
     if name not in NEW_RULE:
@@ -397,20 +411,28 @@ def test_band_pairs_go_one_per_line_and_int_values_as_floats():
     assert dump_json([[label, 0.5]]) == '[\n  ["K0/K0/K0/K0/f0[F3]", 5.0000000000000000e-01]\n]'
 
 
-@pytest.mark.parametrize("where", ["coefficient", "subspace_error", "optimizer_stat"])
-def test_an_unhashable_label_is_a_type_error(where):
+def _labelled(where, label):
+    """The Haar tree with label, after a str label, in one more Cartan
+    factor, its subspace_errors or its optimizer_stats, and the path that
+    names label."""
     tree = _haar_tree()
     report = tree.report
     if where == "coefficient":
-        tree = _with_factors(_cartan([5, ("t",), ["u"]], [1.0, 2.0, 3.0]))
-    elif where == "subspace_error":
-        tree = dataclasses.replace(tree, report=dataclasses.replace(
-            report, subspace_errors=((["u"], 1.0),)))
-    else:
-        tree = dataclasses.replace(tree, report=dataclasses.replace(
-            report, optimizer_stats=((["u"], 1),)))
-    with pytest.raises(TypeError):
+        return _with_factors(_cartan(["XXX", label], [0.25, 0.5])), "factors[9].coeffs[1]"
+    if where == "subspace_error":
+        return dataclasses.replace(tree, report=dataclasses.replace(
+            report, subspace_errors=(("h[H3]", 0.5), (label, 1.0)))), "report.subspace_errors[1]"
+    return dataclasses.replace(tree, report=dataclasses.replace(
+        report, optimizer_stats=(("n3:h", 1), (label, 2)))), "report.optimizer_stats[1]"
+
+
+@pytest.mark.parametrize("where", ["coefficient", "subspace_error", "optimizer_stat"])
+def test_an_unhashable_label_is_a_type_error(where):
+    # refused by name before it is hashed as part of a template key
+    tree, path = _labelled(where, ["u"])
+    with pytest.raises(TypeError) as exc:
         serialize(tree)
+    assert str(exc.value) == f"label ['u'] at {path} is not a str"
 
 
 def _serialize_outcome(tree):
@@ -431,26 +453,12 @@ def _clear_record_templates():
     (True, 1), (1, True), (True, 1.0), (1.0, True), (1, 1.0), (1.0, 1),
 ])
 def test_equal_labels_of_other_types_share_no_template(where, first, second):
-    # 1, 1.0 and True are equal and hash alike, so the record templates'
-    # caches key on the labels' types too: what a tree writes, or raises,
-    # does not depend on what was written before it
-    tree = _haar_tree()
-    report = tree.report
-
-    def labelled(label):
-        if where == "coefficient":
-            return _with_factors(_cartan([label], [0.25]))
-        if where == "subspace_error":
-            return dataclasses.replace(tree, report=dataclasses.replace(
-                report, subspace_errors=((label, 0.5),)))
-        return dataclasses.replace(tree, report=dataclasses.replace(
-            report, optimizer_stats=((label, 2),)))
-
+    # 1, 1.0 and True are equal and hash alike, but none is a str: each
+    # is refused by name, whatever was written before it
     _clear_record_templates()
-    want = _serialize_outcome(labelled(second))
-    _clear_record_templates()
-    _serialize_outcome(labelled(first))
-    assert _serialize_outcome(labelled(second)) == want
+    for label in (first, second):
+        tree, path = _labelled(where, label)
+        assert _serialize_outcome(tree) == (TypeError, f"label {label!r} at {path} is not a str")
 
 
 @pytest.mark.parametrize("where", ["n_total", "payload", "cartan"])
@@ -525,7 +533,7 @@ def test_report_templates_write_the_dump_json_bytes(name, report):
     # characters; every report reads back equal
     tree = dataclasses.replace(_haar_tree(), report=report)
     _check_writer(name, tree)
-    if "odd-label" not in name:  # deserialize refuses a label that is not a string
+    if name not in REFUSED:
         assert deserialize(serialize(tree)).report == report, name
 
 
@@ -535,6 +543,11 @@ def test_a_non_finite_phase_is_named_before_the_report(label):
     tree = _haar_tree()
     report = dataclasses.replace(tree.report, subspace_errors=((label, np.nan),))
     tree = dataclasses.replace(tree, phase=np.inf, report=report)
+    if not isinstance(label, str):
+        # a label that is not a str is refused before any value is read
+        with pytest.raises(TypeError, match=r"^label 5 at report.subspace_errors\[0\] is not"):
+            serialize(tree)
+        return
     assert _oracle_error(tree) == "cannot serialize non-finite float inf"
     with pytest.raises(ValueError, match="non-finite float inf$"):
         serialize(tree)

@@ -65,6 +65,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read: {exc.strerror or exc}", location=path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", location=path)
 
 
 def cmd_decompose(args) -> int:

@@ -7,12 +7,13 @@ strips the LAST qubit at every level, which is why a level-l SubUnitary
 payload lives on l-1 qubits and a level-l LastQubit payload sits at
 register position l.
 
-A document is read in one pass (deserialize): each record is checked in
-document order, building no location string unless it fails, and the
-entries of all payload records are then read into one array, of which
-each payload matrix is a view. `product` keeps one cached frame per
-CartanExp label set: the torus basis, its adjoint and half the signs
-rows of the labels.
+A document is read in one pass (deserialize): each record, payload
+entries included, is checked in document order, building no location
+string unless it fails, so the pass that finds the first fault names it;
+the entries of all payloads are then read into one array, of which each
+payload matrix is a view. `product` keeps one cached frame per CartanExp
+label set: the torus basis, its adjoint and half the signs rows of the
+labels.
 """
 
 from __future__ import annotations
@@ -38,13 +39,12 @@ from .errors import (
 # templates; perfbench/spans.py still patches it at this name
 from .fileio import (
     Verbatim,
+    check_pairs,
     dump_json,
-    entries_to_matrix,
     fill,
     is_json_number,
     pairs_values,
     parse_json,
-    plain_pairs,
     template,
 )
 # expm_skew is unused here since CartanExp blocks come from the torus;
@@ -426,10 +426,7 @@ def serialize(tree: FactorTree) -> str:
 
 
 # The reader tests a parsed JSON value by its exact type: json.loads yields
-# only plain int, float and bool (bool, an int subclass, is no number
-# here). A float v is finite when v - v == 0.0, since inf - inf and NaN
-# give NaN; any other value goes through is_json_number, which also
-# refuses an int beyond the float range.
+# only plain int, float and bool (bool, an int subclass, is no number here)
 _KINDS = {kind.value: kind for kind in FactorKind}
 
 
@@ -457,8 +454,7 @@ def _cartan_factor(rec: dict, i: int, level: int, n_total: int) -> Factor:
             type(pair) is not list
             or len(pair) != 2
             or type(pair[0]) is not str
-            or not (type(pair[1]) is float and pair[1] - pair[1] == 0.0
-                    or is_json_number(pair[1]))
+            or not is_json_number(pair[1])
         ):
             raise ParseError("coefficient is not a [label, value] pair",
                              f"factors[{i}].coeffs[{j}]")
@@ -468,9 +464,7 @@ def _cartan_factor(rec: dict, i: int, level: int, n_total: int) -> Factor:
                              f"factors[{i}].coeffs[{j}]")
         parsed.append((label, float(value)))
     residual = rec.get("subspace_residual")
-    if residual is not None and not (
-        type(residual) is float and residual - residual == 0.0 or is_json_number(residual)
-    ):
+    if residual is not None and not is_json_number(residual):
         raise ParseError("subspace_residual must be numeric", f"factors[{i}]")
     return Factor(
         kind=FactorKind.CARTAN_EXP,
@@ -481,26 +475,22 @@ def _cartan_factor(rec: dict, i: int, level: int, n_total: int) -> Factor:
     )
 
 
-def _payload_matrices(payloads: list) -> list:
-    """The matrices of the payload records (record index, qubits, entries)
-    whose entries pass fileio.plain_pairs, in order: each a 2^qubits
-    square view of one array that one pass reads from all of them. If a
-    value is out of range or not finite, the records are read one by one
-    instead, which names the first bad entry in document order."""
-    sizes = [1 << qubits for _, qubits, _ in payloads]
-    values = pairs_values([entries for _, _, entries in payloads], sum([d * d for d in sizes]))
-    if values is None:
-        return [
-            entries_to_matrix(entries, qubits, f"factors[{i}].entries")
-            for i, qubits, entries in payloads
-        ]
-    flat = values.view(complex)
-    matrices = []
-    start = 0
-    for dim in sizes:
-        matrices.append(flat[start:start + dim * dim].reshape(dim, dim))
-        start += dim * dim
-    return matrices
+def _report_pairs(raw: dict, key: str, is_value) -> list:
+    """The [label, value] pairs under raw[key] (none if it is missing);
+    ParseError names a value that is not a list, or the first pair that
+    is not a str label and a value that passes is_value."""
+    pairs = raw.get(key, [])
+    if type(pairs) is not list:
+        raise ParseError(f"{key} must be a list", f"report.{key}")
+    for j, pair in enumerate(pairs):
+        if (
+            type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) is not str
+            or not is_value(pair[1])
+        ):
+            raise ParseError("entry is not a [label, value] pair", f"report.{key}[{j}]")
+    return pairs
 
 
 def _parse_report(raw) -> DecompositionReport:
@@ -509,33 +499,10 @@ def _parse_report(raw) -> DecompositionReport:
     approx_error = raw.get("approx_error")
     wall_time = raw.get("wall_time", 0.0)
     for key, value in (("approx_error", approx_error), ("wall_time", wall_time)):
-        if not (type(value) is float and value - value == 0.0 or is_json_number(value)):
+        if not is_json_number(value):
             raise ParseError(f"{key} must be numeric", f"report.{key}")
-    errors = raw.get("subspace_errors", [])
-    if type(errors) is not list:
-        raise ParseError("subspace_errors must be a list", "report.subspace_errors")
-    for j, pair in enumerate(errors):
-        if (
-            type(pair) is not list
-            or len(pair) != 2
-            or type(pair[0]) is not str
-            or not (type(pair[1]) is float and pair[1] - pair[1] == 0.0
-                    or is_json_number(pair[1]))
-        ):
-            raise ParseError("entry is not a [label, value] pair",
-                             f"report.subspace_errors[{j}]")
-    stats = raw.get("optimizer_stats", [])
-    if type(stats) is not list:
-        raise ParseError("optimizer_stats must be a list", "report.optimizer_stats")
-    for j, pair in enumerate(stats):
-        if (
-            type(pair) is not list
-            or len(pair) != 2
-            or type(pair[0]) is not str
-            or type(pair[1]) is not int
-        ):
-            raise ParseError("entry is not a [label, value] pair",
-                             f"report.optimizer_stats[{j}]")
+    errors = _report_pairs(raw, "subspace_errors", is_json_number)
+    stats = _report_pairs(raw, "optimizer_stats", lambda v: type(v) is int)
     return DecompositionReport(
         approx_error=float(approx_error),
         subspace_errors=tuple([(label, float(v)) for label, v in errors]),
@@ -547,10 +514,10 @@ def _parse_report(raw) -> DecompositionReport:
 def deserialize(document: str) -> FactorTree:
     """Parses a factor-tree document back into a FactorTree.
 
-    The records are checked one by one in document order, and the
-    entries of all payload records are then read in one pass into one
-    array, of which each payload is a view. A fault found after a bad
-    entry is reported after it: the earlier payloads are read first.
+    The records are checked one by one in document order, the entries of
+    each payload record with them, so the first fault in the document is
+    the one named; the entries of all payload records are then read in
+    one pass into one array, of which each payload is a view.
 
     A `global_phase` record, which version-1 documents may hold, is folded
     into `tree.phase`; the phase is central, so the product is unchanged.
@@ -567,61 +534,60 @@ def deserialize(document: str) -> FactorTree:
     phase = doc.get("phase")
     if type(n_total) is not int or n_total < 1:
         raise ParseError(f"bad n_total {n_total!r}", "n_total")
-    if not (type(phase) is float and phase - phase == 0.0 or is_json_number(phase)):
+    if not is_json_number(phase):
         raise ParseError("phase must be numeric", "phase")
     records = doc.get("factors")
     if type(records) is not list:
         raise ParseError("'factors' must be a list", "factors")
     phase = float(phase)
     # a payload record holds its factor's place (None) until its entries
-    # are read with the others: slots holds (place, kind, level) and
-    # payloads (record index, qubits, entries) of each, in order
+    # are read with the others: slots holds (place, kind, level, dim) and
+    # payloads the entries of each, in order
     factors = []
     slots = []
     payloads = []
-    try:
-        for i, rec in enumerate(records):
-            if type(rec) is not dict:
-                raise ParseError("factor record must be an object", f"factors[{i}]")
-            name = rec.get("kind")
-            kind = _KINDS.get(name) if type(name) is str else None
-            if kind is None:
-                if name != "global_phase":
-                    raise ParseError(f"missing or unknown factor kind {name!r}", f"factors[{i}]")
-                phi = rec.get("phi")
-                if not (type(phi) is float and phi - phi == 0.0 or is_json_number(phi)):
-                    raise ParseError("global_phase record needs numeric 'phi'", f"factors[{i}]")
-                phase += float(phi)
-                continue
-            level = rec.get("level_qubits", 1)
-            if type(level) is not int or level < 1:
-                raise ParseError(f"bad level_qubits {level!r}", f"factors[{i}]")
-            if kind is FactorKind.CARTAN_EXP:
-                factors.append(_cartan_factor(rec, i, level, n_total))
-                continue
-            # checked before the entries are read: a level-l SubUnitary covers
-            # l - 1 qubits, up to the whole register, and a LastQubit sits at l
-            sub = kind is FactorKind.SUB_UNITARY
-            if level > (n_total + 1 if sub else n_total):
-                raise ParseError(
-                    f"{kind.value} level {level} does not fit n_total = {n_total}",
-                    f"factors[{i}]",
-                )
-            qubits = level - 1 if sub else 1
-            entries = rec.get("entries", [])
-            if not plain_pairs(entries, qubits):
-                # json.loads yields no other pair list, so the per-entry
-                # reading raises here, naming a wrong count or a bad entry
-                entries_to_matrix(entries, qubits, f"factors[{i}].entries")
-            slots.append((len(factors), kind, level))
-            payloads.append((i, qubits, entries))
-            factors.append(None)
-        raw_report = doc.get("report")
-        report = None if raw_report is None else _parse_report(raw_report)
-    except ParseError:
-        # a bad entry in an earlier payload is the first fault
-        _payload_matrices(payloads)
-        raise
-    for (place, kind, level), matrix in zip(slots, _payload_matrices(payloads)):
-        factors[place] = Factor(kind=kind, level_qubits=level, matrix=matrix)
+    for i, rec in enumerate(records):
+        if type(rec) is not dict:
+            raise ParseError("factor record must be an object", f"factors[{i}]")
+        name = rec.get("kind")
+        kind = _KINDS.get(name) if type(name) is str else None
+        if kind is None:
+            if name != "global_phase":
+                raise ParseError(f"missing or unknown factor kind {name!r}", f"factors[{i}]")
+            phi = rec.get("phi")
+            if not is_json_number(phi):
+                raise ParseError("global_phase record needs numeric 'phi'", f"factors[{i}]")
+            phase += float(phi)
+            continue
+        level = rec.get("level_qubits", 1)
+        if type(level) is not int or level < 1:
+            raise ParseError(f"bad level_qubits {level!r}", f"factors[{i}]")
+        if kind is FactorKind.CARTAN_EXP:
+            factors.append(_cartan_factor(rec, i, level, n_total))
+            continue
+        # checked before the entries are read: a level-l SubUnitary covers
+        # l - 1 qubits, up to the whole register, and a LastQubit sits at l
+        sub = kind is FactorKind.SUB_UNITARY
+        if level > (n_total + 1 if sub else n_total):
+            raise ParseError(
+                f"{kind.value} level {level} does not fit n_total = {n_total}",
+                f"factors[{i}]",
+            )
+        qubits = level - 1 if sub else 1
+        entries = rec.get("entries", [])
+        check_pairs(entries, qubits, lambda: f"factors[{i}].entries")
+        slots.append((len(factors), kind, level, 1 << qubits))
+        payloads.append(entries)
+        factors.append(None)
+    raw_report = doc.get("report")
+    report = None if raw_report is None else _parse_report(raw_report)
+    # a tree of Cartan factors alone has no entries to read
+    if payloads:
+        count = sum([dim * dim for _, _, _, dim in slots])
+        flat = pairs_values(payloads, count).view(complex)
+        start = 0
+        for place, kind, level, dim in slots:
+            matrix = flat[start:start + dim * dim].reshape(dim, dim)
+            factors[place] = Factor(kind=kind, level_qubits=level, matrix=matrix)
+            start += dim * dim
     return FactorTree(n_total=n_total, phase=phase, factors=tuple(factors), report=report)

@@ -23,13 +23,14 @@ caches the templates of its records and fills a whole tree at once, and
 matrix_to_document caches one template per matrix size, so that writing
 a document is one fill.
 
-A document is read with json.loads, and its [re, im] pair lists by type:
-plain_pairs tests that a list holds 4^n pairs of plain floats or ints,
-and pairs_values reads any number of such lists into one float array,
-with one np.fromiter pass and one finiteness check. entries_to_matrix
-reads one list, and falls back to a per-entry loop that names the first
-bad entry; the tree reader (factors.deserialize) reads all payloads of a
-document at once and calls it only to name a fault.
+A document is read with json.loads (parse_json), and its [re, im] pair
+lists in one pass each: check_pairs tests that a list holds 4^n pairs of
+finite numbers and names the first bad entry, and pairs_values reads any
+number of checked lists into one float array with one np.fromiter.
+entries_to_matrix is the two in turn; the tree reader
+(factors.deserialize) checks each payload record as it meets it and
+reads all payloads of a document with one pairs_values, so no entry is
+read twice.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -149,99 +150,80 @@ def dump_json(obj, indent: int = 0) -> str:
 
 
 def parse_json(text: str):
-    """json.loads wrapped to raise ParseError with a line:column location."""
+    """json.loads wrapped to raise ParseError: at line:column for text that
+    is not JSON, and with no location for JSON that json.loads cannot
+    hold, an integer of more digits than Python converts or nesting
+    deeper than its recursion limit."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, location=f"line {exc.lineno}, column {exc.colno}")
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from None
 
 
-def is_json_number(value, integer: bool = False) -> bool:
-    """Whether a parsed JSON value is a finite number (an integer if asked).
+def is_json_number(value) -> bool:
+    """Whether a parsed JSON value is a finite number.
 
     json.loads reads true/false as bool, a subclass of int, so a plain
     isinstance test would take them for 1 and 0; this one does not. It
     also reads the non-standard NaN, Infinity and -Infinity as floats,
     which no document field may hold, and an integer may be too large for
-    any float.
+    any float. A float v is finite when v - v == 0.0, since inf - inf and
+    NaN give NaN.
     """
+    if type(value) is float:
+        return value - value == 0.0
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    if integer:
-        return isinstance(value, int)
     try:
         return math.isfinite(value)
     except OverflowError:
         return False
 
 
-_PLAIN_NUMBERS = (float, int)
+def check_pairs(entries, n: int, where) -> None:
+    """Checks that entries is a list of 4^n [re, im] pairs of finite
+    numbers, the only kind pairs_values reads.
 
-
-def plain_pairs(entries, n: int) -> bool:
-    """Whether entries is a list of 4^n [re, im] pairs of Python floats
-    or ints, the only kind a valid document holds; pairs_values then
-    reads such lists in one array operation.
-
-    bool fails the type test. The values' range and finiteness are left
-    to pairs_values.
+    Raises:
+        ParseError: at where() for a wrong count or a value that is not a
+            list, or at where()[idx] for the first entry that is not a
+            2-list of finite numbers; where() is called only then.
     """
-    if type(entries) is not list:
-        return False
-    count = len(entries)
+    count = len(entries) if type(entries) is list else None
     # 4^n has bit length 2n + 1, so a huge n fails before 4^n is built
-    if count.bit_length() != 2 * n + 1 or count != 4**n:
-        return False
-    for pair in entries:
-        if (
-            type(pair) is not list
-            or len(pair) != 2
-            or type(pair[0]) not in _PLAIN_NUMBERS
-            or type(pair[1]) not in _PLAIN_NUMBERS
-        ):
-            return False
-    return True
+    if count is None or count.bit_length() != 2 * n + 1 or count != 4**n:
+        got = type(entries).__name__ if count is None else count
+        raise ParseError(f"expected 4^{n} [re, im] entries, got {got}", where())
+    for idx, pair in enumerate(entries):
+        if type(pair) is list and len(pair) == 2:
+            re, im = pair
+            # is_json_number inline for the floats every valid entry holds
+            if (type(re) is float and re - re == 0.0 or is_json_number(re)) and (
+                type(im) is float and im - im == 0.0 or is_json_number(im)
+            ):
+                continue
+        raise ParseError("entry is not an [re, im] pair", f"{where()}[{idx}]")
 
 
-def pairs_values(lists: list, count: int) -> Optional[np.ndarray]:
+def pairs_values(lists: list, count: int) -> np.ndarray:
     """The flat float array re0, im0, re1, ... of pair lists that pass
-    plain_pairs, one list after another, count pairs in all, or None if
-    a value is an int beyond the float range, a NaN or an inf."""
+    check_pairs, one list after another, count pairs in all."""
     pairs = chain.from_iterable(lists)
-    try:
-        values = np.fromiter(chain.from_iterable(pairs), float, 2 * count)
-    except OverflowError:
-        return None
-    return values if np.isfinite(values).all() else None
+    return np.fromiter(chain.from_iterable(pairs), float, 2 * count)
 
 
 def entries_to_matrix(entries, n: int, location: str) -> np.ndarray:
     """Parses a row-major [re, im] pair list back into a 2^n x 2^n matrix.
 
-    A list of finite float or int pairs, the only kind a valid document
-    holds, is converted in one array operation; any other list goes
-    through the per-entry loop, which names the first bad entry.
+    Raises:
+        ParseError: at location for a wrong count, or at location[idx]
+            for the first entry that is not a pair of finite numbers.
     """
-    if plain_pairs(entries, n):
-        dim = 1 << n
-        values = pairs_values([entries], dim * dim)
-        if values is not None:
-            return values.view(complex).reshape(dim, dim)
-    count = len(entries) if isinstance(entries, list) else None
-    if count is None or count.bit_length() != 2 * n + 1 or count != 4**n:
-        got = type(entries).__name__ if count is None else count
-        raise ParseError(f"expected 4^{n} [re, im] entries, got {got}", location)
+    check_pairs(entries, n, lambda: location)
     dim = 1 << n
-    flat = np.empty(dim * dim, dtype=complex)
-    for idx, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not (is_json_number(pair[0]) and is_json_number(pair[1]))
-        ):
-            raise ParseError("entry is not an [re, im] pair", f"{location}[{idx}]")
-        flat[idx] = complex(pair[0], pair[1])
-    return flat.reshape(dim, dim)
+    return pairs_values([entries], dim * dim).view(complex).reshape(dim, dim)
 
 
 @lru_cache(maxsize=8)
@@ -282,6 +264,6 @@ def matrix_from_document(text: str) -> Tuple[int, np.ndarray]:
     if "n" not in doc or "entries" not in doc:
         raise ParseError("matrix document needs fields 'n' and 'entries'", "top level")
     n = doc["n"]
-    if not is_json_number(n, integer=True) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError(f"'n' must be a positive integer, got {n!r}", "n")
     return n, entries_to_matrix(doc["entries"], n, "entries")

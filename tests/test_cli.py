@@ -353,6 +353,27 @@ def test_non_finite_number_in_document_is_a_parse_failure(tmp_path, su8_file,
     assert err.count(location[1:-1]) == 1
 
 
+# a file that is not UTF-8, an integer of more digits than Python
+# converts, and nesting deeper than the recursion limit once escaped the
+# readers as UnicodeDecodeError, ValueError and RecursionError
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b'{"n": ' + b"1" * 5000 + b', "entries": []}',
+    b"[" * 200_000 + b"]" * 200_000,
+], ids=["not-utf8", "long-int", "deep"])
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+def test_unreadable_json_is_a_parse_failure(tmp_path, su8_file, command, content, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    matrix_path, _ = su8_file
+    argv = ["decompose", str(bad)] if command == "decompose" else [
+        "verify", str(matrix_path), str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error")
+    assert "Traceback" not in err
+
+
 def test_decompose_is_deterministic(tmp_path, su8_file):
     # byte-identical up to the wall-time diagnostic, which is the one
     # legitimately clock-dependent field in the document

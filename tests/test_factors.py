@@ -32,6 +32,7 @@ from kgdecomp.fileio import (
     entries_to_matrix,
     matrix_from_document,
     matrix_to_document,
+    pairs_values,
     parse_json,
 )
 
@@ -514,6 +515,25 @@ def test_deserialize_rejects_malformed_documents(monkeypatch):
         with pytest.raises(ParseError) as info:
             deserialize(bad)
         assert (info.value.message, info.value.location) == (message, location), case
+
+
+def test_the_reader_names_each_fault_in_the_one_pass_that_finds_it(monkeypatch):
+    # the entries of a document are read once, after every record has
+    # passed its checks: no fault case reads any, and each committed tree
+    # reads all of its payloads with one call
+    def no_reading(lists, count):
+        raise AssertionError("entries read before every record was checked")
+
+    monkeypatch.setattr(kgdecomp.factors, "pairs_values", no_reading)
+    test_deserialize_rejects_malformed_documents(monkeypatch)
+
+    calls = []
+    monkeypatch.setattr(kgdecomp.factors, "pairs_values",
+                        lambda lists, count: calls.append(count) or pairs_values(lists, count))
+    for path in sorted(FIXTURES.glob("*.tree.json")):
+        calls.clear()
+        deserialize(path.read_text(encoding="utf-8"))
+        assert len(calls) == 1, path.name
 
 
 def _fixture_faults():

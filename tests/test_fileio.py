@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from kgdecomp import decompose_full, haar_special_unitary, run_benchmark
+from kgdecomp import ParseError, decompose_full, haar_special_unitary, run_benchmark
 from kgdecomp import factors as factors_module
 from kgdecomp import fileio as fileio_module
 from kgdecomp.factors import (
@@ -634,3 +634,23 @@ def test_the_first_non_finite_value_in_document_order_is_named(first, second):
     assert _oracle_error(tree) == "cannot serialize non-finite float nan"
     with pytest.raises(ValueError, match="non-finite float nan$"):
         serialize(tree)
+
+
+# JSON that json.loads reads as text but cannot hold: an integer of more
+# digits than Python converts to int, and nesting deeper than the
+# recursion limit. Each is a ParseError with no line or column.
+UNHOLDABLE = {
+    "long-int": ("1" * 5000, "digits"),
+    "deep": ("[" * 200_000 + "]" * 200_000, "recursion"),
+}
+
+
+@pytest.mark.parametrize("reader", [matrix_from_document, deserialize],
+                         ids=["matrix", "tree"])
+@pytest.mark.parametrize("case", sorted(UNHOLDABLE))
+def test_json_that_json_loads_cannot_hold_is_a_parse_error(reader, case):
+    value, cause = UNHOLDABLE[case]
+    with pytest.raises(ParseError) as info:
+        reader('{"n": 3, "n_total": 3, "entries": ' + value + "}")
+    assert cause in info.value.message
+    assert info.value.location == ""

@@ -24,15 +24,16 @@ H_n is a Cartan subalgebra inside span(M_n) and F_n one inside span(K_n1);
 both are returned pre-sorted in the canonical alphabetical order.
 
 Each Cartan set is diagonal in one unitary basis Q, its torus
-(cartan_torus), so the decomposition and the factor product reach its
-words through 2^n eigenvalues each and never stack their matrices.
+(cartan_torus, built for n >= 3 on the 2^(n-1) block of its head words),
+so the decomposition and the factor product reach its words through 2^n
+eigenvalues each and never stack their matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -152,7 +153,7 @@ def order_cartan_basis(words: Sequence[PauliWord]) -> Tuple[PauliWord, ...]:
 
     Plain string sorting realizes that character order, the order of
     CartanTorus.labels, and the result fixes which words get the binary
-    weights of the torus generator v (binary_weights).
+    weights of the torus generator (binary_weights).
     """
     return tuple(sorted(words, key=lambda w: w.label))
 
@@ -179,7 +180,7 @@ def binary_weights(labels: Sequence[str]) -> Tuple[float, ...]:
     n kept words of an H_n or F_n set have 2^n joint eigenspaces of
     dimension one, so -i v has 2^n distinct eigenvalues, sums of
     +-w_i / 2 with gap 1, and its centralizer is exactly the Cartan span.
-    cartan_torus applies this to the canonical order, so v is
+    cartan_torus applies this to the canonical order, so its basis is
     reproducible.
     """
     pivots = {}
@@ -201,9 +202,11 @@ def word_sum(labels: Sequence[str], coeffs: Sequence[float], n: int) -> np.ndarr
 
     Words with a zero coefficient are skipped. Each other word adds its
     signed-permutation entries into a zero matrix; with power-of-two
-    coefficients every sum is exact, so the torus generator v
-    (cartan_torus) comes out the same to the bit as a tensordot of
-    binary_weights over the full word stack.
+    coefficients every sum is exact, so the torus generator
+    v = sum_i w_i word_i, w = binary_weights(labels), comes out the same
+    to the bit as a tensordot of w over the full word stack, and the sum
+    of w over the head words W of labels W (x) X or W (x) Z at n - 1
+    (cartan_torus) is, to the bit, v's last-qubit block.
     """
     out = np.zeros((2**n, 2**n), dtype=complex)
     rows = np.arange(2**n)
@@ -345,66 +348,48 @@ class CartanTorus:
         name: the basis name, "H3" or "F4".
         labels: the set's labels in canonical order.
         rows: label -> its row of signs.
-        v: the torus generator sum_i w_i word_i, w = binary_weights(labels).
-        u: for n >= 3, the joint eigenbasis of the head words W on the
-            first n - 1 qubits, the eigh of -i times v's off-diagonal
-            (H) or diagonal (F) last-qubit block; None at n = 2.
-        q: kron(u, hadamard) for H_n, kron(u, I2) for F_n (the last
-            qubit least significant), and the eigh of -i v for H_2, a
-            Bell basis. A level's Cartan stages read neither q nor
-            q_dag: they work on the 2^(n-1) block with u and
-            block_figures, and q serves only the 2^n matrices of h
-            (khk_stage, a failed solve) and of Cartan factors.
+        u, u_dag: for n >= 3, the joint eigenbasis of the head words W
+            (the labels less their last letter) on the first n - 1
+            qubits, and its adjoint; None at n = 2.
+        q, q_dag: kron(u, hadamard) for H_n, kron(u, I2) for F_n (the
+            last qubit least significant), a Bell basis for H_2, and its
+            adjoint. A level's Cartan stages read neither: they work on
+            the 2^(n-1) block with u and block_figures, and q serves only
+            the 2^n matrices of h (khk_stage, a failed solve) and of
+            Cartan factors.
         signs: (|labels|, 2^n) entries +-1 with
-            q^dag word q = (i/2) diag(signs[row]).
-        mu: the eigenvalues of -i v, (1/2) signs^T weights.
-        es_weights: C_ab = sum_w (signs_wa - signs_wb)^2 / 4, so that
-            sum_w ||[word, x]||_F^2 = sum_ab C_ab |(q^dag x q)_ab|^2.
+            q^dag word q = (i/2) diag(signs[row]); for n >= 3 the even
+            columns are diag(u^dag W u) and the odd ones their negatives.
+        block_figures: for n >= 3, (signs[:, 0::2], weights, ||mu||),
+            what a Cartan stage reads off its rotated 2^(n-1) block D
+            (engine._stage_figures); None at n = 2. With
+            w = binary_weights(labels), mu = (1/2) signs^T w are the
+            eigenvalues of -i v, v = sum_i w_i word_i, and
+            C_ab = sum_w (signs_wa - signs_wb)^2 / 4, so that
+            sum_w ||[word, x]||_F^2 = sum_ab C_ab |x~_ab|^2 for
+            x~ = q^dag x q. weights are the real rows (mu_a - mu_b)^2,
+            C_ab, 1 - delta_ab and 1 at the register's entries
+            (a, b) = (2i, 2j), then on H_n at (2i, 2j + 1), each
+            flattened row-major over (i, j). x~ is [[K, -H], [H, -K]] on
+            H_n, with K and H the skew-Hermitian and Hermitian parts of
+            D, and diag(D, -D) on F_n, in the last-qubit block view, so
+            one product of weights with |D|^2 (F_n), or with |K|^2 then
+            |H|^2 (H_n), gives half of ||[v, x]||^2,
+            sum_w ||[word, x]||^2, the off-diagonal and the whole
+            ||x||^2.
 
-    The read-only q_dag, u_dag and block_figures are built on first use
-    and kept.
+    Every array is read-only.
     """
 
     name: str
     labels: Tuple[str, ...]
     rows: Dict[str, int]
-    v: np.ndarray
     u: Optional[np.ndarray]
+    u_dag: Optional[np.ndarray]
     q: np.ndarray
+    q_dag: np.ndarray
     signs: np.ndarray
-    mu: np.ndarray
-    es_weights: np.ndarray
-
-    @cached_property
-    def q_dag(self) -> np.ndarray:
-        """q^dag."""
-        return _read_only(self.q.conj().T)
-
-    @cached_property
-    def u_dag(self) -> Optional[np.ndarray]:
-        """u^dag, or None where u is."""
-        return None if self.u is None else _read_only(self.u.conj().T)
-
-    @cached_property
-    def block_figures(self) -> Tuple[np.ndarray, np.ndarray, float]:
-        """(signs[:, 0::2], weights, ||mu||): what a Cartan stage reads off
-        its rotated 2^(n-1) block D (engine._stage_figures).
-
-        x~ = q^dag x q is [[K, -H], [H, -K]] on H_n, with K and H the
-        skew-Hermitian and Hermitian parts of D, and diag(D, -D) on F_n,
-        in the last-qubit block view, and signs[:, 1::2] is
-        -signs[:, 0::2] on both. weights are the real rows
-        (mu_a - mu_b)^2, C_ab, 1 - delta_ab and 1 of the whole register
-        at its entries (a, b) = (2i, 2j), then on H_n at (2i, 2j + 1),
-        each flattened row-major over (i, j): one product with |D|^2
-        (F_n), or with |K|^2 then |H|^2 (H_n), gives half of ||[v, x]||^2,
-        sum_w ||[word, x]||^2, the off-diagonal and the whole ||x||^2.
-        """
-        weights = _block_weights(self.mu, self.es_weights, 0)
-        if self.name[0] == "H":
-            off = _block_weights(self.mu, self.es_weights, 1)
-            weights = np.concatenate((weights, off), axis=1)
-        return self.signs[:, 0::2], _read_only(weights), math.sqrt(self.mu @ self.mu)
+    block_figures: Optional[Tuple[np.ndarray, np.ndarray, float]]
 
     def rows_of(self, labels: Iterable[str]) -> np.ndarray:
         """The signs rows of labels, in their order.
@@ -425,32 +410,40 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _block_weights(mu: np.ndarray, es_weights: np.ndarray, col: int) -> np.ndarray:
-    """The real (4, h^2) rows (mu_a - mu_b)^2, C_ab, 1 - delta_ab and 1 at
-    the entries (a, b) = (2i, 2j + col) of a register of 2h, flattened
-    row-major over (i, j)."""
-    rows, cols = np.arange(0, len(mu), 2), np.arange(col, len(mu), 2)
-    gaps = mu[rows][:, None] - mu[cols][None, :]
-    off = rows[:, None] != cols
-    table = (gaps * gaps, es_weights[0::2, col::2], off, np.ones(gaps.shape))
-    return np.stack(table).reshape(4, gaps.size)
+def _sign_table(name: str, labels: Sequence[str], basis: np.ndarray) -> np.ndarray:
+    """The rows diag(basis^dag s basis), rounded to +-1, of the Hermitian
+    words s named by labels, each a signed permutation of basis.
 
-
-def _word_diagonal(label: str, q: np.ndarray) -> np.ndarray:
-    """diag(q^dag s q) for the Hermitian word s named by label."""
-    cols, vals = _word_entries(label)
-    # (s q)[r] = (-2i vals[r]) q[cols[r]]
-    return np.einsum("ra,ra->a", q.conj(), (-2j * vals)[:, None] * q[cols]).real
+    Raises:
+        AssertionError: a word is not diagonal in basis.
+    """
+    conj = basis.conj()
+    diagonals = np.empty((len(labels), len(basis)))
+    for row, label in enumerate(labels):
+        cols, vals = _word_entries(label)
+        # (s basis)[r] = (-2i vals[r]) basis[cols[r]]
+        product = (-2j * vals)[:, None] * basis[cols]
+        diagonals[row] = np.einsum("ra,ra->a", conj, product).real
+    signs = np.rint(diagonals)
+    if np.any(np.abs(diagonals - signs) > 1e-8) or np.any(signs == 0):
+        raise AssertionError(f"{name} is not diagonal in its torus basis")
+    return signs
 
 
 @lru_cache(maxsize=None)
 def cartan_torus(family: str, n: int) -> CartanTorus:
     """The cached torus of H_n (family "H", n >= 2) or F_n ("F", n >= 2).
 
-    Built from the labels alone: v is a word_sum of its nonzero-weight
-    words, and each row of signs is one signed permutation applied to q,
-    so no word stack is formed. F_2 is empty; its torus has no rows and
-    q = I.
+    Built from the labels alone, with no word stack. For n >= 3 every
+    label is a head word W then X (H_n) or Z (F_n), so all of it is read
+    off the 2^(n-1) heads: u is the eigh of -i word_sum(heads, w, n - 1),
+    w = binary_weights(labels), which is bit for bit the last-qubit
+    block of v; each row of the half table Lambda = diag(u^dag W u) is
+    one signed permutation of u; and with L labels, mu[0::2] =
+    (1/2) Lambda^T w = -mu[1::2], and C is (L - Lambda^T Lambda) / 2 at
+    (2i, 2j) and (L + Lambda^T Lambda) / 2 at (2i, 2j + 1). H_2 takes q
+    from the eigh of -i v and its signs from q at 4 x 4; F_2 is empty,
+    its torus has no rows and q = I.
 
     Raises:
         ValueError: family is not "H" or "F", or n < 2.
@@ -460,35 +453,36 @@ def cartan_torus(family: str, n: int) -> CartanTorus:
 
     if family not in ("H", "F") or n < 2:
         raise ValueError(f"no Cartan set {family}{n}")
+    name = f"{family}{n}"
     labels = tuple(sorted(_label_sets(n)[4 if family == "H" else 5]))
     weights = np.asarray(binary_weights(labels))
-    v = word_sum(labels, weights, n)
-    u = None
+    u = u_dag = figures = None
     if n == 2:
-        _, q = _eigh(-1j * v)
+        _, q = _eigh(-1j * word_sum(labels, weights, n))
+        signs = _read_only(_sign_table(name, labels, q))
     else:
-        block = v[0::2, 1::2] if family == "H" else v[0::2, 0::2]
-        _, u = _eigh(-1j * block)
+        heads = [label[:-1] for label in labels]
+        _, u = _eigh(-1j * word_sum(heads, weights, n - 1))
+        half = _sign_table(name, heads, u)
         q = np.kron(u, _HADAMARD if family == "H" else np.eye(2))
-    diagonals = np.array([_word_diagonal(label, q) for label in labels])
-    diagonals = diagonals.reshape(len(labels), 2**n)
-    signs = np.rint(diagonals)
-    if np.any(np.abs(diagonals - signs) > 1e-8) or np.any(signs == 0):
-        raise AssertionError(f"{family}{n} is not diagonal in its torus basis")
-    es_weights = 0.5 * (len(labels) - signs.T @ signs)
-    for array in (v, u, q, signs, es_weights):
-        if array is not None:
-            array.setflags(write=False)
-    mu = 0.5 * (weights @ signs)
-    mu.setflags(write=False)
+        signs = _read_only(np.stack((half, -half), axis=2).reshape(len(labels), 2**n))
+        gram, mu = half.T @ half, 0.5 * (weights @ half)
+        blocks = [(mu[:, None] - mu, len(labels) - gram, 1.0 - np.eye(len(mu)))]
+        if family == "H":
+            blocks.append((mu[:, None] + mu, len(labels) + gram, np.ones(gram.shape)))
+        table = [np.stack((g * g, 0.5 * c, off, np.ones(g.shape))) for g, c, off in blocks]
+        block_weights = np.concatenate(table, axis=1).reshape(4, -1)
+        # the strided view, not a copy: signs @ Im diag(D) rounds by layout
+        figures = (signs[:, 0::2], _read_only(block_weights), math.sqrt(2.0 * (mu @ mu)))
+        u_dag = _read_only(_read_only(u).conj().T)
     return CartanTorus(
-        name=f"{family}{n}",
+        name=name,
         labels=labels,
         rows={label: row for row, label in enumerate(labels)},
-        v=v,
         u=u,
-        q=q,
+        u_dag=u_dag,
+        q=_read_only(q),
+        q_dag=_read_only(q.conj().T),
         signs=signs,
-        mu=mu,
-        es_weights=es_weights,
+        block_figures=figures,
     )

@@ -426,7 +426,8 @@ def _stage_figures(d: np.ndarray, torus: CartanTorus):
     relative commutator ||[v, m]|| / (||v|| ||m||), from
     [v, m]~_ab = i (mu_a - mu_b) x~_ab, or 0 for m = 0; es is
     commutation_defect(m, words), from
-    sum_w ||[w, m]||^2 = sum_ab C_ab |x~_ab|^2 (CartanTorus.es_weights).
+    sum_w ||[w, m]||^2 = sum_ab C_ab |x~_ab|^2 (C as in
+    CartanTorus.block_figures).
     The three norms come from one product of the torus's block weights
     with |D|^2 on F_n, and with |K|^2 and |H|^2 weighed apart on H_n,
     which gives half of each squared norm of the whole register, so that

@@ -18,6 +18,7 @@ labels.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -65,6 +66,9 @@ __all__ = [
 
 _FORMAT_NAME = "kgdecomp-tree"
 _FORMAT_VERSION = 1
+# the largest n_total whose 2^n x 2^n complex register, 16 * 4^n bytes,
+# stays within sys.maxsize (29 on a 64-bit build)
+_MAX_QUBITS = (sys.maxsize.bit_length() - 5) // 2
 
 
 class FactorKind(str, Enum):
@@ -521,6 +525,9 @@ def deserialize(document: str) -> FactorTree:
 
     A `global_phase` record, which version-1 documents may hold, is folded
     into `tree.phase`; the phase is central, so the product is unchanged.
+    `version` must be the integer 1, and `n_total` an integer from 1 to
+    29 on a 64-bit build, the largest register whose 2^n x 2^n complex
+    matrix stays within sys.maxsize bytes.
 
     Raises:
         ParseError: with a location string, on any malformed content.
@@ -528,12 +535,20 @@ def deserialize(document: str) -> FactorTree:
     doc = parse_json(document)
     if type(doc) is not dict or doc.get("format") != _FORMAT_NAME:
         raise ParseError(f"document is not a {_FORMAT_NAME} file", "top level")
-    if doc.get("version") != _FORMAT_VERSION:
-        raise ParseError(f"unsupported version {doc.get('version')!r}", "version")
+    version = doc.get("version")
+    # exact: true and 1.0 compare equal to 1
+    if type(version) is not int or version != _FORMAT_VERSION:
+        raise ParseError(f"unsupported version {version!r}", "version")
     n_total = doc.get("n_total")
     phase = doc.get("phase")
     if type(n_total) is not int or n_total < 1:
         raise ParseError(f"bad n_total {n_total!r}", "n_total")
+    if n_total > _MAX_QUBITS:
+        raise ParseError(
+            f"n_total above {_MAX_QUBITS}: a 2^n x 2^n complex register "
+            "passes sys.maxsize bytes",
+            "n_total",
+        )
     if not is_json_number(phase):
         raise ParseError("phase must be numeric", "phase")
     records = doc.get("factors")

@@ -17,6 +17,7 @@ from kgdecomp import (
     project_onto_span,
 )
 from kgdecomp.basis import binary_weights, cartan_torus, is_cartan_label, word_stack
+from torus_oracle import full_torus
 
 H3_EXPECTED = ["IIX", "XXX", "YYX", "ZZX"]
 F3_EXPECTED = ["XXZ", "YYZ", "ZZZ"]
@@ -218,7 +219,47 @@ def test_torus_v_weights_and_norm():
     torus = cartan_torus("H", 3)
     assert binary_weights(torus.labels) == (1.0, 2.0, 4.0, 0.0)
     # ||v||^2 = 2^(n-2) * sum w_i^2 since ||w||^2 = 2^(n-2)
-    assert np.linalg.norm(torus.v) ** 2 == pytest.approx(2.0 * 21.0, rel=1e-12)
+    v = full_torus("H", 3).v
+    assert np.linalg.norm(v) ** 2 == pytest.approx(2.0 * 21.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("family", ["H", "F"])
+def test_torus_equals_the_full_register_construction_bit_for_bit(family, n):
+    # the torus built on the 2^(n-1) head block against the 2^n route:
+    # the generator over the full labels, one 2^n diagonal per label, and
+    # mu, C and the block weights taken from the whole register's signs
+    torus, full = cartan_torus(family, n), full_torus(family, n)
+    assert torus.labels == full.labels
+    adjoint = lambda a: None if a is None else a.conj().T
+    for name, want in (
+        ("u", full.u),
+        ("u_dag", adjoint(full.u)),
+        ("q", full.q),
+        ("q_dag", adjoint(full.q)),
+        ("signs", full.signs),
+    ):
+        got = getattr(torus, name)
+        if want is None:
+            assert got is None
+            continue
+        assert np.array_equal(got, want) and got.strides == want.strides, name
+        assert not got.flags.writeable, name
+    if n == 2:
+        assert torus.block_figures is None
+        return
+    (signs, weights, mu_norm), (want_signs, want_weights, want_norm) = (
+        torus.block_figures,
+        full.block_figures,
+    )
+    assert np.array_equal(signs, want_signs) and signs.strides == want_signs.strides
+    assert np.array_equal(weights, want_weights) and not weights.flags.writeable
+    assert mu_norm == want_norm
+    # block_figures[0] must stay the strided view of signs, never a
+    # contiguous copy: signs @ Im diag(D) rounds by the operand's layout,
+    # and a copy changes the last bits of 80 of the 93 trees that
+    # tests/tree_digests.py prints
+    assert np.shares_memory(signs, torus.signs) and not signs.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -232,7 +273,8 @@ def test_binary_weights_make_v_regular(n):
         assert sorted(c for c in weights if c) == [2.0**i for i in range(n)]
         # 2^n distinct eigenvalues with gap 1: [v, h] = 0 exactly when h
         # is diagonal in v's eigenbasis
-        eig = np.linalg.eigvalsh(-1j * torus.v)
+        full = full_torus(family, n)
+        eig = np.linalg.eigvalsh(-1j * full.v)
         assert len(eig) == 2**n
         assert np.min(np.diff(eig)) == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(np.sort(torus.mu), eig, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.sort(full.mu), eig, rtol=0.0, atol=1e-12)

@@ -53,6 +53,7 @@ from kgdecomp.config import DEFAULT_TOLS, SUBSPACE_TOL
 from kgdecomp.engine import _minimize_full, _newton_polish
 from kgdecomp.linalg import AlgebraElement, as_matrix
 from tree_digests import _special, structured_gates
+from torus_oracle import full_torus, full_torus_of
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -130,12 +131,13 @@ def _figure_weights_oracle(mu, es_weights):
 def _stage_figures_oracle(xt, torus, block=False):
     # (c, p, residual_norm, rel, es) of the whole register's x~, or of the
     # block x~[0::2, 0::2] of an F-torus x~ = diag(X, -X)
+    full = full_torus_of(torus)
     if block:
-        signs, mu = torus.signs[:, 0::2], torus.mu[0::2]
-        weights = _figure_weights_oracle(mu, torus.es_weights[0::2, 0::2])
+        signs, mu = torus.signs[:, 0::2], full.mu[0::2]
+        weights = _figure_weights_oracle(mu, full.es_weights[0::2, 0::2])
     else:
-        signs, mu = torus.signs, torus.mu
-        weights = _figure_weights_oracle(mu, torus.es_weights)
+        signs, mu = torus.signs, full.mu
+        weights = _figure_weights_oracle(mu, full.es_weights)
     d = xt.diagonal()
     c = (2.0 / len(xt)) * (signs @ d.imag)
     p = 0.5 * (c @ signs)
@@ -237,7 +239,7 @@ def test_newton_step_solves_the_residual_jacobian(monkeypatch):
     rng = np.random.default_rng(15)
     kg = build_kg_basis(3)
     inv = AxisInvolution(3, "Z")
-    torus = np.linalg.eigh(-1j * cartan_torus("H", 3).v)
+    torus = np.linalg.eigh(-1j * full_torus("H", 3).v)
     basis = torus[1]
     k = random_k_unitary(rng, kg, scale=1e-2)
     h = k.conj().T @ random_span_element(rng, kg.h_set, 0.4) @ k
@@ -635,7 +637,7 @@ def test_newton_polish_evaluates_its_last_step():
     h_true = random_span_element(rng, kg.h_set, scale=0.4)
     k = random_k_unitary(rng, kg, scale=1e-3)
     m0 = k @ h_true @ k.conj().T
-    v = cartan_torus("H", 3).v
+    v = full_torus("H", 3).v
     torus = np.linalg.eigh(-1j * v)
     rel_identity = np.linalg.norm(v @ m0 - m0 @ v) / (
         np.linalg.norm(v) * np.linalg.norm(m0)
@@ -1137,13 +1139,14 @@ def _residual_oracle(xt, p):
 
 
 def _relative_commutator_oracle(xt, torus):
-    mu = torus.mu
+    mu = full_torus_of(torus).mu
     gaps = mu[:, None] - mu[None, :]
     return np.linalg.norm(gaps * xt) / (np.linalg.norm(mu) * np.linalg.norm(xt))
 
 
 def _subspace_error_oracle(xt, torus):
-    es = np.sqrt(np.sum(torus.es_weights * np.abs(xt) ** 2)) / len(torus.labels)
+    es_weights = full_torus_of(torus).es_weights
+    es = np.sqrt(np.sum(es_weights * np.abs(xt) ** 2)) / len(torus.labels)
     return es
 
 

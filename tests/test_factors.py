@@ -461,6 +461,13 @@ def test_deserialize_rejects_malformed_documents(monkeypatch):
         # JSON booleans are not numbers, though bool subclasses int
         (cartan.replace(zero, '"phase": true'), "phase"),
         (cartan.replace('"n_total": 3', '"n_total": true'), "n_total"),
+        # true and 1.0 compare equal to 1 but are not the version 1
+        (cartan.replace('"version": 1', '"version": true'), "version"),
+        (cartan.replace('"version": 1', '"version": 1.0'), "version"),
+        # a register whose 2^n x 2^n complex matrix would pass sys.maxsize
+        # bytes; 10^400 is an int no float holds
+        (cartan.replace('"n_total": 3', '"n_total": 30'), "n_total"),
+        (cartan.replace('"n_total": 3', '"n_total": 1' + "0" * 400), "n_total"),
         (good.replace('"level_qubits": 3', '"level_qubits": true'), "factors[0]"),
         (cartan.replace('["IIX", 1.0000000000000001e-01]', '["IIX", true]'),
          "factors[0].coeffs[0]"),
@@ -485,13 +492,14 @@ def test_deserialize_rejects_malformed_documents(monkeypatch):
         assert info.value.location == location
 
     # A document declares its own register, so a small file may name a
-    # level whose basis holds 4^40 - 1 words; its labels are checked on
-    # their own, and building any basis here is a failure, not a hang.
+    # level whose basis holds 4^29 - 1 words, at the largest n_total that
+    # reads; its labels are checked on their own, and building any basis
+    # here is a failure, not a hang.
     def refuse(n):
         raise AssertionError(f"built the level-{n} basis")
 
     monkeypatch.setattr(kgdecomp.factors, "build_kg_basis", refuse)
-    n = 40
+    n = 29
     top = "I" * (n - 1) + "X"
     nested = "XX" + "I" * (n - 3) + "X"
     doc = {
